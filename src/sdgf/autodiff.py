@@ -7,6 +7,13 @@ gradients on the inputs. Values are always float64: the gradient checks
 in the test suite need the precision, and desk-scale training does not
 need anything faster.
 
+A recorded graph is one-shot. As ``backward`` finishes with each
+interior node it releases the node's closure, its parent links and its
+gradient, so a step's graph is freed by reference counting the moment
+the caller drops the loss, without waiting for the cycle collector.
+Leaf gradients (parameters, inputs) are kept. A later ``backward`` that
+reaches a released node raises ``GraphError``.
+
 Outputs are checked for NaN/Inf after every operation (a non-finite
 value is an error state, not a value). ``set_finite_checks`` can switch
 the guard off for throughput experiments.
@@ -18,6 +25,7 @@ import contextlib
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, GraphError, NumericError, ShapeError
 
@@ -58,7 +66,7 @@ class Tensor:
     that pushes the output gradient back to those inputs.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_backward_done")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_released", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -69,7 +77,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[], None] | None = None
-        self._backward_done = False
+        self._released = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -104,21 +112,26 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable input.
 
-        Raises if the value is not a scalar or if backward already ran on
-        this node (the recorded closures are one-shot).
+        Each interior node is released once its closure has run (see the
+        module docstring). Raises if the value is not a scalar or if the
+        graph reaches a node that an earlier backward released.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {self.data.shape}")
         if not self.requires_grad:
             raise GraphError("no graph was recorded for this tensor (built under no_grad?)")
-        if self._backward_done:
-            raise GraphError("backward already ran on this node; rebuild the graph first")
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        # Popping drops the list's reference, so a released node whose
+        # consumers are released too is freed before the walk moves on.
+        while order:
+            node = order.pop()
             if node._vjp is not None:
                 node._vjp()
-        self._backward_done = True
+                node._vjp = None
+                node._parents = ()
+                node.grad = None
+                node._released = True
 
     # Convenience arithmetic; the model code reads better with operators.
     def __add__(self, other):
@@ -190,6 +203,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
+        if node._released:
+            raise GraphError("backward already ran through this graph; rebuild it first")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -220,6 +235,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
+
+
+def _contract_batch(p: np.ndarray, q: np.ndarray, keep: int) -> np.ndarray:
+    """Sum ``p`` times ``q`` over every axis but ``keep``, as one GEMM.
+
+    Both operands have the same shape off ``keep``; the result is
+    (p.shape[keep], q.shape[keep]).
+    """
+    keep %= p.ndim
+    summed = [i for i in range(p.ndim) if i != keep]
+    return np.tensordot(p, q, axes=(summed, summed))
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +414,19 @@ def matmul(a, b) -> Tensor:
         def vjp():
             g = out.grad
             if a.requires_grad:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-                a._accumulate(_unbroadcast(ga, a.data.shape))
+                if a.ndim == 2 and b.ndim > 2:
+                    # A weight applied to a batch: contract the batch axes
+                    # in the GEMM instead of summing a (batch, m, k) stack.
+                    ga = _contract_batch(g, b.data, -2)
+                else:
+                    ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+                a._accumulate(ga)
             if b.requires_grad:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-                b._accumulate(_unbroadcast(gb, b.data.shape))
+                if b.ndim == 2 and a.ndim > 2:
+                    gb = _contract_batch(a.data, g, -1)
+                else:
+                    gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+                b._accumulate(gb)
 
         return vjp
 
@@ -559,30 +593,6 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
     return _make(data, "narrow", (x,), build)
 
 
-def take(x, indices, axis: int) -> Tensor:
-    """Gather entries along ``axis``; the gradient scatter-adds them back."""
-    x = _as_tensor(x)
-    axis = _check_axis(x, axis)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError("take expects a flat index list")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[axis]):
-        raise ShapeError(f"take indices out of range for axis {axis} of shape {x.shape}")
-    data = np.take(x.data, idx, axis=axis)
-
-    def build(out):
-        def vjp():
-            if x.requires_grad:
-                g = np.zeros_like(x.data)
-                moved = np.moveaxis(g, axis, 0)
-                np.add.at(moved, idx, np.moveaxis(out.grad, axis, 0))
-                x._accumulate(g)
-
-        return vjp
-
-    return _make(data, "take", (x,), build)
-
-
 # ---------------------------------------------------------------------------
 # Convolution and normalization
 
@@ -606,30 +616,29 @@ def conv1d(x, kernel, dilation: int = 1) -> Tensor:
     if dilation < 1:
         raise ConfigError(f"dilation must be >= 1, got {dilation}")
 
-    length = x.shape[2]
+    batch, channels, length = x.shape
+    out_channels = kernel.shape[0]
     pad = dilation * (width - 1) // 2
-    padded = np.pad(x.data, ((0, 0), (0, 0), (pad, pad)))
-    out_data = np.zeros((x.shape[0], kernel.shape[0], length))
-    for j in range(width):
-        window = padded[:, :, j * dilation : j * dilation + length]
-        out_data += np.einsum("oc,bcl->bol", kernel.data[:, :, j], window)
+    # im2col with the contracted axes first: cols[c, j, b, l] is
+    # x[b, c, l + j * dilation - pad] (zero outside), so the forward pass
+    # and both gradients are single 2-D GEMMs over (channels * width).
+    padded = np.pad(x.data.transpose(1, 0, 2), ((0, 0), (0, 0), (pad, pad)))
+    windows = sliding_window_view(padded, length, axis=2)[:, :, ::dilation]
+    cols = windows.transpose(0, 2, 1, 3).reshape(channels * width, batch * length)
+    flat_kernel = kernel.data.reshape(out_channels, channels * width)
+    out_data = (flat_kernel @ cols).reshape(out_channels, batch, length).transpose(1, 0, 2)
 
     def build(out):
         def vjp():
-            g = out.grad
+            g = out.grad.transpose(1, 0, 2).reshape(out_channels, batch * length)
             if kernel.requires_grad:
-                gk = np.empty_like(kernel.data)
-                for j in range(width):
-                    window = padded[:, :, j * dilation : j * dilation + length]
-                    gk[:, :, j] = np.einsum("bol,bcl->oc", g, window)
-                kernel._accumulate(gk)
+                kernel._accumulate((g @ cols.T).reshape(kernel.data.shape))
             if x.requires_grad:
-                gx_pad = np.zeros_like(padded)
+                g_cols = (flat_kernel.T @ g).reshape(channels, width, batch, length)
+                g_pad = np.zeros((channels, batch, length + 2 * pad))
                 for j in range(width):
-                    gx_pad[:, :, j * dilation : j * dilation + length] += np.einsum(
-                        "oc,bol->bcl", kernel.data[:, :, j], g
-                    )
-                x._accumulate(gx_pad[:, :, pad : pad + length])
+                    g_pad[:, :, j * dilation : j * dilation + length] += g_cols[:, j]
+                x._accumulate(g_pad[:, :, pad : pad + length].transpose(1, 0, 2))
 
         return vjp
 

@@ -10,10 +10,20 @@ The smoothing kernel is the orthonormal low-pass divided by its sum, so
 constants are fixed points of every level. Circular boundary handling is
 the default because it preserves shift covariance exactly; symmetric
 reflection is available for series where wraparound is unphysical.
+
+Every component is a fixed linear map of the input along time: the taps
+are constants and each boundary rule is a fixed index map, so level
+``l``'s smoothing is a constant (length, length) matrix and each
+component is a product of them. ``component_operators`` builds those
+matrices once per (filter, levels, boundary, length) and caches them
+read-only; ``decompose`` then applies each as one matmul. This is the
+same transform as running the taps level by level (Shensa 1992), up to
+floating-point summation order.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,19 +137,35 @@ def decompose(
             f" > length {length}; maximum admissible level is {admissible}"
         )
 
-    dc_gain = sum(filt.lowpass)
-    taps = [c / dc_gain for c in filt.lowpass]
+    components = [
+        ad.matmul(ad.Tensor(op), x) for op in component_operators(filt, levels, boundary, length)
+    ]
+    return Decomposition(components, levels)
 
-    components: list[ad.Tensor] = []
-    smooth = x
+
+@functools.lru_cache(maxsize=32)
+def component_operators(
+    filt: WaveletFilter, levels: int, boundary: str, length: int
+) -> tuple[np.ndarray, ...]:
+    """The (length, length) maps from a series to each component.
+
+    Details fine to coarse, approximation last, so component ``i`` of a
+    (batch, length, variables) input is ``ops[i] @ x``. The arrays are
+    cached and shared, so they are read-only.
+    """
+    dc_gain = sum(filt.lowpass)
+    rows = np.arange(length)
+    previous = np.eye(length)
+    operators = []
     for level in range(1, levels + 1):
         dilation = 2 ** (level - 1)
-        smoothed = None
-        for k, tap in enumerate(taps):
-            idx = _tap_indices(length, k * dilation, boundary)
-            term = ad.scale(ad.take(smooth, idx, axis=1), tap)
-            smoothed = term if smoothed is None else ad.add(smoothed, term)
-        components.append(ad.sub(smooth, smoothed))
-        smooth = smoothed
-    components.append(smooth)
-    return Decomposition(components, levels)
+        smoothing = np.zeros((length, length))
+        for k, c in enumerate(filt.lowpass):
+            smoothing[rows, _tap_indices(length, k * dilation, boundary)] += c / dc_gain
+        smoothed = smoothing @ previous
+        operators.append(previous - smoothed)
+        previous = smoothed
+    operators.append(previous)
+    for op in operators:
+        op.setflags(write=False)
+    return tuple(operators)

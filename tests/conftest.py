@@ -45,3 +45,22 @@ def assert_grads_match(build_loss, leaves, tol: float = 1e-5) -> None:
         oracle = fd_gradient(lambda: float(build_loss().data), leaf)
         err = relative_error(leaf.grad, oracle)
         assert err < tol, f"gradient mismatch: relative error {err:.3e}"
+
+
+def loop_conv1d(x: np.ndarray, kernel: np.ndarray, dilation: int) -> np.ndarray:
+    """Zero-padded same-length dilated convolution, written as bare loops."""
+    batch, in_ch, length = x.shape
+    out_ch, _, width = kernel.shape
+    pad = dilation * (width - 1) // 2
+    out = np.zeros((batch, out_ch, length))
+    for b in range(batch):
+        for o in range(out_ch):
+            for t in range(length):
+                acc = 0.0
+                for c in range(in_ch):
+                    for j in range(width):
+                        src = t + j * dilation - pad
+                        if 0 <= src < length:
+                            acc += kernel[o, c, j] * x[b, c, src]
+                out[b, o, t] = acc
+    return out

@@ -5,15 +5,20 @@ a handful of values are frozen from hand computation so a silent change
 in conventions (padding, axis order) cannot slip through.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdgf import autodiff as ad
+from sdgf import model as md
+from sdgf import training as tr
 from sdgf.errors import ConfigError, GraphError, NumericError, ShapeError
 
-from conftest import assert_grads_match, relative_error
+from conftest import assert_grads_match, loop_conv1d, relative_error
 
 RNG = np.random.default_rng(20240817)
 
@@ -103,6 +108,21 @@ def test_grad_matmul_broadcast_weight():
     assert_grads_match(lambda: ad.matmul(a, w).sum(), [a, w])
 
 
+def test_grad_matmul_weight_on_left():
+    # theta @ state: the 2-D weight's gradient contracts the batch axis.
+    theta, state = leaf((4, 3)), leaf((6, 3, 5))
+    w = ad.Tensor(RNG.normal(0.0, 1.0, (6, 4, 5)))
+    assert_grads_match(lambda: (ad.matmul(theta, state) * w).sum(), [theta, state])
+
+
+def test_grad_matmul_4d_batch_against_weight():
+    a, w = leaf((2, 3, 4, 5)), leaf((5, 2))
+    left = leaf((3, 4))
+    out_w = ad.Tensor(RNG.normal(0.0, 1.0, (2, 3, 4, 2)))
+    assert_grads_match(lambda: (ad.matmul(a, w) * out_w).sum(), [a, w])
+    assert_grads_match(lambda: (ad.matmul(left, a) * 0.5).sum(), [left, a])
+
+
 def test_grad_tanh_relu_sqrt():
     x = ad.Tensor(RNG.uniform(0.3, 2.0, (4, 4)), requires_grad=True)
     assert_grads_match(lambda: (ad.tanh(x) + ad.relu(x) + ad.sqrt(x)).sum(), [x])
@@ -147,13 +167,6 @@ def test_grad_concat_narrow():
         return (ad.narrow(joined, 1, 2, 4) * w).sum()
 
     assert_grads_match(loss, [a, b])
-
-
-def test_grad_take_with_repeats():
-    # Repeated indices must scatter-add, not overwrite.
-    x = leaf((5, 3))
-    w = ad.Tensor(RNG.normal(0.0, 1.0, (4, 3)))
-    assert_grads_match(lambda: (ad.take(x, [0, 2, 2, 4], axis=0) * w).sum(), [x])
 
 
 def test_grad_conv1d():
@@ -209,6 +222,34 @@ def test_backward_twice_raises():
     loss.backward()
     with pytest.raises(GraphError):
         loss.backward()
+
+
+def test_backward_through_released_node_raises():
+    # Two losses share y; the first backward releases y, so the second
+    # must refuse rather than skip y and leave x's gradient short.
+    x = leaf((3,))
+    y = x * x
+    first, second = y.sum(), (y * 2.0).sum()
+    first.backward()
+    with pytest.raises(GraphError):
+        second.backward()
+
+
+def test_backward_frees_graph_without_cycle_collector():
+    net = md.build_model(md.ModelConfig(n_vars=3, input_len=16, horizon=4, hidden=8, levels=2))
+    md.set_static_graph(net, RNG.normal(0.0, 1.0, (64, 3)))
+    inputs, targets = RNG.normal(0.0, 1.0, (2, 16, 3)), RNG.normal(0.0, 1.0, (2, 4, 3))
+    gc.disable()
+    try:
+        loss = tr.mse_loss(md.forward(ad.Tensor(inputs), net), targets)
+        interior = [weakref.ref(n) for n in ad._toposort(loss) if n._vjp is not None]
+        assert len(interior) > 100
+        grads = ad.backward(loss, md.effective_parameters(net))
+        del loss
+        alive = [r for r in interior if r() is not None]
+    finally:
+        gc.enable()
+    assert grads and not alive
 
 
 def test_no_grad_blocks_recording():
@@ -326,3 +367,21 @@ def test_matmul_matches_numpy(seed):
     a = rng.normal(0.0, 1.0, (3, 4))
     b = rng.normal(0.0, 1.0, (4, 5))
     np.testing.assert_allclose(ad.matmul(ad.Tensor(a), ad.Tensor(b)).data, a @ b, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    length=st.integers(1, 12),
+    width=st.sampled_from([1, 3, 5]),
+    dilation=st.integers(1, 3),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_conv1d_matches_loops_and_fd(length, width, dilation, seed):
+    # Lengths go below the padding, so some taps see only zeros.
+    rng = np.random.default_rng(seed)
+    x = ad.Tensor(rng.normal(0.0, 1.0, (2, 3, length)), requires_grad=True)
+    k = ad.Tensor(rng.normal(0.0, 1.0, (2, 3, width)), requires_grad=True)
+    w = ad.Tensor(rng.normal(0.0, 1.0, (2, 2, length)))
+    expect = loop_conv1d(x.data, k.data, dilation)
+    np.testing.assert_allclose(ad.conv1d(x, k, dilation).data, expect, rtol=0, atol=1e-12)
+    assert_grads_match(lambda: (ad.conv1d(x, k, dilation) * w).sum(), [x, k])

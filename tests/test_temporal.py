@@ -9,7 +9,7 @@ from sdgf import autodiff as ad
 from sdgf import temporal as tp
 from sdgf.errors import ConfigError, ShapeError
 
-from conftest import assert_grads_match
+from conftest import assert_grads_match, loop_conv1d
 
 RNG = np.random.default_rng(515)
 
@@ -42,25 +42,6 @@ def build_block(channels, norm_dim=None, rng=None, fill=None):
         norm_gain=ad.Parameter("gain", np.ones(norm_dim)),
         norm_bias=ad.Parameter("shift", np.zeros(norm_dim)),
     )
-
-
-def loop_conv1d(x, kernel, dilation):
-    """Zero-padded same-length dilated convolution, written as bare loops."""
-    batch, in_ch, length = x.shape
-    out_ch, _, width = kernel.shape
-    pad = dilation * (width - 1) // 2
-    out = np.zeros((batch, out_ch, length))
-    for b in range(batch):
-        for o in range(out_ch):
-            for t in range(length):
-                acc = 0.0
-                for c in range(in_ch):
-                    for j in range(width):
-                        src = t + j * dilation - pad
-                        if 0 <= src < length:
-                            acc += kernel[o, c, j] * x[b, c, src]
-                out[b, o, t] = acc
-    return out
 
 
 def test_residual_only_path_is_layer_norm():

@@ -19,6 +19,24 @@ def decompose_arrays(x: np.ndarray, family: str, levels: int, boundary: str = "c
     return [c.data for c in out.components]
 
 
+def loop_decompose(x: np.ndarray, family: str, levels: int, boundary: str = "circular"):
+    """Reference transform: shift, scale and add one tap at a time per level."""
+    filt = wv.wavelet_filter(family)
+    taps = [c / sum(filt.lowpass) for c in filt.lowpass]
+    length = x.shape[1]
+    components = []
+    smooth = x
+    for level in range(1, levels + 1):
+        dilation = 2 ** (level - 1)
+        smoothed = np.zeros_like(smooth)
+        for k, tap in enumerate(taps):
+            smoothed += tap * np.take(smooth, wv._tap_indices(length, k * dilation, boundary), axis=1)
+        components.append(smooth - smoothed)
+        smooth = smoothed
+    components.append(smooth)
+    return components
+
+
 # ---------------------------------------------------------------------------
 # Filter families
 
@@ -118,6 +136,33 @@ def test_components_sum_to_input(family, levels, boundary):
     parts = decompose_arrays(x, family, levels, boundary)
     assert all(p.shape == x.shape for p in parts)
     np.testing.assert_allclose(sum(parts), x, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "family,levels,length",
+    # The first two cases per family sit at the shortest admissible
+    # length, support * 2**(levels - 1); the others are longer.
+    [("haar", 1, 2), ("haar", 3, 8), ("haar", 3, 37), ("haar", 6, 96),
+     ("db4", 1, 8), ("db4", 3, 32), ("db4", 2, 45), ("db4", 4, 192)],
+)
+@pytest.mark.parametrize("boundary", ["circular", "symmetric"])
+def test_operators_match_tap_loop(family, levels, length, boundary):
+    x = RNG.normal(0.0, 2.0, (3, length, 2))
+    expected = loop_decompose(x, family, levels, boundary)
+    got = decompose_arrays(x, family, levels, boundary)
+    assert len(got) == levels + 1
+    for g, e in zip(got, expected):
+        np.testing.assert_allclose(g, e, rtol=0, atol=1e-12)
+
+
+def test_cached_operators_are_shared_and_read_only():
+    filt = wv.wavelet_filter("db4")
+    ops = wv.component_operators(filt, 2, "symmetric", 24)
+    assert wv.component_operators(filt, 2, "symmetric", 24) is ops
+    assert [op.shape for op in ops] == [(24, 24)] * 3
+    for op in ops:
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
 
 
 def test_too_many_levels_reports_maximum():
