@@ -248,6 +248,34 @@ def _contract_batch(p: np.ndarray, q: np.ndarray, keep: int) -> np.ndarray:
     return np.tensordot(p, q, axes=(summed, summed))
 
 
+def _matmul_operand_grad(p: np.ndarray, q: np.ndarray, shape: tuple, keep: int) -> np.ndarray:
+    """Gradient of one ``matmul`` operand of ``shape``.
+
+    For the left operand ``p`` is the output gradient, ``q`` the right
+    operand and ``keep`` is -2; for the right operand ``p`` is the left
+    operand, ``q`` the output gradient and ``keep`` is -1. An operand
+    broadcast over the batch axes is a weight: its gradient contracts
+    those axes inside GEMMs rather than summing a full (batch..., m, k)
+    stack. A (scales, 1, m, k) weight against a (scales, batch, ...)
+    operand contracts each scale's batch on its own.
+    """
+    batch = np.broadcast_shapes(p.shape[:-2], q.shape[:-2])
+    lead = shape[:-2]
+    if lead != batch:
+        p = np.broadcast_to(p, batch + p.shape[-2:])
+        q = np.broadcast_to(q, batch + q.shape[-2:])
+        if all(d == 1 for d in lead):
+            return _contract_batch(p, q, keep).reshape(shape)
+        if len(lead) == len(batch) and lead[0] == batch[0] and all(d == 1 for d in lead[1:]):
+            per_scale = [_contract_batch(p[s], q[s], keep) for s in range(lead[0])]
+            return np.stack(per_scale).reshape(shape)
+    if keep == -2:
+        product = np.matmul(p, np.swapaxes(q, -1, -2))
+    else:
+        product = np.matmul(np.swapaxes(p, -1, -2), q)
+    return _unbroadcast(product, shape)
+
+
 # ---------------------------------------------------------------------------
 # Elementwise ops
 
@@ -414,19 +442,9 @@ def matmul(a, b) -> Tensor:
         def vjp():
             g = out.grad
             if a.requires_grad:
-                if a.ndim == 2 and b.ndim > 2:
-                    # A weight applied to a batch: contract the batch axes
-                    # in the GEMM instead of summing a (batch, m, k) stack.
-                    ga = _contract_batch(g, b.data, -2)
-                else:
-                    ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-                a._accumulate(ga)
+                a._accumulate(_matmul_operand_grad(g, b.data, a.data.shape, -2))
             if b.requires_grad:
-                if b.ndim == 2 and a.ndim > 2:
-                    gb = _contract_batch(a.data, g, -1)
-                else:
-                    gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
-                b._accumulate(gb)
+                b._accumulate(_matmul_operand_grad(a.data, g, b.data.shape, -1))
 
         return vjp
 
@@ -523,6 +541,14 @@ def transpose(x, axes: Sequence[int]) -> Tensor:
         return vjp
 
     return _make(data, "transpose", (x,), build)
+
+
+def matrix_transpose(x) -> Tensor:
+    """Swap the last two axes, keeping any leading (batch, scale) axes."""
+    x = _as_tensor(x)
+    if x.ndim < 2:
+        raise ShapeError(f"matrix_transpose needs a >=2-d operand, got {x.shape}")
+    return transpose(x, (*range(x.ndim - 2), x.ndim - 1, x.ndim - 2))
 
 
 def reshape(x, shape: Sequence[int]) -> Tensor:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import pathlib
 import sys
@@ -57,7 +58,7 @@ def _build_parser() -> _Parser:
 
     abl = sub.add_parser("ablate", help="train full and ablated variants, compare")
     _config_args(abl)
-    abl.add_argument("--mode", required=True)
+    abl.add_argument("--mode", required=True, help="gsl, gf, tfl, or all three")
     abl.set_defaults(func=_cmd_ablate)
 
     syn = sub.add_parser("synth", help="write a synthetic dataset CSV")
@@ -92,12 +93,12 @@ def _prepare_dataset(cfg: cf.RunConfig):
     if not path:
         raise ConfigError("data.path is required (set it in the config or via --data)")
     table = load_csv(path)
-    length, horizon = cfg["model.input_len"], cfg["model.horizon"]
-    dataset = make_windows(table.values, length, horizon)
+    dataset = make_windows(table.values, cfg["model.input_len"], cfg["model.horizon"])
     scaler = None
     if cfg["data.standardize"]:
+        # Splits depend only on the row count, so only the values change.
         scaler = Scaler.fit(table.values[: dataset.train_end])
-        dataset = make_windows(scaler.transform(table.values), length, horizon)
+        dataset = dataclasses.replace(dataset, values=scaler.transform(table.values))
     return table, dataset, scaler
 
 
@@ -139,6 +140,9 @@ def _cmd_train(args) -> int:
         test_mse, test_mae = tr.evaluate(best, dataset, "test", cfg["train.batch"])
         payload["test_mse"] = test_mse
         payload["test_mae"] = test_mae
+        payload["repeat_last_mse"], payload["repeat_last_mae"] = tr.repeat_last_metrics(
+            dataset, "test"
+        )
         print(_metric_line("test", test_mse, test_mae))
     with open(out / "report.json", "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -260,13 +264,10 @@ def _collect_details(model, dataset, split, batch):
             _, details = md.forward_with_details(ad.Tensor(inputs), model)
             alphas.append(details["alpha"])
             static_adj = details["static"]
-            sums = [np.sum(a, axis=0) for a in details["dynamic"]]
-            if dyn_sums is None:
-                dyn_sums = sums
-            else:
-                dyn_sums = [acc + s for acc, s in zip(dyn_sums, sums)]
+            sums = details["dynamic"].sum(axis=1)
+            dyn_sums = sums if dyn_sums is None else dyn_sums + sums
             seen += len(inputs)
-    return np.concatenate(alphas), static_adj, [s / seen for s in dyn_sums]
+    return np.concatenate(alphas), static_adj, dyn_sums / seen
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +277,13 @@ def _collect_details(model, dataset, split, batch):
 def _cmd_ablate(args) -> int:
     cfg = _resolve_config(args)
     # Reject bad modes before spending time on training.
-    if args.mode not in md.ABLATION_MODES:
+    if args.mode == "all":
+        modes = md.ABLATION_MODES
+    elif args.mode in md.ABLATION_MODES:
+        modes = (args.mode,)
+    else:
         raise ConfigError(
-            f"unknown ablation mode {args.mode!r}; available: {md.ABLATION_MODES}"
+            f"unknown ablation mode {args.mode!r}; available: {(*md.ABLATION_MODES, 'all')}"
         )
     table, dataset, scaler = _prepare_dataset(cfg)
     extra = _checkpoint_extra(table, scaler)
@@ -287,14 +292,16 @@ def _cmd_ablate(args) -> int:
     cfg.save(out / "resolved.cfg")
 
     results = {}
-    for label, wrap in (("full", None), (f"wo-{args.mode}", args.mode)):
+    for mode in (None, *modes):
+        label = "full" if mode is None else f"wo-{mode}"
         model = md.build_model(cf.model_config(cfg, table.n_vars))
-        if wrap is not None:
-            model = md.ablate(model, wrap)
+        if mode is not None:
+            model = md.ablate(model, mode)
         _, blob = tr.train(model, dataset, tcfg, extra=extra)
         (out / f"{label}.ckpt").write_bytes(blob)
         best, _ = md.load_checkpoint(blob)
         results[label] = tr.evaluate(best, dataset, "test", tcfg.batch)
+    results["repeat-last"] = tr.repeat_last_metrics(dataset, "test")
 
     lines = ["model,metric,value"]
     for metric, index in (("mse", 0), ("mae", 1)):

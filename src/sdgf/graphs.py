@@ -16,6 +16,15 @@ Propagation mixes a residual of the input with neighborhood averages:
 and the output sums per-hop linear maps Theta_k(H(k)). ``literal``
 collapses every hop to the single-hop mix alpha*H + (1-alpha)*A*H for
 comparison runs.
+
+The dynamic stages broadcast over leading axes, so one call serves every
+wavelet scale: components arrive as a (scales, batch, length, nodes)
+stack, the embedding maps are stored as (scales, 1, length, d_e) and the
+hop maps as (scales, 1, features, features), giving (scales, batch,
+nodes, nodes) adjacencies and (scales, batch, features, nodes) outputs.
+A size-1 scale axis shares one set of maps across all scales. Weights
+apply from the left (``w.T @ x``) so time stays on the axis the inputs
+already carry it on and no component is transposed.
 """
 
 from __future__ import annotations
@@ -65,7 +74,11 @@ def pearson_adjacency(x: np.ndarray, eps: float = 1e-9) -> np.ndarray:
 
 @dataclass
 class GraphPropagationConfig:
-    """Residual mix weight, hop count, and the per-hop feature maps."""
+    """Residual mix weight, hop count, and the per-hop feature maps.
+
+    Each map is (features, features), or (scales, 1, features, features)
+    for a stack of per-scale maps.
+    """
 
     alpha: float
     depth: int
@@ -104,6 +117,13 @@ def _apply_hops(states: list[ad.Tensor], cfg: GraphPropagationConfig) -> ad.Tens
     return out
 
 
+def _propagate(h: ad.Tensor, a_t: ad.Tensor, cfg: GraphPropagationConfig, literal: bool):
+    def mix(state):
+        return ad.matmul(state, a_t)
+
+    return _apply_hops(_hop_states(h, mix, cfg.alpha, cfg.depth, literal), cfg)
+
+
 def static_graph_conv(
     h: ad.Tensor,
     adjacency: np.ndarray,
@@ -116,12 +136,7 @@ def static_graph_conv(
         raise ShapeError(f"adjacency must be square, got {adjacency.shape}")
     if h.ndim != 3 or h.shape[2] != adjacency.shape[0]:
         raise ShapeError(f"node axis of {h.shape} does not match adjacency {adjacency.shape}")
-    a_t = ad.Tensor(adjacency.T)
-
-    def mix(state):
-        return ad.matmul(state, a_t)
-
-    return _apply_hops(_hop_states(h, mix, cfg.alpha, cfg.depth, literal), cfg)
+    return _propagate(h, ad.Tensor(adjacency.T), cfg, literal)
 
 
 def dynamic_graph_conv(
@@ -130,17 +145,17 @@ def dynamic_graph_conv(
     cfg: GraphPropagationConfig,
     literal: bool = False,
 ) -> ad.Tensor:
-    """Propagate (batch, features, nodes) through a per-item graph."""
-    if adjacency.ndim != 3 or adjacency.shape[1] != adjacency.shape[2]:
-        raise ShapeError(f"per-item adjacency must be (batch, nodes, nodes), got {adjacency.shape}")
-    if h.ndim != 3 or h.shape[2] != adjacency.shape[1] or h.shape[0] != adjacency.shape[0]:
+    """Propagate (..., features, nodes) through per-item graphs (..., nodes, nodes).
+
+    Leading axes of ``h``, ``adjacency`` and the hop maps broadcast, so a
+    (scales, batch, ...) stack with (scales, 1, features, features) hop
+    maps runs every scale in one call.
+    """
+    if adjacency.ndim < 2 or adjacency.shape[-1] != adjacency.shape[-2]:
+        raise ShapeError(f"adjacency must be (..., nodes, nodes), got {adjacency.shape}")
+    if h.ndim < 2 or h.shape[-1] != adjacency.shape[-1]:
         raise ShapeError(f"features {h.shape} do not match adjacency {adjacency.shape}")
-    a_t = ad.transpose(adjacency, (0, 2, 1))
-
-    def mix(state):
-        return ad.matmul(state, a_t)
-
-    return _apply_hops(_hop_states(h, mix, cfg.alpha, cfg.depth, literal), cfg)
+    return _propagate(h, ad.matrix_transpose(adjacency), cfg, literal)
 
 
 # ---------------------------------------------------------------------------
@@ -149,27 +164,28 @@ def dynamic_graph_conv(
 
 @dataclass
 class DynamicGraphLayer:
-    """Two embedding maps from per-variable time profiles to d_e."""
+    """Two embedding maps (..., length, d_e) from variable time profiles to d_e."""
 
     w1: ad.Parameter
     w2: ad.Parameter
 
 
 def dynamic_adjacency(x_scale: ad.Tensor, layer: DynamicGraphLayer) -> ad.Tensor:
-    """Row-stochastic per-item adjacency learned from one wavelet scale.
+    """Row-stochastic per-item adjacency learned from wavelet components.
 
-    ``x_scale`` is (batch, length, variables). Each variable's length-L
-    profile maps through w1/w2 (L, d_e) into two embeddings; the row
-    softmax of their inner products is the adjacency.
+    ``x_scale`` is (..., length, variables), one scale as (batch, length,
+    variables) or every scale as (scales, batch, length, variables); the
+    maps' leading axes broadcast against it. Each variable's length-L
+    profile maps through w1/w2 into two embeddings; the row softmax of
+    their inner products is the (..., variables, variables) adjacency.
     """
-    if x_scale.ndim != 3:
-        raise ShapeError(f"expected (batch, length, variables), got {x_scale.shape}")
-    if layer.w1.shape[0] != x_scale.shape[1] or layer.w1.shape != layer.w2.shape:
+    if x_scale.ndim < 3:
+        raise ShapeError(f"expected (..., batch, length, variables), got {x_scale.shape}")
+    if layer.w1.shape[-2] != x_scale.shape[-2] or layer.w1.shape != layer.w2.shape:
         raise ShapeError(
-            f"embedding maps {layer.w1.shape}/{layer.w2.shape} do not fit length {x_scale.shape[1]}"
+            f"embedding maps {layer.w1.shape}/{layer.w2.shape} do not fit length {x_scale.shape[-2]}"
         )
-    profiles = ad.transpose(x_scale, (0, 2, 1))
-    e1 = ad.tanh(ad.matmul(profiles, layer.w1))
-    e2 = ad.tanh(ad.matmul(profiles, layer.w2))
-    scores = ad.matmul(e1, ad.transpose(e2, (0, 2, 1)))
-    return ad.softmax(scores, axis=2)
+    e1_t = ad.tanh(ad.matmul(ad.matrix_transpose(layer.w1), x_scale))
+    e2_t = ad.tanh(ad.matmul(ad.matrix_transpose(layer.w2), x_scale))
+    scores = ad.matmul(ad.matrix_transpose(e1_t), e2_t)
+    return ad.softmax(scores, axis=-1)

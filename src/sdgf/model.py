@@ -5,15 +5,26 @@ Forward pipeline for a (batch, input_len, n_vars) window:
     revin normalize
       -> static branch:  input projection -> propagation over the
          correlation graph (frozen from the training split, or per-batch)
-      -> dynamic branches: wavelet decomposition; each component is
-         projected, learns its own adjacency, and propagates through it
-      -> attention-gated fusion of all branches
+      -> dynamic branches: wavelet decomposition into one
+         (scales, batch, input_len, n_vars) stack, scales = levels + 1;
+         the stack is projected, learns one adjacency per scale and item,
+         and propagates through it, all scales in each call
+      -> attention-gated fusion of the (1 + scales, batch, hidden, n_vars)
+         branch stack, static branch first
       -> inception block(s)
       -> per-variable MLP head mapping features to the horizon
     revin denormalize
 
+The per-scale weights live on a leading scale axis: embedding maps are
+(scales, 1, input_len, embed_dim) and hop maps (scales, 1, hidden,
+hidden); ``share_dynamic_weights`` makes the embedding maps' scale axis
+size 1. ``SdgfModel`` is the one parameter tree: ``parameters``,
+``effective_parameters`` and the checkpoint's name list all come from a
+walk over its fields.
+
 Ablations switch individual stages to neutral implementations (identity
-graphs, unweighted fusion, no temporal block) without touching the rest.
+graphs, unweighted fusion, no temporal block) without touching the rest;
+each one leaves the subtree named in ``ABLATED_SUBTREES`` unused.
 """
 
 from __future__ import annotations
@@ -32,10 +43,12 @@ from . import temporal as tp
 from . import wavelet as wv
 from .errors import CheckpointError, ConfigError, ShapeError, StateError
 
-ABLATION_MODES = ("gsl", "gf", "tfl")
+# Ablation mode -> the SdgfModel field whose parameters it leaves unused.
+ABLATED_SUBTREES = {"gsl": "dynamic_layer", "gf": "fusion_layer", "tfl": "blocks"}
+ABLATION_MODES = tuple(ABLATED_SUBTREES)
 
 CHECKPOINT_MAGIC = b"SDGF\x00"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -85,52 +98,59 @@ class ModelConfig:
             )
 
 
+@dataclass
 class RevinLayer:
-    """Per-window standardization with a learnable affine, invertible."""
+    """Per-window standardization with a learnable affine, invertible.
 
-    def __init__(self, gamma: ad.Parameter, beta: ad.Parameter, eps: float = 1e-5):
-        self.gamma = gamma
-        self.beta = beta
-        self.eps = float(eps)
-        self._mean: np.ndarray | None = None
-        self._std: np.ndarray | None = None
+    ``normalize`` returns the window statistics next to its output and
+    ``denormalize`` takes them back, so the layer keeps no state between
+    calls and ablated views of a model can share it.
+    """
 
-    def normalize(self, x: ad.Tensor) -> ad.Tensor:
-        """Remove per-(item, variable) mean/std over time, then affine."""
+    gamma: ad.Parameter
+    beta: ad.Parameter
+    eps: float = 1e-5
+
+    def normalize(self, x: ad.Tensor) -> tuple[ad.Tensor, tuple[np.ndarray, np.ndarray]]:
+        """Remove per-(item, variable) mean/std over time, then affine.
+
+        Returns the normalized tensor and the (mean, std) statistics.
+        """
         if x.ndim != 3 or x.shape[2] != self.gamma.shape[0]:
             raise ShapeError(f"expected (batch, time, {self.gamma.shape[0]}), got {x.shape}")
         n = x.shape[2]
         mean = x.data.mean(axis=1, keepdims=True)
         std = np.sqrt(x.data.var(axis=1, keepdims=True) + self.eps)
-        self._mean, self._std = mean, std
         z = ad.div(ad.sub(x, ad.Tensor(mean)), ad.Tensor(std))
-        return ad.add(
+        out = ad.add(
             ad.mul(z, ad.reshape(self.gamma, (1, 1, n))), ad.reshape(self.beta, (1, 1, n))
         )
+        return out, (mean, std)
 
-    def denormalize(self, y: ad.Tensor) -> ad.Tensor:
-        """Invert the affine and restore the cached statistics."""
-        if self._mean is None:
-            raise StateError("denormalize called before normalize cached any statistics")
+    def denormalize(self, y: ad.Tensor, stats: tuple[np.ndarray, np.ndarray]) -> ad.Tensor:
+        """Invert the affine and restore the statistics ``normalize`` returned."""
+        mean, std = stats
         n = self.gamma.shape[0]
-        if y.ndim != 3 or y.shape[2] != n or y.shape[0] != self._mean.shape[0]:
+        if y.ndim != 3 or y.shape[2] != n or y.shape[0] != mean.shape[0]:
             raise ShapeError(
-                f"expected (batch {self._mean.shape[0]}, horizon, {n}) to invert, got {y.shape}"
+                f"expected (batch {mean.shape[0]}, horizon, {n}) to invert, got {y.shape}"
             )
         # eps^2 keeps the division defined if gamma is driven to zero.
         guard = ad.add(ad.reshape(self.gamma, (1, 1, n)), self.eps * self.eps)
         z = ad.div(ad.sub(y, ad.reshape(self.beta, (1, 1, n))), guard)
-        return ad.add(ad.mul(z, ad.Tensor(self._std)), ad.Tensor(self._mean))
+        return ad.add(ad.mul(z, ad.Tensor(std)), ad.Tensor(mean))
 
 
 @dataclass
 class SdgfModel:
+    """The parameter tree; field order is the parameter order."""
+
     config: ModelConfig
     revin: RevinLayer
     input_proj: ad.Parameter
     static_cfg: gr.GraphPropagationConfig
-    dynamic_cfgs: list[gr.GraphPropagationConfig]
-    dynamic_layers: list[gr.DynamicGraphLayer]
+    dynamic_layer: gr.DynamicGraphLayer
+    dynamic_cfg: gr.GraphPropagationConfig
     fusion_layer: fu.FusionLayer
     blocks: list[tp.InceptionBlock]
     head_w1: ad.Parameter
@@ -151,36 +171,38 @@ def build_model(cfg: ModelConfig) -> SdgfModel:
         bound = 1.0 / np.sqrt(fan_in)
         return ad.Parameter(name, rng.uniform(-bound, bound, shape))
 
+    def stacked(rows, maps):
+        """(rows, 1, *shape) parameters for ``maps`` ((name, fan_in, shape) each).
+
+        Draws row by row, each row's maps in order, exactly as calling
+        ``linear`` for every map of one scale, then the next, would.
+        """
+        sizes = [int(np.prod(shape)) for _, _, shape in maps]
+        draws = np.split(rng.random((rows, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
+        out = []
+        for (name, fan_in, shape), u in zip(maps, draws):
+            bound = 1.0 / np.sqrt(fan_in)
+            # rng.uniform(-b, b) computes -b + 2b * u from the same u.
+            out.append(ad.Parameter(name, -bound + 2 * bound * u.reshape(rows, 1, *shape)))
+        return out
+
     revin = RevinLayer(
         ad.Parameter("revin.gamma", np.ones(n)), ad.Parameter("revin.beta", np.zeros(n))
     )
     input_proj = linear("input_proj", length, (length, dim))
+    static_cfg = gr.GraphPropagationConfig(
+        alpha=cfg.alpha,
+        depth=cfg.depth,
+        theta=[linear(f"static.theta{k}", dim, (dim, dim)) for k in range(cfg.depth + 1)],
+    )
 
-    def prop_cfg(prefix):
-        thetas = [linear(f"{prefix}.theta{k}", dim, (dim, dim)) for k in range(cfg.depth + 1)]
-        return gr.GraphPropagationConfig(alpha=cfg.alpha, depth=cfg.depth, theta=thetas)
-
-    static_cfg = prop_cfg("static")
-
-    dynamic_cfgs = []
-    dynamic_layers = []
-    shared = None
+    embed = [(f"dyn.w{i}", length, (length, cfg.embed_dim)) for i in (1, 2)]
+    hops = [(f"dyn.theta{k}", dim, (dim, dim)) for k in range(cfg.depth + 1)]
     if cfg.share_dynamic_weights:
-        shared = gr.DynamicGraphLayer(
-            linear("dyn_shared.w1", length, (length, cfg.embed_dim)),
-            linear("dyn_shared.w2", length, (length, cfg.embed_dim)),
-        )
-    for s in range(scales):
-        if shared is not None:
-            dynamic_layers.append(shared)
-        else:
-            dynamic_layers.append(
-                gr.DynamicGraphLayer(
-                    linear(f"dyn{s}.w1", length, (length, cfg.embed_dim)),
-                    linear(f"dyn{s}.w2", length, (length, cfg.embed_dim)),
-                )
-            )
-        dynamic_cfgs.append(prop_cfg(f"dyn{s}"))
+        w1, w2 = stacked(1, embed)
+        thetas = stacked(scales, hops)
+    else:
+        w1, w2, *thetas = stacked(scales, embed + hops)
 
     fusion_layer = fu.FusionLayer(
         ad.Parameter("fusion.q", rng.uniform(-0.1, 0.1, dim)),
@@ -220,8 +242,8 @@ def build_model(cfg: ModelConfig) -> SdgfModel:
         revin=revin,
         input_proj=input_proj,
         static_cfg=static_cfg,
-        dynamic_cfgs=dynamic_cfgs,
-        dynamic_layers=dynamic_layers,
+        dynamic_layer=gr.DynamicGraphLayer(w1, w2),
+        dynamic_cfg=gr.GraphPropagationConfig(alpha=cfg.alpha, depth=cfg.depth, theta=thetas),
         fusion_layer=fusion_layer,
         blocks=blocks,
         head_w1=head_w1,
@@ -231,56 +253,27 @@ def build_model(cfg: ModelConfig) -> SdgfModel:
     )
 
 
+def _walk(node, skip=frozenset()):
+    """Parameters under ``node`` in field order, except top-level fields in ``skip``."""
+    if isinstance(node, ad.Parameter):
+        yield node
+    elif isinstance(node, list):
+        for item in node:
+            yield from _walk(item)
+    elif dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            if f.name not in skip:
+                yield from _walk(getattr(node, f.name))
+
+
 def parameters(model: SdgfModel) -> list[ad.Parameter]:
-    """All parameters in construction order, shared ones listed once."""
-    out: list[ad.Parameter] = [model.revin.gamma, model.revin.beta, model.input_proj]
-    out.extend(model.static_cfg.theta)
-    seen = set()
-    for layer, cfg in zip(model.dynamic_layers, model.dynamic_cfgs):
-        if id(layer) not in seen:
-            seen.add(id(layer))
-            out.extend([layer.w1, layer.w2])
-        out.extend(cfg.theta)
-    out.extend([model.fusion_layer.q, model.fusion_layer.w_k])
-    for block in model.blocks:
-        out.extend(block.branch_kernels)
-        out.extend(block.branch_biases)
-        out.extend(
-            [
-                block.merge_kernel,
-                block.merge_bias,
-                block.residual_kernel,
-                block.residual_bias,
-                block.norm_gain,
-                block.norm_bias,
-            ]
-        )
-    out.extend([model.head_w1, model.head_b1, model.head_w2, model.head_b2])
-    return out
+    """All parameters, in the tree's field order."""
+    return list(_walk(model))
 
 
 def effective_parameters(model: SdgfModel) -> list[ad.Parameter]:
     """Parameters that the forward pass actually uses under the ablations."""
-    skip: set[int] = set()
-    if "gsl" in model.ablations:
-        for layer in model.dynamic_layers:
-            skip.update((id(layer.w1), id(layer.w2)))
-    if "gf" in model.ablations:
-        skip.update((id(model.fusion_layer.q), id(model.fusion_layer.w_k)))
-    if "tfl" in model.ablations:
-        for block in model.blocks:
-            for p in (
-                *block.branch_kernels,
-                *block.branch_biases,
-                block.merge_kernel,
-                block.merge_bias,
-                block.residual_kernel,
-                block.residual_bias,
-                block.norm_gain,
-                block.norm_bias,
-            ):
-                skip.add(id(p))
-    return [p for p in parameters(model) if id(p) not in skip]
+    return list(_walk(model, {ABLATED_SUBTREES[mode] for mode in model.ablations}))
 
 
 def parameter_count(model: SdgfModel) -> int:
@@ -316,20 +309,12 @@ def set_static_graph(model: SdgfModel, series: np.ndarray) -> None:
     model.static_adjacency = gr.pearson_adjacency(series[None, :, :])
 
 
-def _project(x: ad.Tensor, proj: ad.Parameter) -> ad.Tensor:
-    """Map (batch, length, vars) time profiles to (batch, hidden, vars)."""
-    return ad.transpose(ad.matmul(ad.transpose(x, (0, 2, 1)), proj), (0, 2, 1))
-
-
-def _identity_adjacency(batch: int, n: int) -> ad.Tensor:
-    return ad.Tensor(np.broadcast_to(np.eye(n), (batch, n, n)).copy())
-
-
 def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dict]:
     """Forward pass returning the prediction and inspection artifacts.
 
-    The details dict carries the fusion weights, the static adjacency,
-    and the per-scale dynamic adjacencies as plain arrays.
+    The details dict carries the (batch, 1 + scales) fusion weights, the
+    static adjacency and the (scales, batch, n_vars, n_vars) dynamic
+    adjacencies as plain arrays.
     """
     cfg = model.config
     if x.ndim != 3 or x.shape[1] != cfg.input_len or x.shape[2] != cfg.n_vars:
@@ -337,7 +322,7 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
             f"expected (batch, {cfg.input_len}, {cfg.n_vars}), got {x.shape}"
         )
     batch, n = x.shape[0], cfg.n_vars
-    x_norm = model.revin.normalize(x)
+    x_norm, stats = model.revin.normalize(x)
 
     if "gsl" in model.ablations:
         static_adj = np.eye(n)
@@ -349,35 +334,27 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
                 "static graph is not frozen; call set_static_graph or enable per-batch mode"
             )
         static_adj = model.static_adjacency
+    # Time profiles project from the left: (hidden, length) @ (..., length, vars).
+    proj_t = ad.transpose(model.input_proj, (1, 0))
     h_static = gr.static_graph_conv(
-        _project(x_norm, model.input_proj), static_adj, model.static_cfg, cfg.literal_eq3
+        ad.matmul(proj_t, x_norm), static_adj, model.static_cfg, cfg.literal_eq3
     )
 
-    components = wv.decompose(
-        x_norm, wv.wavelet_filter(cfg.family), cfg.levels, cfg.boundary
-    ).components
-    h_dyn = []
-    dynamic_adjs = []
-    for comp, layer, pcfg in zip(components, model.dynamic_layers, model.dynamic_cfgs):
-        if "gsl" in model.ablations:
-            adj = _identity_adjacency(batch, n)
-        else:
-            adj = gr.dynamic_adjacency(comp, layer)
-        h_dyn.append(
-            gr.dynamic_graph_conv(_project(comp, model.input_proj), adj, pcfg, cfg.literal_eq3)
-        )
-        dynamic_adjs.append(adj.data)
-
-    if "gf" in model.ablations:
-        branches = [h_static, *h_dyn]
-        total = branches[0]
-        for branch in branches[1:]:
-            total = ad.add(total, branch)
-        fused = ad.scale(total, 1.0 / len(branches))
-        alpha = np.full((batch, len(branches)), 1.0 / len(branches))
+    scales = wv.decompose(x_norm, wv.wavelet_filter(cfg.family), cfg.levels, cfg.boundary)
+    if "gsl" in model.ablations:
+        dyn_adj = ad.Tensor(np.eye(n))
     else:
-        fused, alpha_t = fu.fuse(h_static, h_dyn, model.fusion_layer)
-        alpha = alpha_t.data
+        dyn_adj = gr.dynamic_adjacency(scales, model.dynamic_layer)
+    h_dyn = gr.dynamic_graph_conv(
+        ad.matmul(proj_t, scales), dyn_adj, model.dynamic_cfg, cfg.literal_eq3
+    )
+
+    branches = ad.concat([ad.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
+    if "gf" in model.ablations:
+        fused = branches.mean(axis=0)
+        alpha = np.full((batch, branches.shape[0]), 1.0 / branches.shape[0])
+    else:
+        fused, alpha = fu.fuse(branches, model.fusion_layer)
 
     if "tfl" not in model.ablations:
         for block in model.blocks:
@@ -386,8 +363,12 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
     per_var = ad.transpose(fused, (0, 2, 1))
     hidden = ad.tanh(ad.add(ad.matmul(per_var, model.head_w1), model.head_b1))
     out = ad.add(ad.matmul(hidden, model.head_w2), model.head_b2)
-    y = model.revin.denormalize(ad.transpose(out, (0, 2, 1)))
-    details = {"alpha": alpha, "static": np.asarray(static_adj), "dynamic": dynamic_adjs}
+    y = model.revin.denormalize(ad.transpose(out, (0, 2, 1)), stats)
+    details = {
+        "alpha": alpha,
+        "static": np.asarray(static_adj),
+        "dynamic": np.broadcast_to(dyn_adj.data, (scales.shape[0], batch, n, n)),
+    }
     return y, details
 
 
@@ -495,7 +476,10 @@ def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
         )
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.read(name_len).decode("utf-8")
+        try:
+            name = r.read(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"corrupt parameter name: {exc}") from None
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
         if name not in by_name:

@@ -15,10 +15,15 @@ Every component is a fixed linear map of the input along time: the taps
 are constants and each boundary rule is a fixed index map, so level
 ``l``'s smoothing is a constant (length, length) matrix and each
 component is a product of them. ``component_operators`` builds those
-matrices once per (filter, levels, boundary, length) and caches them
-read-only; ``decompose`` then applies each as one matmul. This is the
-same transform as running the taps level by level (Shensa 1992), up to
-floating-point summation order.
+matrices once per (filter, levels, boundary, length), stacked on a
+leading scale axis, and caches them read-only; ``decompose`` applies the
+stack as one broadcast matmul. This is the same transform as running the
+taps level by level (Shensa 1992), up to floating-point summation order.
+
+The scale axis leads: a (batch, length, variables) input decomposes into
+one (levels + 1, batch, length, variables) tensor, details fine to
+coarse and the approximation last, which the per-scale graph stages
+downstream consume as one stack.
 """
 
 from __future__ import annotations
@@ -81,14 +86,6 @@ def wavelet_filter(name: str) -> WaveletFilter:
         ) from None
 
 
-@dataclass
-class Decomposition:
-    """Detail components ordered fine to coarse, approximation last."""
-
-    components: list[ad.Tensor]
-    levels: int
-
-
 def max_levels(length: int, filt: WaveletFilter) -> int:
     """Deepest level whose dilated support still fits in ``length``."""
     if length < filt.support:
@@ -118,10 +115,12 @@ def decompose(
     filt: WaveletFilter,
     levels: int,
     boundary: str = "circular",
-) -> Decomposition:
+) -> ad.Tensor:
     """Split a (batch, length, variables) tensor into levels+1 components.
 
-    Gradients flow through every component back to ``x``.
+    Returns one (levels + 1, batch, length, variables) tensor: details
+    fine to coarse, approximation last. Gradients flow through every
+    component back to ``x``.
     """
     if x.ndim != 3:
         raise ShapeError(f"decompose expects (batch, length, variables), got {x.shape}")
@@ -137,21 +136,19 @@ def decompose(
             f" > length {length}; maximum admissible level is {admissible}"
         )
 
-    components = [
-        ad.matmul(ad.Tensor(op), x) for op in component_operators(filt, levels, boundary, length)
-    ]
-    return Decomposition(components, levels)
+    operators = component_operators(filt, levels, boundary, length)
+    return ad.matmul(ad.Tensor(operators[:, None]), x)
 
 
 @functools.lru_cache(maxsize=32)
 def component_operators(
     filt: WaveletFilter, levels: int, boundary: str, length: int
-) -> tuple[np.ndarray, ...]:
-    """The (length, length) maps from a series to each component.
+) -> np.ndarray:
+    """The (levels + 1, length, length) maps from a series to each component.
 
     Details fine to coarse, approximation last, so component ``i`` of a
-    (batch, length, variables) input is ``ops[i] @ x``. The arrays are
-    cached and shared, so they are read-only.
+    (batch, length, variables) input is ``ops[i] @ x``. The stack is
+    cached and shared, so it is read-only.
     """
     dc_gain = sum(filt.lowpass)
     rows = np.arange(length)
@@ -166,6 +163,6 @@ def component_operators(
         operators.append(previous - smoothed)
         previous = smoothed
     operators.append(previous)
-    for op in operators:
-        op.setflags(write=False)
-    return tuple(operators)
+    stacked = np.stack(operators)
+    stacked.setflags(write=False)
+    return stacked

@@ -123,6 +123,27 @@ def test_grad_matmul_4d_batch_against_weight():
     assert_grads_match(lambda: (ad.matmul(left, a) * 0.5).sum(), [left, a])
 
 
+@pytest.mark.parametrize("scales", [3, 1])
+def test_grad_matmul_stacked_scale_weight(scales):
+    # (scales, 1, m, k) weights against a (3, batch, ...) stack, on each
+    # side; scales=1 is the shared case that broadcasts over every scale.
+    w_left, x_left = leaf((scales, 1, 4, 5)), leaf((3, 2, 5, 6))
+    w_right, x_right = leaf((scales, 1, 6, 4)), leaf((3, 2, 5, 6))
+    out_w = ad.Tensor(RNG.normal(0.0, 1.0, (3, 2, 4, 6)))
+    out_w_right = ad.Tensor(RNG.normal(0.0, 1.0, (3, 2, 5, 4)))
+    assert_grads_match(lambda: (ad.matmul(w_left, x_left) * out_w).sum(), [w_left, x_left])
+    assert_grads_match(
+        lambda: (ad.matmul(x_right, w_right) * out_w_right).sum(), [w_right, x_right]
+    )
+
+
+def test_grad_matrix_transpose_keeps_leading_axes():
+    x = leaf((2, 3, 4, 5))
+    out_w = ad.Tensor(RNG.normal(0.0, 1.0, (2, 3, 5, 4)))
+    assert ad.matrix_transpose(x).shape == (2, 3, 5, 4)
+    assert_grads_match(lambda: (ad.matrix_transpose(x) * out_w).sum(), [x])
+
+
 def test_grad_tanh_relu_sqrt():
     x = ad.Tensor(RNG.uniform(0.3, 2.0, (4, 4)), requires_grad=True)
     assert_grads_match(lambda: (ad.tanh(x) + ad.relu(x) + ad.sqrt(x)).sum(), [x])

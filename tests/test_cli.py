@@ -103,6 +103,7 @@ def test_train_writes_artifacts(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert len(report["train_losses"]) == report["epochs_run"]
     assert "test_mse" in report
+    assert report["repeat_last_mse"] > 0 and report["repeat_last_mae"] > 0
     metric_from(stdout, "test")
     # The resolved config must parse and reflect the overrides.
     from sdgf.config import RunConfig
@@ -252,6 +253,16 @@ def test_eval_corrupt_checkpoint(trained, tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 2
 
 
+def test_eval_non_utf8_parameter_name(trained, tmp_path, capsys):
+    data, ckpt, _ = trained
+    bad = tmp_path / "bad-name.ckpt"
+    bad.write_bytes(ckpt.read_bytes().replace(b"revin.gamma", b"\xffevin.gamma"))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_single_batch_overfit_then_eval(tmp_path, capsys):
     # Overfit the single train batch directly, package the weights as a
     # checkpoint, and confirm the eval command reproduces the overfit
@@ -322,13 +333,31 @@ def test_ablate_emits_two_rows_per_metric(tmp_path, capsys):
     by_metric = {}
     for row in rows:
         by_metric.setdefault(row["metric"], []).append(row["model"])
-    assert by_metric == {"mse": ["full", "wo-gf"], "mae": ["full", "wo-gf"]}
+    expected = ["full", "wo-gf", "repeat-last"]
+    assert by_metric == {"mse": expected, "mae": expected}
     for row in rows:
         float(row["value"])  # numeric values throughout
     assert (out / "ablation.csv").read_text() == stdout
     assert (out / "full.ckpt").exists()
     assert (out / "wo-gf.ckpt").exists()
     assert (out / "resolved.cfg").exists()
+
+
+def test_ablate_all_trains_every_variant(tmp_path, capsys):
+    data = make_csv(tmp_path, rows=160)
+    out = tmp_path / "ablation-all"
+    capsys.readouterr()
+    code = main(
+        ["ablate", "--data", str(data), "--out", str(out), "--mode", "all"]
+        + sets(TINY + ["train.epochs=1"])
+    )
+    assert code == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    labels = ["full", "wo-gsl", "wo-gf", "wo-tfl", "repeat-last"]
+    assert [row["model"] for row in rows] == labels * 2
+    assert [row["metric"] for row in rows] == ["mse"] * 5 + ["mae"] * 5
+    for label in labels[:-1]:
+        assert (out / f"{label}.ckpt").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -304,3 +304,42 @@ def test_gradients_flow_through_dynamic_path():
         return (gr.dynamic_graph_conv(h, gr.dynamic_adjacency(x, layer), cfg) * w).sum()
 
     assert_grads_match(loss, [w1, w2, *thetas], tol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# Scale stacks
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    levels=st.integers(1, 3),
+    shared=st.booleans(),
+    literal=st.booleans(),
+)
+def test_stacked_scales_match_per_scale_calls(seed, levels, shared, literal):
+    # One call over a (scales, batch, ...) stack equals one call per scale
+    # on its slice; a shared embedding pair has a size-1 scale axis.
+    rng = np.random.default_rng(seed)
+    scales, batch, length, nodes, embed, dim, depth = levels + 1, 3, 8, 4, 3, 5, 2
+    pairs = 1 if shared else scales
+    w1 = rng.normal(0.0, 0.5, (pairs, 1, length, embed))
+    w2 = rng.normal(0.0, 0.5, (pairs, 1, length, embed))
+    thetas = [rng.normal(0.0, 0.5, (scales, 1, dim, dim)) for _ in range(depth + 1)]
+    x = rng.normal(0.0, 1.0, (scales, batch, length, nodes))
+    h = rng.normal(0.0, 1.0, (scales, batch, dim, nodes))
+
+    layer = gr.DynamicGraphLayer(ad.Parameter("w1", w1), ad.Parameter("w2", w2))
+    adj = gr.dynamic_adjacency(ad.Tensor(x), layer)
+    out = gr.dynamic_graph_conv(ad.Tensor(h), adj, prop_config(depth, dim, thetas), literal)
+    assert adj.shape == (scales, batch, nodes, nodes)
+    assert out.shape == (scales, batch, dim, nodes)
+    for s in range(scales):
+        p = 0 if shared else s
+        one = gr.DynamicGraphLayer(ad.Parameter("w1", w1[p, 0]), ad.Parameter("w2", w2[p, 0]))
+        want_adj = gr.dynamic_adjacency(ad.Tensor(x[s]), one)
+        want_out = gr.dynamic_graph_conv(
+            ad.Tensor(h[s]), want_adj, prop_config(depth, dim, [t[s, 0] for t in thetas]), literal
+        )
+        np.testing.assert_allclose(adj.data[s], want_adj.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data[s], want_out.data, rtol=0, atol=1e-12)

@@ -46,7 +46,7 @@ def make_revin(n=2, gamma=None, beta=None):
 
 def test_revin_hand_normalization():
     layer = make_revin(1)
-    out = layer.normalize(ad.Tensor(np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1)))
+    out, _ = layer.normalize(ad.Tensor(np.array([1.0, 2.0, 3.0]).reshape(1, 3, 1)))
     expect = (np.array([1.0, 2.0, 3.0]) - 2.0) / np.sqrt(2.0 / 3.0 + 1e-5)
     np.testing.assert_allclose(out.data[0, :, 0], expect, atol=1e-12)
     np.testing.assert_allclose(out.data[0, :, 0], [-1.2247, 0.0, 1.2247], atol=1e-3)
@@ -54,7 +54,7 @@ def test_revin_hand_normalization():
 
 def test_revin_constant_series_is_zero():
     layer = make_revin(2)
-    out = layer.normalize(ad.Tensor(np.full((2, 5, 2), 9.0)))
+    out, _ = layer.normalize(ad.Tensor(np.full((2, 5, 2), 9.0)))
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
@@ -62,28 +62,23 @@ def test_revin_constant_series_is_zero():
 def test_revin_round_trip(gamma, beta):
     layer = make_revin(2, gamma, beta)
     x = RNG.normal(3.0, 2.0, (4, 6, 2))
-    back = layer.denormalize(layer.normalize(ad.Tensor(x)))
+    back = layer.denormalize(*layer.normalize(ad.Tensor(x)))
     assert np.abs(back.data - x).max() < 1e-8
 
 
 def test_revin_zero_prediction_denormalizes_to_mean():
     layer = make_revin(2)
     x = RNG.normal(5.0, 1.5, (3, 8, 2))
-    layer.normalize(ad.Tensor(x))
-    out = layer.denormalize(ad.Tensor(np.zeros((3, 4, 2))))
+    _, stats = layer.normalize(ad.Tensor(x))
+    out = layer.denormalize(ad.Tensor(np.zeros((3, 4, 2))), stats)
     np.testing.assert_allclose(out.data, np.broadcast_to(x.mean(axis=1, keepdims=True), (3, 4, 2)), atol=1e-9)
-
-
-def test_revin_denormalize_before_normalize_raises():
-    with pytest.raises(StateError):
-        make_revin(2).denormalize(ad.Tensor(np.zeros((1, 4, 2))))
 
 
 def test_revin_batch_mismatch_raises():
     layer = make_revin(2)
-    layer.normalize(ad.Tensor(np.zeros((2, 4, 2))))
+    _, stats = layer.normalize(ad.Tensor(np.zeros((2, 4, 2))))
     with pytest.raises(ShapeError):
-        layer.denormalize(ad.Tensor(np.zeros((3, 4, 2))))
+        layer.denormalize(ad.Tensor(np.zeros((3, 4, 2))), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -222,22 +217,22 @@ def test_tfl_ablation_matches_wiring_oracle():
     x = ad.Tensor(RNG.normal(0.0, 1.0, (2, 8, 3)))
     got = md.forward(x, md.ablate(model, "tfl")).data
 
-    x_norm = model.revin.normalize(x)
+    x_norm, stats = model.revin.normalize(x)
+    proj_t = ad.transpose(model.input_proj, (1, 0))
     h_static = gr.static_graph_conv(
-        md._project(x_norm, model.input_proj), model.static_adjacency, model.static_cfg
+        ad.matmul(proj_t, x_norm), model.static_adjacency, model.static_cfg
     )
-    comps = wv.decompose(x_norm, wv.wavelet_filter(cfg.family), cfg.levels).components
-    h_dyn = [
-        gr.dynamic_graph_conv(
-            md._project(c, model.input_proj), gr.dynamic_adjacency(c, layer), pcfg
-        )
-        for c, layer, pcfg in zip(comps, model.dynamic_layers, model.dynamic_cfgs)
-    ]
-    fused, _ = fu.fuse(h_static, h_dyn, model.fusion_layer)
+    scales = wv.decompose(x_norm, wv.wavelet_filter(cfg.family), cfg.levels)
+    h_dyn = gr.dynamic_graph_conv(
+        ad.matmul(proj_t, scales), gr.dynamic_adjacency(scales, model.dynamic_layer),
+        model.dynamic_cfg,
+    )
+    branches = ad.concat([ad.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
+    fused, _ = fu.fuse(branches, model.fusion_layer)
     per_var = ad.transpose(fused, (0, 2, 1))
     hidden = ad.tanh(ad.add(ad.matmul(per_var, model.head_w1), model.head_b1))
     out = ad.add(ad.matmul(hidden, model.head_w2), model.head_b2)
-    want = model.revin.denormalize(ad.transpose(out, (0, 2, 1))).data
+    want = model.revin.denormalize(ad.transpose(out, (0, 2, 1)), stats).data
     np.testing.assert_array_equal(got, want)
 
 
@@ -281,8 +276,14 @@ def test_acceptance_size_parameter_count_frozen():
 
 
 def test_shared_dynamic_weights_share_objects():
-    model = md.build_model(tiny_config(share_dynamic_weights=True))
-    assert model.dynamic_layers[0] is model.dynamic_layers[1]
+    # Sharing is a size-1 scale axis on the embedding maps, which then
+    # broadcast over every scale; the hop maps stay per scale.
+    cfg = tiny_config(share_dynamic_weights=True)
+    model = md.build_model(cfg)
+    scales = cfg.levels + 1
+    assert model.dynamic_layer.w1.shape == (1, 1, cfg.input_len, cfg.embed_dim)
+    assert model.dynamic_layer.w2.shape == (1, 1, cfg.input_len, cfg.embed_dim)
+    assert all(t.shape == (scales, 1, cfg.hidden, cfg.hidden) for t in model.dynamic_cfg.theta)
     names = [p.name for p in md.parameters(model)]
     assert len(names) == len(set(names))
 
@@ -293,6 +294,63 @@ def test_seeded_builds_are_identical():
     for pa, pb in zip(md.parameters(a), md.parameters(b)):
         assert pa.name == pb.name
         np.testing.assert_array_equal(pa.data, pb.data)
+
+
+def reachable_parameters(node, found=None) -> dict:
+    """Every Parameter reachable through attributes and lists, by identity."""
+    found = {} if found is None else found
+    if isinstance(node, ad.Parameter):
+        found[id(node)] = node
+    elif isinstance(node, (list, tuple)):
+        for item in node:
+            reachable_parameters(item, found)
+    elif hasattr(node, "__dict__"):
+        for value in vars(node).values():
+            reachable_parameters(value, found)
+    return found
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"share_dynamic_weights": True}, {"temporal_blocks": 2, "levels": 2},
+     {"conv_axis": "channels"}, {"temporal_blocks": 0}],
+)
+def test_parameter_tree_lists_every_reachable_parameter_once(overrides):
+    model = md.build_model(tiny_config(**overrides))
+    params = md.parameters(model)
+    ids = [id(p) for p in params]
+    assert len(ids) == len(set(ids))
+    assert set(ids) == set(reachable_parameters(model))
+    names = [p.name for p in params]
+    assert len(names) == len(set(names))
+
+
+def test_ablation_prunes_exactly_its_subtree():
+    model = ready_model()
+    full = md.parameters(model)
+    for mode, subtree in md.ABLATED_SUBTREES.items():
+        pruned = reachable_parameters(getattr(model, subtree))
+        assert pruned
+        kept = md.effective_parameters(md.ablate(model, mode))
+        assert [id(p) for p in kept] == [id(p) for p in full if id(p) not in pruned]
+    both = md.ablate(md.ablate(model, "gsl"), "tfl")
+    pruned = reachable_parameters([model.dynamic_layer, model.blocks])
+    assert [id(p) for p in md.effective_parameters(both)] == [
+        id(p) for p in full if id(p) not in pruned
+    ]
+
+
+def test_step_graph_size_does_not_grow_with_levels():
+    # Every scale runs in the same stacked ops, so more levels mean
+    # bigger arrays, not more graph nodes.
+    counts = []
+    for levels in (1, 3):
+        model = ready_model(tiny_config(levels=levels))
+        x = ad.Tensor(RNG.normal(0.0, 1.0, (2, 8, 3)))
+        err = ad.sub(md.forward(x, model), ad.Tensor(RNG.normal(0.0, 1.0, (2, 4, 3))))
+        loss = ad.mul(err, err).mean()
+        counts.append(sum(1 for node in ad._toposort(loss) if node._vjp is not None))
+    assert counts[0] == counts[1]
 
 
 def test_conv_axis_channels_forward():
@@ -335,6 +393,41 @@ def test_checkpoint_truncation_and_corruption():
     bad_version = blob[:5] + bytes([9, 0, 0, 0]) + blob[9:]
     with pytest.raises(CheckpointError, match="version"):
         md.load_checkpoint(bad_version)
+
+
+def checkpoint_names(blob: bytes, n_vars: int) -> list[str]:
+    """The parameter names stored in a checkpoint, in stored order."""
+    r = md._Reader(blob)
+    r.read(len(md.CHECKPOINT_MAGIC) + 4)
+    (head_len,) = r.unpack("<I")
+    r.read(head_len)
+    (has_static,) = r.unpack("<B")
+    r.read(n_vars * n_vars * 8 if has_static else 0)
+    (count,) = r.unpack("<I")
+    names = []
+    for _ in range(count):
+        (name_len,) = r.unpack("<H")
+        names.append(r.read(name_len).decode("utf-8"))
+        (ndim,) = r.unpack("<B")
+        shape = r.unpack(f"<{ndim}I")
+        r.read(8 * int(np.prod(shape)))
+    assert r.pos == len(blob)
+    return names
+
+
+@pytest.mark.parametrize("overrides", [{}, {"share_dynamic_weights": True}])
+def test_checkpoint_names_are_the_parameter_tree(overrides):
+    model = ready_model(tiny_config(**overrides))
+    names = checkpoint_names(md.save_checkpoint(md.ablate(model, "gsl")), 3)
+    assert names == [p.name for p in md.parameters(model)]
+
+
+def test_checkpoint_non_utf8_name_is_checkpoint_error():
+    blob = md.save_checkpoint(ready_model())
+    assert blob.count(b"revin.gamma") == 1
+    bad = blob.replace(b"revin.gamma", b"\xffevin.gamma")
+    with pytest.raises(CheckpointError, match="name"):
+        md.load_checkpoint(bad)
 
 
 def test_config_validation():
