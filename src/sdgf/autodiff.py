@@ -22,6 +22,7 @@ the guard off for throughput experiments.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -237,43 +238,33 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _contract_batch(p: np.ndarray, q: np.ndarray, keep: int) -> np.ndarray:
-    """Sum ``p`` times ``q`` over every axis but ``keep``, as one GEMM.
-
-    Both operands have the same shape off ``keep``; the result is
-    (p.shape[keep], q.shape[keep]).
-    """
-    keep %= p.ndim
-    summed = [i for i in range(p.ndim) if i != keep]
-    return np.tensordot(p, q, axes=(summed, summed))
-
-
 def _matmul_operand_grad(p: np.ndarray, q: np.ndarray, shape: tuple, keep: int) -> np.ndarray:
-    """Gradient of one ``matmul`` operand of ``shape``.
+    """Gradient of one ``matmul`` operand of ``shape``, as one batched GEMM.
 
     For the left operand ``p`` is the output gradient, ``q`` the right
     operand and ``keep`` is -2; for the right operand ``p`` is the left
-    operand, ``q`` the output gradient and ``keep`` is -1. An operand
-    broadcast over the batch axes is a weight: its gradient contracts
-    those axes inside GEMMs rather than summing a full (batch..., m, k)
-    stack. A (scales, 1, m, k) weight against a (scales, batch, ...)
-    operand contracts each scale's batch on its own.
+    operand, ``q`` the output gradient and ``keep`` is -1. The gradient
+    contracts ``p`` and ``q`` over their shared matrix axis and over every
+    batch axis the operand is broadcast along (size 1 or missing): those
+    axes join the GEMM's inner dimension, so no (batch..., m, k) stack is
+    built to be summed. The batch axes the operand keeps stay batch axes
+    of the GEMM, which broadcasts a factor of size 1 along them.
     """
-    batch = np.broadcast_shapes(p.shape[:-2], q.shape[:-2])
-    lead = shape[:-2]
-    if lead != batch:
-        p = np.broadcast_to(p, batch + p.shape[-2:])
-        q = np.broadcast_to(q, batch + q.shape[-2:])
-        if all(d == 1 for d in lead):
-            return _contract_batch(p, q, keep).reshape(shape)
-        if len(lead) == len(batch) and lead[0] == batch[0] and all(d == 1 for d in lead[1:]):
-            per_scale = [_contract_batch(p[s], q[s], keep) for s in range(lead[0])]
-            return np.stack(per_scale).reshape(shape)
     if keep == -2:
-        product = np.matmul(p, np.swapaxes(q, -1, -2))
-    else:
-        product = np.matmul(np.swapaxes(p, -1, -2), q)
-    return _unbroadcast(product, shape)
+        p, q = np.swapaxes(p, -1, -2), np.swapaxes(q, -1, -2)
+    # Both factors now contract on axis -2 and hold their rows on axis -1.
+    # On an axis the operand is broadcast along, both have the full size.
+    nb = max(p.ndim, q.ndim) - 2
+    p, q = p[(None,) * (nb + 2 - p.ndim)], q[(None,) * (nb + 2 - q.ndim)]
+    lead = (1,) * (nb + 2 - len(shape)) + tuple(shape[:-2])
+    kept = [i for i in range(nb) if lead[i] != 1]
+    inner = [i for i in range(nb) if lead[i] == 1] + [nb]
+
+    def as_gemm(f):
+        f = f.transpose(kept + inner + [nb + 1])
+        return f.reshape(f.shape[: len(kept)] + (math.prod(f.shape[len(kept) : -1]), f.shape[-1]))
+
+    return np.matmul(np.swapaxes(as_gemm(p), -1, -2), as_gemm(q)).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

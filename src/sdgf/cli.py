@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from . import autodiff as ad
 from . import config as cf
 from . import model as md
 from . import training as tr
@@ -182,7 +181,10 @@ def _cmd_eval(args) -> int:
     model, extra = md.load_checkpoint(blob)
     table, dataset = _load_eval_dataset(model, extra, args.data)
 
-    preds, targets, starts = tr.predict_split(model, dataset, args.split, args.batch)
+    details = _DetailSums() if args.dump_attention or args.dump_graphs else None
+    preds, targets, _ = tr.predict_split(
+        model, dataset, args.split, args.batch, details.add if details else None
+    )
     split_mse, split_mae = tr.mse(preds, targets), tr.mae(preds, targets)
     print(_metric_line(args.split, split_mse, split_mae))
 
@@ -206,26 +208,21 @@ def _cmd_eval(args) -> int:
         path = out / f"predictions_{args.split}.csv"
         _write_predictions(path, table.names, preds, targets)
         print(f"wrote {path}")
-    if args.dump_attention or args.dump_graphs:
-        alphas, static_adj, dynamic_means = _collect_details(
-            model, dataset, args.split, args.batch
-        )
-        if args.dump_attention:
-            path = out / f"attention_{args.split}.json"
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(
-                    {"branch_names": _branch_names(model), "weights": alphas.tolist()},
-                    handle,
-                )
+    if args.dump_attention:
+        path = out / f"attention_{args.split}.json"
+        weights = np.concatenate(details.alphas)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"branch_names": _branch_names(model), "weights": weights.tolist()}, handle)
+        print(f"wrote {path}")
+    if args.dump_graphs:
+        path = out / "static_graph.csv"
+        _write_adjacency(path, table.names, details.static)
+        print(f"wrote {path}")
+        dynamic_means = details.dynamic_sum / details.windows
+        for name, mean_adj in zip(_branch_names(model)[1:], dynamic_means):
+            path = out / f"dynamic_graph_{name}.csv"
+            _write_adjacency(path, table.names, mean_adj)
             print(f"wrote {path}")
-        if args.dump_graphs:
-            path = out / "static_graph.csv"
-            _write_adjacency(path, table.names, static_adj)
-            print(f"wrote {path}")
-            for name, mean_adj in zip(_branch_names(model)[1:], dynamic_means):
-                path = out / f"dynamic_graph_{name}.csv"
-                _write_adjacency(path, table.names, mean_adj)
-                print(f"wrote {path}")
     return 0
 
 
@@ -251,23 +248,21 @@ def _write_adjacency(path, names, matrix) -> None:
             writer.writerow([name, *(f"{v:.17g}" for v in row)])
 
 
-def _collect_details(model, dataset, split, batch):
-    """Fusion weights per window, static adjacency, mean dynamic adjacencies."""
-    starts = dataset.split_starts(split)
-    alphas = []
-    static_adj = None
-    dyn_sums = None
-    seen = 0
-    with ad.no_grad():
-        for i in range(0, len(starts), batch):
-            inputs, _ = dataset.batch(starts[i : i + batch])
-            _, details = md.forward_with_details(ad.Tensor(inputs), model)
-            alphas.append(details["alpha"])
-            static_adj = details["static"]
-            sums = details["dynamic"].sum(axis=1)
-            dyn_sums = sums if dyn_sums is None else dyn_sums + sums
-            seen += len(inputs)
-    return np.concatenate(alphas), static_adj, dyn_sums / seen
+@dataclasses.dataclass
+class _DetailSums:
+    """Fusion weights per window, the static adjacency and the summed dynamic
+    adjacencies, gathered from the forward pass that scores the split."""
+
+    alphas: list = dataclasses.field(default_factory=list)
+    static: np.ndarray | None = None
+    dynamic_sum: np.ndarray | float = 0.0
+    windows: int = 0
+
+    def add(self, details: dict) -> None:
+        self.alphas.append(details["alpha"])
+        self.static = details["static"]
+        self.dynamic_sum = self.dynamic_sum + details["dynamic"].sum(axis=1)
+        self.windows += len(details["alpha"])
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,18 @@ collapses every hop to the single-hop mix alpha*H + (1-alpha)*A*H for
 comparison runs.
 
 The dynamic stages broadcast over leading axes, so one call serves every
-wavelet scale: components arrive as a (scales, batch, length, nodes)
-stack, the embedding maps are stored as (scales, 1, length, d_e) and the
-hop maps as (scales, 1, features, features), giving (scales, batch,
-nodes, nodes) adjacencies and (scales, batch, features, nodes) outputs.
-A size-1 scale axis shares one set of maps across all scales. Weights
+wavelet scale: the embedding maps are (scales, 1, length, d_e) and the
+hop maps (scales, 1, features, features), giving (scales, batch, nodes,
+nodes) adjacencies and (scales, batch, features, nodes) outputs. A
+size-1 scale axis shares one set of maps across all scales. Weights
 apply from the left (``w.T @ x``) so time stays on the axis the inputs
-already carry it on and no component is transposed.
+already carry it on and no input is transposed.
+
+Because the embedding maps only read their input from the left, the
+model hands ``dynamic_adjacency`` one (batch, length, nodes) window and
+maps folded with the wavelet operators (``wavelet.decompose`` with
+``adjoint=True``); that equals passing the (scales, batch, length,
+nodes) component stack with the unfolded maps, without building it.
 """
 
 from __future__ import annotations
@@ -173,11 +178,13 @@ class DynamicGraphLayer:
 def dynamic_adjacency(x_scale: ad.Tensor, layer: DynamicGraphLayer) -> ad.Tensor:
     """Row-stochastic per-item adjacency learned from wavelet components.
 
-    ``x_scale`` is (..., length, variables), one scale as (batch, length,
-    variables) or every scale as (scales, batch, length, variables); the
-    maps' leading axes broadcast against it. Each variable's length-L
-    profile maps through w1/w2 into two embeddings; the row softmax of
-    their inner products is the (..., variables, variables) adjacency.
+    ``x_scale`` is (..., length, variables): one scale as (batch, length,
+    variables), every scale as (scales, batch, length, variables), or the
+    window itself with maps folded with the wavelet operators (see the
+    module docstring); the maps' leading axes broadcast against it. Each
+    variable's length-L profile maps through w1/w2 into two embeddings;
+    the row softmax of their inner products is the (..., variables,
+    variables) adjacency.
     """
     if x_scale.ndim < 3:
         raise ShapeError(f"expected (..., batch, length, variables), got {x_scale.shape}")

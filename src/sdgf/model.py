@@ -5,10 +5,9 @@ Forward pipeline for a (batch, input_len, n_vars) window:
     revin normalize
       -> static branch:  input projection -> propagation over the
          correlation graph (frozen from the training split, or per-batch)
-      -> dynamic branches: wavelet decomposition into one
-         (scales, batch, input_len, n_vars) stack, scales = levels + 1;
-         the stack is projected, learns one adjacency per scale and item,
-         and propagates through it, all scales in each call
+      -> dynamic branches, one per wavelet scale (scales = levels + 1):
+         each scale's component is projected, learns one adjacency per
+         item and propagates through it, all scales in each call
       -> attention-gated fusion of the (1 + scales, batch, hidden, n_vars)
          branch stack, static branch first
       -> inception block(s)
@@ -18,7 +17,18 @@ Forward pipeline for a (batch, input_len, n_vars) window:
 The per-scale weights live on a leading scale axis: embedding maps are
 (scales, 1, input_len, embed_dim) and hop maps (scales, 1, hidden,
 hidden); ``share_dynamic_weights`` makes the embedding maps' scale axis
-size 1. ``SdgfModel`` is the one parameter tree: ``parameters``,
+size 1.
+
+The wavelet components are fixed linear maps of the window along time,
+and the input projection and both embedding maps read them only from
+the left. The forward pass therefore folds the component operators into
+those maps (``wv.decompose(..., adjoint=True)``), and the folded
+(scales, 1, input_len, ·) maps read the normalized window directly:
+``fold(w)[s].T @ x == w[s].T @ component_s(x)``, so the (scales, batch,
+input_len, n_vars) component stack is never built. Only the summation
+order differs from building it.
+
+``SdgfModel`` is the one parameter tree: ``parameters``,
 ``effective_parameters`` and the checkpoint's name list all come from a
 walk over its fields.
 
@@ -31,7 +41,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +60,7 @@ ABLATED_SUBTREES = {"gsl": "dynamic_layer", "gf": "fusion_layer", "tfl": "blocks
 ABLATION_MODES = tuple(ABLATED_SUBTREES)
 
 CHECKPOINT_MAGIC = b"SDGF\x00"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -74,6 +86,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("input_len", "horizon", "n_vars", "hidden", "levels", "depth",
+                     "embed_dim", "temporal_blocks", "branch_width", "seed"):
+            if not isinstance(getattr(self, name), int):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("input_len", "horizon", "n_vars", "hidden", "embed_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -335,18 +351,32 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
             )
         static_adj = model.static_adjacency
     # Time profiles project from the left: (hidden, length) @ (..., length, vars).
-    proj_t = ad.transpose(model.input_proj, (1, 0))
     h_static = gr.static_graph_conv(
-        ad.matmul(proj_t, x_norm), static_adj, model.static_cfg, cfg.literal_eq3
+        ad.matmul(ad.matrix_transpose(model.input_proj), x_norm),
+        static_adj,
+        model.static_cfg,
+        cfg.literal_eq3,
     )
 
-    scales = wv.decompose(x_norm, wv.wavelet_filter(cfg.family), cfg.levels, cfg.boundary)
+    # Every map that reads the wavelet components does so from the left,
+    # so each is folded with the component operators and reads x_norm.
+    def fold(maps):
+        return wv.decompose(
+            maps, wv.wavelet_filter(cfg.family), cfg.levels, cfg.boundary, adjoint=True
+        )
+
     if "gsl" in model.ablations:
         dyn_adj = ad.Tensor(np.eye(n))
     else:
-        dyn_adj = gr.dynamic_adjacency(scales, model.dynamic_layer)
+        layer = model.dynamic_layer
+        dyn_adj = gr.dynamic_adjacency(
+            x_norm, gr.DynamicGraphLayer(fold(layer.w1), fold(layer.w2))
+        )
     h_dyn = gr.dynamic_graph_conv(
-        ad.matmul(proj_t, scales), dyn_adj, model.dynamic_cfg, cfg.literal_eq3
+        ad.matmul(ad.matrix_transpose(fold(model.input_proj)), x_norm),
+        dyn_adj,
+        model.dynamic_cfg,
+        cfg.literal_eq3,
     )
 
     branches = ad.concat([ad.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
@@ -367,7 +397,7 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
     details = {
         "alpha": alpha,
         "static": np.asarray(static_adj),
-        "dynamic": np.broadcast_to(dyn_adj.data, (scales.shape[0], batch, n, n)),
+        "dynamic": np.broadcast_to(dyn_adj.data, (cfg.levels + 1, batch, n, n)),
     }
     return y, details
 
@@ -392,7 +422,8 @@ def save_checkpoint(model: SdgfModel, extra: dict | None = None) -> bytes:
     """Serialize config, frozen static graph, and all parameter values.
 
     ``extra`` is any JSON-safe dict the caller wants carried along (the
-    training pipeline stores its dataset scaler here).
+    training pipeline stores its dataset scaler here). A CRC32 of every
+    byte before it ends the checkpoint.
     """
     header = {
         "config": dataclasses.asdict(model.config),
@@ -419,6 +450,7 @@ def save_checkpoint(model: SdgfModel, extra: dict | None = None) -> bytes:
         out += struct.pack("<B", p.ndim)
         out += struct.pack(f"<{p.ndim}I", *p.shape)
         out += np.ascontiguousarray(p.data, dtype="<f8").tobytes()
+    out += struct.pack("<I", zlib.crc32(out))
     return bytes(out)
 
 
@@ -442,7 +474,13 @@ class _Reader:
 
 
 def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
-    """Rebuild a model from ``save_checkpoint`` output, bit-exact."""
+    """Rebuild a model from ``save_checkpoint`` output, bit-exact.
+
+    The layout is read in full and the CRC32 trailer checked before any
+    value is used. Truncation, trailing bytes, a checksum mismatch,
+    non-finite parameter values and a static adjacency that is not
+    finite and row-stochastic each raise ``CheckpointError``.
+    """
     r = _Reader(blob)
     if r.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint: bad magic")
@@ -458,22 +496,11 @@ def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
         cfg = ModelConfig(**header["config"])
     except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"checkpoint config does not match this build: {exc}") from None
-    model = build_model(cfg)
-    for mode in header.get("ablations", []):
-        model = ablate(model, mode)
 
     (has_static,) = r.unpack("<B")
-    if has_static:
-        n = cfg.n_vars
-        raw = r.read(n * n * 8)
-        model.static_adjacency = np.frombuffer(raw, dtype="<f8").reshape(n, n).copy()
-
-    by_name = {p.name: p for p in parameters(model)}
+    static_raw = r.read(cfg.n_vars * cfg.n_vars * 8) if has_static else None
     (count,) = r.unpack("<I")
-    if count != len(by_name):
-        raise CheckpointError(
-            f"checkpoint stores {count} parameters, this config builds {len(by_name)}"
-        )
+    stored = []
     for _ in range(count):
         (name_len,) = r.unpack("<H")
         try:
@@ -482,6 +509,36 @@ def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
             raise CheckpointError(f"corrupt parameter name: {exc}") from None
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
+        stored.append((name, shape, r.read(8 * math.prod(shape))))
+    body_end = r.pos
+    (crc,) = r.unpack("<I")
+    if r.pos != len(blob):
+        raise CheckpointError(f"{len(blob) - r.pos} trailing bytes after the checkpoint")
+    if zlib.crc32(blob[:body_end]) != crc:
+        raise CheckpointError("checkpoint checksum mismatch: the file is corrupt")
+
+    model = build_model(cfg)
+    try:
+        for mode in header.get("ablations", []):
+            model = ablate(model, mode)
+    except (TypeError, ConfigError) as exc:
+        raise CheckpointError(f"checkpoint ablations do not match this build: {exc}") from None
+    if static_raw is not None:
+        adjacency = np.frombuffer(static_raw, dtype="<f8").reshape(cfg.n_vars, cfg.n_vars)
+        if not (
+            np.all(np.isfinite(adjacency))
+            and np.all(adjacency >= 0.0)
+            and np.allclose(adjacency.sum(axis=1), 1.0, rtol=0.0, atol=1e-9)
+        ):
+            raise CheckpointError("checkpoint static adjacency is not finite and row-stochastic")
+        model.static_adjacency = adjacency.copy()
+
+    by_name = {p.name: p for p in parameters(model)}
+    if count != len(by_name):
+        raise CheckpointError(
+            f"checkpoint stores {count} parameters, this config builds {len(by_name)}"
+        )
+    for name, shape, raw in stored:
         if name not in by_name:
             raise CheckpointError(f"checkpoint parameter {name!r} has no slot in the model")
         target = by_name[name]
@@ -489,7 +546,8 @@ def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
             raise CheckpointError(
                 f"parameter {name!r} has shape {tuple(shape)}, expected {target.shape}"
             )
-        size = int(np.prod(shape)) if shape else 1
-        raw = r.read(size * 8)
-        target.data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        values = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        if not np.all(np.isfinite(values)):
+            raise CheckpointError(f"parameter {name!r} holds non-finite values")
+        target.data = values.copy()
     return model, header.get("extra", {})

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -142,9 +143,17 @@ class TrainReport:
 
 
 def predict_split(
-    model: md.SdgfModel, dataset: WindowDataset, split: str, batch: int = 32
+    model: md.SdgfModel,
+    dataset: WindowDataset,
+    split: str,
+    batch: int = 32,
+    inspect: Callable[[dict], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forecasts, targets, and window starts for one split, in order."""
+    """Forecasts, targets, and window starts for one split, in order.
+
+    ``inspect``, if given, receives each batch's ``forward_with_details``
+    dict from the same forward pass that made its forecasts.
+    """
     starts = dataset.split_starts(split)
     preds = []
     targets = []
@@ -152,7 +161,12 @@ def predict_split(
         for i in range(0, len(starts), batch):
             chunk = starts[i : i + batch]
             inputs, want = dataset.batch(chunk)
-            preds.append(md.forward(ad.Tensor(inputs), model).data)
+            if inspect is None:
+                pred = md.forward(ad.Tensor(inputs), model)
+            else:
+                pred, details = md.forward_with_details(ad.Tensor(inputs), model)
+                inspect(details)
+            preds.append(pred.data)
             targets.append(want)
     if not preds:
         raise DataError(f"split {split!r} has no windows")

@@ -22,8 +22,16 @@ taps level by level (Shensa 1992), up to floating-point summation order.
 
 The scale axis leads: a (batch, length, variables) input decomposes into
 one (levels + 1, batch, length, variables) tensor, details fine to
-coarse and the approximation last, which the per-scale graph stages
-downstream consume as one stack.
+coarse and the approximation last.
+
+The model never builds that stack. Every stage that reads a component
+applies a time map from the left, ``w.T @ (ops[s] @ x)``, and matrix
+products associate, so the same value is ``(ops[s].T @ w).T @ x``.
+``decompose(w, ..., adjoint=True)`` folds the operators into such maps
+(``adjoint_operators`` caches the transposed stack read-only), and the
+folded maps read the (batch, length, variables) input directly. The
+identity is exact in real arithmetic; in floating point only the
+summation order changes.
 """
 
 from __future__ import annotations
@@ -115,20 +123,32 @@ def decompose(
     filt: WaveletFilter,
     levels: int,
     boundary: str = "circular",
+    *,
+    adjoint: bool = False,
 ) -> ad.Tensor:
     """Split a (batch, length, variables) tensor into levels+1 components.
 
     Returns one (levels + 1, batch, length, variables) tensor: details
     fine to coarse, approximation last. Gradients flow through every
     component back to ``x``.
+
+    With ``adjoint=True``, ``x`` is a map (..., length, k) with time on
+    axis -2 and the result is the folded map ``ops[s].T @ x`` for each
+    component operator ``ops[s]``: one (levels + 1, 1, length, k) stack
+    for a 2-D map, and a (levels + 1 or 1, 1, length, k) stack of
+    per-scale maps pairs scale ``s`` with operator ``s``. Because
+    ``fold(w)[s].T @ x == w[s].T @ (ops[s] @ x)``, a map that reads the
+    components from the left reads ``x`` directly once folded, and the
+    component stack is never built.
     """
-    if x.ndim != 3:
-        raise ShapeError(f"decompose expects (batch, length, variables), got {x.shape}")
+    if x.ndim != 3 and not (adjoint and x.ndim >= 2):
+        want = "(..., length, k)" if adjoint else "(batch, length, variables)"
+        raise ShapeError(f"decompose expects {want}, got {x.shape}")
     if boundary not in BOUNDARIES:
         raise ConfigError(f"unknown boundary mode {boundary!r}; available: {BOUNDARIES}")
     if levels < 1:
         raise ConfigError(f"levels must be >= 1, got {levels}")
-    length = x.shape[1]
+    length = x.shape[-2]
     admissible = max_levels(length, filt)
     if levels > admissible:
         raise ConfigError(
@@ -136,8 +156,8 @@ def decompose(
             f" > length {length}; maximum admissible level is {admissible}"
         )
 
-    operators = component_operators(filt, levels, boundary, length)
-    return ad.matmul(ad.Tensor(operators[:, None]), x)
+    cached = adjoint_operators if adjoint else component_operators
+    return ad.matmul(ad.Tensor(cached(filt, levels, boundary, length)[:, None]), x)
 
 
 @functools.lru_cache(maxsize=32)
@@ -164,5 +184,21 @@ def component_operators(
         previous = smoothed
     operators.append(previous)
     stacked = np.stack(operators)
+    stacked.setflags(write=False)
+    return stacked
+
+
+@functools.lru_cache(maxsize=32)
+def adjoint_operators(
+    filt: WaveletFilter, levels: int, boundary: str, length: int
+) -> np.ndarray:
+    """``component_operators`` with each map transposed: ``ops[i].T``.
+
+    Stored contiguous, cached and shared, so it is read-only and no
+    ``decompose(..., adjoint=True)`` call copies it.
+    """
+    stacked = np.ascontiguousarray(
+        component_operators(filt, levels, boundary, length).transpose(0, 2, 1)
+    )
     stacked.setflags(write=False)
     return stacked

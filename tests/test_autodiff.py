@@ -137,6 +137,29 @@ def test_grad_matmul_stacked_scale_weight(scales):
     )
 
 
+@pytest.mark.parametrize(
+    "a_shape,b_shape",
+    [
+        # (scales, 1, k, L) maps against a (batch, L, n) input: the maps
+        # contract the batch, the input contracts the scales, and each
+        # side's kept axis joins the other factor's rows.
+        ((3, 1, 4, 5), (2, 5, 6)),
+        ((2, 6, 5), (3, 1, 5, 4)),
+        # Operator stacks folded into a 2-D map and into a shared map.
+        ((3, 1, 5, 5), (5, 2)),
+        ((3, 1, 5, 5), (1, 1, 5, 2)),
+        # Both operands broadcast, along different axes.
+        ((1, 2, 4, 5), (3, 1, 5, 6)),
+        ((2, 1, 3, 4, 5), (1, 3, 1, 5, 2)),
+    ],
+)
+def test_grad_matmul_broadcast_cases(a_shape, b_shape):
+    a, b = leaf(a_shape), leaf(b_shape)
+    out_shape = np.broadcast_shapes(a_shape[:-2], b_shape[:-2]) + (a_shape[-2], b_shape[-1])
+    out_w = ad.Tensor(RNG.normal(0.0, 1.0, out_shape))
+    assert_grads_match(lambda: (ad.matmul(a, b) * out_w).sum(), [a, b])
+
+
 def test_grad_matrix_transpose_keeps_leading_axes():
     x = leaf((2, 3, 4, 5))
     out_w = ad.Tensor(RNG.normal(0.0, 1.0, (2, 3, 5, 4)))

@@ -6,6 +6,8 @@ exported-artifact checks recompute metrics from the files themselves.
 
 import csv
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -230,6 +232,31 @@ def test_eval_graph_dumps_are_row_stochastic(trained, tmp_path):
             assert abs(values.sum() - 1.0) < 1e-9
 
 
+def test_eval_dumps_come_from_the_scoring_pass(trained, tmp_path, monkeypatch):
+    from sdgf import model as md
+
+    data, ckpt, _ = trained
+    batches = []
+    real = md.forward_with_details
+
+    def counted(x, model):
+        batches.append(x.shape[0])
+        return real(x, model)
+
+    monkeypatch.setattr(md, "forward_with_details", counted)
+    out = tmp_path / "dumps"
+    code = main(
+        ["eval", "--checkpoint", str(ckpt), "--data", str(data), "--out", str(out),
+         "--dump-attention", "--dump-graphs", "--export-predictions"]
+    )
+    assert code == 0
+    # The test split fits in one batch, so one forward serves every output.
+    assert len(batches) == 1
+    assert len(json.loads((out / "attention_test.json").read_text())["weights"]) == batches[0]
+    with open(out / "predictions_test.csv", newline="") as handle:
+        assert len({row["window"] for row in csv.DictReader(handle)}) == batches[0]
+
+
 def test_eval_dimension_mismatch_is_data_error(trained, tmp_path, capsys):
     _, ckpt, _ = trained
     other = make_csv(tmp_path, "three.csv", n_vars=3, rows=60, periods="12,18,24")
@@ -261,6 +288,34 @@ def test_eval_non_utf8_parameter_name(trained, tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def resealed(blob: bytes, at: int, value: float) -> bytes:
+    """``blob`` with the float64 at ``at`` replaced and its CRC32 trailer redone."""
+    body = bytearray(blob[:-4])
+    body[at : at + 8] = struct.pack("<d", value)
+    return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+
+
+@pytest.mark.parametrize("defect", ["trailing-bytes", "non-finite-parameter", "static-not-stochastic"])
+def test_eval_rejects_checkpoints_that_used_to_load(trained, tmp_path, capsys, defect):
+    data, ckpt, _ = trained
+    blob = ckpt.read_bytes()
+    if defect == "trailing-bytes":
+        bad_blob = blob + b"\x00\x00"
+    elif defect == "non-finite-parameter":
+        bad_blob = resealed(blob, blob.index(b"head.b2") + len(b"head.b2") + 1 + 4, np.inf)
+    else:
+        (head_len,) = struct.unpack("<I", blob[9:13])
+        bad_blob = resealed(blob, 13 + head_len + 1, 0.75)
+    bad = tmp_path / f"{defect}.ckpt"
+    bad.write_bytes(bad_blob)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert {"trailing-bytes": "trailing", "non-finite-parameter": "non-finite",
+            "static-not-stochastic": "row-stochastic"}[defect] in err
 
 
 def test_single_batch_overfit_then_eval(tmp_path, capsys):

@@ -1,10 +1,20 @@
 """Model assembly checks: RevIN, forward contract, ablation, checkpoints."""
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdgf import autodiff as ad
+from sdgf import fusion as fu
+from sdgf import graphs as gr
 from sdgf import model as md
+from sdgf import temporal as tp
+from sdgf import wavelet as wv
 from sdgf.errors import CheckpointError, ConfigError, ShapeError, StateError
 
 from conftest import fd_gradient, relative_error
@@ -208,23 +218,24 @@ def test_gf_reports_uniform_attention():
 
 def test_tfl_ablation_matches_wiring_oracle():
     # Without the temporal stage the head must see the fused tensor directly.
-    from sdgf import fusion as fu
-    from sdgf import graphs as gr
-    from sdgf import wavelet as wv
-
     cfg = tiny_config()
     model = ready_model(cfg)
     x = ad.Tensor(RNG.normal(0.0, 1.0, (2, 8, 3)))
     got = md.forward(x, md.ablate(model, "tfl")).data
 
+    def fold(maps):
+        return wv.decompose(maps, wv.wavelet_filter(cfg.family), cfg.levels, adjoint=True)
+
     x_norm, stats = model.revin.normalize(x)
-    proj_t = ad.transpose(model.input_proj, (1, 0))
     h_static = gr.static_graph_conv(
-        ad.matmul(proj_t, x_norm), model.static_adjacency, model.static_cfg
+        ad.matmul(ad.matrix_transpose(model.input_proj), x_norm),
+        model.static_adjacency,
+        model.static_cfg,
     )
-    scales = wv.decompose(x_norm, wv.wavelet_filter(cfg.family), cfg.levels)
+    layer = gr.DynamicGraphLayer(fold(model.dynamic_layer.w1), fold(model.dynamic_layer.w2))
     h_dyn = gr.dynamic_graph_conv(
-        ad.matmul(proj_t, scales), gr.dynamic_adjacency(scales, model.dynamic_layer),
+        ad.matmul(ad.matrix_transpose(fold(model.input_proj)), x_norm),
+        gr.dynamic_adjacency(x_norm, layer),
         model.dynamic_cfg,
     )
     branches = ad.concat([ad.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
@@ -234,6 +245,89 @@ def test_tfl_ablation_matches_wiring_oracle():
     out = ad.add(ad.matmul(hidden, model.head_w2), model.head_b2)
     want = model.revin.denormalize(ad.transpose(out, (0, 2, 1)), stats).data
     np.testing.assert_array_equal(got, want)
+
+
+def stacked_wiring_forward(x, model):
+    """The forward pass with the wavelet components built as one stack.
+
+    ``x_norm`` decomposes into (scales, batch, input_len, n_vars) and the
+    projection and embedding maps read that stack, the wiring the folded
+    maps in ``md.forward`` stand in for.
+    """
+    cfg = model.config
+    x_norm, stats = model.revin.normalize(x)
+    proj_t = ad.matrix_transpose(model.input_proj)
+    static_adj = np.eye(cfg.n_vars) if "gsl" in model.ablations else model.static_adjacency
+    h_static = gr.static_graph_conv(ad.matmul(proj_t, x_norm), static_adj, model.static_cfg)
+    comps = wv.decompose(x_norm, wv.wavelet_filter(cfg.family), cfg.levels, cfg.boundary)
+    if "gsl" in model.ablations:
+        dyn_adj = ad.Tensor(np.eye(cfg.n_vars))
+    else:
+        dyn_adj = gr.dynamic_adjacency(comps, model.dynamic_layer)
+    h_dyn = gr.dynamic_graph_conv(ad.matmul(proj_t, comps), dyn_adj, model.dynamic_cfg)
+    branches = ad.concat([ad.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
+    if "gf" in model.ablations:
+        fused = branches.mean(axis=0)
+    else:
+        fused, _ = fu.fuse(branches, model.fusion_layer)
+    if "tfl" not in model.ablations:
+        for block in model.blocks:
+            fused = tp.inception_forward(fused, block, cfg.conv_axis)
+    per_var = ad.transpose(fused, (0, 2, 1))
+    hidden = ad.tanh(ad.add(ad.matmul(per_var, model.head_w1), model.head_b1))
+    out = ad.add(ad.matmul(hidden, model.head_w2), model.head_b2)
+    return model.revin.denormalize(ad.transpose(out, (0, 2, 1)), stats)
+
+
+def loss_and_grads(forward, x, model, target):
+    """Forecast and the squared-error gradients of ``model``'s effective parameters."""
+    params = md.effective_parameters(model)
+    for p in params:
+        p.zero_grad()
+    pred = forward(x, model)
+    err = ad.sub(pred, ad.Tensor(target))
+    grads = ad.backward(ad.mul(err, err).mean(), params)
+    for p in params:
+        p.zero_grad()
+    return pred.data, grads
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["haar", "db4"]),
+    boundary=st.sampled_from(["circular", "symmetric"]),
+    levels=st.integers(1, 3),
+    share=st.booleans(),
+    ablation=st.sampled_from([None, *md.ABLATION_MODES]),
+    seed=st.integers(0, 2**16),
+)
+def test_folded_forward_matches_component_stack(family, boundary, levels, share, ablation, seed):
+    cfg = tiny_config(
+        input_len=32, family=family, boundary=boundary, levels=levels,
+        share_dynamic_weights=share, seed=seed,
+    )
+    model = ready_model(cfg)
+    if ablation is not None:
+        model = md.ablate(model, ablation)
+    rng = np.random.default_rng(seed)
+    x = ad.Tensor(rng.normal(0.0, 1.0, (2, 32, 3)))
+    target = rng.normal(0.0, 1.0, (2, 4, 3))
+    got, got_grads = loss_and_grads(md.forward, x, model, target)
+    want, want_grads = loss_and_grads(stacked_wiring_forward, x, model, target)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert got_grads.keys() == want_grads.keys()
+    for name, g in got_grads.items():
+        np.testing.assert_allclose(g, want_grads[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"share_dynamic_weights": True}])
+def test_step_graph_never_holds_the_component_stack(overrides):
+    cfg = tiny_config(input_len=16, levels=2, **overrides)
+    model = ready_model(cfg)
+    x = ad.Tensor(RNG.normal(0.0, 1.0, (5, 16, 3)))
+    err = ad.sub(md.forward(x, model), ad.Tensor(RNG.normal(0.0, 1.0, (5, 4, 3))))
+    shapes = {node.shape for node in ad._toposort(ad.mul(err, err).mean())}
+    assert (cfg.levels + 1, 5, cfg.input_len, cfg.n_vars) not in shapes
 
 
 def test_ablations_shrink_effective_parameters_but_not_shape():
@@ -395,6 +489,81 @@ def test_checkpoint_truncation_and_corruption():
         md.load_checkpoint(bad_version)
 
 
+def reseal(body: bytes) -> bytes:
+    """A checkpoint body with a fresh, matching CRC32 trailer."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_checkpoint_trailer_rejects_flips_and_trailing_bytes():
+    blob = md.save_checkpoint(ready_model())
+    assert struct.unpack("<I", blob[-4:])[0] == zlib.crc32(blob[:-4])
+    with pytest.raises(CheckpointError, match="trailing"):
+        md.load_checkpoint(blob + b"\x00")
+    flipped = bytearray(blob)
+    flipped[len(blob) // 2] ^= 0x10
+    with pytest.raises(CheckpointError, match="checksum"):
+        md.load_checkpoint(bytes(flipped))
+
+
+def test_checkpoint_rejects_non_finite_parameters():
+    blob = md.save_checkpoint(ready_model())
+    # head.b2 is a (horizon,) vector: name, ndim byte, one 4-byte dim, values.
+    at = blob.index(b"head.b2") + len(b"head.b2") + 1 + 4
+    body = bytearray(blob[:-4])
+    body[at : at + 8] = struct.pack("<d", np.nan)
+    with pytest.raises(CheckpointError, match="head.b2"):
+        md.load_checkpoint(reseal(bytes(body)))
+
+
+@pytest.mark.parametrize("value", [np.inf, 5.0, -0.5])
+def test_checkpoint_rejects_a_static_adjacency_that_is_not_row_stochastic(value):
+    blob = md.save_checkpoint(ready_model())
+    (head_len,) = struct.unpack("<I", blob[9:13])
+    at = 13 + head_len + 1  # the has-static byte, then the (n, n) matrix
+    body = bytearray(blob[:-4])
+    body[at : at + 8] = struct.pack("<d", value)
+    with pytest.raises(CheckpointError, match="row-stochastic"):
+        md.load_checkpoint(reseal(bytes(body)))
+
+
+def test_checkpoint_header_with_a_float_count_is_checkpoint_error():
+    # A hand-edited header can pass the checksum; a float size must not
+    # reach the reader as a slice bound.
+    blob = md.save_checkpoint(ready_model())
+    (head_len,) = struct.unpack("<I", blob[9:13])
+    header = json.loads(blob[13 : 13 + head_len])
+    header["config"]["n_vars"] = 3.0
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = blob[:9] + struct.pack("<I", len(head)) + head + blob[13 + head_len : -4]
+    with pytest.raises(CheckpointError, match="n_vars must be an integer"):
+        md.load_checkpoint(reseal(body))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checkpoint_mutations_fail_or_load_bit_exact(data):
+    model = ready_model()
+    blob = md.save_checkpoint(model, extra={"note": "fuzz"})
+    kind = data.draw(st.sampled_from(["truncate", "flip", "append"]))
+    if kind == "truncate":
+        bad = blob[: data.draw(st.integers(0, len(blob) - 1))]
+    elif kind == "flip":
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        mutated = bytearray(blob)
+        mutated[bit // 8] ^= 1 << (bit % 8)
+        bad = bytes(mutated)
+    else:
+        bad = blob + data.draw(st.binary(min_size=1, max_size=64))
+    try:
+        loaded, extra = md.load_checkpoint(bad)
+    except CheckpointError:
+        return
+    assert extra == {"note": "fuzz"}
+    np.testing.assert_array_equal(loaded.static_adjacency, model.static_adjacency)
+    for pa, pb in zip(md.parameters(model), md.parameters(loaded), strict=True):
+        np.testing.assert_array_equal(pa.data, pb.data)
+
+
 def checkpoint_names(blob: bytes, n_vars: int) -> list[str]:
     """The parameter names stored in a checkpoint, in stored order."""
     r = md._Reader(blob)
@@ -411,7 +580,8 @@ def checkpoint_names(blob: bytes, n_vars: int) -> list[str]:
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
         r.read(8 * int(np.prod(shape)))
-    assert r.pos == len(blob)
+    # Only the CRC32 trailer follows the parameters.
+    assert r.pos == len(blob) - 4
     return names
 
 
@@ -433,6 +603,8 @@ def test_checkpoint_non_utf8_name_is_checkpoint_error():
 def test_config_validation():
     with pytest.raises(ConfigError):
         tiny_config(levels=9)
+    with pytest.raises(ConfigError, match="integer"):
+        tiny_config(n_vars=3.0)
     with pytest.raises(ConfigError):
         tiny_config(conv_axis="time")
     with pytest.raises(ConfigError):

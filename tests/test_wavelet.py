@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sdgf import autodiff as ad
 from sdgf import wavelet as wv
-from sdgf.errors import ConfigError
+from sdgf.errors import ConfigError, ShapeError
 
 from conftest import assert_grads_match
 
@@ -163,6 +163,46 @@ def test_cached_operators_are_shared_and_read_only():
     for op in ops:
         with pytest.raises(ValueError):
             op[0, 0] = 1.0
+
+
+def test_cached_adjoint_operators_are_shared_read_only_transposes():
+    filt = wv.wavelet_filter("db4")
+    ops = wv.component_operators(filt, 2, "symmetric", 24)
+    adj = wv.adjoint_operators(filt, 2, "symmetric", 24)
+    assert wv.adjoint_operators(filt, 2, "symmetric", 24) is adj
+    assert adj.flags["C_CONTIGUOUS"] and not adj.flags["WRITEABLE"]
+    np.testing.assert_array_equal(adj, ops.transpose(0, 2, 1))
+    # Wrapping the cached stack in a tensor, as decompose does, copies nothing.
+    assert np.shares_memory(ad.Tensor(adj[:, None]).data, adj)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["haar", "db4"]),
+    boundary=st.sampled_from(["circular", "symmetric"]),
+    levels=st.integers(1, 3),
+    maps=st.sampled_from(["2d", "per-scale", "shared"]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_folded_maps_read_the_input_as_maps_read_components(family, boundary, levels, maps, seed):
+    # fold(w)[s].T @ x == w[s].T @ decompose(x)[s] for every scale s.
+    rng = np.random.default_rng(seed)
+    filt = wv.wavelet_filter(family)
+    x = rng.normal(0.0, 1.0, (2, 32, 3))
+    shape = {"2d": (32, 4), "per-scale": (levels + 1, 1, 32, 4), "shared": (1, 1, 32, 4)}[maps]
+    w = rng.normal(0.0, 1.0, shape)
+    folded = wv.decompose(ad.Tensor(w), filt, levels, boundary, adjoint=True).data
+    assert folded.shape == (levels + 1, 1, 32, 4)
+    comps = wv.decompose(ad.Tensor(x), filt, levels, boundary).data
+    want = np.swapaxes(np.broadcast_to(w, folded.shape), -1, -2) @ comps
+    np.testing.assert_allclose(np.swapaxes(folded, -1, -2) @ x, want, rtol=0, atol=1e-12)
+
+
+def test_adjoint_needs_time_on_the_second_last_axis():
+    with pytest.raises(ShapeError):
+        wv.decompose(ad.Tensor(np.zeros(16)), wv.wavelet_filter("haar"), 1, adjoint=True)
+    with pytest.raises(ConfigError, match="maximum admissible level is 4"):
+        wv.decompose(ad.Tensor(np.zeros((16, 2))), wv.wavelet_filter("haar"), 5, adjoint=True)
 
 
 def test_too_many_levels_reports_maximum():
