@@ -26,7 +26,12 @@ those maps (``wv.decompose(..., adjoint=True)``), and the folded
 (scales, 1, input_len, ·) maps read the normalized window directly:
 ``fold(w)[s].T @ x == w[s].T @ component_s(x)``, so the (scales, batch,
 input_len, n_vars) component stack is never built. Only the summation
-order differs from building it.
+order differs from building it. The fold is redone on every forward, at
+about scales * input_len**2 * (2 * embed_dim + hidden) multiply-adds
+(only ``hidden`` under the ``gsl`` ablation), in place of the
+scales * input_len**2 * batch * n_vars that building the stack costs; so
+it saves work only while batch * n_vars > 2 * embed_dim + hidden, and
+costs more on smaller batches.
 
 ``SdgfModel`` is the one parameter tree: ``parameters``,
 ``effective_parameters`` and the checkpoint's name list all come from a
@@ -476,17 +481,25 @@ class _Reader:
 def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
     """Rebuild a model from ``save_checkpoint`` output, bit-exact.
 
-    The layout is read in full and the CRC32 trailer checked before any
-    value is used. Truncation, trailing bytes, a checksum mismatch,
-    non-finite parameter values and a static adjacency that is not
-    finite and row-stochastic each raise ``CheckpointError``.
+    The magic and version say which layout follows, so they are read
+    first; then the CRC32 trailer is checked before any other byte is
+    parsed. A checksum mismatch (truncation, trailing bytes, flipped
+    bits), a layout that does not fill the body exactly, non-finite
+    parameter values and a static adjacency that is not finite and
+    row-stochastic each raise ``CheckpointError``.
     """
-    r = _Reader(blob)
+    body = blob[:-4]
+    r = _Reader(body)
     if r.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint: bad magic")
     (version,) = r.unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
+    if zlib.crc32(body) != struct.unpack("<I", blob[-4:])[0]:
+        raise CheckpointError(
+            "checkpoint checksum mismatch: the file is truncated, has trailing bytes"
+            " or is corrupt"
+        )
     (head_len,) = r.unpack("<I")
     try:
         header = json.loads(r.read(head_len).decode("utf-8"))
@@ -510,12 +523,8 @@ def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
         stored.append((name, shape, r.read(8 * math.prod(shape))))
-    body_end = r.pos
-    (crc,) = r.unpack("<I")
-    if r.pos != len(blob):
-        raise CheckpointError(f"{len(blob) - r.pos} trailing bytes after the checkpoint")
-    if zlib.crc32(blob[:body_end]) != crc:
-        raise CheckpointError("checkpoint checksum mismatch: the file is corrupt")
+    if r.pos != len(body):
+        raise CheckpointError(f"{len(body) - r.pos} trailing bytes after the parameters")
 
     model = build_model(cfg)
     try:

@@ -161,10 +161,8 @@ def predict_split(
         for i in range(0, len(starts), batch):
             chunk = starts[i : i + batch]
             inputs, want = dataset.batch(chunk)
-            if inspect is None:
-                pred = md.forward(ad.Tensor(inputs), model)
-            else:
-                pred, details = md.forward_with_details(ad.Tensor(inputs), model)
+            pred, details = md.forward_with_details(ad.Tensor(inputs), model)
+            if inspect:
                 inspect(details)
             preds.append(pred.data)
             targets.append(want)

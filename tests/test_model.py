@@ -503,6 +503,17 @@ def test_checkpoint_trailer_rejects_flips_and_trailing_bytes():
     flipped[len(blob) // 2] ^= 0x10
     with pytest.raises(CheckpointError, match="checksum"):
         md.load_checkpoint(bytes(flipped))
+    # A flip in the header is caught by the checksum before the header
+    # is parsed, not reported as a config that does not match.
+    (head_len,) = struct.unpack("<I", blob[9:13])
+    head = blob[13 : 13 + head_len]
+    at = 13 + head.index(b'"levels": ') + len(b'"levels": ')
+    flipped = bytearray(blob)
+    flipped[at] ^= 0x04  # the digit stays a digit: "1" -> "5"
+    with pytest.raises(CheckpointError, match="checksum"):
+        md.load_checkpoint(bytes(flipped))
+    with pytest.raises(CheckpointError, match="trailing bytes after the parameters"):
+        md.load_checkpoint(reseal(blob[:-4] + b"\x00"))
 
 
 def test_checkpoint_rejects_non_finite_parameters():
@@ -596,8 +607,10 @@ def test_checkpoint_non_utf8_name_is_checkpoint_error():
     blob = md.save_checkpoint(ready_model())
     assert blob.count(b"revin.gamma") == 1
     bad = blob.replace(b"revin.gamma", b"\xffevin.gamma")
-    with pytest.raises(CheckpointError, match="name"):
+    with pytest.raises(CheckpointError, match="checksum"):
         md.load_checkpoint(bad)
+    with pytest.raises(CheckpointError, match="name"):
+        md.load_checkpoint(reseal(bad[:-4]))
 
 
 def test_config_validation():
