@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 failure. Every command that writes outputs also writes the fully
-resolved configuration next to them.
+resolved configuration next to them, and every output file is replaced
+whole or not at all (``data.atomic_open``). When training hits a numeric
+failure, ``sdgf train`` still writes the best checkpoint so far and a
+partial report naming the epoch and the error, then exits 3.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from . import config as cf
 from . import model as md
 from . import training as tr
-from .data import Scaler, load_csv, make_windows, save_csv, synthesize
+from .data import Scaler, atomic_open, load_csv, make_windows, save_csv, synthesize
 from .errors import (
     ConfigError,
     DataError,
@@ -118,6 +121,16 @@ def _metric_line(split: str, mse: float, mae: float) -> str:
     return f"split={split} mse={mse:.12g} mae={mae:.12g}"
 
 
+def _write_bytes(path, blob: bytes) -> None:
+    with atomic_open(path, "wb") as handle:
+        handle.write(blob)
+
+
+def _write_json(path, payload: dict, **kwargs) -> None:
+    with atomic_open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -126,11 +139,25 @@ def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
     table, dataset, scaler = _prepare_dataset(cfg)
     model = md.build_model(cf.model_config(cfg, table.n_vars))
-    report, blob = tr.train(
-        model, dataset, cf.train_config(cfg), extra=_checkpoint_extra(table, scaler)
-    )
+    try:
+        report, blob = tr.train(
+            model, dataset, cf.train_config(cfg), extra=_checkpoint_extra(table, scaler)
+        )
+    except NumericError as exc:
+        # Keep what the run had earned before it failed; main() exits 3.
+        out = _out_dir(cfg)
+        if exc.checkpoint:
+            _write_bytes(out / "model.ckpt", exc.checkpoint)
+        cfg.save(out / "resolved.cfg")
+        _write_json(
+            out / "report.json",
+            {**exc.report.to_dict(), "failed_epoch": exc.epoch, "error": str(exc)},
+            indent=2,
+            sort_keys=True,
+        )
+        raise
     out = _out_dir(cfg)
-    (out / "model.ckpt").write_bytes(blob)
+    _write_bytes(out / "model.ckpt", blob)
     cfg.save(out / "resolved.cfg")
 
     best, _ = md.load_checkpoint(blob)
@@ -143,8 +170,7 @@ def _cmd_train(args) -> int:
             dataset, "test"
         )
         print(_metric_line("test", test_mse, test_mae))
-    with open(out / "report.json", "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    _write_json(out / "report.json", payload, indent=2, sort_keys=True)
     print(f"best epoch {report.best_epoch} val mse {report.best_val_mse:.12g}")
     print(f"wrote {out / 'model.ckpt'}")
     return 0
@@ -201,8 +227,7 @@ def _cmd_eval(args) -> int:
         "mse": split_mse,
         "mae": split_mae,
     }
-    with open(out / f"eval_{args.split}.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+    _write_json(out / f"eval_{args.split}.json", manifest, indent=2, sort_keys=True)
 
     if args.export_predictions:
         path = out / f"predictions_{args.split}.csv"
@@ -211,8 +236,7 @@ def _cmd_eval(args) -> int:
     if args.dump_attention:
         path = out / f"attention_{args.split}.json"
         weights = np.concatenate(details.alphas)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"branch_names": _branch_names(model), "weights": weights.tolist()}, handle)
+        _write_json(path, {"branch_names": _branch_names(model), "weights": weights.tolist()})
         print(f"wrote {path}")
     if args.dump_graphs:
         path = out / "static_graph.csv"
@@ -227,7 +251,7 @@ def _cmd_eval(args) -> int:
 
 
 def _write_predictions(path, names, preds, targets) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["window", "variable", "step", "y_true", "y_pred"])
         count, horizon, _ = preds.shape
@@ -241,7 +265,7 @@ def _write_predictions(path, names, preds, targets) -> None:
 
 
 def _write_adjacency(path, names, matrix) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["node", *names])
         for name, row in zip(names, np.asarray(matrix)):
@@ -293,7 +317,7 @@ def _cmd_ablate(args) -> int:
         if mode is not None:
             model = md.ablate(model, mode)
         _, blob = tr.train(model, dataset, tcfg, extra=extra)
-        (out / f"{label}.ckpt").write_bytes(blob)
+        _write_bytes(out / f"{label}.ckpt", blob)
         best, _ = md.load_checkpoint(blob)
         results[label] = tr.evaluate(best, dataset, "test", tcfg.batch)
     results["repeat-last"] = tr.repeat_last_metrics(dataset, "test")
@@ -303,7 +327,7 @@ def _cmd_ablate(args) -> int:
         for label in results:
             lines.append(f"{label},{metric},{results[label][index]:.12g}")
     report = "\n".join(lines) + "\n"
-    with open(out / "ablation.csv", "w", encoding="utf-8") as handle:
+    with atomic_open(out / "ablation.csv", "w", encoding="utf-8") as handle:
         handle.write(report)
     sys.stdout.write(report)
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import model as md
-from .data import SynthSpec
+from .data import SynthSpec, atomic_open
 from .errors import ConfigError
 from .training import TrainConfig
 
@@ -140,7 +140,7 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
+        with atomic_open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_text())
 
 

@@ -1,8 +1,16 @@
 """Dataset ingestion, sliding windows, chronological splits, synthesis.
 
 CSV files are ETT-style: a header row, an optional leading "date"
-column, and float64 values everywhere else. Exports use 17 significant
-digits so a save/load round trip is bit-exact.
+column, and float64 values everywhere else. ``csv.reader`` splits the
+rows; one pass over them checks each row's width, takes its date cell
+and gathers its value cells into one flat list, and one call converts
+that list (``str.strip``, then ``float``, so blank cells and the
+separator characters ``str.strip`` removes but ``float`` does not read
+as they always have). Only a file that fails the width check or the
+conversion is scanned again cell by cell, to name its first defect in
+file order. Exports use 17 significant digits so a save/load round trip
+is bit-exact, and every file this package writes goes through
+``atomic_open``, so a failed write leaves the previous file whole.
 
 Windows are stride-1 (input_len rows in, horizon rows out). Splits are
 chronological by row count; a window belongs to a split only when every
@@ -12,7 +20,11 @@ never peek at validation or test rows.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
+import pathlib
+import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,32 +90,71 @@ def load_csv(path: str) -> SeriesTable:
     if not data_rows:
         raise DataError(f"{path} has a header but no data rows")
 
-    values = np.empty((len(data_rows), len(names)))
+    width = len(header)
     timestamps: list[str] | None = [] if has_dates else None
-    for r, row in enumerate(data_rows, start=1):
-        if len(row) != len(header):
-            raise DataError(
-                f"row {r} has {len(row)} cells, header has {len(header)} columns"
-            )
-        cells = row[1:] if has_dates else row
+    cells: list[str] = []
+    for row in data_rows:
+        if len(row) != width:
+            raise _first_defect(data_rows, width, names, has_dates)
         if has_dates:
             timestamps.append(row[0].strip())
-        for c, cell in enumerate(cells):
+            cells.extend(row[1:])
+        else:
+            cells.extend(row)
+    try:
+        values = np.fromiter(map(float, map(str.strip, cells)), np.float64, len(cells))
+    except ValueError:
+        raise _first_defect(data_rows, width, names, has_dates) from None
+    return SeriesTable(
+        values=values.reshape(len(data_rows), len(names)), names=names, timestamps=timestamps
+    )
+
+
+def _first_defect(rows: list, width: int, names: list, has_dates: bool) -> DataError:
+    """The error for the first bad row or cell of ``rows``, in file order.
+
+    Called only once the fast path has failed on ``rows``, so a defect exists.
+    """
+    for r, row in enumerate(rows, start=1):
+        if len(row) != width:
+            return DataError(f"row {r} has {len(row)} cells, header has {width} columns")
+        for name, cell in zip(names, row[1:] if has_dates else row):
             text = cell.strip()
             if not text:
-                raise DataError(f"missing value at row {r}, column {names[c]!r}")
+                return DataError(f"missing value at row {r}, column {name!r}")
             try:
-                values[r - 1, c] = float(text)
+                float(text)
             except ValueError:
-                raise DataError(
-                    f"non-numeric value {text!r} at row {r}, column {names[c]!r}"
-                ) from None
-    return SeriesTable(values=values, names=names, timestamps=timestamps)
+                return DataError(f"non-numeric value {text!r} at row {r}, column {name!r}")
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open ``path`` for writing so that it is replaced whole or not at all.
+
+    ``mode`` is ``"w"`` or ``"wb"``; ``kwargs`` go to ``open``. Writes go
+    to a new temporary file in the same directory, which is flushed to
+    disk and renamed over ``path`` (``os.replace``) when the block ends.
+    If the block raises, the temporary file is removed and ``path`` keeps
+    whatever it held before.
+    """
+    path = pathlib.Path(path)
+    temp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    handle = open(temp, mode.replace("w", "x"), **kwargs)
+    try:
+        with handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def save_csv(table: SeriesTable, path: str) -> None:
     """Write a table back out; 17 significant digits round-trip float64."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if table.timestamps is not None:
             writer.writerow(["date", *table.names])

@@ -35,7 +35,11 @@ costs more on smaller batches.
 
 ``SdgfModel`` is the one parameter tree: ``parameters``,
 ``effective_parameters`` and the checkpoint's name list all come from a
-walk over its fields.
+walk over its fields. One private function, ``_assemble``, lays the tree
+out; ``build_model`` fills it from the seeded RNG and ``load_checkpoint``
+from the stored arrays by name, so a load draws no random numbers and
+copies each stored parameter once, from a ``memoryview`` of the blob
+into an array the parameter owns.
 
 Ablations switch individual stages to neutral implementations (identity
 graphs, unweighted fusion, no temporal block) without touching the rest;
@@ -184,13 +188,28 @@ class SdgfModel:
 
 def build_model(cfg: ModelConfig) -> SdgfModel:
     """Construct a model with seeded initialization in a fixed order."""
-    rng = np.random.default_rng(cfg.seed)
+    return _assemble(cfg)
+
+
+def _assemble(cfg: ModelConfig, stored=None) -> SdgfModel:
+    """Lay out the parameter tree of ``cfg`` and fill it from one source.
+
+    With ``stored`` None, values are drawn from the RNG seeded with
+    ``cfg.seed``, in the order the tree is laid out, so a seed always
+    gives the same parameters. Otherwise ``stored(name, shape)`` gives
+    each parameter's array, and no RNG is made.
+    """
+    rng = np.random.default_rng(cfg.seed) if stored is None else None
     n, length, dim = cfg.n_vars, cfg.input_len, cfg.hidden
     scales = cfg.levels + 1
 
+    def param(name, shape, draw):
+        """``draw(shape)`` makes the seeded value; it is not called for stored ones."""
+        return ad.Parameter(name, draw(shape) if stored is None else stored(name, shape))
+
     def linear(name, fan_in, shape):
         bound = 1.0 / np.sqrt(fan_in)
-        return ad.Parameter(name, rng.uniform(-bound, bound, shape))
+        return param(name, shape, lambda s: rng.uniform(-bound, bound, s))
 
     def stacked(rows, maps):
         """(rows, 1, *shape) parameters for ``maps`` ((name, fan_in, shape) each).
@@ -198,6 +217,8 @@ def build_model(cfg: ModelConfig) -> SdgfModel:
         Draws row by row, each row's maps in order, exactly as calling
         ``linear`` for every map of one scale, then the next, would.
         """
+        if stored is not None:
+            return [ad.Parameter(name, stored(name, (rows, 1, *shape))) for name, _, shape in maps]
         sizes = [int(np.prod(shape)) for _, _, shape in maps]
         draws = np.split(rng.random((rows, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
         out = []
@@ -207,9 +228,7 @@ def build_model(cfg: ModelConfig) -> SdgfModel:
             out.append(ad.Parameter(name, -bound + 2 * bound * u.reshape(rows, 1, *shape)))
         return out
 
-    revin = RevinLayer(
-        ad.Parameter("revin.gamma", np.ones(n)), ad.Parameter("revin.beta", np.zeros(n))
-    )
+    revin = RevinLayer(param("revin.gamma", (n,), np.ones), param("revin.beta", (n,), np.zeros))
     input_proj = linear("input_proj", length, (length, dim))
     static_cfg = gr.GraphPropagationConfig(
         alpha=cfg.alpha,
@@ -226,8 +245,8 @@ def build_model(cfg: ModelConfig) -> SdgfModel:
         w1, w2, *thetas = stacked(scales, embed + hops)
 
     fusion_layer = fu.FusionLayer(
-        ad.Parameter("fusion.q", rng.uniform(-0.1, 0.1, dim)),
-        ad.Parameter("fusion.w_k", np.eye(dim) + rng.normal(0.0, 0.01, (dim, dim))),
+        param("fusion.q", (dim,), lambda s: rng.uniform(-0.1, 0.1, s)),
+        param("fusion.w_k", (dim, dim), lambda s: np.eye(dim) + rng.normal(0.0, 0.01, s)),
     )
 
     conv_ch = dim if cfg.conv_axis == "nodes" else n
@@ -238,25 +257,25 @@ def build_model(cfg: ModelConfig) -> SdgfModel:
             linear(f"block{b}.branch{i}", conv_ch * k, (width, conv_ch, k))
             for i, (k, _) in enumerate(tp.BRANCH_SHAPES)
         ]
-        biases = [ad.Parameter(f"block{b}.branch{i}_bias", np.zeros(width)) for i in range(4)]
+        biases = [param(f"block{b}.branch{i}_bias", (width,), np.zeros) for i in range(4)]
         blocks.append(
             tp.InceptionBlock(
                 channels=conv_ch,
                 branch_kernels=kernels,
                 branch_biases=biases,
                 merge_kernel=linear(f"block{b}.merge", 4 * width, (conv_ch, 4 * width, 1)),
-                merge_bias=ad.Parameter(f"block{b}.merge_bias", np.zeros(conv_ch)),
+                merge_bias=param(f"block{b}.merge_bias", (conv_ch,), np.zeros),
                 residual_kernel=linear(f"block{b}.residual", conv_ch, (conv_ch, conv_ch, 1)),
-                residual_bias=ad.Parameter(f"block{b}.residual_bias", np.zeros(conv_ch)),
-                norm_gain=ad.Parameter(f"block{b}.norm_gain", np.ones(dim)),
-                norm_bias=ad.Parameter(f"block{b}.norm_bias", np.zeros(dim)),
+                residual_bias=param(f"block{b}.residual_bias", (conv_ch,), np.zeros),
+                norm_gain=param(f"block{b}.norm_gain", (dim,), np.ones),
+                norm_bias=param(f"block{b}.norm_bias", (dim,), np.zeros),
             )
         )
 
     head_w1 = linear("head.w1", dim, (dim, 2 * dim))
-    head_b1 = ad.Parameter("head.b1", np.zeros(2 * dim))
+    head_b1 = param("head.b1", (2 * dim,), np.zeros)
     head_w2 = linear("head.w2", 2 * dim, (2 * dim, cfg.horizon))
-    head_b2 = ad.Parameter("head.b2", np.zeros(cfg.horizon))
+    head_b2 = param("head.b2", (cfg.horizon,), np.zeros)
 
     return SdgfModel(
         config=cfg,
@@ -460,11 +479,11 @@ def save_checkpoint(model: SdgfModel, extra: dict | None = None) -> bytes:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
+    def __init__(self, blob: memoryview):
         self.blob = blob
         self.pos = 0
 
-    def read(self, count: int) -> bytes:
+    def read(self, count: int) -> memoryview:
         if self.pos + count > len(self.blob):
             raise CheckpointError(
                 f"checkpoint truncated: wanted {count} bytes at offset {self.pos},"
@@ -487,8 +506,12 @@ def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
     bits), a layout that does not fill the body exactly, non-finite
     parameter values and a static adjacency that is not finite and
     row-stochastic each raise ``CheckpointError``.
+
+    The blob is read through a ``memoryview``, and the tree is assembled
+    from the stored arrays by name (no RNG draw): each parameter's bytes
+    are copied once, into an array that parameter owns.
     """
-    body = blob[:-4]
+    body = memoryview(blob)[:-4]
     r = _Reader(body)
     if r.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise CheckpointError("not a checkpoint: bad magic")
@@ -502,7 +525,7 @@ def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
         )
     (head_len,) = r.unpack("<I")
     try:
-        header = json.loads(r.read(head_len).decode("utf-8"))
+        header = json.loads(str(r.read(head_len), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from None
     try:
@@ -517,16 +540,29 @@ def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
     for _ in range(count):
         (name_len,) = r.unpack("<H")
         try:
-            name = r.read(name_len).decode("utf-8")
+            name = str(r.read(name_len), "utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"corrupt parameter name: {exc}") from None
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
-        stored.append((name, shape, r.read(8 * math.prod(shape))))
+        stored.append((name, shape, np.frombuffer(r.read(8 * math.prod(shape)), dtype="<f8")))
     if r.pos != len(body):
         raise CheckpointError(f"{len(body) - r.pos} trailing bytes after the parameters")
 
-    model = build_model(cfg)
+    # The tree takes each stored array whose name and shape fit a slot;
+    # the checks below, in their fixed order, reject a checkpoint in
+    # which any slot was left empty or any array found no slot.
+    by_name = {name: flat for name, _, flat in stored}
+    slots = {}
+
+    def from_checkpoint(name, shape):
+        slots[name] = shape
+        flat = by_name.get(name)
+        if flat is None or flat.size != math.prod(shape):
+            return np.empty(shape)
+        return flat.reshape(shape).copy()
+
+    model = _assemble(cfg, from_checkpoint)
     try:
         for mode in header.get("ablations", []):
             model = ablate(model, mode)
@@ -542,21 +578,20 @@ def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
             raise CheckpointError("checkpoint static adjacency is not finite and row-stochastic")
         model.static_adjacency = adjacency.copy()
 
-    by_name = {p.name: p for p in parameters(model)}
-    if count != len(by_name):
+    if count != len(slots):
         raise CheckpointError(
-            f"checkpoint stores {count} parameters, this config builds {len(by_name)}"
+            f"checkpoint stores {count} parameters, this config builds {len(slots)}"
         )
-    for name, shape, raw in stored:
-        if name not in by_name:
+    for name, shape, flat in stored:
+        if name not in slots:
             raise CheckpointError(f"checkpoint parameter {name!r} has no slot in the model")
-        target = by_name[name]
-        if tuple(shape) != target.shape:
+        if tuple(shape) != slots[name]:
             raise CheckpointError(
-                f"parameter {name!r} has shape {tuple(shape)}, expected {target.shape}"
+                f"parameter {name!r} has shape {tuple(shape)}, expected {slots[name]}"
             )
-        values = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(flat)):
             raise CheckpointError(f"parameter {name!r} holds non-finite values")
-        target.data = values.copy()
+    if len(by_name) != count:
+        missing = next(name for name in slots if name not in by_name)
+        raise CheckpointError(f"checkpoint stores no value for parameter {missing!r}")
     return model, header.get("extra", {})

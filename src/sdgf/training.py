@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as md
 from .data import WindowDataset
-from .errors import ConfigError, DataError, GraphError, ShapeError
+from .errors import ConfigError, DataError, GraphError, NumericError, ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +199,9 @@ def train(
 
     ``extra`` is stored verbatim in every checkpoint written (the CLI
     keeps the dataset scaler there so evaluation can reproduce scaling).
+    A ``NumericError`` raised in an epoch is re-raised carrying that
+    ``epoch``, the ``report`` of what was recorded before it and the best
+    ``checkpoint`` so far (``b""`` if no epoch finished).
     """
     began = time.perf_counter()
     train_starts = dataset.split_starts("train")
@@ -223,45 +226,53 @@ def train(
     bad_epochs = 0
     early = False
 
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(train_starts)
-        squared_sum = 0.0
-        seen = 0
-        for i in range(0, len(order), cfg.batch):
-            chunk = order[i : i + cfg.batch]
-            inputs, targets = dataset.batch(chunk)
-            loss = mse_loss(md.forward(ad.Tensor(inputs), model), targets)
-            grads = ad.backward(loss, params)
-            clip_gradients(grads, cfg.clip)
-            adam_step(params, grads, state)
-            for p in params:
-                p.zero_grad()
-            squared_sum += float(loss.data) * len(chunk)
-            seen += len(chunk)
-        train_losses.append(squared_sum / seen)
+    def report() -> TrainReport:
+        return TrainReport(
+            train_losses=train_losses,
+            val_mse=val_mses,
+            val_mae=val_maes,
+            best_epoch=best_epoch,
+            best_val_mse=float(best_mse),
+            early_stopped=early,
+            epochs_run=len(train_losses),
+            wall_time_sec=time.perf_counter() - began,
+        )
 
-        v_mse, v_mae = evaluate(model, dataset, "val", cfg.batch)
-        val_mses.append(v_mse)
-        val_maes.append(v_mae)
-        if v_mse < best_mse:
-            best_mse = v_mse
-            best_epoch = epoch
-            best_blob = md.save_checkpoint(model, extra=extra)
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                early = True
-                break
+    epoch = 0
+    try:
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(train_starts)
+            squared_sum = 0.0
+            seen = 0
+            for i in range(0, len(order), cfg.batch):
+                chunk = order[i : i + cfg.batch]
+                inputs, targets = dataset.batch(chunk)
+                loss = mse_loss(md.forward(ad.Tensor(inputs), model), targets)
+                grads = ad.backward(loss, params)
+                clip_gradients(grads, cfg.clip)
+                adam_step(params, grads, state)
+                for p in params:
+                    p.zero_grad()
+                squared_sum += float(loss.data) * len(chunk)
+                seen += len(chunk)
+            train_losses.append(squared_sum / seen)
 
-    report = TrainReport(
-        train_losses=train_losses,
-        val_mse=val_mses,
-        val_mae=val_maes,
-        best_epoch=best_epoch,
-        best_val_mse=float(best_mse),
-        early_stopped=early,
-        epochs_run=len(train_losses),
-        wall_time_sec=time.perf_counter() - began,
-    )
-    return report, best_blob
+            v_mse, v_mae = evaluate(model, dataset, "val", cfg.batch)
+            val_mses.append(v_mse)
+            val_maes.append(v_mae)
+            if v_mse < best_mse:
+                best_mse = v_mse
+                best_epoch = epoch
+                best_blob = md.save_checkpoint(model, extra=extra)
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if bad_epochs >= cfg.patience:
+                    early = True
+                    break
+    except NumericError as exc:
+        exc.epoch = epoch
+        exc.report = report()
+        exc.checkpoint = best_blob
+        raise
+    return report(), best_blob

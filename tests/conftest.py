@@ -1,8 +1,12 @@
 """Shared numeric oracles for the test suite."""
 
+import csv
+
 import numpy as np
 
 from sdgf import autodiff as ad
+from sdgf.data import SeriesTable
+from sdgf.errors import DataError
 
 
 def fd_gradient(build_loss, leaf: ad.Tensor, h: float = 1e-5) -> np.ndarray:
@@ -64,3 +68,51 @@ def loop_conv1d(x: np.ndarray, kernel: np.ndarray, dilation: int) -> np.ndarray:
                             acc += kernel[o, c, j] * x[b, c, src]
                 out[b, o, t] = acc
     return out
+
+
+def loop_load_csv(path: str) -> SeriesTable:
+    """Parse a header + float rows; the first column may be dates.
+
+    The cell-by-cell loader ``data.load_csv`` replaced, kept verbatim as
+    its oracle.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            rows = list(reader)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if not rows:
+        raise DataError(f"{path} is empty")
+    header = [c.strip() for c in rows[0]]
+    if not header:
+        raise DataError(f"{path} has an empty header row")
+    has_dates = header[0].lower() == "date"
+    names = header[1:] if has_dates else header
+    if not names:
+        raise DataError(f"{path} has no value columns")
+    data_rows = rows[1:]
+    if not data_rows:
+        raise DataError(f"{path} has a header but no data rows")
+
+    values = np.empty((len(data_rows), len(names)))
+    timestamps: list[str] | None = [] if has_dates else None
+    for r, row in enumerate(data_rows, start=1):
+        if len(row) != len(header):
+            raise DataError(
+                f"row {r} has {len(row)} cells, header has {len(header)} columns"
+            )
+        cells = row[1:] if has_dates else row
+        if has_dates:
+            timestamps.append(row[0].strip())
+        for c, cell in enumerate(cells):
+            text = cell.strip()
+            if not text:
+                raise DataError(f"missing value at row {r}, column {names[c]!r}")
+            try:
+                values[r - 1, c] = float(text)
+            except ValueError:
+                raise DataError(
+                    f"non-numeric value {text!r} at row {r}, column {names[c]!r}"
+                ) from None
+    return SeriesTable(values=values, names=names, timestamps=timestamps)

@@ -144,6 +144,50 @@ def test_train_reports_are_reproducible(tmp_path):
     assert (out_a / "model.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_train_numeric_failure_keeps_the_best_checkpoint(tmp_path, capsys, monkeypatch):
+    from sdgf import autodiff as ad
+    from sdgf import model as md
+    from sdgf import training as tr
+
+    data = make_csv(tmp_path)
+    clean = train_tiny(tmp_path, data, "clean", extra=["train.epochs=2"])
+    scored = []
+    real_evaluate, real_forward = tr.evaluate, md.forward
+
+    def evaluate(*args, **kwargs):
+        scored.append(args[2])
+        return real_evaluate(*args, **kwargs)
+
+    def forward(x, model):
+        # Every training forward after epoch 1's validation sees an inf.
+        if len(scored) >= 2:
+            x = ad.Tensor(np.where(np.arange(x.shape[1])[:, None] == 0, np.inf, x.data))
+        return real_forward(x, model)
+
+    monkeypatch.setattr(tr, "evaluate", evaluate)
+    monkeypatch.setattr(md, "forward", forward)
+    out = tmp_path / "failed"
+    capsys.readouterr()
+    code = main(["train", "--data", str(data), "--out", str(out)] + sets(TINY))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "non-finite" in err and "Traceback" not in err
+    assert scored == ["val", "val"]
+    assert (out / "model.ckpt").read_bytes() == (clean / "model.ckpt").read_bytes()
+    loaded, _ = md.load_checkpoint((out / "model.ckpt").read_bytes())
+    best, _ = md.load_checkpoint((clean / "model.ckpt").read_bytes())
+    for pa, pb in zip(md.parameters(loaded), md.parameters(best), strict=True):
+        assert pa.data.tobytes() == pb.data.tobytes()
+    report = json.loads((out / "report.json").read_text())
+    clean_report = json.loads((clean / "report.json").read_text())
+    assert report["failed_epoch"] == 2 and f"error: {report['error']}" in err
+    assert report["best_epoch"] == clean_report["best_epoch"]
+    assert report["val_mse"] == clean_report["val_mse"]
+    assert (out / "resolved.cfg").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["model.ckpt", "report.json", "resolved.cfg"]
+
+
 # ---------------------------------------------------------------------------
 # eval
 

@@ -1,5 +1,7 @@
 """Data pipeline checks: CSV round trips, windows, splits, synthesis."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from sdgf import data as dt
 from sdgf import graphs as gr
 from sdgf.errors import ConfigError, DataError
+
+from conftest import loop_load_csv
 
 RNG = np.random.default_rng(88)
 
@@ -106,6 +110,100 @@ def test_csv_round_trip_with_dates(tmp_path):
     back = dt.load_csv(path)
     np.testing.assert_array_equal(back.values, table.values)
     assert back.timestamps == table.timestamps
+
+
+# Cell texts in the forms real files hold and the forms that must fail;
+# none holds a comma, quote or line break, so each line is one CSV row.
+NUMBERS = st.floats(allow_nan=True, allow_infinity=True)
+CELL_BODIES = st.one_of(
+    NUMBERS.map(repr),
+    NUMBERS.map(lambda v: f"{v:.17g}"),
+    NUMBERS.map(lambda v: f"{v:e}"),
+    st.sampled_from(
+        ["inf", "-inf", "-nan", "nan", "1_0", "1e400", "-1e400", "0", "-0", "+.5", "5.",
+         "abc", "1.2.3", "1e", "0x10", "1 2", "\u0661\u0662"]
+    ),
+    st.sampled_from(["", " "]),
+)
+PADDING = st.sampled_from(
+    ["", " ", "  ", "\t", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f", " \x1c", "\x1f\t"]
+)
+CELLS = st.tuples(PADDING, CELL_BODIES, PADDING).map("".join)
+
+
+def outcome(loader, path):
+    """What a loader makes of a file: its table, bit for bit, or its error."""
+    try:
+        table = loader(path)
+    except DataError as exc:
+        return "error", str(exc)
+    return "table", table.values.shape, table.values.tobytes(), table.names, table.timestamps
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n_vars=st.integers(1, 4), rows=st.integers(1, 6), dates=st.booleans())
+def test_load_csv_matches_the_cell_loop(tmp_path_factory, data, n_vars, rows, dates):
+    header = ["date"] * dates + [f"v{j}" for j in range(n_vars)]
+    lines = [",".join(header)]
+    for r in range(rows):
+        kind = data.draw(st.sampled_from(["full"] * 15 + ["short", "long", "blank"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        width = {"full": len(header), "short": len(header) - 1, "long": len(header) + 1}[kind]
+        cells = data.draw(st.lists(CELLS, min_size=width, max_size=width))
+        if dates and cells:
+            cells[0] = data.draw(st.sampled_from(["", " ", "\x1c"])) + f"2020-01-{r + 1:02d}"
+        lines.append(",".join(cells))
+    text = "\n".join(lines) + data.draw(st.sampled_from(["", "\n", "\r\n"]))
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    with open(path, "w", newline="") as handle:
+        handle.write(text)
+    assert outcome(dt.load_csv, str(path)) == outcome(loop_load_csv, str(path))
+
+
+def test_load_csv_names_the_first_defect_in_file_order(tmp_path):
+    path = tmp_path / "t.csv"
+    # The ragged row 3 fails the width pass first; row 2's word comes first in the file.
+    path.write_text("a,b\n1,2\n3,oops\n4\n, \n")
+    with pytest.raises(DataError, match=r"^non-numeric value 'oops' at row 2, column 'b'$"):
+        dt.load_csv(str(path))
+    path.write_text("date,a,b\nd1,1,2\nd2, \x1f ,2\nd3,x,2\n")
+    with pytest.raises(DataError, match=r"^missing value at row 2, column 'a'$"):
+        dt.load_csv(str(path))
+
+
+def test_load_csv_strips_what_float_does_not(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n \x1c2,\u30003.5\x1f\n")
+    np.testing.assert_array_equal(dt.load_csv(str(path)).values, [[2.0, 3.5]])
+
+
+def test_atomic_open_failure_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"previous contents")
+    with pytest.raises(RuntimeError, match="midway"):
+        with dt.atomic_open(path, "wb") as handle:
+            handle.write(b"half of the new")
+            raise RuntimeError("midway")
+    assert path.read_bytes() == b"previous contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+    with dt.atomic_open(path, "w", encoding="utf-8") as handle:
+        handle.write("new")
+    assert path.read_text(encoding="utf-8") == "new"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def test_save_csv_that_fails_midway_leaves_no_partial_file(tmp_path):
+    path = tmp_path / "t.csv"
+    dt.save_csv(dt.SeriesTable(values=[[1.0], [2.0]], names=["a"]), str(path))
+    before = path.read_bytes()
+    # The second row cannot be formatted, after the first was written.
+    broken = types.SimpleNamespace(names=["a"], timestamps=None, values=[[3.0], ["x"]])
+    with pytest.raises(ValueError):
+        dt.save_csv(broken, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Model assembly checks: RevIN, forward contract, ablation, checkpoints."""
 
 import json
+import re
 import struct
 import zlib
 
@@ -611,6 +612,88 @@ def test_checkpoint_non_utf8_name_is_checkpoint_error():
         md.load_checkpoint(bad)
     with pytest.raises(CheckpointError, match="name"):
         md.load_checkpoint(reseal(bad[:-4]))
+
+
+def test_checkpoint_load_makes_no_rng_draw(monkeypatch):
+    model = ready_model()
+    blob = md.save_checkpoint(model)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew from an RNG")
+
+    monkeypatch.setattr(md.np.random, "default_rng", no_rng)
+    loaded, _ = md.load_checkpoint(blob)
+    for pa, pb in zip(md.parameters(model), md.parameters(loaded), strict=True):
+        assert pa.data.tobytes() == pb.data.tobytes()
+
+
+def test_loaded_arrays_are_owned_writeable_copies():
+    blob = md.save_checkpoint(ready_model())
+    view = np.frombuffer(blob, dtype=np.uint8)
+    loaded, _ = md.load_checkpoint(blob)
+    arrays = [p.data for p in md.parameters(loaded)] + [loaded.static_adjacency]
+    for array in arrays:
+        assert array.flags.owndata and array.flags.writeable and array.flags.c_contiguous
+        assert array.dtype == np.float64
+        assert not np.shares_memory(array, view)
+
+
+def parameter_entries(blob: bytes, n_vars: int) -> tuple[bytes, list[bytes]]:
+    """A checkpoint body split into what precedes the parameter count and
+    one byte string per stored parameter (name, shape and values)."""
+    r = md._Reader(blob)
+    r.read(len(md.CHECKPOINT_MAGIC) + 4)
+    (head_len,) = r.unpack("<I")
+    r.read(head_len)
+    (has_static,) = r.unpack("<B")
+    r.read(n_vars * n_vars * 8 if has_static else 0)
+    prefix = blob[: r.pos]
+    (count,) = r.unpack("<I")
+    entries = []
+    for _ in range(count):
+        start = r.pos
+        (name_len,) = r.unpack("<H")
+        r.read(name_len)
+        (ndim,) = r.unpack("<B")
+        shape = r.unpack(f"<{ndim}I")
+        r.read(8 * int(np.prod(shape)))
+        entries.append(blob[start : r.pos])
+    return prefix, entries
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ("drop", "checkpoint stores 28 parameters, this config builds 29"),
+        ("rename", "checkpoint parameter 'head.b9' has no slot in the model"),
+        ("reshape", "parameter 'head.b1' has shape (4,), expected (8,)"),
+        ("duplicate", "checkpoint stores no value for parameter 'static.theta1'"),
+    ],
+)
+def test_checkpoint_parameter_list_must_fill_the_tree(edit, message):
+    blob = md.save_checkpoint(ready_model())
+    prefix, entries = parameter_entries(blob, 3)
+    names = checkpoint_names(blob, 3)
+    assert len(entries) == 29
+    if edit == "drop":
+        del entries[names.index("head.b2")]
+    elif edit == "rename":
+        at = names.index("head.b1")
+        entries[at] = entries[at].replace(b"head.b1", b"head.b9")
+    elif edit == "reshape":
+        # head.b1 is (8,) and head.b2 is (4,): swap their names.
+        b1, b2 = names.index("head.b1"), names.index("head.b2")
+        entries[b1], entries[b2] = (
+            entries[b2].replace(b"head.b2", b"head.b1"),
+            entries[b1].replace(b"head.b1", b"head.b2"),
+        )
+    else:
+        # Two (hidden, hidden) maps: the second is stored under the first's name.
+        at = names.index("static.theta1")
+        entries[at] = entries[at].replace(b"static.theta1", b"static.theta0")
+    body = prefix + struct.pack("<I", len(entries)) + b"".join(entries)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+        md.load_checkpoint(reseal(body))
 
 
 def test_config_validation():
