@@ -15,8 +15,18 @@ Leaf gradients (parameters, inputs) are kept. A later ``backward`` that
 reaches a released node raises ``GraphError``.
 
 Outputs are checked for NaN/Inf after every operation (a non-finite
-value is an error state, not a value). ``set_finite_checks`` can switch
-the guard off for throughput experiments.
+value is an error state, not a value): the op that first produces one
+raises ``NumericError`` naming itself. The check is one ``isfinite``
+pass and one reduction called on the array itself, so an array passes
+exactly when every element is finite, whatever the sum of its elements
+would be. ``set_finite_checks`` can switch the guard off for throughput
+experiments.
+
+Each recorded op pays a fixed Python cost on top of its arithmetic, and
+on small shapes that cost dominates, so the per-op path calls numpy
+directly rather than through its Python-level helpers (``np.all``,
+``np.pad``, ``np.prod``), and an op result that already is a
+C-contiguous float64 array is stored as it is.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from .errors import ConfigError, GraphError, NumericError, ShapeError
 
 _grad_enabled = True
 _finite_checks = True
+_FLOAT64 = np.dtype(np.float64)
 
 
 @contextlib.contextmanager
@@ -54,8 +65,15 @@ def set_finite_checks(enabled: bool) -> bool:
     return previous
 
 
+def grad_enabled() -> bool:
+    """Whether ops record a graph here (False inside ``no_grad``)."""
+    return _grad_enabled
+
+
 def _guard(data: np.ndarray, op: str) -> None:
-    if _finite_checks and not np.all(np.isfinite(data)):
+    # ``np.isfinite(...).all()`` skips ``np.all``'s Python dispatch; on a
+    # numpy scalar (a full reduction's result) both give a numpy bool.
+    if _finite_checks and not np.isfinite(data).all():
         raise NumericError(f"{op} produced a non-finite value")
 
 
@@ -70,10 +88,14 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_released", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
+        # Most op results already are what the slow path would make.
+        # Anything else, numpy scalars included, goes through asarray and
+        # so becomes an array of its own shape (0-d for a scalar).
+        if not (type(data) is np.ndarray and data.dtype is _FLOAT64 and data.flags.c_contiguous):
+            data = np.asarray(data, dtype=np.float64)
+            if not data.flags.c_contiguous:
+                data = np.ascontiguousarray(data)
+        self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -217,7 +239,12 @@ def _toposort(root: Tensor) -> list[Tensor]:
 def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp_builder) -> Tensor:
     """Wrap an op result, recording provenance when gradients are wanted."""
     _guard(data, op)
-    track = _grad_enabled and any(p.requires_grad for p in parents)
+    track = False
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                track = True
+                break
     out = Tensor(data, requires_grad=track)
     if track:
         out._parents = parents
@@ -248,8 +275,13 @@ def _matmul_operand_grad(p: np.ndarray, q: np.ndarray, shape: tuple, keep: int) 
     batch axis the operand is broadcast along (size 1 or missing): those
     axes join the GEMM's inner dimension, so no (batch..., m, k) stack is
     built to be summed. The batch axes the operand keeps stay batch axes
-    of the GEMM, which broadcasts a factor of size 1 along them.
+    of the GEMM, which broadcasts a factor of size 1 along them. An
+    operand that keeps every batch axis of the output needs none of that
+    and takes the plain product.
     """
+    out_grad = p if keep == -2 else q
+    if tuple(shape[:-2]) == out_grad.shape[:-2]:
+        return p @ np.swapaxes(q, -1, -2) if keep == -2 else np.swapaxes(p, -1, -2) @ q
     if keep == -2:
         p, q = np.swapaxes(p, -1, -2), np.swapaxes(q, -1, -2)
     # Both factors now contract on axis -2 and hold their rows on axis -1.
@@ -366,23 +398,6 @@ def scale(x, c: float) -> Tensor:
         return vjp
 
     return _make(data, "scale", (x,), build)
-
-
-def relu(x) -> Tensor:
-    x = _as_tensor(x)
-    data = np.maximum(x.data, 0.0)
-
-    def build(out):
-        # Subgradient at 0 is taken as 0.
-        mask = x.data > 0.0
-
-        def vjp():
-            if x.requires_grad:
-                x._accumulate(out.grad * mask)
-
-        return vjp
-
-    return _make(data, "relu", (x,), build)
 
 
 def tanh(x) -> Tensor:
@@ -545,7 +560,7 @@ def matrix_transpose(x) -> Tensor:
 def reshape(x, shape: Sequence[int]) -> Tensor:
     x = _as_tensor(x)
     shape = tuple(shape)
-    if int(np.prod(shape)) != x.size:
+    if math.prod(shape) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
     data = x.data.reshape(shape)
 
@@ -639,7 +654,8 @@ def conv1d(x, kernel, dilation: int = 1) -> Tensor:
     # im2col with the contracted axes first: cols[c, j, b, l] is
     # x[b, c, l + j * dilation - pad] (zero outside), so the forward pass
     # and both gradients are single 2-D GEMMs over (channels * width).
-    padded = np.pad(x.data.transpose(1, 0, 2), ((0, 0), (0, 0), (pad, pad)))
+    padded = np.zeros((channels, batch, length + 2 * pad))
+    padded[:, :, pad : pad + length] = x.data.transpose(1, 0, 2)
     windows = sliding_window_view(padded, length, axis=2)[:, :, ::dilation]
     cols = windows.transpose(0, 2, 1, 3).reshape(channels * width, batch * length)
     flat_kernel = kernel.data.reshape(out_channels, channels * width)

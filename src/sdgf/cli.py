@@ -5,7 +5,10 @@ failure. Every command that writes outputs also writes the fully
 resolved configuration next to them, and every output file is replaced
 whole or not at all (``data.atomic_open``). When training hits a numeric
 failure, ``sdgf train`` still writes the best checkpoint so far and a
-partial report naming the epoch and the error, then exits 3.
+partial report naming the epoch and the error, then exits 3. Every
+JSON file is strict: a value that is not finite, such as the best
+validation MSE of a run that failed before any epoch ended, is written
+as ``null``.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import pathlib
 import sys
 
@@ -126,9 +130,21 @@ def _write_bytes(path, blob: bytes) -> None:
         handle.write(blob)
 
 
+def _finite_or_null(value):
+    """``value`` with every float that is not finite replaced by ``None``."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _write_json(path, payload: dict, **kwargs) -> None:
+    """Write strict JSON: a float that is not finite becomes ``null``."""
     with atomic_open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, **kwargs)
+        json.dump(_finite_or_null(payload), handle, allow_nan=False, **kwargs)
 
 
 # ---------------------------------------------------------------------------

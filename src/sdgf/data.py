@@ -6,10 +6,13 @@ rows; one pass over them checks each row's width, takes its date cell
 and gathers its value cells into one flat list, and one call converts
 that list (``str.strip``, then ``float``, so blank cells and the
 separator characters ``str.strip`` removes but ``float`` does not read
-as they always have). Only a file that fails the width check or the
-conversion is scanned again cell by cell, to name its first defect in
-file order. Exports use 17 significant digits so a save/load round trip
-is bit-exact, and every file this package writes goes through
+as they always have), and one ``np.isfinite`` over the result rejects
+``inf``, ``nan`` and cells such as ``1e400`` that overflow to infinity:
+a forecaster has no use for a value that is not a number. Only a file
+that fails the width check, the conversion or the finiteness check is
+scanned again cell by cell, to name its first defect in file order.
+Exports use 17 significant digits so a save/load round trip is
+bit-exact, and every file this package writes goes through
 ``atomic_open``, so a failed write leaves the previous file whole.
 
 Windows are stride-1 (input_len rows in, horizon rows out). Splits are
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import os
 import pathlib
 import secrets
@@ -105,6 +109,8 @@ def load_csv(path: str) -> SeriesTable:
         values = np.fromiter(map(float, map(str.strip, cells)), np.float64, len(cells))
     except ValueError:
         raise _first_defect(data_rows, width, names, has_dates) from None
+    if not np.isfinite(values).all():
+        raise _first_defect(data_rows, width, names, has_dates)
     return SeriesTable(
         values=values.reshape(len(data_rows), len(names)), names=names, timestamps=timestamps
     )
@@ -123,9 +129,11 @@ def _first_defect(rows: list, width: int, names: list, has_dates: bool) -> DataE
             if not text:
                 return DataError(f"missing value at row {r}, column {name!r}")
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 return DataError(f"non-numeric value {text!r} at row {r}, column {name!r}")
+            if not math.isfinite(value):
+                return DataError(f"non-finite value {text!r} at row {r}, column {name!r}")
 
 
 @contextlib.contextmanager

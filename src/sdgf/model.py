@@ -26,12 +26,20 @@ those maps (``wv.decompose(..., adjoint=True)``), and the folded
 (scales, 1, input_len, ·) maps read the normalized window directly:
 ``fold(w)[s].T @ x == w[s].T @ component_s(x)``, so the (scales, batch,
 input_len, n_vars) component stack is never built. Only the summation
-order differs from building it. The fold is redone on every forward, at
-about scales * input_len**2 * (2 * embed_dim + hidden) multiply-adds
-(only ``hidden`` under the ``gsl`` ablation), in place of the
-scales * input_len**2 * batch * n_vars that building the stack costs; so
-it saves work only while batch * n_vars > 2 * embed_dim + hidden, and
-costs more on smaller batches.
+order differs from building it. A fold costs about
+scales * input_len**2 * (2 * embed_dim + hidden) multiply-adds (only
+``hidden`` under the ``gsl`` ablation), against the
+scales * input_len**2 * batch * n_vars that building the stack costs.
+A forward that records a graph refolds, because the fold is part of
+the gradient path. Under ``no_grad`` the folded maps are cached per
+parameter (held weakly, so the cache never keeps a model alive), next
+to the wavelet settings they were folded with and a copy of the source
+values. A forward reuses a fold only when the settings match and the
+parameter's values are bit-for-bit equal to that copy, so an optimizer
+step (which rebinds ``p.data``) and an in-place write both refold. The
+cached arrays are read-only. Repeated forecasts with unchanged weights
+therefore pay one comparison per map instead of a fold, whatever the
+batch.
 
 ``SdgfModel`` is the one parameter tree: ``parameters``,
 ``effective_parameters`` and the checkpoint's name list all come from a
@@ -52,6 +60,7 @@ import dataclasses
 import json
 import math
 import struct
+import weakref
 import zlib
 from dataclasses import dataclass, field
 
@@ -349,6 +358,38 @@ def set_static_graph(model: SdgfModel, series: np.ndarray) -> None:
     model.static_adjacency = gr.pearson_adjacency(series[None, :, :])
 
 
+# Parameter -> ((family, levels, boundary), source copy, folded map),
+# filled only under no_grad; see the module docstring.
+_FOLDS = weakref.WeakKeyDictionary()
+
+
+def _fold(p: ad.Parameter, cfg: ModelConfig) -> ad.Tensor:
+    """``p`` folded with the wavelet component operators of ``cfg``.
+
+    Under ``no_grad`` a cached fold is returned while its settings and
+    source values (compared bit for bit) still match ``p``; grad mode
+    neither reads nor writes the cache.
+    """
+    key = (cfg.family, cfg.levels, cfg.boundary)
+    no_grad = not ad.grad_enabled()
+    if no_grad:
+        hit = _FOLDS.get(p)
+        # Bitwise, so even a zero that changed sign refolds.
+        if (
+            hit is not None
+            and hit[0] == key
+            and np.array_equal(hit[1].view(np.int64), p.data.view(np.int64))
+        ):
+            return hit[2]
+    folded = wv.decompose(
+        p, wv.wavelet_filter(cfg.family), cfg.levels, cfg.boundary, adjoint=True
+    )
+    if no_grad:
+        folded.data.setflags(write=False)
+        _FOLDS[p] = (key, p.data.copy(), folded)
+    return folded
+
+
 def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dict]:
     """Forward pass returning the prediction and inspection artifacts.
 
@@ -384,20 +425,15 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
 
     # Every map that reads the wavelet components does so from the left,
     # so each is folded with the component operators and reads x_norm.
-    def fold(maps):
-        return wv.decompose(
-            maps, wv.wavelet_filter(cfg.family), cfg.levels, cfg.boundary, adjoint=True
-        )
-
     if "gsl" in model.ablations:
         dyn_adj = ad.Tensor(np.eye(n))
     else:
         layer = model.dynamic_layer
         dyn_adj = gr.dynamic_adjacency(
-            x_norm, gr.DynamicGraphLayer(fold(layer.w1), fold(layer.w2))
+            x_norm, gr.DynamicGraphLayer(_fold(layer.w1, cfg), _fold(layer.w2, cfg))
         )
     h_dyn = gr.dynamic_graph_conv(
-        ad.matmul(ad.matrix_transpose(fold(model.input_proj)), x_norm),
+        ad.matmul(ad.matrix_transpose(_fold(model.input_proj, cfg)), x_norm),
         dyn_adj,
         model.dynamic_cfg,
         cfg.literal_eq3,

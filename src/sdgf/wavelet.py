@@ -31,7 +31,11 @@ products associate, so the same value is ``(ops[s].T @ w).T @ x``.
 (``adjoint_operators`` caches the transposed stack read-only), and the
 folded maps read the (batch, length, variables) input directly. The
 identity is exact in real arithmetic; in floating point only the
-summation order changes.
+summation order changes. ``decompose`` folds afresh on every call and
+keeps no fold; the model caches the folds of its parameters between
+``no_grad`` forwards and reuses one only while the parameter's values
+are bit-for-bit equal to a copy taken when it was folded (see
+``model``).
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Shared numeric oracles for the test suite."""
 
 import csv
+import math
 
 import numpy as np
 
@@ -73,8 +74,10 @@ def loop_conv1d(x: np.ndarray, kernel: np.ndarray, dilation: int) -> np.ndarray:
 def loop_load_csv(path: str) -> SeriesTable:
     """Parse a header + float rows; the first column may be dates.
 
-    The cell-by-cell loader ``data.load_csv`` replaced, kept verbatim as
-    its oracle.
+    The cell-by-cell loader ``data.load_csv`` replaced, kept as its
+    oracle with one rule added: a cell whose float is not finite (``inf``,
+    ``nan``, ``1e400``) is a defect, reported where the conversion
+    reports its own.
     """
     try:
         with open(path, newline="") as fh:
@@ -115,4 +118,6 @@ def loop_load_csv(path: str) -> SeriesTable:
                 raise DataError(
                     f"non-numeric value {text!r} at row {r}, column {names[c]!r}"
                 ) from None
+            if not math.isfinite(values[r - 1, c]):
+                raise DataError(f"non-finite value {text!r} at row {r}, column {names[c]!r}")
     return SeriesTable(values=values, names=names, timestamps=timestamps)

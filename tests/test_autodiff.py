@@ -61,10 +61,9 @@ def test_conv1d_dilated_hand_value():
     )
 
 
-def test_tanh_and_relu_values():
+def test_tanh_values():
     x = ad.Tensor([-2.0, 0.0, 2.0])
     np.testing.assert_allclose(ad.tanh(x).data, np.tanh([-2.0, 0.0, 2.0]), atol=1e-15)
-    np.testing.assert_allclose(ad.relu(x).data, [0.0, 0.0, 2.0], atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +166,9 @@ def test_grad_matrix_transpose_keeps_leading_axes():
     assert_grads_match(lambda: (ad.matrix_transpose(x) * out_w).sum(), [x])
 
 
-def test_grad_tanh_relu_sqrt():
+def test_grad_tanh_sqrt():
     x = ad.Tensor(RNG.uniform(0.3, 2.0, (4, 4)), requires_grad=True)
-    assert_grads_match(lambda: (ad.tanh(x) + ad.relu(x) + ad.sqrt(x)).sum(), [x])
+    assert_grads_match(lambda: (ad.tanh(x) + ad.sqrt(x)).sum(), [x])
 
 
 def test_grad_softmax_weighted():
@@ -429,3 +428,52 @@ def test_conv1d_matches_loops_and_fd(length, width, dilation, seed):
     expect = loop_conv1d(x.data, k.data, dilation)
     np.testing.assert_allclose(ad.conv1d(x, k, dilation).data, expect, rtol=0, atol=1e-12)
     assert_grads_match(lambda: (ad.conv1d(x, k, dilation) * w).sum(), [x, k])
+
+
+# ---------------------------------------------------------------------------
+# Per-node fast paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.sampled_from([(), (0,), (3, 0), (1,), (7,), (2, 3, 4)]),
+    base=st.sampled_from([0.0, 1.0, 1e308, -1e308]),
+    bad=st.lists(
+        st.tuples(st.integers(0, 2**16), st.sampled_from([np.inf, -np.inf, np.nan])), max_size=3
+    ),
+    as_scalar=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_guard_flags_exactly_the_arrays_the_old_check_flags(shape, base, bad, as_scalar, seed):
+    # Huge finite values (base 1e308) make any sum overflow, yet are finite.
+    data = base * np.random.default_rng(seed).uniform(0.5, 1.0, shape)
+    for index, value in bad:
+        if data.size:
+            data.flat[index % data.size] = value
+    if as_scalar and data.shape == ():
+        data = data[()]  # a numpy scalar, as a full reduction returns
+    flagged = not np.all(np.isfinite(data))
+    for probe, op in ((lambda: ad._guard(data, "probe"), "probe"),
+                      (lambda: ad.scale(ad.Tensor(data), 1.0), "scale")):
+        if flagged:
+            with pytest.raises(NumericError, match=f"^{op} produced a non-finite value$"):
+                probe()
+        else:
+            probe()
+
+
+def test_tensor_keeps_op_results_and_makes_scalars_0d():
+    x = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    total = ad.reduce_sum(x)
+    assert type(total.data) is np.ndarray
+    assert total.data.shape == () and total.data.dtype == np.float64
+    total.backward()
+    np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+    assert ad.Tensor(np.float64(2.5)).data.shape == ()
+    assert ad.Tensor(2.5).data.shape == ()
+    a = np.ones((2, 3))
+    assert ad.Tensor(a).data is a
+    t = ad.Tensor(a.T)
+    assert t.data.flags.c_contiguous and np.array_equal(t.data, a.T)
+    assert ad.Tensor(np.arange(3)).data.dtype == np.float64
+    assert ad.Tensor(np.ones(3, dtype=">f8")).data.dtype == np.dtype("=f8")

@@ -7,6 +7,7 @@ exported-artifact checks recompute metrics from the files themselves.
 import csv
 import json
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -121,6 +122,21 @@ def test_train_bad_dataset_path_names_it(tmp_path, capsys):
     assert "missing.csv" in capsys.readouterr().err
 
 
+def test_train_non_finite_cell_is_a_data_error(tmp_path, capsys):
+    rows = [f"{np.sin(r / 5):.6f},{np.cos(r / 7):.6f}" for r in range(1, 121)]
+    rows[60] = rows[60].split(",")[0] + ",inf"
+    data = tmp_path / "inf.csv"
+    data.write_text("a,b\n" + "\n".join(rows) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "run")] + sets(TINY))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: non-finite value 'inf' at row 61, column 'b'\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_requires_data_path(capsys):
     assert main(["train"] + sets(TINY)) == 1
     assert "data.path" in capsys.readouterr().err
@@ -186,6 +202,34 @@ def test_train_numeric_failure_keeps_the_best_checkpoint(tmp_path, capsys, monke
     assert report["val_mse"] == clean_report["val_mse"]
     assert (out / "resolved.cfg").exists()
     assert sorted(p.name for p in out.iterdir()) == ["model.ckpt", "report.json", "resolved.cfg"]
+
+
+def test_train_failure_before_any_epoch_writes_strict_json(tmp_path, capsys, monkeypatch):
+    from sdgf import autodiff as ad
+    from sdgf import model as md
+
+    data = make_csv(tmp_path)
+    real_forward = md.forward
+
+    def forward(x, model):
+        # Every forward sees an inf, so no epoch ever ends.
+        x = ad.Tensor(np.where(np.arange(x.shape[1])[:, None] == 0, np.inf, x.data))
+        return real_forward(x, model)
+
+    def reject(constant):
+        raise AssertionError(f"report.json holds the non-JSON constant {constant}")
+
+    monkeypatch.setattr(md, "forward", forward)
+    out = tmp_path / "failed"
+    with warnings.catch_warnings():
+        # numpy warns about the inf before the guard raises; only the report is checked here.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["train", "--data", str(data), "--out", str(out)] + sets(TINY))
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["failed_epoch"] == 0 and report["epochs_run"] == 0
+    assert report["best_val_mse"] is None
 
 
 # ---------------------------------------------------------------------------

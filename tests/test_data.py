@@ -1,5 +1,6 @@
 """Data pipeline checks: CSV round trips, windows, splits, synthesis."""
 
+import re
 import types
 
 import numpy as np
@@ -170,6 +171,19 @@ def test_load_csv_names_the_first_defect_in_file_order(tmp_path):
         dt.load_csv(str(path))
     path.write_text("date,a,b\nd1,1,2\nd2, \x1f ,2\nd3,x,2\n")
     with pytest.raises(DataError, match=r"^missing value at row 2, column 'a'$"):
+        dt.load_csv(str(path))
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "-nan", "1e400", " -1E400 ", "Infinity"])
+def test_load_csv_rejects_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "t.csv"
+    path.write_text(f"date,a,b\nd1,1,2\nd2,3,{cell}\nd3,4\nd4,x,5\n")
+    # The non-finite cell of row 2 comes before row 3's short row and row 4's word.
+    message = f"non-finite value {cell.strip()!r} at row 2, column 'b'"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        dt.load_csv(str(path))
+    path.write_text(f"a,b\n1,oops\n{cell},2\n")
+    with pytest.raises(DataError, match=r"^non-numeric value 'oops' at row 1, column 'b'$"):
         dt.load_csv(str(path))
 
 

@@ -1,8 +1,10 @@
-"""Model assembly checks: RevIN, forward contract, ablation, checkpoints."""
+"""Model assembly checks: RevIN, forward contract, ablation, checkpoints, fold cache."""
 
+import gc
 import json
 import re
 import struct
+import weakref
 import zlib
 
 import numpy as np
@@ -707,3 +709,85 @@ def test_config_validation():
         tiny_config(hidden=0)
     with pytest.raises(ConfigError):
         md.ModelConfig(input_len=8, horizon=4, n_vars=3, alpha=1.5)
+
+
+# ---------------------------------------------------------------------------
+# Fold cache
+
+
+def folded_params(model):
+    return {"input_proj": model.input_proj, "dyn.w1": model.dynamic_layer.w1,
+            "dyn.w2": model.dynamic_layer.w2}
+
+
+def no_grad_forecast(x, model):
+    with ad.no_grad():
+        return md.forward(x, model).data
+
+
+@pytest.mark.parametrize("name", ["input_proj", "dyn.w1", "dyn.w2"])
+@pytest.mark.parametrize("write", ["scale", "one_ulp", "zero_sign"])
+def test_no_grad_forward_refolds_after_an_in_place_write(name, write):
+    cfg = tiny_config(input_len=16, levels=2)
+    model = ready_model(cfg)
+    param = folded_params(model)[name]
+    if write == "zero_sign":
+        param.data.flat[0] = 0.0
+    x = ad.Tensor(np.random.default_rng(1).normal(0.0, 1.0, (3, 16, 3)))
+    before = no_grad_forecast(x, model)
+    assert no_grad_forecast(x, model).tobytes() == before.tobytes()
+    if write == "scale":
+        param.data *= 1.5
+    elif write == "one_ulp":
+        param.data.flat[0] = np.nextafter(param.data.flat[0], np.inf)
+    else:
+        param.data.flat[0] = -0.0  # equal to 0.0, but not the same bits
+    after = no_grad_forecast(x, model)
+    assert md._FOLDS[param][1].tobytes() == param.data.tobytes()
+    fresh, _ = md.load_checkpoint(md.save_checkpoint(model))
+    assert after.tobytes() == no_grad_forecast(x, fresh).tobytes()
+    if write == "scale":
+        assert after.tobytes() != before.tobytes()
+
+
+def test_no_grad_forwards_reuse_the_fold_and_grad_forwards_refold(monkeypatch):
+    cfg = tiny_config(input_len=16, levels=2)
+    model = ready_model(cfg)
+    twin, _ = md.load_checkpoint(md.save_checkpoint(model))
+    folds = []
+    real_decompose = wv.decompose
+
+    def decompose(*args, **kwargs):
+        folds.append(args[0])
+        return real_decompose(*args, **kwargs)
+
+    monkeypatch.setattr(wv, "decompose", decompose)
+    rng = np.random.default_rng(2)
+    x = ad.Tensor(rng.normal(0.0, 1.0, (3, 16, 3)))
+    target = rng.normal(0.0, 1.0, (3, 4, 3))
+    no_grad_forecast(x, model)
+    assert len(folds) == 3
+    cached = no_grad_forecast(x, model)
+    assert len(folds) == 3
+    # Grad mode neither reads nor fills the cache, and every folded map
+    # gets the gradient a model that never ran under no_grad gets.
+    got_pred, got = loss_and_grads(md.forward, x, model, target)
+    want_pred, want = loss_and_grads(md.forward, x, twin, target)
+    assert len(folds) == 9
+    assert got_pred.tobytes() == want_pred.tobytes() == cached.tobytes()
+    assert got.keys() == want.keys()
+    for name in folded_params(model):
+        assert got[name].tobytes() == want[name].tobytes(), name
+    for entry in md._FOLDS.values():
+        assert not entry[2].requires_grad and not entry[2].data.flags.writeable
+
+
+def test_fold_cache_does_not_keep_a_dropped_model_alive():
+    model = ready_model(tiny_config(input_len=16, levels=2))
+    no_grad_forecast(ad.Tensor(np.ones((1, 16, 3))), model)
+    params = folded_params(model).values()
+    assert all(p in md._FOLDS for p in params)
+    refs = [weakref.ref(model)] + [weakref.ref(p) for p in params]
+    del model, params
+    gc.collect()
+    assert [r() for r in refs] == [None] * 4
