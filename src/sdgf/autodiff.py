@@ -36,7 +36,6 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, GraphError, NumericError, ShapeError
 
@@ -629,60 +628,198 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
 # Convolution and normalization
 
 
-def conv1d(x, kernel, dilation: int = 1) -> Tensor:
-    """Dilated cross-correlation with "same" zero padding.
+def conv1d(x, kernel, dilation=1, bias=None, mix=None, mix_bias=None) -> Tensor:
+    """Dilated cross-correlation with "same" zero padding, over one or more kernels.
 
-    ``x`` is (batch, channels, length) and ``kernel`` is
-    (out_channels, channels, width) with odd width, so the output length
-    equals the input length: pad = dilation * (width - 1) / 2 per side.
+    ``x`` is (batch, channels, length). ``kernel`` is one
+    (out_channels, channels, width) kernel of odd width or a sequence of
+    them; ``dilation`` is one int or a sequence with one per kernel, and
+    ``bias`` is ``None``, one (out_channels,) vector, or a sequence with a
+    vector or ``None`` per kernel. Each kernel pads
+    dilation * (width - 1) / 2 per side, so the output length equals the
+    input length. The result is the channel concatenation of the
+    kernels' outputs, each plus its bias.
+
+    ``mix``, a width-1 kernel of shape (out, m, 1), and its optional
+    ``mix_bias`` then mix the outputs of the leading kernels, m channels
+    in all. The kernels after them, if any, must have ``out`` channels in
+    all, and their outputs are added to the mix as they are: a residual
+    path. The inception block is one such call, with its four branches
+    and then its residual as the kernels and its merge as the mix.
+
+    All of this is linear, so it is one node and one im2col over the
+    union of the kernels' tap offsets. The kernels are placed at their
+    taps in one stack, and the mix is applied to that stack and the
+    biases, arrays the size of the kernels, to give one composed kernel
+    for one GEMM. The VJP sends the composed kernel's gradient back
+    through the mix to every kernel and bias and to the mix itself. A
+    ``no_grad`` call over so few columns (batch * length) that composing
+    would cost more than it saves applies the stack first and the mix
+    after instead: the same product, in the other order. One kernel
+    with no mix is the plain convolution.
     """
-    x, kernel = _as_tensor(x), _as_tensor(kernel)
-    if x.ndim != 3 or kernel.ndim != 3:
-        raise ShapeError(f"conv1d expects 3-d input and kernel, got {x.shape} and {kernel.shape}")
-    if kernel.shape[1] != x.shape[1]:
-        raise ShapeError(f"kernel channels {kernel.shape} do not match input {x.shape}")
-    width = kernel.shape[2]
-    if width % 2 == 0:
-        raise ConfigError(f"even kernel width {width} cannot keep length under same padding")
-    dilation = int(dilation)
-    if dilation < 1:
-        raise ConfigError(f"dilation must be >= 1, got {dilation}")
+    x = _as_tensor(x)
+    if isinstance(kernel, (Tensor, np.ndarray)):
+        kernels, dilations, biases = [_as_tensor(kernel)], [dilation], [bias]
+    else:
+        kernels = [_as_tensor(k) for k in kernel]
+        many = isinstance(dilation, (list, tuple))
+        dilations = list(dilation) if many else [dilation] * len(kernels)
+        biases = [None] * len(kernels) if bias is None else list(bias)
+    if not kernels or len(dilations) != len(kernels) or len(biases) != len(kernels):
+        raise ShapeError(
+            f"conv1d needs one dilation and one bias entry per kernel, got {len(kernels)}"
+            f" kernels, {len(dilations)} dilations and {len(biases)} biases"
+        )
+    if x.ndim != 3:
+        raise ShapeError(f"conv1d expects a 3-d input, got {x.shape}")
+    batch, channels, length = x.data.shape
+    reaches, rows = [], []
+    total = 0
+    for i, k in enumerate(kernels):
+        if k.ndim != 3:
+            raise ShapeError(f"conv1d expects 3-d input and kernel, got {x.shape} and {k.shape}")
+        if k.data.shape[1] != channels:
+            raise ShapeError(f"kernel channels {k.shape} do not match input {x.shape}")
+        width = k.data.shape[2]
+        if width % 2 == 0:
+            raise ConfigError(f"even kernel width {width} cannot keep length under same padding")
+        dilations[i] = int(dilations[i])
+        if dilations[i] < 1:
+            raise ConfigError(f"dilation must be >= 1, got {dilations[i]}")
+        if biases[i] is not None:
+            biases[i] = _as_tensor(biases[i])
+            if biases[i].shape != (k.data.shape[0],):
+                raise ShapeError(f"bias {biases[i].shape} does not match kernel {k.shape}")
+        reaches.append(dilations[i] * (width - 1) // 2)
+        rows.append((total, total + k.data.shape[0]))
+        total += k.data.shape[0]
+    out_channels = mixed = total
+    if mix is not None:
+        mix = _as_tensor(mix)
+        if mix.ndim != 3 or mix.shape[2] != 1:
+            raise ShapeError(f"mix must be a width-1 kernel (out, m, 1), got {mix.shape}")
+        out_channels, mixed = mix.data.shape[:2]
+        if all(hi != mixed for _, hi in rows) or total - mixed not in (0, out_channels):
+            raise ShapeError(
+                f"mix {mix.shape} must take the outputs of whole leading kernels and leave"
+                f" none or {out_channels} channels unmixed, of {[hi - lo for lo, hi in rows]}"
+            )
+        if mix_bias is not None:
+            mix_bias = _as_tensor(mix_bias)
+            if mix_bias.shape != (out_channels,):
+                raise ShapeError(f"mix_bias {mix_bias.shape} does not match mix {mix.shape}")
+    elif mix_bias is not None:
+        raise ShapeError("mix_bias needs a mix")
 
-    batch, channels, length = x.shape
-    out_channels = kernel.shape[0]
-    pad = dilation * (width - 1) // 2
-    # im2col with the contracted axes first: cols[c, j, b, l] is
-    # x[b, c, l + j * dilation - pad] (zero outside), so the forward pass
-    # and both gradients are single 2-D GEMMs over (channels * width).
-    padded = np.zeros((channels, batch, length + 2 * pad))
-    padded[:, :, pad : pad + length] = x.data.transpose(1, 0, 2)
-    windows = sliding_window_view(padded, length, axis=2)[:, :, ::dilation]
-    cols = windows.transpose(0, 2, 1, 3).reshape(channels * width, batch * length)
-    flat_kernel = kernel.data.reshape(out_channels, channels * width)
-    out_data = (flat_kernel @ cols).reshape(out_channels, batch, length).transpose(1, 0, 2)
+    # ``placed`` stacks the kernels as rows laid out (tap, channel) over
+    # the union of their tap offsets; kernel k fills the taps slots[k].
+    offsets = sorted(set().union(*(range(-r, r + 1, d) for r, d in zip(reaches, dilations))))
+    index = {o: j for j, o in enumerate(offsets)}
+    slots = [[index[o] for o in range(-r, r + 1, d)] for r, d in zip(reaches, dilations)]
+    pad, count = -offsets[0], len(offsets)
+    placed = np.zeros((total, count, channels))
+    for k, sl, (lo, hi) in zip(kernels, slots, rows):
+        placed[lo:hi, sl] = k.data.transpose(0, 2, 1)
+    placed = placed.reshape(total, count * channels)
+    stacked_bias = None
+    if mix_bias is not None or any(b is not None for b in biases):
+        stacked_bias = np.zeros(total)
+        for b, (lo, hi) in zip(biases, rows):
+            if b is not None:
+                stacked_bias[lo:hi] = b.data
+
+    # im2col with the contracted axes first and the batch innermost:
+    # cols[j, c, l, b] is x[b, c, l + offsets[j]] (zero outside), so the
+    # forward pass and both gradients are single 2-D GEMMs over
+    # (taps * channels), and each tap's rows are copied in runs of
+    # length * batch elements even when the length is a handful of nodes.
+    padded = np.zeros((channels, length + 2 * pad, batch))
+    padded[:, pad : pad + length] = x.data.transpose(1, 2, 0)
+    cols = np.empty((count, channels, length, batch))
+    for j, o in enumerate(offsets):
+        cols[j] = padded[:, o + pad : o + pad + length]
+    cols = cols.reshape(count * channels, length * batch)
+    span, columns = count * channels, batch * length
+    mixer = None if mix is None else mix.data.reshape(out_channels, mixed)
+    # mixer @ placed @ cols in either order: composing first costs a
+    # kernel-sized GEMM whatever the batch, which few columns do not
+    # repay. The VJP reads the composed kernel, so recording composes.
+    if mixer is None:
+        weight = placed
+        product = weight @ cols
+    elif _grad_enabled or out_channels * mixed * span + out_channels * span * columns <= (
+        total * span * columns + out_channels * mixed * columns
+    ):
+        weight = mixer @ placed[:mixed]
+        if mixed < total:
+            weight += placed[mixed:]
+        product = weight @ cols
+    else:
+        stacked = placed @ cols
+        product = mixer @ stacked[:mixed]
+        if mixed < total:
+            product += stacked[mixed:]
+    out_bias = stacked_bias
+    if mixer is not None and stacked_bias is not None:
+        out_bias = mixer @ stacked_bias[:mixed]
+        if mixed < total:
+            out_bias += stacked_bias[mixed:]
+        if mix_bias is not None:
+            out_bias += mix_bias.data
+    product = product.reshape(out_channels, length, batch).transpose(2, 0, 1)
+    if out_bias is None:
+        out_data = product
+    else:
+        out_data = np.add(product, out_bias[:, None], out=np.empty((batch, out_channels, length)))
+
+    parents = (x, *kernels, *(b for b in biases if b is not None))
+    parents += tuple(t for t in (mix, mix_bias) if t is not None)
 
     def build(out):
         def vjp():
-            g = out.grad.transpose(1, 0, 2).reshape(out_channels, batch * length)
-            if kernel.requires_grad:
-                kernel._accumulate((g @ cols.T).reshape(kernel.data.shape))
+            g = out.grad.transpose(1, 2, 0).reshape(out_channels, columns)
             if x.requires_grad:
-                g_cols = (flat_kernel.T @ g).reshape(channels, width, batch, length)
-                g_pad = np.zeros((channels, batch, length + 2 * pad))
-                for j in range(width):
-                    g_pad[:, :, j * dilation : j * dilation + length] += g_cols[:, j]
-                x._accumulate(g_pad[:, :, pad : pad + length].transpose(1, 0, 2))
+                g_cols = (weight.T @ g).reshape(count, channels, length, batch)
+                g_pad = np.zeros((channels, length + 2 * pad, batch))
+                for j, o in enumerate(offsets):
+                    g_pad[:, o + pad : o + pad + length] += g_cols[j]
+                x._accumulate(g_pad[:, pad : pad + length].transpose(2, 0, 1))
+            g_placed = g @ cols.T
+            g_stacked = None if stacked_bias is None else g.sum(axis=1)
+            if mixer is not None:
+                if mix.requires_grad:
+                    g_mix = g_placed @ placed[:mixed].T
+                    if stacked_bias is not None:
+                        g_mix += g_stacked[:, None] * stacked_bias[:mixed]
+                    mix._accumulate(g_mix.reshape(mix.data.shape))
+                if mix_bias is not None and mix_bias.requires_grad:
+                    mix_bias._accumulate(g_stacked)
+                g_placed = np.concatenate((mixer.T @ g_placed, g_placed[: total - mixed]))
+                if stacked_bias is not None:
+                    g_stacked = np.concatenate((mixer.T @ g_stacked, g_stacked[: total - mixed]))
+            g_placed = g_placed.reshape(total, count, channels)
+            for k, b, sl, (lo, hi) in zip(kernels, biases, slots, rows):
+                if k.requires_grad:
+                    k._accumulate(g_placed[lo:hi, sl].transpose(0, 2, 1))
+                if b is not None and b.requires_grad:
+                    b._accumulate(g_stacked[lo:hi])
 
         return vjp
 
-    return _make(out_data, "conv1d", (x, kernel), build)
+    return _make(out_data, "conv1d", parents, build)
 
 
 def layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize to zero mean / unit variance along ``axis``, then affine.
 
-    Composed from primitive ops, so the gradient comes from the chain
-    rule rather than a hand-derived formula.
+    One recorded node with a hand-derived VJP. The forward takes the
+    steps of the primitive-op chain it stands for (mean, centre, mean of
+    squares, sqrt(var + eps), divide, scale, shift) in that order, so its
+    values are that chain's bit for bit, and it raises ``NumericError``
+    exactly when one of the chain's ops would. For that the variance is
+    checked as well as the output: a variance that overflows to inf
+    sends every normalized value to 0, so the output alone would pass.
     """
     if eps <= 0.0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
@@ -694,13 +831,36 @@ def layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(
             f"layer_norm affine must have shape {expect}, got {gain.shape} and {bias.shape}"
         )
-    m = reduce_mean(x, axis, keepdims=True)
-    centered = sub(x, m)
-    var = reduce_mean(mul(centered, centered), axis, keepdims=True)
-    normed = div(centered, sqrt(add(var, eps)))
+    if x.shape[axis] == 0:
+        raise ShapeError(f"cannot normalize over empty axis {axis} of shape {x.shape}")
+    inv_count = 1.0 / x.shape[axis]
+    centered = x.data - x.data.sum(axis=axis, keepdims=True) * inv_count
+    var = (centered * centered).sum(axis=axis, keepdims=True) * inv_count
+    _guard(var, "layer_norm")
+    std = np.sqrt(var + eps)
+    normed = centered / std
     side = [1] * x.ndim
     side[axis] = x.shape[axis]
-    return add(mul(normed, reshape(gain, side)), reshape(bias, side))
+    gain_side = gain.data.reshape(side)
+    data = normed * gain_side + bias.data.reshape(side)
+    others = tuple(i for i in range(x.ndim) if i != axis)
+
+    def build(out):
+        def vjp():
+            g = out.grad
+            if bias.requires_grad:
+                bias._accumulate(g.sum(axis=others))
+            if gain.requires_grad:
+                gain._accumulate((g * normed).sum(axis=others))
+            if x.requires_grad:
+                g_normed = g * gain_side
+                mean_g = g_normed.sum(axis=axis, keepdims=True) * inv_count
+                mean_gn = (g_normed * normed).sum(axis=axis, keepdims=True) * inv_count
+                x._accumulate((g_normed - mean_g - normed * mean_gn) / std)
+
+        return vjp
+
+    return _make(data, "layer_norm", (x, gain, bias), build)
 
 
 # ---------------------------------------------------------------------------

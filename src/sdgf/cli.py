@@ -5,8 +5,12 @@ failure. Every command that writes outputs also writes the fully
 resolved configuration next to them, and every output file is replaced
 whole or not at all (``data.atomic_open``). When training hits a numeric
 failure, ``sdgf train`` still writes the best checkpoint so far and a
-partial report naming the epoch and the error, then exits 3. Every
-JSON file is strict: a value that is not finite, such as the best
+partial report naming the epoch and the error, then exits 3. When one
+variant of ``sdgf ablate`` does, the others still run, their checkpoints
+and ``ablation.csv`` rows are written, and the error line names the
+failed variant before the exit with 3. Numpy's floating-point warnings
+are off in every command, so stderr carries the ``error:`` line alone.
+Every JSON file is strict: a value that is not finite, such as the best
 validation MSE of a run that failed before any epoch ended, is written
 as ``null``.
 """
@@ -327,12 +331,18 @@ def _cmd_ablate(args) -> int:
     cfg.save(out / "resolved.cfg")
 
     results = {}
+    failed = []
     for mode in (None, *modes):
         label = "full" if mode is None else f"wo-{mode}"
         model = md.build_model(cf.model_config(cfg, table.n_vars))
         if mode is not None:
             model = md.ablate(model, mode)
-        _, blob = tr.train(model, dataset, tcfg, extra=extra)
+        try:
+            _, blob = tr.train(model, dataset, tcfg, extra=extra)
+        except NumericError as exc:
+            # The other variants still run; main() exits 3 at the end.
+            failed.append(f"variant {label}: {exc}")
+            continue
         _write_bytes(out / f"{label}.ckpt", blob)
         best, _ = md.load_checkpoint(blob)
         results[label] = tr.evaluate(best, dataset, "test", tcfg.batch)
@@ -346,6 +356,8 @@ def _cmd_ablate(args) -> int:
     with atomic_open(out / "ablation.csv", "w", encoding="utf-8") as handle:
         handle.write(report)
     sys.stdout.write(report)
+    if failed:
+        raise NumericError("ablation " + "; ".join(failed))
     return 0
 
 
@@ -375,7 +387,11 @@ def _cmd_synth(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        # The autodiff guard is the one judge of non-finite values, and
+        # it raises a typed error; numpy's own warnings would only repeat
+        # it, as raw lines on stderr ahead of the error line.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,6 +6,13 @@ their channel-concatenated output is merged by a width-1 convolution,
 a width-1 residual projection of the input is added, and the result is
 layer-normalized over the feature axis.
 
+Everything up to the norm is linear in the input, so the branches, the
+merge and the residual run as one composed-kernel ``conv1d`` over the
+union of the branches' taps (seven offsets from -4 to 4), and the block
+records two graph nodes: that convolution and the layer norm. A
+nonlinearity inserted before the merge would end the composition; the
+branches would then need their own convolutions.
+
 The fused representation carries nodes on its last axis; ``conv_axis``
 chooses whether the kernels slide over that axis ("nodes", the default)
 or over the feature axis ("channels"), in which case the block must have
@@ -21,6 +28,8 @@ from .errors import ConfigError, ShapeError
 
 BRANCH_SHAPES = ((3, 1), (3, 2), (5, 1), (5, 2))
 CONV_AXES = ("nodes", "channels")
+# Branch dilations, then the width-1 residual's.
+_DILATIONS = (*(d for _, d in BRANCH_SHAPES), 1)
 
 
 @dataclass
@@ -43,23 +52,16 @@ def branch_width(channels: int) -> int:
     return (channels + 1) // 2
 
 
-def _bias(b: ad.Parameter) -> ad.Tensor:
-    return ad.reshape(b, (1, b.shape[0], 1))
-
-
 def _pre_norm(h: ad.Tensor, block: InceptionBlock) -> ad.Tensor:
     """Branches, merge, and residual; everything before the layer norm."""
-    outs = []
-    for (width, dilation), kernel, bias in zip(
-        BRANCH_SHAPES, block.branch_kernels, block.branch_biases
-    ):
-        assert kernel.shape[2] == width
-        outs.append(ad.add(ad.conv1d(h, kernel, dilation), _bias(bias)))
-    merged = ad.add(
-        ad.conv1d(ad.concat(outs, axis=1), block.merge_kernel), _bias(block.merge_bias)
+    return ad.conv1d(
+        h,
+        [*block.branch_kernels, block.residual_kernel],
+        _DILATIONS,
+        [*block.branch_biases, block.residual_bias],
+        mix=block.merge_kernel,
+        mix_bias=block.merge_bias,
     )
-    residual = ad.add(ad.conv1d(h, block.residual_kernel), _bias(block.residual_bias))
-    return ad.add(merged, residual)
 
 
 def inception_forward(h: ad.Tensor, block: InceptionBlock, conv_axis: str = "nodes") -> ad.Tensor:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as md
 from .data import WindowDataset
-from .errors import ConfigError, DataError, GraphError, NumericError, ShapeError
+from .errors import ConfigError, DataError, GraphError, NumericError, ShapeError, StateError
 
 
 # ---------------------------------------------------------------------------
@@ -57,40 +57,82 @@ def mse_loss(pred: ad.Tensor, target: np.ndarray) -> ad.Tensor:
 
 @dataclass
 class AdamState:
-    """Moment estimates keyed by parameter name."""
+    """Moment estimates as flat vectors over a fixed parameter layout.
+
+    ``layout`` holds the (name, size) of each trainable parameter, in the
+    order ``adam_step`` laid them end to end; the first step fixes it.
+    """
 
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    layout: tuple = ()
 
 
 def adam_step(params: list[ad.Parameter], grads: dict[str, np.ndarray], state: AdamState) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update over one flat vector.
+
+    The trainable parameters' values and gradients are laid end to end
+    in ``params`` order, and the update is a fixed number of vector ops
+    on that vector, whatever the number of parameters. Each element goes
+    through the same arithmetic, in the same order, as a per-parameter
+    update, so the result is bit-identical to one. Each parameter's
+    ``.data`` is then rebound to its slice of the new vector (a view), so
+    an array taken from a parameter before the step keeps its values.
+
+    Raises ``GraphError`` for a trainable parameter with no gradient and
+    ``StateError`` when the parameter list differs from the one the
+    state's first step saw.
+    """
+    trainable = [p for p in params if p.trainable]
+    flat_grads = []
+    for p in trainable:
+        g = grads.get(p.name)
+        if g is None:
+            raise GraphError(f"no gradient recorded for parameter {p.name!r}")
+        if g.shape != p.data.shape:
+            raise ShapeError(
+                f"gradient {g.shape} does not match parameter {p.name!r} {p.data.shape}"
+            )
+        flat_grads.append(g.reshape(-1))
+    layout = tuple((p.name, p.data.size) for p in trainable)
+    if state.m is None:
+        size = sum(n for _, n in layout)
+        state.m, state.v, state.layout = np.zeros(size), np.zeros(size), layout
+    elif layout != state.layout:
+        raise StateError(
+            "adam_step got a different parameter list from the one its state was built on"
+        )
     state.t += 1
     correct1 = 1.0 - state.beta1**state.t
     correct2 = 1.0 - state.beta2**state.t
-    for p in params:
-        if not p.trainable:
-            continue
-        if p.name not in grads:
-            raise GraphError(f"no gradient recorded for parameter {p.name!r}")
-        g = grads[p.name]
-        m = state.m.get(p.name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        else:
-            v = state.v[p.name]
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        state.m[p.name] = m
-        state.v[p.name] = v
-        step = state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
-        p.data = p.data - step
+    # In place, with two scratch vectors; each line keeps the operand
+    # order of m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * (g * g)
+    # and step = lr * (m / c1) / (sqrt(v / c2) + eps).
+    g = np.concatenate(flat_grads, dtype=np.float64)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    g *= g
+    g *= 1.0 - state.beta2
+    v *= state.beta2
+    v += g
+    denom = np.divide(v, correct2, out=g)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step = m / correct1
+    step *= state.lr
+    step /= denom
+    values = np.concatenate([p.data.reshape(-1) for p in trainable])
+    values -= step
+    start = 0
+    for p, (_, size) in zip(trainable, layout):
+        p.data = values[start : start + size].reshape(p.data.shape)
+        start += size
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:

@@ -2,12 +2,14 @@
 
 import csv
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from sdgf import autodiff as ad
+from sdgf import temporal as tp
 from sdgf.data import SeriesTable
-from sdgf.errors import DataError
+from sdgf.errors import DataError, GraphError
 
 
 def fd_gradient(build_loss, leaf: ad.Tensor, h: float = 1e-5) -> np.ndarray:
@@ -68,6 +70,87 @@ def loop_conv1d(x: np.ndarray, kernel: np.ndarray, dilation: int) -> np.ndarray:
                         if 0 <= src < length:
                             acc += kernel[o, c, j] * x[b, c, src]
                 out[b, o, t] = acc
+    return out
+
+
+def chain_layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> ad.Tensor:
+    """Layer norm composed from primitive ops, as ``ad.layer_norm`` was.
+
+    Every op guards its own output, so this chain raises ``NumericError``
+    on exactly the inputs the fused op must raise on.
+    """
+    x = ad._as_tensor(x)
+    m = ad.reduce_mean(x, axis, keepdims=True)
+    centered = ad.sub(x, m)
+    var = ad.reduce_mean(ad.mul(centered, centered), axis, keepdims=True)
+    normed = ad.div(centered, ad.sqrt(ad.add(var, eps)))
+    side = [1] * x.ndim
+    side[axis] = x.shape[axis]
+    return ad.add(ad.mul(normed, ad.reshape(gain, side)), ad.reshape(bias, side))
+
+
+@dataclass
+class LoopAdamState:
+    """Per-parameter moment estimates for ``loop_adam_step``."""
+
+    lr: float
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    t: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+
+def loop_adam_step(params, grads, state: LoopAdamState) -> None:
+    """The per-parameter Adam update ``training.adam_step`` replaced."""
+    state.t += 1
+    correct1 = 1.0 - state.beta1**state.t
+    correct2 = 1.0 - state.beta2**state.t
+    for p in params:
+        if not p.trainable:
+            continue
+        if p.name not in grads:
+            raise GraphError(f"no gradient recorded for parameter {p.name!r}")
+        g = grads[p.name]
+        m = state.m.get(p.name)
+        if m is None:
+            m = np.zeros_like(p.data)
+            v = np.zeros_like(p.data)
+        else:
+            v = state.v[p.name]
+        m = state.beta1 * m + (1.0 - state.beta1) * g
+        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        state.m[p.name] = m
+        state.v[p.name] = v
+        step = state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+        p.data = p.data - step
+
+
+def loop_inception(x: np.ndarray, block, conv_axis: str = "nodes") -> np.ndarray:
+    """One inception block, including its layer norm, as bare loops.
+
+    ``x`` is (batch, features, nodes); with ``conv_axis="channels"`` the
+    kernels slide over the features and the nodes are their channels.
+    """
+    h = x.transpose(0, 2, 1) if conv_axis == "channels" else x
+    outs = []
+    for (_, dilation), kernel, bias in zip(
+        tp.BRANCH_SHAPES, block.branch_kernels, block.branch_biases
+    ):
+        outs.append(loop_conv1d(h, kernel.data, dilation) + bias.data[None, :, None])
+    merged = loop_conv1d(np.concatenate(outs, axis=1), block.merge_kernel.data, 1)
+    pre = merged + block.merge_bias.data[None, :, None]
+    pre = pre + loop_conv1d(h, block.residual_kernel.data, 1)
+    pre = pre + block.residual_bias.data[None, :, None]
+    if conv_axis == "channels":
+        pre = pre.transpose(0, 2, 1)
+    out = np.zeros_like(pre)
+    for b in range(pre.shape[0]):
+        for t in range(pre.shape[2]):
+            col = pre[b, :, t]
+            normed = (col - col.mean()) / np.sqrt(col.var() + 1e-5)
+            out[b, :, t] = normed * block.norm_gain.data + block.norm_bias.data
     return out
 
 

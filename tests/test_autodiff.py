@@ -18,7 +18,7 @@ from sdgf import model as md
 from sdgf import training as tr
 from sdgf.errors import ConfigError, GraphError, NumericError, ShapeError
 
-from conftest import assert_grads_match, loop_conv1d, relative_error
+from conftest import assert_grads_match, chain_layer_norm, loop_conv1d, relative_error
 
 RNG = np.random.default_rng(20240817)
 
@@ -286,7 +286,7 @@ def test_backward_frees_graph_without_cycle_collector():
     try:
         loss = tr.mse_loss(md.forward(ad.Tensor(inputs), net), targets)
         interior = [weakref.ref(n) for n in ad._toposort(loss) if n._vjp is not None]
-        assert len(interior) > 100
+        assert len(interior) > 60
         grads = ad.backward(loss, md.effective_parameters(net))
         del loss
         alive = [r for r in interior if r() is not None]
@@ -428,6 +428,154 @@ def test_conv1d_matches_loops_and_fd(length, width, dilation, seed):
     expect = loop_conv1d(x.data, k.data, dilation)
     np.testing.assert_allclose(ad.conv1d(x, k, dilation).data, expect, rtol=0, atol=1e-12)
     assert_grads_match(lambda: (ad.conv1d(x, k, dilation) * w).sum(), [x, k])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    length=st.integers(1, 10),
+    shapes=st.lists(
+        st.tuples(st.integers(1, 3), st.sampled_from([1, 3, 5]), st.integers(1, 3), st.booleans()),
+        min_size=1,
+        max_size=4,
+    ),
+    mixing=st.sampled_from(["none", "mix", "mix+residual"]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_multi_kernel_conv1d_is_mixed_concat_of_single_calls(length, shapes, mixing, seed):
+    # Kernels of any widths, dilations and output counts, some without a
+    # bias; the mix may leave a trailing residual kernel unmixed.
+    rng = np.random.default_rng(seed)
+    channels, out_ch = 2, 3
+    x = ad.Tensor(rng.normal(0.0, 1.0, (2, channels, length)), requires_grad=True)
+    kernels = [
+        ad.Tensor(rng.normal(0.0, 1.0, (out, channels, width)), requires_grad=True)
+        for out, width, _, _ in shapes
+    ]
+    dilations = [d for _, _, d, _ in shapes]
+    biases = [
+        ad.Tensor(rng.normal(0.0, 1.0, out), requires_grad=True) if has else None
+        for out, _, _, has in shapes
+    ]
+    mixed = sum(out for out, _, _, _ in shapes)
+    if mixing == "mix+residual":
+        kernels.append(ad.Tensor(rng.normal(0.0, 1.0, (out_ch, channels, 1)), requires_grad=True))
+        dilations.append(1)
+        biases.append(ad.Tensor(rng.normal(0.0, 1.0, out_ch), requires_grad=True))
+    mix = mix_bias = None
+    if mixing != "none":
+        mix = ad.Tensor(rng.normal(0.0, 1.0, (out_ch, mixed, 1)), requires_grad=True)
+        mix_bias = ad.Tensor(rng.normal(0.0, 1.0, out_ch), requires_grad=True)
+
+    singles = []
+    for k, d, b in zip(kernels, dilations, biases):
+        y = ad.conv1d(x, k, d).data
+        singles.append(y if b is None else y + b.data[None, :, None])
+    if mix is None:
+        expect = np.concatenate(singles, axis=1)
+    else:
+        stacked = np.concatenate(singles[: len(shapes)], axis=1)
+        expect = np.einsum("om,bml->bol", mix.data[:, :, 0], stacked) + mix_bias.data[None, :, None]
+        if mixing == "mix+residual":
+            expect = expect + singles[-1]
+
+    def run():
+        return ad.conv1d(x, kernels, dilations, biases, mix=mix, mix_bias=mix_bias)
+
+    np.testing.assert_allclose(run().data, expect, rtol=0, atol=1e-12)
+    with ad.no_grad():
+        np.testing.assert_allclose(run().data, expect, rtol=0, atol=1e-12)
+    w = ad.Tensor(rng.normal(0.0, 1.0, expect.shape))
+    leaves = [x, *kernels, *(b for b in biases if b is not None)]
+    leaves += [t for t in (mix, mix_bias) if t is not None]
+    assert_grads_match(lambda: (run() * w).sum(), leaves)
+
+
+def test_multi_kernel_conv1d_rejects_mismatched_arguments():
+    x = ad.Tensor(np.ones((1, 2, 5)))
+    k3, k1 = ad.Tensor(np.ones((2, 2, 3))), ad.Tensor(np.ones((4, 2, 1)))
+    with pytest.raises(ShapeError):
+        ad.conv1d(x, [k3, k1], [1])
+    with pytest.raises(ShapeError):
+        ad.conv1d(x, [k3, k1], 1, [np.ones(3), None])
+    with pytest.raises(ShapeError):
+        # Two mixed channels leave four unmixed; a mix to three cannot take them.
+        ad.conv1d(x, [k3, k1], 1, mix=np.ones((3, 2, 1)))
+    with pytest.raises(ShapeError):
+        ad.conv1d(x, [k3, k1], 1, mix_bias=np.ones(6))
+    with pytest.raises(ConfigError):
+        ad.conv1d(x, [k3, k1], [1, 0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 1), (2, 5, 3), (3, 4), (2, 3, 1), (4,)]),
+    axis=st.integers(0, 2),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_layer_norm_matches_the_composed_chain(shape, axis, seed):
+    rng = np.random.default_rng(seed)
+    axis = axis % len(shape)
+    x = ad.Tensor(rng.normal(1.0, 3.0, shape), requires_grad=True)
+    gain = ad.Tensor(rng.normal(1.0, 0.5, shape[axis]), requires_grad=True)
+    bias = ad.Tensor(rng.normal(0.0, 1.0, shape[axis]), requires_grad=True)
+    w = rng.normal(0.0, 1.0, shape)
+    grads = []
+    for norm in (ad.layer_norm, chain_layer_norm):
+        for leaf_ in (x, gain, bias):
+            leaf_.zero_grad()
+        out = norm(x, axis, gain, bias)
+        (out * w).sum().backward()
+        grads.append((out.data, x.grad, gain.grad, bias.grad))
+    # Unit floor: along a short axis the x gradient is a near-total
+    # cancellation, a few 1e-6 made of O(1) terms.
+    for fused, chain in zip(*grads):
+        assert relative_error(fused, chain, floor=1.0) < 1e-12
+    assert_grads_match(
+        lambda: (ad.layer_norm(x, axis, gain, bias) * w).sum(), [x, gain, bias], tol=1e-4
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    exponent=st.integers(0, 308),
+    offset=st.sampled_from([0.0, 0.8]),
+    spread=st.sampled_from([0.0, 1e-3, 0.5, 0.9]),
+    gain_scale=st.sampled_from([1.0, 1e150, 1e300, 1.5e308]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_layer_norm_raises_exactly_when_the_chain_raises(
+    exponent, offset, spread, gain_scale, seed
+):
+    # Finite inputs up to 1.7e308: squares overflow from about 1e154,
+    # sums from about 1e308, and a large gain can overflow the output.
+    rng = np.random.default_rng(seed)
+    x = 10.0**exponent * (offset + spread * rng.uniform(-1.0, 1.0, (2, 4, 3)))
+    gain = rng.uniform(0.5, 1.0, 4) * gain_scale
+    bias = rng.normal(0.0, 1.0, 4)
+    assert np.isfinite(x).all()
+    outcomes = []
+    with np.errstate(all="ignore"):
+        for norm in (ad.layer_norm, chain_layer_norm):
+            try:
+                outcomes.append(norm(ad.Tensor(x), 1, ad.Tensor(gain), ad.Tensor(bias)).data)
+            except NumericError:
+                outcomes.append(None)
+    fused, chain = outcomes
+    assert (fused is None) == (chain is None)
+    if fused is not None:
+        assert fused.tobytes() == chain.tobytes()
+
+
+def test_layer_norm_raises_on_an_overflowing_variance_with_a_finite_output():
+    # Centered values near 1e160 square to inf, so every normalized value
+    # is 0 and the output equals the bias: finite, yet the chain raises.
+    x = ad.Tensor(np.array([[1e160, -1e160, 0.0]]))
+    ones, zeros = ad.Tensor(np.ones(3)), ad.Tensor(np.zeros(3))
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError):
+            chain_layer_norm(x, 1, ones, zeros)
+        with pytest.raises(NumericError, match="layer_norm"):
+            ad.layer_norm(x, 1, ones, zeros)
 
 
 # ---------------------------------------------------------------------------

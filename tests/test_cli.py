@@ -6,6 +6,7 @@ exported-artifact checks recompute metrics from the files themselves.
 
 import csv
 import json
+import re
 import struct
 import warnings
 import zlib
@@ -160,7 +161,6 @@ def test_train_reports_are_reproducible(tmp_path):
     assert (out_a / "model.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_train_numeric_failure_keeps_the_best_checkpoint(tmp_path, capsys, monkeypatch):
     from sdgf import autodiff as ad
     from sdgf import model as md
@@ -185,10 +185,13 @@ def test_train_numeric_failure_keeps_the_best_checkpoint(tmp_path, capsys, monke
     monkeypatch.setattr(md, "forward", forward)
     out = tmp_path / "failed"
     capsys.readouterr()
-    code = main(["train", "--data", str(data), "--out", str(out)] + sets(TINY))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--data", str(data), "--out", str(out)] + sets(TINY))
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and "non-finite" in err and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert scored == ["val", "val"]
     assert (out / "model.ckpt").read_bytes() == (clean / "model.ckpt").read_bytes()
     loaded, _ = md.load_checkpoint((out / "model.ckpt").read_bytes())
@@ -221,15 +224,31 @@ def test_train_failure_before_any_epoch_writes_strict_json(tmp_path, capsys, mon
 
     monkeypatch.setattr(md, "forward", forward)
     out = tmp_path / "failed"
-    with warnings.catch_warnings():
-        # numpy warns about the inf before the guard raises; only the report is checked here.
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["train", "--data", str(data), "--out", str(out)] + sets(TINY))
     assert code == 3
     assert "Traceback" not in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     report = json.loads((out / "report.json").read_text(), parse_constant=reject)
     assert report["failed_epoch"] == 0 and report["epochs_run"] == 0
     assert report["best_val_mse"] is None
+
+
+def test_train_overflowing_lr_prints_one_error_line(tmp_path, capsys):
+    # The first update sends every weight to about 1e300, so the next
+    # forward overflows; the guard's error is all that reaches stderr.
+    data = make_csv(tmp_path)
+    out = tmp_path / "huge-lr"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(
+            ["train", "--data", str(data), "--out", str(out)] + sets(TINY + ["train.lr=1e300"])
+        )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert re.fullmatch(r"error: [^\n]* produced a non-finite value\n", err), err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +520,37 @@ def test_ablate_all_trains_every_variant(tmp_path, capsys):
     assert [row["metric"] for row in rows] == ["mse"] * 5 + ["mae"] * 5
     for label in labels[:-1]:
         assert (out / f"{label}.ckpt").exists()
+
+
+def test_ablate_keeps_the_variants_that_finish_when_one_fails(tmp_path, capsys, monkeypatch):
+    from sdgf import training as tr
+    from sdgf.errors import NumericError
+
+    data = make_csv(tmp_path, rows=160)
+    real_train = tr.train
+
+    def train(model, *args, **kwargs):
+        if "gf" in model.ablations:
+            raise NumericError("matmul produced a non-finite value")
+        return real_train(model, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "train", train)
+    out = tmp_path / "ablation-failed"
+    capsys.readouterr()
+    code = main(
+        ["ablate", "--data", str(data), "--out", str(out), "--mode", "all"]
+        + sets(TINY + ["train.epochs=1"])
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: ablation variant wo-gf: matmul produced a non-finite value\n"
+    rows = list(csv.DictReader(captured.out.splitlines()))
+    labels = ["full", "wo-gsl", "wo-tfl", "repeat-last"]
+    assert [row["model"] for row in rows] == labels * 2
+    assert (out / "ablation.csv").read_text() == captured.out
+    assert sorted(p.name for p in out.iterdir()) == [
+        "ablation.csv", "full.ckpt", "resolved.cfg", "wo-gsl.ckpt", "wo-tfl.ckpt"
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -450,6 +450,18 @@ def test_step_graph_size_does_not_grow_with_levels():
     assert counts[0] == counts[1]
 
 
+def test_grad_forward_records_at_most_70_nodes():
+    # The shape of the benchmark's ``small`` workload. The inception
+    # block records two of these nodes: its conv1d and its layer norm.
+    cfg = md.ModelConfig(
+        n_vars=4, input_len=24, horizon=12, hidden=16, levels=2, depth=1, embed_dim=8, seed=3
+    )
+    model = ready_model(cfg)
+    y = md.forward(ad.Tensor(RNG.normal(0.0, 1.0, (32, 24, 4))), model)
+    ops = [node._vjp is not None for node in ad._toposort(y)]
+    assert sum(ops) <= 70
+
+
 def test_conv_axis_channels_forward():
     cfg = tiny_config(conv_axis="channels")
     model = ready_model(cfg)

@@ -9,7 +9,7 @@ from sdgf import autodiff as ad
 from sdgf import temporal as tp
 from sdgf.errors import ConfigError, ShapeError
 
-from conftest import assert_grads_match, loop_conv1d
+from conftest import assert_grads_match, loop_conv1d, loop_inception
 
 RNG = np.random.default_rng(515)
 
@@ -94,6 +94,66 @@ def test_shape_preserved(batch, dim, nodes, seed):
     block = build_block(dim, rng=rng)
     h = ad.Tensor(rng.normal(0.0, 1.0, (batch, dim, nodes)))
     assert tp.inception_forward(h, block).shape == (batch, dim, nodes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=st.integers(1, 3),
+    channels=st.integers(1, 5),
+    nodes=st.integers(1, 12),
+    conv_axis=st.sampled_from(tp.CONV_AXES),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_block_matches_loop_oracle(batch, channels, nodes, conv_axis, seed):
+    # ``nodes`` is the length the kernels slide over and ``channels`` the
+    # conv's channels, on either axis. Lengths below the reach of 4 leave
+    # some composed taps all padding.
+    rng = np.random.default_rng(seed)
+    if conv_axis == "nodes":
+        shape, features = (batch, channels, nodes), channels
+    else:
+        shape, features = (batch, nodes, channels), nodes
+    block = build_block(channels, norm_dim=features, rng=rng)
+    for i, b in enumerate(block.branch_biases):
+        block.branch_biases[i] = ad.Parameter(f"bias{i}", rng.normal(0.0, 1.0, b.shape))
+    block.merge_bias = ad.Parameter("merge_b", rng.normal(0.0, 1.0, block.merge_bias.shape))
+    block.residual_bias = ad.Parameter("res_b", rng.normal(0.0, 1.0, block.residual_bias.shape))
+    block.norm_gain = ad.Parameter("gain", rng.normal(1.0, 0.5, features))
+    block.norm_bias = ad.Parameter("shift", rng.normal(0.0, 1.0, features))
+    x = rng.normal(0.0, 1.0, shape)
+    expect = loop_inception(x, block, conv_axis)
+    got = tp.inception_forward(ad.Tensor(x), block, conv_axis).data
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+    with ad.no_grad():
+        got = tp.inception_forward(ad.Tensor(x), block, conv_axis).data
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch, nodes", [(1, 3), (16, 12)])
+def test_block_takes_either_product_order_without_a_graph(batch, nodes):
+    # With 8 channels, 3 columns are too few to repay composing the
+    # kernel, so the no_grad pass mixes after the GEMM; 192 columns
+    # compose, as a recorded pass always does. Both give the oracle.
+    rng = np.random.default_rng(8)
+    block = build_block(8, rng=rng)
+    block.merge_bias = ad.Parameter("merge_b", rng.normal(0.0, 1.0, 8))
+    x = rng.normal(0.0, 1.0, (batch, 8, nodes))
+    expect = loop_inception(x, block)
+    with ad.no_grad():
+        fast = tp.inception_forward(ad.Tensor(x), block).data
+    recorded = tp.inception_forward(ad.Tensor(x), block)
+    assert recorded._vjp is not None
+    np.testing.assert_allclose(fast, expect, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(recorded.data, expect, rtol=0, atol=1e-12)
+
+
+def test_block_records_one_conv_and_one_norm_node():
+    block = build_block(4)
+    h = ad.Tensor(RNG.normal(0.0, 1.0, (2, 4, 6)), requires_grad=True)
+    out = tp.inception_forward(h, block)
+    ops = [n for n in ad._toposort(out) if n._vjp is not None]
+    assert len(ops) == 2
+    assert ops[0]._parents[0] is h and ops[1] is out
 
 
 def test_receptive_field_spans_at_most_four():

@@ -16,7 +16,9 @@ from sdgf import autodiff as ad
 from sdgf import model as md
 from sdgf import training as tr
 from sdgf.data import SynthSpec, make_windows, synthesize
-from sdgf.errors import ConfigError, DataError, GraphError, ShapeError
+from sdgf.errors import ConfigError, DataError, GraphError, ShapeError, StateError
+
+from conftest import LoopAdamState, loop_adam_step
 
 
 def tiny_config(**kw):
@@ -105,6 +107,52 @@ def test_adam_missing_gradient_names_parameter():
     w = ad.Parameter("blocks.0.merge", np.array([1.0]))
     with pytest.raises(GraphError, match="blocks.0.merge"):
         tr.adam_step([w], {}, tr.AdamState(lr=0.1))
+
+
+def test_flat_adam_is_bit_identical_to_the_per_parameter_loop():
+    rng = np.random.default_rng(77)
+    shapes = [(3, 4), (5,), (2, 1, 3), (1,), (6, 2)]
+
+    def make():
+        values = np.random.default_rng(5)
+        params = [ad.Parameter(f"p{i}", values.normal(0.0, 1.0, s)) for i, s in enumerate(shapes)]
+        params.insert(2, ad.Parameter("frozen", values.normal(0.0, 1.0, (4,)), trainable=False))
+        return params
+
+    flat, loop = make(), make()
+    state, oracle = tr.AdamState(lr=0.05), LoopAdamState(lr=0.05)
+    for _ in range(50):
+        # Gradients from 1e-8 to 1e3, with exact zeros mixed in.
+        grads = {
+            p.name: rng.normal(0.0, 1.0, p.data.shape)
+            * 10.0 ** rng.integers(-8, 4, p.data.shape)
+            * (rng.random(p.data.shape) > 0.1)
+            for p in flat
+            if p.trainable
+        }
+        before = [p.data for p in flat]
+        kept = [a.copy() for a in before]
+        tr.adam_step(flat, grads, state)
+        loop_adam_step(loop, grads, oracle)
+        for a, b in zip(flat, loop, strict=True):
+            assert a.data.tobytes() == b.data.tobytes()
+        # Arrays taken before the step still hold their old values.
+        for a, b in zip(before, kept):
+            assert a.tobytes() == b.tobytes()
+    assert state.t == oracle.t == 50
+
+
+def test_flat_adam_rejects_a_changed_parameter_list():
+    a, b = ad.Parameter("a", np.ones(2)), ad.Parameter("b", np.ones(3))
+    state = tr.AdamState(lr=0.1)
+    tr.adam_step([a, b], {"a": np.ones(2), "b": np.ones(3)}, state)
+    with pytest.raises(StateError):
+        tr.adam_step([b, a], {"a": np.ones(2), "b": np.ones(3)}, state)
+    with pytest.raises(StateError):
+        tr.adam_step([a], {"a": np.ones(2)}, state)
+    with pytest.raises(GraphError, match="'b'"):
+        tr.adam_step([a, b], {"a": np.ones(2)}, state)
+    assert state.t == 1
 
 
 def test_clip_rescales_global_norm():
