@@ -652,11 +652,8 @@ def conv1d(x, kernel, dilation=1, bias=None, mix=None, mix_bias=None) -> Tensor:
     taps in one stack, and the mix is applied to that stack and the
     biases, arrays the size of the kernels, to give one composed kernel
     for one GEMM. The VJP sends the composed kernel's gradient back
-    through the mix to every kernel and bias and to the mix itself. A
-    ``no_grad`` call over so few columns (batch * length) that composing
-    would cost more than it saves applies the stack first and the mix
-    after instead: the same product, in the other order. One kernel
-    with no mix is the plain convolution.
+    through the mix to every kernel and bias and to the mix itself. One
+    kernel with no mix is the plain convolution.
     """
     x = _as_tensor(x)
     if isinstance(kernel, (Tensor, np.ndarray)):
@@ -740,26 +737,14 @@ def conv1d(x, kernel, dilation=1, bias=None, mix=None, mix_bias=None) -> Tensor:
     for j, o in enumerate(offsets):
         cols[j] = padded[:, o + pad : o + pad + length]
     cols = cols.reshape(count * channels, length * batch)
-    span, columns = count * channels, batch * length
+    columns = batch * length
     mixer = None if mix is None else mix.data.reshape(out_channels, mixed)
-    # mixer @ placed @ cols in either order: composing first costs a
-    # kernel-sized GEMM whatever the batch, which few columns do not
-    # repay. The VJP reads the composed kernel, so recording composes.
-    if mixer is None:
-        weight = placed
-        product = weight @ cols
-    elif _grad_enabled or out_channels * mixed * span + out_channels * span * columns <= (
-        total * span * columns + out_channels * mixed * columns
-    ):
+    weight = placed
+    if mixer is not None:
         weight = mixer @ placed[:mixed]
         if mixed < total:
             weight += placed[mixed:]
-        product = weight @ cols
-    else:
-        stacked = placed @ cols
-        product = mixer @ stacked[:mixed]
-        if mixed < total:
-            product += stacked[mixed:]
+    product = weight @ cols
     out_bias = stacked_bias
     if mixer is not None and stacked_bias is not None:
         out_bias = mixer @ stacked_bias[:mixed]

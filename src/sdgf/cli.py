@@ -6,10 +6,13 @@ resolved configuration next to them, and every output file is replaced
 whole or not at all (``data.atomic_open``). When training hits a numeric
 failure, ``sdgf train`` still writes the best checkpoint so far and a
 partial report naming the epoch and the error, then exits 3. When one
-variant of ``sdgf ablate`` does, the others still run, their checkpoints
-and ``ablation.csv`` rows are written, and the error line names the
-failed variant before the exit with 3. Numpy's floating-point warnings
-are off in every command, so stderr carries the ``error:`` line alone.
+variant of ``sdgf ablate`` does, in training or in scoring, the others
+still run, their checkpoints and ``ablation.csv`` rows are written, no
+checkpoint is left for the failed one, and the error line names it
+before the exit with 3. Numpy's floating-point warnings are off in every
+command, so stderr carries the ``error:`` line alone: the autodiff guard
+checks every op's output, and the metrics and scaler statistics check
+their own results, each raising ``NumericError`` on a non-finite value.
 Every JSON file is strict: a value that is not finite, such as the best
 validation MSE of a run that failed before any epoch ended, is written
 as ``null``.
@@ -337,15 +340,19 @@ def _cmd_ablate(args) -> int:
         model = md.build_model(cf.model_config(cfg, table.n_vars))
         if mode is not None:
             model = md.ablate(model, mode)
+        checkpoint = out / f"{label}.ckpt"
         try:
             _, blob = tr.train(model, dataset, tcfg, extra=extra)
+            best, _ = md.load_checkpoint(blob)
+            results[label] = tr.evaluate(best, dataset, "test", tcfg.batch)
         except NumericError as exc:
-            # The other variants still run; main() exits 3 at the end.
+            # The other variants still run; main() exits 3 at the end. A
+            # checkpoint left by an earlier run would sit beside an
+            # ablation.csv with no row for it.
             failed.append(f"variant {label}: {exc}")
+            checkpoint.unlink(missing_ok=True)
             continue
-        _write_bytes(out / f"{label}.ckpt", blob)
-        best, _ = md.load_checkpoint(blob)
-        results[label] = tr.evaluate(best, dataset, "test", tcfg.batch)
+        _write_bytes(checkpoint, blob)
     results["repeat-last"] = tr.repeat_last_metrics(dataset, "test")
 
     lines = ["model,metric,value"]
@@ -387,8 +394,9 @@ def _cmd_synth(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        # The autodiff guard is the one judge of non-finite values, and
-        # it raises a typed error; numpy's own warnings would only repeat
+        # Every non-finite value a command can produce is caught by a
+        # check that raises a typed error (the autodiff guard, the
+        # metrics, the scaler); numpy's own warnings would only repeat
         # it, as raw lines on stderr ahead of the error line.
         with np.errstate(all="ignore"):
             return args.func(args)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 
 
 @dataclass
@@ -186,9 +186,13 @@ class Scaler:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] < 1:
             raise DataError(f"cannot fit a scaler on shape {values.shape}")
-        std = values.std(axis=0)
+        mean, std = values.mean(axis=0), values.std(axis=0)
+        # Finite values can still overflow the statistics, and an inf
+        # std would quietly scale every value to 0.
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise NumericError("scaler statistics produced a non-finite value")
         # Constant columns scale by 1 so transform stays defined.
-        return cls(mean=values.mean(axis=0), std=np.where(std < 1e-12, 1.0, std))
+        return cls(mean=mean, std=np.where(std < 1e-12, 1.0, std))
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         return (np.asarray(values, dtype=np.float64) - self.mean) / self.std

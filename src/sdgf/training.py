@@ -8,6 +8,7 @@ stopping; the checkpoint returned is always the best-validation one.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -32,14 +33,22 @@ def _paired(pred, target) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _finite(value: float, name: str) -> float:
+    # Metrics run outside the autodiff guard, so they check themselves:
+    # finite predictions far from their targets can still overflow.
+    if not math.isfinite(value):
+        raise NumericError(f"{name} produced a non-finite value")
+    return value
+
+
 def mse(pred, target) -> float:
     a, b = _paired(pred, target)
-    return float(np.mean((a - b) ** 2))
+    return _finite(float(np.mean((a - b) ** 2)), "mse")
 
 
 def mae(pred, target) -> float:
     a, b = _paired(pred, target)
-    return float(np.mean(np.abs(a - b)))
+    return _finite(float(np.mean(np.abs(a - b))), "mae")
 
 
 def mse_loss(pred: ad.Tensor, target: np.ndarray) -> ad.Tensor:

@@ -251,6 +251,20 @@ def test_train_overflowing_lr_prints_one_error_line(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_train_overflowing_data_prints_one_error_line(tmp_path, capsys):
+    # Finite cells whose variance overflows: the scaler says so, and no
+    # numpy warning reaches stderr ahead of it.
+    data = tmp_path / "huge.csv"
+    rows = [f"{(-1) ** h * 1e200!r},{h}.0" for h in range(120)]
+    data.write_text("a,b\n" + "\n".join(rows) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "run")] + sets(TINY))
+    assert code == 3
+    assert capsys.readouterr().err == "error: scaler statistics produced a non-finite value\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -551,6 +565,38 @@ def test_ablate_keeps_the_variants_that_finish_when_one_fails(tmp_path, capsys, 
     assert sorted(p.name for p in out.iterdir()) == [
         "ablation.csv", "full.ckpt", "resolved.cfg", "wo-gsl.ckpt", "wo-tfl.ckpt"
     ]
+
+
+def test_ablate_variant_failing_in_scoring_leaves_no_checkpoint(tmp_path, capsys, monkeypatch):
+    from sdgf import training as tr
+    from sdgf.errors import NumericError
+
+    data = make_csv(tmp_path, rows=160)
+    real_evaluate = tr.evaluate
+
+    def evaluate(model, dataset, split, *args, **kwargs):
+        # Training's validation passes; the test-split score fails.
+        if "gf" in model.ablations and split == "test":
+            raise NumericError("mse produced a non-finite value")
+        return real_evaluate(model, dataset, split, *args, **kwargs)
+
+    monkeypatch.setattr(tr, "evaluate", evaluate)
+    out = tmp_path / "ablation-scoring"
+    out.mkdir()
+    # A checkpoint from an earlier run of the failing variant.
+    (out / "wo-gf.ckpt").write_bytes(b"stale")
+    capsys.readouterr()
+    code = main(
+        ["ablate", "--data", str(data), "--out", str(out), "--mode", "gf"]
+        + sets(TINY + ["train.epochs=1"])
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: ablation variant wo-gf: mse produced a non-finite value\n"
+    rows = list(csv.DictReader(captured.out.splitlines()))
+    assert [row["model"] for row in rows] == ["full", "repeat-last"] * 2
+    assert (out / "ablation.csv").read_text() == captured.out
+    assert sorted(p.name for p in out.iterdir()) == ["ablation.csv", "full.ckpt", "resolved.cfg"]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from sdgf import data as dt
 from sdgf import graphs as gr
-from sdgf.errors import ConfigError, DataError
+from sdgf.errors import ConfigError, DataError, NumericError
 
 from conftest import loop_load_csv
 
@@ -239,6 +239,13 @@ def test_scaler_handles_constant_columns():
     z = scaler.transform(values)
     assert np.all(np.isfinite(z))
     np.testing.assert_allclose(z[:, 0], 0.0, atol=0)
+
+
+def test_scaler_rejects_overflowing_statistics():
+    # Finite values whose variance overflows would give an inf std.
+    values = np.column_stack([np.array([1e200, -1e200, 1e200]), np.zeros(3)])
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="^scaler statistics"):
+        dt.Scaler.fit(values)
 
 
 def test_scaler_serialization_round_trip():

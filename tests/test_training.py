@@ -16,7 +16,7 @@ from sdgf import autodiff as ad
 from sdgf import model as md
 from sdgf import training as tr
 from sdgf.data import SynthSpec, make_windows, synthesize
-from sdgf.errors import ConfigError, DataError, GraphError, ShapeError, StateError
+from sdgf.errors import ConfigError, DataError, GraphError, NumericError, ShapeError, StateError
 
 from conftest import LoopAdamState, loop_adam_step
 
@@ -50,6 +50,16 @@ def test_metric_hand_values():
 def test_metric_shape_mismatch():
     with pytest.raises(ShapeError):
         tr.mse(np.zeros(3), np.zeros(4))
+
+
+def test_metric_overflow_raises_numeric_error():
+    # Finite operands whose squared error overflows.
+    pred, target = np.array([1e200, 0.0]), np.array([-1e200, 0.0])
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="^mse produced"):
+        tr.mse(pred, target)
+    assert tr.mae(pred, target) == 1e200
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="^mae produced"):
+        tr.mae(np.array([1.5e308]), np.array([-1.5e308]))
 
 
 @given(
