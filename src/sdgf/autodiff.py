@@ -27,12 +27,28 @@ on small shapes that cost dominates, so the per-op path calls numpy
 directly rather than through its Python-level helpers (``np.all``,
 ``np.pad``, ``np.prod``), and an op result that already is a
 C-contiguous float64 array is stored as it is.
+
+A training step allocates its graph's arrays afresh, and ``backward``
+frees them all again. By default glibc then trims the freed top of the
+heap back to the kernel and serves mid-sized arrays with ``mmap``, so
+the next step page-faults the same memory back in (thousands of faults
+per step at the benchmark's shapes). Loading this module on glibc
+therefore sets two ``mallopt`` values once: ``M_MMAP_THRESHOLD`` to
+4 MiB, so every array below it comes from the heap, and
+``M_TRIM_THRESHOLD`` to 128 MiB, so the heap keeps that much freed top
+for the next step. Both are needed: setting either one turns off
+glibc's dynamic tuning of the other, so on the benchmark's widest shape
+either one alone faults more than neither. Arrays of 4 MiB or more stay
+mapped, where numpy asks for huge pages. The settings hold for the whole process that imports
+``sdgf``; other C libraries are left as they are.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
+import os
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -42,6 +58,23 @@ from .errors import ConfigError, GraphError, NumericError, ShapeError
 _grad_enabled = True
 _finite_checks = True
 _FLOAT64 = np.dtype(np.float64)
+
+
+def _keep_freed_heap() -> None:
+    """Make glibc reuse a step's freed arrays (see the module docstring)."""
+    try:
+        glibc = (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):  # no confstr or no such name
+        return
+    if not glibc:
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 @contextlib.contextmanager

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 failure. Every command that writes outputs also writes the fully
 resolved configuration next to them, and every output file is replaced
 whole or not at all (``data.atomic_open``). When training hits a numeric
-failure, ``sdgf train`` still writes the best checkpoint so far and a
+failure, ``sdgf train`` writes the best checkpoint so far (or, when no
+epoch ended, removes the ``model.ckpt`` an earlier run left) and a
 partial report naming the epoch and the error, then exits 3. When one
 variant of ``sdgf ablate`` does, in training or in scoring, the others
 still run, their checkpoints and ``ablation.csv`` rows are written, no
@@ -168,9 +169,13 @@ def _cmd_train(args) -> int:
         )
     except NumericError as exc:
         # Keep what the run had earned before it failed; main() exits 3.
+        # With no epoch earned, an older run's checkpoint would sit beside
+        # this run's report and resolved.cfg as if it belonged to them.
         out = _out_dir(cfg)
         if exc.checkpoint:
             _write_bytes(out / "model.ckpt", exc.checkpoint)
+        else:
+            (out / "model.ckpt").unlink(missing_ok=True)
         cfg.save(out / "resolved.cfg")
         _write_json(
             out / "report.json",

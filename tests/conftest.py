@@ -41,15 +41,20 @@ def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-5) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
-def assert_grads_match(build_loss, leaves, tol: float = 1e-5) -> None:
-    """Backprop the loss and compare every leaf gradient to the FD oracle."""
+def assert_grads_match(build_loss, leaves, tol: float = 1e-5, h: float = 1e-5) -> None:
+    """Backprop the loss and compare every leaf gradient to the FD oracle.
+
+    ``h`` is the central-difference step. A loss that is linear in every
+    leaf element can take a large step, which shrinks the round-off of
+    ``(up - down) / 2h`` without any truncation error.
+    """
     for leaf in leaves:
         leaf.zero_grad()
     loss = build_loss()
     loss.backward()
     for leaf in leaves:
         assert leaf.grad is not None, "leaf never received a gradient"
-        oracle = fd_gradient(lambda: float(build_loss().data), leaf)
+        oracle = fd_gradient(lambda: float(build_loss().data), leaf, h)
         err = relative_error(leaf.grad, oracle)
         assert err < tol, f"gradient mismatch: relative error {err:.3e}"
 

@@ -6,11 +6,17 @@ in conventions (padding, axis order) cannot slip through.
 """
 
 import gc
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+import textwrap
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdgf import autodiff as ad
@@ -295,6 +301,54 @@ def test_backward_frees_graph_without_cycle_collector():
     assert grads and not alive
 
 
+# One process at the benchmark's pinned shape; prints minor faults per step.
+FAULTS_PER_STEP = textwrap.dedent(
+    """
+    import resource
+    import numpy as np
+    from sdgf import autodiff as ad, model as md, training as tr
+
+    rng = np.random.default_rng(0)
+    net = md.build_model(md.ModelConfig(input_len=96, horizon=96, n_vars=7, hidden=64, levels=3))
+    md.set_static_graph(net, rng.normal(0.0, 1.0, (256, 7)))
+    params = md.effective_parameters(net)
+    state = tr.AdamState(lr=1e-3)
+    inputs, targets = rng.normal(0.0, 1.0, (32, 96, 7)), rng.normal(0.0, 1.0, (32, 96, 7))
+
+    def step():
+        loss = tr.mse_loss(md.forward(ad.Tensor(inputs), net), targets)
+        grads = ad.backward(loss, params)
+        tr.clip_gradients(grads, 5.0)
+        tr.adam_step(params, grads, state)
+        for p in params:
+            p.zero_grad()
+
+    for _ in range(3):
+        step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        step()
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+    """
+)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+def test_steps_do_not_page_fault_their_working_set():
+    # Each step frees its whole graph; the next one should reuse that
+    # memory from the heap, not fault it in afresh (thousands a step).
+    path = [str(pathlib.Path(ad.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    result = subprocess.run(
+        [sys.executable, "-c", FAULTS_PER_STEP],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    faults = float(result.stdout.split()[-1])
+    assert faults < 50, f"{faults:.0f} minor page faults per step"
+
+
 def test_no_grad_blocks_recording():
     x = leaf((3,))
     with ad.no_grad():
@@ -441,6 +495,7 @@ def test_conv1d_matches_loops_and_fd(length, width, dilation, seed):
     mixing=st.sampled_from(["none", "mix", "mix+residual"]),
     seed=st.integers(0, 2**31 - 1),
 )
+@example(length=8, shapes=[(2, 5, 1, False), (3, 5, 1, True)], mixing="none", seed=1436669988)
 def test_multi_kernel_conv1d_is_mixed_concat_of_single_calls(length, shapes, mixing, seed):
     # Kernels of any widths, dilations and output counts, some without a
     # bias; the mix may leave a trailing residual kernel unmixed.
@@ -487,7 +542,10 @@ def test_multi_kernel_conv1d_is_mixed_concat_of_single_calls(length, shapes, mix
     w = ad.Tensor(rng.normal(0.0, 1.0, expect.shape))
     leaves = [x, *kernels, *(b for b in biases if b is not None)]
     leaves += [t for t in (mix, mix_bias) if t is not None]
-    assert_grads_match(lambda: (run() * w).sum(), leaves)
+    # The loss is linear in each perturbed element, so central differences
+    # are exact at any step; a large one keeps their round-off under the
+    # tolerance when a gradient sits just above the relative-error floor.
+    assert_grads_match(lambda: (run() * w).sum(), leaves, h=1e-2)
 
 
 def test_multi_kernel_conv1d_rejects_mismatched_arguments():

@@ -251,6 +251,24 @@ def test_train_overflowing_lr_prints_one_error_line(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_train_failure_before_any_epoch_removes_an_older_checkpoint(tmp_path, capsys):
+    # The run has no checkpoint of its own, so a junk one from an earlier
+    # run must not stay beside its report and resolved.cfg.
+    data = make_csv(tmp_path)
+    out = tmp_path / "huge-lr"
+    out.mkdir()
+    (out / "model.ckpt").write_bytes(b"an older run's checkpoint")
+    code = main(
+        ["train", "--data", str(data), "--out", str(out)] + sets(TINY + ["train.lr=1e300"])
+    )
+    capsys.readouterr()
+    assert code == 3
+    assert not (out / "model.ckpt").exists()
+    report = json.loads((out / "report.json").read_text())
+    assert report["failed_epoch"] == 0 and report["best_epoch"] == -1
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "resolved.cfg"]
+
+
 def test_train_overflowing_data_prints_one_error_line(tmp_path, capsys):
     # Finite cells whose variance overflows: the scaler says so, and no
     # numpy warning reaches stderr ahead of it.
