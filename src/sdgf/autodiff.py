@@ -26,7 +26,14 @@ Each recorded op pays a fixed Python cost on top of its arithmetic, and
 on small shapes that cost dominates, so the per-op path calls numpy
 directly rather than through its Python-level helpers (``np.all``,
 ``np.pad``, ``np.prod``), and an op result that already is a
-C-contiguous float64 array is stored as it is.
+C-contiguous float64 array is stored as it is. For the same reason the
+model's stages (RevIN, graph propagation, dynamic adjacency, fusion
+gate, head) are single fused nodes rather than chains of the primitives
+here. They are built in their own modules on the public pieces this one
+exports: ``record`` makes a node (and guards chosen intermediates as
+well as the output), ``Tensor.accumulate`` adds a gradient to a parent,
+and ``unbroadcast`` and ``matmul_operand_grad`` are the gradient rules
+of broadcasting and of ``matmul``.
 
 A training step allocates its graph's arrays afresh, and ``backward``
 frees them all again. By default glibc then trims the freed top of the
@@ -149,7 +156,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` to this tensor's gradient; every VJP passes gradients on this way."""
         if g.shape != self.data.shape:
             raise ShapeError(
                 f"gradient shape {g.shape} does not match value shape {self.data.shape}"
@@ -268,8 +276,22 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp_builder) -> Tensor:
-    """Wrap an op result, recording provenance when gradients are wanted."""
+def record(
+    data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp_builder, checked=()
+) -> Tensor:
+    """Wrap an op result, recording provenance when gradients are wanted.
+
+    Every op, here and in the stage modules, makes its node through this
+    one call. ``vjp_builder(out)`` returns the closure that pushes
+    ``out.grad`` to the ``parents``; it is called only when a parent
+    requires a gradient and recording is on. The result is guarded, and
+    so is each array in ``checked``: the intermediates of a fused op that
+    a later step could turn finite again (a product before ``tanh``,
+    scores before a softmax, whose ``exp(-inf)`` is 0), so the fused op
+    raises ``NumericError`` where the chain of ops it stands for did.
+    """
+    for inner in checked:
+        _guard(inner, op)
     _guard(data, op)
     track = False
     if _grad_enabled:
@@ -284,7 +306,7 @@ def _make(data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp_builder) -
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
     if g.shape == shape:
         return g
@@ -297,7 +319,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _matmul_operand_grad(p: np.ndarray, q: np.ndarray, shape: tuple, keep: int) -> np.ndarray:
+def matmul_operand_grad(p: np.ndarray, q: np.ndarray, shape: tuple, keep: int) -> np.ndarray:
     """Gradient of one ``matmul`` operand of ``shape``, as one batched GEMM.
 
     For the left operand ``p`` is the output gradient, ``q`` the right
@@ -346,13 +368,13 @@ def add(a, b) -> Tensor:
         def vjp():
             g = out.grad
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.data.shape))
+                a.accumulate(unbroadcast(g, a.data.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.data.shape))
+                b.accumulate(unbroadcast(g, b.data.shape))
 
         return vjp
 
-    return _make(data, "add", (a, b), build)
+    return record(data, "add", (a, b), build)
 
 
 def sub(a, b) -> Tensor:
@@ -366,13 +388,13 @@ def sub(a, b) -> Tensor:
         def vjp():
             g = out.grad
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.data.shape))
+                a.accumulate(unbroadcast(g, a.data.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(-g, b.data.shape))
+                b.accumulate(unbroadcast(-g, b.data.shape))
 
         return vjp
 
-    return _make(data, "sub", (a, b), build)
+    return record(data, "sub", (a, b), build)
 
 
 def mul(a, b) -> Tensor:
@@ -386,13 +408,13 @@ def mul(a, b) -> Tensor:
         def vjp():
             g = out.grad
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+                a.accumulate(unbroadcast(g * b.data, a.data.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+                b.accumulate(unbroadcast(g * a.data, b.data.shape))
 
         return vjp
 
-    return _make(data, "mul", (a, b), build)
+    return record(data, "mul", (a, b), build)
 
 
 def div(a, b) -> Tensor:
@@ -408,13 +430,13 @@ def div(a, b) -> Tensor:
         def vjp():
             g = out.grad
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.data.shape))
+                a.accumulate(unbroadcast(g / b.data, a.data.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+                b.accumulate(unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
         return vjp
 
-    return _make(data, "div", (a, b), build)
+    return record(data, "div", (a, b), build)
 
 
 def scale(x, c: float) -> Tensor:
@@ -425,11 +447,11 @@ def scale(x, c: float) -> Tensor:
     def build(out):
         def vjp():
             if x.requires_grad:
-                x._accumulate(out.grad * c)
+                x.accumulate(out.grad * c)
 
         return vjp
 
-    return _make(data, "scale", (x,), build)
+    return record(data, "scale", (x,), build)
 
 
 def tanh(x) -> Tensor:
@@ -439,11 +461,11 @@ def tanh(x) -> Tensor:
     def build(out):
         def vjp():
             if x.requires_grad:
-                x._accumulate(out.grad * (1.0 - out.data * out.data))
+                x.accumulate(out.grad * (1.0 - out.data * out.data))
 
         return vjp
 
-    return _make(data, "tanh", (x,), build)
+    return record(data, "tanh", (x,), build)
 
 
 def sqrt(x) -> Tensor:
@@ -453,11 +475,11 @@ def sqrt(x) -> Tensor:
     def build(out):
         def vjp():
             if x.requires_grad:
-                x._accumulate(out.grad / (2.0 * out.data))
+                x.accumulate(out.grad / (2.0 * out.data))
 
         return vjp
 
-    return _make(data, "sqrt", (x,), build)
+    return record(data, "sqrt", (x,), build)
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +502,13 @@ def matmul(a, b) -> Tensor:
         def vjp():
             g = out.grad
             if a.requires_grad:
-                a._accumulate(_matmul_operand_grad(g, b.data, a.data.shape, -2))
+                a.accumulate(matmul_operand_grad(g, b.data, a.data.shape, -2))
             if b.requires_grad:
-                b._accumulate(_matmul_operand_grad(a.data, g, b.data.shape, -1))
+                b.accumulate(matmul_operand_grad(a.data, g, b.data.shape, -1))
 
         return vjp
 
-    return _make(data, "matmul", (a, b), build)
+    return record(data, "matmul", (a, b), build)
 
 
 def softmax(x, axis: int) -> Tensor:
@@ -503,11 +525,11 @@ def softmax(x, axis: int) -> Tensor:
                 g = out.grad
                 y = out.data
                 inner = (g * y).sum(axis=axis, keepdims=True)
-                x._accumulate(y * (g - inner))
+                x.accumulate(y * (g - inner))
 
         return vjp
 
-    return _make(data, "softmax", (x,), build)
+    return record(data, "softmax", (x,), build)
 
 
 def _check_axis(x: Tensor, axis: int) -> int:
@@ -528,11 +550,11 @@ def reduce_sum(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
         def build(out):
             def vjp():
                 if x.requires_grad:
-                    x._accumulate(np.broadcast_to(out.grad, x.data.shape))
+                    x.accumulate(np.broadcast_to(out.grad, x.data.shape))
 
             return vjp
 
-        return _make(data, "sum", (x,), build)
+        return record(data, "sum", (x,), build)
 
     axis = _check_axis(x, axis)
     if x.data.shape[axis] == 0:
@@ -543,11 +565,11 @@ def reduce_sum(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
         def vjp():
             if x.requires_grad:
                 g = out.grad if keepdims else np.expand_dims(out.grad, axis)
-                x._accumulate(np.broadcast_to(g, x.data.shape))
+                x.accumulate(np.broadcast_to(g, x.data.shape))
 
         return vjp
 
-    return _make(data, "sum", (x,), build)
+    return record(data, "sum", (x,), build)
 
 
 def reduce_mean(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -574,11 +596,11 @@ def transpose(x, axes: Sequence[int]) -> Tensor:
     def build(out):
         def vjp():
             if x.requires_grad:
-                x._accumulate(np.transpose(out.grad, inverse))
+                x.accumulate(np.transpose(out.grad, inverse))
 
         return vjp
 
-    return _make(data, "transpose", (x,), build)
+    return record(data, "transpose", (x,), build)
 
 
 def matrix_transpose(x) -> Tensor:
@@ -599,11 +621,11 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
     def build(out):
         def vjp():
             if x.requires_grad:
-                x._accumulate(out.grad.reshape(x.data.shape))
+                x.accumulate(out.grad.reshape(x.data.shape))
 
         return vjp
 
-    return _make(data, "reshape", (x,), build)
+    return record(data, "reshape", (x,), build)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -628,11 +650,11 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
                 if t.requires_grad:
                     index[axis] = slice(start, stop)
-                    t._accumulate(g[tuple(index)])
+                    t.accumulate(g[tuple(index)])
 
         return vjp
 
-    return _make(data, "concat", tuple(tensors), build)
+    return record(data, "concat", tuple(tensors), build)
 
 
 def narrow(x, axis: int, start: int, length: int) -> Tensor:
@@ -650,11 +672,11 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
             if x.requires_grad:
                 g = np.zeros_like(x.data)
                 g[tuple(index)] = out.grad
-                x._accumulate(g)
+                x.accumulate(g)
 
         return vjp
 
-    return _make(data, "narrow", (x,), build)
+    return record(data, "narrow", (x,), build)
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +824,7 @@ def conv1d(x, kernel, dilation=1, bias=None, mix=None, mix_bias=None) -> Tensor:
                 g_pad = np.zeros((channels, length + 2 * pad, batch))
                 for j, o in enumerate(offsets):
                     g_pad[:, o + pad : o + pad + length] += g_cols[j]
-                x._accumulate(g_pad[:, pad : pad + length].transpose(2, 0, 1))
+                x.accumulate(g_pad[:, pad : pad + length].transpose(2, 0, 1))
             g_placed = g @ cols.T
             g_stacked = None if stacked_bias is None else g.sum(axis=1)
             if mixer is not None:
@@ -810,22 +832,22 @@ def conv1d(x, kernel, dilation=1, bias=None, mix=None, mix_bias=None) -> Tensor:
                     g_mix = g_placed @ placed[:mixed].T
                     if stacked_bias is not None:
                         g_mix += g_stacked[:, None] * stacked_bias[:mixed]
-                    mix._accumulate(g_mix.reshape(mix.data.shape))
+                    mix.accumulate(g_mix.reshape(mix.data.shape))
                 if mix_bias is not None and mix_bias.requires_grad:
-                    mix_bias._accumulate(g_stacked)
+                    mix_bias.accumulate(g_stacked)
                 g_placed = np.concatenate((mixer.T @ g_placed, g_placed[: total - mixed]))
                 if stacked_bias is not None:
                     g_stacked = np.concatenate((mixer.T @ g_stacked, g_stacked[: total - mixed]))
             g_placed = g_placed.reshape(total, count, channels)
             for k, b, sl, (lo, hi) in zip(kernels, biases, slots, rows):
                 if k.requires_grad:
-                    k._accumulate(g_placed[lo:hi, sl].transpose(0, 2, 1))
+                    k.accumulate(g_placed[lo:hi, sl].transpose(0, 2, 1))
                 if b is not None and b.requires_grad:
-                    b._accumulate(g_stacked[lo:hi])
+                    b.accumulate(g_stacked[lo:hi])
 
         return vjp
 
-    return _make(out_data, "conv1d", parents, build)
+    return record(out_data, "conv1d", parents, build)
 
 
 def layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -854,7 +876,6 @@ def layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> Tensor:
     inv_count = 1.0 / x.shape[axis]
     centered = x.data - x.data.sum(axis=axis, keepdims=True) * inv_count
     var = (centered * centered).sum(axis=axis, keepdims=True) * inv_count
-    _guard(var, "layer_norm")
     std = np.sqrt(var + eps)
     normed = centered / std
     side = [1] * x.ndim
@@ -867,18 +888,18 @@ def layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> Tensor:
         def vjp():
             g = out.grad
             if bias.requires_grad:
-                bias._accumulate(g.sum(axis=others))
+                bias.accumulate(g.sum(axis=others))
             if gain.requires_grad:
-                gain._accumulate((g * normed).sum(axis=others))
+                gain.accumulate((g * normed).sum(axis=others))
             if x.requires_grad:
                 g_normed = g * gain_side
                 mean_g = g_normed.sum(axis=axis, keepdims=True) * inv_count
                 mean_gn = (g_normed * normed).sum(axis=axis, keepdims=True) * inv_count
-                x._accumulate((g_normed - mean_g - normed * mean_gn) / std)
+                x.accumulate((g_normed - mean_g - normed * mean_gn) / std)
 
         return vjp
 
-    return _make(data, "layer_norm", (x, gain, bias), build)
+    return record(data, "layer_norm", (x, gain, bias), build, checked=(var,))
 
 
 # ---------------------------------------------------------------------------

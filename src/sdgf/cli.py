@@ -63,7 +63,7 @@ def _build_parser() -> _Parser:
     evl.add_argument("--checkpoint", required=True)
     evl.add_argument("--data", required=True)
     evl.add_argument("--split", default="test", choices=("train", "val", "test"))
-    evl.add_argument("--batch", type=int, default=32)
+    evl.add_argument("--batch", type=_positive_int, default=32)
     evl.add_argument("--out", help="output directory (default: the checkpoint's)")
     evl.add_argument("--export-predictions", action="store_true")
     evl.add_argument("--dump-attention", action="store_true")
@@ -81,6 +81,17 @@ def _build_parser() -> _Parser:
     syn.add_argument("--out", help="output CSV path (overrides synth.out)")
     syn.set_defaults(func=_cmd_synth)
     return parser
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _config_args(parser) -> None:

@@ -6,6 +6,11 @@ pooled over nodes into a descriptor, scored against a learned query
 through a key map, and the softmax over the branch axis weights a convex
 combination of the full branch tensors. Scores are computed per batch
 item, so different windows can prefer different graphs.
+
+The gate is one recorded node with a hand-derived VJP. Its forward takes
+the steps of the op-by-op chain it stands for (pool, key, score,
+softmax, weighted sum) in that order, and the logits are guarded as well
+as the output, so it raises ``NumericError`` where that chain did.
 """
 
 from __future__ import annotations
@@ -38,15 +43,36 @@ def fuse(branches: ad.Tensor, layer: FusionLayer) -> tuple[ad.Tensor, np.ndarray
         raise ShapeError(
             f"branches must be one (branches, batch, features, nodes) stack, got {branches.shape}"
         )
-    count, batch, dim, _ = branches.shape
+    dim = branches.shape[2]
     if layer.q.shape != (dim,) or layer.w_k.shape != (dim, dim):
         raise ShapeError(
             f"fusion parameters {layer.q.shape}/{layer.w_k.shape} do not fit feature dim {dim}"
         )
 
-    pooled = branches.mean(axis=3)
-    keyed = ad.matmul(pooled, ad.transpose(layer.w_k, (1, 0)))
-    logits = ad.matmul(keyed, ad.reshape(layer.q, (dim, 1)))
-    alpha = ad.softmax(logits, axis=0)
-    fused = ad.reduce_sum(ad.mul(branches, ad.reshape(alpha, (count, batch, 1, 1))), axis=0)
-    return fused, alpha.data.reshape(count, batch).T.copy()
+    q, w_k = layer.q, layer.w_k
+    pooled = branches.data.sum(axis=3) * (1.0 / branches.shape[3])
+    keyed = np.matmul(pooled, w_k.data.T)
+    logits = np.matmul(keyed, q.data)
+    shifted = np.exp(logits - logits.max(axis=0))
+    alpha = shifted / shifted.sum(axis=0)
+    fused = (branches.data * alpha[:, :, None, None]).sum(axis=0)
+
+    def build(out):
+        def vjp():
+            g = out.grad
+            g_alpha = np.einsum("bfn,cbfn->cb", g, branches.data)
+            g_logits = alpha * (g_alpha - (g_alpha * alpha).sum(axis=0))
+            if q.requires_grad:
+                q.accumulate(g_logits.reshape(-1) @ keyed.reshape(-1, dim))
+            g_keyed = g_logits[:, :, None] * q.data
+            if w_k.requires_grad:
+                w_k.accumulate(g_keyed.reshape(-1, dim).T @ pooled.reshape(-1, dim))
+            if branches.requires_grad:
+                g_pooled = np.matmul(g_keyed, w_k.data) * (1.0 / branches.shape[3])
+                branches.accumulate(g[None] * alpha[:, :, None, None] + g_pooled[..., None])
+
+        return vjp
+
+    # Logits are guarded too: one of -inf would weigh its branch 0.
+    out = ad.record(fused, "fuse", (branches, q, w_k), build, (logits,))
+    return out, alpha.T.copy()

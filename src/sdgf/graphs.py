@@ -30,6 +30,13 @@ model hands ``dynamic_adjacency`` one (batch, length, nodes) window and
 maps folded with the wavelet operators (``wavelet.decompose`` with
 ``adjoint=True``); that equals passing the (scales, batch, length,
 nodes) component stack with the unfolded maps, without building it.
+
+Each propagation, static or dynamic, at any depth and under ``literal``
+too, is one recorded autodiff node, and so is ``dynamic_adjacency``,
+which reads both embedding maps in one product of the maps laid side by
+side. Their VJPs are derived by hand, and each node raises
+``NumericError`` where the op-by-op chain it stands for did (see
+``_propagate`` and ``dynamic_adjacency``).
 """
 
 from __future__ import annotations
@@ -100,33 +107,76 @@ class GraphPropagationConfig:
             )
 
 
-def _hop_states(h: ad.Tensor, mix, alpha: float, depth: int, literal: bool) -> list[ad.Tensor]:
-    """The sequence H(0)..H(depth) produced by the propagation recursion."""
-    one_hop = None
+def hop_states(h: np.ndarray, a_t: np.ndarray, alpha: float, depth: int, literal: bool):
+    """The arrays H(0)..H(depth) of the propagation recursion; ``a_t`` is A^T.
+
+    Each hop takes the recursion's ops in order: ``alpha * H(0)`` plus
+    ``(H(k-1) @ A^T) * (1 - alpha)``. Under ``literal`` every hop after
+    the first is the first one again.
+    """
     states = [h]
+    kept = h * alpha
     for _ in range(depth):
-        if literal:
-            if one_hop is None:
-                one_hop = ad.add(ad.scale(h, alpha), ad.scale(mix(h), 1.0 - alpha))
-            states.append(one_hop)
+        if literal and len(states) > 1:
+            states.append(states[1])
         else:
-            states.append(ad.add(ad.scale(h, alpha), ad.scale(mix(states[-1]), 1.0 - alpha)))
+            states.append(kept + np.matmul(states[-1], a_t) * (1.0 - alpha))
     return states
 
 
-def _apply_hops(states: list[ad.Tensor], cfg: GraphPropagationConfig) -> ad.Tensor:
-    out = None
-    for theta, state in zip(cfg.theta, states):
-        term = ad.matmul(theta, state)
-        out = term if out is None else ad.add(out, term)
-    return out
+def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, literal: bool):
+    """Propagation as one recorded node; ``adjacency`` is an array or a tensor.
 
+    The forward takes the ops of the op-by-op chain in its order (the hop
+    states, then the per-hop maps summed hop by hop), so its values are
+    the chain's bit for bit. Every step is linear up to the output, and
+    each hop state reaches the output through its own map, so a
+    non-finite state makes the output non-finite: the output guard alone
+    raises where the chain raised.
+    """
+    alpha, depth, thetas = cfg.alpha, cfg.depth, cfg.theta
+    adj = adjacency.data if isinstance(adjacency, ad.Tensor) else adjacency
+    a_t = adj.swapaxes(-1, -2).copy()
+    # With no hop the graph is never read, so it is no parent of the node.
+    graph = adjacency if isinstance(adjacency, ad.Tensor) and depth else None
+    states = hop_states(h.data, a_t, alpha, depth, literal)
+    out, shapes = None, []
+    for theta, state in zip(thetas, states):
+        term = np.matmul(theta.data, state)
+        shapes.append(term.shape)
+        out = term if out is None else out + term
+    parents = (h, *thetas) if graph is None else (h, *thetas, graph)
 
-def _propagate(h: ad.Tensor, a_t: ad.Tensor, cfg: GraphPropagationConfig, literal: bool):
-    def mix(state):
-        return ad.matmul(state, a_t)
+    def build(node):
+        def vjp():
+            g = node.grad
+            # Each state's gradient from its own map; a repeated literal
+            # hop then takes the sum of its copies' gradients once.
+            grads = []
+            for theta, state, shape in zip(thetas, states, shapes):
+                g_term = ad.unbroadcast(g, shape)
+                if theta.requires_grad:
+                    theta.accumulate(ad.matmul_operand_grad(g_term, state, theta.data.shape, -2))
+                grads.append(ad.matmul_operand_grad(theta.data, g_term, state.shape, -1))
+            if literal and depth > 1:
+                grads[1] = sum(grads[1:])
+            g_at = None
+            for k in range(min(depth, 1) if literal else depth, 0, -1):
+                g_mix = grads[k] * (1.0 - alpha)
+                prev = states[k - 1]
+                grads[k - 1] = grads[k - 1] + ad.matmul_operand_grad(g_mix, a_t, prev.shape, -2)
+                grads[0] = grads[0] + ad.unbroadcast(grads[k] * alpha, h.data.shape)
+                if graph is not None and graph.requires_grad:
+                    g_k = ad.matmul_operand_grad(prev, g_mix, a_t.shape, -1)
+                    g_at = g_k if g_at is None else g_at + g_k
+            if h.requires_grad:
+                h.accumulate(grads[0])
+            if g_at is not None:
+                graph.accumulate(g_at.swapaxes(-1, -2))
 
-    return _apply_hops(_hop_states(h, mix, cfg.alpha, cfg.depth, literal), cfg)
+        return vjp
+
+    return ad.record(out, "propagate", parents, build)
 
 
 def static_graph_conv(
@@ -141,7 +191,7 @@ def static_graph_conv(
         raise ShapeError(f"adjacency must be square, got {adjacency.shape}")
     if h.ndim != 3 or h.shape[2] != adjacency.shape[0]:
         raise ShapeError(f"node axis of {h.shape} does not match adjacency {adjacency.shape}")
-    return _propagate(h, ad.Tensor(adjacency.T), cfg, literal)
+    return _propagate(h, adjacency, cfg, literal)
 
 
 def dynamic_graph_conv(
@@ -160,7 +210,7 @@ def dynamic_graph_conv(
         raise ShapeError(f"adjacency must be (..., nodes, nodes), got {adjacency.shape}")
     if h.ndim < 2 or h.shape[-1] != adjacency.shape[-1]:
         raise ShapeError(f"features {h.shape} do not match adjacency {adjacency.shape}")
-    return _propagate(h, ad.matrix_transpose(adjacency), cfg, literal)
+    return _propagate(h, adjacency, cfg, literal)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +238,42 @@ def dynamic_adjacency(x_scale: ad.Tensor, layer: DynamicGraphLayer) -> ad.Tensor
     """
     if x_scale.ndim < 3:
         raise ShapeError(f"expected (..., batch, length, variables), got {x_scale.shape}")
-    if layer.w1.shape[-2] != x_scale.shape[-2] or layer.w1.shape != layer.w2.shape:
+    w1, w2 = layer.w1, layer.w2
+    if w1.shape[-2] != x_scale.shape[-2] or w1.shape != w2.shape:
         raise ShapeError(
-            f"embedding maps {layer.w1.shape}/{layer.w2.shape} do not fit length {x_scale.shape[-2]}"
+            f"embedding maps {w1.shape}/{w2.shape} do not fit length {x_scale.shape[-2]}"
         )
-    e1_t = ad.tanh(ad.matmul(ad.matrix_transpose(layer.w1), x_scale))
-    e2_t = ad.tanh(ad.matmul(ad.matrix_transpose(layer.w2), x_scale))
-    scores = ad.matmul(ad.matrix_transpose(e1_t), e2_t)
-    return ad.softmax(scores, axis=-1)
+    # One product for both embeddings: the maps side by side, transposed.
+    embed = w1.shape[-1]
+    maps_t = np.concatenate((w1.data, w2.data), axis=-1).swapaxes(-1, -2)
+    pre = np.matmul(maps_t, x_scale.data)
+    emb = np.tanh(pre)
+    e1_t, e2_t = emb[..., :embed, :], emb[..., embed:, :]
+    scores = np.matmul(e1_t.swapaxes(-1, -2), e2_t)
+    shifted = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    adjacency = shifted / shifted.sum(axis=-1, keepdims=True)
+
+    def build(out):
+        def vjp():
+            g = out.grad
+            g_scores = adjacency * (g - (g * adjacency).sum(axis=-1, keepdims=True))
+            g_emb = np.concatenate(
+                (np.matmul(e2_t, g_scores.swapaxes(-1, -2)), np.matmul(e1_t, g_scores)),
+                axis=-2,
+            )
+            g_pre = g_emb * (1.0 - emb * emb)
+            if x_scale.requires_grad:
+                x_scale.accumulate(ad.matmul_operand_grad(maps_t, g_pre, x_scale.data.shape, -1))
+            if w1.requires_grad or w2.requires_grad:
+                g_maps = ad.matmul_operand_grad(g_pre, x_scale.data, maps_t.shape, -2)
+                g_maps = g_maps.swapaxes(-1, -2)
+                if w1.requires_grad:
+                    w1.accumulate(g_maps[..., :embed])
+                if w2.requires_grad:
+                    w2.accumulate(g_maps[..., embed:])
+
+        return vjp
+
+    # The products before tanh and the scores before the softmax are
+    # guarded too: tanh(inf) is 1 and a score of -inf weighs 0.
+    return ad.record(adjacency, "dynamic_adjacency", (x_scale, w1, w2), build, (pre, scores))

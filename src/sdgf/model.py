@@ -14,6 +14,14 @@ Forward pipeline for a (batch, input_len, n_vars) window:
       -> per-variable MLP head mapping features to the horizon
     revin denormalize
 
+Every stage records one autodiff node with a hand-derived VJP (the
+inception block two: its conv1d and its layer norm). With the folds,
+input projections and branch stacking between the stages, a grad
+forward records 18 nodes at any propagation depth from 1 up (15 at
+depth 0, where no graph is read). RevIN keeps its statistics as
+constants of its nodes. The head runs each layer as one 2-D product
+over the (batch * n_vars) rows of per-variable features.
+
 The per-scale weights live on a leading scale axis: embedding maps are
 (scales, 1, input_len, embed_dim) and hop maps (scales, 1, hidden,
 hidden); ``share_dynamic_weights`` makes the embedding maps' scale axis
@@ -71,7 +79,7 @@ from . import fusion as fu
 from . import graphs as gr
 from . import temporal as tp
 from . import wavelet as wv
-from .errors import CheckpointError, ConfigError, ShapeError, StateError
+from .errors import CheckpointError, ConfigError, NumericError, ShapeError, StateError
 
 # Ablation mode -> the SdgfModel field whose parameters it leaves unused.
 ABLATED_SUBTREES = {"gsl": "dynamic_layer", "gf": "fusion_layer", "tfl": "blocks"}
@@ -148,31 +156,108 @@ class RevinLayer:
     def normalize(self, x: ad.Tensor) -> tuple[ad.Tensor, tuple[np.ndarray, np.ndarray]]:
         """Remove per-(item, variable) mean/std over time, then affine.
 
-        Returns the normalized tensor and the (mean, std) statistics.
+        Returns the normalized tensor and the (mean, std) statistics. One
+        recorded node; the statistics are constants of it. ``var`` is
+        the mean square of the same centred values the output divides,
+        which is how ``np.var`` computes it.
         """
-        if x.ndim != 3 or x.shape[2] != self.gamma.shape[0]:
-            raise ShapeError(f"expected (batch, time, {self.gamma.shape[0]}), got {x.shape}")
-        n = x.shape[2]
-        mean = x.data.mean(axis=1, keepdims=True)
-        std = np.sqrt(x.data.var(axis=1, keepdims=True) + self.eps)
-        z = ad.div(ad.sub(x, ad.Tensor(mean)), ad.Tensor(std))
-        out = ad.add(
-            ad.mul(z, ad.reshape(self.gamma, (1, 1, n))), ad.reshape(self.beta, (1, 1, n))
-        )
-        return out, (mean, std)
+        gamma, beta = self.gamma, self.beta
+        if x.ndim != 3 or x.shape[2] != gamma.shape[0]:
+            raise ShapeError(f"expected (batch, time, {gamma.shape[0]}), got {x.shape}")
+        length = x.shape[1]
+        mean = x.data.sum(axis=1, keepdims=True) / length
+        centered = x.data - mean
+        std = np.sqrt((centered * centered).sum(axis=1, keepdims=True) / length + self.eps)
+        z = centered / std
+        data = z * gamma.data + beta.data
+
+        def build(out):
+            def vjp():
+                g = out.grad
+                if x.requires_grad:
+                    x.accumulate(g * gamma.data / std)
+                if gamma.requires_grad:
+                    gamma.accumulate((g * z).sum(axis=(0, 1)))
+                if beta.requires_grad:
+                    beta.accumulate(g.sum(axis=(0, 1)))
+
+            return vjp
+
+        # Linear up to the output: a non-finite centred value makes the
+        # output non-finite too, so the output guard is enough.
+        return ad.record(data, "revin_normalize", (x, gamma, beta), build), (mean, std)
 
     def denormalize(self, y: ad.Tensor, stats: tuple[np.ndarray, np.ndarray]) -> ad.Tensor:
-        """Invert the affine and restore the statistics ``normalize`` returned."""
+        """Invert the affine and restore the statistics ``normalize`` returned.
+
+        One recorded node; like ``normalize`` it is linear up to its
+        output, so the output guard is enough.
+        """
         mean, std = stats
-        n = self.gamma.shape[0]
+        gamma, beta = self.gamma, self.beta
+        n = gamma.shape[0]
         if y.ndim != 3 or y.shape[2] != n or y.shape[0] != mean.shape[0]:
             raise ShapeError(
                 f"expected (batch {mean.shape[0]}, horizon, {n}) to invert, got {y.shape}"
             )
         # eps^2 keeps the division defined if gamma is driven to zero.
-        guard = ad.add(ad.reshape(self.gamma, (1, 1, n)), self.eps * self.eps)
-        z = ad.div(ad.sub(y, ad.reshape(self.beta, (1, 1, n))), guard)
-        return ad.add(ad.mul(z, ad.Tensor(std)), ad.Tensor(mean))
+        guard = gamma.data + self.eps * self.eps
+        if (guard == 0.0).any():
+            raise NumericError("division by zero; use an epsilon guard upstream")
+        shifted = y.data - beta.data
+        data = shifted / guard * std + mean
+
+        def build(out):
+            def vjp():
+                g_z = out.grad * std
+                g_shifted = g_z / guard
+                if y.requires_grad:
+                    y.accumulate(g_shifted)
+                if beta.requires_grad:
+                    beta.accumulate(-g_shifted.sum(axis=(0, 1)))
+                if gamma.requires_grad:
+                    gamma.accumulate((-g_z * shifted / (guard * guard)).sum(axis=(0, 1)))
+
+            return vjp
+
+        return ad.record(data, "revin_denormalize", (y, gamma, beta), build)
+
+
+def head(h: ad.Tensor, w1, b1, w2, b2) -> ad.Tensor:
+    """The per-variable MLP: (batch, features, nodes) -> (batch, horizon, nodes).
+
+    ``tanh(v @ w1 + b1) @ w2 + b2`` for each node's feature vector ``v``,
+    as one recorded node: the nodes of every item are the rows of one
+    (batch * nodes, features) matrix, so each layer is one 2-D GEMM. The
+    product before ``tanh`` is guarded as well as the output, since
+    ``tanh`` maps an infinite value to a finite one.
+    """
+    if h.ndim != 3 or w1.ndim != 2 or w1.shape[0] != h.shape[1]:
+        raise ShapeError(f"head maps {w1.shape} do not fit (batch, features, nodes) {h.shape}")
+    batch, dim, nodes = h.shape
+    rows = h.data.transpose(0, 2, 1).reshape(batch * nodes, dim)
+    pre = rows @ w1.data + b1.data
+    hidden = np.tanh(pre)
+    data = (hidden @ w2.data + b2.data).reshape(batch, nodes, -1).transpose(0, 2, 1)
+
+    def build(out):
+        def vjp():
+            g = out.grad.transpose(0, 2, 1).reshape(batch * nodes, -1)
+            if b2.requires_grad:
+                b2.accumulate(g.sum(axis=0))
+            if w2.requires_grad:
+                w2.accumulate(hidden.T @ g)
+            g_pre = (g @ w2.data.T) * (1.0 - hidden * hidden)
+            if b1.requires_grad:
+                b1.accumulate(g_pre.sum(axis=0))
+            if w1.requires_grad:
+                w1.accumulate(rows.T @ g_pre)
+            if h.requires_grad:
+                h.accumulate((g_pre @ w1.data.T).reshape(batch, nodes, dim).transpose(0, 2, 1))
+
+        return vjp
+
+    return ad.record(data, "head", (h, w1, b1, w2, b2), build, (pre,))
 
 
 @dataclass
@@ -450,10 +535,8 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
         for block in model.blocks:
             fused = tp.inception_forward(fused, block, cfg.conv_axis)
 
-    per_var = ad.transpose(fused, (0, 2, 1))
-    hidden = ad.tanh(ad.add(ad.matmul(per_var, model.head_w1), model.head_b1))
-    out = ad.add(ad.matmul(hidden, model.head_w2), model.head_b2)
-    y = model.revin.denormalize(ad.transpose(out, (0, 2, 1)), stats)
+    out = head(fused, model.head_w1, model.head_b1, model.head_w2, model.head_b2)
+    y = model.revin.denormalize(out, stats)
     details = {
         "alpha": alpha,
         "static": np.asarray(static_adj),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -180,9 +181,20 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
+    """What ``train`` recorded, one list entry per finished epoch.
+
+    ``grad_norm_max`` and ``grad_norm_median`` summarize the global
+    gradient norms of the epoch's steps before clipping, and
+    ``clipped_fraction`` is the share of those steps that clipping
+    scaled down.
+    """
+
     train_losses: list
     val_mse: list
     val_mae: list
+    grad_norm_max: list
+    grad_norm_median: list
+    clipped_fraction: list
     best_epoch: int
     best_val_mse: float
     early_stopped: bool
@@ -203,8 +215,11 @@ def predict_split(
     """Forecasts, targets, and window starts for one split, in order.
 
     ``inspect``, if given, receives each batch's ``forward_with_details``
-    dict from the same forward pass that made its forecasts.
+    dict from the same forward pass that made its forecasts. A ``batch``
+    below 1 raises ``ConfigError``.
     """
+    if batch < 1:
+        raise ConfigError(f"batch must be >= 1, got {batch}")
     starts = dataset.split_starts(split)
     preds = []
     targets = []
@@ -271,6 +286,9 @@ def train(
     train_losses: list[float] = []
     val_mses: list[float] = []
     val_maes: list[float] = []
+    norm_maxes: list[float] = []
+    norm_medians: list[float] = []
+    clipped: list[float] = []
     best_mse = np.inf
     best_epoch = -1
     best_blob = b""
@@ -282,6 +300,9 @@ def train(
             train_losses=train_losses,
             val_mse=val_mses,
             val_mae=val_maes,
+            grad_norm_max=norm_maxes,
+            grad_norm_median=norm_medians,
+            clipped_fraction=clipped,
             best_epoch=best_epoch,
             best_val_mse=float(best_mse),
             early_stopped=early,
@@ -295,18 +316,22 @@ def train(
             order = rng.permutation(train_starts)
             squared_sum = 0.0
             seen = 0
+            norms = []
             for i in range(0, len(order), cfg.batch):
                 chunk = order[i : i + cfg.batch]
                 inputs, targets = dataset.batch(chunk)
                 loss = mse_loss(md.forward(ad.Tensor(inputs), model), targets)
                 grads = ad.backward(loss, params)
-                clip_gradients(grads, cfg.clip)
+                norms.append(clip_gradients(grads, cfg.clip))
                 adam_step(params, grads, state)
                 for p in params:
                     p.zero_grad()
                 squared_sum += float(loss.data) * len(chunk)
                 seen += len(chunk)
             train_losses.append(squared_sum / seen)
+            norm_maxes.append(max(norms))
+            norm_medians.append(statistics.median(norms))
+            clipped.append(sum(cfg.clip > 0.0 and n > cfg.clip for n in norms) / len(norms))
 
             v_mse, v_mae = evaluate(model, dataset, "val", cfg.batch)
             val_mses.append(v_mse)

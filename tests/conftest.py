@@ -7,7 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sdgf import autodiff as ad
+from sdgf import graphs as gr
 from sdgf import temporal as tp
+from sdgf import wavelet as wv
 from sdgf.data import SeriesTable
 from sdgf.errors import DataError, GraphError
 
@@ -92,6 +94,128 @@ def chain_layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> ad.Tensor:
     side = [1] * x.ndim
     side[axis] = x.shape[axis]
     return ad.add(ad.mul(normed, ad.reshape(gain, side)), ad.reshape(bias, side))
+
+
+# ---------------------------------------------------------------------------
+# Op-by-op chains the fused stage nodes replaced. Every op guards its own
+# output, so a chain raises ``NumericError`` on exactly the inputs its
+# fused node must raise on.
+
+
+def chain_revin_normalize(layer, x):
+    """``RevinLayer.normalize`` as six primitive ops."""
+    n = x.shape[2]
+    mean = x.data.mean(axis=1, keepdims=True)
+    std = np.sqrt(x.data.var(axis=1, keepdims=True) + layer.eps)
+    z = ad.div(ad.sub(x, ad.Tensor(mean)), ad.Tensor(std))
+    out = ad.add(ad.mul(z, ad.reshape(layer.gamma, (1, 1, n))), ad.reshape(layer.beta, (1, 1, n)))
+    return out, (mean, std)
+
+
+def chain_revin_denormalize(layer, y, stats):
+    """``RevinLayer.denormalize`` as primitive ops."""
+    mean, std = stats
+    n = layer.gamma.shape[0]
+    guard = ad.add(ad.reshape(layer.gamma, (1, 1, n)), layer.eps * layer.eps)
+    z = ad.div(ad.sub(y, ad.reshape(layer.beta, (1, 1, n))), guard)
+    return ad.add(ad.mul(z, ad.Tensor(std)), ad.Tensor(mean))
+
+
+def chain_propagate(h, adjacency, cfg, literal=False):
+    """K-hop propagation through ``adjacency`` (an array or a tensor), op by op."""
+    if isinstance(adjacency, ad.Tensor):
+        a_t = ad.matrix_transpose(adjacency)
+    else:
+        a_t = ad.Tensor(np.swapaxes(adjacency, -1, -2))
+    one_hop = None
+    states = [h]
+    for _ in range(cfg.depth):
+        if literal:
+            if one_hop is None:
+                one_hop = ad.add(ad.scale(h, cfg.alpha), ad.scale(ad.matmul(h, a_t), 1.0 - cfg.alpha))
+            states.append(one_hop)
+        else:
+            mixed = ad.scale(ad.matmul(states[-1], a_t), 1.0 - cfg.alpha)
+            states.append(ad.add(ad.scale(h, cfg.alpha), mixed))
+    out = None
+    for theta, state in zip(cfg.theta, states):
+        term = ad.matmul(theta, state)
+        out = term if out is None else ad.add(out, term)
+    return out
+
+
+def chain_dynamic_adjacency(x, layer):
+    """``graphs.dynamic_adjacency`` as two embedding products and a softmax."""
+    e1_t = ad.tanh(ad.matmul(ad.matrix_transpose(layer.w1), x))
+    e2_t = ad.tanh(ad.matmul(ad.matrix_transpose(layer.w2), x))
+    return ad.softmax(ad.matmul(ad.matrix_transpose(e1_t), e2_t), axis=-1)
+
+
+def chain_fuse(branches, layer):
+    """``fusion.fuse`` as ten primitive ops; returns the fused tensor and alpha."""
+    count, batch, dim, _ = branches.shape
+    pooled = branches.mean(axis=3)
+    keyed = ad.matmul(pooled, ad.transpose(layer.w_k, (1, 0)))
+    logits = ad.matmul(keyed, ad.reshape(layer.q, (dim, 1)))
+    alpha = ad.softmax(logits, axis=0)
+    fused = ad.reduce_sum(ad.mul(branches, ad.reshape(alpha, (count, batch, 1, 1))), axis=0)
+    return fused, alpha.data.reshape(count, batch).T.copy()
+
+
+def chain_head(h, w1, b1, w2, b2):
+    """``model.head`` as batched matmuls, adds, a tanh and two transposes."""
+    hidden = ad.tanh(ad.add(ad.matmul(ad.transpose(h, (0, 2, 1)), w1), b1))
+    return ad.transpose(ad.add(ad.matmul(hidden, w2), b2), (0, 2, 1))
+
+
+def chain_forward(x, model):
+    """``model.forward`` wired from the chains above, ablations included.
+
+    The folds and the inception block are the model's own; every other
+    stage is its op-by-op chain.
+    """
+    cfg = model.config
+    n = cfg.n_vars
+
+    def fold(p):
+        return wv.decompose(p, wv.wavelet_filter(cfg.family), cfg.levels, cfg.boundary, adjoint=True)
+
+    x_norm, stats = chain_revin_normalize(model.revin, x)
+    if "gsl" in model.ablations:
+        static_adj = np.eye(n)
+    elif cfg.per_batch_static:
+        static_adj = gr.pearson_adjacency(x_norm.data)
+    else:
+        static_adj = model.static_adjacency
+    h_static = chain_propagate(
+        ad.matmul(ad.matrix_transpose(model.input_proj), x_norm),
+        static_adj,
+        model.static_cfg,
+        cfg.literal_eq3,
+    )
+    if "gsl" in model.ablations:
+        dyn_adj = ad.Tensor(np.eye(n))
+    else:
+        layer = model.dynamic_layer
+        dyn_adj = chain_dynamic_adjacency(
+            x_norm, gr.DynamicGraphLayer(fold(layer.w1), fold(layer.w2))
+        )
+    h_dyn = chain_propagate(
+        ad.matmul(ad.matrix_transpose(fold(model.input_proj)), x_norm),
+        dyn_adj,
+        model.dynamic_cfg,
+        cfg.literal_eq3,
+    )
+    branches = ad.concat([ad.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
+    if "gf" in model.ablations:
+        fused = branches.mean(axis=0)
+    else:
+        fused, _ = chain_fuse(branches, model.fusion_layer)
+    if "tfl" not in model.ablations:
+        for block in model.blocks:
+            fused = tp.inception_forward(fused, block, cfg.conv_axis)
+    out = chain_head(fused, model.head_w1, model.head_b1, model.head_w2, model.head_b2)
+    return chain_revin_denormalize(model.revin, out, stats)
 
 
 @dataclass

@@ -106,6 +106,8 @@ def test_train_writes_artifacts(tmp_path, capsys):
     assert (out / "model.ckpt").stat().st_size > 0
     report = json.loads((out / "report.json").read_text())
     assert len(report["train_losses"]) == report["epochs_run"]
+    for key in ("grad_norm_max", "grad_norm_median", "clipped_fraction"):
+        assert len(report[key]) == report["epochs_run"]
     assert "test_mse" in report
     assert report["repeat_last_mse"] > 0 and report["repeat_last_mae"] > 0
     metric_from(stdout, "test")
@@ -394,6 +396,16 @@ def test_eval_dumps_come_from_the_scoring_pass(trained, tmp_path, monkeypatch):
     assert len(json.loads((out / "attention_test.json").read_text())["weights"]) == batches[0]
     with open(out / "predictions_test.csv", newline="") as handle:
         assert len({row["window"] for row in csv.DictReader(handle)}) == batches[0]
+
+
+@pytest.mark.parametrize("batch", ["0", "-4"])
+def test_eval_batch_below_one_is_usage_error(trained, capsys, batch):
+    data, ckpt, _ = trained
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data), "--batch", batch])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: argument --batch: must be >= 1, got {batch}\n"
 
 
 def test_eval_dimension_mismatch_is_data_error(trained, tmp_path, capsys):

@@ -1,0 +1,483 @@
+"""Each fused stage node against the op-by-op chain it replaced.
+
+The chains live in ``conftest``. For every node, values and leaf
+gradients agree with the chain's to 1e-12 (RevIN and propagation values
+bit for bit), under ``no_grad`` the node records nothing and gives the
+same values, finite differences pass on every leaf, and the node raises
+``NumericError`` on exactly the finite inputs (up to about 1e308) on
+which its chain raises.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sdgf import autodiff as ad
+from sdgf import fusion as fu
+from sdgf import graphs as gr
+from sdgf import model as md
+from sdgf.errors import NumericError
+
+from conftest import (
+    assert_grads_match,
+    chain_dynamic_adjacency,
+    chain_forward,
+    chain_fuse,
+    chain_head,
+    chain_propagate,
+    chain_revin_denormalize,
+    chain_revin_normalize,
+    relative_error,
+)
+
+TOL = 1e-12
+SEED = st.integers(0, 2**31 - 1)
+
+
+def leaf(rng, shape, loc=0.0, scale=1.0):
+    return ad.Tensor(rng.normal(loc, scale, shape), requires_grad=True)
+
+
+def assert_node_matches_chain(
+    fused, chain, leaves, weight, exact=False, fd_tol=1e-4, fd_leaves=None
+):
+    """Compare ``sum(out * weight)`` of both builders, then check FD on ``fused``.
+
+    ``exact`` asks for bit-identical values. Gradients get a unit floor:
+    a cancellation can leave a small entry made of O(1) terms. FD runs
+    on ``fd_leaves``, by default every leaf.
+    """
+    results = []
+    for build in (fused, chain):
+        for t in leaves:
+            t.zero_grad()
+        out = build()
+        (out * weight).sum().backward()
+        results.append((out.data, [t.grad for t in leaves]))
+    (got, got_grads), (want, want_grads) = results
+    assert got.shape == want.shape
+    if exact:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert relative_error(got, want, floor=1.0) < TOL
+    for g, w in zip(got_grads, want_grads):
+        assert g is not None and w is not None
+        assert relative_error(g, w, floor=1.0) < TOL
+    with ad.no_grad():
+        quiet = fused()
+        assert not quiet.requires_grad and quiet._vjp is None
+        assert quiet.data.tobytes() == got.tobytes()
+    assert_grads_match(
+        lambda: (fused() * weight).sum(), leaves if fd_leaves is None else fd_leaves, tol=fd_tol
+    )
+
+
+def outcome(build):
+    """The node's value, or None if it raised ``NumericError``."""
+    try:
+        return build().data
+    except NumericError:
+        return None
+
+
+def both_outcomes(fused, chain):
+    with np.errstate(all="ignore"):
+        got, want = outcome(fused), outcome(chain)
+    assert (got is None) == (want is None)
+    return got, want
+
+
+def regain(rng, params, gain):
+    """Redraw ``params`` uniformly in [-gain, gain]; every gain drawn stays finite."""
+    for p in params:
+        p.data = rng.uniform(-1.0, 1.0, p.shape) * gain
+
+
+def huge(rng, shape, exponent, offset, spread):
+    """Finite values near 10**exponent: sums and squares of them can overflow."""
+    x = 10.0**exponent * (offset + spread * rng.uniform(-1.0, 1.0, shape))
+    assert np.isfinite(x).all()
+    return x
+
+
+HUGE = dict(
+    exponent=st.integers(0, 308),
+    offset=st.sampled_from([0.0, 0.8]),
+    spread=st.sampled_from([0.0, 1e-3, 0.5, 0.9]),
+    gain=st.sampled_from([1.0, 1e-300, 1e150, 1e300, 1.5e308]),
+    seed=SEED,
+)
+
+
+# ---------------------------------------------------------------------------
+# RevIN
+
+
+def revin(rng, n):
+    return md.RevinLayer(
+        ad.Parameter("gamma", rng.normal(1.0, 0.5, n)), ad.Parameter("beta", rng.normal(0.0, 1.0, n))
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch=st.integers(1, 3), length=st.integers(2, 5), n=st.integers(1, 3), seed=SEED)
+def test_revin_normalize_matches_its_chain(batch, length, n, seed):
+    rng = np.random.default_rng(seed)
+    layer = revin(rng, n)
+    x = leaf(rng, (batch, length, n), loc=2.0, scale=3.0)
+    _, stats = layer.normalize(x)
+    _, chain_stats = chain_revin_normalize(layer, x)
+    for got, want in zip(stats, chain_stats):
+        assert got.tobytes() == want.tobytes()
+    # The statistics are constants of the node, as they were of the
+    # chain, so the window's gradient holds them fixed and a central
+    # difference in the window (which moves them) is no oracle for it.
+    assert_node_matches_chain(
+        lambda: layer.normalize(x)[0],
+        lambda: chain_revin_normalize(layer, x)[0],
+        [x, layer.gamma, layer.beta],
+        rng.normal(0.0, 1.0, x.shape),
+        exact=True,
+        fd_leaves=[layer.gamma, layer.beta],
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch=st.integers(1, 3), horizon=st.integers(1, 4), n=st.integers(1, 3), seed=SEED)
+def test_revin_denormalize_matches_its_chain(batch, horizon, n, seed):
+    rng = np.random.default_rng(seed)
+    layer = revin(rng, n)
+    _, stats = layer.normalize(ad.Tensor(rng.normal(1.0, 2.0, (batch, 6, n))))
+    y = leaf(rng, (batch, horizon, n))
+    assert_node_matches_chain(
+        lambda: layer.denormalize(y, stats),
+        lambda: chain_revin_denormalize(layer, y, stats),
+        [y, layer.gamma, layer.beta],
+        rng.normal(0.0, 1.0, y.shape),
+        exact=True,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(**HUGE)
+def test_revin_raises_exactly_when_its_chain_raises(exponent, offset, spread, gain, seed):
+    rng = np.random.default_rng(seed)
+    layer = md.RevinLayer(
+        ad.Parameter("gamma", rng.uniform(0.5, 1.0, 3) * gain),
+        ad.Parameter("beta", rng.normal(0.0, 1.0, 3)),
+    )
+    x = ad.Tensor(huge(rng, (2, 4, 3), exponent, offset, spread))
+    got, want = both_outcomes(
+        lambda: layer.normalize(x)[0], lambda: chain_revin_normalize(layer, x)[0]
+    )
+    if got is not None:
+        assert got.tobytes() == want.tobytes()
+    window = rng.normal(0.0, 1.0, (2, 4, 3))
+    stats = window.mean(axis=1, keepdims=True), np.sqrt(window.var(axis=1, keepdims=True) + 1e-5)
+    y = ad.Tensor(huge(rng, (2, 2, 3), exponent, offset, spread))
+    got, want = both_outcomes(
+        lambda: layer.denormalize(y, stats), lambda: chain_revin_denormalize(layer, y, stats)
+    )
+    if got is not None:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_revin_denormalize_raises_on_a_zero_divisor_even_unguarded():
+    # gamma = -eps^2 makes the guarded divisor exactly 0; the chain's
+    # division raised on that whether or not the finite checks were on.
+    eps = 1e-5
+    layer = md.RevinLayer(
+        ad.Parameter("gamma", np.array([-eps * eps])), ad.Parameter("beta", np.zeros(1)), eps
+    )
+    stats = (np.zeros((1, 1, 1)), np.ones((1, 1, 1)))
+    previous = ad.set_finite_checks(False)
+    try:
+        for denormalize in (layer.denormalize, lambda y, s: chain_revin_denormalize(layer, y, s)):
+            with pytest.raises(NumericError, match="division by zero"):
+                denormalize(ad.Tensor(np.ones((1, 2, 1))), stats)
+    finally:
+        ad.set_finite_checks(previous)
+
+
+# ---------------------------------------------------------------------------
+# Graph propagation
+
+
+def stochastic(rng, shape):
+    a = rng.uniform(0.05, 1.0, shape)
+    return a / a.sum(axis=-1, keepdims=True)
+
+
+def propagation_case(rng, kind, depth, dim, nodes, batch, scales, shared_theta, h_shared):
+    """(h, adjacency, cfg, leaves) for one static or dynamic propagation."""
+    h_lead = (batch,) if kind != "stacked" or h_shared else (scales, batch)
+    h = leaf(rng, (*h_lead, dim, nodes))
+    theta_lead = () if kind != "stacked" else (1 if shared_theta else scales, 1)
+    thetas = [
+        ad.Parameter(f"theta{k}", rng.normal(0.0, 0.7, (*theta_lead, dim, dim)))
+        for k in range(depth + 1)
+    ]
+    cfg = gr.GraphPropagationConfig(alpha=0.3, depth=depth, theta=thetas)
+    if kind == "static":
+        return h, stochastic(rng, (nodes, nodes)), cfg, [h, *thetas]
+    a_lead = (batch,) if kind == "dynamic" else (scales, batch)
+    adjacency = ad.Tensor(stochastic(rng, (*a_lead, nodes, nodes)), requires_grad=True)
+    # With no hop the graph is never read, and gets no gradient.
+    return h, adjacency, cfg, [h, *thetas] + ([adjacency] if depth else [])
+
+
+def propagation_node(kind):
+    return gr.static_graph_conv if kind == "static" else gr.dynamic_graph_conv
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["static", "dynamic", "stacked"]),
+    depth=st.integers(0, 3),
+    literal=st.booleans(),
+    dim=st.integers(1, 3),
+    nodes=st.integers(1, 4),
+    batch=st.integers(1, 2),
+    scales=st.integers(1, 3),
+    shared_theta=st.booleans(),
+    h_shared=st.booleans(),
+    seed=SEED,
+)
+def test_propagation_matches_its_chain(
+    kind, depth, literal, dim, nodes, batch, scales, shared_theta, h_shared, seed
+):
+    rng = np.random.default_rng(seed)
+    h, adjacency, cfg, leaves = propagation_case(
+        rng, kind, depth, dim, nodes, batch, scales, shared_theta, h_shared
+    )
+    node = propagation_node(kind)
+    out_shape = chain_propagate(h, adjacency, cfg, literal).shape
+    assert_node_matches_chain(
+        lambda: node(h, adjacency, cfg, literal),
+        lambda: chain_propagate(h, adjacency, cfg, literal),
+        leaves,
+        rng.normal(0.0, 1.0, out_shape),
+        exact=True,
+        fd_tol=1e-5,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["static", "dynamic", "stacked"]), literal=st.booleans(), **HUGE)
+def test_propagation_raises_exactly_when_its_chain_raises(
+    kind, literal, exponent, offset, spread, gain, seed
+):
+    rng = np.random.default_rng(seed)
+    h, adjacency, cfg, _ = propagation_case(rng, kind, 2, 3, 4, 2, 2, False, False)
+    h = ad.Tensor(huge(rng, h.shape, exponent, offset, spread))
+    regain(rng, cfg.theta, gain)
+    node = propagation_node(kind)
+    got, want = both_outcomes(
+        lambda: node(h, adjacency, cfg, literal), lambda: chain_propagate(h, adjacency, cfg, literal)
+    )
+    if got is not None:
+        assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Dynamic adjacency
+
+
+def adjacency_case(rng, pairing, stacked, length, embed, nodes, batch, scales):
+    x = leaf(rng, ((scales,) if stacked else ()) + (batch, length, nodes))
+    lead = {"plain": (), "per-scale": (scales, 1), "shared": (1, 1), "same": ()}[pairing]
+    w1 = ad.Parameter("w1", rng.normal(0.0, 0.5, (*lead, length, embed)))
+    w2 = w1 if pairing == "same" else ad.Parameter("w2", rng.normal(0.0, 0.5, w1.shape))
+    return x, gr.DynamicGraphLayer(w1, w2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pairing=st.sampled_from(["plain", "per-scale", "shared", "same"]),
+    stacked=st.booleans(),
+    length=st.integers(2, 5),
+    embed=st.integers(1, 3),
+    nodes=st.integers(1, 4),
+    batch=st.integers(1, 2),
+    scales=st.integers(1, 3),
+    seed=SEED,
+)
+def test_dynamic_adjacency_matches_its_chain(
+    pairing, stacked, length, embed, nodes, batch, scales, seed
+):
+    rng = np.random.default_rng(seed)
+    x, layer = adjacency_case(rng, pairing, stacked, length, embed, nodes, batch, scales)
+    leaves = [x, layer.w1] if layer.w1 is layer.w2 else [x, layer.w1, layer.w2]
+    out_shape = chain_dynamic_adjacency(x, layer).shape
+    assert_node_matches_chain(
+        lambda: gr.dynamic_adjacency(x, layer),
+        lambda: chain_dynamic_adjacency(x, layer),
+        leaves,
+        rng.normal(0.0, 1.0, out_shape),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairing=st.sampled_from(["plain", "per-scale", "shared"]), **HUGE)
+def test_dynamic_adjacency_raises_exactly_when_its_chain_raises(
+    pairing, exponent, offset, spread, gain, seed
+):
+    rng = np.random.default_rng(seed)
+    x, layer = adjacency_case(rng, pairing, True, 4, 3, 3, 2, 2)
+    regain(rng, [layer.w1, layer.w2], gain)
+    x = ad.Tensor(huge(rng, x.shape, exponent, offset, spread))
+    got, want = both_outcomes(
+        lambda: gr.dynamic_adjacency(x, layer), lambda: chain_dynamic_adjacency(x, layer)
+    )
+    if got is not None:
+        assert np.abs(got - want).max() < TOL
+
+
+# ---------------------------------------------------------------------------
+# Fusion gate
+
+
+def fusion_case(rng, count, batch, dim, nodes):
+    branches = leaf(rng, (count, batch, dim, nodes))
+    layer = fu.FusionLayer(
+        ad.Parameter("q", rng.uniform(-0.5, 0.5, dim)),
+        ad.Parameter("w_k", np.eye(dim) + rng.normal(0.0, 0.3, (dim, dim))),
+    )
+    return branches, layer
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(1, 4),
+    batch=st.integers(1, 3),
+    dim=st.integers(1, 3),
+    nodes=st.integers(1, 3),
+    seed=SEED,
+)
+def test_fuse_matches_its_chain(count, batch, dim, nodes, seed):
+    rng = np.random.default_rng(seed)
+    branches, layer = fusion_case(rng, count, batch, dim, nodes)
+    _, alpha = fu.fuse(branches, layer)
+    _, chain_alpha = chain_fuse(branches, layer)
+    assert alpha.shape == (batch, count)
+    assert np.abs(alpha - chain_alpha).max() < TOL
+    assert_node_matches_chain(
+        lambda: fu.fuse(branches, layer)[0],
+        lambda: chain_fuse(branches, layer)[0],
+        [branches, layer.q, layer.w_k],
+        rng.normal(0.0, 1.0, (batch, dim, nodes)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(**HUGE)
+def test_fuse_raises_exactly_when_its_chain_raises(exponent, offset, spread, gain, seed):
+    # Only the first branch is huge, so its logit alone can overflow: at
+    # -inf it weighs 0 and the output stays finite, yet the chain raised.
+    # Only the outcome is compared: logits near 1e300 that differ in
+    # their last bit can weigh the branches differently.
+    rng = np.random.default_rng(seed)
+    branches, layer = fusion_case(rng, 3, 2, 3, 4)
+    regain(rng, [layer.q, layer.w_k], gain)
+    branches.data[0] = huge(rng, branches.shape[1:], exponent, offset, spread)
+    both_outcomes(lambda: fu.fuse(branches, layer)[0], lambda: chain_fuse(branches, layer)[0])
+
+
+# ---------------------------------------------------------------------------
+# Head
+
+
+def head_case(rng, batch, dim, nodes, horizon, width):
+    h = leaf(rng, (batch, dim, nodes))
+    params = [
+        ad.Parameter("w1", rng.normal(0.0, 0.7, (dim, width))),
+        ad.Parameter("b1", rng.normal(0.0, 0.3, width)),
+        ad.Parameter("w2", rng.normal(0.0, 0.7, (width, horizon))),
+        ad.Parameter("b2", rng.normal(0.0, 0.3, horizon)),
+    ]
+    return h, params
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=st.integers(1, 3),
+    dim=st.integers(1, 3),
+    nodes=st.integers(1, 3),
+    horizon=st.integers(1, 3),
+    width=st.integers(1, 4),
+    seed=SEED,
+)
+def test_head_matches_its_chain(batch, dim, nodes, horizon, width, seed):
+    rng = np.random.default_rng(seed)
+    h, params = head_case(rng, batch, dim, nodes, horizon, width)
+    assert_node_matches_chain(
+        lambda: md.head(h, *params),
+        lambda: chain_head(h, *params),
+        [h, *params],
+        rng.normal(0.0, 1.0, (batch, horizon, nodes)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(**HUGE)
+def test_head_raises_exactly_when_its_chain_raises(exponent, offset, spread, gain, seed):
+    rng = np.random.default_rng(seed)
+    h, params = head_case(rng, 2, 3, 4, 3, 5)
+    regain(rng, params[::2], gain)
+    h = ad.Tensor(huge(rng, h.shape, exponent, offset, spread))
+    got, want = both_outcomes(lambda: md.head(h, *params), lambda: chain_head(h, *params))
+    if got is not None:
+        assert relative_error(got, want, floor=1.0) < TOL
+
+
+# ---------------------------------------------------------------------------
+# The whole forward pass
+
+
+def model_loss_and_grads(forward, x, model, target):
+    params = md.effective_parameters(model)
+    for p in params:
+        p.zero_grad()
+    pred = forward(x, model)
+    err = ad.sub(pred, ad.Tensor(target))
+    grads = ad.backward(ad.mul(err, err).mean(), params)
+    for p in params:
+        p.zero_grad()
+    return pred.data, grads
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ablation=st.sampled_from([None, *md.ABLATION_MODES]),
+    depth=st.integers(0, 2),
+    literal=st.booleans(),
+    share=st.booleans(),
+    per_batch_static=st.booleans(),
+    conv_axis=st.sampled_from(["nodes", "channels"]),
+    seed=st.integers(0, 2**16),
+)
+def test_forward_matches_the_chain_wired_model(
+    ablation, depth, literal, share, per_batch_static, conv_axis, seed
+):
+    cfg = md.ModelConfig(
+        input_len=16, horizon=4, n_vars=3, hidden=4, levels=2, depth=depth, embed_dim=3,
+        literal_eq3=literal, share_dynamic_weights=share, per_batch_static=per_batch_static,
+        conv_axis=conv_axis, seed=seed,
+    )
+    model = md.build_model(cfg)
+    rng = np.random.default_rng(seed)
+    if not per_batch_static:
+        md.set_static_graph(model, rng.normal(0.0, 1.0, (40, 3)))
+    if ablation is not None:
+        model = md.ablate(model, ablation)
+    x = ad.Tensor(rng.normal(0.0, 1.0, (2, 16, 3)))
+    target = rng.normal(0.0, 1.0, (2, 4, 3))
+    got, got_grads = model_loss_and_grads(md.forward, x, model, target)
+    want, want_grads = model_loss_and_grads(chain_forward, x, model, target)
+    assert relative_error(got, want, floor=1.0) < TOL
+    assert got_grads.keys() == want_grads.keys()
+    for name, g in got_grads.items():
+        assert relative_error(g, want_grads[name], floor=1.0) < TOL, name
+    with ad.no_grad():
+        assert md.forward(x, model).data.tobytes() == got.tobytes()

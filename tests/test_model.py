@@ -243,10 +243,8 @@ def test_tfl_ablation_matches_wiring_oracle():
     )
     branches = ad.concat([ad.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
     fused, _ = fu.fuse(branches, model.fusion_layer)
-    per_var = ad.transpose(fused, (0, 2, 1))
-    hidden = ad.tanh(ad.add(ad.matmul(per_var, model.head_w1), model.head_b1))
-    out = ad.add(ad.matmul(hidden, model.head_w2), model.head_b2)
-    want = model.revin.denormalize(ad.transpose(out, (0, 2, 1)), stats).data
+    out = md.head(fused, model.head_w1, model.head_b1, model.head_w2, model.head_b2)
+    want = model.revin.denormalize(out, stats).data
     np.testing.assert_array_equal(got, want)
 
 
@@ -276,10 +274,8 @@ def stacked_wiring_forward(x, model):
     if "tfl" not in model.ablations:
         for block in model.blocks:
             fused = tp.inception_forward(fused, block, cfg.conv_axis)
-    per_var = ad.transpose(fused, (0, 2, 1))
-    hidden = ad.tanh(ad.add(ad.matmul(per_var, model.head_w1), model.head_b1))
-    out = ad.add(ad.matmul(hidden, model.head_w2), model.head_b2)
-    return model.revin.denormalize(ad.transpose(out, (0, 2, 1)), stats)
+    out = md.head(fused, model.head_w1, model.head_b1, model.head_w2, model.head_b2)
+    return model.revin.denormalize(out, stats)
 
 
 def loss_and_grads(forward, x, model, target):
@@ -450,16 +446,21 @@ def test_step_graph_size_does_not_grow_with_levels():
     assert counts[0] == counts[1]
 
 
-def test_grad_forward_records_at_most_70_nodes():
-    # The shape of the benchmark's ``small`` workload. The inception
-    # block records two of these nodes: its conv1d and its layer norm.
-    cfg = md.ModelConfig(
-        n_vars=4, input_len=24, horizon=12, hidden=16, levels=2, depth=1, embed_dim=8, seed=3
-    )
-    model = ready_model(cfg)
-    y = md.forward(ad.Tensor(RNG.normal(0.0, 1.0, (32, 24, 4))), model)
-    ops = [node._vjp is not None for node in ad._toposort(y)]
-    assert sum(ops) <= 70
+def test_grad_forward_records_18_nodes_at_every_depth():
+    # The shape of the benchmark's ``small`` workload. RevIN each way,
+    # each propagation, the dynamic adjacency, the fusion gate and the
+    # head record one node each, and the inception block two (its conv1d
+    # and its layer norm), so deeper propagation adds no node. At depth
+    # 0 no graph is read, so the adjacency and its two folds drop out.
+    counts = []
+    for depth in (0, 1, 2, 3):
+        cfg = md.ModelConfig(
+            n_vars=4, input_len=24, horizon=12, hidden=16, levels=2, depth=depth, embed_dim=8,
+            seed=3,
+        )
+        y = md.forward(ad.Tensor(RNG.normal(0.0, 1.0, (32, 24, 4))), ready_model(cfg))
+        counts.append(sum(node._vjp is not None for node in ad._toposort(y)))
+    assert counts == [15, 18, 18, 18]
 
 
 def test_conv_axis_channels_forward():

@@ -241,6 +241,29 @@ def test_report_tracks_best_epoch():
     json.dumps(report.to_dict())  # must serialize cleanly
 
 
+@pytest.mark.parametrize("clip, fraction", [(1e-9, 1.0), (0.0, 0.0), (1e9, 0.0)])
+def test_report_keeps_the_pre_clip_gradient_norms(monkeypatch, clip, fraction):
+    norms = []
+
+    def recording_clip(grads, max_norm):
+        norms.append(clip_gradients(grads, max_norm))
+        return norms[-1]
+
+    clip_gradients = tr.clip_gradients
+    monkeypatch.setattr(tr, "clip_gradients", recording_clip)
+    dataset = sine_dataset(rows=160, input_len=16, horizon=4)
+    model = md.build_model(tiny_config(input_len=16, n_vars=2))
+    report, _ = tr.train(
+        model, dataset, tr.TrainConfig(lr=5e-3, epochs=3, patience=10, batch=16, clip=clip)
+    )
+    steps = -(-len(dataset.split_starts("train")) // 16)
+    assert len(norms) == 3 * steps
+    epochs = [norms[e * steps : (e + 1) * steps] for e in range(3)]
+    assert report.grad_norm_max == [max(e) for e in epochs]
+    assert report.grad_norm_median == [float(np.median(e)) for e in epochs]
+    assert report.clipped_fraction == [fraction] * 3
+
+
 def test_train_freezes_static_graph_from_train_rows():
     dataset = sine_dataset(rows=120, input_len=16, horizon=4)
     model = md.build_model(tiny_config(input_len=16, n_vars=2))
@@ -322,6 +345,15 @@ def test_predict_split_shapes_and_order():
     # Batching must not change results.
     preds_one, _, _ = tr.predict_split(model, dataset, "val", batch=3)
     np.testing.assert_allclose(preds_one, preds, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch", [0, -4])
+def test_predict_split_rejects_a_batch_below_one(batch):
+    dataset = sine_dataset(rows=120, input_len=16, horizon=4)
+    model = md.build_model(tiny_config(input_len=16, n_vars=2))
+    md.set_static_graph(model, dataset.values[: dataset.train_end])
+    with pytest.raises(ConfigError, match=f"batch must be >= 1, got {batch}"):
+        tr.predict_split(model, dataset, "val", batch=batch)
 
 
 def test_evaluate_matches_manual_metrics():
