@@ -28,12 +28,21 @@ directly rather than through its Python-level helpers (``np.all``,
 ``np.pad``, ``np.prod``), and an op result that already is a
 C-contiguous float64 array is stored as it is. For the same reason the
 model's stages (RevIN, graph propagation, dynamic adjacency, fusion
-gate, head) are single fused nodes rather than chains of the primitives
-here. They are built in their own modules on the public pieces this one
-exports: ``record`` makes a node (and guards chosen intermediates as
-well as the output), ``Tensor.accumulate`` adds a gradient to a parent,
-and ``unbroadcast`` and ``matmul_operand_grad`` are the gradient rules
-of broadcasting and of ``matmul``.
+gate, head, wavelet fold) are single fused nodes rather than chains of
+the primitives here. They are built in their own modules on the public
+pieces this one exports: ``record`` makes a node (and guards chosen
+intermediates as well as the output), ``Tensor.accumulate`` adds a
+gradient to a parent, and ``unbroadcast`` and ``matmul_operand_grad``
+are the gradient rules of broadcasting and of ``matmul``.
+
+A window is read by learned time maps from the left (``w^T @ x``), per
+wavelet scale and per batch item. ``left_map`` is that read as one node,
+and ``left_product`` and ``left_product_grads`` are its array-level
+forward and gradients, which ``graphs.dynamic_adjacency`` shares: with
+the window laid out once as an (L, batch * N) matrix (``time_major``),
+the forward and each gradient are one 2-D GEMM rather than one small
+product per (scale, item). ``matmul`` keeps its batched products, whose
+bits the chain oracles in the tests are built on.
 
 A training step allocates its graph's arrays afresh, and ``backward``
 frees them all again. By default glibc then trims the freed top of the
@@ -509,6 +518,100 @@ def matmul(a, b) -> Tensor:
         return vjp
 
     return record(data, "matmul", (a, b), build)
+
+
+def time_major(x: np.ndarray) -> np.ndarray:
+    """(..., batch, L, N) windows as (..., L, batch * N) matrices, in one copy.
+
+    ``left_product`` reads a window in this layout, so a caller that maps
+    one window several times lays it out once and passes it to each read.
+    """
+    *lead, batch, length, n = x.shape
+    return np.swapaxes(x, -3, -2).reshape(*lead, length, batch * n)
+
+
+def _left_rows(maps_t: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    # Over one (L, B * N) window every scale's rows join one 2-D left
+    # factor; over a (scales, L, B * N) stack the scales stay a batch axis.
+    k, length = maps_t.shape[-2:]
+    return maps_t.reshape(-1, length) if cols.ndim == 2 else maps_t.reshape(-1, k, length)
+
+
+def left_product(maps_t: np.ndarray, cols: np.ndarray, x_shape: tuple) -> np.ndarray:
+    """``maps_t @ x`` for the window ``cols = time_major(x)`` of shape ``x_shape``.
+
+    ``maps_t`` is one (K, L) map or a (S, 1, K, L) stack, and ``x`` is
+    (batch, L, N) or a (S, batch, L, N) stack. Over one window the
+    product is one 2-D GEMM, (S * K, L) @ (L, batch * N), in place of a
+    (K, L) @ (L, N) product per (scale, item). The result is the
+    broadcast (..., batch, K, N) array, C-contiguous.
+    """
+    k, length = maps_t.shape[-2:]
+    if (
+        maps_t.ndim not in (2, 4)
+        or (maps_t.ndim == 4 and maps_t.shape[1] != 1)
+        or len(x_shape) not in (3, 4)
+        or x_shape[-2] != length
+        or (maps_t.ndim == 4 and len(x_shape) == 4 and maps_t.shape[0] not in (1, x_shape[0]))
+    ):
+        raise ShapeError(
+            f"maps (K, L) or (S, 1, K, L) of shape {maps_t.shape} cannot read windows {x_shape}"
+        )
+    batch, n = x_shape[-3], x_shape[-1]
+    out = np.matmul(_left_rows(maps_t, cols), cols)
+    out = out.reshape(out.shape[0] if out.ndim == 3 else out.shape[0] // k, k, batch, n)
+    out = np.ascontiguousarray(out.transpose(0, 2, 1, 3))
+    return out if maps_t.ndim == 4 or len(x_shape) == 4 else out[0]
+
+
+def left_product_grads(maps_t, cols, x_shape, g, want_maps: bool, want_x: bool):
+    """The (``maps_t``, ``x``) gradients of ``left_product`` for its output gradient ``g``.
+
+    Each is one 2-D GEMM over one window, and ``None`` unless wanted.
+    The window's gradient is a (..., batch, L, N) view.
+    """
+    rows = _left_rows(maps_t, cols)
+    batch, length, n = x_shape[-3:]
+    out_shape = (*cols.shape[:-2], rows.shape[-2], batch * n)
+    g = np.swapaxes(g.reshape(math.prod(g.shape[:-3]), batch, maps_t.shape[-2], n), 1, 2)
+    g = g.reshape(out_shape)
+    g_maps = g_x = None
+    if want_maps:
+        g_maps = matmul_operand_grad(g, cols, rows.shape, -2).reshape(maps_t.shape)
+    if want_x:
+        g_cols = matmul_operand_grad(rows, g, cols.shape, -1)
+        g_x = np.swapaxes(g_cols.reshape(*x_shape[:-3], length, batch, n), -3, -2)
+    return g_maps, g_x
+
+
+def left_map(maps, x, cols: np.ndarray | None = None) -> Tensor:
+    """``maps^T @ x`` for an (L, K) map or an (S, 1, L, K) stack over (batch, L, N) windows.
+
+    One node, where ``matmul(matrix_transpose(maps), x)`` records two.
+    The forward and each gradient are one 2-D GEMM against the window
+    laid out as (L, batch * N) (see ``left_product``). ``cols``, if
+    given, is that layout, ``time_major(x.data)``, so reads of one
+    window share one copy.
+    """
+    maps, x = _as_tensor(maps), _as_tensor(x)
+    if cols is None:
+        cols = time_major(x.data)
+    maps_t = np.swapaxes(maps.data, -1, -2)
+    data = left_product(maps_t, cols, x.data.shape)
+
+    def build(out):
+        def vjp():
+            g_maps, g_x = left_product_grads(
+                maps_t, cols, x.data.shape, out.grad, maps.requires_grad, x.requires_grad
+            )
+            if g_maps is not None:
+                maps.accumulate(np.swapaxes(g_maps, -1, -2))
+            if g_x is not None:
+                x.accumulate(g_x)
+
+        return vjp
+
+    return record(data, "left_map", (maps, x), build)
 
 
 def softmax(x, axis: int) -> Tensor:

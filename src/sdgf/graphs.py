@@ -30,13 +30,17 @@ model hands ``dynamic_adjacency`` one (batch, length, nodes) window and
 maps folded with the wavelet operators (``wavelet.decompose`` with
 ``adjoint=True``); that equals passing the (scales, batch, length,
 nodes) component stack with the unfolded maps, without building it.
+Over one window, both maps of every scale read it in one 2-D GEMM
+(``autodiff.left_product``).
 
 Each propagation, static or dynamic, at any depth and under ``literal``
 too, is one recorded autodiff node, and so is ``dynamic_adjacency``,
 which reads both embedding maps in one product of the maps laid side by
 side. Their VJPs are derived by hand, and each node raises
 ``NumericError`` where the op-by-op chain it stands for did (see
-``_propagate`` and ``dynamic_adjacency``).
+``_propagate`` and ``dynamic_adjacency``). The forwards build their
+sums, scalings and the softmax in place on arrays they made themselves,
+in the chain's operand order, so the values stay the chain's.
 """
 
 from __future__ import annotations
@@ -111,8 +115,10 @@ def hop_states(h: np.ndarray, a_t: np.ndarray, alpha: float, depth: int, literal
     """The arrays H(0)..H(depth) of the propagation recursion; ``a_t`` is A^T.
 
     Each hop takes the recursion's ops in order: ``alpha * H(0)`` plus
-    ``(H(k-1) @ A^T) * (1 - alpha)``. Under ``literal`` every hop after
-    the first is the first one again.
+    ``(H(k-1) @ A^T) * (1 - alpha)``, the scaling and the sum in place
+    on the product (which has the sum's shape; addition commutes bit for
+    bit). Under ``literal`` every hop after the first is the first one
+    again.
     """
     states = [h]
     kept = h * alpha
@@ -120,7 +126,10 @@ def hop_states(h: np.ndarray, a_t: np.ndarray, alpha: float, depth: int, literal
         if literal and len(states) > 1:
             states.append(states[1])
         else:
-            states.append(kept + np.matmul(states[-1], a_t) * (1.0 - alpha))
+            mixed = np.matmul(states[-1], a_t)
+            mixed *= 1.0 - alpha
+            mixed += kept
+            states.append(mixed)
     return states
 
 
@@ -144,7 +153,12 @@ def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, literal: bo
     for theta, state in zip(thetas, states):
         term = np.matmul(theta.data, state)
         shapes.append(term.shape)
-        out = term if out is None else out + term
+        if out is None:
+            out = term
+        elif out.shape == term.shape:
+            out += term  # into the first fresh product
+        else:
+            out = out + term
     parents = (h, *thetas) if graph is None else (h, *thetas, graph)
 
     def build(node):
@@ -225,7 +239,9 @@ class DynamicGraphLayer:
     w2: ad.Parameter
 
 
-def dynamic_adjacency(x_scale: ad.Tensor, layer: DynamicGraphLayer) -> ad.Tensor:
+def dynamic_adjacency(
+    x_scale: ad.Tensor, layer: DynamicGraphLayer, cols: np.ndarray | None = None
+) -> ad.Tensor:
     """Row-stochastic per-item adjacency learned from wavelet components.
 
     ``x_scale`` is (..., length, variables): one scale as (batch, length,
@@ -235,6 +251,14 @@ def dynamic_adjacency(x_scale: ad.Tensor, layer: DynamicGraphLayer) -> ad.Tensor
     variable's length-L profile maps through w1/w2 into two embeddings;
     the row softmax of their inner products is the (..., variables,
     variables) adjacency.
+
+    Both maps read the input in one ``ad.left_product`` of the maps laid
+    side by side, one 2-D GEMM over a window; ``cols``, if given, is the
+    input laid out as ``ad.time_major(x_scale.data)``, shared with the
+    model's other reads of the window. The softmax takes its row maxima
+    from one ``np.maximum`` per column, which is faster than a reduction
+    over the short node axis and exact all the same, and then works in
+    place on its own fresh arrays.
     """
     if x_scale.ndim < 3:
         raise ShapeError(f"expected (..., batch, length, variables), got {x_scale.shape}")
@@ -243,15 +267,21 @@ def dynamic_adjacency(x_scale: ad.Tensor, layer: DynamicGraphLayer) -> ad.Tensor
         raise ShapeError(
             f"embedding maps {w1.shape}/{w2.shape} do not fit length {x_scale.shape[-2]}"
         )
-    # One product for both embeddings: the maps side by side, transposed.
+    # One product for both embeddings: the maps transposed, side by side.
     embed = w1.shape[-1]
-    maps_t = np.concatenate((w1.data, w2.data), axis=-1).swapaxes(-1, -2)
-    pre = np.matmul(maps_t, x_scale.data)
+    maps_t = np.concatenate((w1.data.swapaxes(-1, -2), w2.data.swapaxes(-1, -2)), axis=-2)
+    if cols is None:
+        cols = ad.time_major(x_scale.data)
+    pre = ad.left_product(maps_t, cols, x_scale.data.shape)
     emb = np.tanh(pre)
     e1_t, e2_t = emb[..., :embed, :], emb[..., embed:, :]
     scores = np.matmul(e1_t.swapaxes(-1, -2), e2_t)
-    shifted = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    adjacency = shifted / shifted.sum(axis=-1, keepdims=True)
+    row_max = scores[..., :1].copy()
+    for j in range(1, scores.shape[-1]):
+        np.maximum(row_max, scores[..., j : j + 1], out=row_max)
+    adjacency = scores - row_max
+    np.exp(adjacency, out=adjacency)
+    adjacency /= adjacency.sum(axis=-1, keepdims=True)
 
     def build(out):
         def vjp():
@@ -262,10 +292,13 @@ def dynamic_adjacency(x_scale: ad.Tensor, layer: DynamicGraphLayer) -> ad.Tensor
                 axis=-2,
             )
             g_pre = g_emb * (1.0 - emb * emb)
-            if x_scale.requires_grad:
-                x_scale.accumulate(ad.matmul_operand_grad(maps_t, g_pre, x_scale.data.shape, -1))
-            if w1.requires_grad or w2.requires_grad:
-                g_maps = ad.matmul_operand_grad(g_pre, x_scale.data, maps_t.shape, -2)
+            g_maps, g_x = ad.left_product_grads(
+                maps_t, cols, x_scale.data.shape, g_pre,
+                w1.requires_grad or w2.requires_grad, x_scale.requires_grad,
+            )
+            if g_x is not None:
+                x_scale.accumulate(g_x)
+            if g_maps is not None:
                 g_maps = g_maps.swapaxes(-1, -2)
                 if w1.requires_grad:
                     w1.accumulate(g_maps[..., :embed])

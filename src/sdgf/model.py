@@ -15,12 +15,20 @@ Forward pipeline for a (batch, input_len, n_vars) window:
     revin denormalize
 
 Every stage records one autodiff node with a hand-derived VJP (the
-inception block two: its conv1d and its layer norm). With the folds,
-input projections and branch stacking between the stages, a grad
-forward records 18 nodes at any propagation depth from 1 up (15 at
-depth 0, where no graph is read). RevIN keeps its statistics as
-constants of its nodes. The head runs each layer as one 2-D product
-over the (batch * n_vars) rows of per-variable features.
+inception block two: its conv1d and its layer norm), and so does each
+input projection (``ad.left_map``) and each wavelet fold. With the
+branch stacking between the stages, a grad forward records 16 nodes at
+any propagation depth from 1 up. At depth 0 no graph is read, so the
+dynamic adjacency is not learned (the identity stands in, as under
+``gsl``), its maps are no effective parameters, and a grad forward
+records 13 nodes. RevIN keeps its statistics as constants of its nodes.
+The head runs each layer as one 2-D product over the (batch * n_vars)
+rows of per-variable features.
+
+The window is laid out once per forward as one (input_len,
+batch * n_vars) matrix (``ad.time_major``), and the static projection,
+the dynamic projection and the embedding maps all read that copy, each
+as one 2-D GEMM for every scale and item at once.
 
 The per-scale weights live on a leading scale axis: embedding maps are
 (scales, 1, input_len, embed_dim) and hop maps (scales, 1, hidden,
@@ -30,13 +38,14 @@ size 1.
 The wavelet components are fixed linear maps of the window along time,
 and the input projection and both embedding maps read them only from
 the left. The forward pass therefore folds the component operators into
-those maps (``wv.decompose(..., adjoint=True)``), and the folded
-(scales, 1, input_len, ·) maps read the normalized window directly:
+those maps (``wv.decompose(..., adjoint=True)``, one node each), and
+the folded (scales, 1, input_len, ·) maps read the normalized window
+directly:
 ``fold(w)[s].T @ x == w[s].T @ component_s(x)``, so the (scales, batch,
 input_len, n_vars) component stack is never built. Only the summation
 order differs from building it. A fold costs about
 scales * input_len**2 * (2 * embed_dim + hidden) multiply-adds (only
-``hidden`` under the ``gsl`` ablation), against the
+``hidden`` under the ``gsl`` ablation or at depth 0), against the
 scales * input_len**2 * batch * n_vars that building the stack costs.
 A forward that records a graph refolds, because the fold is part of
 the gradient path. Under ``no_grad`` the folded maps are cached per
@@ -406,8 +415,15 @@ def parameters(model: SdgfModel) -> list[ad.Parameter]:
 
 
 def effective_parameters(model: SdgfModel) -> list[ad.Parameter]:
-    """Parameters that the forward pass actually uses under the ablations."""
-    return list(_walk(model, {ABLATED_SUBTREES[mode] for mode in model.ablations}))
+    """Parameters that the forward pass actually uses under the ablations.
+
+    At depth 0 no hop reads a graph, so the dynamic embedding maps go
+    unused, as under ``gsl``.
+    """
+    skip = {ABLATED_SUBTREES[mode] for mode in model.ablations}
+    if model.config.depth == 0:
+        skip.add("dynamic_layer")
+    return list(_walk(model, skip))
 
 
 def parameter_count(model: SdgfModel) -> int:
@@ -501,8 +517,10 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
             )
         static_adj = model.static_adjacency
     # Time profiles project from the left: (hidden, length) @ (..., length, vars).
+    # Every read of the window takes it in one shared (length, batch * vars) layout.
+    cols = ad.time_major(x_norm.data)
     h_static = gr.static_graph_conv(
-        ad.matmul(ad.matrix_transpose(model.input_proj), x_norm),
+        ad.left_map(model.input_proj, x_norm, cols),
         static_adj,
         model.static_cfg,
         cfg.literal_eq3,
@@ -510,15 +528,16 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
 
     # Every map that reads the wavelet components does so from the left,
     # so each is folded with the component operators and reads x_norm.
-    if "gsl" in model.ablations:
+    # With no hop, no dynamic graph is read, so none is learned.
+    if "gsl" in model.ablations or cfg.depth == 0:
         dyn_adj = ad.Tensor(np.eye(n))
     else:
         layer = model.dynamic_layer
         dyn_adj = gr.dynamic_adjacency(
-            x_norm, gr.DynamicGraphLayer(_fold(layer.w1, cfg), _fold(layer.w2, cfg))
+            x_norm, gr.DynamicGraphLayer(_fold(layer.w1, cfg), _fold(layer.w2, cfg)), cols
         )
     h_dyn = gr.dynamic_graph_conv(
-        ad.matmul(ad.matrix_transpose(_fold(model.input_proj, cfg)), x_norm),
+        ad.left_map(_fold(model.input_proj, cfg), x_norm, cols),
         dyn_adj,
         model.dynamic_cfg,
         cfg.literal_eq3,

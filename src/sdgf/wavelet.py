@@ -29,8 +29,11 @@ applies a time map from the left, ``w.T @ (ops[s] @ x)``, and matrix
 products associate, so the same value is ``(ops[s].T @ w).T @ x``.
 ``decompose(w, ..., adjoint=True)`` folds the operators into such maps
 (``adjoint_operators`` caches the transposed stack read-only), and the
-folded maps read the (batch, length, variables) input directly. The
-identity is exact in real arithmetic; in floating point only the
+folded maps read the (batch, length, variables) input directly. A fold
+is one recorded node: a map shared by every scale meets the stack as
+one (scales * length, length) matrix, so its forward and its VJP are
+each one 2-D GEMM, and per-scale maps take one batched GEMM each way.
+The identity is exact in real arithmetic; in floating point only the
 summation order changes. ``decompose`` folds afresh on every call and
 keeps no fold; the model caches the folds of its parameters between
 ``no_grad`` forwards and reuses one only while the parameter's values
@@ -136,18 +139,23 @@ def decompose(
     fine to coarse, approximation last. Gradients flow through every
     component back to ``x``.
 
-    With ``adjoint=True``, ``x`` is a map (..., length, k) with time on
-    axis -2 and the result is the folded map ``ops[s].T @ x`` for each
-    component operator ``ops[s]``: one (levels + 1, 1, length, k) stack
-    for a 2-D map, and a (levels + 1 or 1, 1, length, k) stack of
-    per-scale maps pairs scale ``s`` with operator ``s``. Because
+    With ``adjoint=True``, ``x`` is a map with time on axis -2 and the
+    result is the folded map ``ops[s].T @ x`` for each component
+    operator ``ops[s]``, recorded as one node: a (length, k) or
+    (1, 1, length, k) map folds into one (levels + 1, 1, length, k)
+    stack, and a (levels + 1, 1, length, k) stack of per-scale maps
+    pairs scale ``s`` with operator ``s``. Because
     ``fold(w)[s].T @ x == w[s].T @ (ops[s] @ x)``, a map that reads the
     components from the left reads ``x`` directly once folded, and the
     component stack is never built.
     """
-    if x.ndim != 3 and not (adjoint and x.ndim >= 2):
-        want = "(..., length, k)" if adjoint else "(batch, length, variables)"
-        raise ShapeError(f"decompose expects {want}, got {x.shape}")
+    if adjoint:
+        if x.ndim != 2 and not (x.ndim == 4 and x.shape[1] == 1):
+            raise ShapeError(
+                f"decompose expects (length, k) or (scales, 1, length, k), got {x.shape}"
+            )
+    elif x.ndim != 3:
+        raise ShapeError(f"decompose expects (batch, length, variables), got {x.shape}")
     if boundary not in BOUNDARIES:
         raise ConfigError(f"unknown boundary mode {boundary!r}; available: {BOUNDARIES}")
     if levels < 1:
@@ -160,8 +168,42 @@ def decompose(
             f" > length {length}; maximum admissible level is {admissible}"
         )
 
-    cached = adjoint_operators if adjoint else component_operators
-    return ad.matmul(ad.Tensor(cached(filt, levels, boundary, length)[:, None]), x)
+    if adjoint:
+        return _fold(x, adjoint_operators(filt, levels, boundary, length))
+    return ad.matmul(ad.Tensor(component_operators(filt, levels, boundary, length)[:, None]), x)
+
+
+def _fold(w: ad.Tensor, ops: np.ndarray) -> ad.Tensor:
+    """``ops[s] @ w`` for every scale ``s``, as one (scales, 1, length, k) node.
+
+    ``ops`` is the cached (scales, length, length) adjoint stack. A map
+    shared by every scale, (length, k) or (1, 1, length, k), meets the
+    stack as one (scales * length, length) matrix, so the forward and the
+    VJP are each one 2-D GEMM. Per-scale maps take one batched GEMM each
+    way. The stack is only ever read through views, never copied.
+    """
+    scales, length, _ = ops.shape
+    k = w.shape[-1]
+    per_scale = w.ndim == 4 and w.shape[0] != 1
+    if per_scale and w.shape[0] != scales:
+        raise ShapeError(f"{w.shape[0]} per-scale maps cannot fold with {scales} components")
+    rows = ops.reshape(scales * length, length)
+    if per_scale:
+        data = np.matmul(ops, w.data.reshape(scales, length, k))
+    else:
+        data = rows @ w.data.reshape(length, k)
+
+    def build(out):
+        def vjp():
+            if per_scale:
+                g = np.matmul(ops.transpose(0, 2, 1), out.grad.reshape(scales, length, k))
+            else:
+                g = rows.T @ out.grad.reshape(scales * length, k)
+            w.accumulate(g.reshape(w.data.shape))
+
+        return vjp
+
+    return ad.record(data.reshape(scales, 1, length, k), "wavelet_fold", (w,), build)
 
 
 @functools.lru_cache(maxsize=32)

@@ -1,6 +1,7 @@
 """Each fused stage node against the op-by-op chain it replaced.
 
-The chains live in ``conftest``. For every node, values and leaf
+The chains live in ``conftest``, except those of ``ad.left_map`` and
+the wavelet fold, which are a ``matmul`` or two and live here. For every node, values and leaf
 gradients agree with the chain's to 1e-12 (RevIN and propagation values
 bit for bit), under ``no_grad`` the node records nothing and gives the
 same values, finite differences pass on every leaf, and the node raises
@@ -17,6 +18,7 @@ from sdgf import autodiff as ad
 from sdgf import fusion as fu
 from sdgf import graphs as gr
 from sdgf import model as md
+from sdgf import wavelet as wv
 from sdgf.errors import NumericError
 
 from conftest import (
@@ -332,6 +334,109 @@ def test_dynamic_adjacency_raises_exactly_when_its_chain_raises(
     )
     if got is not None:
         assert np.abs(got - want).max() < TOL
+
+
+# ---------------------------------------------------------------------------
+# Window reads and wavelet folds
+
+
+def chain_left_map(maps, x):
+    return ad.matmul(ad.matrix_transpose(maps), x)
+
+
+def chain_fold(w, filt, levels, boundary):
+    ops = wv.adjoint_operators(filt, levels, boundary, w.shape[-2])
+    return ad.matmul(ad.Tensor(ops[:, None]), w)
+
+
+# Leading axes of an (L, K) map, a per-scale stack and a stack shared by every scale.
+MAP_LEADS = {
+    "2d": lambda scales: (),
+    "per-scale": lambda scales: (scales, 1),
+    "shared": lambda scales: (1, 1),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    layout=st.sampled_from(sorted(MAP_LEADS)),
+    length=st.integers(1, 5),
+    k=st.integers(1, 3),
+    nodes=st.integers(1, 4),
+    batch=st.integers(1, 3),
+    scales=st.integers(1, 3),
+    seed=SEED,
+)
+def test_left_map_matches_its_chain(layout, length, k, nodes, batch, scales, seed):
+    rng = np.random.default_rng(seed)
+    maps = ad.Parameter("maps", rng.normal(0.0, 0.7, (*MAP_LEADS[layout](scales), length, k)))
+    x = leaf(rng, (batch, length, nodes))
+    out_shape = chain_left_map(maps, x).shape
+    # A window laid out once and shared gives the same bits.
+    shared = ad.left_map(maps, x, ad.time_major(x.data))
+    assert shared.data.tobytes() == ad.left_map(maps, x).data.tobytes()
+    assert_node_matches_chain(
+        lambda: ad.left_map(maps, x),
+        lambda: chain_left_map(maps, x),
+        [maps, x],
+        rng.normal(0.0, 1.0, out_shape),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout=st.sampled_from(sorted(MAP_LEADS)), **HUGE)
+def test_left_map_raises_exactly_when_its_chain_raises(
+    layout, exponent, offset, spread, gain, seed
+):
+    rng = np.random.default_rng(seed)
+    maps = ad.Parameter("maps", np.zeros((*MAP_LEADS[layout](3), 6, 4)))
+    regain(rng, [maps], gain)
+    x = ad.Tensor(huge(rng, (2, 6, 3), exponent, offset, spread))
+    got, want = both_outcomes(lambda: ad.left_map(maps, x), lambda: chain_left_map(maps, x))
+    if got is not None:
+        assert relative_error(got, want, floor=1.0) < TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["haar", "db4"]),
+    boundary=st.sampled_from(["circular", "symmetric"]),
+    levels=st.integers(1, 2),
+    layout=st.sampled_from(sorted(MAP_LEADS)),
+    k=st.integers(1, 3),
+    seed=SEED,
+)
+def test_wavelet_fold_matches_its_chain(family, boundary, levels, layout, k, seed):
+    rng = np.random.default_rng(seed)
+    filt = wv.wavelet_filter(family)
+    w = ad.Parameter("w", rng.normal(0.0, 0.7, (*MAP_LEADS[layout](levels + 1), 16, k)))
+    assert_node_matches_chain(
+        lambda: wv.decompose(w, filt, levels, boundary, adjoint=True),
+        lambda: chain_fold(w, filt, levels, boundary),
+        [w],
+        rng.normal(0.0, 1.0, (levels + 1, 1, 16, k)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    layout=st.sampled_from(sorted(MAP_LEADS)),
+    family=st.sampled_from(["haar", "db4"]),
+    **{name: strategy for name, strategy in HUGE.items() if name != "gain"},
+)
+def test_wavelet_fold_raises_exactly_when_its_chain_raises(
+    layout, family, exponent, offset, spread, seed
+):
+    # The map is the fold's only input, so it carries the whole range.
+    rng = np.random.default_rng(seed)
+    filt = wv.wavelet_filter(family)
+    w = ad.Tensor(huge(rng, (*MAP_LEADS[layout](3), 16, 2), exponent, offset, spread))
+    got, want = both_outcomes(
+        lambda: wv.decompose(w, filt, 2, "symmetric", adjoint=True),
+        lambda: chain_fold(w, filt, 2, "symmetric"),
+    )
+    if got is not None:
+        assert relative_error(got, want, floor=1.0) < TOL
 
 
 # ---------------------------------------------------------------------------

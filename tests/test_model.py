@@ -446,12 +446,34 @@ def test_step_graph_size_does_not_grow_with_levels():
     assert counts[0] == counts[1]
 
 
-def test_grad_forward_records_18_nodes_at_every_depth():
+@settings(max_examples=30, deadline=None)
+@given(
+    ablation=st.sampled_from([None, *md.ABLATION_MODES]),
+    depth=st.integers(0, 2),
+    share=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_one_step_reaches_exactly_the_effective_parameters(ablation, depth, share, seed):
+    model = ready_model(tiny_config(depth=depth, share_dynamic_weights=share, seed=seed))
+    if ablation is not None:
+        model = md.ablate(model, ablation)
+    rng = np.random.default_rng(seed)
+    err = ad.sub(
+        md.forward(ad.Tensor(rng.normal(0.0, 1.0, (2, 8, 3))), model),
+        ad.Tensor(rng.normal(0.0, 1.0, (2, 4, 3))),
+    )
+    ad.mul(err, err).mean().backward()
+    effective = {p.name for p in md.effective_parameters(model)}
+    assert effective == {p.name for p in md.parameters(model) if p.grad is not None}
+
+
+def test_grad_forward_records_16_nodes_at_every_depth():
     # The shape of the benchmark's ``small`` workload. RevIN each way,
-    # each propagation, the dynamic adjacency, the fusion gate and the
-    # head record one node each, and the inception block two (its conv1d
-    # and its layer norm), so deeper propagation adds no node. At depth
-    # 0 no graph is read, so the adjacency and its two folds drop out.
+    # each input projection, each wavelet fold, each propagation, the
+    # dynamic adjacency, the fusion gate and the head record one node
+    # each, and the inception block two (its conv1d and its layer norm),
+    # so deeper propagation adds no node. At depth 0 no graph is read,
+    # so the adjacency and its two folds drop out.
     counts = []
     for depth in (0, 1, 2, 3):
         cfg = md.ModelConfig(
@@ -460,7 +482,7 @@ def test_grad_forward_records_18_nodes_at_every_depth():
         )
         y = md.forward(ad.Tensor(RNG.normal(0.0, 1.0, (32, 24, 4))), ready_model(cfg))
         counts.append(sum(node._vjp is not None for node in ad._toposort(y)))
-    assert counts == [15, 18, 18, 18]
+    assert counts == [13, 16, 16, 16]
 
 
 def test_conv_axis_channels_forward():

@@ -305,6 +305,23 @@ def test_checkpoint_extra_round_trips_through_train():
     assert loaded.static_adjacency is not None
 
 
+def test_a_depth_0_model_trains_and_round_trips_its_checkpoint():
+    # With no hop no dynamic graph is read, so its embedding maps get no
+    # gradient and are no effective parameter: training must not ask.
+    dataset = sine_dataset(rows=120, input_len=16, horizon=4)
+    model = md.build_model(tiny_config(input_len=16, n_vars=2, depth=0))
+    before = {p.name: p.data.copy() for p in md.parameters(model)}
+    report, blob = tr.train(model, dataset, tr.TrainConfig(lr=1e-3, epochs=1, patience=2, batch=16))
+    assert report.best_epoch == 0 and np.isfinite(report.train_losses).all()
+    loaded, _ = md.load_checkpoint(blob)
+    for p, q in zip(md.parameters(model), md.parameters(loaded)):
+        assert p.name == q.name and p.data.tobytes() == q.data.tobytes()
+        assert (p.name.startswith("dyn.w")) == (p.data.tobytes() == before[p.name].tobytes())
+    x = ad.Tensor(dataset.batch(dataset.split_starts("val")[:3])[0])
+    with ad.no_grad():
+        assert md.forward(x, loaded).data.tobytes() == md.forward(x, model).data.tobytes()
+
+
 def test_training_is_bitwise_reproducible():
     def run():
         dataset = sine_dataset(rows=160, input_len=16, horizon=4)
