@@ -14,24 +14,26 @@ from sdgf.data import SeriesTable
 from sdgf.errors import DataError, GraphError
 
 
-def fd_gradient(build_loss, leaf: ad.Tensor, h: float = 1e-5) -> np.ndarray:
+def fd_gradient(build_loss, leaf: ad.Tensor, h=1e-5) -> np.ndarray:
     """Central-difference gradient of ``build_loss()`` w.r.t. ``leaf.data``.
 
     ``build_loss`` must rebuild the computation from current leaf values
-    and return the scalar loss as a float.
+    and return the scalar loss as a float. ``h`` is one step for every
+    element or an array of steps in the leaf's shape.
     """
     grad = np.zeros_like(leaf.data)
     flat_value = leaf.data.ravel()
     flat_grad = grad.ravel()
+    steps = np.broadcast_to(np.asarray(h, dtype=np.float64), leaf.data.shape).ravel()
     with ad.no_grad():
         for i in range(flat_value.size):
-            saved = flat_value[i]
-            flat_value[i] = saved + h
+            saved, step = flat_value[i], steps[i]
+            flat_value[i] = saved + step
             up = build_loss()
-            flat_value[i] = saved - h
+            flat_value[i] = saved - step
             down = build_loss()
             flat_value[i] = saved
-            flat_grad[i] = (up - down) / (2.0 * h)
+            flat_grad[i] = (up - down) / (2.0 * step)
     return grad
 
 
@@ -43,10 +45,10 @@ def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-5) -> float:
     return float(np.max(np.abs(a - b) / denom))
 
 
-def assert_grads_match(build_loss, leaves, tol: float = 1e-5, h: float = 1e-5) -> None:
+def assert_grads_match(build_loss, leaves, tol: float = 1e-5, h=1e-5) -> None:
     """Backprop the loss and compare every leaf gradient to the FD oracle.
 
-    ``h`` is the central-difference step. A loss that is linear in every
+    ``h`` is the central-difference step (see ``fd_gradient``). A loss that is linear in every
     leaf element can take a large step, which shrinks the round-off of
     ``(up - down) / 2h`` without any truncation error.
     """

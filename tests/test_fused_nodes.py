@@ -11,7 +11,7 @@ which its chain raises.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdgf import autodiff as ad
@@ -147,17 +147,32 @@ def test_revin_normalize_matches_its_chain(batch, length, n, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(batch=st.integers(1, 3), horizon=st.integers(1, 4), n=st.integers(1, 3), seed=SEED)
+@example(batch=1, horizon=1, n=3, seed=26541176)  # gamma[2] = -4.5e-4
+@example(batch=2, horizon=4, n=3, seed=854117973)  # gamma[2] = -6.6e-4
 def test_revin_denormalize_matches_its_chain(batch, horizon, n, seed):
     rng = np.random.default_rng(seed)
     layer = revin(rng, n)
     _, stats = layer.normalize(ad.Tensor(rng.normal(1.0, 2.0, (batch, 6, n))))
     y = leaf(rng, (batch, horizon, n))
+    weight = rng.normal(0.0, 1.0, y.shape)
     assert_node_matches_chain(
         lambda: layer.denormalize(y, stats),
         lambda: chain_revin_denormalize(layer, y, stats),
         [y, layer.gamma, layer.beta],
-        rng.normal(0.0, 1.0, y.shape),
+        weight,
         exact=True,
+        fd_leaves=[y, layer.beta],
+    )
+    # The output is linear in y and beta but goes as 1 / (gamma + eps^2),
+    # so a central difference in gamma[j] has a truncation error of about
+    # (h / (gamma[j] + eps^2))^2: each step stays far inside the distance
+    # to its own pole.
+    pole = np.abs(layer.gamma.data + layer.eps * layer.eps)
+    assert_grads_match(
+        lambda: (layer.denormalize(y, stats) * weight).sum(),
+        [layer.gamma],
+        tol=1e-4,
+        h=1e-5 * np.minimum(1.0, pole),
     )
 
 
