@@ -38,9 +38,9 @@ too, is one recorded autodiff node, and so is ``dynamic_adjacency``,
 which reads both embedding maps in one product of the maps laid side by
 side. Their VJPs are derived by hand, and each node raises
 ``NumericError`` where the op-by-op chain it stands for did (see
-``_propagate`` and ``dynamic_adjacency``). The forwards build their
-sums, scalings and the softmax in place on arrays they made themselves,
-in the chain's operand order, so the values stay the chain's.
+``_propagate`` and ``dynamic_adjacency``). The forwards build the hop
+states and the softmax in place on arrays they made themselves, in the
+chain's operand order, so the values stay the chain's.
 """
 
 from __future__ import annotations
@@ -153,12 +153,7 @@ def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, literal: bo
     for theta, state in zip(thetas, states):
         term = np.matmul(theta.data, state)
         shapes.append(term.shape)
-        if out is None:
-            out = term
-        elif out.shape == term.shape:
-            out += term  # into the first fresh product
-        else:
-            out = out + term
+        out = term if out is None else out + term
     parents = (h, *thetas) if graph is None else (h, *thetas, graph)
 
     def build(node):
@@ -233,7 +228,12 @@ def dynamic_graph_conv(
 
 @dataclass
 class DynamicGraphLayer:
-    """Two embedding maps (..., length, d_e) from variable time profiles to d_e."""
+    """Two embedding maps from variable time profiles to d_e.
+
+    Each map is one shared (length, d_e) matrix or a (scales, 1, length,
+    d_e) stack, one matrix per scale (size 1 on the scale axis to share
+    one across scales).
+    """
 
     w1: ad.Parameter
     w2: ad.Parameter
@@ -244,21 +244,20 @@ def dynamic_adjacency(
 ) -> ad.Tensor:
     """Row-stochastic per-item adjacency learned from wavelet components.
 
-    ``x_scale`` is (..., length, variables): one scale as (batch, length,
-    variables), every scale as (scales, batch, length, variables), or the
-    window itself with maps folded with the wavelet operators (see the
-    module docstring); the maps' leading axes broadcast against it. Each
-    variable's length-L profile maps through w1/w2 into two embeddings;
-    the row softmax of their inner products is the (..., variables,
-    variables) adjacency.
+    ``x_scale`` is one scale or the window as (batch, length, variables),
+    or every scale as (scales, batch, length, variables); with the window,
+    the maps are folded with the wavelet operators (see the module
+    docstring). The maps are (length, d_e) or (scales or 1, 1, length,
+    d_e); ``ad.left_product`` raises ``ShapeError`` for any other shape.
+    Each variable's length-L profile maps through w1/w2 into two
+    embeddings; the row softmax of their inner products is the ([scales,]
+    batch, variables, variables) adjacency.
 
     Both maps read the input in one ``ad.left_product`` of the maps laid
     side by side, one 2-D GEMM over a window; ``cols``, if given, is the
     input laid out as ``ad.time_major(x_scale.data)``, shared with the
-    model's other reads of the window. The softmax takes its row maxima
-    from one ``np.maximum`` per column, which is faster than a reduction
-    over the short node axis and exact all the same, and then works in
-    place on its own fresh arrays.
+    model's other reads of the window. The softmax works in place on its
+    own fresh arrays.
     """
     if x_scale.ndim < 3:
         raise ShapeError(f"expected (..., batch, length, variables), got {x_scale.shape}")
@@ -276,10 +275,7 @@ def dynamic_adjacency(
     emb = np.tanh(pre)
     e1_t, e2_t = emb[..., :embed, :], emb[..., embed:, :]
     scores = np.matmul(e1_t.swapaxes(-1, -2), e2_t)
-    row_max = scores[..., :1].copy()
-    for j in range(1, scores.shape[-1]):
-        np.maximum(row_max, scores[..., j : j + 1], out=row_max)
-    adjacency = scores - row_max
+    adjacency = scores - scores.max(axis=-1, keepdims=True)
     np.exp(adjacency, out=adjacency)
     adjacency /= adjacency.sum(axis=-1, keepdims=True)
 
