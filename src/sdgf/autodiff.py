@@ -28,12 +28,12 @@ directly rather than through its Python-level helpers (``np.all``,
 ``np.pad``, ``np.prod``), and an op result that already is a
 C-contiguous float64 array is stored as it is. For the same reason the
 model's stages (RevIN, graph propagation, dynamic adjacency, fusion
-gate, head, wavelet fold) are single fused nodes rather than chains of
-the primitives here. They are built in their own modules on the public
-pieces this one exports: ``record`` makes a node (and guards chosen
-intermediates as well as the output), ``Tensor.accumulate`` adds a
-gradient to a parent, and ``unbroadcast`` and ``matmul_operand_grad``
-are the gradient rules of broadcasting and of ``matmul``.
+gate, head, wavelet fold) are single fused nodes, built in their own
+modules on the public pieces this one exports: ``record`` makes a node
+(and guards chosen intermediates as well as the output),
+``Tensor.accumulate`` adds a gradient to a parent, and ``unbroadcast``
+and ``matmul_operand_grad`` are the gradient rules of broadcasting and
+of ``matmul``.
 
 A window is read by learned time maps from the left (``w^T @ x``), per
 wavelet scale and per batch item. ``left_map`` is that read as one node,
@@ -43,6 +43,15 @@ the window laid out once as an (L, batch * N) matrix (``time_major``),
 the forward and each gradient are one 2-D GEMM rather than one small
 product per (scale, item). ``matmul`` keeps its batched products, whose
 bits the chain oracles in the tests are built on.
+
+The other nodes here are the rest of what the package records:
+``conv1d`` and ``layer_norm`` for the inception block, ``matmul`` for
+the reference ``wavelet.decompose``, the shape ops that stack the
+branches, and the ops of the loss and of the ``gf`` ablation's mean.
+``Tensor`` has no arithmetic operators: each node is an explicit call.
+The ops the fused stages replaced live in ``tests/oracle_ops.py``: only
+the tests' op-by-op chains use them, as the oracles that each fused
+node must match and must raise where they raise.
 
 A training step allocates its graph's arrays afresh, and ``backward``
 frees them all again. By default glibc then trims the freed top of the
@@ -162,9 +171,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def accumulate(self, g: np.ndarray) -> None:
         """Add ``g`` to this tensor's gradient; every VJP passes gradients on this way."""
         if g.shape != self.data.shape:
@@ -205,55 +211,19 @@ class Tensor:
                 node.grad = None
                 node._released = True
 
-    # Convenience arithmetic; the model code reads better with operators.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
 
 class Parameter(Tensor):
-    """A named, trainable leaf tensor."""
+    """A named leaf tensor that the optimizer updates."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, data, trainable: bool = True):
-        super().__init__(data, requires_grad=trainable)
+    def __init__(self, name: str, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.trainable = bool(trainable)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -366,26 +336,6 @@ def matmul_operand_grad(p: np.ndarray, q: np.ndarray, shape: tuple, keep: int) -
 # Elementwise ops
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data + b.data
-    except ValueError:
-        raise ShapeError(f"cannot broadcast shapes {a.shape} and {b.shape}") from None
-
-    def build(out):
-        def vjp():
-            g = out.grad
-            if a.requires_grad:
-                a.accumulate(unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b.accumulate(unbroadcast(g, b.data.shape))
-
-        return vjp
-
-    return record(data, "add", (a, b), build)
-
-
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     try:
@@ -426,28 +376,6 @@ def mul(a, b) -> Tensor:
     return record(data, "mul", (a, b), build)
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if np.any(b.data == 0.0):
-        raise NumericError("division by zero; use an epsilon guard upstream")
-    try:
-        data = a.data / b.data
-    except ValueError:
-        raise ShapeError(f"cannot broadcast shapes {a.shape} and {b.shape}") from None
-
-    def build(out):
-        def vjp():
-            g = out.grad
-            if a.requires_grad:
-                a.accumulate(unbroadcast(g / b.data, a.data.shape))
-            if b.requires_grad:
-                b.accumulate(unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-        return vjp
-
-    return record(data, "div", (a, b), build)
-
-
 def scale(x, c: float) -> Tensor:
     x = _as_tensor(x)
     c = float(c)
@@ -461,34 +389,6 @@ def scale(x, c: float) -> Tensor:
         return vjp
 
     return record(data, "scale", (x,), build)
-
-
-def tanh(x) -> Tensor:
-    x = _as_tensor(x)
-    data = np.tanh(x.data)
-
-    def build(out):
-        def vjp():
-            if x.requires_grad:
-                x.accumulate(out.grad * (1.0 - out.data * out.data))
-
-        return vjp
-
-    return record(data, "tanh", (x,), build)
-
-
-def sqrt(x) -> Tensor:
-    x = _as_tensor(x)
-    data = np.sqrt(x.data)
-
-    def build(out):
-        def vjp():
-            if x.requires_grad:
-                x.accumulate(out.grad / (2.0 * out.data))
-
-        return vjp
-
-    return record(data, "sqrt", (x,), build)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +487,7 @@ def left_product_grads(maps_t, cols, x_shape, g, want_maps: bool, want_x: bool):
 def left_map(maps, x, cols: np.ndarray | None = None) -> Tensor:
     """``maps^T @ x`` for an (L, K) map or an (S, 1, L, K) stack over (batch, L, N) windows.
 
-    One node, where ``matmul(matrix_transpose(maps), x)`` records two.
+    One node, where a transpose and a ``matmul`` record two.
     The forward and each gradient are one 2-D GEMM against the window
     laid out as (L, batch * N) (see ``left_product``). ``cols``, if
     given, is that layout, ``time_major(x.data)``, so reads of one
@@ -612,27 +512,6 @@ def left_map(maps, x, cols: np.ndarray | None = None) -> Tensor:
         return vjp
 
     return record(data, "left_map", (maps, x), build)
-
-
-def softmax(x, axis: int) -> Tensor:
-    """Stable softmax along ``axis`` (max subtraction before exponentiation)."""
-    x = _as_tensor(x)
-    axis = _check_axis(x, axis)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def build(out):
-        def vjp():
-            if x.requires_grad:
-                g = out.grad
-                y = out.data
-                inner = (g * y).sum(axis=axis, keepdims=True)
-                x.accumulate(y * (g - inner))
-
-        return vjp
-
-    return record(data, "softmax", (x,), build)
 
 
 def _check_axis(x: Tensor, axis: int) -> int:
@@ -706,14 +585,6 @@ def transpose(x, axes: Sequence[int]) -> Tensor:
     return record(data, "transpose", (x,), build)
 
 
-def matrix_transpose(x) -> Tensor:
-    """Swap the last two axes, keeping any leading (batch, scale) axes."""
-    x = _as_tensor(x)
-    if x.ndim < 2:
-        raise ShapeError(f"matrix_transpose needs a >=2-d operand, got {x.shape}")
-    return transpose(x, (*range(x.ndim - 2), x.ndim - 1, x.ndim - 2))
-
-
 def reshape(x, shape: Sequence[int]) -> Tensor:
     x = _as_tensor(x)
     shape = tuple(shape)
@@ -758,28 +629,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         return vjp
 
     return record(data, "concat", tuple(tensors), build)
-
-
-def narrow(x, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of ``length`` entries along ``axis``."""
-    x = _as_tensor(x)
-    axis = _check_axis(x, axis)
-    if not (0 <= start and start + length <= x.shape[axis]):
-        raise ShapeError(f"slice [{start}:{start + length}) exceeds axis {axis} of shape {x.shape}")
-    index: list = [slice(None)] * x.ndim
-    index[axis] = slice(start, start + length)
-    data = x.data[tuple(index)]
-
-    def build(out):
-        def vjp():
-            if x.requires_grad:
-                g = np.zeros_like(x.data)
-                g[tuple(index)] = out.grad
-                x.accumulate(g)
-
-        return vjp
-
-    return record(data, "narrow", (x,), build)
 
 
 # ---------------------------------------------------------------------------
@@ -957,7 +806,7 @@ def layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize to zero mean / unit variance along ``axis``, then affine.
 
     One recorded node with a hand-derived VJP. The forward takes the
-    steps of the primitive-op chain it stands for (mean, centre, mean of
+    steps of the op chain it stands for (mean, centre, mean of
     squares, sqrt(var + eps), divide, scale, shift) in that order, so its
     values are that chain's bit for bit, and it raises ``NumericError``
     exactly when one of the chain's ops would. For that the variance is
@@ -1018,6 +867,6 @@ def backward(loss: Tensor, parameters: Iterable[Parameter]) -> dict[str, np.ndar
     loss.backward()
     grads: dict[str, np.ndarray] = {}
     for p in parameters:
-        if p.trainable and p.grad is not None:
+        if p.grad is not None:
             grads[p.name] = p.grad
     return grads

@@ -233,7 +233,7 @@ def _load_eval_dataset(model: md.SdgfModel, extra: dict, path: str):
         )
     values = table.values
     if extra.get("scaler") is not None:
-        values = Scaler.from_dict(extra["scaler"]).transform(values)
+        values = Scaler.from_dict(extra["scaler"], table.n_vars).transform(values)
     dataset = make_windows(values, model.config.input_len, model.config.horizon)
     return table, dataset
 

@@ -204,9 +204,17 @@ class Scaler:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Scaler":
-        return cls(mean=np.asarray(d["mean"], dtype=np.float64),
-                   std=np.asarray(d["std"], dtype=np.float64))
+    def from_dict(cls, d: dict, n_vars: int) -> "Scaler":
+        """The scaler ``to_dict`` wrote; ``d`` comes from a file, so it is checked."""
+        try:
+            mean = np.asarray(d["mean"], dtype=np.float64)
+            std = np.asarray(d["std"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError):
+            raise DataError("stored scaler is not a dict of mean and std lists") from None
+        finite = np.isfinite(mean).all() and np.isfinite(std).all()
+        if not (mean.shape == std.shape == (n_vars,) and finite and (std > 0.0).all()):
+            raise DataError(f"stored scaler needs finite mean and std > 0 for {n_vars} variables")
+        return cls(mean=mean, std=std)
 
 
 SPLITS = ("train", "val", "test")
@@ -310,6 +318,8 @@ def synthesize(spec: SynthSpec) -> SeriesTable:
         raise ConfigError(f"need n_vars >= 1 and rows >= 1, got {spec.n_vars}, {spec.rows}")
     if len(spec.periods) != spec.n_vars:
         raise ConfigError(f"{len(spec.periods)} periods for {spec.n_vars} variables")
+    if not all(math.isfinite(v) for v in (*spec.periods, spec.noise, spec.amplitude)):
+        raise ConfigError(f"periods, noise and amplitude must be finite: {spec}")
     if any(p <= 0 for p in spec.periods):
         raise ConfigError(f"periods must be positive: {spec.periods}")
     if spec.noise < 0:

@@ -430,27 +430,6 @@ def parameter_count(model: SdgfModel) -> int:
     return sum(p.size for p in parameters(model))
 
 
-def predicted_parameter_count(cfg: ModelConfig) -> int:
-    """Closed-form parameter count; tests pin it against the built model."""
-    length, horizon, n, dim = cfg.input_len, cfg.horizon, cfg.n_vars, cfg.hidden
-    scales = cfg.levels + 1
-    hops = cfg.depth + 1
-    total = 2 * n + length * dim
-    total += hops * dim * dim * (1 + scales)
-    pairs = 1 if cfg.share_dynamic_weights else scales
-    total += pairs * 2 * length * cfg.embed_dim
-    total += dim + dim * dim
-    conv_ch = dim if cfg.conv_axis == "nodes" else n
-    width = cfg.branch_width or tp.branch_width(conv_ch)
-    per_block = sum(width * conv_ch * k for k, _ in tp.BRANCH_SHAPES) + 4 * width
-    per_block += conv_ch * 4 * width + conv_ch
-    per_block += conv_ch * conv_ch + conv_ch
-    per_block += 2 * dim
-    total += cfg.temporal_blocks * per_block
-    total += dim * 2 * dim + 2 * dim + 2 * dim * horizon + horizon
-    return total
-
-
 def set_static_graph(model: SdgfModel, series: np.ndarray) -> None:
     """Freeze the static adjacency from a (rows, n_vars) training series."""
     series = np.asarray(series, dtype=np.float64)
@@ -545,7 +524,7 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
 
     branches = ad.concat([ad.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
     if "gf" in model.ablations:
-        fused = branches.mean(axis=0)
+        fused = ad.reduce_mean(branches, 0)
         alpha = np.full((batch, branches.shape[0]), 1.0 / branches.shape[0])
     else:
         fused, alpha = fu.fuse(branches, model.fusion_layer)
@@ -642,8 +621,9 @@ def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
     first; then the CRC32 trailer is checked before any other byte is
     parsed. A checksum mismatch (truncation, trailing bytes, flipped
     bits), a layout that does not fill the body exactly, non-finite
-    parameter values and a static adjacency that is not finite and
-    row-stochastic each raise ``CheckpointError``.
+    parameter values, a static adjacency that is not finite and
+    row-stochastic and an ``extra`` that is not a JSON object each raise
+    ``CheckpointError``.
 
     The blob is read through a ``memoryview``, and the tree is assembled
     from the stored arrays by name (no RNG draw): each parameter's bytes
@@ -732,4 +712,7 @@ def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
     if len(by_name) != count:
         missing = next(name for name in slots if name not in by_name)
         raise CheckpointError(f"checkpoint stores no value for parameter {missing!r}")
-    return model, header.get("extra", {})
+    extra = header.get("extra", {})
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"checkpoint extra is a {type(extra).__name__}, not a JSON object")
+    return model, extra

@@ -58,7 +58,7 @@ def mse_loss(pred: ad.Tensor, target: np.ndarray) -> ad.Tensor:
     if pred.shape != target.shape:
         raise ShapeError(f"loss operands differ in shape: {pred.shape} vs {target.shape}")
     err = ad.sub(pred, ad.Tensor(target))
-    return ad.mul(err, err).mean()
+    return ad.reduce_mean(ad.mul(err, err))
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +69,8 @@ def mse_loss(pred: ad.Tensor, target: np.ndarray) -> ad.Tensor:
 class AdamState:
     """Moment estimates as flat vectors over a fixed parameter layout.
 
-    ``layout`` holds the (name, size) of each trainable parameter, in the
-    order ``adam_step`` laid them end to end; the first step fixes it.
+    ``layout`` holds the (name, size) of each parameter, in the order
+    ``adam_step`` laid them end to end; the first step fixes it.
     """
 
     lr: float
@@ -86,21 +86,20 @@ class AdamState:
 def adam_step(params: list[ad.Parameter], grads: dict[str, np.ndarray], state: AdamState) -> None:
     """One bias-corrected Adam update over one flat vector.
 
-    The trainable parameters' values and gradients are laid end to end
-    in ``params`` order, and the update is a fixed number of vector ops
+    The parameters' values and gradients are laid end to end in
+    ``params`` order, and the update is a fixed number of vector ops
     on that vector, whatever the number of parameters. Each element goes
     through the same arithmetic, in the same order, as a per-parameter
     update, so the result is bit-identical to one. Each parameter's
     ``.data`` is then rebound to its slice of the new vector (a view), so
     an array taken from a parameter before the step keeps its values.
 
-    Raises ``GraphError`` for a trainable parameter with no gradient and
+    Raises ``GraphError`` for a parameter with no gradient and
     ``StateError`` when the parameter list differs from the one the
     state's first step saw.
     """
-    trainable = [p for p in params if p.trainable]
     flat_grads = []
-    for p in trainable:
+    for p in params:
         g = grads.get(p.name)
         if g is None:
             raise GraphError(f"no gradient recorded for parameter {p.name!r}")
@@ -109,7 +108,7 @@ def adam_step(params: list[ad.Parameter], grads: dict[str, np.ndarray], state: A
                 f"gradient {g.shape} does not match parameter {p.name!r} {p.data.shape}"
             )
         flat_grads.append(g.reshape(-1))
-    layout = tuple((p.name, p.data.size) for p in trainable)
+    layout = tuple((p.name, p.data.size) for p in params)
     if state.m is None:
         size = sum(n for _, n in layout)
         state.m, state.v, state.layout = np.zeros(size), np.zeros(size), layout
@@ -137,10 +136,10 @@ def adam_step(params: list[ad.Parameter], grads: dict[str, np.ndarray], state: A
     step = m / correct1
     step *= state.lr
     step /= denom
-    values = np.concatenate([p.data.reshape(-1) for p in trainable])
+    values = np.concatenate([p.data.reshape(-1) for p in params])
     values -= step
     start = 0
-    for p, (_, size) in zip(trainable, layout):
+    for p, (_, size) in zip(params, layout):
         p.data = values[start : start + size].reshape(p.data.shape)
         start += size
 
@@ -175,7 +174,10 @@ class TrainConfig:
     clip: float = 5.0
 
     def __post_init__(self):
-        if self.lr < 0 or self.epochs < 1 or self.patience < 1 or self.batch < 1:
+        # NaN fails every comparison, so a NaN lr or clip (which would
+        # turn clipping off) needs the finiteness check.
+        finite = math.isfinite(self.lr) and math.isfinite(self.clip)
+        if not finite or self.lr < 0 or self.epochs < 1 or self.patience < 1 or self.batch < 1:
             raise ConfigError(f"invalid training config: {self}")
 
 

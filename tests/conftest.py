@@ -8,10 +8,13 @@ import numpy as np
 
 from sdgf import autodiff as ad
 from sdgf import graphs as gr
+from sdgf import model as md
 from sdgf import temporal as tp
 from sdgf import wavelet as wv
 from sdgf.data import SeriesTable
 from sdgf.errors import DataError, GraphError
+
+import oracle_ops as ops
 
 
 def fd_gradient(build_loss, leaf: ad.Tensor, h=1e-5) -> np.ndarray:
@@ -92,10 +95,10 @@ def chain_layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> ad.Tensor:
     m = ad.reduce_mean(x, axis, keepdims=True)
     centered = ad.sub(x, m)
     var = ad.reduce_mean(ad.mul(centered, centered), axis, keepdims=True)
-    normed = ad.div(centered, ad.sqrt(ad.add(var, eps)))
+    normed = ops.div(centered, ops.sqrt(ops.add(var, eps)))
     side = [1] * x.ndim
     side[axis] = x.shape[axis]
-    return ad.add(ad.mul(normed, ad.reshape(gain, side)), ad.reshape(bias, side))
+    return ops.add(ad.mul(normed, ad.reshape(gain, side)), ad.reshape(bias, side))
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +112,8 @@ def chain_revin_normalize(layer, x):
     n = x.shape[2]
     mean = x.data.mean(axis=1, keepdims=True)
     std = np.sqrt(x.data.var(axis=1, keepdims=True) + layer.eps)
-    z = ad.div(ad.sub(x, ad.Tensor(mean)), ad.Tensor(std))
-    out = ad.add(ad.mul(z, ad.reshape(layer.gamma, (1, 1, n))), ad.reshape(layer.beta, (1, 1, n)))
+    z = ops.div(ad.sub(x, ad.Tensor(mean)), ad.Tensor(std))
+    out = ops.add(ad.mul(z, ad.reshape(layer.gamma, (1, 1, n))), ad.reshape(layer.beta, (1, 1, n)))
     return out, (mean, std)
 
 
@@ -118,15 +121,15 @@ def chain_revin_denormalize(layer, y, stats):
     """``RevinLayer.denormalize`` as primitive ops."""
     mean, std = stats
     n = layer.gamma.shape[0]
-    guard = ad.add(ad.reshape(layer.gamma, (1, 1, n)), layer.eps * layer.eps)
-    z = ad.div(ad.sub(y, ad.reshape(layer.beta, (1, 1, n))), guard)
-    return ad.add(ad.mul(z, ad.Tensor(std)), ad.Tensor(mean))
+    guard = ops.add(ad.reshape(layer.gamma, (1, 1, n)), layer.eps * layer.eps)
+    z = ops.div(ad.sub(y, ad.reshape(layer.beta, (1, 1, n))), guard)
+    return ops.add(ad.mul(z, ad.Tensor(std)), ad.Tensor(mean))
 
 
 def chain_propagate(h, adjacency, cfg, literal=False):
     """K-hop propagation through ``adjacency`` (an array or a tensor), op by op."""
     if isinstance(adjacency, ad.Tensor):
-        a_t = ad.matrix_transpose(adjacency)
+        a_t = ops.matrix_transpose(adjacency)
     else:
         a_t = ad.Tensor(np.swapaxes(adjacency, -1, -2))
     one_hop = None
@@ -134,40 +137,40 @@ def chain_propagate(h, adjacency, cfg, literal=False):
     for _ in range(cfg.depth):
         if literal:
             if one_hop is None:
-                one_hop = ad.add(ad.scale(h, cfg.alpha), ad.scale(ad.matmul(h, a_t), 1.0 - cfg.alpha))
+                one_hop = ops.add(ad.scale(h, cfg.alpha), ad.scale(ad.matmul(h, a_t), 1.0 - cfg.alpha))
             states.append(one_hop)
         else:
             mixed = ad.scale(ad.matmul(states[-1], a_t), 1.0 - cfg.alpha)
-            states.append(ad.add(ad.scale(h, cfg.alpha), mixed))
+            states.append(ops.add(ad.scale(h, cfg.alpha), mixed))
     out = None
     for theta, state in zip(cfg.theta, states):
         term = ad.matmul(theta, state)
-        out = term if out is None else ad.add(out, term)
+        out = term if out is None else ops.add(out, term)
     return out
 
 
 def chain_dynamic_adjacency(x, layer):
     """``graphs.dynamic_adjacency`` as two embedding products and a softmax."""
-    e1_t = ad.tanh(ad.matmul(ad.matrix_transpose(layer.w1), x))
-    e2_t = ad.tanh(ad.matmul(ad.matrix_transpose(layer.w2), x))
-    return ad.softmax(ad.matmul(ad.matrix_transpose(e1_t), e2_t), axis=-1)
+    e1_t = ops.tanh(ad.matmul(ops.matrix_transpose(layer.w1), x))
+    e2_t = ops.tanh(ad.matmul(ops.matrix_transpose(layer.w2), x))
+    return ops.softmax(ad.matmul(ops.matrix_transpose(e1_t), e2_t), axis=-1)
 
 
 def chain_fuse(branches, layer):
     """``fusion.fuse`` as ten primitive ops; returns the fused tensor and alpha."""
     count, batch, dim, _ = branches.shape
-    pooled = branches.mean(axis=3)
+    pooled = ad.reduce_mean(branches, 3)
     keyed = ad.matmul(pooled, ad.transpose(layer.w_k, (1, 0)))
     logits = ad.matmul(keyed, ad.reshape(layer.q, (dim, 1)))
-    alpha = ad.softmax(logits, axis=0)
+    alpha = ops.softmax(logits, axis=0)
     fused = ad.reduce_sum(ad.mul(branches, ad.reshape(alpha, (count, batch, 1, 1))), axis=0)
     return fused, alpha.data.reshape(count, batch).T.copy()
 
 
 def chain_head(h, w1, b1, w2, b2):
     """``model.head`` as batched matmuls, adds, a tanh and two transposes."""
-    hidden = ad.tanh(ad.add(ad.matmul(ad.transpose(h, (0, 2, 1)), w1), b1))
-    return ad.transpose(ad.add(ad.matmul(hidden, w2), b2), (0, 2, 1))
+    hidden = ops.tanh(ops.add(ad.matmul(ad.transpose(h, (0, 2, 1)), w1), b1))
+    return ad.transpose(ops.add(ad.matmul(hidden, w2), b2), (0, 2, 1))
 
 
 def chain_forward(x, model):
@@ -190,7 +193,7 @@ def chain_forward(x, model):
     else:
         static_adj = model.static_adjacency
     h_static = chain_propagate(
-        ad.matmul(ad.matrix_transpose(model.input_proj), x_norm),
+        ad.matmul(ops.matrix_transpose(model.input_proj), x_norm),
         static_adj,
         model.static_cfg,
         cfg.literal_eq3,
@@ -203,14 +206,14 @@ def chain_forward(x, model):
             x_norm, gr.DynamicGraphLayer(fold(layer.w1), fold(layer.w2))
         )
     h_dyn = chain_propagate(
-        ad.matmul(ad.matrix_transpose(fold(model.input_proj)), x_norm),
+        ad.matmul(ops.matrix_transpose(fold(model.input_proj)), x_norm),
         dyn_adj,
         model.dynamic_cfg,
         cfg.literal_eq3,
     )
     branches = ad.concat([ad.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
     if "gf" in model.ablations:
-        fused = branches.mean(axis=0)
+        fused = ad.reduce_mean(branches, 0)
     else:
         fused, _ = chain_fuse(branches, model.fusion_layer)
     if "tfl" not in model.ablations:
@@ -218,6 +221,19 @@ def chain_forward(x, model):
             fused = tp.inception_forward(fused, block, cfg.conv_axis)
     out = chain_head(fused, model.head_w1, model.head_b1, model.head_w2, model.head_b2)
     return chain_revin_denormalize(model.revin, out, stats)
+
+
+def model_loss_and_grads(forward, x, model, target):
+    """Forecast and the squared-error gradients of ``model``'s effective parameters."""
+    params = md.effective_parameters(model)
+    for p in params:
+        p.zero_grad()
+    pred = forward(x, model)
+    err = ad.sub(pred, ad.Tensor(target))
+    grads = ad.backward(ad.reduce_mean(ad.mul(err, err)), params)
+    for p in params:
+        p.zero_grad()
+    return pred.data, grads
 
 
 @dataclass
@@ -239,8 +255,6 @@ def loop_adam_step(params, grads, state: LoopAdamState) -> None:
     correct1 = 1.0 - state.beta1**state.t
     correct2 = 1.0 - state.beta2**state.t
     for p in params:
-        if not p.trainable:
-            continue
         if p.name not in grads:
             raise GraphError(f"no gradient recorded for parameter {p.name!r}")
         g = grads[p.name]

@@ -1,0 +1,159 @@
+"""Reference ops that only the test oracles use.
+
+The package records each model stage as one fused node, so it no longer
+needs the primitives those nodes replaced. The op-by-op chains in
+``conftest`` are built from them, unchanged and recorded through
+``ad.record``: each op guards its own output, so a chain raises
+``NumericError`` exactly where its fused node must. The closed-form
+parameter count that the model tests pin the built tree against is here
+too.
+"""
+
+import numpy as np
+
+from sdgf import model as md
+from sdgf import temporal as tp
+from sdgf.autodiff import Tensor, _as_tensor, _check_axis, record, transpose, unbroadcast
+from sdgf.errors import NumericError, ShapeError
+
+
+def add(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    try:
+        data = a.data + b.data
+    except ValueError:
+        raise ShapeError(f"cannot broadcast shapes {a.shape} and {b.shape}") from None
+
+    def build(out):
+        def vjp():
+            g = out.grad
+            if a.requires_grad:
+                a.accumulate(unbroadcast(g, a.data.shape))
+            if b.requires_grad:
+                b.accumulate(unbroadcast(g, b.data.shape))
+
+        return vjp
+
+    return record(data, "add", (a, b), build)
+
+
+def div(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    if np.any(b.data == 0.0):
+        raise NumericError("division by zero; use an epsilon guard upstream")
+    try:
+        data = a.data / b.data
+    except ValueError:
+        raise ShapeError(f"cannot broadcast shapes {a.shape} and {b.shape}") from None
+
+    def build(out):
+        def vjp():
+            g = out.grad
+            if a.requires_grad:
+                a.accumulate(unbroadcast(g / b.data, a.data.shape))
+            if b.requires_grad:
+                b.accumulate(unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+
+        return vjp
+
+    return record(data, "div", (a, b), build)
+
+
+def tanh(x) -> Tensor:
+    x = _as_tensor(x)
+    data = np.tanh(x.data)
+
+    def build(out):
+        def vjp():
+            if x.requires_grad:
+                x.accumulate(out.grad * (1.0 - out.data * out.data))
+
+        return vjp
+
+    return record(data, "tanh", (x,), build)
+
+
+def sqrt(x) -> Tensor:
+    x = _as_tensor(x)
+    data = np.sqrt(x.data)
+
+    def build(out):
+        def vjp():
+            if x.requires_grad:
+                x.accumulate(out.grad / (2.0 * out.data))
+
+        return vjp
+
+    return record(data, "sqrt", (x,), build)
+
+
+def softmax(x, axis: int) -> Tensor:
+    """Stable softmax along ``axis`` (max subtraction before exponentiation)."""
+    x = _as_tensor(x)
+    axis = _check_axis(x, axis)
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    data = e / e.sum(axis=axis, keepdims=True)
+
+    def build(out):
+        def vjp():
+            if x.requires_grad:
+                g = out.grad
+                y = out.data
+                inner = (g * y).sum(axis=axis, keepdims=True)
+                x.accumulate(y * (g - inner))
+
+        return vjp
+
+    return record(data, "softmax", (x,), build)
+
+
+def matrix_transpose(x) -> Tensor:
+    """Swap the last two axes, keeping any leading (batch, scale) axes."""
+    x = _as_tensor(x)
+    if x.ndim < 2:
+        raise ShapeError(f"matrix_transpose needs a >=2-d operand, got {x.shape}")
+    return transpose(x, (*range(x.ndim - 2), x.ndim - 1, x.ndim - 2))
+
+
+def narrow(x, axis: int, start: int, length: int) -> Tensor:
+    """Contiguous slice of ``length`` entries along ``axis``."""
+    x = _as_tensor(x)
+    axis = _check_axis(x, axis)
+    if not (0 <= start and start + length <= x.shape[axis]):
+        raise ShapeError(f"slice [{start}:{start + length}) exceeds axis {axis} of shape {x.shape}")
+    index: list = [slice(None)] * x.ndim
+    index[axis] = slice(start, start + length)
+    data = x.data[tuple(index)]
+
+    def build(out):
+        def vjp():
+            if x.requires_grad:
+                g = np.zeros_like(x.data)
+                g[tuple(index)] = out.grad
+                x.accumulate(g)
+
+        return vjp
+
+    return record(data, "narrow", (x,), build)
+
+
+def predicted_parameter_count(cfg: md.ModelConfig) -> int:
+    """Closed-form parameter count; tests pin it against the built model."""
+    length, horizon, n, dim = cfg.input_len, cfg.horizon, cfg.n_vars, cfg.hidden
+    scales = cfg.levels + 1
+    hops = cfg.depth + 1
+    total = 2 * n + length * dim
+    total += hops * dim * dim * (1 + scales)
+    pairs = 1 if cfg.share_dynamic_weights else scales
+    total += pairs * 2 * length * cfg.embed_dim
+    total += dim + dim * dim
+    conv_ch = dim if cfg.conv_axis == "nodes" else n
+    width = cfg.branch_width or tp.branch_width(conv_ch)
+    per_block = sum(width * conv_ch * k for k, _ in tp.BRANCH_SHAPES) + 4 * width
+    per_block += conv_ch * 4 * width + conv_ch
+    per_block += conv_ch * conv_ch + conv_ch
+    per_block += 2 * dim
+    total += cfg.temporal_blocks * per_block
+    total += dim * 2 * dim + 2 * dim + 2 * dim * horizon + horizon
+    return total

@@ -4,16 +4,24 @@ Everything runs through main(argv) in-process against temp dirs. The
 exported-artifact checks recompute metrics from the files themselves.
 """
 
+import contextlib
 import csv
+import io
 import json
+import math
+import os
 import re
 import struct
+import tempfile
 import warnings
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sdgf import model as md
 from sdgf.cli import main
 from sdgf.data import load_csv
 
@@ -467,6 +475,68 @@ def test_eval_rejects_checkpoints_that_used_to_load(trained, tmp_path, capsys, d
     assert err.startswith("error:") and "Traceback" not in err
     assert {"trailing-bytes": "trailing", "non-finite-parameter": "non-finite",
             "static-not-stochastic": "row-stochastic"}[defect] in err
+
+
+def run_quietly(argv):
+    """``main(argv)``'s exit code and stderr, with stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    key=st.sampled_from(["synth.noise", "synth.amplitude", "synth.periods", "train.lr", "train.clip"]),
+    bad=st.sampled_from(["nan", "inf", "-inf"]),
+    slot=st.integers(0, 1),
+)
+def test_a_non_finite_config_value_is_a_usage_error(trained, key, bad, slot):
+    value = ",".join(bad if j == slot else "24" for j in range(2)) if key == "synth.periods" else bad
+    with tempfile.TemporaryDirectory() as tmp:
+        if key.startswith("synth."):
+            argv = ["synth", "--out", f"{tmp}/s.csv"] + sets(
+                ["synth.n_vars=2", "synth.periods=24,20", "synth.pairs=", f"{key}={value}"]
+            )
+        else:
+            argv = ["train", "--data", str(trained[0]), "--out", f"{tmp}/run"] + sets(
+                TINY + [f"{key}={value}"]
+            )
+        code, err = run_quietly(argv)
+        assert code == 1
+        assert re.fullmatch(r"error: [^\n]*\n", err), err
+        assert os.listdir(tmp) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_malformed_checkpoint_extra_is_a_data_error(trained, data):
+    # The checksum is valid; only what the checkpoint carries is wrong.
+    csv_path, ckpt, _ = trained
+    model, extra = md.load_checkpoint(ckpt.read_bytes())
+    field = data.draw(st.sampled_from(["extra", "mean", "std"]))
+    if field == "extra":
+        extra = data.draw(st.sampled_from([[extra], "extra", 1.5]))
+    else:
+        scaler = {"mean": [0.5, -0.5], "std": [2.0, 3.0]}
+        bad = [math.nan, math.inf, -math.inf, "short", "long", "nested", "text", "missing"]
+        defect = data.draw(st.sampled_from(bad + [0.0, -1.0] * (field == "std")))
+        if defect == "missing":
+            del scaler[field]
+        elif isinstance(defect, str):
+            scaler[field] = {"short": [1.0], "long": [1.0] * 3, "nested": [[1.0, 1.0]], "text": "ab"}[defect]
+        else:
+            scaler[field][data.draw(st.integers(0, 1))] = defect
+        extra = {**extra, "scaler": scaler}
+    with tempfile.TemporaryDirectory() as tmp:
+        bad_ckpt = f"{tmp}/bad.ckpt"
+        with open(bad_ckpt, "wb") as handle:
+            handle.write(md.save_checkpoint(model, extra))
+        code, err = run_quietly(
+            ["eval", "--checkpoint", bad_ckpt, "--data", str(csv_path), "--export-predictions"]
+        )
+        assert code == 2
+        assert re.fullmatch(r"error: [^\n]*\n", err), err
+        assert os.listdir(tmp) == ["bad.ckpt"]
 
 
 def test_single_batch_overfit_then_eval(tmp_path, capsys):

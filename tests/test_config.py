@@ -1,8 +1,15 @@
 """Run-config parsing, strictness, and builder tests."""
 
+import dataclasses
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdgf import config as cf
+from sdgf import data as dt
+from sdgf import training as tr
 from sdgf.errors import ConfigError
 
 
@@ -115,3 +122,23 @@ def test_synth_spec_builder_rejects_malformed_pairs():
     cfg = cf.RunConfig.defaults().override(["synth.periods=1,two"])
     with pytest.raises(ConfigError, match="comma-separated"):
         cf.synth_spec(cfg)
+
+
+def float_fields(cls):
+    return [f.name for f in dataclasses.fields(cls) if "float" in f.type]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    train_field=st.sampled_from(float_fields(tr.TrainConfig)),
+    synth_field=st.sampled_from(float_fields(dt.SynthSpec)),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    slot=st.integers(0, 1),
+)
+def test_a_non_finite_float_field_is_a_config_error(train_field, synth_field, bad, slot):
+    with pytest.raises(ConfigError):
+        tr.TrainConfig(**{train_field: bad})
+    spec = {"n_vars": 2, "rows": 50, "periods": [24.0, 20.0]}
+    spec[synth_field] = [bad if j == slot else 24.0 for j in range(2)] if synth_field == "periods" else bad
+    with pytest.raises(ConfigError):
+        dt.synthesize(dt.SynthSpec(**spec))

@@ -250,7 +250,7 @@ def test_scaler_rejects_overflowing_statistics():
 
 def test_scaler_serialization_round_trip():
     scaler = dt.Scaler.fit(RNG.normal(2.0, 4.0, (30, 3)))
-    back = dt.Scaler.from_dict(scaler.to_dict())
+    back = dt.Scaler.from_dict(scaler.to_dict(), 3)
     np.testing.assert_array_equal(back.mean, scaler.mean)
     np.testing.assert_array_equal(back.std, scaler.std)
 

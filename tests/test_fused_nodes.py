@@ -30,8 +30,10 @@ from conftest import (
     chain_propagate,
     chain_revin_denormalize,
     chain_revin_normalize,
+    model_loss_and_grads,
     relative_error,
 )
+import oracle_ops as ops
 
 TOL = 1e-12
 SEED = st.integers(0, 2**31 - 1)
@@ -55,7 +57,7 @@ def assert_node_matches_chain(
         for t in leaves:
             t.zero_grad()
         out = build()
-        (out * weight).sum().backward()
+        ad.reduce_sum(ad.mul(out, weight)).backward()
         results.append((out.data, [t.grad for t in leaves]))
     (got, got_grads), (want, want_grads) = results
     assert got.shape == want.shape
@@ -71,7 +73,9 @@ def assert_node_matches_chain(
         assert not quiet.requires_grad and quiet._vjp is None
         assert quiet.data.tobytes() == got.tobytes()
     assert_grads_match(
-        lambda: (fused() * weight).sum(), leaves if fd_leaves is None else fd_leaves, tol=fd_tol
+        lambda: ad.reduce_sum(ad.mul(fused(), weight)),
+        leaves if fd_leaves is None else fd_leaves,
+        tol=fd_tol,
     )
 
 
@@ -169,7 +173,7 @@ def test_revin_denormalize_matches_its_chain(batch, horizon, n, seed):
     # to its own pole.
     pole = np.abs(layer.gamma.data + layer.eps * layer.eps)
     assert_grads_match(
-        lambda: (layer.denormalize(y, stats) * weight).sum(),
+        lambda: ad.reduce_sum(ad.mul(layer.denormalize(y, stats), weight)),
         [layer.gamma],
         tol=1e-4,
         h=1e-5 * np.minimum(1.0, pole),
@@ -356,7 +360,7 @@ def test_dynamic_adjacency_raises_exactly_when_its_chain_raises(
 
 
 def chain_left_map(maps, x):
-    return ad.matmul(ad.matrix_transpose(maps), x)
+    return ad.matmul(ops.matrix_transpose(maps), x)
 
 
 def chain_fold(w, filt, levels, boundary):
@@ -553,18 +557,6 @@ def test_head_raises_exactly_when_its_chain_raises(exponent, offset, spread, gai
 
 # ---------------------------------------------------------------------------
 # The whole forward pass
-
-
-def model_loss_and_grads(forward, x, model, target):
-    params = md.effective_parameters(model)
-    for p in params:
-        p.zero_grad()
-    pred = forward(x, model)
-    err = ad.sub(pred, ad.Tensor(target))
-    grads = ad.backward(ad.mul(err, err).mean(), params)
-    for p in params:
-        p.zero_grad()
-    return pred.data, grads
 
 
 @settings(max_examples=30, deadline=None)

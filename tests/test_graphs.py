@@ -301,7 +301,8 @@ def test_gradients_flow_through_dynamic_path():
     w = ad.Tensor(RNG.normal(0.0, 1.0, (2, dim, nodes)))
 
     def loss():
-        return (gr.dynamic_graph_conv(h, gr.dynamic_adjacency(x, layer), cfg) * w).sum()
+        out = gr.dynamic_graph_conv(h, gr.dynamic_adjacency(x, layer), cfg)
+        return ad.reduce_sum(ad.mul(out, w))
 
     assert_grads_match(loss, [w1, w2, *thetas], tol=1e-4)
 

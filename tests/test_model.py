@@ -20,7 +20,8 @@ from sdgf import temporal as tp
 from sdgf import wavelet as wv
 from sdgf.errors import CheckpointError, ConfigError, ShapeError, StateError
 
-from conftest import fd_gradient, relative_error
+from conftest import fd_gradient, model_loss_and_grads, relative_error
+import oracle_ops as ops
 
 RNG = np.random.default_rng(2024)
 
@@ -162,7 +163,7 @@ def test_gradients_match_finite_differences_on_small_model():
     def loss_tensor():
         pred = md.forward(x, model)
         err = ad.sub(pred, ad.Tensor(target))
-        return ad.mul(err, err).mean()
+        return ad.reduce_mean(ad.mul(err, err))
 
     loss = loss_tensor()
     loss.backward()
@@ -231,13 +232,13 @@ def test_tfl_ablation_matches_wiring_oracle():
 
     x_norm, stats = model.revin.normalize(x)
     h_static = gr.static_graph_conv(
-        ad.matmul(ad.matrix_transpose(model.input_proj), x_norm),
+        ad.matmul(ops.matrix_transpose(model.input_proj), x_norm),
         model.static_adjacency,
         model.static_cfg,
     )
     layer = gr.DynamicGraphLayer(fold(model.dynamic_layer.w1), fold(model.dynamic_layer.w2))
     h_dyn = gr.dynamic_graph_conv(
-        ad.matmul(ad.matrix_transpose(fold(model.input_proj)), x_norm),
+        ad.matmul(ops.matrix_transpose(fold(model.input_proj)), x_norm),
         gr.dynamic_adjacency(x_norm, layer),
         model.dynamic_cfg,
     )
@@ -257,7 +258,7 @@ def stacked_wiring_forward(x, model):
     """
     cfg = model.config
     x_norm, stats = model.revin.normalize(x)
-    proj_t = ad.matrix_transpose(model.input_proj)
+    proj_t = ops.matrix_transpose(model.input_proj)
     static_adj = np.eye(cfg.n_vars) if "gsl" in model.ablations else model.static_adjacency
     h_static = gr.static_graph_conv(ad.matmul(proj_t, x_norm), static_adj, model.static_cfg)
     comps = wv.decompose(x_norm, wv.wavelet_filter(cfg.family), cfg.levels, cfg.boundary)
@@ -268,7 +269,7 @@ def stacked_wiring_forward(x, model):
     h_dyn = gr.dynamic_graph_conv(ad.matmul(proj_t, comps), dyn_adj, model.dynamic_cfg)
     branches = ad.concat([ad.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
     if "gf" in model.ablations:
-        fused = branches.mean(axis=0)
+        fused = ad.reduce_mean(branches, 0)
     else:
         fused, _ = fu.fuse(branches, model.fusion_layer)
     if "tfl" not in model.ablations:
@@ -276,19 +277,6 @@ def stacked_wiring_forward(x, model):
             fused = tp.inception_forward(fused, block, cfg.conv_axis)
     out = md.head(fused, model.head_w1, model.head_b1, model.head_w2, model.head_b2)
     return model.revin.denormalize(out, stats)
-
-
-def loss_and_grads(forward, x, model, target):
-    """Forecast and the squared-error gradients of ``model``'s effective parameters."""
-    params = md.effective_parameters(model)
-    for p in params:
-        p.zero_grad()
-    pred = forward(x, model)
-    err = ad.sub(pred, ad.Tensor(target))
-    grads = ad.backward(ad.mul(err, err).mean(), params)
-    for p in params:
-        p.zero_grad()
-    return pred.data, grads
 
 
 @settings(max_examples=30, deadline=None)
@@ -311,8 +299,8 @@ def test_folded_forward_matches_component_stack(family, boundary, levels, share,
     rng = np.random.default_rng(seed)
     x = ad.Tensor(rng.normal(0.0, 1.0, (2, 32, 3)))
     target = rng.normal(0.0, 1.0, (2, 4, 3))
-    got, got_grads = loss_and_grads(md.forward, x, model, target)
-    want, want_grads = loss_and_grads(stacked_wiring_forward, x, model, target)
+    got, got_grads = model_loss_and_grads(md.forward, x, model, target)
+    want, want_grads = model_loss_and_grads(stacked_wiring_forward, x, model, target)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     assert got_grads.keys() == want_grads.keys()
     for name, g in got_grads.items():
@@ -325,7 +313,7 @@ def test_step_graph_never_holds_the_component_stack(overrides):
     model = ready_model(cfg)
     x = ad.Tensor(RNG.normal(0.0, 1.0, (5, 16, 3)))
     err = ad.sub(md.forward(x, model), ad.Tensor(RNG.normal(0.0, 1.0, (5, 4, 3))))
-    shapes = {node.shape for node in ad._toposort(ad.mul(err, err).mean())}
+    shapes = {node.shape for node in ad._toposort(ad.reduce_mean(ad.mul(err, err)))}
     assert (cfg.levels + 1, 5, cfg.input_len, cfg.n_vars) not in shapes
 
 
@@ -355,7 +343,7 @@ def test_parameter_count_matches_formula():
         md.ModelConfig(input_len=96, horizon=96, n_vars=7, hidden=16, seed=0),
     ):
         model = md.build_model(cfg)
-        assert md.parameter_count(model) == md.predicted_parameter_count(cfg)
+        assert md.parameter_count(model) == ops.predicted_parameter_count(cfg)
 
 
 def test_acceptance_size_parameter_count_frozen():
@@ -364,7 +352,7 @@ def test_acceptance_size_parameter_count_frozen():
     cfg = md.ModelConfig(
         input_len=8, horizon=4, n_vars=3, hidden=8, levels=2, depth=1, embed_dim=16, seed=0
     )
-    assert md.predicted_parameter_count(cfg) == 2386
+    assert ops.predicted_parameter_count(cfg) == 2386
     assert md.parameter_count(md.build_model(cfg)) == 2386
 
 
@@ -441,7 +429,7 @@ def test_step_graph_size_does_not_grow_with_levels():
         model = ready_model(tiny_config(levels=levels))
         x = ad.Tensor(RNG.normal(0.0, 1.0, (2, 8, 3)))
         err = ad.sub(md.forward(x, model), ad.Tensor(RNG.normal(0.0, 1.0, (2, 4, 3))))
-        loss = ad.mul(err, err).mean()
+        loss = ad.reduce_mean(ad.mul(err, err))
         counts.append(sum(1 for node in ad._toposort(loss) if node._vjp is not None))
     assert counts[0] == counts[1]
 
@@ -462,7 +450,7 @@ def test_one_step_reaches_exactly_the_effective_parameters(ablation, depth, shar
         md.forward(ad.Tensor(rng.normal(0.0, 1.0, (2, 8, 3))), model),
         ad.Tensor(rng.normal(0.0, 1.0, (2, 4, 3))),
     )
-    ad.mul(err, err).mean().backward()
+    ad.reduce_mean(ad.mul(err, err)).backward()
     effective = {p.name for p in md.effective_parameters(model)}
     assert effective == {p.name for p in md.parameters(model) if p.grad is not None}
 
@@ -806,8 +794,8 @@ def test_no_grad_forwards_reuse_the_fold_and_grad_forwards_refold(monkeypatch):
     assert len(folds) == 3
     # Grad mode neither reads nor fills the cache, and every folded map
     # gets the gradient a model that never ran under no_grad gets.
-    got_pred, got = loss_and_grads(md.forward, x, model, target)
-    want_pred, want = loss_and_grads(md.forward, x, twin, target)
+    got_pred, got = model_loss_and_grads(md.forward, x, model, target)
+    want_pred, want = model_loss_and_grads(md.forward, x, twin, target)
     assert len(folds) == 9
     assert got_pred.tobytes() == want_pred.tobytes() == cached.tobytes()
     assert got.keys() == want.keys()

@@ -189,6 +189,6 @@ def test_block_gradients_match_finite_differences():
     ]
 
     def loss():
-        return (tp.inception_forward(h, block) * w).sum()
+        return ad.reduce_sum(ad.mul(tp.inception_forward(h, block), w))
 
     assert_grads_match(loss, params, tol=1e-4)

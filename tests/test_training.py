@@ -126,7 +126,6 @@ def test_flat_adam_is_bit_identical_to_the_per_parameter_loop():
     def make():
         values = np.random.default_rng(5)
         params = [ad.Parameter(f"p{i}", values.normal(0.0, 1.0, s)) for i, s in enumerate(shapes)]
-        params.insert(2, ad.Parameter("frozen", values.normal(0.0, 1.0, (4,)), trainable=False))
         return params
 
     flat, loop = make(), make()
@@ -138,7 +137,6 @@ def test_flat_adam_is_bit_identical_to_the_per_parameter_loop():
             * 10.0 ** rng.integers(-8, 4, p.data.shape)
             * (rng.random(p.data.shape) > 0.1)
             for p in flat
-            if p.trainable
         }
         before = [p.data for p in flat]
         kept = [a.copy() for a in before]
