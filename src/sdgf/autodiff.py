@@ -440,10 +440,11 @@ def _left_rows(maps_t: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def left_product(maps_t: np.ndarray, cols: np.ndarray, x_shape: tuple) -> np.ndarray:
     """``maps_t @ x`` for the window ``cols = time_major(x)`` of shape ``x_shape``.
 
-    ``maps_t`` is one (K, L) map or a (S, 1, K, L) stack, and ``x`` is
-    (batch, L, N) or a (S, batch, L, N) stack. Over one window the
-    product is one 2-D GEMM, (S * K, L) @ (L, batch * N), in place of a
-    (K, L) @ (L, N) product per (scale, item). The result is the
+    ``maps_t`` is one (K, L) map or a (S, 1, K, L) stack, one map per
+    scale, and ``x`` is (batch, L, N) or a (S, batch, L, N) stack of the
+    same S. Over one window the product is one 2-D GEMM, (S * K, L) @
+    (L, batch * N), in place of a (K, L) @ (L, N) product per (scale,
+    item). The result is the
     broadcast (..., batch, K, N) array, C-contiguous.
     """
     k, length = maps_t.shape[-2:]
@@ -452,7 +453,7 @@ def left_product(maps_t: np.ndarray, cols: np.ndarray, x_shape: tuple) -> np.nda
         or (maps_t.ndim == 4 and maps_t.shape[1] != 1)
         or len(x_shape) not in (3, 4)
         or x_shape[-2] != length
-        or (maps_t.ndim == 4 and len(x_shape) == 4 and maps_t.shape[0] not in (1, x_shape[0]))
+        or (maps_t.ndim == 4 and len(x_shape) == 4 and maps_t.shape[0] != x_shape[0])
     ):
         raise ShapeError(
             f"maps (K, L) or (S, 1, K, L) of shape {maps_t.shape} cannot read windows {x_shape}"
@@ -565,24 +566,6 @@ def reduce_mean(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # Shape surgery
-
-
-def transpose(x, axes: Sequence[int]) -> Tensor:
-    x = _as_tensor(x)
-    axes = tuple(axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise ShapeError(f"invalid permutation {axes} for shape {x.shape}")
-    data = np.transpose(x.data, axes)
-    inverse = tuple(np.argsort(axes))
-
-    def build(out):
-        def vjp():
-            if x.requires_grad:
-                x.accumulate(np.transpose(out.grad, inverse))
-
-        return vjp
-
-    return record(data, "transpose", (x,), build)
 
 
 def reshape(x, shape: Sequence[int]) -> Tensor:

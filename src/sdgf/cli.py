@@ -16,7 +16,8 @@ checks every op's output, and the metrics and scaler statistics check
 their own results, each raising ``NumericError`` on a non-finite value.
 Every JSON file is strict: a value that is not finite, such as the best
 validation MSE of a run that failed before any epoch ended, is written
-as ``null``.
+as ``null``. A failed allocation (``MemoryError``) is an environment
+error: one ``error:`` line and exit 2, like a data error.
 """
 
 from __future__ import annotations
@@ -424,6 +425,10 @@ def main(argv=None) -> int:
         return 3
     except (SdgfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

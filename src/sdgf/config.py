@@ -27,12 +27,8 @@ DEFAULTS: dict = {
     "gcn.alpha": 0.5,
     "gcn.depth": 2,
     "gcn.embed_dim": 16,
-    "gcn.literal_eq3": False,
-    "gcn.share_embeddings": False,
-    "static_graph.per_batch": False,
     "temporal.blocks": 1,
     "temporal.branch_width": 0,
-    "temporal.conv_axis": "nodes",
     "train.lr": 1e-3,
     "train.epochs": 30,
     "train.patience": 5,
@@ -160,12 +156,8 @@ def model_config(cfg: RunConfig, n_vars: int) -> md.ModelConfig:
         depth=cfg["gcn.depth"],
         alpha=cfg["gcn.alpha"],
         embed_dim=cfg["gcn.embed_dim"],
-        literal_eq3=cfg["gcn.literal_eq3"],
-        per_batch_static=cfg["static_graph.per_batch"],
-        share_dynamic_weights=cfg["gcn.share_embeddings"],
         temporal_blocks=cfg["temporal.blocks"],
         branch_width=cfg["temporal.branch_width"],
-        conv_axis=cfg["temporal.conv_axis"],
         seed=cfg["model.seed"],
     )
 

@@ -322,8 +322,8 @@ def synthesize(spec: SynthSpec) -> SeriesTable:
         raise ConfigError(f"periods, noise and amplitude must be finite: {spec}")
     if any(p <= 0 for p in spec.periods):
         raise ConfigError(f"periods must be positive: {spec.periods}")
-    if spec.noise < 0:
-        raise ConfigError(f"noise must be >= 0, got {spec.noise}")
+    if spec.noise < 0 or spec.seed < 0:
+        raise ConfigError(f"noise and seed must be >= 0, got {spec.noise} and {spec.seed}")
     targets = set()
     max_lag = 0
     for src, dst, lag in spec.lag_pairs:
@@ -355,6 +355,11 @@ def synthesize(spec: SynthSpec) -> SeriesTable:
             spec.amplitude * np.sin(2.0 * np.pi * delayed / spec.periods[src])
             + noise[max_lag - lag : max_lag - lag + spec.rows, src]
             + noise[max_lag:, dst]
+        )
+    # Finite settings can still overflow: 1e308 noise draws infinities.
+    if not np.isfinite(values).all():
+        raise ConfigError(
+            f"noise {spec.noise} and amplitude {spec.amplitude} overflow the series"
         )
     names = [f"v{j}" for j in range(spec.n_vars)]
     return SeriesTable(values=values, names=names)

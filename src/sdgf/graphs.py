@@ -13,17 +13,15 @@ Propagation mixes a residual of the input with neighborhood averages:
 
     H(0) = H;  H(k) = alpha * H(0) + (1 - alpha) * A @ H(k-1)
 
-and the output sums per-hop linear maps Theta_k(H(k)). ``literal``
-collapses every hop to the single-hop mix alpha*H + (1-alpha)*A*H for
-comparison runs.
+and the output sums per-hop linear maps Theta_k(H(k)).
 
 The dynamic stages broadcast over leading axes, so one call serves every
 wavelet scale: the embedding maps are (scales, 1, length, d_e) and the
 hop maps (scales, 1, features, features), giving (scales, batch, nodes,
-nodes) adjacencies and (scales, batch, features, nodes) outputs. A
-size-1 scale axis shares one set of maps across all scales. Weights
-apply from the left (``w.T @ x``) so time stays on the axis the inputs
-already carry it on and no input is transposed.
+nodes) adjacencies and (scales, batch, features, nodes) outputs, each
+scale through its own maps. Weights apply from the left (``w.T @ x``)
+so time stays on the axis the inputs already carry it on and no input
+is transposed.
 
 Because the embedding maps only read their input from the left, the
 model hands ``dynamic_adjacency`` one (batch, length, nodes) window and
@@ -33,14 +31,14 @@ nodes) component stack with the unfolded maps, without building it.
 Over one window, both maps of every scale read it in one 2-D GEMM
 (``autodiff.left_product``).
 
-Each propagation, static or dynamic, at any depth and under ``literal``
-too, is one recorded autodiff node, and so is ``dynamic_adjacency``,
-which reads both embedding maps in one product of the maps laid side by
-side. Their VJPs are derived by hand, and each node raises
-``NumericError`` where the op-by-op chain it stands for did (see
-``_propagate`` and ``dynamic_adjacency``). The forwards build the hop
-states and the softmax in place on arrays they made themselves, in the
-chain's operand order, so the values stay the chain's.
+Each propagation, static or dynamic, at any depth, is one recorded
+autodiff node, and so is ``dynamic_adjacency``, which reads both
+embedding maps in one product of the maps laid side by side. Their VJPs
+are derived by hand, and each node raises ``NumericError`` where the
+op-by-op chain it stands for did (see ``_propagate`` and
+``dynamic_adjacency``). The forwards build the hop states and the
+softmax in place on arrays they made themselves, in the chain's operand
+order, so the values stay the chain's.
 """
 
 from __future__ import annotations
@@ -111,29 +109,25 @@ class GraphPropagationConfig:
             )
 
 
-def hop_states(h: np.ndarray, a_t: np.ndarray, alpha: float, depth: int, literal: bool):
+def hop_states(h: np.ndarray, a_t: np.ndarray, alpha: float, depth: int):
     """The arrays H(0)..H(depth) of the propagation recursion; ``a_t`` is A^T.
 
     Each hop takes the recursion's ops in order: ``alpha * H(0)`` plus
     ``(H(k-1) @ A^T) * (1 - alpha)``, the scaling and the sum in place
     on the product (which has the sum's shape; addition commutes bit for
-    bit). Under ``literal`` every hop after the first is the first one
-    again.
+    bit).
     """
     states = [h]
     kept = h * alpha
     for _ in range(depth):
-        if literal and len(states) > 1:
-            states.append(states[1])
-        else:
-            mixed = np.matmul(states[-1], a_t)
-            mixed *= 1.0 - alpha
-            mixed += kept
-            states.append(mixed)
+        mixed = np.matmul(states[-1], a_t)
+        mixed *= 1.0 - alpha
+        mixed += kept
+        states.append(mixed)
     return states
 
 
-def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, literal: bool):
+def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig):
     """Propagation as one recorded node; ``adjacency`` is an array or a tensor.
 
     The forward takes the ops of the op-by-op chain in its order (the hop
@@ -148,7 +142,7 @@ def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, literal: bo
     a_t = adj.swapaxes(-1, -2).copy()
     # With no hop the graph is never read, so it is no parent of the node.
     graph = adjacency if isinstance(adjacency, ad.Tensor) and depth else None
-    states = hop_states(h.data, a_t, alpha, depth, literal)
+    states = hop_states(h.data, a_t, alpha, depth)
     out, shapes = None, []
     for theta, state in zip(thetas, states):
         term = np.matmul(theta.data, state)
@@ -159,18 +153,15 @@ def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, literal: bo
     def build(node):
         def vjp():
             g = node.grad
-            # Each state's gradient from its own map; a repeated literal
-            # hop then takes the sum of its copies' gradients once.
+            # Each state's gradient from its own map.
             grads = []
             for theta, state, shape in zip(thetas, states, shapes):
                 g_term = ad.unbroadcast(g, shape)
                 if theta.requires_grad:
                     theta.accumulate(ad.matmul_operand_grad(g_term, state, theta.data.shape, -2))
                 grads.append(ad.matmul_operand_grad(theta.data, g_term, state.shape, -1))
-            if literal and depth > 1:
-                grads[1] = sum(grads[1:])
             g_at = None
-            for k in range(min(depth, 1) if literal else depth, 0, -1):
+            for k in range(depth, 0, -1):
                 g_mix = grads[k] * (1.0 - alpha)
                 prev = states[k - 1]
                 grads[k - 1] = grads[k - 1] + ad.matmul_operand_grad(g_mix, a_t, prev.shape, -2)
@@ -192,7 +183,6 @@ def static_graph_conv(
     h: ad.Tensor,
     adjacency: np.ndarray,
     cfg: GraphPropagationConfig,
-    literal: bool = False,
 ) -> ad.Tensor:
     """Propagate (batch, features, nodes) through one shared graph."""
     adjacency = np.asarray(adjacency, dtype=np.float64)
@@ -200,14 +190,13 @@ def static_graph_conv(
         raise ShapeError(f"adjacency must be square, got {adjacency.shape}")
     if h.ndim != 3 or h.shape[2] != adjacency.shape[0]:
         raise ShapeError(f"node axis of {h.shape} does not match adjacency {adjacency.shape}")
-    return _propagate(h, adjacency, cfg, literal)
+    return _propagate(h, adjacency, cfg)
 
 
 def dynamic_graph_conv(
     h: ad.Tensor,
     adjacency: ad.Tensor,
     cfg: GraphPropagationConfig,
-    literal: bool = False,
 ) -> ad.Tensor:
     """Propagate (..., features, nodes) through per-item graphs (..., nodes, nodes).
 
@@ -219,7 +208,7 @@ def dynamic_graph_conv(
         raise ShapeError(f"adjacency must be (..., nodes, nodes), got {adjacency.shape}")
     if h.ndim < 2 or h.shape[-1] != adjacency.shape[-1]:
         raise ShapeError(f"features {h.shape} do not match adjacency {adjacency.shape}")
-    return _propagate(h, adjacency, cfg, literal)
+    return _propagate(h, adjacency, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +219,8 @@ def dynamic_graph_conv(
 class DynamicGraphLayer:
     """Two embedding maps from variable time profiles to d_e.
 
-    Each map is one shared (length, d_e) matrix or a (scales, 1, length,
-    d_e) stack, one matrix per scale (size 1 on the scale axis to share
-    one across scales).
+    Each map is one (length, d_e) matrix or a (scales, 1, length, d_e)
+    stack, one matrix per scale.
     """
 
     w1: ad.Parameter
@@ -247,8 +235,8 @@ def dynamic_adjacency(
     ``x_scale`` is one scale or the window as (batch, length, variables),
     or every scale as (scales, batch, length, variables); with the window,
     the maps are folded with the wavelet operators (see the module
-    docstring). The maps are (length, d_e) or (scales or 1, 1, length,
-    d_e); ``ad.left_product`` raises ``ShapeError`` for any other shape.
+    docstring). The maps are (length, d_e) or (scales, 1, length, d_e);
+    ``ad.left_product`` raises ``ShapeError`` for any other shape.
     Each variable's length-L profile maps through w1/w2 into two
     embeddings; the row softmax of their inner products is the ([scales,]
     batch, variables, variables) adjacency.

@@ -4,7 +4,7 @@ Forward pipeline for a (batch, input_len, n_vars) window:
 
     revin normalize
       -> static branch:  input projection -> propagation over the
-         correlation graph (frozen from the training split, or per-batch)
+         correlation graph, frozen from the training split
       -> dynamic branches, one per wavelet scale (scales = levels + 1):
          each scale's component is projected, learns one adjacency per
          item and propagates through it, all scales in each call
@@ -32,8 +32,7 @@ as one 2-D GEMM for every scale and item at once.
 
 The per-scale weights live on a leading scale axis: embedding maps are
 (scales, 1, input_len, embed_dim) and hop maps (scales, 1, hidden,
-hidden); ``share_dynamic_weights`` makes the embedding maps' scale axis
-size 1.
+hidden), one of each per scale.
 
 The wavelet components are fixed linear maps of the window along time,
 and the input projection and both embedding maps read them only from
@@ -112,12 +111,8 @@ class ModelConfig:
     depth: int = 2
     alpha: float = 0.5
     embed_dim: int = 16
-    literal_eq3: bool = False
-    per_batch_static: bool = False
-    share_dynamic_weights: bool = False
     temporal_blocks: int = 1
     branch_width: int = 0
-    conv_axis: str = "nodes"
     seed: int = 0
 
     def __post_init__(self):
@@ -128,6 +123,8 @@ class ModelConfig:
         for name in ("input_len", "horizon", "n_vars", "hidden", "embed_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.temporal_blocks < 0:
             raise ConfigError(f"temporal_blocks must be >= 0, got {self.temporal_blocks}")
         if not 0.0 < self.alpha < 1.0:
@@ -136,8 +133,6 @@ class ModelConfig:
             raise ConfigError(f"depth must be >= 0, got {self.depth}")
         if self.branch_width < 0:
             raise ConfigError(f"branch_width must be >= 0, got {self.branch_width}")
-        if self.conv_axis not in tp.CONV_AXES:
-            raise ConfigError(f"unknown conv axis {self.conv_axis!r}; available: {tp.CONV_AXES}")
         if self.boundary not in wv.BOUNDARIES:
             raise ConfigError(f"unknown boundary {self.boundary!r}; available: {wv.BOUNDARIES}")
         wv.wavelet_filter(self.family)
@@ -341,35 +336,30 @@ def _assemble(cfg: ModelConfig, stored=None) -> SdgfModel:
 
     embed = [(f"dyn.w{i}", length, (length, cfg.embed_dim)) for i in (1, 2)]
     hops = [(f"dyn.theta{k}", dim, (dim, dim)) for k in range(cfg.depth + 1)]
-    if cfg.share_dynamic_weights:
-        w1, w2 = stacked(1, embed)
-        thetas = stacked(scales, hops)
-    else:
-        w1, w2, *thetas = stacked(scales, embed + hops)
+    w1, w2, *thetas = stacked(scales, embed + hops)
 
     fusion_layer = fu.FusionLayer(
         param("fusion.q", (dim,), lambda s: rng.uniform(-0.1, 0.1, s)),
         param("fusion.w_k", (dim, dim), lambda s: np.eye(dim) + rng.normal(0.0, 0.01, s)),
     )
 
-    conv_ch = dim if cfg.conv_axis == "nodes" else n
-    width = cfg.branch_width or tp.branch_width(conv_ch)
+    width = cfg.branch_width or tp.branch_width(dim)
     blocks = []
     for b in range(cfg.temporal_blocks):
         kernels = [
-            linear(f"block{b}.branch{i}", conv_ch * k, (width, conv_ch, k))
+            linear(f"block{b}.branch{i}", dim * k, (width, dim, k))
             for i, (k, _) in enumerate(tp.BRANCH_SHAPES)
         ]
         biases = [param(f"block{b}.branch{i}_bias", (width,), np.zeros) for i in range(4)]
         blocks.append(
             tp.InceptionBlock(
-                channels=conv_ch,
+                channels=dim,
                 branch_kernels=kernels,
                 branch_biases=biases,
-                merge_kernel=linear(f"block{b}.merge", 4 * width, (conv_ch, 4 * width, 1)),
-                merge_bias=param(f"block{b}.merge_bias", (conv_ch,), np.zeros),
-                residual_kernel=linear(f"block{b}.residual", conv_ch, (conv_ch, conv_ch, 1)),
-                residual_bias=param(f"block{b}.residual_bias", (conv_ch,), np.zeros),
+                merge_kernel=linear(f"block{b}.merge", 4 * width, (dim, 4 * width, 1)),
+                merge_bias=param(f"block{b}.merge_bias", (dim,), np.zeros),
+                residual_kernel=linear(f"block{b}.residual", dim, (dim, dim, 1)),
+                residual_bias=param(f"block{b}.residual_bias", (dim,), np.zeros),
                 norm_gain=param(f"block{b}.norm_gain", (dim,), np.ones),
                 norm_bias=param(f"block{b}.norm_bias", (dim,), np.zeros),
             )
@@ -487,22 +477,15 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
 
     if "gsl" in model.ablations:
         static_adj = np.eye(n)
-    elif cfg.per_batch_static:
-        static_adj = gr.pearson_adjacency(x_norm.data)
+    elif model.static_adjacency is None:
+        raise StateError("static graph is not frozen; call set_static_graph first")
     else:
-        if model.static_adjacency is None:
-            raise StateError(
-                "static graph is not frozen; call set_static_graph or enable per-batch mode"
-            )
         static_adj = model.static_adjacency
     # Time profiles project from the left: (hidden, length) @ (..., length, vars).
     # Every read of the window takes it in one shared (length, batch * vars) layout.
     cols = ad.time_major(x_norm.data)
     h_static = gr.static_graph_conv(
-        ad.left_map(model.input_proj, x_norm, cols),
-        static_adj,
-        model.static_cfg,
-        cfg.literal_eq3,
+        ad.left_map(model.input_proj, x_norm, cols), static_adj, model.static_cfg
     )
 
     # Every map that reads the wavelet components does so from the left,
@@ -516,10 +499,7 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
             x_norm, gr.DynamicGraphLayer(_fold(layer.w1, cfg), _fold(layer.w2, cfg)), cols
         )
     h_dyn = gr.dynamic_graph_conv(
-        ad.left_map(_fold(model.input_proj, cfg), x_norm, cols),
-        dyn_adj,
-        model.dynamic_cfg,
-        cfg.literal_eq3,
+        ad.left_map(_fold(model.input_proj, cfg), x_norm, cols), dyn_adj, model.dynamic_cfg
     )
 
     branches = ad.concat([ad.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
@@ -531,7 +511,7 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
 
     if "tfl" not in model.ablations:
         for block in model.blocks:
-            fused = tp.inception_forward(fused, block, cfg.conv_axis)
+            fused = tp.inception_forward(fused, block)
 
     out = head(fused, model.head_w1, model.head_b1, model.head_w2, model.head_b2)
     y = model.revin.denormalize(out, stats)

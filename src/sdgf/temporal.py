@@ -13,10 +13,8 @@ records two graph nodes: that convolution and the layer norm. A
 nonlinearity inserted before the merge would end the composition; the
 branches would then need their own convolutions.
 
-The fused representation carries nodes on its last axis; ``conv_axis``
-chooses whether the kernels slide over that axis ("nodes", the default)
-or over the feature axis ("channels"), in which case the block must have
-been built with the node count as its channel width.
+The fused representation carries nodes on its last axis, and the kernels
+slide over it: the features are the block's channels.
 """
 
 from __future__ import annotations
@@ -24,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import autodiff as ad
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
 BRANCH_SHAPES = ((3, 1), (3, 2), (5, 1), (5, 2))
-CONV_AXES = ("nodes", "channels")
 # Branch dilations, then the width-1 residual's.
 _DILATIONS = (*(d for _, d in BRANCH_SHAPES), 1)
 
@@ -64,19 +61,10 @@ def _pre_norm(h: ad.Tensor, block: InceptionBlock) -> ad.Tensor:
     )
 
 
-def inception_forward(h: ad.Tensor, block: InceptionBlock, conv_axis: str = "nodes") -> ad.Tensor:
+def inception_forward(h: ad.Tensor, block: InceptionBlock) -> ad.Tensor:
     """Run one block over (batch, features, nodes), preserving the shape."""
-    if conv_axis not in CONV_AXES:
-        raise ConfigError(f"unknown conv axis {conv_axis!r}; available: {CONV_AXES}")
     if h.ndim != 3:
         raise ShapeError(f"expected (batch, features, nodes), got {h.shape}")
-    if conv_axis == "channels":
-        h = ad.transpose(h, (0, 2, 1))
     if h.shape[1] != block.channels:
-        raise ShapeError(
-            f"block was built for {block.channels} channels on the conv input, got {h.shape}"
-        )
-    out = _pre_norm(h, block)
-    if conv_axis == "channels":
-        out = ad.transpose(out, (0, 2, 1))
-    return ad.layer_norm(out, 1, block.norm_gain, block.norm_bias)
+        raise ShapeError(f"block was built for {block.channels} features, got {h.shape}")
+    return ad.layer_norm(_pre_norm(h, block), 1, block.norm_gain, block.norm_bias)

@@ -177,7 +177,8 @@ class TrainConfig:
         # NaN fails every comparison, so a NaN lr or clip (which would
         # turn clipping off) needs the finiteness check.
         finite = math.isfinite(self.lr) and math.isfinite(self.clip)
-        if not finite or self.lr < 0 or self.epochs < 1 or self.patience < 1 or self.batch < 1:
+        positive = self.epochs >= 1 and self.patience >= 1 and self.batch >= 1
+        if not finite or self.lr < 0 or self.seed < 0 or not positive:
             raise ConfigError(f"invalid training config: {self}")
 
 
@@ -265,6 +266,7 @@ def train(
 ) -> tuple[TrainReport, bytes]:
     """Fit the model; returns the report and the best-validation checkpoint.
 
+    A model with no static graph gets one frozen from the training rows.
     ``extra`` is stored verbatim in every checkpoint written (the CLI
     keeps the dataset scaler there so evaluation can reproduce scaling).
     A ``NumericError`` raised in an epoch is re-raised carrying that
@@ -278,7 +280,7 @@ def train(
             f"training needs non-empty train and val splits, got"
             f" {len(train_starts)} and {len(dataset.split_starts('val'))} windows"
         )
-    if not model.config.per_batch_static and model.static_adjacency is None:
+    if model.static_adjacency is None:
         md.set_static_graph(model, dataset.values[: dataset.train_end])
 
     params = md.effective_parameters(model)

@@ -141,13 +141,12 @@ def decompose(
 
     With ``adjoint=True``, ``x`` is a map with time on axis -2 and the
     result is the folded map ``ops[s].T @ x`` for each component
-    operator ``ops[s]``, recorded as one node: a (length, k) or
-    (1, 1, length, k) map folds into one (levels + 1, 1, length, k)
-    stack, and a (levels + 1, 1, length, k) stack of per-scale maps
-    pairs scale ``s`` with operator ``s``. Because
-    ``fold(w)[s].T @ x == w[s].T @ (ops[s] @ x)``, a map that reads the
-    components from the left reads ``x`` directly once folded, and the
-    component stack is never built.
+    operator ``ops[s]``, recorded as one node: a (length, k) map folds
+    into one (levels + 1, 1, length, k) stack, and a (levels + 1, 1,
+    length, k) stack of per-scale maps pairs scale ``s`` with operator
+    ``s``. Because ``fold(w)[s].T @ x == w[s].T @ (ops[s] @ x)``, a map
+    that reads the components from the left reads ``x`` directly once
+    folded, and the component stack is never built.
     """
     if adjoint:
         if x.ndim != 2 and not (x.ndim == 4 and x.shape[1] == 1):
@@ -176,15 +175,16 @@ def decompose(
 def _fold(w: ad.Tensor, ops: np.ndarray) -> ad.Tensor:
     """``ops[s] @ w`` for every scale ``s``, as one (scales, 1, length, k) node.
 
-    ``ops`` is the cached (scales, length, length) adjoint stack. A map
-    shared by every scale, (length, k) or (1, 1, length, k), meets the
-    stack as one (scales * length, length) matrix, so the forward and the
-    VJP are each one 2-D GEMM. Per-scale maps take one batched GEMM each
-    way. The stack is only ever read through views, never copied.
+    ``ops`` is the cached (scales, length, length) adjoint stack. A
+    (length, k) map shared by every scale meets the stack as one
+    (scales * length, length) matrix, so the forward and the VJP are
+    each one 2-D GEMM. A (scales, 1, length, k) stack of per-scale maps
+    takes one batched GEMM each way. The stack is only ever read through
+    views, never copied.
     """
     scales, length, _ = ops.shape
     k = w.shape[-1]
-    per_scale = w.ndim == 4 and w.shape[0] != 1
+    per_scale = w.ndim == 4
     if per_scale and w.shape[0] != scales:
         raise ShapeError(f"{w.shape[0]} per-scale maps cannot fold with {scales} components")
     rows = ops.reshape(scales * length, length)

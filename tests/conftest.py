@@ -126,22 +126,16 @@ def chain_revin_denormalize(layer, y, stats):
     return ops.add(ad.mul(z, ad.Tensor(std)), ad.Tensor(mean))
 
 
-def chain_propagate(h, adjacency, cfg, literal=False):
+def chain_propagate(h, adjacency, cfg):
     """K-hop propagation through ``adjacency`` (an array or a tensor), op by op."""
     if isinstance(adjacency, ad.Tensor):
         a_t = ops.matrix_transpose(adjacency)
     else:
         a_t = ad.Tensor(np.swapaxes(adjacency, -1, -2))
-    one_hop = None
     states = [h]
     for _ in range(cfg.depth):
-        if literal:
-            if one_hop is None:
-                one_hop = ops.add(ad.scale(h, cfg.alpha), ad.scale(ad.matmul(h, a_t), 1.0 - cfg.alpha))
-            states.append(one_hop)
-        else:
-            mixed = ad.scale(ad.matmul(states[-1], a_t), 1.0 - cfg.alpha)
-            states.append(ops.add(ad.scale(h, cfg.alpha), mixed))
+        mixed = ad.scale(ad.matmul(states[-1], a_t), 1.0 - cfg.alpha)
+        states.append(ops.add(ad.scale(h, cfg.alpha), mixed))
     out = None
     for theta, state in zip(cfg.theta, states):
         term = ad.matmul(theta, state)
@@ -160,7 +154,7 @@ def chain_fuse(branches, layer):
     """``fusion.fuse`` as ten primitive ops; returns the fused tensor and alpha."""
     count, batch, dim, _ = branches.shape
     pooled = ad.reduce_mean(branches, 3)
-    keyed = ad.matmul(pooled, ad.transpose(layer.w_k, (1, 0)))
+    keyed = ad.matmul(pooled, ops.transpose(layer.w_k, (1, 0)))
     logits = ad.matmul(keyed, ad.reshape(layer.q, (dim, 1)))
     alpha = ops.softmax(logits, axis=0)
     fused = ad.reduce_sum(ad.mul(branches, ad.reshape(alpha, (count, batch, 1, 1))), axis=0)
@@ -169,8 +163,8 @@ def chain_fuse(branches, layer):
 
 def chain_head(h, w1, b1, w2, b2):
     """``model.head`` as batched matmuls, adds, a tanh and two transposes."""
-    hidden = ops.tanh(ops.add(ad.matmul(ad.transpose(h, (0, 2, 1)), w1), b1))
-    return ad.transpose(ops.add(ad.matmul(hidden, w2), b2), (0, 2, 1))
+    hidden = ops.tanh(ops.add(ad.matmul(ops.transpose(h, (0, 2, 1)), w1), b1))
+    return ops.transpose(ops.add(ad.matmul(hidden, w2), b2), (0, 2, 1))
 
 
 def chain_forward(x, model):
@@ -186,17 +180,9 @@ def chain_forward(x, model):
         return wv.decompose(p, wv.wavelet_filter(cfg.family), cfg.levels, cfg.boundary, adjoint=True)
 
     x_norm, stats = chain_revin_normalize(model.revin, x)
-    if "gsl" in model.ablations:
-        static_adj = np.eye(n)
-    elif cfg.per_batch_static:
-        static_adj = gr.pearson_adjacency(x_norm.data)
-    else:
-        static_adj = model.static_adjacency
+    static_adj = np.eye(n) if "gsl" in model.ablations else model.static_adjacency
     h_static = chain_propagate(
-        ad.matmul(ops.matrix_transpose(model.input_proj), x_norm),
-        static_adj,
-        model.static_cfg,
-        cfg.literal_eq3,
+        ad.matmul(ops.matrix_transpose(model.input_proj), x_norm), static_adj, model.static_cfg
     )
     if "gsl" in model.ablations:
         dyn_adj = ad.Tensor(np.eye(n))
@@ -206,10 +192,7 @@ def chain_forward(x, model):
             x_norm, gr.DynamicGraphLayer(fold(layer.w1), fold(layer.w2))
         )
     h_dyn = chain_propagate(
-        ad.matmul(ops.matrix_transpose(fold(model.input_proj)), x_norm),
-        dyn_adj,
-        model.dynamic_cfg,
-        cfg.literal_eq3,
+        ad.matmul(ops.matrix_transpose(fold(model.input_proj)), x_norm), dyn_adj, model.dynamic_cfg
     )
     branches = ad.concat([ad.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
     if "gf" in model.ablations:
@@ -218,7 +201,7 @@ def chain_forward(x, model):
         fused, _ = chain_fuse(branches, model.fusion_layer)
     if "tfl" not in model.ablations:
         for block in model.blocks:
-            fused = tp.inception_forward(fused, block, cfg.conv_axis)
+            fused = tp.inception_forward(fused, block)
     out = chain_head(fused, model.head_w1, model.head_b1, model.head_w2, model.head_b2)
     return chain_revin_denormalize(model.revin, out, stats)
 
@@ -272,24 +255,20 @@ def loop_adam_step(params, grads, state: LoopAdamState) -> None:
         p.data = p.data - step
 
 
-def loop_inception(x: np.ndarray, block, conv_axis: str = "nodes") -> np.ndarray:
+def loop_inception(x: np.ndarray, block) -> np.ndarray:
     """One inception block, including its layer norm, as bare loops.
 
-    ``x`` is (batch, features, nodes); with ``conv_axis="channels"`` the
-    kernels slide over the features and the nodes are their channels.
+    ``x`` is (batch, features, nodes); the kernels slide over the nodes.
     """
-    h = x.transpose(0, 2, 1) if conv_axis == "channels" else x
     outs = []
     for (_, dilation), kernel, bias in zip(
         tp.BRANCH_SHAPES, block.branch_kernels, block.branch_biases
     ):
-        outs.append(loop_conv1d(h, kernel.data, dilation) + bias.data[None, :, None])
+        outs.append(loop_conv1d(x, kernel.data, dilation) + bias.data[None, :, None])
     merged = loop_conv1d(np.concatenate(outs, axis=1), block.merge_kernel.data, 1)
     pre = merged + block.merge_bias.data[None, :, None]
-    pre = pre + loop_conv1d(h, block.residual_kernel.data, 1)
+    pre = pre + loop_conv1d(x, block.residual_kernel.data, 1)
     pre = pre + block.residual_bias.data[None, :, None]
-    if conv_axis == "channels":
-        pre = pre.transpose(0, 2, 1)
     out = np.zeros_like(pre)
     for b in range(pre.shape[0]):
         for t in range(pre.shape[2]):

@@ -9,11 +9,13 @@ parameter count that the model tests pin the built tree against is here
 too.
 """
 
+from typing import Sequence
+
 import numpy as np
 
 from sdgf import model as md
 from sdgf import temporal as tp
-from sdgf.autodiff import Tensor, _as_tensor, _check_axis, record, transpose, unbroadcast
+from sdgf.autodiff import Tensor, _as_tensor, _check_axis, record, unbroadcast
 from sdgf.errors import NumericError, ShapeError
 
 
@@ -108,6 +110,24 @@ def softmax(x, axis: int) -> Tensor:
     return record(data, "softmax", (x,), build)
 
 
+def transpose(x, axes: Sequence[int]) -> Tensor:
+    x = _as_tensor(x)
+    axes = tuple(axes)
+    if sorted(axes) != list(range(x.ndim)):
+        raise ShapeError(f"invalid permutation {axes} for shape {x.shape}")
+    data = np.transpose(x.data, axes)
+    inverse = tuple(np.argsort(axes))
+
+    def build(out):
+        def vjp():
+            if x.requires_grad:
+                x.accumulate(np.transpose(out.grad, inverse))
+
+        return vjp
+
+    return record(data, "transpose", (x,), build)
+
+
 def matrix_transpose(x) -> Tensor:
     """Swap the last two axes, keeping any leading (batch, scale) axes."""
     x = _as_tensor(x)
@@ -145,14 +165,12 @@ def predicted_parameter_count(cfg: md.ModelConfig) -> int:
     hops = cfg.depth + 1
     total = 2 * n + length * dim
     total += hops * dim * dim * (1 + scales)
-    pairs = 1 if cfg.share_dynamic_weights else scales
-    total += pairs * 2 * length * cfg.embed_dim
+    total += scales * 2 * length * cfg.embed_dim
     total += dim + dim * dim
-    conv_ch = dim if cfg.conv_axis == "nodes" else n
-    width = cfg.branch_width or tp.branch_width(conv_ch)
-    per_block = sum(width * conv_ch * k for k, _ in tp.BRANCH_SHAPES) + 4 * width
-    per_block += conv_ch * 4 * width + conv_ch
-    per_block += conv_ch * conv_ch + conv_ch
+    width = cfg.branch_width or tp.branch_width(dim)
+    per_block = sum(width * dim * k for k, _ in tp.BRANCH_SHAPES) + 4 * width
+    per_block += dim * 4 * width + dim
+    per_block += dim * dim + dim
     per_block += 2 * dim
     total += cfg.temporal_blocks * per_block
     total += dim * 2 * dim + 2 * dim + 2 * dim * horizon + horizon

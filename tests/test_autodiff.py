@@ -207,7 +207,7 @@ def test_grad_transpose_reshape():
     w = ad.Tensor(RNG.normal(0.0, 1.0, (4, 6)))
 
     def loss():
-        t = ad.transpose(x, (2, 0, 1))
+        t = ops.transpose(x, (2, 0, 1))
         return ad.reduce_sum(ad.mul(ad.reshape(t, (4, 6)), w))
 
     assert_grads_match(loss, [x])
@@ -429,7 +429,7 @@ def test_parameter_naming_and_backward_collection():
 PUBLIC_CALLABLES = {
     "Tensor", "Parameter", "record", "backward", "set_finite_checks", "no_grad", "grad_enabled",
     "unbroadcast", "matmul_operand_grad", "matmul", "time_major", "left_product",
-    "left_product_grads", "left_map", "conv1d", "layer_norm", "transpose", "reshape", "concat",
+    "left_product_grads", "left_map", "conv1d", "layer_norm", "reshape", "concat",
     "sub", "mul", "scale", "reduce_sum", "reduce_mean",
 }
 

@@ -21,6 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdgf import cli
+from sdgf import config as cf
 from sdgf import model as md
 from sdgf.cli import main
 from sdgf.data import load_csv
@@ -153,11 +155,30 @@ def test_train_requires_data_path(capsys):
     assert "data.path" in capsys.readouterr().err
 
 
+# A typo, then the four model switches that no longer exist.
+UNKNOWN_KEYS = [
+    "train.lrr=0.1",
+    "gcn.literal_eq3=false",
+    "gcn.share_embeddings=false",
+    "static_graph.per_batch=false",
+    "temporal.conv_axis=nodes",
+]
+
+
 def test_train_unknown_config_key_is_usage_error(tmp_path, capsys):
     data = make_csv(tmp_path)
-    code = main(["train", "--data", str(data), "--set", "train.lrr=0.1"])
-    assert code == 1
-    assert "train.lrr" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    for assignment in UNKNOWN_KEYS:
+        key = assignment.partition("=")[0]
+        config.write_text(f"model.hidden = 4\n{assignment}\n")
+        for flags in (["--set", assignment], ["--config", str(config)]):
+            capsys.readouterr()
+            out = tmp_path / "run"
+            code = main(["train", "--data", str(data), "--out", str(out)] + flags)
+            assert code == 1
+            err = capsys.readouterr().err
+            assert re.fullmatch(rf"error: [^\n]*{re.escape(key)}[^\n]*\n", err), err
+            assert not out.exists()
 
 
 def test_train_reports_are_reproducible(tmp_path):
@@ -456,17 +477,27 @@ def resealed(blob: bytes, at: int, value: float) -> bytes:
     return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
 
 
-@pytest.mark.parametrize("defect", ["trailing-bytes", "non-finite-parameter", "static-not-stochastic"])
+@pytest.mark.parametrize(
+    "defect",
+    ["trailing-bytes", "non-finite-parameter", "static-not-stochastic", "removed-model-switch"],
+)
 def test_eval_rejects_checkpoints_that_used_to_load(trained, tmp_path, capsys, defect):
     data, ckpt, _ = trained
     blob = ckpt.read_bytes()
+    (head_len,) = struct.unpack("<I", blob[9:13])
     if defect == "trailing-bytes":
         bad_blob = blob + b"\x00\x00"
     elif defect == "non-finite-parameter":
         bad_blob = resealed(blob, blob.index(b"head.b2") + len(b"head.b2") + 1 + 4, np.inf)
-    else:
-        (head_len,) = struct.unpack("<I", blob[9:13])
+    elif defect == "static-not-stochastic":
         bad_blob = resealed(blob, 13 + head_len + 1, 0.75)
+    else:
+        # A config field this build no longer has, under a valid checksum.
+        header = json.loads(blob[13 : 13 + head_len])
+        header["config"]["literal_eq3"] = False
+        head = json.dumps(header, sort_keys=True).encode("utf-8")
+        body = blob[:9] + struct.pack("<I", len(head)) + head + blob[13 + head_len : -4]
+        bad_blob = body + struct.pack("<I", zlib.crc32(body))
     bad = tmp_path / f"{defect}.ckpt"
     bad.write_bytes(bad_blob)
     capsys.readouterr()
@@ -474,7 +505,8 @@ def test_eval_rejects_checkpoints_that_used_to_load(trained, tmp_path, capsys, d
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert {"trailing-bytes": "trailing", "non-finite-parameter": "non-finite",
-            "static-not-stochastic": "row-stochastic"}[defect] in err
+            "static-not-stochastic": "row-stochastic",
+            "removed-model-switch": "does not match this build"}[defect] in err
 
 
 def run_quietly(argv):
@@ -710,3 +742,92 @@ def test_no_subcommand_is_usage_error(capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["eval", "--checkpoint", "x", "--data", "y", "--bogus"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# environment
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_a_failed_allocation_is_one_error_line(trained, tmp_path, capsys, monkeypatch, command):
+    # A real oversized allocation can succeed on a host that overcommits
+    # memory, so the failure is raised where the command first allocates.
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12,)")
+
+    monkeypatch.setattr(cli, "synthesize" if command == "synth" else "load_csv", fail)
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = ["synth", "--out", str(out)]
+    else:
+        argv = ["train", "--data", str(trained[0]), "--out", str(out)] + sets(TINY)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: out of memory: Unable to allocate 7.28 TiB for an array with shape (10**12,)\n"
+    )
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# any override
+
+
+def override_value(key: str, command: str):
+    """Text for ``--set key=...``: a value of the key's type or an edge case.
+
+    Integers stay in [-2, 64], so no example allocates more than a few
+    MB, and ``train`` runs at most one epoch.
+    """
+    default = cf.DEFAULTS[key]
+    if key == "train.epochs" and command == "train":
+        return st.integers(-2, 1).map(str)
+    if isinstance(default, bool):
+        return st.sampled_from(["true", "false"])
+    if isinstance(default, int):
+        return st.integers(-2, 64).map(str)
+    if isinstance(default, float):
+        edges = [0.0, 1e-300, 1e308, -1e308, math.nan, math.inf, -math.inf]
+        return st.one_of(st.floats(-2.0, 64.0), st.sampled_from(edges)).map(repr)
+    if key == "synth.periods":
+        period = st.sampled_from(["24", "3", "0", "-1", "1e308", "nan"])
+        return st.lists(period, max_size=4).map(",".join)
+    if key == "synth.pairs":
+        pair = st.tuples(*[st.integers(-2, 64)] * 3).map(lambda t: ":".join(map(str, t)))
+        return st.lists(pair, max_size=3).map(",".join)
+    choices = {"wavelet.family": ["haar", "db4"], "wavelet.boundary": ["circular", "symmetric"]}
+    return st.sampled_from(choices.get(key, [default]))
+
+
+def reject_constant(name):
+    raise AssertionError(f"non-strict JSON constant {name}")
+
+
+@settings(max_examples=50, deadline=None)
+@given(command=st.sampled_from(["synth", "train"]), data=st.data())
+def test_any_override_exits_cleanly_and_writes_strict_files(trained, command, data):
+    overrides = data.draw(
+        st.fixed_dictionaries({}, optional={k: override_value(k, command) for k in cf.DEFAULTS})
+    )
+    # At most one value that does not parse, so most examples get past the parser.
+    junk = data.draw(st.none() | st.sampled_from(sorted(cf.DEFAULTS)))
+    if junk is not None:
+        overrides[junk] = data.draw(st.text(alphabet="ab01:,.-e ", max_size=5))
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "synth":
+            argv = ["synth", "--out", f"{tmp}/s.csv"]
+        else:
+            argv = ["train", "--data", str(trained[0]), "--out", f"{tmp}/run"]
+            argv += sets(TINY + ["train.epochs=1"])
+        argv += sets(f"{key}={value}" for key, value in overrides.items())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = run_quietly(argv)
+        assert code in (0, 1, 2, 3)
+        assert (err == "") if code == 0 else re.fullmatch(r"error: [^\n]*\n", err), err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        for root, _, files in os.walk(tmp):
+            for name in files:
+                assert not name.endswith(".tmp"), name
+                if name.endswith(".json"):
+                    with open(os.path.join(root, name), encoding="utf-8") as handle:
+                        json.load(handle, parse_constant=reject_constant)

@@ -26,13 +26,13 @@ def test_parse_typed_values_and_comments():
     # lookback
     model.input_len = 48
     train.lr = 0.005   # tuned
-    gcn.literal_eq3 = true
+    data.standardize = false
     wavelet.family = db4
     """
     cfg = cf.RunConfig.parse(text)
     assert cfg["model.input_len"] == 48
     assert cfg["train.lr"] == 0.005
-    assert cfg["gcn.literal_eq3"] is True
+    assert cfg["data.standardize"] is False
     assert cfg["wavelet.family"] == "db4"
     # Unset keys keep their defaults.
     assert cfg["train.batch"] == 32
@@ -52,7 +52,7 @@ def test_bad_value_types():
     with pytest.raises(ConfigError, match="integer"):
         cf.RunConfig.parse("train.epochs = 2.5")
     with pytest.raises(ConfigError, match="true/false"):
-        cf.RunConfig.parse("static_graph.per_batch = yes")
+        cf.RunConfig.parse("data.standardize = yes")
     with pytest.raises(ConfigError, match="number"):
         cf.RunConfig.parse("train.lr = fast")
 

@@ -381,3 +381,10 @@ def test_synth_spec_validation():
         dt.synthesize(dt.SynthSpec(**good, lag_pairs=[(0, 1, 2), (0, 1, 3)]))
     with pytest.raises(ConfigError):
         dt.synthesize(dt.SynthSpec(**good, lag_pairs=[(0, 5, 2)]))
+    with pytest.raises(ConfigError, match="seed"):
+        dt.synthesize(dt.SynthSpec(**good, seed=-1))
+    # Finite settings whose series overflows.
+    with np.errstate(over="ignore"), pytest.raises(ConfigError, match="overflow"):
+        dt.synthesize(dt.SynthSpec(**good, noise=1e308))
+    with np.errstate(over="ignore"), pytest.raises(ConfigError, match="overflow"):
+        dt.synthesize(dt.SynthSpec(**good, amplitude=1.5e308, noise=1e308, lag_pairs=[(0, 1, 2)]))

@@ -256,7 +256,6 @@ def propagation_node(kind):
 @given(
     kind=st.sampled_from(["static", "dynamic", "stacked"]),
     depth=st.integers(0, 3),
-    literal=st.booleans(),
     dim=st.integers(1, 3),
     nodes=st.integers(1, 4),
     batch=st.integers(1, 2),
@@ -266,17 +265,17 @@ def propagation_node(kind):
     seed=SEED,
 )
 def test_propagation_matches_its_chain(
-    kind, depth, literal, dim, nodes, batch, scales, shared_theta, h_shared, seed
+    kind, depth, dim, nodes, batch, scales, shared_theta, h_shared, seed
 ):
     rng = np.random.default_rng(seed)
     h, adjacency, cfg, leaves = propagation_case(
         rng, kind, depth, dim, nodes, batch, scales, shared_theta, h_shared
     )
     node = propagation_node(kind)
-    out_shape = chain_propagate(h, adjacency, cfg, literal).shape
+    out_shape = chain_propagate(h, adjacency, cfg).shape
     assert_node_matches_chain(
-        lambda: node(h, adjacency, cfg, literal),
-        lambda: chain_propagate(h, adjacency, cfg, literal),
+        lambda: node(h, adjacency, cfg),
+        lambda: chain_propagate(h, adjacency, cfg),
         leaves,
         rng.normal(0.0, 1.0, out_shape),
         exact=True,
@@ -285,9 +284,9 @@ def test_propagation_matches_its_chain(
 
 
 @settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(["static", "dynamic", "stacked"]), literal=st.booleans(), **HUGE)
+@given(kind=st.sampled_from(["static", "dynamic", "stacked"]), **HUGE)
 def test_propagation_raises_exactly_when_its_chain_raises(
-    kind, literal, exponent, offset, spread, gain, seed
+    kind, exponent, offset, spread, gain, seed
 ):
     rng = np.random.default_rng(seed)
     h, adjacency, cfg, _ = propagation_case(rng, kind, 2, 3, 4, 2, 2, False, False)
@@ -295,7 +294,7 @@ def test_propagation_raises_exactly_when_its_chain_raises(
     regain(rng, cfg.theta, gain)
     node = propagation_node(kind)
     got, want = both_outcomes(
-        lambda: node(h, adjacency, cfg, literal), lambda: chain_propagate(h, adjacency, cfg, literal)
+        lambda: node(h, adjacency, cfg), lambda: chain_propagate(h, adjacency, cfg)
     )
     if got is not None:
         assert got.tobytes() == want.tobytes()
@@ -307,7 +306,7 @@ def test_propagation_raises_exactly_when_its_chain_raises(
 
 def adjacency_case(rng, pairing, stacked, length, embed, nodes, batch, scales):
     x = leaf(rng, ((scales,) if stacked else ()) + (batch, length, nodes))
-    lead = {"plain": (), "per-scale": (scales, 1), "shared": (1, 1), "same": ()}[pairing]
+    lead = {"plain": (), "per-scale": (scales, 1), "same": ()}[pairing]
     w1 = ad.Parameter("w1", rng.normal(0.0, 0.5, (*lead, length, embed)))
     w2 = w1 if pairing == "same" else ad.Parameter("w2", rng.normal(0.0, 0.5, w1.shape))
     return x, gr.DynamicGraphLayer(w1, w2)
@@ -315,7 +314,7 @@ def adjacency_case(rng, pairing, stacked, length, embed, nodes, batch, scales):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    pairing=st.sampled_from(["plain", "per-scale", "shared", "same"]),
+    pairing=st.sampled_from(["plain", "per-scale", "same"]),
     stacked=st.booleans(),
     length=st.integers(2, 5),
     embed=st.integers(1, 3),
@@ -340,7 +339,7 @@ def test_dynamic_adjacency_matches_its_chain(
 
 
 @settings(max_examples=200, deadline=None)
-@given(pairing=st.sampled_from(["plain", "per-scale", "shared"]), **HUGE)
+@given(pairing=st.sampled_from(["plain", "per-scale"]), **HUGE)
 def test_dynamic_adjacency_raises_exactly_when_its_chain_raises(
     pairing, exponent, offset, spread, gain, seed
 ):
@@ -368,11 +367,10 @@ def chain_fold(w, filt, levels, boundary):
     return ad.matmul(ad.Tensor(ops[:, None]), w)
 
 
-# Leading axes of an (L, K) map, a per-scale stack and a stack shared by every scale.
+# Leading axes of an (L, K) map and of a per-scale stack.
 MAP_LEADS = {
     "2d": lambda scales: (),
     "per-scale": lambda scales: (scales, 1),
-    "shared": lambda scales: (1, 1),
 }
 
 
@@ -563,24 +561,16 @@ def test_head_raises_exactly_when_its_chain_raises(exponent, offset, spread, gai
 @given(
     ablation=st.sampled_from([None, *md.ABLATION_MODES]),
     depth=st.integers(0, 2),
-    literal=st.booleans(),
-    share=st.booleans(),
-    per_batch_static=st.booleans(),
-    conv_axis=st.sampled_from(["nodes", "channels"]),
     seed=st.integers(0, 2**16),
 )
-def test_forward_matches_the_chain_wired_model(
-    ablation, depth, literal, share, per_batch_static, conv_axis, seed
-):
+def test_forward_matches_the_chain_wired_model(ablation, depth, seed):
     cfg = md.ModelConfig(
         input_len=16, horizon=4, n_vars=3, hidden=4, levels=2, depth=depth, embed_dim=3,
-        literal_eq3=literal, share_dynamic_weights=share, per_batch_static=per_batch_static,
-        conv_axis=conv_axis, seed=seed,
+        seed=seed,
     )
     model = md.build_model(cfg)
     rng = np.random.default_rng(seed)
-    if not per_batch_static:
-        md.set_static_graph(model, rng.normal(0.0, 1.0, (40, 3)))
+    md.set_static_graph(model, rng.normal(0.0, 1.0, (40, 3)))
     if ablation is not None:
         model = md.ablate(model, ablation)
     x = ad.Tensor(rng.normal(0.0, 1.0, (2, 16, 3)))

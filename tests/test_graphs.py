@@ -206,22 +206,11 @@ def test_hop_states_nonexpansive_for_stochastic_graph():
     a = RNG.uniform(0.0, 1.0, (nodes, nodes))
     a /= a.sum(axis=1, keepdims=True)
     h = RNG.normal(0.0, 1.0, (2, 3, nodes))
-    states = gr.hop_states(h, a.T, alpha=0.4, depth=4, literal=False)
+    states = gr.hop_states(h, a.T, alpha=0.4, depth=4)
     assert len(states) == 5
     bound = np.abs(h).max()
     for state in states:
         assert np.abs(state).max() <= bound + 1e-12
-
-
-def test_literal_reading_repeats_single_hop():
-    nodes, dim = 4, 3
-    a = RNG.uniform(0.0, 1.0, (nodes, nodes))
-    a /= a.sum(axis=1, keepdims=True)
-    h = RNG.normal(0.0, 1.0, (2, dim, nodes))
-    cfg = prop_config(2, dim)
-    out = gr.static_graph_conv(ad.Tensor(h), a, cfg, literal=True).data
-    one_hop = 0.5 * h + 0.5 * np.einsum("ij,bdj->bdi", a, h)
-    np.testing.assert_allclose(out, h + 2.0 * one_hop, atol=1e-12)
 
 
 def test_shape_mismatch_raises():
@@ -315,32 +304,28 @@ def test_gradients_flow_through_dynamic_path():
 @given(
     seed=st.integers(0, 2**31 - 1),
     levels=st.integers(1, 3),
-    shared=st.booleans(),
-    literal=st.booleans(),
 )
-def test_stacked_scales_match_per_scale_calls(seed, levels, shared, literal):
+def test_stacked_scales_match_per_scale_calls(seed, levels):
     # One call over a (scales, batch, ...) stack equals one call per scale
-    # on its slice; a shared embedding pair has a size-1 scale axis.
+    # on its slice.
     rng = np.random.default_rng(seed)
     scales, batch, length, nodes, embed, dim, depth = levels + 1, 3, 8, 4, 3, 5, 2
-    pairs = 1 if shared else scales
-    w1 = rng.normal(0.0, 0.5, (pairs, 1, length, embed))
-    w2 = rng.normal(0.0, 0.5, (pairs, 1, length, embed))
+    w1 = rng.normal(0.0, 0.5, (scales, 1, length, embed))
+    w2 = rng.normal(0.0, 0.5, (scales, 1, length, embed))
     thetas = [rng.normal(0.0, 0.5, (scales, 1, dim, dim)) for _ in range(depth + 1)]
     x = rng.normal(0.0, 1.0, (scales, batch, length, nodes))
     h = rng.normal(0.0, 1.0, (scales, batch, dim, nodes))
 
     layer = gr.DynamicGraphLayer(ad.Parameter("w1", w1), ad.Parameter("w2", w2))
     adj = gr.dynamic_adjacency(ad.Tensor(x), layer)
-    out = gr.dynamic_graph_conv(ad.Tensor(h), adj, prop_config(depth, dim, thetas), literal)
+    out = gr.dynamic_graph_conv(ad.Tensor(h), adj, prop_config(depth, dim, thetas))
     assert adj.shape == (scales, batch, nodes, nodes)
     assert out.shape == (scales, batch, dim, nodes)
     for s in range(scales):
-        p = 0 if shared else s
-        one = gr.DynamicGraphLayer(ad.Parameter("w1", w1[p, 0]), ad.Parameter("w2", w2[p, 0]))
+        one = gr.DynamicGraphLayer(ad.Parameter("w1", w1[s, 0]), ad.Parameter("w2", w2[s, 0]))
         want_adj = gr.dynamic_adjacency(ad.Tensor(x[s]), one)
         want_out = gr.dynamic_graph_conv(
-            ad.Tensor(h[s]), want_adj, prop_config(depth, dim, [t[s, 0] for t in thetas]), literal
+            ad.Tensor(h[s]), want_adj, prop_config(depth, dim, [t[s, 0] for t in thetas])
         )
         np.testing.assert_allclose(adj.data[s], want_adj.data, rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.data[s], want_out.data, rtol=0, atol=1e-12)

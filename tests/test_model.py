@@ -123,13 +123,13 @@ def test_forward_rejects_wrong_dims():
         md.forward(ad.Tensor(np.zeros((2, 8, 4))), model)
 
 
-def test_forward_needs_static_graph_or_per_batch():
+def test_forward_needs_a_frozen_static_graph():
     model = md.build_model(tiny_config())
     x = ad.Tensor(RNG.normal(0.0, 1.0, (2, 8, 3)))
-    with pytest.raises(StateError):
+    with pytest.raises(StateError, match="static graph is not frozen"):
         md.forward(x, model)
-    model2 = md.build_model(tiny_config(per_batch_static=True))
-    assert md.forward(x, model2).shape == (2, 4, 3)
+    md.set_static_graph(model, RNG.normal(0.0, 1.0, (40, 3)))
+    assert md.forward(x, model).shape == (2, 4, 3)
 
 
 def test_forward_nan_free_over_many_random_inputs():
@@ -144,8 +144,7 @@ def test_scale_and_shift_equivariance():
     # With identity affine and every graph input per-window normalized,
     # an affine change of the input maps straight onto the prediction.
     # Large input variance keeps the eps guard inside the std negligible.
-    cfg = tiny_config(per_batch_static=True)
-    model = md.build_model(cfg)
+    model = ready_model()
     x = RNG.normal(0.0, 30.0, (2, 8, 3))
     c, m = 3.0, 40.0
     base = md.forward(ad.Tensor(x), model).data
@@ -274,7 +273,7 @@ def stacked_wiring_forward(x, model):
         fused, _ = fu.fuse(branches, model.fusion_layer)
     if "tfl" not in model.ablations:
         for block in model.blocks:
-            fused = tp.inception_forward(fused, block, cfg.conv_axis)
+            fused = tp.inception_forward(fused, block)
     out = md.head(fused, model.head_w1, model.head_b1, model.head_w2, model.head_b2)
     return model.revin.denormalize(out, stats)
 
@@ -284,15 +283,11 @@ def stacked_wiring_forward(x, model):
     family=st.sampled_from(["haar", "db4"]),
     boundary=st.sampled_from(["circular", "symmetric"]),
     levels=st.integers(1, 3),
-    share=st.booleans(),
     ablation=st.sampled_from([None, *md.ABLATION_MODES]),
     seed=st.integers(0, 2**16),
 )
-def test_folded_forward_matches_component_stack(family, boundary, levels, share, ablation, seed):
-    cfg = tiny_config(
-        input_len=32, family=family, boundary=boundary, levels=levels,
-        share_dynamic_weights=share, seed=seed,
-    )
+def test_folded_forward_matches_component_stack(family, boundary, levels, ablation, seed):
+    cfg = tiny_config(input_len=32, family=family, boundary=boundary, levels=levels, seed=seed)
     model = ready_model(cfg)
     if ablation is not None:
         model = md.ablate(model, ablation)
@@ -307,7 +302,7 @@ def test_folded_forward_matches_component_stack(family, boundary, levels, share,
         np.testing.assert_allclose(g, want_grads[name], rtol=0, atol=1e-12, err_msg=name)
 
 
-@pytest.mark.parametrize("overrides", [{}, {"share_dynamic_weights": True}])
+@pytest.mark.parametrize("overrides", [{}, {"family": "db4", "boundary": "symmetric"}])
 def test_step_graph_never_holds_the_component_stack(overrides):
     cfg = tiny_config(input_len=16, levels=2, **overrides)
     model = ready_model(cfg)
@@ -337,8 +332,7 @@ def test_ablations_shrink_effective_parameters_but_not_shape():
 def test_parameter_count_matches_formula():
     for cfg in (
         tiny_config(),
-        tiny_config(share_dynamic_weights=True),
-        tiny_config(conv_axis="channels"),
+        tiny_config(depth=0),
         tiny_config(temporal_blocks=2, branch_width=3),
         md.ModelConfig(input_len=96, horizon=96, n_vars=7, hidden=16, seed=0),
     ):
@@ -356,14 +350,13 @@ def test_acceptance_size_parameter_count_frozen():
     assert md.parameter_count(md.build_model(cfg)) == 2386
 
 
-def test_shared_dynamic_weights_share_objects():
-    # Sharing is a size-1 scale axis on the embedding maps, which then
-    # broadcast over every scale; the hop maps stay per scale.
-    cfg = tiny_config(share_dynamic_weights=True)
+def test_every_scale_has_its_own_dynamic_maps():
+    # The embedding maps and the hop maps each carry one matrix per scale.
+    cfg = tiny_config(levels=2)
     model = md.build_model(cfg)
     scales = cfg.levels + 1
-    assert model.dynamic_layer.w1.shape == (1, 1, cfg.input_len, cfg.embed_dim)
-    assert model.dynamic_layer.w2.shape == (1, 1, cfg.input_len, cfg.embed_dim)
+    assert model.dynamic_layer.w1.shape == (scales, 1, cfg.input_len, cfg.embed_dim)
+    assert model.dynamic_layer.w2.shape == (scales, 1, cfg.input_len, cfg.embed_dim)
     assert all(t.shape == (scales, 1, cfg.hidden, cfg.hidden) for t in model.dynamic_cfg.theta)
     names = [p.name for p in md.parameters(model)]
     assert len(names) == len(set(names))
@@ -393,8 +386,8 @@ def reachable_parameters(node, found=None) -> dict:
 
 @pytest.mark.parametrize(
     "overrides",
-    [{}, {"share_dynamic_weights": True}, {"temporal_blocks": 2, "levels": 2},
-     {"conv_axis": "channels"}, {"temporal_blocks": 0}],
+    [{}, {"depth": 0}, {"temporal_blocks": 2, "levels": 2},
+     {"temporal_blocks": 1, "branch_width": 3}, {"temporal_blocks": 0}],
 )
 def test_parameter_tree_lists_every_reachable_parameter_once(overrides):
     model = md.build_model(tiny_config(**overrides))
@@ -438,11 +431,10 @@ def test_step_graph_size_does_not_grow_with_levels():
 @given(
     ablation=st.sampled_from([None, *md.ABLATION_MODES]),
     depth=st.integers(0, 2),
-    share=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_one_step_reaches_exactly_the_effective_parameters(ablation, depth, share, seed):
-    model = ready_model(tiny_config(depth=depth, share_dynamic_weights=share, seed=seed))
+def test_one_step_reaches_exactly_the_effective_parameters(ablation, depth, seed):
+    model = ready_model(tiny_config(depth=depth, seed=seed))
     if ablation is not None:
         model = md.ablate(model, ablation)
     rng = np.random.default_rng(seed)
@@ -471,13 +463,6 @@ def test_grad_forward_records_16_nodes_at_every_depth():
         y = md.forward(ad.Tensor(RNG.normal(0.0, 1.0, (32, 24, 4))), ready_model(cfg))
         counts.append(sum(node._vjp is not None for node in ad._toposort(y)))
     assert counts == [13, 16, 16, 16]
-
-
-def test_conv_axis_channels_forward():
-    cfg = tiny_config(conv_axis="channels")
-    model = ready_model(cfg)
-    y = md.forward(ad.Tensor(RNG.normal(0.0, 1.0, (2, 8, 3))), model)
-    assert y.shape == (2, 4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +607,7 @@ def checkpoint_names(blob: bytes, n_vars: int) -> list[str]:
     return names
 
 
-@pytest.mark.parametrize("overrides", [{}, {"share_dynamic_weights": True}])
+@pytest.mark.parametrize("overrides", [{}, {"depth": 0, "temporal_blocks": 2}])
 def test_checkpoint_names_are_the_parameter_tree(overrides):
     model = ready_model(tiny_config(**overrides))
     names = checkpoint_names(md.save_checkpoint(md.ablate(model, "gsl")), 3)
@@ -727,9 +712,11 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="integer"):
         tiny_config(n_vars=3.0)
     with pytest.raises(ConfigError):
-        tiny_config(conv_axis="time")
+        tiny_config(boundary="wrap")
     with pytest.raises(ConfigError):
         tiny_config(hidden=0)
+    with pytest.raises(ConfigError, match="seed"):
+        tiny_config(seed=-1)
     with pytest.raises(ConfigError):
         md.ModelConfig(input_len=8, horizon=4, n_vars=3, alpha=1.5)
 

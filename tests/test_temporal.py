@@ -7,17 +7,16 @@ from hypothesis import strategies as st
 
 from sdgf import autodiff as ad
 from sdgf import temporal as tp
-from sdgf.errors import ConfigError, ShapeError
+from sdgf.errors import ShapeError
 
 from conftest import assert_grads_match, loop_conv1d, loop_inception
 
 RNG = np.random.default_rng(515)
 
 
-def build_block(channels, norm_dim=None, rng=None, fill=None):
+def build_block(channels, rng=None, fill=None):
     """Randomly initialized block; ``fill`` overrides every weight."""
     rng = rng or RNG
-    norm_dim = channels if norm_dim is None else norm_dim
     width = tp.branch_width(channels)
 
     def init(shape):
@@ -39,8 +38,8 @@ def build_block(channels, norm_dim=None, rng=None, fill=None):
         merge_bias=ad.Parameter("merge_b", np.zeros(channels)),
         residual_kernel=ad.Parameter("res", init((channels, channels, 1))),
         residual_bias=ad.Parameter("res_b", np.zeros(channels)),
-        norm_gain=ad.Parameter("gain", np.ones(norm_dim)),
-        norm_bias=ad.Parameter("shift", np.zeros(norm_dim)),
+        norm_gain=ad.Parameter("gain", np.ones(channels)),
+        norm_bias=ad.Parameter("shift", np.zeros(channels)),
     )
 
 
@@ -101,31 +100,26 @@ def test_shape_preserved(batch, dim, nodes, seed):
     batch=st.integers(1, 3),
     channels=st.integers(1, 5),
     nodes=st.integers(1, 12),
-    conv_axis=st.sampled_from(tp.CONV_AXES),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_block_matches_loop_oracle(batch, channels, nodes, conv_axis, seed):
+def test_block_matches_loop_oracle(batch, channels, nodes, seed):
     # ``nodes`` is the length the kernels slide over and ``channels`` the
-    # conv's channels, on either axis. Lengths below the reach of 4 leave
-    # some composed taps all padding.
+    # conv's channels. Lengths below the reach of 4 leave some composed
+    # taps all padding.
     rng = np.random.default_rng(seed)
-    if conv_axis == "nodes":
-        shape, features = (batch, channels, nodes), channels
-    else:
-        shape, features = (batch, nodes, channels), nodes
-    block = build_block(channels, norm_dim=features, rng=rng)
+    block = build_block(channels, rng=rng)
     for i, b in enumerate(block.branch_biases):
         block.branch_biases[i] = ad.Parameter(f"bias{i}", rng.normal(0.0, 1.0, b.shape))
     block.merge_bias = ad.Parameter("merge_b", rng.normal(0.0, 1.0, block.merge_bias.shape))
     block.residual_bias = ad.Parameter("res_b", rng.normal(0.0, 1.0, block.residual_bias.shape))
-    block.norm_gain = ad.Parameter("gain", rng.normal(1.0, 0.5, features))
-    block.norm_bias = ad.Parameter("shift", rng.normal(0.0, 1.0, features))
-    x = rng.normal(0.0, 1.0, shape)
-    expect = loop_inception(x, block, conv_axis)
-    got = tp.inception_forward(ad.Tensor(x), block, conv_axis).data
+    block.norm_gain = ad.Parameter("gain", rng.normal(1.0, 0.5, channels))
+    block.norm_bias = ad.Parameter("shift", rng.normal(0.0, 1.0, channels))
+    x = rng.normal(0.0, 1.0, (batch, channels, nodes))
+    expect = loop_inception(x, block)
+    got = tp.inception_forward(ad.Tensor(x), block).data
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
     with ad.no_grad():
-        got = tp.inception_forward(ad.Tensor(x), block, conv_axis).data
+        got = tp.inception_forward(ad.Tensor(x), block).data
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
 
 
@@ -154,22 +148,12 @@ def test_receptive_field_spans_at_most_four():
     assert np.all(np.abs(hit - center) <= 4)
 
 
-def test_conv_over_channel_axis_preserves_shape():
-    # The block convolves the feature axis; channels = node count.
-    batch, dim, nodes = 2, 5, 3
-    block = build_block(nodes, norm_dim=dim)
-    h = ad.Tensor(RNG.normal(0.0, 1.0, (batch, dim, nodes)))
-    out = tp.inception_forward(h, block, conv_axis="channels")
-    assert out.shape == (batch, dim, nodes)
-
-
-def test_bad_axis_and_channel_mismatch():
+def test_channel_mismatch_raises():
     block = build_block(4)
-    h = ad.Tensor(np.zeros((1, 4, 6)))
-    with pytest.raises(ConfigError):
-        tp.inception_forward(h, block, conv_axis="time")
     with pytest.raises(ShapeError):
         tp.inception_forward(ad.Tensor(np.zeros((1, 3, 6))), block)
+    with pytest.raises(ShapeError):
+        tp.inception_forward(ad.Tensor(np.zeros((4, 6))), block)
 
 
 def test_block_gradients_match_finite_differences():

@@ -288,6 +288,8 @@ def test_train_config_validation():
         tr.TrainConfig(epochs=0)
     with pytest.raises(ConfigError):
         tr.TrainConfig(batch=0)
+    with pytest.raises(ConfigError):
+        tr.TrainConfig(seed=-1)
 
 
 def test_checkpoint_extra_round_trips_through_train():

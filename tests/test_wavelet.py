@@ -181,7 +181,7 @@ def test_cached_adjoint_operators_are_shared_read_only_transposes():
     family=st.sampled_from(["haar", "db4"]),
     boundary=st.sampled_from(["circular", "symmetric"]),
     levels=st.integers(1, 3),
-    maps=st.sampled_from(["2d", "per-scale", "shared"]),
+    maps=st.sampled_from(["2d", "per-scale"]),
     seed=st.integers(0, 2**31 - 1),
 )
 def test_folded_maps_read_the_input_as_maps_read_components(family, boundary, levels, maps, seed):
@@ -189,7 +189,7 @@ def test_folded_maps_read_the_input_as_maps_read_components(family, boundary, le
     rng = np.random.default_rng(seed)
     filt = wv.wavelet_filter(family)
     x = rng.normal(0.0, 1.0, (2, 32, 3))
-    shape = {"2d": (32, 4), "per-scale": (levels + 1, 1, 32, 4), "shared": (1, 1, 32, 4)}[maps]
+    shape = {"2d": (32, 4), "per-scale": (levels + 1, 1, 32, 4)}[maps]
     w = rng.normal(0.0, 1.0, shape)
     folded = wv.decompose(ad.Tensor(w), filt, levels, boundary, adjoint=True).data
     assert folded.shape == (levels + 1, 1, 32, 4)
@@ -201,6 +201,9 @@ def test_folded_maps_read_the_input_as_maps_read_components(family, boundary, le
 def test_adjoint_needs_time_on_the_second_last_axis():
     with pytest.raises(ShapeError):
         wv.decompose(ad.Tensor(np.zeros(16)), wv.wavelet_filter("haar"), 1, adjoint=True)
+    # A stack holds one map per component.
+    with pytest.raises(ShapeError, match="1 per-scale maps cannot fold with 2 components"):
+        wv.decompose(ad.Tensor(np.zeros((1, 1, 16, 2))), wv.wavelet_filter("haar"), 1, adjoint=True)
     with pytest.raises(ConfigError, match="maximum admissible level is 4"):
         wv.decompose(ad.Tensor(np.zeros((16, 2))), wv.wavelet_filter("haar"), 5, adjoint=True)
 
