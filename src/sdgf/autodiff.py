@@ -38,16 +38,20 @@ of ``matmul``.
 A window is read by learned time maps from the left (``w^T @ x``), per
 wavelet scale and per batch item. ``left_map`` is that read as one node,
 and ``left_product`` and ``left_product_grads`` are its array-level
-forward and gradients, which ``graphs.dynamic_adjacency`` shares: with
-the window laid out once as an (L, batch * N) matrix (``time_major``),
-the forward and each gradient are one 2-D GEMM rather than one small
-product per (scale, item). ``matmul`` keeps its batched products, whose
-bits the chain oracles in the tests are built on.
+forward and gradients, which ``graphs.dynamic_adjacency`` shares. They
+read the window as a time-major (L, batch * N) tensor, the layout the
+model's RevIN node writes, so the forward and each gradient are one 2-D
+GEMM rather than one small product per (scale, item), and the window's
+gradient comes back as one contiguous array in its own layout. The
+``time_major`` node lays (batch, L, N) windows out that way for callers
+that hold them. ``matmul`` keeps its batched products, whose bits the
+chain oracles in the tests are built on.
 
 The other nodes here are the rest of what the package records:
 ``conv1d`` and ``layer_norm`` for the inception block, ``matmul`` for
-the reference ``wavelet.decompose``, the shape ops that stack the
-branches, and the ops of the loss and of the ``gf`` ablation's mean.
+the reference ``wavelet.decompose``, ``stack_into``, which joins the
+graph branches that the propagations wrote into one array, and the ops
+of the loss and of the ``gf`` ablation's mean.
 ``Tensor`` has no arithmetic operators: each node is an explicit call.
 The ops the fused stages replaced live in ``tests/oracle_ops.py``: only
 the tests' op-by-op chains use them, as the oracles that each fused
@@ -420,14 +424,29 @@ def matmul(a, b) -> Tensor:
     return record(data, "matmul", (a, b), build)
 
 
-def time_major(x: np.ndarray) -> np.ndarray:
-    """(..., batch, L, N) windows as (..., L, batch * N) matrices, in one copy.
+def time_major(x) -> Tensor:
+    """(..., batch, L, N) windows as one (..., L, batch * N) node, in one copy.
 
-    ``left_product`` reads a window in this layout, so a caller that maps
-    one window several times lays it out once and passes it to each read.
+    The layout the window readers (``left_map``, ``graphs.dynamic_adjacency``)
+    take; the model's RevIN node writes it directly, so only a caller that
+    holds (batch, L, N) windows records this node. Its VJP lays the
+    gradient back out.
     """
-    *lead, batch, length, n = x.shape
-    return np.swapaxes(x, -3, -2).reshape(*lead, length, batch * n)
+    x = _as_tensor(x)
+    if x.ndim < 3:
+        raise ShapeError(f"expected (..., batch, length, nodes) windows, got {x.shape}")
+    *lead, batch, length, n = x.data.shape
+    data = np.swapaxes(x.data, -3, -2).reshape(*lead, length, batch * n)
+
+    def build(out):
+        def vjp():
+            if x.requires_grad:
+                g = out.grad.reshape(*lead, length, batch, n)
+                x.accumulate(np.swapaxes(g, -3, -2))
+
+        return vjp
+
+    return record(data, "time_major", (x,), build)
 
 
 def _left_rows(maps_t: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -437,73 +456,76 @@ def _left_rows(maps_t: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return maps_t.reshape(-1, length) if cols.ndim == 2 else maps_t.reshape(-1, k, length)
 
 
-def left_product(maps_t: np.ndarray, cols: np.ndarray, x_shape: tuple) -> np.ndarray:
-    """``maps_t @ x`` for the window ``cols = time_major(x)`` of shape ``x_shape``.
+def left_product(maps_t: np.ndarray, cols: np.ndarray, nodes: int) -> np.ndarray:
+    """``maps_t @ x`` for windows ``x`` of ``nodes`` nodes laid out as ``cols``.
 
+    ``cols`` is the (L, batch * nodes) time-major window or a
+    (S, L, batch * nodes) stack of them (see ``time_major``), and
     ``maps_t`` is one (K, L) map or a (S, 1, K, L) stack, one map per
-    scale, and ``x`` is (batch, L, N) or a (S, batch, L, N) stack of the
-    same S. Over one window the product is one 2-D GEMM, (S * K, L) @
-    (L, batch * N), in place of a (K, L) @ (L, N) product per (scale,
-    item). The result is the
-    broadcast (..., batch, K, N) array, C-contiguous.
+    scale. Over one window the product is one 2-D GEMM, (S * K, L) @
+    (L, batch * nodes), in place of a (K, L) @ (L, nodes) product per
+    (scale, item). The result is the broadcast (..., batch, K, nodes)
+    array, C-contiguous.
     """
     k, length = maps_t.shape[-2:]
     if (
         maps_t.ndim not in (2, 4)
         or (maps_t.ndim == 4 and maps_t.shape[1] != 1)
-        or len(x_shape) not in (3, 4)
-        or x_shape[-2] != length
-        or (maps_t.ndim == 4 and len(x_shape) == 4 and maps_t.shape[0] != x_shape[0])
+        or cols.ndim not in (2, 3)
+        or cols.shape[-2] != length
+        or nodes < 1
+        or cols.shape[-1] % nodes
+        or (maps_t.ndim == 4 and cols.ndim == 3 and maps_t.shape[0] != cols.shape[0])
     ):
         raise ShapeError(
-            f"maps (K, L) or (S, 1, K, L) of shape {maps_t.shape} cannot read windows {x_shape}"
+            f"maps (K, L) or (S, 1, K, L) of shape {maps_t.shape} cannot read"
+            f" time-major windows {cols.shape} of {nodes} nodes"
         )
-    batch, n = x_shape[-3], x_shape[-1]
+    batch = cols.shape[-1] // nodes
     out = np.matmul(_left_rows(maps_t, cols), cols)
-    out = out.reshape(out.shape[0] if out.ndim == 3 else out.shape[0] // k, k, batch, n)
+    out = out.reshape(out.shape[0] if out.ndim == 3 else out.shape[0] // k, k, batch, nodes)
     out = np.ascontiguousarray(out.transpose(0, 2, 1, 3))
-    return out if maps_t.ndim == 4 or len(x_shape) == 4 else out[0]
+    return out if maps_t.ndim == 4 or cols.ndim == 3 else out[0]
 
 
-def left_product_grads(maps_t, cols, x_shape, g, want_maps: bool, want_x: bool):
-    """The (``maps_t``, ``x``) gradients of ``left_product`` for its output gradient ``g``.
+def left_product_grads(maps_t, cols, nodes: int, g, want_maps: bool, want_cols: bool):
+    """The (``maps_t``, ``cols``) gradients of ``left_product`` for its output gradient ``g``.
 
     Each is one 2-D GEMM over one window, and ``None`` unless wanted.
-    The window's gradient is a (..., batch, L, N) view.
+    The window's gradient is a C-contiguous array in the layout of
+    ``cols``, so the window node takes it as it is.
     """
     rows = _left_rows(maps_t, cols)
-    batch, length, n = x_shape[-3:]
-    out_shape = (*cols.shape[:-2], rows.shape[-2], batch * n)
-    g = np.swapaxes(g.reshape(math.prod(g.shape[:-3]), batch, maps_t.shape[-2], n), 1, 2)
+    batch = cols.shape[-1] // nodes
+    out_shape = (*cols.shape[:-2], rows.shape[-2], batch * nodes)
+    g = np.swapaxes(g.reshape(math.prod(g.shape[:-3]), batch, maps_t.shape[-2], nodes), 1, 2)
     g = g.reshape(out_shape)
-    g_maps = g_x = None
+    g_maps = g_cols = None
     if want_maps:
         g_maps = matmul_operand_grad(g, cols, rows.shape, -2).reshape(maps_t.shape)
-    if want_x:
+    if want_cols:
         g_cols = matmul_operand_grad(rows, g, cols.shape, -1)
-        g_x = np.swapaxes(g_cols.reshape(*x_shape[:-3], length, batch, n), -3, -2)
-    return g_maps, g_x
+    return g_maps, g_cols
 
 
-def left_map(maps, x, cols: np.ndarray | None = None) -> Tensor:
-    """``maps^T @ x`` for an (L, K) map or an (S, 1, L, K) stack over (batch, L, N) windows.
+def left_map(maps, x, nodes: int) -> Tensor:
+    """``maps^T @ x`` for an (L, K) map or an (S, 1, L, K) stack over time-major windows.
 
-    One node, where a transpose and a ``matmul`` record two.
-    The forward and each gradient are one 2-D GEMM against the window
-    laid out as (L, batch * N) (see ``left_product``). ``cols``, if
-    given, is that layout, ``time_major(x.data)``, so reads of one
-    window share one copy.
+    ``x`` is the (L, batch * nodes) window tensor or a
+    (S, L, batch * nodes) stack, the layout the model's RevIN node
+    writes and ``time_major`` makes; the result is (..., batch, K,
+    nodes). One node, where a transpose and a ``matmul`` record two; the
+    forward and each gradient are one 2-D GEMM (see ``left_product``),
+    and the window's gradient arrives in its own layout.
     """
     maps, x = _as_tensor(maps), _as_tensor(x)
-    if cols is None:
-        cols = time_major(x.data)
     maps_t = np.swapaxes(maps.data, -1, -2)
-    data = left_product(maps_t, cols, x.data.shape)
+    data = left_product(maps_t, x.data, nodes)
 
     def build(out):
         def vjp():
             g_maps, g_x = left_product_grads(
-                maps_t, cols, x.data.shape, out.grad, maps.requires_grad, x.requires_grad
+                maps_t, x.data, nodes, out.grad, maps.requires_grad, x.requires_grad
             )
             if g_maps is not None:
                 maps.accumulate(np.swapaxes(g_maps, -1, -2))
@@ -568,50 +590,53 @@ def reduce_mean(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
 # Shape surgery
 
 
-def reshape(x, shape: Sequence[int]) -> Tensor:
-    x = _as_tensor(x)
-    shape = tuple(shape)
-    if math.prod(shape) != x.size:
-        raise ShapeError(f"cannot reshape {x.shape} to {shape}")
-    data = x.data.reshape(shape)
+def stack_into(out: np.ndarray, parts: Sequence[Tensor]) -> Tensor:
+    """``out`` as one node whose leading-axis slices are the values of ``parts``.
 
-    def build(out):
+    Part by part along the leading axis, a part of ``out.ndim - 1`` axes
+    is one index of ``out`` and a part of ``out.ndim`` axes a run of
+    indices as long as its leading axis. Each part's producer has
+    written its value into its slot (``out=``), so the part's value is
+    that slice of ``out`` and joining copies nothing; a part whose value
+    lies anywhere else raises ``ShapeError``. The VJP hands each part
+    its slice of the gradient.
+    """
+    parts = [_as_tensor(p) for p in parts]
+    slots, starts, start = [], [], 0
+    for p in parts:
+        run = p.ndim == out.ndim >= 1
+        starts.append(start)
+        slots.append(slice(start, start + p.shape[0]) if run else start)
+        start += p.shape[0] if run else 1
+    if (
+        not (out.ndim and out.dtype is _FLOAT64 and out.flags.c_contiguous)
+        or start != out.shape[0]
+        or any(
+            (p.shape[1:] if type(i) is slice else p.shape) != out.shape[1:]
+            for p, i in zip(parts, slots)
+        )
+    ):
+        raise ShapeError(
+            f"parts {[p.shape for p in parts]} do not fill the leading axis of the"
+            f" C-contiguous float64 stack {out.shape}"
+        )
+    # A C-contiguous part of its slot's shape that starts where the slot
+    # starts is the slot.
+    address, row = out.__array_interface__["data"][0], out.strides[0]
+    for i, (p, start) in enumerate(zip(parts, starts)):
+        if p.data.__array_interface__["data"][0] != address + start * row:
+            raise ShapeError(f"part {i} does not hold its slot of the stack as its value")
+
+    def build(node):
         def vjp():
-            if x.requires_grad:
-                x.accumulate(out.grad.reshape(x.data.shape))
+            g = node.grad
+            for p, index in zip(parts, slots):
+                if p.requires_grad:
+                    p.accumulate(g[index])
 
         return vjp
 
-    return record(data, "reshape", (x,), build)
-
-
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ShapeError("concat needs at least one tensor")
-    axis = _check_axis(tensors[0], axis)
-    base = list(tensors[0].shape)
-    for i, t in enumerate(tensors[1:], start=1):
-        other = list(t.shape)
-        if len(other) != len(base) or any(
-            o != b for j, (o, b) in enumerate(zip(other, base)) if j != axis
-        ):
-            raise ShapeError(f"concat operand {i} has shape {t.shape}, expected {tensors[0].shape} off axis {axis}")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
-
-    def build(out):
-        def vjp():
-            g = out.grad
-            index: list = [slice(None)] * g.ndim
-            for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    index[axis] = slice(start, stop)
-                    t.accumulate(g[tuple(index)])
-
-        return vjp
-
-    return record(data, "concat", tuple(tensors), build)
+    return record(out, "stack", tuple(parts), build)
 
 
 # ---------------------------------------------------------------------------

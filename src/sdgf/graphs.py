@@ -24,12 +24,20 @@ so time stays on the axis the inputs already carry it on and no input
 is transposed.
 
 Because the embedding maps only read their input from the left, the
-model hands ``dynamic_adjacency`` one (batch, length, nodes) window and
-maps folded with the wavelet operators (``wavelet.decompose`` with
-``adjoint=True``); that equals passing the (scales, batch, length,
-nodes) component stack with the unfolded maps, without building it.
-Over one window, both maps of every scale read it in one 2-D GEMM
-(``autodiff.left_product``).
+model hands ``dynamic_adjacency`` one window and maps folded with the
+wavelet operators (``wavelet.decompose`` with ``adjoint=True``); that
+equals passing the (scales, batch, length, nodes) component stack with
+the unfolded maps, without building it. The window it hands over is the
+RevIN node itself, laid out time-major as (length, batch * nodes), with
+``nodes`` passed alongside; both maps of every scale read it in one 2-D
+GEMM (``autodiff.left_product``), and the window's gradient goes back
+as one contiguous array in that layout. A caller holding (batch,
+length, nodes) windows passes no ``nodes`` and a recorded
+``autodiff.time_major`` node lays them out.
+
+Both propagations take an optional ``out``: the model passes slices of
+its (1 + scales, batch, features, nodes) fusion stack, so each
+propagation's last hop sum is written where fusion reads it.
 
 Each propagation, static or dynamic, at any depth, is one recorded
 autodiff node, and so is ``dynamic_adjacency``, which reads both
@@ -127,7 +135,9 @@ def hop_states(h: np.ndarray, a_t: np.ndarray, alpha: float, depth: int):
     return states
 
 
-def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig):
+def _propagate(
+    h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, out: np.ndarray | None = None
+):
     """Propagation as one recorded node; ``adjacency`` is an array or a tensor.
 
     The forward takes the ops of the op-by-op chain in its order (the hop
@@ -136,6 +146,13 @@ def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig):
     each hop state reaches the output through its own map, so a
     non-finite state makes the output non-finite: the output guard alone
     raises where the chain raised.
+
+    ``out``, if given, is a C-contiguous array of the output's shape,
+    and the output is written to it (the last hop sum's ``np.add``, or at
+    depth 0 the single term's ``np.matmul``), so the node's value is that
+    array itself: the model writes both propagations into its fusion
+    stack this way. Numpy raises ``ValueError`` for an ``out`` that
+    cannot hold the output.
     """
     alpha, depth, thetas = cfg.alpha, cfg.depth, cfg.theta
     adj = adjacency.data if isinstance(adjacency, ad.Tensor) else adjacency
@@ -143,11 +160,12 @@ def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig):
     # With no hop the graph is never read, so it is no parent of the node.
     graph = adjacency if isinstance(adjacency, ad.Tensor) and depth else None
     states = hop_states(h.data, a_t, alpha, depth)
-    out, shapes = None, []
-    for theta, state in zip(thetas, states):
-        term = np.matmul(theta.data, state)
+    total, shapes = None, []
+    for k, (theta, state) in enumerate(zip(thetas, states)):
+        dest = out if k == depth else None
+        term = np.matmul(theta.data, state, out=None if k else dest)
         shapes.append(term.shape)
-        out = term if out is None else out + term
+        total = term if k == 0 else np.add(total, term, out=dest)
     parents = (h, *thetas) if graph is None else (h, *thetas, graph)
 
     def build(node):
@@ -176,39 +194,45 @@ def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig):
 
         return vjp
 
-    return ad.record(out, "propagate", parents, build)
+    return ad.record(total, "propagate", parents, build)
 
 
 def static_graph_conv(
     h: ad.Tensor,
     adjacency: np.ndarray,
     cfg: GraphPropagationConfig,
+    out: np.ndarray | None = None,
 ) -> ad.Tensor:
-    """Propagate (batch, features, nodes) through one shared graph."""
+    """Propagate (batch, features, nodes) through one shared graph.
+
+    ``out``, if given, receives the output (see ``_propagate``).
+    """
     adjacency = np.asarray(adjacency, dtype=np.float64)
     if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
         raise ShapeError(f"adjacency must be square, got {adjacency.shape}")
     if h.ndim != 3 or h.shape[2] != adjacency.shape[0]:
         raise ShapeError(f"node axis of {h.shape} does not match adjacency {adjacency.shape}")
-    return _propagate(h, adjacency, cfg)
+    return _propagate(h, adjacency, cfg, out)
 
 
 def dynamic_graph_conv(
     h: ad.Tensor,
     adjacency: ad.Tensor,
     cfg: GraphPropagationConfig,
+    out: np.ndarray | None = None,
 ) -> ad.Tensor:
     """Propagate (..., features, nodes) through per-item graphs (..., nodes, nodes).
 
     Leading axes of ``h``, ``adjacency`` and the hop maps broadcast, so a
     (scales, batch, ...) stack with (scales, 1, features, features) hop
-    maps runs every scale in one call.
+    maps runs every scale in one call. ``out``, if given, receives the
+    output (see ``_propagate``).
     """
     if adjacency.ndim < 2 or adjacency.shape[-1] != adjacency.shape[-2]:
         raise ShapeError(f"adjacency must be (..., nodes, nodes), got {adjacency.shape}")
     if h.ndim < 2 or h.shape[-1] != adjacency.shape[-1]:
         raise ShapeError(f"features {h.shape} do not match adjacency {adjacency.shape}")
-    return _propagate(h, adjacency, cfg)
+    return _propagate(h, adjacency, cfg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -228,38 +252,39 @@ class DynamicGraphLayer:
 
 
 def dynamic_adjacency(
-    x_scale: ad.Tensor, layer: DynamicGraphLayer, cols: np.ndarray | None = None
+    x_scale: ad.Tensor, layer: DynamicGraphLayer, nodes: int | None = None
 ) -> ad.Tensor:
     """Row-stochastic per-item adjacency learned from wavelet components.
 
     ``x_scale`` is one scale or the window as (batch, length, variables),
     or every scale as (scales, batch, length, variables); with the window,
     the maps are folded with the wavelet operators (see the module
-    docstring). The maps are (length, d_e) or (scales, 1, length, d_e);
-    ``ad.left_product`` raises ``ShapeError`` for any other shape.
-    Each variable's length-L profile maps through w1/w2 into two
+    docstring). With ``nodes`` given, ``x_scale`` is the same windows
+    laid out time-major, (..., length, batch * nodes), as the model's
+    RevIN node writes them; otherwise a recorded ``ad.time_major`` node
+    lays them out first. The maps are (length, d_e) or (scales, 1,
+    length, d_e); ``ad.left_product`` raises ``ShapeError`` for any other
+    shape. Each variable's length-L profile maps through w1/w2 into two
     embeddings; the row softmax of their inner products is the ([scales,]
     batch, variables, variables) adjacency.
 
     Both maps read the input in one ``ad.left_product`` of the maps laid
-    side by side, one 2-D GEMM over a window; ``cols``, if given, is the
-    input laid out as ``ad.time_major(x_scale.data)``, shared with the
-    model's other reads of the window. The softmax works in place on its
-    own fresh arrays.
+    side by side, one 2-D GEMM over a window, and the window's gradient
+    goes back in the window's own layout. The softmax works in place on
+    its own fresh arrays.
     """
-    if x_scale.ndim < 3:
-        raise ShapeError(f"expected (..., batch, length, variables), got {x_scale.shape}")
+    if nodes is None:
+        x_scale, nodes = ad.time_major(x_scale), x_scale.shape[-1]
     w1, w2 = layer.w1, layer.w2
-    if w1.shape[-2] != x_scale.shape[-2] or w1.shape != w2.shape:
+    if x_scale.ndim < 2 or w1.shape[-2] != x_scale.shape[-2] or w1.shape != w2.shape:
         raise ShapeError(
-            f"embedding maps {w1.shape}/{w2.shape} do not fit length {x_scale.shape[-2]}"
+            f"embedding maps {w1.shape}/{w2.shape} do not fit windows {x_scale.shape}"
         )
     # One product for both embeddings: the maps transposed, side by side.
     embed = w1.shape[-1]
     maps_t = np.concatenate((w1.data.swapaxes(-1, -2), w2.data.swapaxes(-1, -2)), axis=-2)
-    if cols is None:
-        cols = ad.time_major(x_scale.data)
-    pre = ad.left_product(maps_t, cols, x_scale.data.shape)
+    cols = x_scale.data
+    pre = ad.left_product(maps_t, cols, nodes)
     emb = np.tanh(pre)
     e1_t, e2_t = emb[..., :embed, :], emb[..., embed:, :]
     scores = np.matmul(e1_t.swapaxes(-1, -2), e2_t)
@@ -277,8 +302,8 @@ def dynamic_adjacency(
             )
             g_pre = g_emb * (1.0 - emb * emb)
             g_maps, g_x = ad.left_product_grads(
-                maps_t, cols, x_scale.data.shape, g_pre,
-                w1.requires_grad or w2.requires_grad, x_scale.requires_grad,
+                maps_t, cols, nodes, g_pre, w1.requires_grad or w2.requires_grad,
+                x_scale.requires_grad,
             )
             if g_x is not None:
                 x_scale.accumulate(g_x)

@@ -16,19 +16,23 @@ Forward pipeline for a (batch, input_len, n_vars) window:
 
 Every stage records one autodiff node with a hand-derived VJP (the
 inception block two: its conv1d and its layer norm), and so does each
-input projection (``ad.left_map``) and each wavelet fold. With the
-branch stacking between the stages, a grad forward records 16 nodes at
-any propagation depth from 1 up. At depth 0 no graph is read, so the
+input projection (``ad.left_map``), each wavelet fold and the branch
+stack (``ad.stack_into``): a grad forward records 15 nodes at any
+propagation depth from 1 up. At depth 0 no graph is read, so the
 dynamic adjacency is not learned (the identity stands in, as under
 ``gsl``), its maps are no effective parameters, and a grad forward
-records 13 nodes. RevIN keeps its statistics as constants of its nodes.
+records 12 nodes. RevIN keeps its statistics as constants of its nodes.
 The head runs each layer as one 2-D product over the (batch * n_vars)
 rows of per-variable features.
 
-The window is laid out once per forward as one (input_len,
-batch * n_vars) matrix (``ad.time_major``), and the static projection,
-the dynamic projection and the embedding maps all read that copy, each
-as one 2-D GEMM for every scale and item at once.
+Each stage hands its output on in the layout its readers take. RevIN
+normalize writes the (input_len, batch * n_vars) window, and the static
+projection, the dynamic projection and the embedding maps all read that
+node, each as one 2-D GEMM for every scale and item at once; their
+gradients come back to it in the same layout. The forward allocates the
+(1 + scales, batch, hidden, n_vars) branch stack before the graph
+branches run, and both propagations write their outputs into its
+slices, so fusion reads them without a copy.
 
 The per-scale weights live on a leading scale axis: embedding maps are
 (scales, 1, input_len, embed_dim) and hop maps (scales, 1, hidden,
@@ -150,46 +154,81 @@ class RevinLayer:
 
     ``normalize`` returns the window statistics next to its output and
     ``denormalize`` takes them back, so the layer keeps no state between
-    calls and ablated views of a model can share it.
+    calls and ablated views of a model can share it. ``normalize`` works
+    on one time-major (length, batch * vars) copy of the raw window, so
+    every elementwise pass runs along contiguous rows, and the model
+    takes that layout as the node's value: it is what every reader of
+    the window (``ad.left_map``, ``graphs.dynamic_adjacency``) takes.
     """
 
     gamma: ad.Parameter
     beta: ad.Parameter
     eps: float = 1e-5
 
-    def normalize(self, x: ad.Tensor) -> tuple[ad.Tensor, tuple[np.ndarray, np.ndarray]]:
+    def normalize(
+        self, x: ad.Tensor, time_major: bool = False
+    ) -> tuple[ad.Tensor, tuple[np.ndarray, np.ndarray]]:
         """Remove per-(item, variable) mean/std over time, then affine.
 
-        Returns the normalized tensor and the (mean, std) statistics. One
-        recorded node; the statistics are constants of it. ``var`` is
-        the mean square of the same centred values the output divides,
-        which is how ``np.var`` computes it.
+        Returns the normalized tensor and the (batch, 1, vars) mean and
+        std. One recorded node; the statistics are constants of it.
+        ``var`` is the mean square of the same centred values the output
+        divides, which is how ``np.var`` computes it. With
+        ``time_major`` the node's value is the (length, batch * vars)
+        window; otherwise the same node lays it back out as (batch,
+        length, vars).
+
+        The statistics are summed over time in the order numpy sums the
+        time axis of the (batch, length, vars) window, so the values are
+        bit for bit those of normalizing it in that layout: row after row
+        of the time-major copy, or, for one variable in a batch of more
+        than one window, pairwise along each window's contiguous series.
         """
         gamma, beta = self.gamma, self.beta
         if x.ndim != 3 or x.shape[2] != gamma.shape[0]:
             raise ShapeError(f"expected (batch, time, {gamma.shape[0]}), got {x.shape}")
-        length = x.shape[1]
-        mean = x.data.sum(axis=1, keepdims=True) / length
-        centered = x.data - mean
-        std = np.sqrt((centered * centered).sum(axis=1, keepdims=True) / length + self.eps)
-        z = centered / std
-        data = z * gamma.data + beta.data
+        batch, length, n = x.shape
+        cols = x.data.swapaxes(0, 1).reshape(length, batch * n)
+
+        def time_sum(a):
+            if n == 1 and batch > 1:
+                return np.ascontiguousarray(a.T).sum(axis=1)[None]
+            return a.sum(axis=0, keepdims=True)
+
+        mean = time_sum(cols) / length
+        z = cols - mean
+        std = np.sqrt(time_sum(z * z) / length + self.eps)
+        z /= std
+        gamma_t = gamma.data[None].repeat(batch, 0).ravel()
+        data = z * gamma_t
+        data += beta.data[None].repeat(batch, 0).ravel()
+        if not time_major:
+            data = data.reshape(length, batch, n).swapaxes(0, 1)
+
+        def batch_major(a):
+            return a.reshape(length, batch, n).swapaxes(0, 1)
 
         def build(out):
             def vjp():
                 g = out.grad
+                if not time_major:
+                    g = g.swapaxes(0, 1).reshape(length, batch * n)
                 if x.requires_grad:
-                    x.accumulate(g * gamma.data / std)
+                    x.accumulate(batch_major(g * gamma_t / std))
+                # Summed over C-contiguous (batch, length, vars) copies,
+                # in the order the batch-major layout sums them: any order
+                # of summing the time-major buffer changes the bits.
                 if gamma.requires_grad:
-                    gamma.accumulate((g * z).sum(axis=(0, 1)))
+                    gamma.accumulate(np.ascontiguousarray(batch_major(g * z)).sum(axis=(0, 1)))
                 if beta.requires_grad:
-                    beta.accumulate(g.sum(axis=(0, 1)))
+                    beta.accumulate(np.ascontiguousarray(batch_major(g)).sum(axis=(0, 1)))
 
             return vjp
 
         # Linear up to the output: a non-finite centred value makes the
         # output non-finite too, so the output guard is enough.
-        return ad.record(data, "revin_normalize", (x, gamma, beta), build), (mean, std)
+        out = ad.record(data, "revin_normalize", (x, gamma, beta), build)
+        return out, (mean.reshape(batch, 1, n), std.reshape(batch, 1, n))
 
     def denormalize(self, y: ad.Tensor, stats: tuple[np.ndarray, np.ndarray]) -> ad.Tensor:
         """Invert the affine and restore the statistics ``normalize`` returned.
@@ -466,6 +505,12 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
     The details dict carries the (batch, 1 + scales) fusion weights, the
     static adjacency and the (scales, batch, n_vars, n_vars) dynamic
     adjacencies as plain arrays.
+
+    RevIN hands the three readers of the window its (input_len,
+    batch * n_vars) layout as they take it, and the two propagations
+    write into one (1 + scales, batch, hidden, n_vars) stack allocated
+    here, which one ``ad.stack_into`` node hands to fusion; its VJP
+    gives each propagation its slice of the gradient.
     """
     cfg = model.config
     if x.ndim != 3 or x.shape[1] != cfg.input_len or x.shape[2] != cfg.n_vars:
@@ -473,7 +518,9 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
             f"expected (batch, {cfg.input_len}, {cfg.n_vars}), got {x.shape}"
         )
     batch, n = x.shape[0], cfg.n_vars
-    x_norm, stats = model.revin.normalize(x)
+    # Every read of the window takes the (input_len, batch * n_vars)
+    # layout the RevIN node writes.
+    window, stats = model.revin.normalize(x, time_major=True)
 
     if "gsl" in model.ablations:
         static_adj = np.eye(n)
@@ -481,28 +528,30 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
         raise StateError("static graph is not frozen; call set_static_graph first")
     else:
         static_adj = model.static_adjacency
-    # Time profiles project from the left: (hidden, length) @ (..., length, vars).
-    # Every read of the window takes it in one shared (length, batch * vars) layout.
-    cols = ad.time_major(x_norm.data)
+    # Both propagations write their outputs into the branch stack that
+    # fusion reads: the static branch first, then one per scale.
+    stack = np.empty((cfg.levels + 2, batch, cfg.hidden, n))
+    # Time profiles project from the left: (hidden, length) @ (length, vars).
     h_static = gr.static_graph_conv(
-        ad.left_map(model.input_proj, x_norm, cols), static_adj, model.static_cfg
+        ad.left_map(model.input_proj, window, n), static_adj, model.static_cfg, stack[0]
     )
 
     # Every map that reads the wavelet components does so from the left,
-    # so each is folded with the component operators and reads x_norm.
+    # so each is folded with the component operators and reads the window.
     # With no hop, no dynamic graph is read, so none is learned.
     if "gsl" in model.ablations or cfg.depth == 0:
         dyn_adj = ad.Tensor(np.eye(n))
     else:
         layer = model.dynamic_layer
         dyn_adj = gr.dynamic_adjacency(
-            x_norm, gr.DynamicGraphLayer(_fold(layer.w1, cfg), _fold(layer.w2, cfg)), cols
+            window, gr.DynamicGraphLayer(_fold(layer.w1, cfg), _fold(layer.w2, cfg)), n
         )
     h_dyn = gr.dynamic_graph_conv(
-        ad.left_map(_fold(model.input_proj, cfg), x_norm, cols), dyn_adj, model.dynamic_cfg
+        ad.left_map(_fold(model.input_proj, cfg), window, n), dyn_adj, model.dynamic_cfg,
+        stack[1:],
     )
 
-    branches = ad.concat([ad.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
+    branches = ad.stack_into(stack, (h_static, h_dyn))
     if "gf" in model.ablations:
         fused = ad.reduce_mean(branches, 0)
         alpha = np.full((batch, branches.shape[0]), 1.0 / branches.shape[0])

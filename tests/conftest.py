@@ -98,7 +98,7 @@ def chain_layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> ad.Tensor:
     normed = ops.div(centered, ops.sqrt(ops.add(var, eps)))
     side = [1] * x.ndim
     side[axis] = x.shape[axis]
-    return ops.add(ad.mul(normed, ad.reshape(gain, side)), ad.reshape(bias, side))
+    return ops.add(ad.mul(normed, ops.reshape(gain, side)), ops.reshape(bias, side))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,8 @@ def chain_revin_normalize(layer, x):
     mean = x.data.mean(axis=1, keepdims=True)
     std = np.sqrt(x.data.var(axis=1, keepdims=True) + layer.eps)
     z = ops.div(ad.sub(x, ad.Tensor(mean)), ad.Tensor(std))
-    out = ops.add(ad.mul(z, ad.reshape(layer.gamma, (1, 1, n))), ad.reshape(layer.beta, (1, 1, n)))
+    scaled = ad.mul(z, ops.reshape(layer.gamma, (1, 1, n)))
+    out = ops.add(scaled, ops.reshape(layer.beta, (1, 1, n)))
     return out, (mean, std)
 
 
@@ -121,8 +122,8 @@ def chain_revin_denormalize(layer, y, stats):
     """``RevinLayer.denormalize`` as primitive ops."""
     mean, std = stats
     n = layer.gamma.shape[0]
-    guard = ops.add(ad.reshape(layer.gamma, (1, 1, n)), layer.eps * layer.eps)
-    z = ops.div(ad.sub(y, ad.reshape(layer.beta, (1, 1, n))), guard)
+    guard = ops.add(ops.reshape(layer.gamma, (1, 1, n)), layer.eps * layer.eps)
+    z = ops.div(ad.sub(y, ops.reshape(layer.beta, (1, 1, n))), guard)
     return ops.add(ad.mul(z, ad.Tensor(std)), ad.Tensor(mean))
 
 
@@ -155,9 +156,9 @@ def chain_fuse(branches, layer):
     count, batch, dim, _ = branches.shape
     pooled = ad.reduce_mean(branches, 3)
     keyed = ad.matmul(pooled, ops.transpose(layer.w_k, (1, 0)))
-    logits = ad.matmul(keyed, ad.reshape(layer.q, (dim, 1)))
+    logits = ad.matmul(keyed, ops.reshape(layer.q, (dim, 1)))
     alpha = ops.softmax(logits, axis=0)
-    fused = ad.reduce_sum(ad.mul(branches, ad.reshape(alpha, (count, batch, 1, 1))), axis=0)
+    fused = ad.reduce_sum(ad.mul(branches, ops.reshape(alpha, (count, batch, 1, 1))), axis=0)
     return fused, alpha.data.reshape(count, batch).T.copy()
 
 
@@ -194,7 +195,7 @@ def chain_forward(x, model):
     h_dyn = chain_propagate(
         ad.matmul(ops.matrix_transpose(fold(model.input_proj)), x_norm), dyn_adj, model.dynamic_cfg
     )
-    branches = ad.concat([ad.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
+    branches = ops.concat([ops.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
     if "gf" in model.ablations:
         fused = ad.reduce_mean(branches, 0)
     else:

@@ -9,6 +9,7 @@ parameter count that the model tests pin the built tree against is here
 too.
 """
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -134,6 +135,52 @@ def matrix_transpose(x) -> Tensor:
     if x.ndim < 2:
         raise ShapeError(f"matrix_transpose needs a >=2-d operand, got {x.shape}")
     return transpose(x, (*range(x.ndim - 2), x.ndim - 1, x.ndim - 2))
+
+
+def reshape(x, shape: Sequence[int]) -> Tensor:
+    x = _as_tensor(x)
+    shape = tuple(shape)
+    if math.prod(shape) != x.size:
+        raise ShapeError(f"cannot reshape {x.shape} to {shape}")
+    data = x.data.reshape(shape)
+
+    def build(out):
+        def vjp():
+            if x.requires_grad:
+                x.accumulate(out.grad.reshape(x.data.shape))
+
+        return vjp
+
+    return record(data, "reshape", (x,), build)
+
+
+def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    tensors = [_as_tensor(t) for t in tensors]
+    if not tensors:
+        raise ShapeError("concat needs at least one tensor")
+    axis = _check_axis(tensors[0], axis)
+    base = list(tensors[0].shape)
+    for i, t in enumerate(tensors[1:], start=1):
+        other = list(t.shape)
+        if len(other) != len(base) or any(
+            o != b for j, (o, b) in enumerate(zip(other, base)) if j != axis
+        ):
+            raise ShapeError(f"concat operand {i} has shape {t.shape}, expected {tensors[0].shape} off axis {axis}")
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+
+    def build(out):
+        def vjp():
+            g = out.grad
+            index: list = [slice(None)] * g.ndim
+            for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+                if t.requires_grad:
+                    index[axis] = slice(start, stop)
+                    t.accumulate(g[tuple(index)])
+
+        return vjp
+
+    return record(data, "concat", tuple(tensors), build)
 
 
 def narrow(x, axis: int, start: int, length: int) -> Tensor:

@@ -208,7 +208,7 @@ def test_grad_transpose_reshape():
 
     def loss():
         t = ops.transpose(x, (2, 0, 1))
-        return ad.reduce_sum(ad.mul(ad.reshape(t, (4, 6)), w))
+        return ad.reduce_sum(ad.mul(ops.reshape(t, (4, 6)), w))
 
     assert_grads_match(loss, [x])
 
@@ -218,10 +218,53 @@ def test_grad_concat_narrow():
     w = ad.Tensor(RNG.normal(0.0, 1.0, (2, 4)))
 
     def loss():
-        joined = ad.concat([a, b], axis=1)
+        joined = ops.concat([a, b], axis=1)
         return ad.reduce_sum(ad.mul(ops.narrow(joined, 1, 2, 4), w))
 
     assert_grads_match(loss, [a, b])
+
+
+def test_grad_time_major():
+    x = leaf((2, 3, 4, 5))
+    w = ad.Tensor(RNG.normal(0.0, 1.0, (2, 4, 15)))
+    out = ad.time_major(x)
+    assert out.data.tobytes() == np.swapaxes(x.data, 1, 2).reshape(2, 4, 15).tobytes()
+    assert_grads_match(lambda: ad.reduce_sum(ad.mul(ad.time_major(x), w)), [x])
+    with pytest.raises(ShapeError, match="windows"):
+        ad.time_major(ad.Tensor(np.ones((3, 4))))
+
+
+def test_stack_into_joins_the_parts_in_place():
+    out = RNG.normal(0.0, 1.0, (3, 2, 3))
+    # Each part's value is its slot of the stack, as a producer that
+    # wrote there with ``out=`` leaves it.
+    static = ad.Tensor(out[0], requires_grad=True)
+    scales = ad.Tensor(out[1:], requires_grad=True)
+    assert np.shares_memory(static.data, out) and np.shares_memory(scales.data, out)
+    assert ad.stack_into(out, (static, scales)).data is out
+    w = ad.Tensor(RNG.normal(0.0, 1.0, out.shape))
+    assert_grads_match(lambda: ad.reduce_sum(ad.mul(ad.stack_into(out, (static, scales)), w)),
+                       [static, scales])
+    np.testing.assert_array_equal(static.grad, w.data[0])
+    np.testing.assert_array_equal(scales.grad, w.data[1:])
+
+
+def test_stack_into_rejects_parts_that_are_not_its_slots():
+    for parts, shape in [
+        ([(2, 3)], (2, 2, 3)),
+        ([(2, 3), (2, 2, 3)], (4, 2, 3)),
+        ([(2, 4), (2, 2, 3)], (3, 2, 3)),
+        ([(1, 2, 2, 3)], (1, 2, 3)),
+    ]:
+        with pytest.raises(ShapeError, match="do not fill"):
+            ad.stack_into(np.empty(shape), [ad.Tensor(np.ones(p)) for p in parts])
+    with pytest.raises(ShapeError, match="C-contiguous float64"):
+        ad.stack_into(np.empty((3, 2)).T, [ad.Tensor(np.ones(3))] * 2)
+    out = np.empty((3, 2, 3))
+    with pytest.raises(ShapeError, match="part 0 does not hold its slot"):
+        ad.stack_into(out, (ad.Tensor(np.ones((2, 3))), ad.Tensor(out[1:])))
+    with pytest.raises(ShapeError, match="part 1 does not hold its slot"):
+        ad.stack_into(out, (ad.Tensor(out[0]), ad.Tensor(out[:2])))
 
 
 def test_grad_conv1d():
@@ -406,7 +449,7 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 2))))
     with pytest.raises(ShapeError):
-        ad.concat([ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 3)))], axis=1)
+        ops.concat([ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 3)))], axis=1)
     with pytest.raises(ShapeError):
         ops.narrow(ad.Tensor(np.ones((2, 3))), 1, 2, 4)
     with pytest.raises(ConfigError):
@@ -429,7 +472,7 @@ def test_parameter_naming_and_backward_collection():
 PUBLIC_CALLABLES = {
     "Tensor", "Parameter", "record", "backward", "set_finite_checks", "no_grad", "grad_enabled",
     "unbroadcast", "matmul_operand_grad", "matmul", "time_major", "left_product",
-    "left_product_grads", "left_map", "conv1d", "layer_norm", "reshape", "concat",
+    "left_product_grads", "left_map", "stack_into", "conv1d", "layer_norm",
     "sub", "mul", "scale", "reduce_sum", "reduce_mean",
 }
 

@@ -831,3 +831,66 @@ def test_any_override_exits_cleanly_and_writes_strict_files(trained, command, da
                 if name.endswith(".json"):
                     with open(os.path.join(root, name), encoding="utf-8") as handle:
                         json.load(handle, parse_constant=reject_constant)
+
+
+# ---------------------------------------------------------------------------
+# any CSV
+
+# What a cell can hold besides an ordinary number: non-finite spellings,
+# a float that overflows, a blank, and text.
+ODD_CELLS = ["inf", "-inf", "nan", "Infinity", "-Infinity", "NaN", "1e400", "", " ", "x1"]
+
+
+@st.composite
+def odd_csv(draw):
+    """CSV text with two or three series and few rows, some cells odd.
+
+    Rows run from none up to a few more than a one-epoch ``TINY`` train
+    needs. A column may be constant and a row may lose its last cell.
+    """
+    n_vars = draw(st.integers(2, 3))
+    rows = draw(st.integers(0, 160))
+    dates = draw(st.booleans())
+    constant = draw(st.sets(st.integers(0, n_vars - 1), max_size=n_vars))
+    odd = draw(st.dictionaries(
+        st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, n_vars - 1)),
+        st.sampled_from(ODD_CELLS), max_size=2,
+    ))
+    short = draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=1))
+    lines = [",".join((["date"] if dates else []) + [f"v{j}" for j in range(n_vars)])]
+    for r in range(rows):
+        cells = [
+            odd.get((r, j), "1.5" if j in constant else f"{math.sin(r / (3 + j)):.6f}")
+            for j in range(n_vars)
+        ]
+        if r in short:
+            cells = cells[:-1]
+        stamp = f"2020-01-{1 + r // 24:02d} {r % 24:02d}:00"
+        lines.append(",".join(([stamp] if dates else []) + cells))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=odd_csv())
+def test_any_csv_trains_and_evals_cleanly_and_writes_strict_files(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "series.csv")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        run = os.path.join(tmp, "run")
+        argvs = [["train", "--data", path, "--out", run] + sets(TINY + ["train.epochs=1"])]
+        argvs.append(["eval", "--checkpoint", os.path.join(run, "model.ckpt"), "--data", path,
+                      "--export-predictions", "--dump-attention", "--dump-graphs"])
+        for argv in argvs:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, err = run_quietly(argv)
+            assert code in (0, 1, 2, 3)
+            assert (err == "") if code == 0 else re.fullmatch(r"error: [^\n]*\n", err), err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        for root, _, files in os.walk(tmp):
+            for name in files:
+                assert not name.endswith(".tmp"), name
+                if name.endswith(".json"):
+                    with open(os.path.join(root, name), encoding="utf-8") as handle:
+                        json.load(handle, parse_constant=reject_constant)

@@ -221,6 +221,29 @@ def test_revin_denormalize_raises_on_a_zero_divisor_even_unguarded():
         ad.set_finite_checks(previous)
 
 
+@settings(max_examples=30, deadline=None)
+@given(batch=st.integers(1, 3), length=st.integers(2, 20), n=st.integers(1, 3), seed=SEED)
+def test_revin_window_is_the_chain_output_laid_out_time_major(batch, length, n, seed):
+    # Lengths of 8 and more take numpy's pairwise sums over a single
+    # variable's contiguous series, which the window's statistics follow.
+    rng = np.random.default_rng(seed)
+    layer = revin(rng, n)
+    x = leaf(rng, (batch, length, n), loc=2.0, scale=3.0)
+    window, stats = layer.normalize(x, time_major=True)
+    assert window.shape == (length, batch * n)
+    _, chain_stats = chain_revin_normalize(layer, x)
+    for got, want in zip(stats, chain_stats):
+        assert got.tobytes() == want.tobytes()
+    assert_node_matches_chain(
+        lambda: layer.normalize(x, time_major=True)[0],
+        lambda: ad.time_major(chain_revin_normalize(layer, x)[0]),
+        [x, layer.gamma, layer.beta],
+        rng.normal(0.0, 1.0, window.shape),
+        exact=True,
+        fd_leaves=[layer.gamma, layer.beta],
+    )
+
+
 # ---------------------------------------------------------------------------
 # Graph propagation
 
@@ -298,6 +321,36 @@ def test_propagation_raises_exactly_when_its_chain_raises(
     )
     if got is not None:
         assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["static", "dynamic", "stacked"]),
+    depth=st.integers(0, 3),
+    shared_theta=st.booleans(),
+    h_shared=st.booleans(),
+    seed=SEED,
+)
+def test_propagation_writes_its_output_where_it_is_told(kind, depth, shared_theta, h_shared, seed):
+    rng = np.random.default_rng(seed)
+    h, adjacency, cfg, leaves = propagation_case(
+        rng, kind, depth, 3, 4, 2, 3, shared_theta, h_shared
+    )
+    node = propagation_node(kind)
+    want = node(h, adjacency, cfg)
+    weight = rng.normal(0.0, 1.0, want.shape)
+    stack = np.full((2, *want.shape), np.nan)
+    got = node(h, adjacency, cfg, stack[1])
+    assert np.shares_memory(got.data, stack[1]) and not np.isnan(stack[1]).any()
+    assert got.data.tobytes() == want.data.tobytes()
+    assert np.isnan(stack[0]).all()
+    grads = []
+    for out in (want, got):
+        for t in leaves:
+            t.zero_grad()
+        ad.reduce_sum(ad.mul(out, weight)).backward()
+        grads.append([t.grad.tobytes() for t in leaves])
+    assert grads[0] == grads[1]
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +442,8 @@ def test_left_map_matches_its_chain(layout, length, k, nodes, batch, scales, see
     maps = ad.Parameter("maps", rng.normal(0.0, 0.7, (*MAP_LEADS[layout](scales), length, k)))
     x = leaf(rng, (batch, length, nodes))
     out_shape = chain_left_map(maps, x).shape
-    # A window laid out once and shared gives the same bits.
-    shared = ad.left_map(maps, x, ad.time_major(x.data))
-    assert shared.data.tobytes() == ad.left_map(maps, x).data.tobytes()
     assert_node_matches_chain(
-        lambda: ad.left_map(maps, x),
+        lambda: ad.left_map(maps, ad.time_major(x), nodes),
         lambda: chain_left_map(maps, x),
         [maps, x],
         rng.normal(0.0, 1.0, out_shape),
@@ -409,7 +459,9 @@ def test_left_map_raises_exactly_when_its_chain_raises(
     maps = ad.Parameter("maps", np.zeros((*MAP_LEADS[layout](3), 6, 4)))
     regain(rng, [maps], gain)
     x = ad.Tensor(huge(rng, (2, 6, 3), exponent, offset, spread))
-    got, want = both_outcomes(lambda: ad.left_map(maps, x), lambda: chain_left_map(maps, x))
+    got, want = both_outcomes(
+        lambda: ad.left_map(maps, ad.time_major(x), 3), lambda: chain_left_map(maps, x)
+    )
     if got is not None:
         assert relative_error(got, want, floor=1.0) < TOL
 

@@ -35,15 +35,15 @@ def stack(branches):
 def per_branch_fuse(branches, layer):
     """Reference gate that scores each branch in its own calls."""
     dim = branches[0].shape[1]
-    query = ad.reshape(layer.q, (dim, 1))
+    query = ops.reshape(layer.q, (dim, 1))
     logits = [
         ad.matmul(ad.matmul(ad.reduce_mean(b, 2), ops.transpose(layer.w_k, (1, 0))), query)
         for b in branches
     ]
-    alpha = ops.softmax(ad.concat(logits, axis=1), axis=1)
+    alpha = ops.softmax(ops.concat(logits, axis=1), axis=1)
     fused = None
     for i, b in enumerate(branches):
-        term = ad.mul(b, ad.reshape(ops.narrow(alpha, 1, i, 1), (b.shape[0], 1, 1)))
+        term = ad.mul(b, ops.reshape(ops.narrow(alpha, 1, i, 1), (b.shape[0], 1, 1)))
         fused = term if fused is None else ops.add(fused, term)
     return fused.data, alpha.data
 

@@ -1,5 +1,6 @@
 """Model assembly checks: RevIN, forward contract, ablation, checkpoints, fold cache."""
 
+import contextlib
 import gc
 import json
 import re
@@ -241,7 +242,7 @@ def test_tfl_ablation_matches_wiring_oracle():
         gr.dynamic_adjacency(x_norm, layer),
         model.dynamic_cfg,
     )
-    branches = ad.concat([ad.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
+    branches = ops.concat([ops.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
     fused, _ = fu.fuse(branches, model.fusion_layer)
     out = md.head(fused, model.head_w1, model.head_b1, model.head_w2, model.head_b2)
     want = model.revin.denormalize(out, stats).data
@@ -266,7 +267,7 @@ def stacked_wiring_forward(x, model):
     else:
         dyn_adj = gr.dynamic_adjacency(comps, model.dynamic_layer)
     h_dyn = gr.dynamic_graph_conv(ad.matmul(proj_t, comps), dyn_adj, model.dynamic_cfg)
-    branches = ad.concat([ad.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
+    branches = ops.concat([ops.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
     if "gf" in model.ablations:
         fused = ad.reduce_mean(branches, 0)
     else:
@@ -447,13 +448,13 @@ def test_one_step_reaches_exactly_the_effective_parameters(ablation, depth, seed
     assert effective == {p.name for p in md.parameters(model) if p.grad is not None}
 
 
-def test_grad_forward_records_16_nodes_at_every_depth():
+def test_grad_forward_records_15_nodes_at_every_depth():
     # The shape of the benchmark's ``small`` workload. RevIN each way,
     # each input projection, each wavelet fold, each propagation, the
-    # dynamic adjacency, the fusion gate and the head record one node
-    # each, and the inception block two (its conv1d and its layer norm),
-    # so deeper propagation adds no node. At depth 0 no graph is read,
-    # so the adjacency and its two folds drop out.
+    # dynamic adjacency, the branch stack, the fusion gate and the head
+    # record one node each, and the inception block two (its conv1d and
+    # its layer norm), so deeper propagation adds no node. At depth 0 no
+    # graph is read, so the adjacency and its two folds drop out.
     counts = []
     for depth in (0, 1, 2, 3):
         cfg = md.ModelConfig(
@@ -462,7 +463,58 @@ def test_grad_forward_records_16_nodes_at_every_depth():
         )
         y = md.forward(ad.Tensor(RNG.normal(0.0, 1.0, (32, 24, 4))), ready_model(cfg))
         counts.append(sum(node._vjp is not None for node in ad._toposort(y)))
-    assert counts == [13, 16, 16, 16]
+    assert counts == [12, 15, 15, 15]
+
+
+def held_arrays(root):
+    """Every array the graph below ``root`` keeps: node values and closure cells."""
+    arrays = []
+    for node in ad._toposort(root):
+        arrays.append(node.data)
+        closure = node._vjp.__closure__ if node._vjp is not None else None
+        for cell in closure or ():
+            value = cell.cell_contents
+            arrays.append(value.data if isinstance(value, ad.Tensor) else value)
+    return [a for a in arrays if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("ablation", [None, *md.ABLATION_MODES])
+def test_grad_forward_keeps_the_window_only_in_the_readers_layout(ablation):
+    model = ready_model(tiny_config(input_len=16, levels=2))
+    if ablation is not None:
+        model = md.ablate(model, ablation)
+    x = ad.Tensor(RNG.normal(0.0, 1.0, (5, 16, 3)))
+    arrays = held_arrays(md.forward(x, model))
+    assert [a.shape for a in arrays if a.shape == x.shape and a is not x.data] == []
+    assert (16, 15) in {a.shape for a in arrays}
+
+
+@pytest.mark.parametrize("grad", [True, False])
+@pytest.mark.parametrize("depth", [0, 2])
+def test_fusion_reads_both_propagation_outputs_in_place(monkeypatch, grad, depth):
+    seen = {}
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            seen[name] = (args, real(*args, **kwargs))
+            return seen[name][1]
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    for owner, name in [(gr, "static_graph_conv"), (gr, "dynamic_graph_conv"), (fu, "fuse")]:
+        spy(owner, name)
+    model = ready_model(tiny_config(input_len=16, levels=2, depth=depth))
+    x = ad.Tensor(RNG.normal(0.0, 1.0, (5, 16, 3)))
+    with contextlib.nullcontext() if grad else ad.no_grad():
+        md.forward(x, model)
+    branches = seen["fuse"][0][0].data
+    static, dynamic = seen["static_graph_conv"][1].data, seen["dynamic_graph_conv"][1].data
+    assert branches.shape == (4, 5, 4, 3)
+    assert np.shares_memory(branches, static) and np.shares_memory(branches, dynamic)
+    assert branches[0].tobytes() == static.tobytes()
+    assert branches[1:].tobytes() == dynamic.tobytes()
 
 
 # ---------------------------------------------------------------------------
