@@ -114,25 +114,20 @@ def _resolve_config(args) -> cf.RunConfig:
 
 
 def _prepare_dataset(cfg: cf.RunConfig):
-    """Load, optionally standardize on train-split statistics, window."""
+    """Load, standardize on train-split statistics, window.
+
+    Returns the table, the windows and the checkpoint ``extra``: the
+    column names and the scaler that ``sdgf eval`` applies again.
+    """
     path = cfg["data.path"]
     if not path:
         raise ConfigError("data.path is required (set it in the config or via --data)")
     table = load_csv(path)
     dataset = make_windows(table.values, cfg["model.input_len"], cfg["model.horizon"])
-    scaler = None
-    if cfg["data.standardize"]:
-        # Splits depend only on the row count, so only the values change.
-        scaler = Scaler.fit(table.values[: dataset.train_end])
-        dataset = dataclasses.replace(dataset, values=scaler.transform(table.values))
-    return table, dataset, scaler
-
-
-def _checkpoint_extra(table, scaler) -> dict:
-    return {
-        "names": list(table.names),
-        "scaler": scaler.to_dict() if scaler is not None else None,
-    }
+    # Splits depend only on the row count, so only the values change.
+    scaler = Scaler.fit(table.values[: dataset.train_end])
+    dataset = dataclasses.replace(dataset, values=scaler.transform(table.values))
+    return table, dataset, {"names": list(table.names), "scaler": scaler.to_dict()}
 
 
 def _out_dir(cfg: cf.RunConfig) -> pathlib.Path:
@@ -173,12 +168,10 @@ def _write_json(path, payload: dict, **kwargs) -> None:
 
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    table, dataset, scaler = _prepare_dataset(cfg)
+    table, dataset, extra = _prepare_dataset(cfg)
     model = md.build_model(cf.model_config(cfg, table.n_vars))
     try:
-        report, blob = tr.train(
-            model, dataset, cf.train_config(cfg), extra=_checkpoint_extra(table, scaler)
-        )
+        report, blob = tr.train(model, dataset, cf.train_config(cfg), extra=extra)
     except NumericError as exc:
         # Keep what the run had earned before it failed; main() exits 3.
         # With no epoch earned, an older run's checkpoint would sit beside
@@ -344,8 +337,7 @@ def _cmd_ablate(args) -> int:
         raise ConfigError(
             f"unknown ablation mode {args.mode!r}; available: {(*md.ABLATION_MODES, 'all')}"
         )
-    table, dataset, scaler = _prepare_dataset(cfg)
-    extra = _checkpoint_extra(table, scaler)
+    table, dataset, extra = _prepare_dataset(cfg)
     tcfg = cf.train_config(cfg)
     out = _out_dir(cfg)
     cfg.save(out / "resolved.cfg")

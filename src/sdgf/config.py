@@ -27,8 +27,6 @@ DEFAULTS: dict = {
     "gcn.alpha": 0.5,
     "gcn.depth": 2,
     "gcn.embed_dim": 16,
-    "temporal.blocks": 1,
-    "temporal.branch_width": 0,
     "train.lr": 1e-3,
     "train.epochs": 30,
     "train.patience": 5,
@@ -36,7 +34,6 @@ DEFAULTS: dict = {
     "train.seed": 0,
     "train.clip": 5.0,
     "data.path": "",
-    "data.standardize": True,
     "out.dir": "runs/latest",
     "synth.n_vars": 4,
     "synth.rows": 2000,
@@ -52,11 +49,6 @@ DEFAULTS: dict = {
 def _parse_value(key: str, text: str):
     default = DEFAULTS[key]
     text = text.strip()
-    if isinstance(default, bool):
-        low = text.lower()
-        if low not in ("true", "false"):
-            raise ConfigError(f"key {key!r} expects true/false, got {text!r}")
-        return low == "true"
     if isinstance(default, int):
         try:
             return int(text)
@@ -71,8 +63,6 @@ def _parse_value(key: str, text: str):
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -114,7 +104,7 @@ class RunConfig:
         try:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         return cls.parse(text, source=path)
 
@@ -156,8 +146,6 @@ def model_config(cfg: RunConfig, n_vars: int) -> md.ModelConfig:
         depth=cfg["gcn.depth"],
         alpha=cfg["gcn.alpha"],
         embed_dim=cfg["gcn.embed_dim"],
-        temporal_blocks=cfg["temporal.blocks"],
-        branch_width=cfg["temporal.branch_width"],
         seed=cfg["model.seed"],
     )
 

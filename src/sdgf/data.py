@@ -1,12 +1,14 @@
 """Dataset ingestion, sliding windows, chronological splits, synthesis.
 
-CSV files are ETT-style: a header row, an optional leading "date"
-column, and float64 values everywhere else. ``csv.reader`` splits the
-rows; one pass over them checks each row's width, takes its date cell
-and gathers its value cells into one flat list, and one call converts
-that list (``str.strip``, then ``float``, so blank cells and the
-separator characters ``str.strip`` removes but ``float`` does not read
-as they always have), and one ``np.isfinite`` over the result rejects
+CSV files are UTF-8 and ETT-style: a header row, an optional leading
+"date" column, and float64 values everywhere else. ``csv.reader``
+splits the rows, and a file that does not decode or that it cannot
+split (a field past its size limit) is a ``DataError``. One pass over
+the rows checks each row's width, takes its date cell and gathers its
+value cells into one flat list, and one call converts that list
+(``str.strip``, then ``float``, so blank cells and the separator
+characters ``str.strip`` removes but ``float`` does not read as they
+always have), and one ``np.isfinite`` over the result rejects
 ``inf``, ``nan`` and cells such as ``1e400`` that overflow to infinity:
 a forecaster has no use for a value that is not a number. Only a file
 that fails the width check, the conversion or the finiteness check is
@@ -76,11 +78,12 @@ class SeriesTable:
 def load_csv(path: str) -> SeriesTable:
     """Parse a header + float rows; the first column may be dates."""
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot parse {path}: {exc}") from None
     if not rows:
         raise DataError(f"{path} is empty")
     header = [c.strip() for c in rows[0]]
@@ -162,7 +165,7 @@ def atomic_open(path, mode: str = "w", **kwargs):
 
 def save_csv(table: SeriesTable, path: str) -> None:
     """Write a table back out; 17 significant digits round-trip float64."""
-    with atomic_open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         if table.timestamps is not None:
             writer.writerow(["date", *table.names])

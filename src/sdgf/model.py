@@ -10,7 +10,7 @@ Forward pipeline for a (batch, input_len, n_vars) window:
          item and propagates through it, all scales in each call
       -> attention-gated fusion of the (1 + scales, batch, hidden, n_vars)
          branch stack, static branch first
-      -> inception block(s)
+      -> inception block
       -> per-variable MLP head mapping features to the horizon
     revin denormalize
 
@@ -69,9 +69,10 @@ from the stored arrays by name, so a load draws no random numbers and
 copies each stored parameter once, from a ``memoryview`` of the blob
 into an array the parameter owns.
 
-Ablations switch individual stages to neutral implementations (identity
-graphs, unweighted fusion, no temporal block) without touching the rest;
-each one leaves the subtree named in ``ABLATED_SUBTREES`` unused.
+An ablation switches one stage to a neutral implementation (identity
+graphs, unweighted fusion or no inception block) without touching the
+rest, and leaves the subtree named in ``ABLATED_SUBTREES`` unused. A
+model carries at most one: ``SdgfModel.ablation`` is None or one mode.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ import math
 import struct
 import weakref
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,16 +95,20 @@ from . import wavelet as wv
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError, StateError
 
 # Ablation mode -> the SdgfModel field whose parameters it leaves unused.
-ABLATED_SUBTREES = {"gsl": "dynamic_layer", "gf": "fusion_layer", "tfl": "blocks"}
+ABLATED_SUBTREES = {"gsl": "dynamic_layer", "gf": "fusion_layer", "tfl": "block"}
 ABLATION_MODES = tuple(ABLATED_SUBTREES)
 
 CHECKPOINT_MAGIC = b"SDGF\x00"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass
 class ModelConfig:
-    """Hyperparameters; everything downstream is derived from these."""
+    """Hyperparameters; everything downstream is derived from these.
+
+    The model has one inception block, ``tp.branch_width(hidden)`` wide
+    per branch. Integer fields take ``int`` only, not ``bool``.
+    """
 
     input_len: int
     horizon: int
@@ -115,28 +120,23 @@ class ModelConfig:
     depth: int = 2
     alpha: float = 0.5
     embed_dim: int = 16
-    temporal_blocks: int = 1
-    branch_width: int = 0
     seed: int = 0
 
     def __post_init__(self):
         for name in ("input_len", "horizon", "n_vars", "hidden", "levels", "depth",
-                     "embed_dim", "temporal_blocks", "branch_width", "seed"):
-            if not isinstance(getattr(self, name), int):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+                     "embed_dim", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name in ("input_len", "horizon", "n_vars", "hidden", "embed_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.temporal_blocks < 0:
-            raise ConfigError(f"temporal_blocks must be >= 0, got {self.temporal_blocks}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
         if self.depth < 0:
             raise ConfigError(f"depth must be >= 0, got {self.depth}")
-        if self.branch_width < 0:
-            raise ConfigError(f"branch_width must be >= 0, got {self.branch_width}")
         if self.boundary not in wv.BOUNDARIES:
             raise ConfigError(f"unknown boundary {self.boundary!r}; available: {wv.BOUNDARIES}")
         wv.wavelet_filter(self.family)
@@ -314,13 +314,13 @@ class SdgfModel:
     dynamic_layer: gr.DynamicGraphLayer
     dynamic_cfg: gr.GraphPropagationConfig
     fusion_layer: fu.FusionLayer
-    blocks: list[tp.InceptionBlock]
+    block: tp.InceptionBlock
     head_w1: ad.Parameter
     head_b1: ad.Parameter
     head_w2: ad.Parameter
     head_b2: ad.Parameter
     static_adjacency: np.ndarray | None = None
-    ablations: frozenset = field(default_factory=frozenset)
+    ablation: str | None = None
 
 
 def build_model(cfg: ModelConfig) -> SdgfModel:
@@ -382,27 +382,21 @@ def _assemble(cfg: ModelConfig, stored=None) -> SdgfModel:
         param("fusion.w_k", (dim, dim), lambda s: np.eye(dim) + rng.normal(0.0, 0.01, s)),
     )
 
-    width = cfg.branch_width or tp.branch_width(dim)
-    blocks = []
-    for b in range(cfg.temporal_blocks):
-        kernels = [
-            linear(f"block{b}.branch{i}", dim * k, (width, dim, k))
+    width = tp.branch_width(dim)
+    block = tp.InceptionBlock(
+        channels=dim,
+        branch_kernels=[
+            linear(f"block.branch{i}", dim * k, (width, dim, k))
             for i, (k, _) in enumerate(tp.BRANCH_SHAPES)
-        ]
-        biases = [param(f"block{b}.branch{i}_bias", (width,), np.zeros) for i in range(4)]
-        blocks.append(
-            tp.InceptionBlock(
-                channels=dim,
-                branch_kernels=kernels,
-                branch_biases=biases,
-                merge_kernel=linear(f"block{b}.merge", 4 * width, (dim, 4 * width, 1)),
-                merge_bias=param(f"block{b}.merge_bias", (dim,), np.zeros),
-                residual_kernel=linear(f"block{b}.residual", dim, (dim, dim, 1)),
-                residual_bias=param(f"block{b}.residual_bias", (dim,), np.zeros),
-                norm_gain=param(f"block{b}.norm_gain", (dim,), np.ones),
-                norm_bias=param(f"block{b}.norm_bias", (dim,), np.zeros),
-            )
-        )
+        ],
+        branch_biases=[param(f"block.branch{i}_bias", (width,), np.zeros) for i in range(4)],
+        merge_kernel=linear("block.merge", 4 * width, (dim, 4 * width, 1)),
+        merge_bias=param("block.merge_bias", (dim,), np.zeros),
+        residual_kernel=linear("block.residual", dim, (dim, dim, 1)),
+        residual_bias=param("block.residual_bias", (dim,), np.zeros),
+        norm_gain=param("block.norm_gain", (dim,), np.ones),
+        norm_bias=param("block.norm_bias", (dim,), np.zeros),
+    )
 
     head_w1 = linear("head.w1", dim, (dim, 2 * dim))
     head_b1 = param("head.b1", (2 * dim,), np.zeros)
@@ -417,7 +411,7 @@ def _assemble(cfg: ModelConfig, stored=None) -> SdgfModel:
         dynamic_layer=gr.DynamicGraphLayer(w1, w2),
         dynamic_cfg=gr.GraphPropagationConfig(alpha=cfg.alpha, depth=cfg.depth, theta=thetas),
         fusion_layer=fusion_layer,
-        blocks=blocks,
+        block=block,
         head_w1=head_w1,
         head_b1=head_b1,
         head_w2=head_w2,
@@ -444,12 +438,12 @@ def parameters(model: SdgfModel) -> list[ad.Parameter]:
 
 
 def effective_parameters(model: SdgfModel) -> list[ad.Parameter]:
-    """Parameters that the forward pass actually uses under the ablations.
+    """Parameters that the forward pass actually uses under the ablation.
 
     At depth 0 no hop reads a graph, so the dynamic embedding maps go
     unused, as under ``gsl``.
     """
-    skip = {ABLATED_SUBTREES[mode] for mode in model.ablations}
+    skip = {ABLATED_SUBTREES[model.ablation]} if model.ablation else set()
     if model.config.depth == 0:
         skip.add("dynamic_layer")
     return list(_walk(model, skip))
@@ -522,7 +516,7 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
     # layout the RevIN node writes.
     window, stats = model.revin.normalize(x, time_major=True)
 
-    if "gsl" in model.ablations:
+    if model.ablation == "gsl":
         static_adj = np.eye(n)
     elif model.static_adjacency is None:
         raise StateError("static graph is not frozen; call set_static_graph first")
@@ -539,7 +533,7 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
     # Every map that reads the wavelet components does so from the left,
     # so each is folded with the component operators and reads the window.
     # With no hop, no dynamic graph is read, so none is learned.
-    if "gsl" in model.ablations or cfg.depth == 0:
+    if model.ablation == "gsl" or cfg.depth == 0:
         dyn_adj = ad.Tensor(np.eye(n))
     else:
         layer = model.dynamic_layer
@@ -552,15 +546,14 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
     )
 
     branches = ad.stack_into(stack, (h_static, h_dyn))
-    if "gf" in model.ablations:
+    if model.ablation == "gf":
         fused = ad.reduce_mean(branches, 0)
         alpha = np.full((batch, branches.shape[0]), 1.0 / branches.shape[0])
     else:
         fused, alpha = fu.fuse(branches, model.fusion_layer)
 
-    if "tfl" not in model.ablations:
-        for block in model.blocks:
-            fused = tp.inception_forward(fused, block)
+    if model.ablation != "tfl":
+        fused = tp.inception_forward(fused, model.block)
 
     out = head(fused, model.head_w1, model.head_b1, model.head_w2, model.head_b2)
     y = model.revin.denormalize(out, stats)
@@ -578,10 +571,12 @@ def forward(x: ad.Tensor, model: SdgfModel) -> ad.Tensor:
 
 
 def ablate(model: SdgfModel, mode: str) -> SdgfModel:
-    """A view of the model with one stage neutralized; parameters shared."""
+    """A view of the full model with one stage neutralized; parameters shared."""
     if mode not in ABLATION_MODES:
         raise ConfigError(f"unknown ablation mode {mode!r}; available: {ABLATION_MODES}")
-    return dataclasses.replace(model, ablations=model.ablations | {mode})
+    if model.ablation is not None:
+        raise ConfigError(f"model is already ablated ({model.ablation!r}); ablate the full model")
+    return dataclasses.replace(model, ablation=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +592,7 @@ def save_checkpoint(model: SdgfModel, extra: dict | None = None) -> bytes:
     """
     header = {
         "config": dataclasses.asdict(model.config),
-        "ablations": sorted(model.ablations),
+        "ablation": model.ablation,
         "extra": extra or {},
     }
     head_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -651,7 +646,8 @@ def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
     parsed. A checksum mismatch (truncation, trailing bytes, flipped
     bits), a layout that does not fill the body exactly, non-finite
     parameter values, a static adjacency that is not finite and
-    row-stochastic and an ``extra`` that is not a JSON object each raise
+    row-stochastic, an ``ablation`` that is neither null nor one mode
+    name and an ``extra`` that is not a JSON object each raise
     ``CheckpointError``.
 
     The blob is read through a ``memoryview``, and the tree is assembled
@@ -677,8 +673,13 @@ def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from None
     try:
         cfg = ModelConfig(**header["config"])
+        mode = header["ablation"]
     except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"checkpoint config does not match this build: {exc}") from None
+    if mode is not None and mode not in ABLATION_MODES:
+        raise CheckpointError(
+            f"checkpoint ablation {mode!r} is neither null nor one of {ABLATION_MODES}"
+        )
 
     (has_static,) = r.unpack("<B")
     static_raw = r.read(cfg.n_vars * cfg.n_vars * 8) if has_static else None
@@ -710,11 +711,7 @@ def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
         return flat.reshape(shape).copy()
 
     model = _assemble(cfg, from_checkpoint)
-    try:
-        for mode in header.get("ablations", []):
-            model = ablate(model, mode)
-    except (TypeError, ConfigError) as exc:
-        raise CheckpointError(f"checkpoint ablations do not match this build: {exc}") from None
+    model.ablation = mode
     if static_raw is not None:
         adjacency = np.frombuffer(static_raw, dtype="<f8").reshape(cfg.n_vars, cfg.n_vars)
         if not (

@@ -169,7 +169,7 @@ def chain_head(h, w1, b1, w2, b2):
 
 
 def chain_forward(x, model):
-    """``model.forward`` wired from the chains above, ablations included.
+    """``model.forward`` wired from the chains above, under any ablation.
 
     The folds and the inception block are the model's own; every other
     stage is its op-by-op chain.
@@ -181,11 +181,11 @@ def chain_forward(x, model):
         return wv.decompose(p, wv.wavelet_filter(cfg.family), cfg.levels, cfg.boundary, adjoint=True)
 
     x_norm, stats = chain_revin_normalize(model.revin, x)
-    static_adj = np.eye(n) if "gsl" in model.ablations else model.static_adjacency
+    static_adj = np.eye(n) if model.ablation == "gsl" else model.static_adjacency
     h_static = chain_propagate(
         ad.matmul(ops.matrix_transpose(model.input_proj), x_norm), static_adj, model.static_cfg
     )
-    if "gsl" in model.ablations:
+    if model.ablation == "gsl":
         dyn_adj = ad.Tensor(np.eye(n))
     else:
         layer = model.dynamic_layer
@@ -196,13 +196,12 @@ def chain_forward(x, model):
         ad.matmul(ops.matrix_transpose(fold(model.input_proj)), x_norm), dyn_adj, model.dynamic_cfg
     )
     branches = ops.concat([ops.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
-    if "gf" in model.ablations:
+    if model.ablation == "gf":
         fused = ad.reduce_mean(branches, 0)
     else:
         fused, _ = chain_fuse(branches, model.fusion_layer)
-    if "tfl" not in model.ablations:
-        for block in model.blocks:
-            fused = tp.inception_forward(fused, block)
+    if model.ablation != "tfl":
+        fused = tp.inception_forward(fused, model.block)
     out = chain_head(fused, model.head_w1, model.head_b1, model.head_w2, model.head_b2)
     return chain_revin_denormalize(model.revin, out, stats)
 

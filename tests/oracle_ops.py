@@ -214,11 +214,10 @@ def predicted_parameter_count(cfg: md.ModelConfig) -> int:
     total += hops * dim * dim * (1 + scales)
     total += scales * 2 * length * cfg.embed_dim
     total += dim + dim * dim
-    width = cfg.branch_width or tp.branch_width(dim)
-    per_block = sum(width * dim * k for k, _ in tp.BRANCH_SHAPES) + 4 * width
-    per_block += dim * 4 * width + dim
-    per_block += dim * dim + dim
-    per_block += 2 * dim
-    total += cfg.temporal_blocks * per_block
+    width = tp.branch_width(dim)
+    total += sum(width * dim * k for k, _ in tp.BRANCH_SHAPES) + 4 * width
+    total += dim * 4 * width + dim
+    total += dim * dim + dim
+    total += 2 * dim
     total += dim * 2 * dim + 2 * dim + 2 * dim * horizon + horizon
     return total

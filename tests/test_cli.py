@@ -150,18 +150,64 @@ def test_train_non_finite_cell_is_a_data_error(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "synth"])
+def test_a_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command):
+    config = tmp_path / "latin.cfg"
+    config.write_bytes(b"model.hidden = 4\n# caf\xe9 \xff\n")
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--data", str(make_csv(tmp_path)), "--out", str(out)]
+    else:
+        argv = ["synth", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv + ["--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: cannot read config [^\n]*latin\.cfg[^\n]*\n", err), err
+    assert not out.exists()
+
+
+# Bytes that are not UTF-8, and a quoted field longer than the csv
+# module's field limit (131072 characters by default).
+UNPARSABLE_CSVS = {
+    "not-utf8": b"a,b\n1,2\n3,\xff\n5,6\n",
+    "latin-1-header": b"caf\xe9,b\n1,2\n",
+    "oversized-field": b'a,b\n1,"' + b"9" * 200_000 + b'"\n',
+}
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("kind", list(UNPARSABLE_CSVS))
+def test_a_csv_that_does_not_parse_is_a_data_error(trained, tmp_path, capsys, kind, command):
+    data = tmp_path / f"{kind}.csv"
+    data.write_bytes(UNPARSABLE_CSVS[kind])
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--data", str(data), "--out", str(out)] + sets(TINY)
+    else:
+        argv = ["eval", "--checkpoint", str(trained[1]), "--data", str(data),
+                "--out", str(out), "--export-predictions"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: cannot parse [^\n]*{kind}\.csv: [^\n]*\n", err), err
+    assert not out.exists()
+
+
 def test_train_requires_data_path(capsys):
     assert main(["train"] + sets(TINY)) == 1
     assert "data.path" in capsys.readouterr().err
 
 
-# A typo, then the four model switches that no longer exist.
+# A typo, then the model switches that no longer exist.
 UNKNOWN_KEYS = [
     "train.lrr=0.1",
     "gcn.literal_eq3=false",
     "gcn.share_embeddings=false",
     "static_graph.per_batch=false",
     "temporal.conv_axis=nodes",
+    "temporal.blocks=1",
+    "temporal.branch_width=0",
+    "data.standardize=true",
 ]
 
 
@@ -477,36 +523,76 @@ def resealed(blob: bytes, at: int, value: float) -> bytes:
     return bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
 
 
-@pytest.mark.parametrize(
-    "defect",
-    ["trailing-bytes", "non-finite-parameter", "static-not-stochastic", "removed-model-switch"],
-)
+def reheadered(blob: bytes, edit) -> bytes:
+    """``blob`` with ``edit`` applied to its JSON header and its CRC32 trailer redone."""
+    (head_len,) = struct.unpack("<I", blob[9:13])
+    header = json.loads(blob[13 : 13 + head_len])
+    edit(header)
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = blob[:9] + struct.pack("<I", len(head)) + head + blob[13 + head_len : -4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+# Defect -> (how the checkpoint is changed, what the error line names).
+CHECKPOINT_DEFECTS = {
+    "trailing-bytes": (lambda blob: blob + b"\x00\x00", "trailing"),
+    "non-finite-parameter": (
+        lambda blob: resealed(blob, blob.index(b"head.b2") + len(b"head.b2") + 1 + 4, np.inf),
+        "non-finite",
+    ),
+    "static-not-stochastic": (
+        lambda blob: resealed(blob, 13 + struct.unpack("<I", blob[9:13])[0] + 1, 0.75),
+        "row-stochastic",
+    ),
+    # A config field this build no longer has, under a valid checksum.
+    "removed-model-switch": (
+        lambda blob: reheadered(blob, lambda h: h["config"].update(literal_eq3=False)),
+        "does not match this build",
+    ),
+    # The trained model has depth 1, which ``true`` equals in Python.
+    "bool-integer-field": (
+        lambda blob: reheadered(blob, lambda h: h["config"].update(depth=True)),
+        "depth must be an integer",
+    ),
+    # The layout before the ablation became one optional mode name.
+    "version-3": (
+        lambda blob: reheadered(
+            blob[:5] + struct.pack("<I", 3) + blob[9:],
+            lambda h: h.update(ablations=[h.pop("ablation")] if h["ablation"] else []),
+        ),
+        "unsupported checkpoint version 3",
+    ),
+    "ablation-missing": (lambda blob: reheadered(blob, lambda h: h.pop("ablation")), "ablation"),
+    # A model carries no ablation or exactly one, by name.
+    **{
+        f"ablation-{kind}": (
+            lambda blob, value=value: reheadered(blob, lambda h: h.update(ablation=value)),
+            "checkpoint ablation",
+        )
+        for kind, value in [
+            ("list", ["gsl"]),
+            ("two-modes", ["gsl", "tfl"]),
+            ("object", {"gsl": 1, "tfl": [1]}),
+            ("number", 1),
+            ("bool", True),
+            ("empty", ""),
+            ("unknown", "xyz"),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("defect", list(CHECKPOINT_DEFECTS))
 def test_eval_rejects_checkpoints_that_used_to_load(trained, tmp_path, capsys, defect):
     data, ckpt, _ = trained
-    blob = ckpt.read_bytes()
-    (head_len,) = struct.unpack("<I", blob[9:13])
-    if defect == "trailing-bytes":
-        bad_blob = blob + b"\x00\x00"
-    elif defect == "non-finite-parameter":
-        bad_blob = resealed(blob, blob.index(b"head.b2") + len(b"head.b2") + 1 + 4, np.inf)
-    elif defect == "static-not-stochastic":
-        bad_blob = resealed(blob, 13 + head_len + 1, 0.75)
-    else:
-        # A config field this build no longer has, under a valid checksum.
-        header = json.loads(blob[13 : 13 + head_len])
-        header["config"]["literal_eq3"] = False
-        head = json.dumps(header, sort_keys=True).encode("utf-8")
-        body = blob[:9] + struct.pack("<I", len(head)) + head + blob[13 + head_len : -4]
-        bad_blob = body + struct.pack("<I", zlib.crc32(body))
+    make, named = CHECKPOINT_DEFECTS[defect]
     bad = tmp_path / f"{defect}.ckpt"
-    bad.write_bytes(bad_blob)
+    bad.write_bytes(make(ckpt.read_bytes()))
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
-    assert {"trailing-bytes": "trailing", "non-finite-parameter": "non-finite",
-            "static-not-stochastic": "row-stochastic",
-            "removed-model-switch": "does not match this build"}[defect] in err
+    assert re.fullmatch(r"error: [^\n]*\n", err), err
+    assert named in err
 
 
 def run_quietly(argv):
@@ -614,6 +700,27 @@ def test_single_batch_overfit_then_eval(tmp_path, capsys):
     assert got_mse < 1e-3
 
 
+def test_eval_scores_a_checkpoint_without_a_scaler_on_raw_values(tmp_path, capsys):
+    # ``training.train(extra=None)`` writes no scaler; the CLI always does.
+    from sdgf import training as tr
+    from sdgf.data import make_windows
+
+    data = make_csv(tmp_path, rows=160)
+    dataset = make_windows(load_csv(data).values, 8, 4)
+    model = md.build_model(
+        md.ModelConfig(input_len=8, horizon=4, n_vars=2, hidden=4, levels=1, depth=1,
+                       embed_dim=4, seed=1)
+    )
+    _, blob = tr.train(model, dataset, tr.TrainConfig(epochs=1, batch=16), extra=None)
+    assert md.load_checkpoint(blob)[1] == {}
+    ckpt = tmp_path / "raw.ckpt"
+    ckpt.write_bytes(blob)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 0
+    want = tr.evaluate(md.load_checkpoint(blob)[0], dataset, "test", 32)
+    assert metric_from(capsys.readouterr().out, "test") == pytest.approx(want, rel=1e-11)
+
+
 # ---------------------------------------------------------------------------
 # ablate
 
@@ -676,7 +783,7 @@ def test_ablate_keeps_the_variants_that_finish_when_one_fails(tmp_path, capsys, 
     real_train = tr.train
 
     def train(model, *args, **kwargs):
-        if "gf" in model.ablations:
+        if model.ablation == "gf":
             raise NumericError("matmul produced a non-finite value")
         return real_train(model, *args, **kwargs)
 
@@ -708,7 +815,7 @@ def test_ablate_variant_failing_in_scoring_leaves_no_checkpoint(tmp_path, capsys
 
     def evaluate(model, dataset, split, *args, **kwargs):
         # Training's validation passes; the test-split score fails.
-        if "gf" in model.ablations and split == "test":
+        if model.ablation == "gf" and split == "test":
             raise NumericError("mse produced a non-finite value")
         return real_evaluate(model, dataset, split, *args, **kwargs)
 
@@ -776,13 +883,11 @@ def override_value(key: str, command: str):
     """Text for ``--set key=...``: a value of the key's type or an edge case.
 
     Integers stay in [-2, 64], so no example allocates more than a few
-    MB, and ``train`` runs at most one epoch.
+    MB, and ``train`` and ``ablate`` run at most one epoch.
     """
     default = cf.DEFAULTS[key]
-    if key == "train.epochs" and command == "train":
+    if key == "train.epochs" and command != "synth":
         return st.integers(-2, 1).map(str)
-    if isinstance(default, bool):
-        return st.sampled_from(["true", "false"])
     if isinstance(default, int):
         return st.integers(-2, 64).map(str)
     if isinstance(default, float):
@@ -803,7 +908,7 @@ def reject_constant(name):
 
 
 @settings(max_examples=50, deadline=None)
-@given(command=st.sampled_from(["synth", "train"]), data=st.data())
+@given(command=st.sampled_from(["synth", "train", "ablate"]), data=st.data())
 def test_any_override_exits_cleanly_and_writes_strict_files(trained, command, data):
     overrides = data.draw(
         st.fixed_dictionaries({}, optional={k: override_value(k, command) for k in cf.DEFAULTS})
@@ -816,8 +921,10 @@ def test_any_override_exits_cleanly_and_writes_strict_files(trained, command, da
         if command == "synth":
             argv = ["synth", "--out", f"{tmp}/s.csv"]
         else:
-            argv = ["train", "--data", str(trained[0]), "--out", f"{tmp}/run"]
+            argv = [command, "--data", str(trained[0]), "--out", f"{tmp}/run"]
             argv += sets(TINY + ["train.epochs=1"])
+        if command == "ablate":
+            argv += ["--mode", data.draw(st.sampled_from([*md.ABLATION_MODES, "all", "xyz"]))]
         argv += sets(f"{key}={value}" for key, value in overrides.items())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -839,14 +946,18 @@ def test_any_override_exits_cleanly_and_writes_strict_files(trained, command, da
 # What a cell can hold besides an ordinary number: non-finite spellings,
 # a float that overflows, a blank, and text.
 ODD_CELLS = ["inf", "-inf", "nan", "Infinity", "-Infinity", "NaN", "1e400", "", " ", "x1"]
+# Raw bytes a file's last cell on one line may hold instead: a byte that
+# is not UTF-8, or a quoted field past the csv module's field limit.
+RAW_CELLS = [b"caf\xe9", b"\xff", b'"' + b"9" * 200_000 + b'"']
 
 
 @st.composite
 def odd_csv(draw):
-    """CSV text with two or three series and few rows, some cells odd.
+    """CSV bytes with two or three series and few rows, some cells odd.
 
     Rows run from none up to a few more than a one-epoch ``TINY`` train
     needs. A column may be constant and a row may lose its last cell.
+    One line in four ends in one of ``RAW_CELLS``.
     """
     n_vars = draw(st.integers(2, 3))
     rows = draw(st.integers(0, 160))
@@ -867,16 +978,21 @@ def odd_csv(draw):
             cells = cells[:-1]
         stamp = f"2020-01-{1 + r // 24:02d} {r % 24:02d}:00"
         lines.append(",".join(([stamp] if dates else []) + cells))
-    return "\n".join(lines) + "\n"
+    lines = [line.encode("utf-8") for line in lines]
+    raw = draw(st.sampled_from([None] * 3 + RAW_CELLS))
+    if raw is not None:
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = lines[at].rpartition(b",")[0] + b"," + raw
+    return b"\n".join(lines) + b"\n"
 
 
 @settings(max_examples=30, deadline=None)
-@given(text=odd_csv())
-def test_any_csv_trains_and_evals_cleanly_and_writes_strict_files(text):
+@given(blob=odd_csv())
+def test_any_csv_trains_and_evals_cleanly_and_writes_strict_files(blob):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "series.csv")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(path, "wb") as handle:
+            handle.write(blob)
         run = os.path.join(tmp, "run")
         argvs = [["train", "--data", path, "--out", run] + sets(TINY + ["train.epochs=1"])]
         argvs.append(["eval", "--checkpoint", os.path.join(run, "model.ckpt"), "--data", path,

@@ -1,6 +1,7 @@
 """Model assembly checks: RevIN, forward contract, ablation, checkpoints, fold cache."""
 
 import contextlib
+import dataclasses
 import gc
 import json
 import re
@@ -188,9 +189,16 @@ def test_ablate_unknown_mode():
 def test_ablate_is_nondestructive():
     model = ready_model()
     ablated = md.ablate(model, "gsl")
-    assert model.ablations == frozenset()
-    assert ablated.ablations == {"gsl"}
+    assert model.ablation is None
+    assert ablated.ablation == "gsl"
     assert ablated.input_proj is model.input_proj
+
+
+@pytest.mark.parametrize("first", md.ABLATION_MODES)
+@pytest.mark.parametrize("second", md.ABLATION_MODES)
+def test_a_model_carries_at_most_one_ablation(first, second):
+    with pytest.raises(ConfigError, match="already ablated"):
+        md.ablate(md.ablate(ready_model(), first), second)
 
 
 def test_gsl_with_single_node_changes_nothing():
@@ -259,22 +267,21 @@ def stacked_wiring_forward(x, model):
     cfg = model.config
     x_norm, stats = model.revin.normalize(x)
     proj_t = ops.matrix_transpose(model.input_proj)
-    static_adj = np.eye(cfg.n_vars) if "gsl" in model.ablations else model.static_adjacency
+    static_adj = np.eye(cfg.n_vars) if model.ablation == "gsl" else model.static_adjacency
     h_static = gr.static_graph_conv(ad.matmul(proj_t, x_norm), static_adj, model.static_cfg)
     comps = wv.decompose(x_norm, wv.wavelet_filter(cfg.family), cfg.levels, cfg.boundary)
-    if "gsl" in model.ablations:
+    if model.ablation == "gsl":
         dyn_adj = ad.Tensor(np.eye(cfg.n_vars))
     else:
         dyn_adj = gr.dynamic_adjacency(comps, model.dynamic_layer)
     h_dyn = gr.dynamic_graph_conv(ad.matmul(proj_t, comps), dyn_adj, model.dynamic_cfg)
     branches = ops.concat([ops.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
-    if "gf" in model.ablations:
+    if model.ablation == "gf":
         fused = ad.reduce_mean(branches, 0)
     else:
         fused, _ = fu.fuse(branches, model.fusion_layer)
-    if "tfl" not in model.ablations:
-        for block in model.blocks:
-            fused = tp.inception_forward(fused, block)
+    if model.ablation != "tfl":
+        fused = tp.inception_forward(fused, model.block)
     out = md.head(fused, model.head_w1, model.head_b1, model.head_w2, model.head_b2)
     return model.revin.denormalize(out, stats)
 
@@ -334,7 +341,8 @@ def test_parameter_count_matches_formula():
     for cfg in (
         tiny_config(),
         tiny_config(depth=0),
-        tiny_config(temporal_blocks=2, branch_width=3),
+        # An odd width: each branch is ceil(hidden / 2) channels wide.
+        tiny_config(hidden=5),
         md.ModelConfig(input_len=96, horizon=96, n_vars=7, hidden=16, seed=0),
     ):
         model = md.build_model(cfg)
@@ -387,8 +395,7 @@ def reachable_parameters(node, found=None) -> dict:
 
 @pytest.mark.parametrize(
     "overrides",
-    [{}, {"depth": 0}, {"temporal_blocks": 2, "levels": 2},
-     {"temporal_blocks": 1, "branch_width": 3}, {"temporal_blocks": 0}],
+    [{}, {"depth": 0}, {"levels": 2}, {"hidden": 5}, {"depth": 3}],
 )
 def test_parameter_tree_lists_every_reachable_parameter_once(overrides):
     model = md.build_model(tiny_config(**overrides))
@@ -408,11 +415,6 @@ def test_ablation_prunes_exactly_its_subtree():
         assert pruned
         kept = md.effective_parameters(md.ablate(model, mode))
         assert [id(p) for p in kept] == [id(p) for p in full if id(p) not in pruned]
-    both = md.ablate(md.ablate(model, "gsl"), "tfl")
-    pruned = reachable_parameters([model.dynamic_layer, model.blocks])
-    assert [id(p) for p in md.effective_parameters(both)] == [
-        id(p) for p in full if id(p) not in pruned
-    ]
 
 
 def test_step_graph_size_does_not_grow_with_levels():
@@ -538,7 +540,7 @@ def test_checkpoint_round_trip_bit_exact():
 def test_checkpoint_preserves_ablation():
     model = md.ablate(ready_model(), "tfl")
     loaded, _ = md.load_checkpoint(md.save_checkpoint(model))
-    assert loaded.ablations == {"tfl"}
+    assert loaded.ablation == "tfl"
 
 
 def test_checkpoint_truncation_and_corruption():
@@ -659,7 +661,7 @@ def checkpoint_names(blob: bytes, n_vars: int) -> list[str]:
     return names
 
 
-@pytest.mark.parametrize("overrides", [{}, {"depth": 0, "temporal_blocks": 2}])
+@pytest.mark.parametrize("overrides", [{}, {"depth": 0, "hidden": 5}])
 def test_checkpoint_names_are_the_parameter_tree(overrides):
     model = ready_model(tiny_config(**overrides))
     names = checkpoint_names(md.save_checkpoint(md.ablate(model, "gsl")), 3)
@@ -771,6 +773,17 @@ def test_config_validation():
         tiny_config(seed=-1)
     with pytest.raises(ConfigError):
         md.ModelConfig(input_len=8, horizon=4, n_vars=3, alpha=1.5)
+
+
+INTEGER_FIELDS = [f.name for f in dataclasses.fields(md.ModelConfig) if f.type == "int"]
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("name", INTEGER_FIELDS)
+def test_integer_fields_reject_bool(name, value):
+    # True would build a model one unit wide; False a seed or depth of 0.
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        tiny_config(**{name: value})
 
 
 # ---------------------------------------------------------------------------
