@@ -1,18 +1,23 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Every operation computes its result with numpy and records a
-vector-Jacobian closure on the output tensor; ``backward`` walks the
-recorded graph once in reverse topological order and accumulates
-gradients on the inputs. Values are always float64: the gradient checks
-in the test suite need the precision, and desk-scale training does not
-need anything faster.
+Every operation computes its result with numpy and records, through
+``record``, a vector-Jacobian function on the output tensor: ``vjp(g)``
+takes the output's gradient ``g`` and pushes it to the inputs.
+``backward`` walks the recorded graph once in reverse topological order,
+calling each node's ``vjp`` with the gradient gathered on it. Values are
+always float64: the gradient checks in the test suite need the
+precision, and desk-scale training does not need anything faster.
 
-A recorded graph is one-shot. As ``backward`` finishes with each
-interior node it releases the node's closure, its parent links and its
-gradient, so a step's graph is freed by reference counting the moment
-the caller drops the loss, without waiting for the cycle collector.
-Leaf gradients (parameters, inputs) are kept. A later ``backward`` that
-reaches a released node raises ``GraphError``.
+A ``vjp`` closes over its inputs and over arrays, never over its own
+output tensor (one that needs the output value closes over the array),
+so a recorded graph holds no reference cycle: a graph the caller drops
+is freed by reference counting, whether or not ``backward`` ran through
+it, without waiting for the cycle collector. A recorded graph is
+one-shot. As ``backward`` finishes with each interior node it releases
+the node's ``vjp``, its parent links and its gradient, so a step's graph
+is freed the moment the caller drops the loss. Leaf gradients
+(parameters, inputs) are kept. A later ``backward`` that reaches a
+released node raises ``GraphError``.
 
 Outputs are checked for NaN/Inf after every operation (a non-finite
 value is an error state, not a value): the op that first produces one
@@ -142,8 +147,8 @@ class Tensor:
     """A float64 array plus the provenance needed for backpropagation.
 
     Leaf tensors are plain values; tensors produced by the ops below
-    carry their input tensors in ``_parents`` and a closure in ``_vjp``
-    that pushes the output gradient back to those inputs.
+    carry their input tensors in ``_parents`` and in ``_vjp`` the function
+    that takes the output gradient and pushes it back to those inputs.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_released", "__weakref__")
@@ -160,7 +165,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Callable[[], None] | None = None
+        self._vjp: Callable[[np.ndarray], None] | None = None
         self._released = False
 
     @property
@@ -194,7 +199,7 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable input.
 
-        Each interior node is released once its closure has run (see the
+        Each interior node is released once its ``vjp`` has run (see the
         module docstring). Raises if the value is not a scalar or if the
         graph reaches a node that an earlier backward released.
         """
@@ -209,7 +214,7 @@ class Tensor:
         while order:
             node = order.pop()
             if node._vjp is not None:
-                node._vjp()
+                node._vjp(node.grad)
                 node._vjp = None
                 node._parents = ()
                 node.grad = None
@@ -260,18 +265,21 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def record(
-    data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp_builder, checked=()
+    data: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp, checked=()
 ) -> Tensor:
     """Wrap an op result, recording provenance when gradients are wanted.
 
     Every op, here and in the stage modules, makes its node through this
-    one call. ``vjp_builder(out)`` returns the closure that pushes
-    ``out.grad`` to the ``parents``; it is called only when a parent
-    requires a gradient and recording is on. The result is guarded, and
-    so is each array in ``checked``: the intermediates of a fused op that
-    a later step could turn finite again (a product before ``tanh``,
-    scores before a softmax, whose ``exp(-inf)`` is 0), so the fused op
-    raises ``NumericError`` where the chain of ops it stands for did.
+    one call. ``vjp(g)`` pushes the node's output gradient ``g`` to the
+    ``parents``; it is stored only when a parent requires a gradient and
+    recording is on, and ``backward`` calls it once. It must not refer to
+    the node this returns (a ``vjp`` that needs the output value closes
+    over ``data``), so a dropped graph frees itself. The result is
+    guarded, and so is each array in ``checked``: the intermediates of a
+    fused op that a later step could turn finite again (a product before
+    ``tanh``, scores before a softmax, whose ``exp(-inf)`` is 0), so the
+    fused op raises ``NumericError`` where the chain of ops it stands for
+    did.
     """
     for inner in checked:
         _guard(inner, op)
@@ -285,7 +293,7 @@ def record(
     out = Tensor(data, requires_grad=track)
     if track:
         out._parents = parents
-        out._vjp = vjp_builder(out)
+        out._vjp = vjp
     return out
 
 
@@ -347,17 +355,13 @@ def sub(a, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"cannot broadcast shapes {a.shape} and {b.shape}") from None
 
-    def build(out):
-        def vjp():
-            g = out.grad
-            if a.requires_grad:
-                a.accumulate(unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b.accumulate(unbroadcast(-g, b.data.shape))
+    def vjp(g):
+        if a.requires_grad:
+            a.accumulate(unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(unbroadcast(-g, b.data.shape))
 
-        return vjp
-
-    return record(data, "sub", (a, b), build)
+    return record(data, "sub", (a, b), vjp)
 
 
 def mul(a, b) -> Tensor:
@@ -367,17 +371,13 @@ def mul(a, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"cannot broadcast shapes {a.shape} and {b.shape}") from None
 
-    def build(out):
-        def vjp():
-            g = out.grad
-            if a.requires_grad:
-                a.accumulate(unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                b.accumulate(unbroadcast(g * a.data, b.data.shape))
+    def vjp(g):
+        if a.requires_grad:
+            a.accumulate(unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(unbroadcast(g * a.data, b.data.shape))
 
-        return vjp
-
-    return record(data, "mul", (a, b), build)
+    return record(data, "mul", (a, b), vjp)
 
 
 def scale(x, c: float) -> Tensor:
@@ -385,14 +385,11 @@ def scale(x, c: float) -> Tensor:
     c = float(c)
     data = x.data * c
 
-    def build(out):
-        def vjp():
-            if x.requires_grad:
-                x.accumulate(out.grad * c)
+    def vjp(g):
+        if x.requires_grad:
+            x.accumulate(g * c)
 
-        return vjp
-
-    return record(data, "scale", (x,), build)
+    return record(data, "scale", (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +408,13 @@ def matmul(a, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul batch dimensions disagree: {a.shape} vs {b.shape}") from None
 
-    def build(out):
-        def vjp():
-            g = out.grad
-            if a.requires_grad:
-                a.accumulate(matmul_operand_grad(g, b.data, a.data.shape, -2))
-            if b.requires_grad:
-                b.accumulate(matmul_operand_grad(a.data, g, b.data.shape, -1))
+    def vjp(g):
+        if a.requires_grad:
+            a.accumulate(matmul_operand_grad(g, b.data, a.data.shape, -2))
+        if b.requires_grad:
+            b.accumulate(matmul_operand_grad(a.data, g, b.data.shape, -1))
 
-        return vjp
-
-    return record(data, "matmul", (a, b), build)
+    return record(data, "matmul", (a, b), vjp)
 
 
 def time_major(x) -> Tensor:
@@ -438,15 +431,11 @@ def time_major(x) -> Tensor:
     *lead, batch, length, n = x.data.shape
     data = np.swapaxes(x.data, -3, -2).reshape(*lead, length, batch * n)
 
-    def build(out):
-        def vjp():
-            if x.requires_grad:
-                g = out.grad.reshape(*lead, length, batch, n)
-                x.accumulate(np.swapaxes(g, -3, -2))
+    def vjp(g):
+        if x.requires_grad:
+            x.accumulate(np.swapaxes(g.reshape(*lead, length, batch, n), -3, -2))
 
-        return vjp
-
-    return record(data, "time_major", (x,), build)
+    return record(data, "time_major", (x,), vjp)
 
 
 def _left_rows(maps_t: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -522,19 +511,16 @@ def left_map(maps, x, nodes: int) -> Tensor:
     maps_t = np.swapaxes(maps.data, -1, -2)
     data = left_product(maps_t, x.data, nodes)
 
-    def build(out):
-        def vjp():
-            g_maps, g_x = left_product_grads(
-                maps_t, x.data, nodes, out.grad, maps.requires_grad, x.requires_grad
-            )
-            if g_maps is not None:
-                maps.accumulate(np.swapaxes(g_maps, -1, -2))
-            if g_x is not None:
-                x.accumulate(g_x)
+    def vjp(g):
+        g_maps, g_x = left_product_grads(
+            maps_t, x.data, nodes, g, maps.requires_grad, x.requires_grad
+        )
+        if g_maps is not None:
+            maps.accumulate(np.swapaxes(g_maps, -1, -2))
+        if g_x is not None:
+            x.accumulate(g_x)
 
-        return vjp
-
-    return record(data, "left_map", (maps, x), build)
+    return record(data, "left_map", (maps, x), vjp)
 
 
 def _check_axis(x: Tensor, axis: int) -> int:
@@ -552,29 +538,22 @@ def reduce_sum(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
     if axis is None:
         data = x.data.sum()
 
-        def build(out):
-            def vjp():
-                if x.requires_grad:
-                    x.accumulate(np.broadcast_to(out.grad, x.data.shape))
+        def vjp(g):
+            if x.requires_grad:
+                x.accumulate(np.broadcast_to(g, x.data.shape))
 
-            return vjp
-
-        return record(data, "sum", (x,), build)
+        return record(data, "sum", (x,), vjp)
 
     axis = _check_axis(x, axis)
     if x.data.shape[axis] == 0:
         raise ShapeError(f"cannot reduce over empty axis {axis} of shape {x.shape}")
     data = x.data.sum(axis=axis, keepdims=keepdims)
 
-    def build(out):
-        def vjp():
-            if x.requires_grad:
-                g = out.grad if keepdims else np.expand_dims(out.grad, axis)
-                x.accumulate(np.broadcast_to(g, x.data.shape))
+    def vjp(g):
+        if x.requires_grad:
+            x.accumulate(np.broadcast_to(g if keepdims else np.expand_dims(g, axis), x.data.shape))
 
-        return vjp
-
-    return record(data, "sum", (x,), build)
+    return record(data, "sum", (x,), vjp)
 
 
 def reduce_mean(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -627,16 +606,12 @@ def stack_into(out: np.ndarray, parts: Sequence[Tensor]) -> Tensor:
         if p.data.__array_interface__["data"][0] != address + start * row:
             raise ShapeError(f"part {i} does not hold its slot of the stack as its value")
 
-    def build(node):
-        def vjp():
-            g = node.grad
-            for p, index in zip(parts, slots):
-                if p.requires_grad:
-                    p.accumulate(g[index])
+    def vjp(g):
+        for p, index in zip(parts, slots):
+            if p.requires_grad:
+                p.accumulate(g[index])
 
-        return vjp
-
-    return record(out, "stack", tuple(parts), build)
+    return record(out, "stack", tuple(parts), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -776,38 +751,35 @@ def conv1d(x, kernel, dilation=1, bias=None, mix=None, mix_bias=None) -> Tensor:
     parents = (x, *kernels, *(b for b in biases if b is not None))
     parents += tuple(t for t in (mix, mix_bias) if t is not None)
 
-    def build(out):
-        def vjp():
-            g = out.grad.transpose(1, 2, 0).reshape(out_channels, columns)
-            if x.requires_grad:
-                g_cols = (weight.T @ g).reshape(count, channels, length, batch)
-                g_pad = np.zeros((channels, length + 2 * pad, batch))
-                for j, o in enumerate(offsets):
-                    g_pad[:, o + pad : o + pad + length] += g_cols[j]
-                x.accumulate(g_pad[:, pad : pad + length].transpose(2, 0, 1))
-            g_placed = g @ cols.T
-            g_stacked = None if stacked_bias is None else g.sum(axis=1)
-            if mixer is not None:
-                if mix.requires_grad:
-                    g_mix = g_placed @ placed[:mixed].T
-                    if stacked_bias is not None:
-                        g_mix += g_stacked[:, None] * stacked_bias[:mixed]
-                    mix.accumulate(g_mix.reshape(mix.data.shape))
-                if mix_bias is not None and mix_bias.requires_grad:
-                    mix_bias.accumulate(g_stacked)
-                g_placed = np.concatenate((mixer.T @ g_placed, g_placed[: total - mixed]))
+    def vjp(g):
+        g = g.transpose(1, 2, 0).reshape(out_channels, columns)
+        if x.requires_grad:
+            g_cols = (weight.T @ g).reshape(count, channels, length, batch)
+            g_pad = np.zeros((channels, length + 2 * pad, batch))
+            for j, o in enumerate(offsets):
+                g_pad[:, o + pad : o + pad + length] += g_cols[j]
+            x.accumulate(g_pad[:, pad : pad + length].transpose(2, 0, 1))
+        g_placed = g @ cols.T
+        g_stacked = None if stacked_bias is None else g.sum(axis=1)
+        if mixer is not None:
+            if mix.requires_grad:
+                g_mix = g_placed @ placed[:mixed].T
                 if stacked_bias is not None:
-                    g_stacked = np.concatenate((mixer.T @ g_stacked, g_stacked[: total - mixed]))
-            g_placed = g_placed.reshape(total, count, channels)
-            for k, b, sl, (lo, hi) in zip(kernels, biases, slots, rows):
-                if k.requires_grad:
-                    k.accumulate(g_placed[lo:hi, sl].transpose(0, 2, 1))
-                if b is not None and b.requires_grad:
-                    b.accumulate(g_stacked[lo:hi])
+                    g_mix += g_stacked[:, None] * stacked_bias[:mixed]
+                mix.accumulate(g_mix.reshape(mix.data.shape))
+            if mix_bias is not None and mix_bias.requires_grad:
+                mix_bias.accumulate(g_stacked)
+            g_placed = np.concatenate((mixer.T @ g_placed, g_placed[: total - mixed]))
+            if stacked_bias is not None:
+                g_stacked = np.concatenate((mixer.T @ g_stacked, g_stacked[: total - mixed]))
+        g_placed = g_placed.reshape(total, count, channels)
+        for k, b, sl, (lo, hi) in zip(kernels, biases, slots, rows):
+            if k.requires_grad:
+                k.accumulate(g_placed[lo:hi, sl].transpose(0, 2, 1))
+            if b is not None and b.requires_grad:
+                b.accumulate(g_stacked[lo:hi])
 
-        return vjp
-
-    return record(out_data, "conv1d", parents, build)
+    return record(out_data, "conv1d", parents, vjp)
 
 
 def layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -844,22 +816,18 @@ def layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> Tensor:
     data = normed * gain_side + bias.data.reshape(side)
     others = tuple(i for i in range(x.ndim) if i != axis)
 
-    def build(out):
-        def vjp():
-            g = out.grad
-            if bias.requires_grad:
-                bias.accumulate(g.sum(axis=others))
-            if gain.requires_grad:
-                gain.accumulate((g * normed).sum(axis=others))
-            if x.requires_grad:
-                g_normed = g * gain_side
-                mean_g = g_normed.sum(axis=axis, keepdims=True) * inv_count
-                mean_gn = (g_normed * normed).sum(axis=axis, keepdims=True) * inv_count
-                x.accumulate((g_normed - mean_g - normed * mean_gn) / std)
+    def vjp(g):
+        if bias.requires_grad:
+            bias.accumulate(g.sum(axis=others))
+        if gain.requires_grad:
+            gain.accumulate((g * normed).sum(axis=others))
+        if x.requires_grad:
+            g_normed = g * gain_side
+            mean_g = g_normed.sum(axis=axis, keepdims=True) * inv_count
+            mean_gn = (g_normed * normed).sum(axis=axis, keepdims=True) * inv_count
+            x.accumulate((g_normed - mean_g - normed * mean_gn) / std)
 
-        return vjp
-
-    return record(data, "layer_norm", (x, gain, bias), build, checked=(var,))
+    return record(data, "layer_norm", (x, gain, bias), vjp, checked=(var,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Flat key=value run configuration.
 
-One UTF-8 text file drives a whole run. Every key has a typed default
-below; unknown keys and malformed values are hard errors so typos never
-pass silently. The fully-resolved config is written next to each run's
-outputs.
+One UTF-8 text file (a leading byte-order mark is skipped) drives a
+whole run. Every key has a typed default below; unknown keys and
+malformed values are hard errors so typos never pass silently. The
+fully-resolved config is written next to each run's outputs.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ DEFAULTS: dict = {
     "synth.periods": "24,24,20,20",
     "synth.pairs": "0:1:18,2:3:12",
     "synth.noise": 0.0,
-    "synth.amplitude": 1.0,
     "synth.seed": 0,
     "synth.out": "",
 }
@@ -102,7 +101,7 @@ class RunConfig:
     @classmethod
     def load(cls, path: str) -> "RunConfig":
         try:
-            with open(path, encoding="utf-8") as handle:
+            with open(path, encoding="utf-8-sig") as handle:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
@@ -193,6 +192,5 @@ def synth_spec(cfg: RunConfig) -> SynthSpec:
         periods=_parse_periods(cfg["synth.periods"]),
         lag_pairs=_parse_pairs(cfg["synth.pairs"]),
         noise=cfg["synth.noise"],
-        amplitude=cfg["synth.amplitude"],
         seed=cfg["synth.seed"],
     )

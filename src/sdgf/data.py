@@ -1,6 +1,7 @@
 """Dataset ingestion, sliding windows, chronological splits, synthesis.
 
-CSV files are UTF-8 and ETT-style: a header row, an optional leading
+CSV files are UTF-8, with or without the byte-order mark spreadsheet
+exports write, and ETT-style: a header row, an optional leading
 "date" column, and float64 values everywhere else. ``csv.reader``
 splits the rows, and a file that does not decode or that it cannot
 split (a field past its size limit) is a ``DataError``. One pass over
@@ -78,7 +79,7 @@ class SeriesTable:
 def load_csv(path: str) -> SeriesTable:
     """Parse a header + float rows; the first column may be dates."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
@@ -311,7 +312,6 @@ class SynthSpec:
     periods: list[float]
     lag_pairs: list[tuple[int, int, int]] = field(default_factory=list)
     noise: float = 0.0
-    amplitude: float = 1.0
     seed: int = 0
 
 
@@ -321,8 +321,8 @@ def synthesize(spec: SynthSpec) -> SeriesTable:
         raise ConfigError(f"need n_vars >= 1 and rows >= 1, got {spec.n_vars}, {spec.rows}")
     if len(spec.periods) != spec.n_vars:
         raise ConfigError(f"{len(spec.periods)} periods for {spec.n_vars} variables")
-    if not all(math.isfinite(v) for v in (*spec.periods, spec.noise, spec.amplitude)):
-        raise ConfigError(f"periods, noise and amplitude must be finite: {spec}")
+    if not all(math.isfinite(v) for v in (*spec.periods, spec.noise)):
+        raise ConfigError(f"periods and noise must be finite: {spec}")
     if any(p <= 0 for p in spec.periods):
         raise ConfigError(f"periods must be positive: {spec.periods}")
     if spec.noise < 0 or spec.seed < 0:
@@ -348,21 +348,16 @@ def synthesize(spec: SynthSpec) -> SeriesTable:
     t = np.arange(spec.rows, dtype=np.float64)
     values = np.empty((spec.rows, spec.n_vars))
     for j in range(spec.n_vars):
-        values[:, j] = (
-            spec.amplitude * np.sin(2.0 * np.pi * t / spec.periods[j])
-            + noise[max_lag:, j]
-        )
+        values[:, j] = np.sin(2.0 * np.pi * t / spec.periods[j]) + noise[max_lag:, j]
     for src, dst, lag in spec.lag_pairs:
         delayed = t - lag
         values[:, dst] = (
-            spec.amplitude * np.sin(2.0 * np.pi * delayed / spec.periods[src])
+            np.sin(2.0 * np.pi * delayed / spec.periods[src])
             + noise[max_lag - lag : max_lag - lag + spec.rows, src]
             + noise[max_lag:, dst]
         )
     # Finite settings can still overflow: 1e308 noise draws infinities.
     if not np.isfinite(values).all():
-        raise ConfigError(
-            f"noise {spec.noise} and amplitude {spec.amplitude} overflow the series"
-        )
+        raise ConfigError(f"noise {spec.noise} overflows the series")
     names = [f"v{j}" for j in range(spec.n_vars)]
     return SeriesTable(values=values, names=names)

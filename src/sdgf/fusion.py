@@ -57,22 +57,18 @@ def fuse(branches: ad.Tensor, layer: FusionLayer) -> tuple[ad.Tensor, np.ndarray
     alpha = shifted / shifted.sum(axis=0)
     fused = (branches.data * alpha[:, :, None, None]).sum(axis=0)
 
-    def build(out):
-        def vjp():
-            g = out.grad
-            g_alpha = np.einsum("bfn,cbfn->cb", g, branches.data)
-            g_logits = alpha * (g_alpha - (g_alpha * alpha).sum(axis=0))
-            if q.requires_grad:
-                q.accumulate(g_logits.reshape(-1) @ keyed.reshape(-1, dim))
-            g_keyed = g_logits[:, :, None] * q.data
-            if w_k.requires_grad:
-                w_k.accumulate(g_keyed.reshape(-1, dim).T @ pooled.reshape(-1, dim))
-            if branches.requires_grad:
-                g_pooled = np.matmul(g_keyed, w_k.data) * (1.0 / branches.shape[3])
-                branches.accumulate(g[None] * alpha[:, :, None, None] + g_pooled[..., None])
-
-        return vjp
+    def vjp(g):
+        g_alpha = np.einsum("bfn,cbfn->cb", g, branches.data)
+        g_logits = alpha * (g_alpha - (g_alpha * alpha).sum(axis=0))
+        if q.requires_grad:
+            q.accumulate(g_logits.reshape(-1) @ keyed.reshape(-1, dim))
+        g_keyed = g_logits[:, :, None] * q.data
+        if w_k.requires_grad:
+            w_k.accumulate(g_keyed.reshape(-1, dim).T @ pooled.reshape(-1, dim))
+        if branches.requires_grad:
+            g_pooled = np.matmul(g_keyed, w_k.data) * (1.0 / branches.shape[3])
+            branches.accumulate(g[None] * alpha[:, :, None, None] + g_pooled[..., None])
 
     # Logits are guarded too: one of -inf would weigh its branch 0.
-    out = ad.record(fused, "fuse", (branches, q, w_k), build, (logits,))
+    out = ad.record(fused, "fuse", (branches, q, w_k), vjp, (logits,))
     return out, alpha.T.copy()

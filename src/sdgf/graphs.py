@@ -168,33 +168,29 @@ def _propagate(
         total = term if k == 0 else np.add(total, term, out=dest)
     parents = (h, *thetas) if graph is None else (h, *thetas, graph)
 
-    def build(node):
-        def vjp():
-            g = node.grad
-            # Each state's gradient from its own map.
-            grads = []
-            for theta, state, shape in zip(thetas, states, shapes):
-                g_term = ad.unbroadcast(g, shape)
-                if theta.requires_grad:
-                    theta.accumulate(ad.matmul_operand_grad(g_term, state, theta.data.shape, -2))
-                grads.append(ad.matmul_operand_grad(theta.data, g_term, state.shape, -1))
-            g_at = None
-            for k in range(depth, 0, -1):
-                g_mix = grads[k] * (1.0 - alpha)
-                prev = states[k - 1]
-                grads[k - 1] = grads[k - 1] + ad.matmul_operand_grad(g_mix, a_t, prev.shape, -2)
-                grads[0] = grads[0] + ad.unbroadcast(grads[k] * alpha, h.data.shape)
-                if graph is not None and graph.requires_grad:
-                    g_k = ad.matmul_operand_grad(prev, g_mix, a_t.shape, -1)
-                    g_at = g_k if g_at is None else g_at + g_k
-            if h.requires_grad:
-                h.accumulate(grads[0])
-            if g_at is not None:
-                graph.accumulate(g_at.swapaxes(-1, -2))
+    def vjp(g):
+        # Each state's gradient from its own map.
+        grads = []
+        for theta, state, shape in zip(thetas, states, shapes):
+            g_term = ad.unbroadcast(g, shape)
+            if theta.requires_grad:
+                theta.accumulate(ad.matmul_operand_grad(g_term, state, theta.data.shape, -2))
+            grads.append(ad.matmul_operand_grad(theta.data, g_term, state.shape, -1))
+        g_at = None
+        for k in range(depth, 0, -1):
+            g_mix = grads[k] * (1.0 - alpha)
+            prev = states[k - 1]
+            grads[k - 1] = grads[k - 1] + ad.matmul_operand_grad(g_mix, a_t, prev.shape, -2)
+            grads[0] = grads[0] + ad.unbroadcast(grads[k] * alpha, h.data.shape)
+            if graph is not None and graph.requires_grad:
+                g_k = ad.matmul_operand_grad(prev, g_mix, a_t.shape, -1)
+                g_at = g_k if g_at is None else g_at + g_k
+        if h.requires_grad:
+            h.accumulate(grads[0])
+        if g_at is not None:
+            graph.accumulate(g_at.swapaxes(-1, -2))
 
-        return vjp
-
-    return ad.record(total, "propagate", parents, build)
+    return ad.record(total, "propagate", parents, vjp)
 
 
 def static_graph_conv(
@@ -292,30 +288,25 @@ def dynamic_adjacency(
     np.exp(adjacency, out=adjacency)
     adjacency /= adjacency.sum(axis=-1, keepdims=True)
 
-    def build(out):
-        def vjp():
-            g = out.grad
-            g_scores = adjacency * (g - (g * adjacency).sum(axis=-1, keepdims=True))
-            g_emb = np.concatenate(
-                (np.matmul(e2_t, g_scores.swapaxes(-1, -2)), np.matmul(e1_t, g_scores)),
-                axis=-2,
-            )
-            g_pre = g_emb * (1.0 - emb * emb)
-            g_maps, g_x = ad.left_product_grads(
-                maps_t, cols, nodes, g_pre, w1.requires_grad or w2.requires_grad,
-                x_scale.requires_grad,
-            )
-            if g_x is not None:
-                x_scale.accumulate(g_x)
-            if g_maps is not None:
-                g_maps = g_maps.swapaxes(-1, -2)
-                if w1.requires_grad:
-                    w1.accumulate(g_maps[..., :embed])
-                if w2.requires_grad:
-                    w2.accumulate(g_maps[..., embed:])
-
-        return vjp
+    def vjp(g):
+        g_scores = adjacency * (g - (g * adjacency).sum(axis=-1, keepdims=True))
+        g_emb = np.concatenate(
+            (np.matmul(e2_t, g_scores.swapaxes(-1, -2)), np.matmul(e1_t, g_scores)), axis=-2
+        )
+        g_pre = g_emb * (1.0 - emb * emb)
+        g_maps, g_x = ad.left_product_grads(
+            maps_t, cols, nodes, g_pre, w1.requires_grad or w2.requires_grad,
+            x_scale.requires_grad,
+        )
+        if g_x is not None:
+            x_scale.accumulate(g_x)
+        if g_maps is not None:
+            g_maps = g_maps.swapaxes(-1, -2)
+            if w1.requires_grad:
+                w1.accumulate(g_maps[..., :embed])
+            if w2.requires_grad:
+                w2.accumulate(g_maps[..., embed:])
 
     # The products before tanh and the scores before the softmax are
     # guarded too: tanh(inf) is 1 and a score of -inf weighs 0.
-    return ad.record(adjacency, "dynamic_adjacency", (x_scale, w1, w2), build, (pre, scores))
+    return ad.record(adjacency, "dynamic_adjacency", (x_scale, w1, w2), vjp, (pre, scores))

@@ -205,29 +205,19 @@ class RevinLayer:
         if not time_major:
             data = data.reshape(length, batch, n).swapaxes(0, 1)
 
-        def batch_major(a):
-            return a.reshape(length, batch, n).swapaxes(0, 1)
-
-        def build(out):
-            def vjp():
-                g = out.grad
-                if not time_major:
-                    g = g.swapaxes(0, 1).reshape(length, batch * n)
-                if x.requires_grad:
-                    x.accumulate(batch_major(g * gamma_t / std))
-                # Summed over C-contiguous (batch, length, vars) copies,
-                # in the order the batch-major layout sums them: any order
-                # of summing the time-major buffer changes the bits.
-                if gamma.requires_grad:
-                    gamma.accumulate(np.ascontiguousarray(batch_major(g * z)).sum(axis=(0, 1)))
-                if beta.requires_grad:
-                    beta.accumulate(np.ascontiguousarray(batch_major(g)).sum(axis=(0, 1)))
-
-            return vjp
+        def vjp(g):
+            if not time_major:
+                g = g.swapaxes(0, 1).reshape(length, batch * n)
+            if x.requires_grad:
+                x.accumulate((g * gamma_t / std).reshape(length, batch, n).swapaxes(0, 1))
+            if gamma.requires_grad:
+                gamma.accumulate((g * z).reshape(length * batch, n).sum(axis=0))
+            if beta.requires_grad:
+                beta.accumulate(g.reshape(length * batch, n).sum(axis=0))
 
         # Linear up to the output: a non-finite centred value makes the
         # output non-finite too, so the output guard is enough.
-        out = ad.record(data, "revin_normalize", (x, gamma, beta), build)
+        out = ad.record(data, "revin_normalize", (x, gamma, beta), vjp)
         return out, (mean.reshape(batch, 1, n), std.reshape(batch, 1, n))
 
     def denormalize(self, y: ad.Tensor, stats: tuple[np.ndarray, np.ndarray]) -> ad.Tensor:
@@ -250,20 +240,17 @@ class RevinLayer:
         shifted = y.data - beta.data
         data = shifted / guard * std + mean
 
-        def build(out):
-            def vjp():
-                g_z = out.grad * std
-                g_shifted = g_z / guard
-                if y.requires_grad:
-                    y.accumulate(g_shifted)
-                if beta.requires_grad:
-                    beta.accumulate(-g_shifted.sum(axis=(0, 1)))
-                if gamma.requires_grad:
-                    gamma.accumulate((-g_z * shifted / (guard * guard)).sum(axis=(0, 1)))
+        def vjp(g):
+            g_z = g * std
+            g_shifted = g_z / guard
+            if y.requires_grad:
+                y.accumulate(g_shifted)
+            if beta.requires_grad:
+                beta.accumulate(-g_shifted.sum(axis=(0, 1)))
+            if gamma.requires_grad:
+                gamma.accumulate((-g_z * shifted / (guard * guard)).sum(axis=(0, 1)))
 
-            return vjp
-
-        return ad.record(data, "revin_denormalize", (y, gamma, beta), build)
+        return ad.record(data, "revin_denormalize", (y, gamma, beta), vjp)
 
 
 def head(h: ad.Tensor, w1, b1, w2, b2) -> ad.Tensor:
@@ -283,24 +270,21 @@ def head(h: ad.Tensor, w1, b1, w2, b2) -> ad.Tensor:
     hidden = np.tanh(pre)
     data = (hidden @ w2.data + b2.data).reshape(batch, nodes, -1).transpose(0, 2, 1)
 
-    def build(out):
-        def vjp():
-            g = out.grad.transpose(0, 2, 1).reshape(batch * nodes, -1)
-            if b2.requires_grad:
-                b2.accumulate(g.sum(axis=0))
-            if w2.requires_grad:
-                w2.accumulate(hidden.T @ g)
-            g_pre = (g @ w2.data.T) * (1.0 - hidden * hidden)
-            if b1.requires_grad:
-                b1.accumulate(g_pre.sum(axis=0))
-            if w1.requires_grad:
-                w1.accumulate(rows.T @ g_pre)
-            if h.requires_grad:
-                h.accumulate((g_pre @ w1.data.T).reshape(batch, nodes, dim).transpose(0, 2, 1))
+    def vjp(g):
+        g = g.transpose(0, 2, 1).reshape(batch * nodes, -1)
+        if b2.requires_grad:
+            b2.accumulate(g.sum(axis=0))
+        if w2.requires_grad:
+            w2.accumulate(hidden.T @ g)
+        g_pre = (g @ w2.data.T) * (1.0 - hidden * hidden)
+        if b1.requires_grad:
+            b1.accumulate(g_pre.sum(axis=0))
+        if w1.requires_grad:
+            w1.accumulate(rows.T @ g_pre)
+        if h.requires_grad:
+            h.accumulate((g_pre @ w1.data.T).reshape(batch, nodes, dim).transpose(0, 2, 1))
 
-        return vjp
-
-    return ad.record(data, "head", (h, w1, b1, w2, b2), build, (pre,))
+    return ad.record(data, "head", (h, w1, b1, w2, b2), vjp, (pre,))
 
 
 @dataclass

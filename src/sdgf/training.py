@@ -11,7 +11,7 @@ import dataclasses
 import math
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -189,20 +189,20 @@ class TrainReport:
     ``grad_norm_max`` and ``grad_norm_median`` summarize the global
     gradient norms of the epoch's steps before clipping, and
     ``clipped_fraction`` is the share of those steps that clipping
-    scaled down.
+    scaled down. The defaults are those of a run before its first epoch.
     """
 
-    train_losses: list
-    val_mse: list
-    val_mae: list
-    grad_norm_max: list
-    grad_norm_median: list
-    clipped_fraction: list
-    best_epoch: int
-    best_val_mse: float
-    early_stopped: bool
-    epochs_run: int
-    wall_time_sec: float
+    train_losses: list = field(default_factory=list)
+    val_mse: list = field(default_factory=list)
+    val_mae: list = field(default_factory=list)
+    grad_norm_max: list = field(default_factory=list)
+    grad_norm_median: list = field(default_factory=list)
+    clipped_fraction: list = field(default_factory=list)
+    best_epoch: int = -1
+    best_val_mse: float = math.inf
+    early_stopped: bool = False
+    epochs_run: int = 0
+    wall_time_sec: float = 0.0
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -286,34 +286,9 @@ def train(
     params = md.effective_parameters(model)
     state = AdamState(lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
-
-    train_losses: list[float] = []
-    val_mses: list[float] = []
-    val_maes: list[float] = []
-    norm_maxes: list[float] = []
-    norm_medians: list[float] = []
-    clipped: list[float] = []
-    best_mse = np.inf
-    best_epoch = -1
+    report = TrainReport()
     best_blob = b""
     bad_epochs = 0
-    early = False
-
-    def report() -> TrainReport:
-        return TrainReport(
-            train_losses=train_losses,
-            val_mse=val_mses,
-            val_mae=val_maes,
-            grad_norm_max=norm_maxes,
-            grad_norm_median=norm_medians,
-            clipped_fraction=clipped,
-            best_epoch=best_epoch,
-            best_val_mse=float(best_mse),
-            early_stopped=early,
-            epochs_run=len(train_losses),
-            wall_time_sec=time.perf_counter() - began,
-        )
-
     epoch = 0
     try:
         for epoch in range(cfg.epochs):
@@ -332,27 +307,32 @@ def train(
                     p.zero_grad()
                 squared_sum += float(loss.data) * len(chunk)
                 seen += len(chunk)
-            train_losses.append(squared_sum / seen)
-            norm_maxes.append(max(norms))
-            norm_medians.append(statistics.median(norms))
-            clipped.append(sum(cfg.clip > 0.0 and n > cfg.clip for n in norms) / len(norms))
+            report.train_losses.append(squared_sum / seen)
+            report.grad_norm_max.append(max(norms))
+            report.grad_norm_median.append(statistics.median(norms))
+            report.clipped_fraction.append(
+                sum(cfg.clip > 0.0 and n > cfg.clip for n in norms) / len(norms)
+            )
 
             v_mse, v_mae = evaluate(model, dataset, "val", cfg.batch)
-            val_mses.append(v_mse)
-            val_maes.append(v_mae)
-            if v_mse < best_mse:
-                best_mse = v_mse
-                best_epoch = epoch
+            report.val_mse.append(v_mse)
+            report.val_mae.append(v_mae)
+            if v_mse < report.best_val_mse:
+                report.best_val_mse = v_mse
+                report.best_epoch = epoch
                 best_blob = md.save_checkpoint(model, extra=extra)
                 bad_epochs = 0
             else:
                 bad_epochs += 1
                 if bad_epochs >= cfg.patience:
-                    early = True
+                    report.early_stopped = True
                     break
     except NumericError as exc:
         exc.epoch = epoch
-        exc.report = report()
+        exc.report = report
         exc.checkpoint = best_blob
         raise
-    return report(), best_blob
+    finally:
+        report.epochs_run = len(report.train_losses)
+        report.wall_time_sec = time.perf_counter() - began
+    return report, best_blob

@@ -193,17 +193,14 @@ def _fold(w: ad.Tensor, ops: np.ndarray) -> ad.Tensor:
     else:
         data = rows @ w.data.reshape(length, k)
 
-    def build(out):
-        def vjp():
-            if per_scale:
-                g = np.matmul(ops.transpose(0, 2, 1), out.grad.reshape(scales, length, k))
-            else:
-                g = rows.T @ out.grad.reshape(scales * length, k)
-            w.accumulate(g.reshape(w.data.shape))
+    def vjp(g):
+        if per_scale:
+            g = np.matmul(ops.transpose(0, 2, 1), g.reshape(scales, length, k))
+        else:
+            g = rows.T @ g.reshape(scales * length, k)
+        w.accumulate(g.reshape(w.data.shape))
 
-        return vjp
-
-    return ad.record(data.reshape(scales, 1, length, k), "wavelet_fold", (w,), build)
+    return ad.record(data.reshape(scales, 1, length, k), "wavelet_fold", (w,), vjp)
 
 
 @functools.lru_cache(maxsize=32)

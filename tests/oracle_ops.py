@@ -27,17 +27,13 @@ def add(a, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"cannot broadcast shapes {a.shape} and {b.shape}") from None
 
-    def build(out):
-        def vjp():
-            g = out.grad
-            if a.requires_grad:
-                a.accumulate(unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b.accumulate(unbroadcast(g, b.data.shape))
+    def vjp(g):
+        if a.requires_grad:
+            a.accumulate(unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(unbroadcast(g, b.data.shape))
 
-        return vjp
-
-    return record(data, "add", (a, b), build)
+    return record(data, "add", (a, b), vjp)
 
 
 def div(a, b) -> Tensor:
@@ -49,45 +45,35 @@ def div(a, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"cannot broadcast shapes {a.shape} and {b.shape}") from None
 
-    def build(out):
-        def vjp():
-            g = out.grad
-            if a.requires_grad:
-                a.accumulate(unbroadcast(g / b.data, a.data.shape))
-            if b.requires_grad:
-                b.accumulate(unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+    def vjp(g):
+        if a.requires_grad:
+            a.accumulate(unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-        return vjp
-
-    return record(data, "div", (a, b), build)
+    return record(data, "div", (a, b), vjp)
 
 
 def tanh(x) -> Tensor:
     x = _as_tensor(x)
     data = np.tanh(x.data)
 
-    def build(out):
-        def vjp():
-            if x.requires_grad:
-                x.accumulate(out.grad * (1.0 - out.data * out.data))
+    def vjp(g):
+        if x.requires_grad:
+            x.accumulate(g * (1.0 - data * data))
 
-        return vjp
-
-    return record(data, "tanh", (x,), build)
+    return record(data, "tanh", (x,), vjp)
 
 
 def sqrt(x) -> Tensor:
     x = _as_tensor(x)
     data = np.sqrt(x.data)
 
-    def build(out):
-        def vjp():
-            if x.requires_grad:
-                x.accumulate(out.grad / (2.0 * out.data))
+    def vjp(g):
+        if x.requires_grad:
+            x.accumulate(g / (2.0 * data))
 
-        return vjp
-
-    return record(data, "sqrt", (x,), build)
+    return record(data, "sqrt", (x,), vjp)
 
 
 def softmax(x, axis: int) -> Tensor:
@@ -98,17 +84,12 @@ def softmax(x, axis: int) -> Tensor:
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
 
-    def build(out):
-        def vjp():
-            if x.requires_grad:
-                g = out.grad
-                y = out.data
-                inner = (g * y).sum(axis=axis, keepdims=True)
-                x.accumulate(y * (g - inner))
+    def vjp(g):
+        if x.requires_grad:
+            inner = (g * data).sum(axis=axis, keepdims=True)
+            x.accumulate(data * (g - inner))
 
-        return vjp
-
-    return record(data, "softmax", (x,), build)
+    return record(data, "softmax", (x,), vjp)
 
 
 def transpose(x, axes: Sequence[int]) -> Tensor:
@@ -119,14 +100,11 @@ def transpose(x, axes: Sequence[int]) -> Tensor:
     data = np.transpose(x.data, axes)
     inverse = tuple(np.argsort(axes))
 
-    def build(out):
-        def vjp():
-            if x.requires_grad:
-                x.accumulate(np.transpose(out.grad, inverse))
+    def vjp(g):
+        if x.requires_grad:
+            x.accumulate(np.transpose(g, inverse))
 
-        return vjp
-
-    return record(data, "transpose", (x,), build)
+    return record(data, "transpose", (x,), vjp)
 
 
 def matrix_transpose(x) -> Tensor:
@@ -144,14 +122,11 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
     data = x.data.reshape(shape)
 
-    def build(out):
-        def vjp():
-            if x.requires_grad:
-                x.accumulate(out.grad.reshape(x.data.shape))
+    def vjp(g):
+        if x.requires_grad:
+            x.accumulate(g.reshape(x.data.shape))
 
-        return vjp
-
-    return record(data, "reshape", (x,), build)
+    return record(data, "reshape", (x,), vjp)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -169,18 +144,14 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
-    def build(out):
-        def vjp():
-            g = out.grad
-            index: list = [slice(None)] * g.ndim
-            for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    index[axis] = slice(start, stop)
-                    t.accumulate(g[tuple(index)])
+    def vjp(g):
+        index: list = [slice(None)] * g.ndim
+        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                index[axis] = slice(start, stop)
+                t.accumulate(g[tuple(index)])
 
-        return vjp
-
-    return record(data, "concat", tuple(tensors), build)
+    return record(data, "concat", tuple(tensors), vjp)
 
 
 def narrow(x, axis: int, start: int, length: int) -> Tensor:
@@ -193,16 +164,13 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
     index[axis] = slice(start, start + length)
     data = x.data[tuple(index)]
 
-    def build(out):
-        def vjp():
-            if x.requires_grad:
-                g = np.zeros_like(x.data)
-                g[tuple(index)] = out.grad
-                x.accumulate(g)
+    def vjp(g):
+        if x.requires_grad:
+            full = np.zeros_like(x.data)
+            full[tuple(index)] = g
+            x.accumulate(full)
 
-        return vjp
-
-    return record(data, "narrow", (x,), build)
+    return record(data, "narrow", (x,), vjp)
 
 
 def predicted_parameter_count(cfg: md.ModelConfig) -> int:

@@ -352,6 +352,29 @@ def test_backward_frees_graph_without_cycle_collector():
     assert grads and not alive
 
 
+@pytest.mark.parametrize("ablation,depth", [(None, 2), ("gsl", 2), ("gf", 2), ("tfl", 2), (None, 0)])
+def test_dropped_graph_frees_itself_without_backward(ablation, depth):
+    # No vjp refers to its own node, so a graph nobody ran backward
+    # through (a probe, a forward cut short) is freed by reference counting.
+    net = md.build_model(
+        md.ModelConfig(n_vars=3, input_len=16, horizon=4, hidden=8, levels=2, depth=depth)
+    )
+    md.set_static_graph(net, RNG.normal(0.0, 1.0, (64, 3)))
+    if ablation is not None:
+        net = md.ablate(net, ablation)
+    inputs, targets = RNG.normal(0.0, 1.0, (2, 16, 3)), RNG.normal(0.0, 1.0, (2, 4, 3))
+    gc.disable()
+    try:
+        loss = tr.mse_loss(md.forward(ad.Tensor(inputs), net), targets)
+        nodes = [weakref.ref(n) for n in ad._toposort(loss) if n._vjp is not None]
+        assert len(nodes) > 10
+        del loss
+        alive = [r for r in nodes if r() is not None]
+    finally:
+        gc.enable()
+    assert alive == []
+
+
 # One process at the benchmark's pinned shape; prints minor faults per step.
 FAULTS_PER_STEP = textwrap.dedent(
     """

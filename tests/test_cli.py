@@ -166,10 +166,43 @@ def test_a_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-# Bytes that are not UTF-8, and a quoted field longer than the csv
-# module's field limit (131072 characters by default).
+def test_a_csv_with_a_byte_order_mark_trains(tmp_path):
+    # Spreadsheet exports start with the mark; it must not stick to "date".
+    table = load_csv(str(make_csv(tmp_path)))
+    rows = [f"t{r:04d},{float(a)!r},{float(b)!r}" for r, (a, b) in enumerate(table.values)]
+    data = tmp_path / "exported.csv"
+    data.write_text("date,a,b\n" + "\n".join(rows) + "\n", encoding="utf-8-sig")
+    assert data.read_bytes().startswith(b"\xef\xbb\xbfdate,")
+    out = train_tiny(tmp_path, data)
+    assert (out / "model.ckpt").is_file()
+    loaded = load_csv(str(data))
+    assert loaded.names == ["a", "b"] and loaded.timestamps[0] == "t0000"
+    assert loaded.values.tobytes() == table.values.tobytes()
+
+
+def test_a_config_with_a_byte_order_mark_is_read(tmp_path, capsys):
+    text = "synth.n_vars = 2\nsynth.periods = 24,20\nsynth.pairs =\nsynth.rows = 50\n"
+    written = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        config = tmp_path / f"{encoding}.cfg"
+        config.write_text(text, encoding=encoding)
+        out = tmp_path / f"{encoding}.csv"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    # A mark does not excuse bytes that are not UTF-8 further on.
+    config.write_bytes(b"\xef\xbb\xbfsynth.n_vars = 2\n# caf\xe9\n")
+    capsys.readouterr()
+    assert main(["synth", "--config", str(config), "--out", str(tmp_path / "bad.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read config ")
+
+
+# Bytes that are not UTF-8 (with and without a byte-order mark), and a
+# quoted field longer than the csv module's field limit (131072
+# characters by default).
 UNPARSABLE_CSVS = {
     "not-utf8": b"a,b\n1,2\n3,\xff\n5,6\n",
+    "bom-not-utf8": b"\xef\xbb\xbfa,b\n1,2\n3,\xff\n5,6\n",
     "latin-1-header": b"caf\xe9,b\n1,2\n",
     "oversized-field": b'a,b\n1,"' + b"9" * 200_000 + b'"\n',
 }
@@ -208,6 +241,7 @@ UNKNOWN_KEYS = [
     "temporal.blocks=1",
     "temporal.branch_width=0",
     "data.standardize=true",
+    "synth.amplitude=1",
 ]
 
 
@@ -604,7 +638,7 @@ def run_quietly(argv):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    key=st.sampled_from(["synth.noise", "synth.amplitude", "synth.periods", "train.lr", "train.clip"]),
+    key=st.sampled_from(["synth.noise", "synth.periods", "train.lr", "train.clip"]),
     bad=st.sampled_from(["nan", "inf", "-inf"]),
     slot=st.integers(0, 1),
 )

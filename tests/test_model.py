@@ -469,13 +469,18 @@ def test_grad_forward_records_15_nodes_at_every_depth():
 
 
 def held_arrays(root):
-    """Every array the graph below ``root`` keeps: node values and closure cells."""
+    """Every array the graph below ``root`` keeps: node values and closure cells.
+
+    Asserts on the way that no node's vjp holds the node itself, which
+    would keep a dropped graph alive until the cycle collector runs.
+    """
     arrays = []
     for node in ad._toposort(root):
         arrays.append(node.data)
         closure = node._vjp.__closure__ if node._vjp is not None else None
         for cell in closure or ():
             value = cell.cell_contents
+            assert value is not node, f"the vjp of {node} holds its own node"
             arrays.append(value.data if isinstance(value, ad.Tensor) else value)
     return [a for a in arrays if isinstance(a, np.ndarray)]
 
