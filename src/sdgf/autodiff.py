@@ -54,9 +54,7 @@ chain oracles in the tests are built on.
 
 The other nodes here are the rest of what the package records:
 ``conv1d`` and ``layer_norm`` for the inception block, ``matmul`` for
-the reference ``wavelet.decompose``, ``stack_into``, which joins the
-graph branches that the propagations wrote into one array, and the ops
-of the loss and of the ``gf`` ablation's mean.
+the reference ``wavelet.decompose``, and the ``gf`` ablation's mean.
 ``Tensor`` has no arithmetic operators: each node is an explicit call.
 The ops the fused stages replaced live in ``tests/oracle_ops.py``: only
 the tests' op-by-op chains use them, as the oracles that each fused
@@ -83,7 +81,7 @@ import contextlib
 import ctypes
 import math
 import os
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -348,38 +346,6 @@ def matmul_operand_grad(p: np.ndarray, q: np.ndarray, shape: tuple, keep: int) -
 # Elementwise ops
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"cannot broadcast shapes {a.shape} and {b.shape}") from None
-
-    def vjp(g):
-        if a.requires_grad:
-            a.accumulate(unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(unbroadcast(-g, b.data.shape))
-
-    return record(data, "sub", (a, b), vjp)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"cannot broadcast shapes {a.shape} and {b.shape}") from None
-
-    def vjp(g):
-        if a.requires_grad:
-            a.accumulate(unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(unbroadcast(g * a.data, b.data.shape))
-
-    return record(data, "mul", (a, b), vjp)
-
-
 def scale(x, c: float) -> Tensor:
     x = _as_tensor(x)
     c = float(c)
@@ -445,7 +411,7 @@ def _left_rows(maps_t: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return maps_t.reshape(-1, length) if cols.ndim == 2 else maps_t.reshape(-1, k, length)
 
 
-def left_product(maps_t: np.ndarray, cols: np.ndarray, nodes: int) -> np.ndarray:
+def left_product(maps_t, cols: np.ndarray, nodes: int) -> np.ndarray:
     """``maps_t @ x`` for windows ``x`` of ``nodes`` nodes laid out as ``cols``.
 
     ``cols`` is the (L, batch * nodes) time-major window or a
@@ -455,50 +421,72 @@ def left_product(maps_t: np.ndarray, cols: np.ndarray, nodes: int) -> np.ndarray
     (L, batch * nodes), in place of a (K, L) @ (L, nodes) product per
     (scale, item). The result is the broadcast (..., batch, K, nodes)
     array, C-contiguous.
+
+    Over one window ``maps_t`` may be a list of maps, filling the slots of
+    a new leading axis in order, each by its own GEMM: one over all their
+    rows would pick another BLAS kernel on some shapes and move last bits.
     """
-    k, length = maps_t.shape[-2:]
+    many = isinstance(maps_t, list)
+    parts = maps_t if many else [maps_t]
+    k, length = parts[0].shape[-2:]
     if (
-        maps_t.ndim not in (2, 4)
-        or (maps_t.ndim == 4 and maps_t.shape[1] != 1)
+        any(m.ndim not in (2, 4) or m.shape[1:-2] not in ((), (1,)) for m in parts)
+        or any(m.shape[-2:] != (k, length) for m in parts)
         or cols.ndim not in (2, 3)
+        or (many and cols.ndim != 2)
         or cols.shape[-2] != length
         or nodes < 1
         or cols.shape[-1] % nodes
-        or (maps_t.ndim == 4 and cols.ndim == 3 and maps_t.shape[0] != cols.shape[0])
+        or (parts[0].ndim == 4 and cols.ndim == 3 and parts[0].shape[0] != cols.shape[0])
     ):
         raise ShapeError(
-            f"maps (K, L) or (S, 1, K, L) of shape {maps_t.shape} cannot read"
+            f"maps (K, L) or (S, 1, K, L) of shapes {[m.shape for m in parts]} cannot read"
             f" time-major windows {cols.shape} of {nodes} nodes"
         )
     batch = cols.shape[-1] // nodes
-    out = np.matmul(_left_rows(maps_t, cols), cols)
+    rows = [_left_rows(m, cols) for m in parts]
+    if many:
+        out, start = np.empty((sum(map(len, rows)), cols.shape[-1])), 0
+        for r in rows:
+            np.matmul(r, cols, out=out[start : start + len(r)])
+            start += len(r)
+    else:
+        out = np.matmul(rows[0], cols)
     out = out.reshape(out.shape[0] if out.ndim == 3 else out.shape[0] // k, k, batch, nodes)
     out = np.ascontiguousarray(out.transpose(0, 2, 1, 3))
-    return out if maps_t.ndim == 4 or cols.ndim == 3 else out[0]
+    return out if many or parts[0].ndim == 4 or cols.ndim == 3 else out[0]
 
 
 def left_product_grads(maps_t, cols, nodes: int, g, want_maps: bool, want_cols: bool):
     """The (``maps_t``, ``cols``) gradients of ``left_product`` for its output gradient ``g``.
 
-    Each is one 2-D GEMM over one window, and ``None`` unless wanted.
-    The window's gradient is a C-contiguous array in the layout of
-    ``cols``, so the window node takes it as it is.
+    Each is one 2-D GEMM over one window (over a list of maps, their
+    rows side by side; the maps' gradient is then a list), and ``None``
+    unless wanted. The window's gradient is a C-contiguous array in the
+    layout of ``cols``, so the window node takes it as it is.
     """
-    rows = _left_rows(maps_t, cols)
+    many = isinstance(maps_t, list)
+    parts = maps_t if many else [maps_t]
+    blocks = [_left_rows(m, cols) for m in parts]
+    rows = np.concatenate(blocks) if many else blocks[0]
     batch = cols.shape[-1] // nodes
     out_shape = (*cols.shape[:-2], rows.shape[-2], batch * nodes)
-    g = np.swapaxes(g.reshape(math.prod(g.shape[:-3]), batch, maps_t.shape[-2], nodes), 1, 2)
+    g = np.swapaxes(g.reshape(math.prod(g.shape[:-3]), batch, parts[0].shape[-2], nodes), 1, 2)
     g = g.reshape(out_shape)
     g_maps = g_cols = None
     if want_maps:
-        g_maps = matmul_operand_grad(g, cols, rows.shape, -2).reshape(maps_t.shape)
+        g_rows, start, g_maps = matmul_operand_grad(g, cols, rows.shape, -2), 0, []
+        for m, block in zip(parts, blocks):
+            g_maps.append(g_rows[start : start + len(block)].reshape(m.shape))
+            start += len(block)
+        g_maps = g_maps if many else g_maps[0]
     if want_cols:
         g_cols = matmul_operand_grad(rows, g, cols.shape, -1)
     return g_maps, g_cols
 
 
 def left_map(maps, x, nodes: int) -> Tensor:
-    """``maps^T @ x`` for an (L, K) map or an (S, 1, L, K) stack over time-major windows.
+    """``maps^T @ x`` for (L, K) maps or (S, 1, L, K) stacks over time-major windows.
 
     ``x`` is the (L, batch * nodes) window tensor or a
     (S, L, batch * nodes) stack, the layout the model's RevIN node
@@ -506,21 +494,30 @@ def left_map(maps, x, nodes: int) -> Tensor:
     nodes). One node, where a transpose and a ``matmul`` record two; the
     forward and each gradient are one 2-D GEMM (see ``left_product``),
     and the window's gradient arrives in its own layout.
+
+    ``maps`` may be a list or tuple, read as the slots of a new leading
+    axis in order: an (L, K) map fills one slot, an (S, 1, L, K) stack S.
     """
-    maps, x = _as_tensor(maps), _as_tensor(x)
-    maps_t = np.swapaxes(maps.data, -1, -2)
+    many = isinstance(maps, (list, tuple))
+    parts = [_as_tensor(m) for m in (maps if many else [maps])]
+    x = _as_tensor(x)
+    maps_t = [np.swapaxes(p.data, -1, -2) for p in parts]
+    if not many:
+        maps_t = maps_t[0]
     data = left_product(maps_t, x.data, nodes)
 
     def vjp(g):
         g_maps, g_x = left_product_grads(
-            maps_t, x.data, nodes, g, maps.requires_grad, x.requires_grad
+            maps_t, x.data, nodes, g, any(p.requires_grad for p in parts), x.requires_grad
         )
         if g_maps is not None:
-            maps.accumulate(np.swapaxes(g_maps, -1, -2))
+            for p, g_p in zip(parts, g_maps if many else [g_maps]):
+                if p.requires_grad:
+                    p.accumulate(np.swapaxes(g_p, -1, -2))
         if g_x is not None:
             x.accumulate(g_x)
 
-    return record(data, "left_map", (maps, x), vjp)
+    return record(data, "left_map", (*parts, x), vjp)
 
 
 def _check_axis(x: Tensor, axis: int) -> int:
@@ -563,55 +560,6 @@ def reduce_mean(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
         raise ShapeError(f"cannot average over empty axis {axis} of shape {x.shape}")
     total = reduce_sum(x, axis, keepdims)
     return scale(total, 1.0 / count)
-
-
-# ---------------------------------------------------------------------------
-# Shape surgery
-
-
-def stack_into(out: np.ndarray, parts: Sequence[Tensor]) -> Tensor:
-    """``out`` as one node whose leading-axis slices are the values of ``parts``.
-
-    Part by part along the leading axis, a part of ``out.ndim - 1`` axes
-    is one index of ``out`` and a part of ``out.ndim`` axes a run of
-    indices as long as its leading axis. Each part's producer has
-    written its value into its slot (``out=``), so the part's value is
-    that slice of ``out`` and joining copies nothing; a part whose value
-    lies anywhere else raises ``ShapeError``. The VJP hands each part
-    its slice of the gradient.
-    """
-    parts = [_as_tensor(p) for p in parts]
-    slots, starts, start = [], [], 0
-    for p in parts:
-        run = p.ndim == out.ndim >= 1
-        starts.append(start)
-        slots.append(slice(start, start + p.shape[0]) if run else start)
-        start += p.shape[0] if run else 1
-    if (
-        not (out.ndim and out.dtype is _FLOAT64 and out.flags.c_contiguous)
-        or start != out.shape[0]
-        or any(
-            (p.shape[1:] if type(i) is slice else p.shape) != out.shape[1:]
-            for p, i in zip(parts, slots)
-        )
-    ):
-        raise ShapeError(
-            f"parts {[p.shape for p in parts]} do not fill the leading axis of the"
-            f" C-contiguous float64 stack {out.shape}"
-        )
-    # A C-contiguous part of its slot's shape that starts where the slot
-    # starts is the slot.
-    address, row = out.__array_interface__["data"][0], out.strides[0]
-    for i, (p, start) in enumerate(zip(parts, starts)):
-        if p.data.__array_interface__["data"][0] != address + start * row:
-            raise ShapeError(f"part {i} does not hold its slot of the stack as its value")
-
-    def vjp(g):
-        for p, index in zip(parts, slots):
-            if p.requires_grad:
-                p.accumulate(g[index])
-
-    return record(out, "stack", tuple(parts), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,17 @@ def _format_value(value) -> str:
 class RunConfig:
     values: dict
 
+    def __post_init__(self):
+        # ``parse`` cuts each line of ``to_text`` at ``#`` and strips it, so
+        # a string that would not read back as itself is refused.
+        for key in sorted(self.values):
+            value = self.values[key]
+            if isinstance(value, str) and (
+                "#" in value or value != value.strip() or "".join(value.splitlines()) != value
+            ):
+                raise ConfigError(f"key {key!r} cannot hold {value!r}: a config file cannot"
+                                  " write back a '#', a line break, or outer whitespace")
+
     def __getitem__(self, key: str):
         if key not in self.values:
             raise ConfigError(f"unknown config key {key!r}")

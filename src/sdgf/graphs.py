@@ -35,18 +35,17 @@ as one contiguous array in that layout. A caller holding (batch,
 length, nodes) windows passes no ``nodes`` and a recorded
 ``autodiff.time_major`` node lays them out.
 
-Both propagations take an optional ``out``: the model passes slices of
-its (1 + scales, batch, features, nodes) fusion stack, so each
-propagation's last hop sum is written where fusion reads it.
-
-Each propagation, static or dynamic, at any depth, is one recorded
-autodiff node, and so is ``dynamic_adjacency``, which reads both
-embedding maps in one product of the maps laid side by side. Their VJPs
-are derived by hand, and each node raises ``NumericError`` where the
-op-by-op chain it stands for did (see ``_propagate`` and
-``dynamic_adjacency``). The forwards build the hop states and the
-softmax in place on arrays they made themselves, in the chain's operand
-order, so the values stay the chain's.
+The model propagates its (1 + scales, batch, features, nodes) branch
+stack in one ``branch_stack_conv`` node, the static graph as slot 0 and
+the per-scale dynamic graphs after it; ``static_graph_conv`` and
+``dynamic_graph_conv`` are the one-graph forms of the same node. Each
+propagation, at any depth, is one recorded autodiff node, and so is
+``dynamic_adjacency``, which reads both embedding maps in one product of
+the maps laid side by side. Their VJPs are derived by hand, and each
+node raises ``NumericError`` where the op-by-op chain it stands for did
+(see ``_propagate`` and ``dynamic_adjacency``). The forwards build the
+hop states and the softmax in place on arrays they made themselves, in
+the chain's operand order, so the values stay the chain's.
 """
 
 from __future__ import annotations
@@ -135,10 +134,23 @@ def hop_states(h: np.ndarray, a_t: np.ndarray, alpha: float, depth: int):
     return states
 
 
-def _propagate(
-    h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, out: np.ndarray | None = None
-):
-    """Propagation as one recorded node; ``adjacency`` is an array or a tensor.
+def _join(parts, runs, shape) -> np.ndarray:
+    """One array of ``shape`` whose leading-axis run ``runs[i]`` is ``parts[i]``, broadcast."""
+    out = np.empty(shape)
+    for part, run in zip(parts, runs):
+        out[run] = part
+    return out
+
+
+def _propagate(h: ad.Tensor, branches, runs=None) -> ad.Tensor:
+    """Propagation as one recorded node over (adjacency, cfg) ``branches``.
+
+    An adjacency is an array or a tensor. With ``runs`` None, one branch
+    propagates all of ``h``, its graph and maps broadcasting against it;
+    otherwise branch i propagates the slots ``runs[i]`` of a (slots,
+    batch, features, nodes) ``h``. The graphs (per item) and each hop's
+    maps are joined along the slot axis, so every product is one numpy
+    call over the stack, each slot's the product its branch alone takes.
 
     The forward takes the ops of the op-by-op chain in its order (the hop
     states, then the per-hop maps summed hop by hop), so its values are
@@ -146,89 +158,112 @@ def _propagate(
     each hop state reaches the output through its own map, so a
     non-finite state makes the output non-finite: the output guard alone
     raises where the chain raised.
-
-    ``out``, if given, is a C-contiguous array of the output's shape,
-    and the output is written to it (the last hop sum's ``np.add``, or at
-    depth 0 the single term's ``np.matmul``), so the node's value is that
-    array itself: the model writes both propagations into its fusion
-    stack this way. Numpy raises ``ValueError`` for an ``out`` that
-    cannot hold the output.
     """
-    alpha, depth, thetas = cfg.alpha, cfg.depth, cfg.theta
-    adj = adjacency.data if isinstance(adjacency, ad.Tensor) else adjacency
-    a_t = adj.swapaxes(-1, -2).copy()
-    # With no hop the graph is never read, so it is no parent of the node.
-    graph = adjacency if isinstance(adjacency, ad.Tensor) and depth else None
+    alpha, depth = branches[0][1].alpha, branches[0][1].depth
+    adjs = [adj.data if isinstance(adj, ad.Tensor) else adj for adj, _ in branches]
+    if runs is None:
+        runs, a_shape, map_shape = [slice(None)], adjs[0].shape, branches[0][1].theta[0].shape
+    else:
+        slots, batch, dim, nodes = h.shape
+        a_shape, map_shape = (slots, batch, nodes, nodes), (slots, 1, dim, dim)
+    a_t = _join([adj.swapaxes(-1, -2) for adj in adjs], runs, a_shape) if depth else None
+    maps = [_join([cfg.theta[k].data for _, cfg in branches], runs, map_shape)
+            for k in range(depth + 1)]
+    # With no hop a graph is never read, so it is no parent of the node.
+    graphs = [(adj, run) for (adj, _), run in zip(branches, runs)
+              if isinstance(adj, ad.Tensor) and depth]
+    thetas = [(cfg.theta, run) for (_, cfg), run in zip(branches, runs)]
     states = hop_states(h.data, a_t, alpha, depth)
     total, shapes = None, []
-    for k, (theta, state) in enumerate(zip(thetas, states)):
-        dest = out if k == depth else None
-        term = np.matmul(theta.data, state, out=None if k else dest)
+    for k, (theta, state) in enumerate(zip(maps, states)):
+        term = np.matmul(theta, state)
         shapes.append(term.shape)
-        total = term if k == 0 else np.add(total, term, out=dest)
-    parents = (h, *thetas) if graph is None else (h, *thetas, graph)
+        total = term if k == 0 else np.add(total, term)
+    parents = (h, *(t for ts, _ in thetas for t in ts), *(adj for adj, _ in graphs))
 
     def vjp(g):
         # Each state's gradient from its own map.
         grads = []
-        for theta, state, shape in zip(thetas, states, shapes):
+        for k, (theta, state, shape) in enumerate(zip(maps, states, shapes)):
             g_term = ad.unbroadcast(g, shape)
-            if theta.requires_grad:
-                theta.accumulate(ad.matmul_operand_grad(g_term, state, theta.data.shape, -2))
-            grads.append(ad.matmul_operand_grad(theta.data, g_term, state.shape, -1))
-        g_at = None
+            if any(ts[k].requires_grad for ts, _ in thetas):
+                g_map = ad.matmul_operand_grad(g_term, state, theta.shape, -2)
+                for ts, run in thetas:
+                    if ts[k].requires_grad:
+                        ts[k].accumulate(g_map[run].reshape(ts[k].shape))
+            grads.append(ad.matmul_operand_grad(theta, g_term, state.shape, -1))
+        # The hops' gradients read A laid out afresh: a product on the
+        # transpose view of a_t costs more than the copy.
+        a = _join(adjs, runs, a_shape).swapaxes(-1, -2) if depth else None
+        g_graphs = [None] * len(graphs)
         for k in range(depth, 0, -1):
             g_mix = grads[k] * (1.0 - alpha)
             prev = states[k - 1]
-            grads[k - 1] = grads[k - 1] + ad.matmul_operand_grad(g_mix, a_t, prev.shape, -2)
+            grads[k - 1] = grads[k - 1] + ad.matmul_operand_grad(g_mix, a, prev.shape, -2)
             grads[0] = grads[0] + ad.unbroadcast(grads[k] * alpha, h.data.shape)
-            if graph is not None and graph.requires_grad:
-                g_k = ad.matmul_operand_grad(prev, g_mix, a_t.shape, -1)
-                g_at = g_k if g_at is None else g_at + g_k
+            for i, (adj, run) in enumerate(graphs):
+                if adj.requires_grad:
+                    g_k = ad.matmul_operand_grad(prev[run], g_mix[run], adj.shape, -1)
+                    g_graphs[i] = g_k if g_graphs[i] is None else g_graphs[i] + g_k
         if h.requires_grad:
             h.accumulate(grads[0])
-        if g_at is not None:
-            graph.accumulate(g_at.swapaxes(-1, -2))
+        for (adj, _), g_at in zip(graphs, g_graphs):
+            if g_at is not None:
+                adj.accumulate(g_at.swapaxes(-1, -2))
 
     return ad.record(total, "propagate", parents, vjp)
 
 
 def static_graph_conv(
-    h: ad.Tensor,
-    adjacency: np.ndarray,
-    cfg: GraphPropagationConfig,
-    out: np.ndarray | None = None,
+    h: ad.Tensor, adjacency: np.ndarray, cfg: GraphPropagationConfig
 ) -> ad.Tensor:
-    """Propagate (batch, features, nodes) through one shared graph.
-
-    ``out``, if given, receives the output (see ``_propagate``).
-    """
+    """Propagate (batch, features, nodes) through one shared graph."""
     adjacency = np.asarray(adjacency, dtype=np.float64)
     if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
         raise ShapeError(f"adjacency must be square, got {adjacency.shape}")
     if h.ndim != 3 or h.shape[2] != adjacency.shape[0]:
         raise ShapeError(f"node axis of {h.shape} does not match adjacency {adjacency.shape}")
-    return _propagate(h, adjacency, cfg, out)
+    return _propagate(h, [(adjacency, cfg)])
 
 
 def dynamic_graph_conv(
-    h: ad.Tensor,
-    adjacency: ad.Tensor,
-    cfg: GraphPropagationConfig,
-    out: np.ndarray | None = None,
+    h: ad.Tensor, adjacency: ad.Tensor, cfg: GraphPropagationConfig
 ) -> ad.Tensor:
     """Propagate (..., features, nodes) through per-item graphs (..., nodes, nodes).
 
     Leading axes of ``h``, ``adjacency`` and the hop maps broadcast, so a
     (scales, batch, ...) stack with (scales, 1, features, features) hop
-    maps runs every scale in one call. ``out``, if given, receives the
-    output (see ``_propagate``).
+    maps runs every scale in one call.
     """
     if adjacency.ndim < 2 or adjacency.shape[-1] != adjacency.shape[-2]:
         raise ShapeError(f"adjacency must be (..., nodes, nodes), got {adjacency.shape}")
     if h.ndim < 2 or h.shape[-1] != adjacency.shape[-1]:
         raise ShapeError(f"features {h.shape} do not match adjacency {adjacency.shape}")
-    return _propagate(h, adjacency, cfg, out)
+    return _propagate(h, [(adjacency, cfg)])
+
+
+def branch_stack_conv(h: ad.Tensor, branches) -> ad.Tensor:
+    """Propagate a (slots, batch, features, nodes) stack, each run of slots on its own graph.
+
+    ``branches`` holds (adjacency, cfg) pairs in slot order: hop maps of
+    (features, features) take one slot, (S, 1, features, features) the
+    next S, and each adjacency broadcasts to (S, batch, nodes, nodes).
+    All cfgs share one ``alpha`` and ``depth``. One node (``_propagate``).
+    """
+    first = branches[0][1]
+    if any((cfg.alpha, cfg.depth) != (first.alpha, first.depth) for _, cfg in branches):
+        raise ConfigError("every branch of one stack needs the same alpha and depth")
+    runs, start = [], 0
+    for _, cfg in branches:
+        runs.append(slice(start, start + (cfg.theta[0].shape[0] if cfg.theta[0].ndim == 4 else 1)))
+        start = runs[-1].stop
+    if h.ndim != 4 or start != h.shape[0]:
+        raise ShapeError(f"branches fill {start} slots of the stack {h.shape}")
+    try:
+        return _propagate(h, branches, runs)
+    except ValueError:  # a graph or hop map that broadcasts to no run
+        shapes = [(adj.shape, cfg.theta[0].shape) for adj, cfg in branches]
+        raise ShapeError(f"graphs and hop maps {shapes} do not fit the stack {h.shape}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -3,36 +3,31 @@
 Forward pipeline for a (batch, input_len, n_vars) window:
 
     revin normalize
-      -> static branch:  input projection -> propagation over the
-         correlation graph, frozen from the training split
-      -> dynamic branches, one per wavelet scale (scales = levels + 1):
-         each scale's component is projected, learns one adjacency per
-         item and propagates through it, all scales in each call
-      -> attention-gated fusion of the (1 + scales, batch, hidden, n_vars)
-         branch stack, static branch first
+      -> one (1 + scales, batch, hidden, n_vars) branch stack, projected
+         and propagated in one node each: slot 0 over the correlation
+         graph frozen from the training split, then each wavelet scale
+         (scales = levels + 1) over one adjacency per item learned from it
+      -> attention-gated fusion of that stack
       -> inception block
       -> per-variable MLP head mapping features to the horizon
     revin denormalize
 
 Every stage records one autodiff node with a hand-derived VJP (the
-inception block two: its conv1d and its layer norm), and so does each
-input projection (``ad.left_map``), each wavelet fold and the branch
-stack (``ad.stack_into``): a grad forward records 15 nodes at any
-propagation depth from 1 up. At depth 0 no graph is read, so the
-dynamic adjacency is not learned (the identity stands in, as under
-``gsl``), its maps are no effective parameters, and a grad forward
-records 12 nodes. RevIN keeps its statistics as constants of its nodes.
-The head runs each layer as one 2-D product over the (batch * n_vars)
-rows of per-variable features.
+inception block two: its conv1d and its layer norm), and so do the
+projection of the branch stack (``ad.left_map``) and each wavelet fold:
+a grad forward records 12 nodes at any propagation depth from 1 up. At
+depth 0 no graph is read, so the dynamic adjacency is not learned (the
+identity stands in, as under ``gsl``), its maps are no effective
+parameters, and a grad forward records 9 nodes. RevIN keeps its
+statistics as constants of its nodes. The head runs each layer as one
+2-D product over the (batch * n_vars) rows of per-variable features.
 
 Each stage hands its output on in the layout its readers take. RevIN
-normalize writes the (input_len, batch * n_vars) window, and the static
-projection, the dynamic projection and the embedding maps all read that
-node, each as one 2-D GEMM for every scale and item at once; their
-gradients come back to it in the same layout. The forward allocates the
-(1 + scales, batch, hidden, n_vars) branch stack before the graph
-branches run, and both propagations write their outputs into its
-slices, so fusion reads them without a copy.
+normalize writes the (input_len, batch * n_vars) window, and the
+projection (``input_proj`` for slot 0, its fold for the scales) and the
+embedding maps read that node as 2-D GEMMs for every slot and item at
+once; their gradients come back to it in the same layout. The
+propagation's value (``gr.branch_stack_conv``) is the stack fusion reads.
 
 The per-scale weights live on a leading scale axis: embedding maps are
 (scales, 1, input_len, embed_dim) and hop maps (scales, 1, hidden,
@@ -484,11 +479,9 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
     static adjacency and the (scales, batch, n_vars, n_vars) dynamic
     adjacencies as plain arrays.
 
-    RevIN hands the three readers of the window its (input_len,
-    batch * n_vars) layout as they take it, and the two propagations
-    write into one (1 + scales, batch, hidden, n_vars) stack allocated
-    here, which one ``ad.stack_into`` node hands to fusion; its VJP
-    gives each propagation its slice of the gradient.
+    One projection node writes the whole (1 + scales, batch, hidden,
+    n_vars) branch stack and one propagation node runs over it, slot 0
+    through the static graph, the rest through the dynamic ones.
     """
     cfg = model.config
     if x.ndim != 3 or x.shape[1] != cfg.input_len or x.shape[2] != cfg.n_vars:
@@ -506,14 +499,6 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
         raise StateError("static graph is not frozen; call set_static_graph first")
     else:
         static_adj = model.static_adjacency
-    # Both propagations write their outputs into the branch stack that
-    # fusion reads: the static branch first, then one per scale.
-    stack = np.empty((cfg.levels + 2, batch, cfg.hidden, n))
-    # Time profiles project from the left: (hidden, length) @ (length, vars).
-    h_static = gr.static_graph_conv(
-        ad.left_map(model.input_proj, window, n), static_adj, model.static_cfg, stack[0]
-    )
-
     # Every map that reads the wavelet components does so from the left,
     # so each is folded with the component operators and reads the window.
     # With no hop, no dynamic graph is read, so none is learned.
@@ -524,12 +509,12 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
         dyn_adj = gr.dynamic_adjacency(
             window, gr.DynamicGraphLayer(_fold(layer.w1, cfg), _fold(layer.w2, cfg)), n
         )
-    h_dyn = gr.dynamic_graph_conv(
-        ad.left_map(_fold(model.input_proj, cfg), window, n), dyn_adj, model.dynamic_cfg,
-        stack[1:],
+    # Time profiles project from the left, (hidden, length) @ (length, vars):
+    # slot 0 through the projection itself, each scale through its fold.
+    projected = ad.left_map((model.input_proj, _fold(model.input_proj, cfg)), window, n)
+    branches = gr.branch_stack_conv(
+        projected, ((static_adj, model.static_cfg), (dyn_adj, model.dynamic_cfg))
     )
-
-    branches = ad.stack_into(stack, (h_static, h_dyn))
     if model.ablation == "gf":
         fused = ad.reduce_mean(branches, 0)
         alpha = np.full((batch, branches.shape[0]), 1.0 / branches.shape[0])

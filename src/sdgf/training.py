@@ -53,12 +53,23 @@ def mae(pred, target) -> float:
 
 
 def mse_loss(pred: ad.Tensor, target: np.ndarray) -> ad.Tensor:
-    """Differentiable mean squared error over all elements."""
+    """Mean squared error over all elements as one node, in the ops order of
+    ``mean((pred - target) ** 2)``: that chain's value bit for bit and, as
+    squares are never negative, its raises by the output guard alone. The
+    VJP ``err * (2 * c * g)`` is the chain's two accumulations summed.
+    """
     target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeError(f"loss operands differ in shape: {pred.shape} vs {target.shape}")
-    err = ad.sub(pred, ad.Tensor(target))
-    return ad.reduce_mean(ad.mul(err, err))
+    if pred.shape != target.shape or pred.size == 0:
+        raise ShapeError(f"loss operands are empty or differ: {pred.shape} vs {target.shape}")
+    err = pred.data - target
+    c = 1.0 / err.size
+    data = (err * err).sum() * c
+
+    def vjp(g):
+        if pred.requires_grad:
+            pred.accumulate(err * (2.0 * c * g))
+
+    return ad.record(data, "mse_loss", (pred,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +158,24 @@ def adam_step(params: list[ad.Parameter], grads: dict[str, np.ndarray], state: A
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clip norm. ``max_norm <= 0`` disables clipping.
+    Returns the pre-clip norm; ``max_norm <= 0`` disables clipping. One
+    dot of the gradients laid end to end gives the norm and one multiply
+    scales them, ``grads`` then holding views. A squared norm that over-
+    or underflows is taken again on the vector over its largest entry.
     """
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    norm = float(np.sqrt(total))
+    flat = np.concatenate([np.zeros(0), *(g.reshape(-1) for g in grads.values())])
+    with np.errstate(over="ignore"):  # handled below
+        norm = math.sqrt(float(flat @ flat))
+    if norm == math.inf or (norm == 0.0 and flat.any()):
+        peak = float(np.abs(flat).max())
+        if peak < math.inf:
+            norm = peak * math.sqrt(float((flat / peak) @ (flat / peak)))
     if max_norm > 0.0 and norm > max_norm:
-        factor = max_norm / norm
-        for name in grads:
-            grads[name] = grads[name] * factor
+        flat *= max_norm / norm
+        start = 0
+        for name, g in grads.items():
+            grads[name] = flat[start : start + g.size].reshape(g.shape)
+            start += g.size
     return norm
 
 

@@ -93,12 +93,12 @@ def chain_layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> ad.Tensor:
     """
     x = ad._as_tensor(x)
     m = ad.reduce_mean(x, axis, keepdims=True)
-    centered = ad.sub(x, m)
-    var = ad.reduce_mean(ad.mul(centered, centered), axis, keepdims=True)
+    centered = ops.sub(x, m)
+    var = ad.reduce_mean(ops.mul(centered, centered), axis, keepdims=True)
     normed = ops.div(centered, ops.sqrt(ops.add(var, eps)))
     side = [1] * x.ndim
     side[axis] = x.shape[axis]
-    return ops.add(ad.mul(normed, ops.reshape(gain, side)), ops.reshape(bias, side))
+    return ops.add(ops.mul(normed, ops.reshape(gain, side)), ops.reshape(bias, side))
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +112,8 @@ def chain_revin_normalize(layer, x):
     n = x.shape[2]
     mean = x.data.mean(axis=1, keepdims=True)
     std = np.sqrt(x.data.var(axis=1, keepdims=True) + layer.eps)
-    z = ops.div(ad.sub(x, ad.Tensor(mean)), ad.Tensor(std))
-    scaled = ad.mul(z, ops.reshape(layer.gamma, (1, 1, n)))
+    z = ops.div(ops.sub(x, ad.Tensor(mean)), ad.Tensor(std))
+    scaled = ops.mul(z, ops.reshape(layer.gamma, (1, 1, n)))
     out = ops.add(scaled, ops.reshape(layer.beta, (1, 1, n)))
     return out, (mean, std)
 
@@ -123,8 +123,8 @@ def chain_revin_denormalize(layer, y, stats):
     mean, std = stats
     n = layer.gamma.shape[0]
     guard = ops.add(ops.reshape(layer.gamma, (1, 1, n)), layer.eps * layer.eps)
-    z = ops.div(ad.sub(y, ops.reshape(layer.beta, (1, 1, n))), guard)
-    return ops.add(ad.mul(z, ad.Tensor(std)), ad.Tensor(mean))
+    z = ops.div(ops.sub(y, ops.reshape(layer.beta, (1, 1, n))), guard)
+    return ops.add(ops.mul(z, ad.Tensor(std)), ad.Tensor(mean))
 
 
 def chain_propagate(h, adjacency, cfg):
@@ -158,7 +158,7 @@ def chain_fuse(branches, layer):
     keyed = ad.matmul(pooled, ops.transpose(layer.w_k, (1, 0)))
     logits = ad.matmul(keyed, ops.reshape(layer.q, (dim, 1)))
     alpha = ops.softmax(logits, axis=0)
-    fused = ad.reduce_sum(ad.mul(branches, ops.reshape(alpha, (count, batch, 1, 1))), axis=0)
+    fused = ad.reduce_sum(ops.mul(branches, ops.reshape(alpha, (count, batch, 1, 1))), axis=0)
     return fused, alpha.data.reshape(count, batch).T.copy()
 
 
@@ -206,14 +206,19 @@ def chain_forward(x, model):
     return chain_revin_denormalize(model.revin, out, stats)
 
 
+def chain_mse_loss(pred, target):
+    """``training.mse_loss`` as a difference, a square and a mean."""
+    err = ops.sub(pred, ad.Tensor(target))
+    return ad.reduce_mean(ops.mul(err, err))
+
+
 def model_loss_and_grads(forward, x, model, target):
     """Forecast and the squared-error gradients of ``model``'s effective parameters."""
     params = md.effective_parameters(model)
     for p in params:
         p.zero_grad()
     pred = forward(x, model)
-    err = ad.sub(pred, ad.Tensor(target))
-    grads = ad.backward(ad.reduce_mean(ad.mul(err, err)), params)
+    grads = ad.backward(chain_mse_loss(pred, target), params)
     for p in params:
         p.zero_grad()
     return pred.data, grads

@@ -20,6 +20,38 @@ from sdgf.autodiff import Tensor, _as_tensor, _check_axis, record, unbroadcast
 from sdgf.errors import NumericError, ShapeError
 
 
+def sub(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    try:
+        data = a.data - b.data
+    except ValueError:
+        raise ShapeError(f"cannot broadcast shapes {a.shape} and {b.shape}") from None
+
+    def vjp(g):
+        if a.requires_grad:
+            a.accumulate(unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(unbroadcast(-g, b.data.shape))
+
+    return record(data, "sub", (a, b), vjp)
+
+
+def mul(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    try:
+        data = a.data * b.data
+    except ValueError:
+        raise ShapeError(f"cannot broadcast shapes {a.shape} and {b.shape}") from None
+
+    def vjp(g):
+        if a.requires_grad:
+            a.accumulate(unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b.accumulate(unbroadcast(g * a.data, b.data.shape))
+
+    return record(data, "mul", (a, b), vjp)
+
+
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     try:

@@ -261,6 +261,26 @@ def test_train_unknown_config_key_is_usage_error(tmp_path, capsys):
             assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--data", "--out", "--set"])
+def test_a_value_resolved_cfg_cannot_write_back_is_a_usage_error(tmp_path, capsys, flag):
+    # In resolved.cfg a '#' starts a comment, so the run would not read
+    # back as itself; it stops before writing anything.
+    data = make_csv(tmp_path)
+    hashed = tmp_path / "lag#1.csv"
+    hashed.write_bytes(data.read_bytes())
+    plain_out, hashed_out = tmp_path / "run", tmp_path / "run#1"
+    args, key = {
+        "--data": (["--data", str(hashed), "--out", str(plain_out)], "data.path"),
+        "--out": (["--data", str(data), "--out", str(hashed_out)], "out.dir"),
+        "--set": (["--set", f"data.path={hashed}", "--out", str(plain_out)], "data.path"),
+    }[flag]
+    capsys.readouterr()
+    assert main(["train"] + args + sets(TINY)) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: key '{re.escape(key)}' [^\n]*\n", err), err
+    assert not plain_out.exists() and not hashed_out.exists()
+
+
 def test_train_reports_are_reproducible(tmp_path):
     data = make_csv(tmp_path)
     out_a = train_tiny(tmp_path, data, "a")

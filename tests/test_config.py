@@ -65,6 +65,49 @@ def test_text_round_trip_is_exact():
     assert again.values == cfg.values
 
 
+STRING_KEYS = sorted(key for key, value in cf.DEFAULTS.items() if isinstance(value, str))
+
+
+@pytest.mark.parametrize("value", ["lag#1.csv", "two\nlines", "cr\rhere", " lead", "trail\t", "\x85"])
+def test_a_string_the_config_file_cannot_write_back_is_an_error(value):
+    for key in STRING_KEYS:
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            cf.RunConfig({**cf.DEFAULTS, key: value})
+    # A --set strips its value, so only what lies inside it can fail.
+    if value.strip() == value:
+        with pytest.raises(ConfigError, match="'data.path'"):
+            cf.RunConfig.defaults().override([f"data.path=x{value}x"])
+
+
+def same_value(a, b):
+    return type(a) is type(b) and (a == b or (a != a and b != b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    assignments=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(cf.DEFAULTS)),
+            st.one_of(st.text(), st.integers().map(str), st.floats().map(repr)),
+        ),
+        max_size=6,
+    ),
+    paths=st.dictionaries(st.sampled_from(["data.path", "out.dir"]), st.text()),
+)
+def test_every_accepted_config_reads_back_from_its_text(assignments, paths):
+    # ``paths`` stands for --data and --out, which set their keys verbatim.
+    try:
+        cfg = cf.RunConfig.defaults().override([f"{key}={text}" for key, text in assignments])
+        cfg = cf.RunConfig({**cfg.values, **paths})
+    except ConfigError:
+        return
+    again = cf.RunConfig.parse(cfg.to_text())
+    assert again.values.keys() == cfg.values.keys()
+    for key, value in cfg.values.items():
+        assert same_value(again[key], value), key
+    assert again.to_text() == cfg.to_text()
+
+
 def test_override_parses_and_rejects():
     cfg = cf.RunConfig.defaults().override(["train.seed=9", "gcn.depth=3"])
     assert cfg["train.seed"] == 9

@@ -1,9 +1,10 @@
 """Each fused stage node against the op-by-op chain it replaced.
 
-The chains live in ``conftest``, except those of ``ad.left_map`` and
-the wavelet fold, which are a ``matmul`` or two and live here. For every node, values and leaf
-gradients agree with the chain's to 1e-12 (RevIN and propagation values
-bit for bit), under ``no_grad`` the node records nothing and gives the
+The chains live in ``conftest``, except those of ``ad.left_map``, the
+wavelet fold and the branch stack, which are a ``matmul`` or two or
+joins of ``conftest`` chains and live here. For every node, values and
+leaf gradients agree with the chain's to 1e-12 (RevIN, propagation and
+loss values bit for bit), under ``no_grad`` the node records nothing and gives the
 same values, finite differences pass on every leaf, and the node raises
 ``NumericError`` on exactly the finite inputs (up to about 1e308) on
 which its chain raises.
@@ -19,7 +20,8 @@ from sdgf import fusion as fu
 from sdgf import graphs as gr
 from sdgf import model as md
 from sdgf import wavelet as wv
-from sdgf.errors import NumericError
+from sdgf import training as tr
+from sdgf.errors import ConfigError, NumericError, ShapeError
 
 from conftest import (
     assert_grads_match,
@@ -27,6 +29,7 @@ from conftest import (
     chain_forward,
     chain_fuse,
     chain_head,
+    chain_mse_loss,
     chain_propagate,
     chain_revin_denormalize,
     chain_revin_normalize,
@@ -57,7 +60,7 @@ def assert_node_matches_chain(
         for t in leaves:
             t.zero_grad()
         out = build()
-        ad.reduce_sum(ad.mul(out, weight)).backward()
+        ad.reduce_sum(ops.mul(out, weight)).backward()
         results.append((out.data, [t.grad for t in leaves]))
     (got, got_grads), (want, want_grads) = results
     assert got.shape == want.shape
@@ -73,7 +76,7 @@ def assert_node_matches_chain(
         assert not quiet.requires_grad and quiet._vjp is None
         assert quiet.data.tobytes() == got.tobytes()
     assert_grads_match(
-        lambda: ad.reduce_sum(ad.mul(fused(), weight)),
+        lambda: ad.reduce_sum(ops.mul(fused(), weight)),
         leaves if fd_leaves is None else fd_leaves,
         tol=fd_tol,
     )
@@ -173,7 +176,7 @@ def test_revin_denormalize_matches_its_chain(batch, horizon, n, seed):
     # to its own pole.
     pole = np.abs(layer.gamma.data + layer.eps * layer.eps)
     assert_grads_match(
-        lambda: ad.reduce_sum(ad.mul(layer.denormalize(y, stats), weight)),
+        lambda: ad.reduce_sum(ops.mul(layer.denormalize(y, stats), weight)),
         [layer.gamma],
         tol=1e-4,
         h=1e-5 * np.minimum(1.0, pole),
@@ -323,34 +326,96 @@ def test_propagation_raises_exactly_when_its_chain_raises(
         assert got.tobytes() == want.tobytes()
 
 
-@settings(max_examples=30, deadline=None)
+def branch_stack_case(rng, depth, dim, nodes, batch, scales, per_item_static, learned):
+    """(h, branches, leaves): the static graph as slot 0, ``scales`` dynamic slots after it.
+
+    The dynamic graphs are one learned (scales, batch) stack, or the
+    constant identity that stands in for them under ``gsl``.
+    """
+    h = leaf(rng, (1 + scales, batch, dim, nodes))
+    maps = [
+        [ad.Parameter(f"{name}{k}", rng.normal(0.0, 0.7, (*lead, dim, dim))) for k in range(depth + 1)]
+        for name, lead in (("static", ()), ("dyn", (scales, 1)))
+    ]
+    static = stochastic(rng, (batch, nodes, nodes) if per_item_static else (nodes, nodes))
+    if learned:
+        dynamic = ad.Tensor(stochastic(rng, (scales, batch, nodes, nodes)), requires_grad=True)
+    else:
+        dynamic = ad.Tensor(np.eye(nodes))
+    branches = [
+        (graph, gr.GraphPropagationConfig(alpha=0.3, depth=depth, theta=thetas))
+        for graph, thetas in zip((static, dynamic), maps)
+    ]
+    leaves = [h, *maps[0], *maps[1]] + ([dynamic] if learned and depth else [])
+    return h, branches, leaves
+
+
+def chain_branch_stack(h, branches):
+    """Slot 0 and the other slots propagated apart, op by op, then joined."""
+    (static, static_cfg), (dynamic, dynamic_cfg) = branches
+    first = chain_propagate(ops.reshape(ops.narrow(h, 0, 0, 1), h.shape[1:]), static, static_cfg)
+    rest = chain_propagate(ops.narrow(h, 0, 1, h.shape[0] - 1), dynamic, dynamic_cfg)
+    return ops.concat([ops.reshape(first, (1, *first.shape)), rest], axis=0)
+
+
+@settings(max_examples=40, deadline=None)
 @given(
-    kind=st.sampled_from(["static", "dynamic", "stacked"]),
     depth=st.integers(0, 3),
-    shared_theta=st.booleans(),
-    h_shared=st.booleans(),
+    dim=st.integers(1, 3),
+    nodes=st.integers(1, 4),
+    batch=st.integers(1, 2),
+    scales=st.integers(1, 3),
+    per_item_static=st.booleans(),
+    learned=st.booleans(),
     seed=SEED,
 )
-def test_propagation_writes_its_output_where_it_is_told(kind, depth, shared_theta, h_shared, seed):
+def test_branch_stack_matches_its_chains(
+    depth, dim, nodes, batch, scales, per_item_static, learned, seed
+):
+    # One node over the whole stack gives each slot the bits of its own
+    # branch's chain.
     rng = np.random.default_rng(seed)
-    h, adjacency, cfg, leaves = propagation_case(
-        rng, kind, depth, 3, 4, 2, 3, shared_theta, h_shared
+    h, branches, leaves = branch_stack_case(
+        rng, depth, dim, nodes, batch, scales, per_item_static, learned
     )
-    node = propagation_node(kind)
-    want = node(h, adjacency, cfg)
-    weight = rng.normal(0.0, 1.0, want.shape)
-    stack = np.full((2, *want.shape), np.nan)
-    got = node(h, adjacency, cfg, stack[1])
-    assert np.shares_memory(got.data, stack[1]) and not np.isnan(stack[1]).any()
-    assert got.data.tobytes() == want.data.tobytes()
-    assert np.isnan(stack[0]).all()
-    grads = []
-    for out in (want, got):
-        for t in leaves:
-            t.zero_grad()
-        ad.reduce_sum(ad.mul(out, weight)).backward()
-        grads.append([t.grad.tobytes() for t in leaves])
-    assert grads[0] == grads[1]
+    assert_node_matches_chain(
+        lambda: gr.branch_stack_conv(h, branches),
+        lambda: chain_branch_stack(h, branches),
+        leaves,
+        rng.normal(0.0, 1.0, h.shape),
+        exact=True,
+        fd_tol=1e-5,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(learned=st.booleans(), **HUGE)
+def test_branch_stack_raises_exactly_when_its_chains_raise(
+    learned, exponent, offset, spread, gain, seed
+):
+    rng = np.random.default_rng(seed)
+    h, branches, _ = branch_stack_case(rng, 2, 3, 4, 2, 2, False, learned)
+    h = ad.Tensor(huge(rng, h.shape, exponent, offset, spread))
+    regain(rng, [t for _, cfg in branches for t in cfg.theta], gain)
+    got, want = both_outcomes(
+        lambda: gr.branch_stack_conv(h, branches), lambda: chain_branch_stack(h, branches)
+    )
+    if got is not None:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_branch_stack_rejects_branches_that_do_not_fill_it():
+    rng = np.random.default_rng(0)
+    h, branches, _ = branch_stack_case(rng, 1, 3, 4, 2, 2, False, True)
+    with pytest.raises(ShapeError, match=r"fill 2 slots of the stack \(3, 2, 3, 4\)"):
+        gr.branch_stack_conv(h, branches[:1] + branches[:1])
+    for shape in [(3, 1, 3, 4), (3, 2, 2, 4), (3, 2, 3, 5)]:
+        with pytest.raises(ShapeError, match="do not fit the stack"):
+            gr.branch_stack_conv(ad.Tensor(np.ones(shape)), branches)
+    thetas = branches[1][1].theta
+    deeper = gr.GraphPropagationConfig(alpha=0.3, depth=2, theta=thetas + thetas[:1])
+    with pytest.raises(ConfigError, match="same alpha and depth"):
+        gr.branch_stack_conv(h, [branches[0], (branches[1][0], deeper)])
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +512,41 @@ def test_left_map_matches_its_chain(layout, length, k, nodes, batch, scales, see
         lambda: chain_left_map(maps, x),
         [maps, x],
         rng.normal(0.0, 1.0, out_shape),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    length=st.integers(1, 5),
+    k=st.integers(1, 3),
+    nodes=st.integers(1, 4),
+    batch=st.integers(1, 3),
+    scales=st.integers(1, 3),
+    seed=SEED,
+)
+def test_left_map_of_several_maps_reads_each_as_alone(length, k, nodes, batch, scales, seed):
+    # The model's projection: a shared map as slot 0, its per-scale stack
+    # after it. Each slot keeps the bits of its map's own read.
+    rng = np.random.default_rng(seed)
+    maps = [
+        ad.Parameter(name, rng.normal(0.0, 0.7, (*lead, length, k)))
+        for name, lead in (("shared", ()), ("stack", (scales, 1)))
+    ]
+    x = leaf(rng, (batch, length, nodes))
+    window = ad.time_major(x)
+    got = ad.left_map(maps, window, nodes).data
+    alone = [ad.left_map(m, window, nodes).data for m in maps]
+    assert got.tobytes() == np.concatenate([alone[0][None], alone[1]]).tobytes()
+
+    def chain():
+        first, rest = (chain_left_map(m, x) for m in maps)
+        return ops.concat([ops.reshape(first, (1, *first.shape)), rest], axis=0)
+
+    assert_node_matches_chain(
+        lambda: ad.left_map(maps, ad.time_major(x), nodes),
+        chain,
+        [*maps, x],
+        rng.normal(0.0, 1.0, got.shape),
     )
 
 
@@ -603,6 +703,46 @@ def test_head_raises_exactly_when_its_chain_raises(exponent, offset, spread, gai
     got, want = both_outcomes(lambda: md.head(h, *params), lambda: chain_head(h, *params))
     if got is not None:
         assert relative_error(got, want, floor=1.0) < TOL
+
+
+# ---------------------------------------------------------------------------
+# Loss
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from([(1,), (3, 2), (2, 3, 4)]), seed=SEED)
+def test_mse_loss_matches_its_chain(shape, seed):
+    rng = np.random.default_rng(seed)
+    pred = leaf(rng, shape)
+    target = rng.normal(0.0, 1.0, shape)
+    assert_node_matches_chain(
+        lambda: tr.mse_loss(pred, target),
+        lambda: chain_mse_loss(pred, target),
+        [pred],
+        rng.normal(0.0, 1.0, ()),
+        exact=True,
+    )
+
+
+def test_mse_loss_rejects_empty_or_mismatched_operands_as_its_chain_does():
+    for shape, target in [((0, 3), np.zeros((0, 3))), ((2, 3), np.zeros((3, 2)))]:
+        pred = ad.Tensor(np.zeros(shape), requires_grad=True)
+        for loss in (tr.mse_loss, chain_mse_loss):
+            with pytest.raises(ShapeError):
+                loss(pred, target)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**HUGE)
+def test_mse_loss_raises_exactly_when_its_chain_raises(exponent, offset, spread, gain, seed):
+    rng = np.random.default_rng(seed)
+    pred = ad.Tensor(huge(rng, (2, 3, 4), exponent, offset, spread))
+    target = -gain * rng.uniform(-1.0, 1.0, pred.shape)
+    got, want = both_outcomes(
+        lambda: tr.mse_loss(pred, target), lambda: chain_mse_loss(pred, target)
+    )
+    if got is not None:
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def per_branch_fuse(branches, layer):
     alpha = ops.softmax(ops.concat(logits, axis=1), axis=1)
     fused = None
     for i, b in enumerate(branches):
-        term = ad.mul(b, ops.reshape(ops.narrow(alpha, 1, i, 1), (b.shape[0], 1, 1)))
+        term = ops.mul(b, ops.reshape(ops.narrow(alpha, 1, i, 1), (b.shape[0], 1, 1)))
         fused = term if fused is None else ops.add(fused, term)
     return fused.data, alpha.data
 
@@ -159,6 +159,6 @@ def test_gradients_flow_through_gate():
 
     def loss():
         fused, _ = fu.fuse(branches, layer)
-        return ad.reduce_sum(ad.mul(fused, w))
+        return ad.reduce_sum(ops.mul(fused, w))
 
     assert_grads_match(loss, [q, w_k, branches], tol=1e-4)

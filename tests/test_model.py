@@ -163,8 +163,8 @@ def test_gradients_match_finite_differences_on_small_model():
 
     def loss_tensor():
         pred = md.forward(x, model)
-        err = ad.sub(pred, ad.Tensor(target))
-        return ad.reduce_mean(ad.mul(err, err))
+        err = ops.sub(pred, ad.Tensor(target))
+        return ad.reduce_mean(ops.mul(err, err))
 
     loss = loss_tensor()
     loss.backward()
@@ -315,8 +315,8 @@ def test_step_graph_never_holds_the_component_stack(overrides):
     cfg = tiny_config(input_len=16, levels=2, **overrides)
     model = ready_model(cfg)
     x = ad.Tensor(RNG.normal(0.0, 1.0, (5, 16, 3)))
-    err = ad.sub(md.forward(x, model), ad.Tensor(RNG.normal(0.0, 1.0, (5, 4, 3))))
-    shapes = {node.shape for node in ad._toposort(ad.reduce_mean(ad.mul(err, err)))}
+    err = ops.sub(md.forward(x, model), ad.Tensor(RNG.normal(0.0, 1.0, (5, 4, 3))))
+    shapes = {node.shape for node in ad._toposort(ad.reduce_mean(ops.mul(err, err)))}
     assert (cfg.levels + 1, 5, cfg.input_len, cfg.n_vars) not in shapes
 
 
@@ -424,8 +424,8 @@ def test_step_graph_size_does_not_grow_with_levels():
     for levels in (1, 3):
         model = ready_model(tiny_config(levels=levels))
         x = ad.Tensor(RNG.normal(0.0, 1.0, (2, 8, 3)))
-        err = ad.sub(md.forward(x, model), ad.Tensor(RNG.normal(0.0, 1.0, (2, 4, 3))))
-        loss = ad.reduce_mean(ad.mul(err, err))
+        err = ops.sub(md.forward(x, model), ad.Tensor(RNG.normal(0.0, 1.0, (2, 4, 3))))
+        loss = ad.reduce_mean(ops.mul(err, err))
         counts.append(sum(1 for node in ad._toposort(loss) if node._vjp is not None))
     assert counts[0] == counts[1]
 
@@ -441,31 +441,36 @@ def test_one_step_reaches_exactly_the_effective_parameters(ablation, depth, seed
     if ablation is not None:
         model = md.ablate(model, ablation)
     rng = np.random.default_rng(seed)
-    err = ad.sub(
+    err = ops.sub(
         md.forward(ad.Tensor(rng.normal(0.0, 1.0, (2, 8, 3))), model),
         ad.Tensor(rng.normal(0.0, 1.0, (2, 4, 3))),
     )
-    ad.reduce_mean(ad.mul(err, err)).backward()
+    ad.reduce_mean(ops.mul(err, err)).backward()
     effective = {p.name for p in md.effective_parameters(model)}
     assert effective == {p.name for p in md.parameters(model) if p.grad is not None}
 
 
-def test_grad_forward_records_15_nodes_at_every_depth():
+def test_grad_forward_records_12_nodes_at_every_depth():
     # The shape of the benchmark's ``small`` workload. RevIN each way,
-    # each input projection, each wavelet fold, each propagation, the
-    # dynamic adjacency, the branch stack, the fusion gate and the head
+    # each wavelet fold, the projection of the branch stack, its
+    # propagation, the dynamic adjacency, the fusion gate and the head
     # record one node each, and the inception block two (its conv1d and
-    # its layer norm), so deeper propagation adds no node. At depth 0 no
-    # graph is read, so the adjacency and its two folds drop out.
-    counts = []
-    for depth in (0, 1, 2, 3):
+    # its layer norm), so deeper propagation adds no node. At depth 0 or
+    # under gsl no dynamic graph is learned, so the adjacency and its two
+    # folds drop out.
+    def count(depth, ablation=None):
         cfg = md.ModelConfig(
             n_vars=4, input_len=24, horizon=12, hidden=16, levels=2, depth=depth, embed_dim=8,
             seed=3,
         )
-        y = md.forward(ad.Tensor(RNG.normal(0.0, 1.0, (32, 24, 4))), ready_model(cfg))
-        counts.append(sum(node._vjp is not None for node in ad._toposort(y)))
-    assert counts == [12, 15, 15, 15]
+        model = ready_model(cfg)
+        if ablation is not None:
+            model = md.ablate(model, ablation)
+        y = md.forward(ad.Tensor(RNG.normal(0.0, 1.0, (32, 24, 4))), model)
+        return sum(node._vjp is not None for node in ad._toposort(y))
+
+    assert [count(depth) for depth in (0, 1, 2, 3)] == [9, 12, 12, 12]
+    assert count(2, "gsl") == 9
 
 
 def held_arrays(root):
@@ -499,6 +504,9 @@ def test_grad_forward_keeps_the_window_only_in_the_readers_layout(ablation):
 @pytest.mark.parametrize("grad", [True, False])
 @pytest.mark.parametrize("depth", [0, 2])
 def test_fusion_reads_both_propagation_outputs_in_place(monkeypatch, grad, depth):
+    # One propagation node writes the static branch as slot 0 and the
+    # scales after it; fusion reads that node's value as it is, and each
+    # slot holds the bits of its branch propagated on its own.
     seen = {}
 
     def spy(owner, name):
@@ -510,18 +518,22 @@ def test_fusion_reads_both_propagation_outputs_in_place(monkeypatch, grad, depth
 
         monkeypatch.setattr(owner, name, wrapped)
 
-    for owner, name in [(gr, "static_graph_conv"), (gr, "dynamic_graph_conv"), (fu, "fuse")]:
+    for owner, name in [(gr, "branch_stack_conv"), (fu, "fuse")]:
         spy(owner, name)
     model = ready_model(tiny_config(input_len=16, levels=2, depth=depth))
     x = ad.Tensor(RNG.normal(0.0, 1.0, (5, 16, 3)))
     with contextlib.nullcontext() if grad else ad.no_grad():
         md.forward(x, model)
-    branches = seen["fuse"][0][0].data
-    static, dynamic = seen["static_graph_conv"][1].data, seen["dynamic_graph_conv"][1].data
+    (projected, ((static_adj, static_cfg), (dyn_adj, dyn_cfg))), branches = seen["branch_stack_conv"]
+    assert seen["fuse"][0][0] is branches
     assert branches.shape == (4, 5, 4, 3)
-    assert np.shares_memory(branches, static) and np.shares_memory(branches, dynamic)
-    assert branches[0].tobytes() == static.tobytes()
-    assert branches[1:].tobytes() == dynamic.tobytes()
+    assert static_adj is model.static_adjacency and static_cfg is model.static_cfg
+    assert dyn_cfg is model.dynamic_cfg
+    with ad.no_grad():
+        static = gr.static_graph_conv(ad.Tensor(projected.data[0]), static_adj, static_cfg)
+        dynamic = gr.dynamic_graph_conv(ad.Tensor(projected.data[1:]), dyn_adj, dyn_cfg)
+    assert branches.data[0].tobytes() == static.data.tobytes()
+    assert branches.data[1:].tobytes() == dynamic.data.tobytes()
 
 
 # ---------------------------------------------------------------------------

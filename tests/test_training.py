@@ -181,6 +181,52 @@ def test_clip_below_threshold_and_disabled():
     np.testing.assert_array_equal(grads["a"], [30.0, 40.0])
 
 
+def test_clip_rebinds_the_gradients_to_one_scaled_vector():
+    a, b = np.array([[3.0], [4.0]]), np.array([12.0])
+    grads = {"a": a, "b": b}
+    tr.clip_gradients(grads, 5.0)
+    assert grads["a"].shape == (2, 1) and grads["a"].base is grads["b"].base is not None
+    # The arrays passed in keep their values.
+    np.testing.assert_array_equal(a, [[3.0], [4.0]])
+    np.testing.assert_array_equal(b, [12.0])
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-300])
+def test_clip_scales_gradients_whose_squared_norm_overflows_or_underflows(scale):
+    # Squared, 1e200 overflows to inf and 1e-200 underflows to 0: the norm
+    # is taken on the vector divided by its largest entry instead.
+    grads = {"a": np.array([3.0 * scale, 0.0]), "b": np.array([4.0 * scale])}
+    norm = tr.clip_gradients(grads, 2.5 * scale)
+    assert abs(norm / (5.0 * scale) - 1.0) < 1e-15
+    np.testing.assert_allclose(grads["a"], [1.5 * scale, 0.0], rtol=1e-15)
+    np.testing.assert_allclose(grads["b"], [2.0 * scale], rtol=1e-15)
+    grads = {"a": np.array([1e200, 0.0]), "b": np.array([3.0])}
+    assert tr.clip_gradients(grads, 5.0) == 1e200
+    np.testing.assert_allclose(grads["a"], [5.0, 0.0], rtol=1e-15)
+    np.testing.assert_allclose(grads["b"], [1.5e-199], rtol=1e-15)
+
+
+def test_clip_of_zero_or_infinite_gradients():
+    grads = {"a": np.zeros(3)}
+    assert tr.clip_gradients(grads, 5.0) == 0.0
+    np.testing.assert_array_equal(grads["a"], 0.0)
+    assert tr.clip_gradients({"a": np.array([np.inf, 1.0])}, 0.0) == np.inf
+    assert tr.clip_gradients({}, 5.0) == 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+    exponent=st.integers(-150, 150),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_clip_norm_matches_the_per_parameter_sum(sizes, exponent, seed):
+    rng = np.random.default_rng(seed)
+    grads = {f"p{i}": rng.normal(0.0, 10.0**exponent, n) for i, n in enumerate(sizes)}
+    want = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    assert abs(tr.clip_gradients(grads, 0.0) / want - 1.0) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # Loop behavior
 
