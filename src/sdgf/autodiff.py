@@ -486,24 +486,19 @@ def left_product_grads(maps_t, cols, nodes: int, g, want_maps: bool, want_cols: 
 
 
 def left_map(maps, x, nodes: int) -> Tensor:
-    """``maps^T @ x`` for (L, K) maps or (S, 1, L, K) stacks over time-major windows.
+    """``maps^T @ x`` for a sequence of maps over one time-major window.
 
-    ``x`` is the (L, batch * nodes) window tensor or a
-    (S, L, batch * nodes) stack, the layout the model's RevIN node
-    writes and ``time_major`` makes; the result is (..., batch, K,
-    nodes). One node, where a transpose and a ``matmul`` record two; the
-    forward and each gradient are one 2-D GEMM (see ``left_product``),
-    and the window's gradient arrives in its own layout.
-
-    ``maps`` may be a list or tuple, read as the slots of a new leading
-    axis in order: an (L, K) map fills one slot, an (S, 1, L, K) stack S.
+    ``x`` is the (L, batch * nodes) window tensor, the layout the model's
+    RevIN node writes and ``time_major`` makes. The maps fill the slots
+    of the result's leading axis in order, an (L, K) map one slot and an
+    (S, 1, L, K) stack S, so the result is (slots, batch, K, nodes). One
+    node, where a transpose and a ``matmul`` per map record more; the
+    forward and each gradient are 2-D GEMMs (see ``left_product``), and
+    the window's gradient arrives in its own layout.
     """
-    many = isinstance(maps, (list, tuple))
-    parts = [_as_tensor(m) for m in (maps if many else [maps])]
+    parts = [_as_tensor(m) for m in maps]
     x = _as_tensor(x)
     maps_t = [np.swapaxes(p.data, -1, -2) for p in parts]
-    if not many:
-        maps_t = maps_t[0]
     data = left_product(maps_t, x.data, nodes)
 
     def vjp(g):
@@ -511,7 +506,7 @@ def left_map(maps, x, nodes: int) -> Tensor:
             maps_t, x.data, nodes, g, any(p.requires_grad for p in parts), x.requires_grad
         )
         if g_maps is not None:
-            for p, g_p in zip(parts, g_maps if many else [g_maps]):
+            for p, g_p in zip(parts, g_maps):
                 if p.requires_grad:
                     p.accumulate(np.swapaxes(g_p, -1, -2))
         if g_x is not None:

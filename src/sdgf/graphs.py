@@ -36,9 +36,10 @@ length, nodes) windows passes no ``nodes`` and a recorded
 ``autodiff.time_major`` node lays them out.
 
 The model propagates its (1 + scales, batch, features, nodes) branch
-stack in one ``branch_stack_conv`` node, the static graph as slot 0 and
-the per-scale dynamic graphs after it; ``static_graph_conv`` and
-``dynamic_graph_conv`` are the one-graph forms of the same node. Each
+stack in one node, the static graph as slot 0 and the per-scale dynamic
+graphs after it: it calls ``static_graph_conv`` with the dynamic graphs
+alongside, which hands the stack to ``dynamic_graph_conv``. Called with
+one graph, each of the two is the same node over that graph alone. Each
 propagation, at any depth, is one recorded autodiff node, and so is
 ``dynamic_adjacency``, which reads both embedding maps in one product of
 the maps laid side by side. Their VJPs are derived by hand, and each
@@ -134,22 +135,26 @@ def hop_states(h: np.ndarray, a_t: np.ndarray, alpha: float, depth: int):
     return states
 
 
-def _join(parts, runs, shape) -> np.ndarray:
-    """One array of ``shape`` whose leading-axis run ``runs[i]`` is ``parts[i]``, broadcast."""
+def _slots(first: np.ndarray, rest: np.ndarray, shape: tuple) -> np.ndarray:
+    """One array of ``shape`` whose slot 0 is ``first`` and slots 1.. are ``rest``, broadcast."""
     out = np.empty(shape)
-    for part, run in zip(parts, runs):
-        out[run] = part
+    out[0] = first
+    out[1:] = rest
     return out
 
 
-def _propagate(h: ad.Tensor, branches, runs=None) -> ad.Tensor:
-    """Propagation as one recorded node over (adjacency, cfg) ``branches``.
+def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, static=None) -> ad.Tensor:
+    """Propagation as one recorded node.
 
-    An adjacency is an array or a tensor. With ``runs`` None, one branch
-    propagates all of ``h``, its graph and maps broadcasting against it;
-    otherwise branch i propagates the slots ``runs[i]`` of a (slots,
-    batch, features, nodes) ``h``. The graphs (per item) and each hop's
-    maps are joined along the slot axis, so every product is one numpy
+    ``adjacency`` is an array or a tensor. Without ``static``, it and the
+    hop maps of ``cfg`` broadcast against ``h``. With ``static``, a
+    (shared (nodes, nodes) graph, cfg) pair, ``h`` is the (1 + S, batch,
+    features, nodes) branch stack: slot 0 hops through the shared graph
+    with the (features, features) maps of ``static``, slots 1.. through
+    ``adjacency`` with the (S, 1, features, features) maps of ``cfg``.
+    Both cfgs carry the same ``alpha`` and ``depth``, as the model builds
+    them from one config. The graphs (per item) and each hop's maps are
+    laid side by side along the slot axis, so every product is one numpy
     call over the stack, each slot's the product its branch alone takes.
 
     The forward takes the ops of the op-by-op chain in its order (the hop
@@ -159,27 +164,30 @@ def _propagate(h: ad.Tensor, branches, runs=None) -> ad.Tensor:
     non-finite state makes the output non-finite: the output guard alone
     raises where the chain raised.
     """
-    alpha, depth = branches[0][1].alpha, branches[0][1].depth
-    adjs = [adj.data if isinstance(adj, ad.Tensor) else adj for adj, _ in branches]
-    if runs is None:
-        runs, a_shape, map_shape = [slice(None)], adjs[0].shape, branches[0][1].theta[0].shape
+    alpha, depth = cfg.alpha, cfg.depth
+    graph = adjacency.data if isinstance(adjacency, ad.Tensor) else adjacency
+    if static is None:
+        run, thetas = slice(None), [(cfg.theta, slice(None))]
+        a_t = graph.swapaxes(-1, -2).copy() if depth else None
+        maps = [t.data for t in cfg.theta]
     else:
+        shared, static_cfg = static
         slots, batch, dim, nodes = h.shape
-        a_shape, map_shape = (slots, batch, nodes, nodes), (slots, 1, dim, dim)
-    a_t = _join([adj.swapaxes(-1, -2) for adj in adjs], runs, a_shape) if depth else None
-    maps = [_join([cfg.theta[k].data for _, cfg in branches], runs, map_shape)
-            for k in range(depth + 1)]
+        a_shape = (slots, batch, nodes, nodes)
+        run = slice(1, None)
+        thetas = [(static_cfg.theta, slice(0, 1)), (cfg.theta, run)]
+        a_t = _slots(shared.T, graph.swapaxes(-1, -2), a_shape) if depth else None
+        maps = [_slots(s.data, t.data, (slots, 1, dim, dim))
+                for s, t in zip(static_cfg.theta, cfg.theta)]
     # With no hop a graph is never read, so it is no parent of the node.
-    graphs = [(adj, run) for (adj, _), run in zip(branches, runs)
-              if isinstance(adj, ad.Tensor) and depth]
-    thetas = [(cfg.theta, run) for (_, cfg), run in zip(branches, runs)]
+    learned = adjacency if isinstance(adjacency, ad.Tensor) and depth else None
     states = hop_states(h.data, a_t, alpha, depth)
     total, shapes = None, []
     for k, (theta, state) in enumerate(zip(maps, states)):
         term = np.matmul(theta, state)
         shapes.append(term.shape)
         total = term if k == 0 else np.add(total, term)
-    parents = (h, *(t for ts, _ in thetas for t in ts), *(adj for adj, _ in graphs))
+    parents = (h, *(t for ts, _ in thetas for t in ts), *(() if learned is None else (learned,)))
 
     def vjp(g):
         # Each state's gradient from its own map.
@@ -188,81 +196,76 @@ def _propagate(h: ad.Tensor, branches, runs=None) -> ad.Tensor:
             g_term = ad.unbroadcast(g, shape)
             if any(ts[k].requires_grad for ts, _ in thetas):
                 g_map = ad.matmul_operand_grad(g_term, state, theta.shape, -2)
-                for ts, run in thetas:
+                for ts, slot in thetas:
                     if ts[k].requires_grad:
-                        ts[k].accumulate(g_map[run].reshape(ts[k].shape))
+                        ts[k].accumulate(g_map[slot].reshape(ts[k].shape))
             grads.append(ad.matmul_operand_grad(theta, g_term, state.shape, -1))
         # The hops' gradients read A laid out afresh: a product on the
         # transpose view of a_t costs more than the copy.
-        a = _join(adjs, runs, a_shape).swapaxes(-1, -2) if depth else None
-        g_graphs = [None] * len(graphs)
+        if not depth:
+            a = None
+        elif static is None:
+            a = np.ascontiguousarray(graph).swapaxes(-1, -2)
+        else:
+            a = _slots(shared, graph, a_shape).swapaxes(-1, -2)
+        g_graph = None
         for k in range(depth, 0, -1):
             g_mix = grads[k] * (1.0 - alpha)
             prev = states[k - 1]
             grads[k - 1] = grads[k - 1] + ad.matmul_operand_grad(g_mix, a, prev.shape, -2)
             grads[0] = grads[0] + ad.unbroadcast(grads[k] * alpha, h.data.shape)
-            for i, (adj, run) in enumerate(graphs):
-                if adj.requires_grad:
-                    g_k = ad.matmul_operand_grad(prev[run], g_mix[run], adj.shape, -1)
-                    g_graphs[i] = g_k if g_graphs[i] is None else g_graphs[i] + g_k
+            if learned is not None and learned.requires_grad:
+                g_k = ad.matmul_operand_grad(prev[run], g_mix[run], learned.shape, -1)
+                g_graph = g_k if g_graph is None else g_graph + g_k
         if h.requires_grad:
             h.accumulate(grads[0])
-        for (adj, _), g_at in zip(graphs, g_graphs):
-            if g_at is not None:
-                adj.accumulate(g_at.swapaxes(-1, -2))
+        if g_graph is not None:
+            learned.accumulate(g_graph.swapaxes(-1, -2))
 
     return ad.record(total, "propagate", parents, vjp)
 
 
 def static_graph_conv(
-    h: ad.Tensor, adjacency: np.ndarray, cfg: GraphPropagationConfig
+    h: ad.Tensor, adjacency: np.ndarray, cfg: GraphPropagationConfig, dynamic=None
 ) -> ad.Tensor:
-    """Propagate (batch, features, nodes) through one shared graph."""
+    """Propagate (batch, features, nodes) through one shared graph.
+
+    With ``dynamic``, an (adjacency, cfg) pair for ``dynamic_graph_conv``,
+    ``h`` is the model's (1 + scales, batch, features, nodes) branch
+    stack: slot 0 takes the shared graph and slots 1.. the per-item
+    graphs, all in that call's one node.
+    """
     adjacency = np.asarray(adjacency, dtype=np.float64)
     if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
         raise ShapeError(f"adjacency must be square, got {adjacency.shape}")
-    if h.ndim != 3 or h.shape[2] != adjacency.shape[0]:
+    if h.ndim != (3 if dynamic is None else 4) or h.shape[-1] != adjacency.shape[0]:
         raise ShapeError(f"node axis of {h.shape} does not match adjacency {adjacency.shape}")
-    return _propagate(h, [(adjacency, cfg)])
+    if dynamic is None:
+        return _propagate(h, adjacency, cfg)
+    return dynamic_graph_conv(h, *dynamic, static=(adjacency, cfg))
 
 
 def dynamic_graph_conv(
-    h: ad.Tensor, adjacency: ad.Tensor, cfg: GraphPropagationConfig
+    h: ad.Tensor, adjacency: ad.Tensor, cfg: GraphPropagationConfig, static=None
 ) -> ad.Tensor:
     """Propagate (..., features, nodes) through per-item graphs (..., nodes, nodes).
 
     Leading axes of ``h``, ``adjacency`` and the hop maps broadcast, so a
     (scales, batch, ...) stack with (scales, 1, features, features) hop
-    maps runs every scale in one call.
+    maps runs every scale in one call. ``static`` is how
+    ``static_graph_conv`` hands over the shared graph and its cfg for
+    slot 0 of a branch stack (see ``_propagate``).
     """
     if adjacency.ndim < 2 or adjacency.shape[-1] != adjacency.shape[-2]:
         raise ShapeError(f"adjacency must be (..., nodes, nodes), got {adjacency.shape}")
     if h.ndim < 2 or h.shape[-1] != adjacency.shape[-1]:
         raise ShapeError(f"features {h.shape} do not match adjacency {adjacency.shape}")
-    return _propagate(h, [(adjacency, cfg)])
-
-
-def branch_stack_conv(h: ad.Tensor, branches) -> ad.Tensor:
-    """Propagate a (slots, batch, features, nodes) stack, each run of slots on its own graph.
-
-    ``branches`` holds (adjacency, cfg) pairs in slot order: hop maps of
-    (features, features) take one slot, (S, 1, features, features) the
-    next S, and each adjacency broadcasts to (S, batch, nodes, nodes).
-    All cfgs share one ``alpha`` and ``depth``. One node (``_propagate``).
-    """
-    first = branches[0][1]
-    if any((cfg.alpha, cfg.depth) != (first.alpha, first.depth) for _, cfg in branches):
-        raise ConfigError("every branch of one stack needs the same alpha and depth")
-    runs, start = [], 0
-    for _, cfg in branches:
-        runs.append(slice(start, start + (cfg.theta[0].shape[0] if cfg.theta[0].ndim == 4 else 1)))
-        start = runs[-1].stop
-    if h.ndim != 4 or start != h.shape[0]:
-        raise ShapeError(f"branches fill {start} slots of the stack {h.shape}")
+    if static is None:
+        return _propagate(h, adjacency, cfg)
     try:
-        return _propagate(h, branches, runs)
-    except ValueError:  # a graph or hop map that broadcasts to no run
-        shapes = [(adj.shape, cfg.theta[0].shape) for adj, cfg in branches]
+        return _propagate(h, adjacency, cfg, static)
+    except ValueError:  # a graph or hop map that broadcasts to no slot
+        shapes = [(a.shape, c.theta[0].shape) for a, c in (static, (adjacency, cfg))]
         raise ShapeError(f"graphs and hop maps {shapes} do not fit the stack {h.shape}") from None
 
 

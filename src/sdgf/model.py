@@ -27,7 +27,8 @@ normalize writes the (input_len, batch * n_vars) window, and the
 projection (``input_proj`` for slot 0, its fold for the scales) and the
 embedding maps read that node as 2-D GEMMs for every slot and item at
 once; their gradients come back to it in the same layout. The
-propagation's value (``gr.branch_stack_conv``) is the stack fusion reads.
+propagation's value (``gr.static_graph_conv`` with the dynamic graphs
+alongside) is the stack fusion reads.
 
 The per-scale weights live on a leading scale axis: embedding maps are
 (scales, 1, input_len, embed_dim) and hop maps (scales, 1, hidden,
@@ -512,8 +513,8 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
     # Time profiles project from the left, (hidden, length) @ (length, vars):
     # slot 0 through the projection itself, each scale through its fold.
     projected = ad.left_map((model.input_proj, _fold(model.input_proj, cfg)), window, n)
-    branches = gr.branch_stack_conv(
-        projected, ((static_adj, model.static_cfg), (dyn_adj, model.dynamic_cfg))
+    branches = gr.static_graph_conv(
+        projected, static_adj, model.static_cfg, dynamic=(dyn_adj, model.dynamic_cfg)
     )
     if model.ablation == "gf":
         fused = ad.reduce_mean(branches, 0)

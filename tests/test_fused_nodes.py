@@ -21,7 +21,7 @@ from sdgf import graphs as gr
 from sdgf import model as md
 from sdgf import wavelet as wv
 from sdgf import training as tr
-from sdgf.errors import ConfigError, NumericError, ShapeError
+from sdgf.errors import NumericError, ShapeError
 
 from conftest import (
     assert_grads_match,
@@ -326,35 +326,38 @@ def test_propagation_raises_exactly_when_its_chain_raises(
         assert got.tobytes() == want.tobytes()
 
 
-def branch_stack_case(rng, depth, dim, nodes, batch, scales, per_item_static, learned):
-    """(h, branches, leaves): the static graph as slot 0, ``scales`` dynamic slots after it.
+def branch_stack_case(rng, depth, dim, nodes, batch, scales, learned):
+    """(h, static, dynamic, leaves): a shared graph for slot 0, ``scales`` dynamic slots after.
 
-    The dynamic graphs are one learned (scales, batch) stack, or the
-    constant identity that stands in for them under ``gsl``.
+    ``static`` and ``dynamic`` are (graph, cfg) pairs. The dynamic graphs
+    are one learned (scales, batch) stack, or the constant identity that
+    stands in for them under ``gsl``.
     """
     h = leaf(rng, (1 + scales, batch, dim, nodes))
     maps = [
         [ad.Parameter(f"{name}{k}", rng.normal(0.0, 0.7, (*lead, dim, dim))) for k in range(depth + 1)]
         for name, lead in (("static", ()), ("dyn", (scales, 1)))
     ]
-    static = stochastic(rng, (batch, nodes, nodes) if per_item_static else (nodes, nodes))
     if learned:
         dynamic = ad.Tensor(stochastic(rng, (scales, batch, nodes, nodes)), requires_grad=True)
     else:
         dynamic = ad.Tensor(np.eye(nodes))
-    branches = [
+    static, dynamic = [
         (graph, gr.GraphPropagationConfig(alpha=0.3, depth=depth, theta=thetas))
-        for graph, thetas in zip((static, dynamic), maps)
+        for graph, thetas in zip((stochastic(rng, (nodes, nodes)), dynamic), maps)
     ]
-    leaves = [h, *maps[0], *maps[1]] + ([dynamic] if learned and depth else [])
-    return h, branches, leaves
+    leaves = [h, *maps[0], *maps[1]] + ([dynamic[0]] if learned and depth else [])
+    return h, static, dynamic, leaves
 
 
-def chain_branch_stack(h, branches):
+def branch_stack_node(h, static, dynamic):
+    return gr.static_graph_conv(h, *static, dynamic=dynamic)
+
+
+def chain_branch_stack(h, static, dynamic):
     """Slot 0 and the other slots propagated apart, op by op, then joined."""
-    (static, static_cfg), (dynamic, dynamic_cfg) = branches
-    first = chain_propagate(ops.reshape(ops.narrow(h, 0, 0, 1), h.shape[1:]), static, static_cfg)
-    rest = chain_propagate(ops.narrow(h, 0, 1, h.shape[0] - 1), dynamic, dynamic_cfg)
+    first = chain_propagate(ops.reshape(ops.narrow(h, 0, 0, 1), h.shape[1:]), *static)
+    rest = chain_propagate(ops.narrow(h, 0, 1, h.shape[0] - 1), *dynamic)
     return ops.concat([ops.reshape(first, (1, *first.shape)), rest], axis=0)
 
 
@@ -365,22 +368,17 @@ def chain_branch_stack(h, branches):
     nodes=st.integers(1, 4),
     batch=st.integers(1, 2),
     scales=st.integers(1, 3),
-    per_item_static=st.booleans(),
     learned=st.booleans(),
     seed=SEED,
 )
-def test_branch_stack_matches_its_chains(
-    depth, dim, nodes, batch, scales, per_item_static, learned, seed
-):
+def test_branch_stack_matches_its_chains(depth, dim, nodes, batch, scales, learned, seed):
     # One node over the whole stack gives each slot the bits of its own
     # branch's chain.
     rng = np.random.default_rng(seed)
-    h, branches, leaves = branch_stack_case(
-        rng, depth, dim, nodes, batch, scales, per_item_static, learned
-    )
+    h, static, dynamic, leaves = branch_stack_case(rng, depth, dim, nodes, batch, scales, learned)
     assert_node_matches_chain(
-        lambda: gr.branch_stack_conv(h, branches),
-        lambda: chain_branch_stack(h, branches),
+        lambda: branch_stack_node(h, static, dynamic),
+        lambda: chain_branch_stack(h, static, dynamic),
         leaves,
         rng.normal(0.0, 1.0, h.shape),
         exact=True,
@@ -394,28 +392,25 @@ def test_branch_stack_raises_exactly_when_its_chains_raise(
     learned, exponent, offset, spread, gain, seed
 ):
     rng = np.random.default_rng(seed)
-    h, branches, _ = branch_stack_case(rng, 2, 3, 4, 2, 2, False, learned)
+    h, static, dynamic, _ = branch_stack_case(rng, 2, 3, 4, 2, 2, learned)
     h = ad.Tensor(huge(rng, h.shape, exponent, offset, spread))
-    regain(rng, [t for _, cfg in branches for t in cfg.theta], gain)
+    regain(rng, static[1].theta + dynamic[1].theta, gain)
     got, want = both_outcomes(
-        lambda: gr.branch_stack_conv(h, branches), lambda: chain_branch_stack(h, branches)
+        lambda: branch_stack_node(h, static, dynamic),
+        lambda: chain_branch_stack(h, static, dynamic),
     )
     if got is not None:
         assert got.tobytes() == want.tobytes()
 
 
-def test_branch_stack_rejects_branches_that_do_not_fill_it():
+def test_branch_stack_rejects_a_stack_its_graphs_do_not_fit():
     rng = np.random.default_rng(0)
-    h, branches, _ = branch_stack_case(rng, 1, 3, 4, 2, 2, False, True)
-    with pytest.raises(ShapeError, match=r"fill 2 slots of the stack \(3, 2, 3, 4\)"):
-        gr.branch_stack_conv(h, branches[:1] + branches[:1])
-    for shape in [(3, 1, 3, 4), (3, 2, 2, 4), (3, 2, 3, 5)]:
+    h, static, dynamic, _ = branch_stack_case(rng, 1, 3, 4, 2, 2, True)
+    with pytest.raises(ShapeError, match="does not match adjacency"):
+        branch_stack_node(ad.Tensor(h.data[0]), static, dynamic)
+    for shape in [(2, 2, 3, 4), (3, 1, 3, 4), (3, 2, 2, 4)]:
         with pytest.raises(ShapeError, match="do not fit the stack"):
-            gr.branch_stack_conv(ad.Tensor(np.ones(shape)), branches)
-    thetas = branches[1][1].theta
-    deeper = gr.GraphPropagationConfig(alpha=0.3, depth=2, theta=thetas + thetas[:1])
-    with pytest.raises(ConfigError, match="same alpha and depth"):
-        gr.branch_stack_conv(h, [branches[0], (branches[1][0], deeper)])
+            branch_stack_node(ad.Tensor(np.ones(shape)), static, dynamic)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +472,9 @@ def test_dynamic_adjacency_raises_exactly_when_its_chain_raises(
 
 
 def chain_left_map(maps, x):
-    return ad.matmul(ops.matrix_transpose(maps), x)
+    out = ad.matmul(ops.matrix_transpose(maps), x)
+    # A 2-D map fills one slot of the node's leading axis.
+    return ops.reshape(out, (1, *out.shape)) if maps.ndim == 2 else out
 
 
 def chain_fold(w, filt, levels, boundary):
@@ -508,7 +505,7 @@ def test_left_map_matches_its_chain(layout, length, k, nodes, batch, scales, see
     x = leaf(rng, (batch, length, nodes))
     out_shape = chain_left_map(maps, x).shape
     assert_node_matches_chain(
-        lambda: ad.left_map(maps, ad.time_major(x), nodes),
+        lambda: ad.left_map([maps], ad.time_major(x), nodes),
         lambda: chain_left_map(maps, x),
         [maps, x],
         rng.normal(0.0, 1.0, out_shape),
@@ -535,12 +532,11 @@ def test_left_map_of_several_maps_reads_each_as_alone(length, k, nodes, batch, s
     x = leaf(rng, (batch, length, nodes))
     window = ad.time_major(x)
     got = ad.left_map(maps, window, nodes).data
-    alone = [ad.left_map(m, window, nodes).data for m in maps]
-    assert got.tobytes() == np.concatenate([alone[0][None], alone[1]]).tobytes()
+    alone = [ad.left_map([m], window, nodes).data for m in maps]
+    assert got.tobytes() == np.concatenate(alone).tobytes()
 
     def chain():
-        first, rest = (chain_left_map(m, x) for m in maps)
-        return ops.concat([ops.reshape(first, (1, *first.shape)), rest], axis=0)
+        return ops.concat([chain_left_map(m, x) for m in maps], axis=0)
 
     assert_node_matches_chain(
         lambda: ad.left_map(maps, ad.time_major(x), nodes),
@@ -560,7 +556,7 @@ def test_left_map_raises_exactly_when_its_chain_raises(
     regain(rng, [maps], gain)
     x = ad.Tensor(huge(rng, (2, 6, 3), exponent, offset, spread))
     got, want = both_outcomes(
-        lambda: ad.left_map(maps, ad.time_major(x), 3), lambda: chain_left_map(maps, x)
+        lambda: ad.left_map([maps], ad.time_major(x), 3), lambda: chain_left_map(maps, x)
     )
     if got is not None:
         assert relative_error(got, want, floor=1.0) < TOL
