@@ -1,12 +1,13 @@
 """Command-line entry points: train, eval, ablate, synth.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
-failure. Every command that writes outputs also writes the fully
-resolved configuration next to them, and every output file is replaced
-whole or not at all (``data.atomic_open``). When training hits a numeric
-failure, ``sdgf train`` writes the best checkpoint so far (or, when no
-epoch ended, removes the ``model.ckpt`` an earlier run left) and a
-partial report naming the epoch and the error, then exits 3. When one
+failure, 130 interrupted (Ctrl-C). Every command that writes outputs
+also writes the fully resolved configuration next to them, and every
+output file is replaced whole or not at all (``data.atomic_open``), so
+an interrupt leaves a file being written as it was. When training hits
+a numeric failure, ``sdgf train`` writes the best checkpoint so far (or,
+when no epoch ended, removes the ``model.ckpt`` an earlier run left) and
+a partial report naming the epoch and the error, then exits 3. When one
 variant of ``sdgf ablate`` does, in training or in scoring, the others
 still run, their checkpoints and ``ablation.csv`` rows are written, no
 checkpoint is left for the failed one, and the error line names it
@@ -338,6 +339,9 @@ def _cmd_ablate(args) -> int:
             f"unknown ablation mode {args.mode!r}; available: {(*md.ABLATION_MODES, 'all')}"
         )
     table, dataset, extra = _prepare_dataset(cfg)
+    # Every variant is scored on the test split: fail before any training.
+    if len(dataset.split_starts("test")) == 0:
+        raise DataError("split 'test' has no windows")
     tcfg = cf.train_config(cfg)
     out = _out_dir(cfg)
     cfg.save(out / "resolved.cfg")
@@ -422,6 +426,9 @@ def main(argv=None) -> int:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

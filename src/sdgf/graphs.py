@@ -38,9 +38,11 @@ length, nodes) windows passes no ``nodes`` and a recorded
 The model propagates its (1 + scales, batch, features, nodes) branch
 stack in one node, the static graph as slot 0 and the per-scale dynamic
 graphs after it: it calls ``static_graph_conv`` with the dynamic graphs
-alongside, which hands the stack to ``dynamic_graph_conv``. Called with
-one graph, each of the two is the same node over that graph alone. Each
-propagation, at any depth, is one recorded autodiff node, and so is
+alongside, which hands the stack to ``dynamic_graph_conv``. Each hop map
+is stored as the node reads it, one (1 + scales, 1, features, features)
+array whose slot 0 serves the static graph. Called with one graph, each
+of the two is the same node over that graph alone. Each propagation, at
+any depth, is one recorded autodiff node, and so is
 ``dynamic_adjacency``, which reads both embedding maps in one product of
 the maps laid side by side. Their VJPs are derived by hand, and each
 node raises ``NumericError`` where the op-by-op chain it stands for did
@@ -98,8 +100,8 @@ def pearson_adjacency(x: np.ndarray, eps: float = 1e-9) -> np.ndarray:
 class GraphPropagationConfig:
     """Residual mix weight, hop count, and the per-hop feature maps.
 
-    Each map is (features, features), or (scales, 1, features, features)
-    for a stack of per-scale maps.
+    Each map is (features, features), or (slots, 1, features, features)
+    for a stack of per-slot maps.
     """
 
     alpha: float
@@ -135,25 +137,15 @@ def hop_states(h: np.ndarray, a_t: np.ndarray, alpha: float, depth: int):
     return states
 
 
-def _slots(first: np.ndarray, rest: np.ndarray, shape: tuple) -> np.ndarray:
-    """One array of ``shape`` whose slot 0 is ``first`` and slots 1.. are ``rest``, broadcast."""
-    out = np.empty(shape)
-    out[0] = first
-    out[1:] = rest
-    return out
-
-
 def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, static=None) -> ad.Tensor:
     """Propagation as one recorded node.
 
     ``adjacency`` is an array or a tensor. Without ``static``, it and the
-    hop maps of ``cfg`` broadcast against ``h``. With ``static``, a
-    (shared (nodes, nodes) graph, cfg) pair, ``h`` is the (1 + S, batch,
-    features, nodes) branch stack: slot 0 hops through the shared graph
-    with the (features, features) maps of ``static``, slots 1.. through
-    ``adjacency`` with the (S, 1, features, features) maps of ``cfg``.
-    Both cfgs carry the same ``alpha`` and ``depth``, as the model builds
-    them from one config. The graphs (per item) and each hop's maps are
+    hop maps of ``cfg`` broadcast against ``h``. With ``static``, a shared
+    (nodes, nodes) graph, ``h`` is the (1 + S, batch, features, nodes)
+    branch stack: slot 0 hops through ``static`` and slots 1.. through
+    ``adjacency``, and each hop map holds one (features, features) map
+    per slot, (1 + S, 1, features, features). The graphs (per item) are
     laid side by side along the slot axis, so every product is one numpy
     call over the stack, each slot's the product its branch alone takes.
 
@@ -164,21 +156,22 @@ def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, static=None
     non-finite state makes the output non-finite: the output guard alone
     raises where the chain raised.
     """
-    alpha, depth = cfg.alpha, cfg.depth
+    alpha, depth, thetas = cfg.alpha, cfg.depth, cfg.theta
+    maps = [t.data for t in thetas]
     graph = adjacency.data if isinstance(adjacency, ad.Tensor) else adjacency
-    if static is None:
-        run, thetas = slice(None), [(cfg.theta, slice(None))]
-        a_t = graph.swapaxes(-1, -2).copy() if depth else None
-        maps = [t.data for t in cfg.theta]
-    else:
-        shared, static_cfg = static
-        slots, batch, dim, nodes = h.shape
-        a_shape = (slots, batch, nodes, nodes)
-        run = slice(1, None)
-        thetas = [(static_cfg.theta, slice(0, 1)), (cfg.theta, run)]
-        a_t = _slots(shared.T, graph.swapaxes(-1, -2), a_shape) if depth else None
-        maps = [_slots(s.data, t.data, (slots, 1, dim, dim))
-                for s, t in zip(static_cfg.theta, cfg.theta)]
+    # The slots that read ``adjacency``.
+    run = slice(None) if static is None else slice(1, None)
+
+    def joined(transposed):
+        """Every slot's graph, or its transpose, in one contiguous array."""
+        lay = (lambda a: a.swapaxes(-1, -2)) if transposed else np.asarray
+        if static is None:
+            return np.ascontiguousarray(lay(graph))
+        out = np.empty((*h.shape[:2], *static.shape))
+        out[0], out[run] = lay(static), lay(graph)
+        return out
+
+    a_t = joined(True) if depth else None
     # With no hop a graph is never read, so it is no parent of the node.
     learned = adjacency if isinstance(adjacency, ad.Tensor) and depth else None
     states = hop_states(h.data, a_t, alpha, depth)
@@ -187,27 +180,20 @@ def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, static=None
         term = np.matmul(theta, state)
         shapes.append(term.shape)
         total = term if k == 0 else np.add(total, term)
-    parents = (h, *(t for ts, _ in thetas for t in ts), *(() if learned is None else (learned,)))
+    parents = (h, *thetas, *(() if learned is None else (learned,)))
 
     def vjp(g):
         # Each state's gradient from its own map.
         grads = []
-        for k, (theta, state, shape) in enumerate(zip(maps, states, shapes)):
+        for theta, m, state, shape in zip(thetas, maps, states, shapes):
             g_term = ad.unbroadcast(g, shape)
-            if any(ts[k].requires_grad for ts, _ in thetas):
-                g_map = ad.matmul_operand_grad(g_term, state, theta.shape, -2)
-                for ts, slot in thetas:
-                    if ts[k].requires_grad:
-                        ts[k].accumulate(g_map[slot].reshape(ts[k].shape))
-            grads.append(ad.matmul_operand_grad(theta, g_term, state.shape, -1))
+            if theta.requires_grad:
+                theta.accumulate(ad.matmul_operand_grad(g_term, state, m.shape, -2))
+            grads.append(ad.matmul_operand_grad(m, g_term, state.shape, -1))
         # The hops' gradients read A laid out afresh: a product on the
-        # transpose view of a_t costs more than the copy.
-        if not depth:
-            a = None
-        elif static is None:
-            a = np.ascontiguousarray(graph).swapaxes(-1, -2)
-        else:
-            a = _slots(shared, graph, a_shape).swapaxes(-1, -2)
+        # transpose view of a_t costs more than the copy, and the graph
+        # does not hold a_t until its backward.
+        a = joined(False).swapaxes(-1, -2) if depth else None
         g_graph = None
         for k in range(depth, 0, -1):
             g_mix = grads[k] * (1.0 - alpha)
@@ -230,10 +216,11 @@ def static_graph_conv(
 ) -> ad.Tensor:
     """Propagate (batch, features, nodes) through one shared graph.
 
-    With ``dynamic``, an (adjacency, cfg) pair for ``dynamic_graph_conv``,
-    ``h`` is the model's (1 + scales, batch, features, nodes) branch
-    stack: slot 0 takes the shared graph and slots 1.. the per-item
-    graphs, all in that call's one node.
+    With ``dynamic``, the per-item graphs of ``dynamic_graph_conv``, ``h``
+    is the model's (1 + scales, batch, features, nodes) branch stack and
+    ``cfg`` holds (1 + scales, 1, features, features) hop maps: slot 0
+    takes the shared graph and slots 1.. the per-item graphs, all in that
+    call's one node.
     """
     adjacency = np.asarray(adjacency, dtype=np.float64)
     if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
@@ -242,7 +229,7 @@ def static_graph_conv(
         raise ShapeError(f"node axis of {h.shape} does not match adjacency {adjacency.shape}")
     if dynamic is None:
         return _propagate(h, adjacency, cfg)
-    return dynamic_graph_conv(h, *dynamic, static=(adjacency, cfg))
+    return dynamic_graph_conv(h, dynamic, cfg, static=adjacency)
 
 
 def dynamic_graph_conv(
@@ -253,8 +240,8 @@ def dynamic_graph_conv(
     Leading axes of ``h``, ``adjacency`` and the hop maps broadcast, so a
     (scales, batch, ...) stack with (scales, 1, features, features) hop
     maps runs every scale in one call. ``static`` is how
-    ``static_graph_conv`` hands over the shared graph and its cfg for
-    slot 0 of a branch stack (see ``_propagate``).
+    ``static_graph_conv`` hands over the shared graph for slot 0 of a
+    branch stack (see ``_propagate``).
     """
     if adjacency.ndim < 2 or adjacency.shape[-1] != adjacency.shape[-2]:
         raise ShapeError(f"adjacency must be (..., nodes, nodes), got {adjacency.shape}")
@@ -262,11 +249,14 @@ def dynamic_graph_conv(
         raise ShapeError(f"features {h.shape} do not match adjacency {adjacency.shape}")
     if static is None:
         return _propagate(h, adjacency, cfg)
+    slots, dim = h.shape[0], h.shape[-2]
+    if any(t.shape != (slots, 1, dim, dim) for t in cfg.theta):
+        raise ShapeError(f"hop maps {cfg.theta[0].shape} do not fit the stack {h.shape}")
     try:
         return _propagate(h, adjacency, cfg, static)
-    except ValueError:  # a graph or hop map that broadcasts to no slot
-        shapes = [(a.shape, c.theta[0].shape) for a, c in (static, (adjacency, cfg))]
-        raise ShapeError(f"graphs and hop maps {shapes} do not fit the stack {h.shape}") from None
+    except ValueError:  # a graph that broadcasts to no slot
+        shapes = (static.shape, adjacency.shape)
+        raise ShapeError(f"graphs {shapes} do not fit the stack {h.shape}") from None
 
 
 # ---------------------------------------------------------------------------

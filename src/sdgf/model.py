@@ -31,8 +31,10 @@ propagation's value (``gr.static_graph_conv`` with the dynamic graphs
 alongside) is the stack fusion reads.
 
 The per-scale weights live on a leading scale axis: embedding maps are
-(scales, 1, input_len, embed_dim) and hop maps (scales, 1, hidden,
-hidden), one of each per scale.
+(scales, 1, input_len, embed_dim), one per scale. The hop maps
+``graph.theta{k}`` are (1 + scales, 1, hidden, hidden), one per slot of
+the branch stack, the static graph's first: the layout the propagation
+reads.
 
 The wavelet components are fixed linear maps of the window along time,
 and the input projection and both embedding maps read them only from
@@ -95,7 +97,7 @@ ABLATED_SUBTREES = {"gsl": "dynamic_layer", "gf": "fusion_layer", "tfl": "block"
 ABLATION_MODES = tuple(ABLATED_SUBTREES)
 
 CHECKPOINT_MAGIC = b"SDGF\x00"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass
@@ -290,9 +292,8 @@ class SdgfModel:
     config: ModelConfig
     revin: RevinLayer
     input_proj: ad.Parameter
-    static_cfg: gr.GraphPropagationConfig
+    graph_cfg: gr.GraphPropagationConfig
     dynamic_layer: gr.DynamicGraphLayer
-    dynamic_cfg: gr.GraphPropagationConfig
     fusion_layer: fu.FusionLayer
     block: tp.InceptionBlock
     head_w1: ad.Parameter
@@ -329,33 +330,39 @@ def _assemble(cfg: ModelConfig, stored=None) -> SdgfModel:
         return param(name, shape, lambda s: rng.uniform(-bound, bound, s))
 
     def stacked(rows, maps):
-        """(rows, 1, *shape) parameters for ``maps`` ((name, fan_in, shape) each).
+        """(rows, 1, *shape) draws for ``maps`` ((fan_in, shape) each).
 
         Draws row by row, each row's maps in order, exactly as calling
-        ``linear`` for every map of one scale, then the next, would.
+        ``linear`` for every map of one row, then the next, would.
         """
-        if stored is not None:
-            return [ad.Parameter(name, stored(name, (rows, 1, *shape))) for name, _, shape in maps]
-        sizes = [int(np.prod(shape)) for _, _, shape in maps]
+        sizes = [math.prod(shape) for _, shape in maps]
         draws = np.split(rng.random((rows, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
         out = []
-        for (name, fan_in, shape), u in zip(maps, draws):
+        for (fan_in, shape), u in zip(maps, draws):
             bound = 1.0 / np.sqrt(fan_in)
             # rng.uniform(-b, b) computes -b + 2b * u from the same u.
-            out.append(ad.Parameter(name, -bound + 2 * bound * u.reshape(rows, 1, *shape)))
+            out.append(-bound + 2 * bound * u.reshape(rows, 1, *shape))
         return out
 
     revin = RevinLayer(param("revin.gamma", (n,), np.ones), param("revin.beta", (n,), np.zeros))
     input_proj = linear("input_proj", length, (length, dim))
-    static_cfg = gr.GraphPropagationConfig(
-        alpha=cfg.alpha,
-        depth=cfg.depth,
-        theta=[linear(f"static.theta{k}", dim, (dim, dim)) for k in range(cfg.depth + 1)],
+    # Each hop map holds slot 0's (the static graph's) map and then one
+    # per scale. The static maps are drawn first, the scales' after the
+    # embedding maps, row by row.
+    hops = range(cfg.depth + 1)
+    embed = (length, cfg.embed_dim)
+    if stored is None:
+        bound = 1.0 / np.sqrt(dim)
+        static = [rng.uniform(-bound, bound, (dim, dim)) for _ in hops]
+        w1, w2, *rest = stacked(scales, [(length, embed)] * 2 + [(dim, (dim, dim))] * len(hops))
+        maps = [np.concatenate((s[None, None], r)) for s, r in zip(static, rest)]
+    graph_cfg = gr.GraphPropagationConfig(alpha=cfg.alpha, depth=cfg.depth, theta=[
+        param(f"graph.theta{k}", (1 + scales, 1, dim, dim), lambda s: maps[k]) for k in hops
+    ])
+    dynamic_layer = gr.DynamicGraphLayer(
+        param("dyn.w1", (scales, 1, *embed), lambda s: w1),
+        param("dyn.w2", (scales, 1, *embed), lambda s: w2),
     )
-
-    embed = [(f"dyn.w{i}", length, (length, cfg.embed_dim)) for i in (1, 2)]
-    hops = [(f"dyn.theta{k}", dim, (dim, dim)) for k in range(cfg.depth + 1)]
-    w1, w2, *thetas = stacked(scales, embed + hops)
 
     fusion_layer = fu.FusionLayer(
         param("fusion.q", (dim,), lambda s: rng.uniform(-0.1, 0.1, s)),
@@ -387,9 +394,8 @@ def _assemble(cfg: ModelConfig, stored=None) -> SdgfModel:
         config=cfg,
         revin=revin,
         input_proj=input_proj,
-        static_cfg=static_cfg,
-        dynamic_layer=gr.DynamicGraphLayer(w1, w2),
-        dynamic_cfg=gr.GraphPropagationConfig(alpha=cfg.alpha, depth=cfg.depth, theta=thetas),
+        graph_cfg=graph_cfg,
+        dynamic_layer=dynamic_layer,
         fusion_layer=fusion_layer,
         block=block,
         head_w1=head_w1,
@@ -513,9 +519,7 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
     # Time profiles project from the left, (hidden, length) @ (length, vars):
     # slot 0 through the projection itself, each scale through its fold.
     projected = ad.left_map((model.input_proj, _fold(model.input_proj, cfg)), window, n)
-    branches = gr.static_graph_conv(
-        projected, static_adj, model.static_cfg, dynamic=(dyn_adj, model.dynamic_cfg)
-    )
+    branches = gr.static_graph_conv(projected, static_adj, model.graph_cfg, dynamic=dyn_adj)
     if model.ablation == "gf":
         fused = ad.reduce_mean(branches, 0)
         alpha = np.full((batch, branches.shape[0]), 1.0 / branches.shape[0])

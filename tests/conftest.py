@@ -144,6 +144,19 @@ def chain_propagate(h, adjacency, cfg):
     return out
 
 
+def branch_cfgs(cfg):
+    """The static branch's and the scales' hop maps of a branch stack's ``cfg``.
+
+    Slot 0 of each (1 + scales, 1, hidden, hidden) map, as one (hidden,
+    hidden) map, and slots 1..; ``ops.narrow`` takes them, so their
+    gradients reach the one parameter.
+    """
+    slots, _, dim, _ = cfg.theta[0].shape
+    first = [ops.reshape(ops.narrow(t, 0, 0, 1), (dim, dim)) for t in cfg.theta]
+    rest = [ops.narrow(t, 0, 1, slots - 1) for t in cfg.theta]
+    return [gr.GraphPropagationConfig(cfg.alpha, cfg.depth, maps) for maps in (first, rest)]
+
+
 def chain_dynamic_adjacency(x, layer):
     """``graphs.dynamic_adjacency`` as two embedding products and a softmax."""
     e1_t = ops.tanh(ad.matmul(ops.matrix_transpose(layer.w1), x))
@@ -182,8 +195,9 @@ def chain_forward(x, model):
 
     x_norm, stats = chain_revin_normalize(model.revin, x)
     static_adj = np.eye(n) if model.ablation == "gsl" else model.static_adjacency
+    static_cfg, dynamic_cfg = branch_cfgs(model.graph_cfg)
     h_static = chain_propagate(
-        ad.matmul(ops.matrix_transpose(model.input_proj), x_norm), static_adj, model.static_cfg
+        ad.matmul(ops.matrix_transpose(model.input_proj), x_norm), static_adj, static_cfg
     )
     if model.ablation == "gsl":
         dyn_adj = ad.Tensor(np.eye(n))
@@ -193,7 +207,7 @@ def chain_forward(x, model):
             x_norm, gr.DynamicGraphLayer(fold(layer.w1), fold(layer.w2))
         )
     h_dyn = chain_propagate(
-        ad.matmul(ops.matrix_transpose(fold(model.input_proj)), x_norm), dyn_adj, model.dynamic_cfg
+        ad.matmul(ops.matrix_transpose(fold(model.input_proj)), x_norm), dyn_adj, dynamic_cfg
     )
     branches = ops.concat([ops.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
     if model.ablation == "gf":

@@ -616,6 +616,11 @@ CHECKPOINT_DEFECTS = {
         ),
         "unsupported checkpoint version 3",
     ),
+    # Before each hop's maps were one stack: the same layout, another tree.
+    "version-4": (
+        lambda blob: reheadered(blob[:5] + struct.pack("<I", 4) + blob[9:], lambda h: None),
+        "unsupported checkpoint version 4",
+    ),
     "ablation-missing": (lambda blob: reheadered(blob, lambda h: h.pop("ablation")), "ablation"),
     # A model carries no ablation or exactly one, by name.
     **{
@@ -890,6 +895,48 @@ def test_ablate_variant_failing_in_scoring_leaves_no_checkpoint(tmp_path, capsys
     assert [row["model"] for row in rows] == ["full", "repeat-last"] * 2
     assert (out / "ablation.csv").read_text() == captured.out
     assert sorted(p.name for p in out.iterdir()) == ["ablation.csv", "full.ckpt", "resolved.cfg"]
+
+
+def test_ablate_with_no_test_windows_fails_before_training(tmp_path, capsys, monkeypatch):
+    from sdgf import training as tr
+
+    # 110 rows leave 11 for the test split, one fewer than a window takes.
+    data = make_csv(tmp_path, rows=110)
+
+    def train(*args, **kwargs):
+        raise AssertionError("ablate trained with no test windows to score")
+
+    monkeypatch.setattr(tr, "train", train)
+    out = tmp_path / "ablation-no-test"
+    capsys.readouterr()
+    code = main(["ablate", "--data", str(data), "--out", str(out), "--mode", "gf"] + sets(TINY))
+    assert code == 2
+    assert capsys.readouterr().err == "error: split 'test' has no windows\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["training", "writing"])
+def test_an_interrupt_is_one_error_line(tmp_path, capsys, monkeypatch, where):
+    from sdgf import training as tr
+
+    data = make_csv(tmp_path)
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    # In training, or while the first output file is half written.
+    owner, name = (tr, "train") if where == "training" else (os, "fsync")
+    monkeypatch.setattr(owner, name, interrupt)
+    out = tmp_path / "interrupted"
+    capsys.readouterr()
+    code = main(["train", "--data", str(data), "--out", str(out)] + sets(TINY))
+    assert code == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
+    if where == "training":
+        assert not out.exists()
+    else:
+        # The checkpoint is the first file written, and its temporary file is gone.
+        assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from sdgf.errors import NumericError, ShapeError
 
 from conftest import (
     assert_grads_match,
+    branch_cfgs,
     chain_dynamic_adjacency,
     chain_forward,
     chain_fuse,
@@ -327,37 +328,36 @@ def test_propagation_raises_exactly_when_its_chain_raises(
 
 
 def branch_stack_case(rng, depth, dim, nodes, batch, scales, learned):
-    """(h, static, dynamic, leaves): a shared graph for slot 0, ``scales`` dynamic slots after.
+    """(h, static, dynamic, cfg, leaves): a shared graph for slot 0, ``scales`` dynamic slots after.
 
-    ``static`` and ``dynamic`` are (graph, cfg) pairs. The dynamic graphs
-    are one learned (scales, batch) stack, or the constant identity that
-    stands in for them under ``gsl``.
+    The dynamic graphs are one learned (scales, batch) stack, or the
+    constant identity that stands in for them under ``gsl``. Each hop map
+    of ``cfg`` holds one map per slot, (1 + scales, 1, dim, dim).
     """
     h = leaf(rng, (1 + scales, batch, dim, nodes))
-    maps = [
-        [ad.Parameter(f"{name}{k}", rng.normal(0.0, 0.7, (*lead, dim, dim))) for k in range(depth + 1)]
-        for name, lead in (("static", ()), ("dyn", (scales, 1)))
+    thetas = [
+        ad.Parameter(f"theta{k}", rng.normal(0.0, 0.7, (1 + scales, 1, dim, dim)))
+        for k in range(depth + 1)
     ]
+    static = stochastic(rng, (nodes, nodes))
     if learned:
         dynamic = ad.Tensor(stochastic(rng, (scales, batch, nodes, nodes)), requires_grad=True)
     else:
         dynamic = ad.Tensor(np.eye(nodes))
-    static, dynamic = [
-        (graph, gr.GraphPropagationConfig(alpha=0.3, depth=depth, theta=thetas))
-        for graph, thetas in zip((stochastic(rng, (nodes, nodes)), dynamic), maps)
-    ]
-    leaves = [h, *maps[0], *maps[1]] + ([dynamic[0]] if learned and depth else [])
-    return h, static, dynamic, leaves
+    cfg = gr.GraphPropagationConfig(alpha=0.3, depth=depth, theta=thetas)
+    leaves = [h, *thetas] + ([dynamic] if learned and depth else [])
+    return h, static, dynamic, cfg, leaves
 
 
-def branch_stack_node(h, static, dynamic):
-    return gr.static_graph_conv(h, *static, dynamic=dynamic)
+def branch_stack_node(h, static, dynamic, cfg):
+    return gr.static_graph_conv(h, static, cfg, dynamic=dynamic)
 
 
-def chain_branch_stack(h, static, dynamic):
+def chain_branch_stack(h, static, dynamic, cfg):
     """Slot 0 and the other slots propagated apart, op by op, then joined."""
-    first = chain_propagate(ops.reshape(ops.narrow(h, 0, 0, 1), h.shape[1:]), *static)
-    rest = chain_propagate(ops.narrow(h, 0, 1, h.shape[0] - 1), *dynamic)
+    static_cfg, dynamic_cfg = branch_cfgs(cfg)
+    first = chain_propagate(ops.reshape(ops.narrow(h, 0, 0, 1), h.shape[1:]), static, static_cfg)
+    rest = chain_propagate(ops.narrow(h, 0, 1, h.shape[0] - 1), dynamic, dynamic_cfg)
     return ops.concat([ops.reshape(first, (1, *first.shape)), rest], axis=0)
 
 
@@ -373,12 +373,12 @@ def chain_branch_stack(h, static, dynamic):
 )
 def test_branch_stack_matches_its_chains(depth, dim, nodes, batch, scales, learned, seed):
     # One node over the whole stack gives each slot the bits of its own
-    # branch's chain.
+    # branch's chain, and each hop map one gradient over every slot.
     rng = np.random.default_rng(seed)
-    h, static, dynamic, leaves = branch_stack_case(rng, depth, dim, nodes, batch, scales, learned)
+    h, *case, leaves = branch_stack_case(rng, depth, dim, nodes, batch, scales, learned)
     assert_node_matches_chain(
-        lambda: branch_stack_node(h, static, dynamic),
-        lambda: chain_branch_stack(h, static, dynamic),
+        lambda: branch_stack_node(h, *case),
+        lambda: chain_branch_stack(h, *case),
         leaves,
         rng.normal(0.0, 1.0, h.shape),
         exact=True,
@@ -392,12 +392,12 @@ def test_branch_stack_raises_exactly_when_its_chains_raise(
     learned, exponent, offset, spread, gain, seed
 ):
     rng = np.random.default_rng(seed)
-    h, static, dynamic, _ = branch_stack_case(rng, 2, 3, 4, 2, 2, learned)
+    h, *case, _ = branch_stack_case(rng, 2, 3, 4, 2, 2, learned)
     h = ad.Tensor(huge(rng, h.shape, exponent, offset, spread))
-    regain(rng, static[1].theta + dynamic[1].theta, gain)
+    regain(rng, case[-1].theta, gain)
     got, want = both_outcomes(
-        lambda: branch_stack_node(h, static, dynamic),
-        lambda: chain_branch_stack(h, static, dynamic),
+        lambda: branch_stack_node(h, *case),
+        lambda: chain_branch_stack(h, *case),
     )
     if got is not None:
         assert got.tobytes() == want.tobytes()
@@ -405,12 +405,12 @@ def test_branch_stack_raises_exactly_when_its_chains_raise(
 
 def test_branch_stack_rejects_a_stack_its_graphs_do_not_fit():
     rng = np.random.default_rng(0)
-    h, static, dynamic, _ = branch_stack_case(rng, 1, 3, 4, 2, 2, True)
+    h, *case, _ = branch_stack_case(rng, 1, 3, 4, 2, 2, True)
     with pytest.raises(ShapeError, match="does not match adjacency"):
-        branch_stack_node(ad.Tensor(h.data[0]), static, dynamic)
-    for shape in [(2, 2, 3, 4), (3, 1, 3, 4), (3, 2, 2, 4)]:
+        branch_stack_node(ad.Tensor(h.data[0]), *case)
+    for shape in [(1, 2, 3, 4), (2, 2, 3, 4), (3, 1, 3, 4), (3, 2, 2, 4)]:
         with pytest.raises(ShapeError, match="do not fit the stack"):
-            branch_stack_node(ad.Tensor(np.ones(shape)), static, dynamic)
+            branch_stack_node(ad.Tensor(np.ones(shape)), *case)
 
 
 # ---------------------------------------------------------------------------

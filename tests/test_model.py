@@ -22,7 +22,7 @@ from sdgf import temporal as tp
 from sdgf import wavelet as wv
 from sdgf.errors import CheckpointError, ConfigError, ShapeError, StateError
 
-from conftest import fd_gradient, model_loss_and_grads, relative_error
+from conftest import branch_cfgs, fd_gradient, model_loss_and_grads, relative_error
 import oracle_ops as ops
 
 RNG = np.random.default_rng(2024)
@@ -239,16 +239,17 @@ def test_tfl_ablation_matches_wiring_oracle():
         return wv.decompose(maps, wv.wavelet_filter(cfg.family), cfg.levels, adjoint=True)
 
     x_norm, stats = model.revin.normalize(x)
+    static_cfg, dynamic_cfg = branch_cfgs(model.graph_cfg)
     h_static = gr.static_graph_conv(
         ad.matmul(ops.matrix_transpose(model.input_proj), x_norm),
         model.static_adjacency,
-        model.static_cfg,
+        static_cfg,
     )
     layer = gr.DynamicGraphLayer(fold(model.dynamic_layer.w1), fold(model.dynamic_layer.w2))
     h_dyn = gr.dynamic_graph_conv(
         ad.matmul(ops.matrix_transpose(fold(model.input_proj)), x_norm),
         gr.dynamic_adjacency(x_norm, layer),
-        model.dynamic_cfg,
+        dynamic_cfg,
     )
     branches = ops.concat([ops.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
     fused, _ = fu.fuse(branches, model.fusion_layer)
@@ -268,13 +269,14 @@ def stacked_wiring_forward(x, model):
     x_norm, stats = model.revin.normalize(x)
     proj_t = ops.matrix_transpose(model.input_proj)
     static_adj = np.eye(cfg.n_vars) if model.ablation == "gsl" else model.static_adjacency
-    h_static = gr.static_graph_conv(ad.matmul(proj_t, x_norm), static_adj, model.static_cfg)
+    static_cfg, dynamic_cfg = branch_cfgs(model.graph_cfg)
+    h_static = gr.static_graph_conv(ad.matmul(proj_t, x_norm), static_adj, static_cfg)
     comps = wv.decompose(x_norm, wv.wavelet_filter(cfg.family), cfg.levels, cfg.boundary)
     if model.ablation == "gsl":
         dyn_adj = ad.Tensor(np.eye(cfg.n_vars))
     else:
         dyn_adj = gr.dynamic_adjacency(comps, model.dynamic_layer)
-    h_dyn = gr.dynamic_graph_conv(ad.matmul(proj_t, comps), dyn_adj, model.dynamic_cfg)
+    h_dyn = gr.dynamic_graph_conv(ad.matmul(proj_t, comps), dyn_adj, dynamic_cfg)
     branches = ops.concat([ops.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
     if model.ablation == "gf":
         fused = ad.reduce_mean(branches, 0)
@@ -360,15 +362,41 @@ def test_acceptance_size_parameter_count_frozen():
 
 
 def test_every_scale_has_its_own_dynamic_maps():
-    # The embedding maps and the hop maps each carry one matrix per scale.
+    # The embedding maps carry one matrix per scale, and each hop map one
+    # per slot of the branch stack: the static graph's, then the scales'.
     cfg = tiny_config(levels=2)
     model = md.build_model(cfg)
     scales = cfg.levels + 1
     assert model.dynamic_layer.w1.shape == (scales, 1, cfg.input_len, cfg.embed_dim)
     assert model.dynamic_layer.w2.shape == (scales, 1, cfg.input_len, cfg.embed_dim)
-    assert all(t.shape == (scales, 1, cfg.hidden, cfg.hidden) for t in model.dynamic_cfg.theta)
+    hop_shape = (1 + scales, 1, cfg.hidden, cfg.hidden)
+    assert [t.shape for t in model.graph_cfg.theta] == [hop_shape] * (cfg.depth + 1)
     names = [p.name for p in md.parameters(model)]
     assert len(names) == len(set(names))
+
+
+def test_hop_maps_keep_the_seeded_draw_order():
+    # After input_proj come the static graph's hop maps, then each scale's
+    # embedding and hop maps in turn, each map as one rng.uniform draw.
+    cfg = tiny_config(levels=2, depth=2)
+    model = md.build_model(cfg)
+    length, dim, embed = cfg.input_len, cfg.hidden, cfg.embed_dim
+    hops = range(cfg.depth + 1)
+    rng = np.random.default_rng(cfg.seed)
+
+    def uniform(fan_in, shape):
+        return rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), shape)
+
+    np.testing.assert_array_equal(model.input_proj.data, uniform(length, (length, dim)))
+    thetas = [t.data for t in model.graph_cfg.theta]
+    for k in hops:
+        np.testing.assert_array_equal(thetas[k][0, 0], uniform(dim, (dim, dim)))
+    for scale in range(cfg.levels + 1):
+        for w in (model.dynamic_layer.w1, model.dynamic_layer.w2):
+            np.testing.assert_array_equal(w.data[scale, 0], uniform(length, (length, embed)))
+        for k in hops:
+            np.testing.assert_array_equal(thetas[k][1 + scale, 0], uniform(dim, (dim, dim)))
+    np.testing.assert_array_equal(model.fusion_layer.q.data, rng.uniform(-0.1, 0.1, dim))
 
 
 def test_seeded_builds_are_identical():
@@ -524,15 +552,16 @@ def test_fusion_reads_both_propagation_outputs_in_place(monkeypatch, grad, depth
     x = ad.Tensor(RNG.normal(0.0, 1.0, (5, 16, 3)))
     with contextlib.nullcontext() if grad else ad.no_grad():
         md.forward(x, model)
-    (projected, static_adj, static_cfg), branches = seen["static_graph_conv"]
-    (dyn_adj, dyn_cfg) = seen["dynamic_graph_conv"][0][1:]
+    (projected, static_adj, graph_cfg), branches = seen["static_graph_conv"]
+    dyn_adj = seen["dynamic_graph_conv"][0][1]
     # The static call hands the stack on through the module attribute, so
     # a wrapper of either function (as the benchmark's spans) sees it.
     assert seen["dynamic_graph_conv"][1] is branches
     assert seen["fuse"][0][0] is branches
     assert branches.shape == (4, 5, 4, 3)
-    assert static_adj is model.static_adjacency and static_cfg is model.static_cfg
-    assert dyn_cfg is model.dynamic_cfg
+    assert static_adj is model.static_adjacency and graph_cfg is model.graph_cfg
+    assert seen["dynamic_graph_conv"][0][2] is graph_cfg
+    static_cfg, dyn_cfg = branch_cfgs(graph_cfg)
     with ad.no_grad():
         static = gr.static_graph_conv(ad.Tensor(projected.data[0]), static_adj, static_cfg)
         dynamic = gr.dynamic_graph_conv(ad.Tensor(projected.data[1:]), dyn_adj, dyn_cfg)
@@ -749,17 +778,17 @@ def parameter_entries(blob: bytes, n_vars: int) -> tuple[bytes, list[bytes]]:
 @pytest.mark.parametrize(
     "edit, message",
     [
-        ("drop", "checkpoint stores 28 parameters, this config builds 29"),
+        ("drop", "checkpoint stores 26 parameters, this config builds 27"),
         ("rename", "checkpoint parameter 'head.b9' has no slot in the model"),
         ("reshape", "parameter 'head.b1' has shape (4,), expected (8,)"),
-        ("duplicate", "checkpoint stores no value for parameter 'static.theta1'"),
+        ("duplicate", "checkpoint stores no value for parameter 'graph.theta1'"),
     ],
 )
 def test_checkpoint_parameter_list_must_fill_the_tree(edit, message):
     blob = md.save_checkpoint(ready_model())
     prefix, entries = parameter_entries(blob, 3)
     names = checkpoint_names(blob, 3)
-    assert len(entries) == 29
+    assert len(entries) == 27
     if edit == "drop":
         del entries[names.index("head.b2")]
     elif edit == "rename":
@@ -773,9 +802,9 @@ def test_checkpoint_parameter_list_must_fill_the_tree(edit, message):
             entries[b1].replace(b"head.b1", b"head.b2"),
         )
     else:
-        # Two (hidden, hidden) maps: the second is stored under the first's name.
-        at = names.index("static.theta1")
-        entries[at] = entries[at].replace(b"static.theta1", b"static.theta0")
+        # Two hop maps: the second is stored under the first's name.
+        at = names.index("graph.theta1")
+        entries[at] = entries[at].replace(b"graph.theta1", b"graph.theta0")
     body = prefix + struct.pack("<I", len(entries)) + b"".join(entries)
     with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
         md.load_checkpoint(reseal(body))
