@@ -371,18 +371,32 @@ def chain_branch_stack(h, static, dynamic, cfg):
     learned=st.booleans(),
     seed=SEED,
 )
+@example(depth=3, dim=3, nodes=1, batch=1, scales=2, learned=False, seed=11970)  # 7.1e-6 entries
 def test_branch_stack_matches_its_chains(depth, dim, nodes, batch, scales, learned, seed):
     # One node over the whole stack gives each slot the bits of its own
     # branch's chain, and each hop map one gradient over every slot.
     rng = np.random.default_rng(seed)
     h, *case, leaves = branch_stack_case(rng, depth, dim, nodes, batch, scales, learned)
+    weight = rng.normal(0.0, 1.0, h.shape)
     assert_node_matches_chain(
         lambda: branch_stack_node(h, *case),
         lambda: chain_branch_stack(h, *case),
         leaves,
-        rng.normal(0.0, 1.0, h.shape),
+        weight,
         exact=True,
         fd_tol=1e-5,
+        fd_leaves=leaves[depth + 2 :],
+    )
+    # The output is linear in h and in every hop map, so a central
+    # difference in them has no truncation error, only a round-off of
+    # about eps * |loss| / step. At a 1e-5 step that round-off reaches
+    # 1e-5 of the error floor (also 1e-5) on an entry near zero; a 0.1
+    # step makes it 1e4 times smaller.
+    assert_grads_match(
+        lambda: ad.reduce_sum(ops.mul(branch_stack_node(h, *case), weight)),
+        leaves[: depth + 2],
+        tol=1e-5,
+        h=0.1,
     )
 
 
