@@ -1,19 +1,38 @@
-"""Dataset ingestion, sliding windows, chronological splits, synthesis.
+r"""Dataset ingestion, sliding windows, chronological splits, synthesis.
 
 CSV files are UTF-8, with or without the byte-order mark spreadsheet
 exports write, and ETT-style: a header row, an optional leading
-"date" column, and float64 values everywhere else. ``csv.reader``
-splits the rows, and a file that does not decode or that it cannot
-split (a field past its size limit) is a ``DataError``. One pass over
-the rows checks each row's width, takes its date cell and gathers its
-value cells into one flat list, and one call converts that list
-(``str.strip``, then ``float``, so blank cells and the separator
-characters ``str.strip`` removes but ``float`` does not read as they
-always have), and one ``np.isfinite`` over the result rejects
-``inf``, ``nan`` and cells such as ``1e400`` that overflow to infinity:
-a forecaster has no use for a value that is not a number. Only a file
-that fails the width check, the conversion or the finiteness check is
-scanned again cell by cell, to name its first defect in file order.
+"date" column, and float64 values everywhere else. The file is decoded
+in one read, so a file that does not decode is a ``DataError`` that
+names the bad byte's offset in the file (after the mark, if any).
+
+A *plain* file is parsed by one ``np.loadtxt`` call. Plain means: no
+``"`` and no NUL; lines end in ``\n`` or ``\r\n`` and hold no other
+``\r`` (the last line may also end in a lone ``\r``, which
+``csv.reader`` reads the same way); no line is blank or longer than
+``csv.field_size_limit()``; and every data line has the header's number
+of commas (``loadtxt`` raises on a changed column count, and a table
+whose shape is not (data lines, names) is dropped). ``str.partition``
+splits the date cell off each line. numpy strips the same whitespace as
+``str.strip`` and converts with ``PyOS_string_to_double``, the routine
+``float`` uses, so a table it returns with every value finite is the
+exact path's table bit for bit; any other outcome falls back.
+
+The exact path takes every other file, and every plain file that
+``loadtxt`` rejects, so it owns quoted cells, the forms only ``float``
+reads (``1_0``, non-ASCII digits) and every error message.
+``csv.reader`` splits the rows, and a row it cannot split (a field past
+its size limit) is a ``DataError``. One pass over the rows checks each
+row's width, takes its date cell and gathers its value cells into one
+flat list, and one call converts that list (``str.strip``, then
+``float``, so blank cells and the separator characters ``str.strip``
+removes but ``float`` does not read as they always have), and one
+``np.isfinite`` over the result rejects ``inf``, ``nan`` and cells such
+as ``1e400`` that overflow to infinity: a forecaster has no use for a
+value that is not a number. Only a file that fails the width check, the
+conversion or the finiteness check is scanned again cell by cell, to
+name its first defect in file order.
+
 Exports use 17 significant digits so a save/load round trip is
 bit-exact, and every file this package writes goes through
 ``atomic_open``, so a failed write leaves the previous file whole.
@@ -28,6 +47,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import math
 import os
 import pathlib
@@ -80,10 +100,17 @@ def load_csv(path: str) -> SeriesTable:
     """Parse a header + float rows; the first column may be dates."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot parse {path}: {exc}") from None
+    table = _plain_table(text)
+    if table is not None:
+        return table
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
         raise DataError(f"cannot parse {path}: {exc}") from None
     if not rows:
         raise DataError(f"{path} is empty")
@@ -118,6 +145,43 @@ def load_csv(path: str) -> SeriesTable:
     return SeriesTable(
         values=values.reshape(len(data_rows), len(names)), names=names, timestamps=timestamps
     )
+
+
+def _plain_table(text: str) -> SeriesTable | None:
+    """The table of a plain file's ``text``, or None when it needs ``csv.reader``.
+
+    None also when ``np.loadtxt`` fails on the values or reads one that is
+    not finite: the ``csv.reader`` path then names the defect.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    lines = [line.removesuffix("\r") for line in lines]
+    limit = csv.field_size_limit()
+    if len(lines) < 2 or any(not line or "\r" in line or len(line) > limit for line in lines):
+        return None
+    header = [c.strip() for c in lines[0].split(",")]
+    has_dates = header[0].lower() == "date"
+    names = header[1:] if has_dates else header
+    if not names:
+        return None
+    lines = lines[1:]
+    timestamps = None
+    if has_dates:
+        parts = [line.partition(",") for line in lines]
+        timestamps = [stamp.strip() for stamp, _, _ in parts]
+        lines = [rest for _, _, rest in parts]
+        if not all(lines):
+            return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(lines), len(names)) or not np.isfinite(values).all():
+        return None
+    return SeriesTable(values=values, names=names, timestamps=timestamps)
 
 
 def _first_defect(rows: list, width: int, names: list, has_dates: bool) -> DataError:

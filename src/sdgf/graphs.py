@@ -318,8 +318,11 @@ def dynamic_adjacency(
 
     def vjp(g):
         g_scores = adjacency * (g - (g * adjacency).sum(axis=-1, keepdims=True))
+        # matmul runs faster on a contiguous copy of the transposed scores,
+        # with the same bits.
+        g_scores_t = np.ascontiguousarray(g_scores.swapaxes(-1, -2))
         g_emb = np.concatenate(
-            (np.matmul(e2_t, g_scores.swapaxes(-1, -2)), np.matmul(e1_t, g_scores)), axis=-2
+            (np.matmul(e2_t, g_scores_t), np.matmul(e1_t, g_scores)), axis=-2
         )
         g_pre = g_emb * (1.0 - emb * emb)
         g_maps, g_x = ad.left_product_grads(

@@ -205,6 +205,9 @@ UNPARSABLE_CSVS = {
     "bom-not-utf8": b"\xef\xbb\xbfa,b\n1,2\n3,\xff\n5,6\n",
     "latin-1-header": b"caf\xe9,b\n1,2\n",
     "oversized-field": b'a,b\n1,"' + b"9" * 200_000 + b'"\n',
+    "oversized-unquoted-field": b"a,b\n1," + b"9" * 200_000 + b"\n",
+    # Zeros parse to a finite 0.0, so only the line-length check turns this one away.
+    "oversized-zeros-field": b"a,b\n1," + b"0" * 200_000 + b"\n",
 }
 
 

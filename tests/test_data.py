@@ -163,6 +163,125 @@ def test_load_csv_matches_the_cell_loop(tmp_path_factory, data, n_vars, rows, da
     assert outcome(dt.load_csv, str(path)) == outcome(loop_load_csv, str(path))
 
 
+# Plain files: cells padded with every kind of whitespace str.strip removes,
+# and at most one defect that makes a file need csv.reader or fail.
+PLAIN_PADDING = st.one_of(PADDING, st.sampled_from(["\x0b", "\x0c", "\x0b \x0c"]))
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PLAIN_CELLS = st.tuples(
+    PLAIN_PADDING,
+    st.one_of(FINITE.map(repr), FINITE.map(lambda v: f"{v:.17g}"), FINITE.map(lambda v: f"{v:e}")),
+    PLAIN_PADDING,
+).map("".join)
+BAD_NUMBERS = ["inf", "nan", "1e400", "1_0", "\u0661"]
+DEFECTS = ["blank line", "whitespace line", "quoted cell", "lone CR", "NUL", "short row",
+           "long row", *BAD_NUMBERS]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    n_vars=st.integers(1, 4),
+    rows=st.integers(1, 6),
+    dates=st.booleans(),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final_newline=st.booleans(),
+    bom=st.booleans(),
+    defect=st.sampled_from(["none"] * 16 + DEFECTS),
+)
+def test_load_csv_plain_files_match_the_cell_loop(
+    tmp_path_factory, data, n_vars, rows, dates, newline, final_newline, bom, defect
+):
+    lines = [",".join(["date"] * dates + [f"v{j}" for j in range(n_vars)])]
+    for r in range(rows):
+        stamp = [data.draw(PLAIN_PADDING) + f"2020-01-{r + 1:02d}"] * dates
+        lines.append(stamp + data.draw(st.lists(PLAIN_CELLS, min_size=n_vars, max_size=n_vars)))
+    row = lines[data.draw(st.integers(1, rows))]
+    col = data.draw(st.integers(dates, dates + n_vars - 1))
+    if defect in ("blank line", "whitespace line"):
+        line = "" if defect == "blank line" else data.draw(st.sampled_from([" ", "\t", "\x0c"]))
+        lines.insert(data.draw(st.integers(1, len(lines))), [line])
+    elif defect == "quoted cell":
+        row[col] = f'"{row[col]}"'
+    elif defect == "NUL":
+        row[col] += "\0"
+    elif defect == "short row":
+        del row[col]
+    elif defect == "long row":
+        row.append(data.draw(PLAIN_CELLS))
+    elif defect in BAD_NUMBERS:
+        row[col] = data.draw(PLAIN_PADDING) + defect + data.draw(PLAIN_PADDING)
+    ends = [newline] * (len(lines) - 1 + final_newline)
+    if defect == "lone CR":
+        ends[data.draw(st.integers(0, len(ends) - 1))] = "\r"
+    text = "".join(
+        (line if isinstance(line, str) else ",".join(line)) + end
+        for line, end in zip(lines, ends + [""])
+    )
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = outcome(loop_load_csv, str(path))
+    if bom:
+        path.write_text("\ufeff" + text, encoding="utf-8", newline="")
+    assert outcome(dt.load_csv, str(path)) == expected
+
+
+# Files one rule of the plain check alone keeps from np.loadtxt.
+EDGE_FILES = [
+    "\n1\n2\n",  # blank header
+    '"v0",v1\n1,2\n',  # quoted header
+    'date,a\n"2020-01-01",1\n',  # quoted date
+    "v0\r1.5\n2.5\n",  # lone CR after a one-column header
+    "a,b\n1,2\r\r\n",  # CR before CRLF
+    "a,b\n1,2\n\r",  # CR after the final newline
+    "a,b\r\n1,2\r",  # final lone CR, which csv.reader also ends a row at
+    "a,b\n1.5\n",  # the only data row is short
+    "a\n1\n\n",  # trailing blank line
+    "date,a\n2020-01-01\n",  # no value cell, and no comma for the date
+    "date,a\n2020-01-01,\n",  # an empty value cell after the date
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", EDGE_FILES)
+def test_load_csv_edge_files_match_the_cell_loop(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert outcome(dt.load_csv, str(path)) == outcome(loop_load_csv, str(path))
+
+
+def test_plain_files_load_without_csv_reader(tmp_path, monkeypatch):
+    values = np.array([[0.1, -2.5e-300], [1.0 / 3.0, 7e22], [-0.0, 5.0]])
+    stamps = ["2020-01-01", "2020-01-02", "2020-01-03"]
+    body = [f"{a!r},{b!r}" for a, b in values.tolist()]
+    files = {
+        "lf": ("a,b\n" + "\n".join(body) + "\n", None),
+        "crlf": ("a,b\r\n" + "\r\n".join(body), None),
+        "bom": ("\ufeffa,b\n" + "\n".join(body), None),
+        "dated": ("date,a,b\r\n" + "".join(f"{t}, {r}\r\n" for t, r in zip(stamps, body)), stamps),
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain file reached csv.reader")
+
+    monkeypatch.setattr(dt.csv, "reader", refuse)
+    for name, (text, timestamps) in files.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        table = dt.load_csv(str(path))
+        assert table.values.tobytes() == values.tobytes(), name
+        assert table.names == ["a", "b"] and table.timestamps == timestamps, name
+
+
+def test_decode_error_names_the_byte_offset_in_the_file(tmp_path):
+    path = tmp_path / "t.csv"
+    head = b"a,b\n" + b"1.25,2.5\n" * 2000 + b"3,"
+    assert len(head) > 8192
+    path.write_bytes(head + b"\xff\n")
+    with pytest.raises(DataError, match=rf"can't decode byte 0xff in position {len(head)}:"):
+        dt.load_csv(str(path))
+
+
 def test_load_csv_names_the_first_defect_in_file_order(tmp_path):
     path = tmp_path / "t.csv"
     # The ragged row 3 fails the width pass first; row 2's word comes first in the file.
