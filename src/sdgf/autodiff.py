@@ -30,8 +30,15 @@ experiments.
 Each recorded op pays a fixed Python cost on top of its arithmetic, and
 on small shapes that cost dominates, so the per-op path calls numpy
 directly rather than through its Python-level helpers (``np.all``,
-``np.pad``, ``np.prod``), and an op result that already is a
-C-contiguous float64 array is stored as it is. For the same reason the
+``np.pad``, ``np.prod``). An op's float64 result is stored as the op
+laid it out, strided views included; only a ``Tensor`` built from a
+caller's array is made C-contiguous. The model keeps its branch stack
+node-major that way: ``left_map``, the propagation node and ``conv1d``
+hand on the swapaxes view of a (..., nodes, features) array, so the
+stages after them read each item's rows in place, and elementwise ops
+and reductions on such a view keep its memory order. A gradient that
+``Tensor.accumulate`` copies from a view is laid out like the value it
+belongs to. For the same reason the
 model's stages (RevIN, graph propagation, dynamic adjacency, fusion
 gate, head, wavelet fold) are single fused nodes, built in their own
 modules on the public pieces this one exports: ``record`` makes a node
@@ -186,8 +193,14 @@ class Tensor:
             )
         if self.grad is None:
             # Views (slices, broadcasts) are copied so later accumulation
-            # cannot alias another node's gradient buffer.
-            self.grad = g if g.base is None else g.copy()
+            # cannot alias another node's gradient buffer. The copy takes
+            # the value's memory order, so a node-major value's gradient
+            # is node-major too.
+            if g.base is not None:
+                copy = np.empty_like(self.data)
+                np.copyto(copy, g)
+                g = copy
+            self.grad = g
         else:
             self.grad = self.grad + g
 
@@ -288,7 +301,13 @@ def record(
             if p.requires_grad:
                 track = True
                 break
-    out = Tensor(data, requires_grad=track)
+    if type(data) is np.ndarray and data.dtype is _FLOAT64:
+        # As the op laid it out, views and strides included.
+        out = Tensor.__new__(Tensor)
+        out.data, out.grad, out.requires_grad = data, None, track
+        out._parents, out._vjp, out._released = (), None, False
+    else:
+        out = Tensor(data, requires_grad=track)
     if track:
         out._parents = parents
         out._vjp = vjp
@@ -425,6 +444,8 @@ def left_product(maps_t, cols: np.ndarray, nodes: int) -> np.ndarray:
     Over one window ``maps_t`` may be a list of maps, filling the slots of
     a new leading axis in order, each by its own GEMM: one over all their
     rows would pick another BLAS kernel on some shapes and move last bits.
+    The (slots, batch, K, nodes) result is then node-major: the swapaxes
+    view of a C-contiguous (slots, batch, nodes, K) array.
     """
     many = isinstance(maps_t, list)
     parts = maps_t if many else [maps_t]
@@ -453,8 +474,10 @@ def left_product(maps_t, cols: np.ndarray, nodes: int) -> np.ndarray:
     else:
         out = np.matmul(rows[0], cols)
     out = out.reshape(out.shape[0] if out.ndim == 3 else out.shape[0] // k, k, batch, nodes)
+    if many:
+        return np.ascontiguousarray(out.transpose(0, 2, 3, 1)).swapaxes(-1, -2)
     out = np.ascontiguousarray(out.transpose(0, 2, 1, 3))
-    return out if many or parts[0].ndim == 4 or cols.ndim == 3 else out[0]
+    return out if parts[0].ndim == 4 or cols.ndim == 3 else out[0]
 
 
 def left_product_grads(maps_t, cols, nodes: int, g, want_maps: bool, want_cols: bool):
@@ -494,7 +517,10 @@ def left_map(maps, x, nodes: int) -> Tensor:
     (S, 1, L, K) stack S, so the result is (slots, batch, K, nodes). One
     node, where a transpose and a ``matmul`` per map record more; the
     forward and each gradient are 2-D GEMMs (see ``left_product``), and
-    the window's gradient arrives in its own layout.
+    the window's gradient arrives in its own layout. The value is
+    node-major, as the model's branch stack is kept: its memory is
+    (slots, batch, nodes, K), so ``graphs`` reads each item's rows in
+    place.
     """
     parts = [_as_tensor(m) for m in maps]
     x = _as_tensor(x)
@@ -571,7 +597,11 @@ def conv1d(x, kernel, dilation=1, bias=None, mix=None, mix_bias=None) -> Tensor:
     vector or ``None`` per kernel. Each kernel pads
     dilation * (width - 1) / 2 per side, so the output length equals the
     input length. The result is the channel concatenation of the
-    kernels' outputs, each plus its bias.
+    kernels' outputs, each plus its bias. It is written as (batch,
+    length, out) and handed on as its (batch, out, length) view, the
+    node-major layout the model keeps its features in, so a norm over
+    the channels reduces contiguous rows and the head reads each
+    position's channels as one row.
 
     ``mix``, a width-1 kernel of shape (out, m, 1), and its optional
     ``mix_bias`` then mix the outputs of the leading kernels, m channels
@@ -685,11 +715,13 @@ def conv1d(x, kernel, dilation=1, bias=None, mix=None, mix_bias=None) -> Tensor:
             out_bias += stacked_bias[mixed:]
         if mix_bias is not None:
             out_bias += mix_bias.data
-    product = product.reshape(out_channels, length, batch).transpose(2, 0, 1)
+    product = product.reshape(out_channels, length, batch).transpose(2, 1, 0)
+    out_data = np.empty((batch, length, out_channels))
     if out_bias is None:
-        out_data = product
+        np.copyto(out_data, product)
     else:
-        out_data = np.add(product, out_bias[:, None], out=np.empty((batch, out_channels, length)))
+        np.add(product, out_bias, out=out_data)
+    out_data = out_data.swapaxes(1, 2)
 
     parents = (x, *kernels, *(b for b in biases if b is not None))
     parents += tuple(t for t in (mix, mix_bias) if t is not None)

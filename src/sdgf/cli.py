@@ -1,7 +1,9 @@
 """Command-line entry points: train, eval, ablate, synth.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
-failure, 130 interrupted (Ctrl-C). Every command that writes outputs
+failure, 130 interrupted (Ctrl-C, or a SIGTERM, which ``main`` turns into
+the same ``KeyboardInterrupt`` while it runs and then hands back to the
+handler it found). Every command that writes outputs
 also writes the fully resolved configuration next to them, and every
 output file is replaced whole or not at all (``data.atomic_open``), so
 an interrupt leaves a file being written as it was. When training hits
@@ -29,6 +31,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import signal
 import sys
 
 import numpy as np
@@ -404,7 +407,23 @@ def _cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def main(argv=None) -> int:
+    try:
+        previous = signal.signal(signal.SIGTERM, _interrupt)
+    except ValueError:  # not the main thread, whose signals are not ours to take
+        return _run(argv)
+    try:
+        return _run(argv)
+    finally:
+        # None stands for a handler that was not installed from Python.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
+
+
+def _run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
         # Every non-finite value a command can produce is caught by a

@@ -1,7 +1,9 @@
 """Attention gate that merges the static branch with the per-scale branches.
 
 The branches arrive as one (branches, batch, features, nodes) stack, the
-static branch first and the wavelet scales after it. Each branch is
+static branch first and the wavelet scales after it. The model keeps that
+stack node-major in memory (see ``graphs``); the gate's reductions run
+over that memory order and its outputs keep it. Each branch is
 pooled over nodes into a descriptor, scored against a learned query
 through a key map, and the softmax over the branch axis weights a convex
 combination of the full branch tensors. Scores are computed per batch
@@ -50,7 +52,10 @@ def fuse(branches: ad.Tensor, layer: FusionLayer) -> tuple[ad.Tensor, np.ndarray
         )
 
     q, w_k = layer.q, layer.w_k
-    pooled = branches.data.sum(axis=3) * (1.0 / branches.shape[3])
+    # The reductions run over the stack's node-major memory, (branches,
+    # batch, nodes, features), whatever the stack's layout.
+    stack = branches.data.swapaxes(-1, -2)
+    pooled = stack.sum(axis=2) * (1.0 / branches.shape[3])
     keyed = np.matmul(pooled, w_k.data.T)
     logits = np.matmul(keyed, q.data)
     shifted = np.exp(logits - logits.max(axis=0))
@@ -58,7 +63,7 @@ def fuse(branches: ad.Tensor, layer: FusionLayer) -> tuple[ad.Tensor, np.ndarray
     fused = (branches.data * alpha[:, :, None, None]).sum(axis=0)
 
     def vjp(g):
-        g_alpha = np.einsum("bfn,cbfn->cb", g, branches.data)
+        g_alpha = np.einsum("bnf,cbnf->cb", g.swapaxes(-1, -2), stack)
         g_logits = alpha * (g_alpha - (g_alpha * alpha).sum(axis=0))
         if q.requires_grad:
             q.accumulate(g_logits.reshape(-1) @ keyed.reshape(-1, dim))
@@ -67,7 +72,11 @@ def fuse(branches: ad.Tensor, layer: FusionLayer) -> tuple[ad.Tensor, np.ndarray
             w_k.accumulate(g_keyed.reshape(-1, dim).T @ pooled.reshape(-1, dim))
         if branches.requires_grad:
             g_pooled = np.matmul(g_keyed, w_k.data) * (1.0 / branches.shape[3])
-            branches.accumulate(g[None] * alpha[:, :, None, None] + g_pooled[..., None])
+            # Written in the stack's own layout, so the node takes it as it is.
+            g_branches = np.empty_like(branches.data)
+            np.multiply(g[None], alpha[:, :, None, None], out=g_branches)
+            g_branches += g_pooled[..., None]
+            branches.accumulate(g_branches)
 
     # Logits are guarded too: one of -inf would weigh its branch 0.
     out = ad.record(fused, "fuse", (branches, q, w_k), vjp, (logits,))

@@ -41,7 +41,16 @@ graphs after it: it calls ``static_graph_conv`` with the dynamic graphs
 alongside, which hands the stack to ``dynamic_graph_conv``. Each hop map
 is stored as the node reads it, one (1 + scales, 1, features, features)
 array whose slot 0 serves the static graph. Called with one graph, each
-of the two is the same node over that graph alone. Each propagation, at
+of the two is the same node over that graph alone.
+
+The node works node-major: the recursion above on (..., nodes,
+features) states, which is how the model's stack lies in memory
+(``autodiff.left_map`` writes it so, and the node returns the same
+layout). Each hop is then ``A @ H(k-1)`` per item on each graph as
+stored, and each hop map Theta_k is one GEMM per slot over the rows of
+every item, ``(batch * nodes, features) @ Theta_k^T``, in the forward
+and in both gradients; a stack laid out otherwise is copied once on the
+way in. Each propagation, at
 any depth, is one recorded autodiff node, and so is
 ``dynamic_adjacency``, which reads both embedding maps in one product of
 the maps laid side by side. Their VJPs are derived by hand, and each
@@ -119,18 +128,19 @@ class GraphPropagationConfig:
             )
 
 
-def hop_states(h: np.ndarray, a_t: np.ndarray, alpha: float, depth: int):
-    """The arrays H(0)..H(depth) of the propagation recursion; ``a_t`` is A^T.
+def hop_states(h: np.ndarray, mix, alpha: float, depth: int):
+    """The arrays H(0)..H(depth) of the propagation recursion.
 
-    Each hop takes the recursion's ops in order: ``alpha * H(0)`` plus
-    ``(H(k-1) @ A^T) * (1 - alpha)``, the scaling and the sum in place
-    on the product (which has the sum's shape; addition commutes bit for
+    ``mix(H)`` is the graph's product with ``H`` as a fresh array. Each
+    hop takes the recursion's ops in order: ``alpha * H(0)`` plus
+    ``mix(H(k-1)) * (1 - alpha)``, the scaling and the sum in place on
+    the product (which has the sum's shape; addition commutes bit for
     bit).
     """
     states = [h]
     kept = h * alpha
     for _ in range(depth):
-        mixed = np.matmul(states[-1], a_t)
+        mixed = mix(states[-1])
         mixed *= 1.0 - alpha
         mixed += kept
         states.append(mixed)
@@ -145,9 +155,18 @@ def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, static=None
     (nodes, nodes) graph, ``h`` is the (1 + S, batch, features, nodes)
     branch stack: slot 0 hops through ``static`` and slots 1.. through
     ``adjacency``, and each hop map holds one (features, features) map
-    per slot, (1 + S, 1, features, features). The graphs (per item) are
-    laid side by side along the slot axis, so every product is one numpy
-    call over the stack, each slot's the product its branch alone takes.
+    per slot, (1 + S, 1, features, features).
+
+    The node works on ``h`` node-major, as (..., nodes, features), and
+    returns its value as the swapaxes view of a C-contiguous node-major
+    array; an ``h`` laid out that way (``ad.left_map``'s value) is read
+    in place, any other is copied once, so a slot's bits do not depend
+    on the layout of ``h``. Each hop is
+    ``A @ H(k-1)`` per item on the graphs as stored, slot 0's and the
+    others' written into one array. Each hop map then meets the rows of
+    every item of a slot in one GEMM, ``(batch * nodes, features) @
+    theta^T``, on theta^T laid out once per call, and its gradients are
+    one GEMM per slot each.
 
     The forward takes the ops of the op-by-op chain in its order (the hop
     states, then the per-hop maps summed hop by hop), so its values are
@@ -157,58 +176,95 @@ def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, static=None
     raises where the chain raised.
     """
     alpha, depth, thetas = cfg.alpha, cfg.depth, cfg.theta
-    maps = [t.data for t in thetas]
+    if any(t.ndim > 2 and t.shape[-3] != 1 for t in thetas):
+        raise ShapeError(
+            f"hop maps must be (features, features) or (..., 1, features, features),"
+            f" got {[t.shape for t in thetas]}"
+        )
     graph = adjacency.data if isinstance(adjacency, ad.Tensor) else adjacency
     # The slots that read ``adjacency``.
     run = slice(None) if static is None else slice(1, None)
 
-    def joined(transposed):
-        """Every slot's graph, or its transpose, in one contiguous array."""
-        lay = (lambda a: a.swapaxes(-1, -2)) if transposed else np.asarray
+    def mix(x, graphs=(static, graph)):
+        """``graphs[k] @ x`` per item, slot 0 through ``graphs[0]`` when ``static`` is given."""
         if static is None:
-            return np.ascontiguousarray(lay(graph))
-        out = np.empty((*h.shape[:2], *static.shape))
-        out[0], out[run] = lay(static), lay(graph)
+            return np.matmul(graphs[1], x)
+        out = np.empty(x.shape)
+        np.matmul(graphs[0], x[0], out=out[0])
+        np.matmul(graphs[1], x[run], out=out[run])
         return out
 
-    a_t = joined(True) if depth else None
     # With no hop a graph is never read, so it is no parent of the node.
     learned = adjacency if isinstance(adjacency, ad.Tensor) and depth else None
-    states = hop_states(h.data, a_t, alpha, depth)
-    total, shapes = None, []
-    for k, (theta, state) in enumerate(zip(maps, states)):
-        term = np.matmul(theta, state)
-        shapes.append(term.shape)
-        total = term if k == 0 else np.add(total, term)
+    # H(0) node-major: ``h`` as it is when it is laid out so, else a copy.
+    states = hop_states(np.ascontiguousarray(h.data.swapaxes(-1, -2)), mix, alpha, depth)
+    # Each map with its batch axis (of size 1) dropped, as is and
+    # transposed, contiguous: the rows of every item of a slot, (...,
+    # batch * nodes, features), meet it in one GEMM.
+    maps = [t.data.reshape(*t.shape[:-3], *t.shape[-2:]) for t in thetas]
+    maps_t = [np.ascontiguousarray(m.swapaxes(-1, -2)) for m in maps]
+    total, rows = None, []
+    for theta, m_t, state in zip(thetas, maps_t, states):
+        r = state.reshape(*state.shape[:-3], -1, state.shape[-1]) if state.ndim > 2 else state
+        product = np.matmul(r, m_t)
+        term = product.reshape(
+            np.broadcast_shapes(theta.shape[:-2], state.shape[:-2]) + state.shape[-2:]
+        )
+        # The state's rows, and the shapes its map's product takes as rows
+        # and as a term of the sum.
+        rows.append((r, product.shape, term.shape))
+        if total is None:
+            total = term
+        elif total.shape == term.shape:
+            total += term  # on the first product, which the node made
+        else:
+            total = total + term
     parents = (h, *thetas, *(() if learned is None else (learned,)))
 
     def vjp(g):
-        # Each state's gradient from its own map.
+        g = np.ascontiguousarray(g.swapaxes(-1, -2))
+        # Each state's gradient from its own map, and each map's from its
+        # state: one GEMM per slot each, on operands as they are stored.
         grads = []
-        for theta, m, state, shape in zip(thetas, maps, states, shapes):
-            g_term = ad.unbroadcast(g, shape)
+        for theta, m, (r, product_shape, term_shape), state in zip(thetas, maps, rows, states):
+            g_rows = ad.unbroadcast(g, term_shape).reshape(product_shape)
             if theta.requires_grad:
-                theta.accumulate(ad.matmul_operand_grad(g_term, state, m.shape, -2))
-            grads.append(ad.matmul_operand_grad(m, g_term, state.shape, -1))
-        # The hops' gradients read A laid out afresh: a product on the
-        # transpose view of a_t costs more than the copy, and the graph
-        # does not hold a_t until its backward.
-        a = joined(False).swapaxes(-1, -2) if depth else None
-        g_graph = None
+                g_m = ad.matmul_operand_grad(
+                    g_rows.swapaxes(-1, -2), r.swapaxes(-1, -2), m.shape, -2
+                )
+                theta.accumulate(g_m.reshape(theta.shape))
+            g_r = ad.matmul_operand_grad(g_rows, m.swapaxes(-1, -2), r.shape, -2)
+            grads.append(g_r.reshape(state.shape))
+        # The hops' adjoint reads each graph transposed and scaled by
+        # 1 - alpha, laid out afresh in one pass: a product on the
+        # transpose view costs more, and the scaling saves a pass over
+        # the states per hop.
+        graphs_t = [
+            None if a is None else np.multiply(a.swapaxes(-1, -2), 1.0 - alpha, order="C")
+            for a in ((static, graph) if depth else ())
+        ]
+        g_graph = carry = None
         for k in range(depth, 0, -1):
-            g_mix = grads[k] * (1.0 - alpha)
-            prev = states[k - 1]
-            grads[k - 1] = grads[k - 1] + ad.matmul_operand_grad(g_mix, a, prev.shape, -2)
-            grads[0] = grads[0] + ad.unbroadcast(grads[k] * alpha, h.data.shape)
+            # grads[k] is H(k)'s whole gradient by now.
+            prev, g_k = states[k - 1], grads[k]
+            grads[k - 1] += ad.unbroadcast(mix(g_k, graphs_t), prev.shape)
             if learned is not None and learned.requires_grad:
-                g_k = ad.matmul_operand_grad(prev[run], g_mix[run], learned.shape, -1)
-                g_graph = g_k if g_graph is None else g_graph + g_k
+                g_a = ad.matmul_operand_grad(g_k[run], prev[run], learned.shape, -2)
+                g_graph = g_a if g_graph is None else g_graph + g_a
+            # Every H(k) reaches the output through alpha * H(0) as well.
+            if carry is not None:
+                g_k += carry
+            carry = g_k
+        if carry is not None:
+            carry *= alpha
+            grads[0] += ad.unbroadcast(carry, states[0].shape)
         if h.requires_grad:
-            h.accumulate(grads[0])
+            h.accumulate(grads[0].swapaxes(-1, -2))
         if g_graph is not None:
-            learned.accumulate(g_graph.swapaxes(-1, -2))
+            g_graph *= 1.0 - alpha
+            learned.accumulate(g_graph)
 
-    return ad.record(total, "propagate", parents, vjp)
+    return ad.record(total.swapaxes(-1, -2), "propagate", parents, vjp)
 
 
 def static_graph_conv(

@@ -28,7 +28,13 @@ projection (``input_proj`` for slot 0, its fold for the scales) and the
 embedding maps read that node as 2-D GEMMs for every slot and item at
 once; their gradients come back to it in the same layout. The
 propagation's value (``gr.static_graph_conv`` with the dynamic graphs
-alongside) is the stack fusion reads.
+alongside) is the stack fusion reads. That stack, and the inception
+block's output after it, are node-major in memory: their logical
+shapes are (1 + scales, batch, hidden, n_vars) and (batch, hidden,
+n_vars), but each is the swapaxes view of a C-contiguous array with
+n_vars before hidden. So propagation takes each hop map as one GEMM per
+slot over the (batch * n_vars, hidden) rows, fusion and the layer norm
+reduce along that memory, and the head reads its rows in place.
 
 The per-scale weights live on a leading scale axis: embedding maps are
 (scales, 1, input_len, embed_dim), one per scale. The hop maps
@@ -256,7 +262,8 @@ def head(h: ad.Tensor, w1, b1, w2, b2) -> ad.Tensor:
 
     ``tanh(v @ w1 + b1) @ w2 + b2`` for each node's feature vector ``v``,
     as one recorded node: the nodes of every item are the rows of one
-    (batch * nodes, features) matrix, so each layer is one 2-D GEMM. The
+    (batch * nodes, features) matrix, so each layer is one 2-D GEMM. On
+    the model's node-major features that matrix is a view, no copy. The
     product before ``tanh`` is guarded as well as the output, since
     ``tanh`` maps an infinite value to a finite one.
     """

@@ -14,7 +14,8 @@ nonlinearity inserted before the merge would end the composition; the
 branches would then need their own convolutions.
 
 The fused representation carries nodes on its last axis, and the kernels
-slide over it: the features are the block's channels.
+slide over it: the features are the block's channels. Its memory is
+node-major, (batch, nodes, features), and so is the block's output.
 """
 
 from __future__ import annotations

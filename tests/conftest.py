@@ -128,20 +128,31 @@ def chain_revin_denormalize(layer, y, stats):
 
 
 def chain_propagate(h, adjacency, cfg):
-    """K-hop propagation through ``adjacency`` (an array or a tensor), op by op."""
-    if isinstance(adjacency, ad.Tensor):
-        a_t = ops.matrix_transpose(adjacency)
-    else:
-        a_t = ad.Tensor(np.swapaxes(adjacency, -1, -2))
-    states = [h]
+    """K-hop propagation through ``adjacency`` (an array or a tensor), op by op.
+
+    In the node's op order: ``h`` laid out once as (..., nodes,
+    features), each hop ``A @ H(k-1)`` on the graph as given, then each
+    state's rows, (..., batch * nodes, features), times its map's
+    transpose laid out contiguously with the map's batch axis dropped,
+    the terms summed and the sum transposed back.
+    """
+    a = adjacency if isinstance(adjacency, ad.Tensor) else ad.Tensor(adjacency)
+    h_n = ops.contiguous(ops.matrix_transpose(h))
+    states = [h_n]
     for _ in range(cfg.depth):
-        mixed = ad.scale(ad.matmul(states[-1], a_t), 1.0 - cfg.alpha)
-        states.append(ops.add(ad.scale(h, cfg.alpha), mixed))
+        mixed = ad.scale(ad.matmul(a, states[-1]), 1.0 - cfg.alpha)
+        states.append(ops.add(ad.scale(h_n, cfg.alpha), mixed))
     out = None
     for theta, state in zip(cfg.theta, states):
-        term = ad.matmul(theta, state)
+        *lead, nodes, dim = state.shape
+        rows = ops.reshape(state, (*lead[:-1], lead[-1] * nodes, dim)) if lead else state
+        theta_t = ops.contiguous(
+            ops.reshape(ops.matrix_transpose(theta), (*theta.shape[:-3], dim, dim))
+        )
+        shape = np.broadcast_shapes(theta.shape[:-2], tuple(lead)) + (nodes, dim)
+        term = ops.reshape(ad.matmul(rows, theta_t), shape)
         out = term if out is None else ops.add(out, term)
-    return out
+    return ops.matrix_transpose(out)
 
 
 def branch_cfgs(cfg):

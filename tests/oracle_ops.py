@@ -147,6 +147,19 @@ def matrix_transpose(x) -> Tensor:
     return transpose(x, (*range(x.ndim - 2), x.ndim - 1, x.ndim - 2))
 
 
+def contiguous(x) -> Tensor:
+    """The same values laid out C-contiguous, as a node lays out an operand
+    whose strided view would send a product to another BLAS kernel."""
+    x = _as_tensor(x)
+    data = np.ascontiguousarray(x.data)
+
+    def vjp(g):
+        if x.requires_grad:
+            x.accumulate(g)
+
+    return record(data, "contiguous", (x,), vjp)
+
+
 def reshape(x, shape: Sequence[int]) -> Tensor:
     x = _as_tensor(x)
     shape = tuple(shape)

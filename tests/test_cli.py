@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import signal
 import struct
 import tempfile
 import warnings
@@ -916,6 +917,34 @@ def test_ablate_with_no_test_windows_fails_before_training(tmp_path, capsys, mon
     assert code == 2
     assert capsys.readouterr().err == "error: split 'test' has no windows\n"
     assert not out.exists()
+
+
+class Unhandled(Exception):
+    """Raised by the test's own SIGTERM handler, which ``main`` must cover."""
+
+
+def test_a_sigterm_ends_like_ctrl_c(tmp_path, capsys, monkeypatch):
+    def terminated(args):
+        signal.raise_signal(signal.SIGTERM)
+        raise AssertionError("the SIGTERM did not end the command")
+
+    def unhandled(signum, frame):
+        raise Unhandled
+
+    # A handler of the test's own stands in for the default one, which
+    # would end the test run if ``main`` did not take the signal over.
+    outer = signal.signal(signal.SIGTERM, unhandled)
+    try:
+        monkeypatch.setattr(cli, "_cmd_synth", terminated)
+        capsys.readouterr()
+        code = main(["synth", "--out", str(tmp_path / "x.csv")])
+        assert code == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert signal.getsignal(signal.SIGTERM) is unhandled
+        with pytest.raises(Unhandled):
+            signal.raise_signal(signal.SIGTERM)
+    finally:
+        signal.signal(signal.SIGTERM, outer)
 
 
 @pytest.mark.parametrize("where", ["training", "writing"])

@@ -10,6 +10,8 @@ same values, finite differences pass on every leaf, and the node raises
 which its chain raises.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -415,6 +417,45 @@ def test_branch_stack_raises_exactly_when_its_chains_raise(
     )
     if got is not None:
         assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nodes=st.integers(1, 5),
+    dim=st.integers(1, 6),
+    batch=st.integers(1, 4),
+    slots=st.integers(1, 4),
+    depth=st.integers(0, 3),
+    learned=st.booleans(),
+    node_major=st.booleans(),
+    grad=st.booleans(),
+    seed=SEED,
+)
+def test_each_slot_of_the_stack_is_its_one_graph_call(
+    nodes, dim, batch, slots, depth, learned, node_major, grad, seed
+):
+    # Slot 0 holds the bytes of the static graph's own call and slots 1..
+    # those of the dynamic graphs' own call, whether the stack and its
+    # slots are laid out node-major (as ``ad.left_map`` writes them) or not.
+    rng = np.random.default_rng(seed)
+    h, static, dynamic, cfg, _ = branch_stack_case(
+        rng, depth, dim, nodes, batch, slots - 1, learned
+    )
+
+    def as_laid_out(data):
+        # ``ad.Tensor`` would copy a strided array into C order.
+        return ad.record(data, "input", (), None)
+
+    if node_major:
+        h = as_laid_out(np.ascontiguousarray(h.data.swapaxes(-1, -2)).swapaxes(-1, -2))
+    static_cfg, dynamic_cfg = branch_cfgs(cfg)
+    with contextlib.nullcontext() if grad else ad.no_grad():
+        stack = branch_stack_node(h, static, dynamic, cfg).data
+        first = gr.static_graph_conv(as_laid_out(h.data[0]), static, static_cfg).data
+        assert stack[0].tobytes() == first.tobytes()
+        if slots > 1:
+            rest = gr.dynamic_graph_conv(as_laid_out(h.data[1:]), dynamic, dynamic_cfg).data
+            assert stack[1:].tobytes() == rest.tobytes()
 
 
 def test_branch_stack_rejects_a_stack_its_graphs_do_not_fit():

@@ -207,7 +207,7 @@ def test_hop_states_nonexpansive_for_stochastic_graph():
     a = RNG.uniform(0.0, 1.0, (nodes, nodes))
     a /= a.sum(axis=1, keepdims=True)
     h = RNG.normal(0.0, 1.0, (2, 3, nodes))
-    states = gr.hop_states(h, a.T, alpha=0.4, depth=4)
+    states = gr.hop_states(h, lambda state: state @ a.T, alpha=0.4, depth=4)
     assert len(states) == 5
     bound = np.abs(h).max()
     for state in states:

@@ -569,6 +569,53 @@ def test_fusion_reads_both_propagation_outputs_in_place(monkeypatch, grad, depth
     assert branches.data[1:].tobytes() == dynamic.data.tobytes()
 
 
+@pytest.mark.parametrize("grad", [True, False])
+def test_branch_stack_and_block_output_stay_node_major(monkeypatch, grad):
+    # The projection, the propagation and the inception conv write their
+    # values node-major (their swapaxes view is C-contiguous), and the
+    # head reads the norm's rows in place.
+    seen = {}
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            seen[name] = real(*args, **kwargs)
+            return seen[name]
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    for owner, name in [(ad, "left_map"), (gr, "static_graph_conv"), (ad, "conv1d"),
+                        (ad, "layer_norm")]:
+        spy(owner, name)
+    rows = []
+
+    class Reader(np.ndarray):
+        """``head.w1``'s value, noting the left operand of each product with it."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and inputs[1] is self:
+                rows.append(inputs[0])
+            inputs = tuple(i.view(np.ndarray) if isinstance(i, Reader) else i for i in inputs)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    model = ready_model(tiny_config(input_len=16, levels=2, depth=2, hidden=6))
+    model.head_w1.data = model.head_w1.data.view(Reader)
+    x = ad.Tensor(RNG.normal(0.0, 1.0, (5, 16, 3)))
+    with contextlib.nullcontext() if grad else ad.no_grad():
+        md.forward(x, model)
+    for name in ("left_map", "static_graph_conv"):
+        value = seen[name].data
+        assert value.shape == (4, 5, 6, 3)
+        assert value.swapaxes(-1, -2).flags.c_contiguous, name
+    for name in ("conv1d", "layer_norm"):
+        value = seen[name].data
+        assert value.shape == (5, 6, 3)
+        assert value.swapaxes(-1, -2).flags.c_contiguous, name
+    assert rows[0].shape == (15, 6)
+    assert np.shares_memory(rows[0], seen["layer_norm"].data)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 

@@ -150,6 +150,44 @@ def test_flat_adam_is_bit_identical_to_the_per_parameter_loop():
     assert state.t == oracle.t == 50
 
 
+def test_flat_adam_reads_the_vector_it_bound_last(monkeypatch):
+    # After its first step adam_step lays only the gradients end to end:
+    # the values are still the views of the vector it wrote. A rebound
+    # parameter makes it lay the values out again; an in-place write is
+    # read through the views. Either way the updates stay the loop's.
+    rng = np.random.default_rng(3)
+    shapes = [(3, 4), (5,), (2, 1, 3)]
+
+    def make():
+        values = np.random.default_rng(8)
+        return [ad.Parameter(f"p{i}", values.normal(0.0, 1.0, s)) for i, s in enumerate(shapes)]
+
+    flat, loop = make(), make()
+    state, oracle = tr.AdamState(lr=0.05), LoopAdamState(lr=0.05)
+    calls = []
+    concatenate = np.concatenate
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return concatenate(*args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", counted)
+    for step in range(6):
+        grads = {p.name: rng.normal(0.0, 1.0, p.data.shape) for p in flat}
+        if step == 3:
+            for params in (flat, loop):
+                params[1].data = params[1].data + 1.0
+        if step == 4:
+            for params in (flat, loop):
+                params[0].data[1] = 7.0
+        calls.clear()
+        tr.adam_step(flat, grads, state)
+        loop_adam_step(loop, grads, oracle)
+        assert len(calls) == (2 if step in (0, 3) else 1)
+        for a, b in zip(flat, loop, strict=True):
+            assert a.data.tobytes() == b.data.tobytes()
+
+
 def test_flat_adam_rejects_a_changed_parameter_list():
     a, b = ad.Parameter("a", np.ones(2)), ad.Parameter("b", np.ones(3))
     state = tr.AdamState(lr=0.1)
