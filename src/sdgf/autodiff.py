@@ -30,42 +30,39 @@ experiments.
 Each recorded op pays a fixed Python cost on top of its arithmetic, and
 on small shapes that cost dominates, so the per-op path calls numpy
 directly rather than through its Python-level helpers (``np.all``,
-``np.pad``, ``np.prod``). An op's float64 result is stored as the op
-laid it out, strided views included; only a ``Tensor`` built from a
-caller's array is made C-contiguous. The model keeps its branch stack
-node-major that way: ``left_map``, the propagation node and ``conv1d``
-hand on the swapaxes view of a (..., nodes, features) array, so the
-stages after them read each item's rows in place, and elementwise ops
-and reductions on such a view keep its memory order. A gradient that
-``Tensor.accumulate`` copies from a view is laid out like the value it
-belongs to. For the same reason the
-model's stages (RevIN, graph propagation, dynamic adjacency, fusion
-gate, head, wavelet fold) are single fused nodes, built in their own
-modules on the public pieces this one exports: ``record`` makes a node
-(and guards chosen intermediates as well as the output),
-``Tensor.accumulate`` adds a gradient to a parent, and ``unbroadcast``
-and ``matmul_operand_grad`` are the gradient rules of broadcasting and
-of ``matmul``.
+``np.pad``, ``np.prod``). For the same reason the model's stages (RevIN,
+graph propagation, dynamic adjacency, fusion gate, head, wavelet
+transforms) are single fused nodes, built in their own modules on the
+public pieces this one exports: ``record`` makes a node (and guards
+chosen intermediates as well as the output) and ``Tensor.accumulate``
+adds a gradient to a parent. Each node takes the one call form the
+model uses, and ``Tensor`` has no arithmetic operators.
+
+The node-major layout: an op's float64 result is stored as the op laid
+it out, strided views included; only a ``Tensor`` built from a caller's
+array is made C-contiguous. The model keeps its (..., features, nodes)
+values node-major that way: ``left_map``, the propagation node and
+``conv1d`` write a C-contiguous (..., nodes, features) array and hand on
+its swapaxes view, so the stages after them read each item's rows in
+place, and elementwise ops and reductions on such a view keep its
+memory order. A gradient that ``Tensor.accumulate`` copies from a view
+is laid out like the value it belongs to.
 
 A window is read by learned time maps from the left (``w^T @ x``), per
 wavelet scale and per batch item. ``left_map`` is that read as one node,
 and ``left_product`` and ``left_product_grads`` are its array-level
 forward and gradients, which ``graphs.dynamic_adjacency`` shares. They
-read the window as a time-major (L, batch * N) tensor, the layout the
-model's RevIN node writes, so the forward and each gradient are one 2-D
-GEMM rather than one small product per (scale, item), and the window's
-gradient comes back as one contiguous array in its own layout. The
-``time_major`` node lays (batch, L, N) windows out that way for callers
-that hold them. ``matmul`` keeps its batched products, whose bits the
-chain oracles in the tests are built on.
+read one time-major (L, batch * N) window, the layout the model's RevIN
+node writes and the ``time_major`` node makes of a (batch, L, N) one,
+so the forward and each gradient are one 2-D GEMM rather than one small
+product per (scale, item).
 
-The other nodes here are the rest of what the package records:
-``conv1d`` and ``layer_norm`` for the inception block, ``matmul`` for
-the reference ``wavelet.decompose``, and the ``gf`` ablation's mean.
-``Tensor`` has no arithmetic operators: each node is an explicit call.
-The ops the fused stages replaced live in ``tests/oracle_ops.py``: only
-the tests' op-by-op chains use them, as the oracles that each fused
-node must match and must raise where they raise.
+The other nodes here are ``conv1d`` and ``layer_norm`` for the
+inception block and the ``gf`` ablation's mean. The ops the fused
+stages replaced, the broadcasting ``matmul`` and its gradient rules
+among them, live in ``tests/oracle_ops.py``: only the tests' op-by-op
+chains use them, as the oracles that each fused node must match and
+must raise where they raise.
 
 A training step allocates its graph's arrays afresh, and ``backward``
 frees them all again. By default glibc then trims the freed top of the
@@ -78,8 +75,8 @@ therefore sets two ``mallopt`` values once: ``M_MMAP_THRESHOLD`` to
 for the next step. Both are needed: setting either one turns off
 glibc's dynamic tuning of the other, so on the benchmark's widest shape
 either one alone faults more than neither. Arrays of 4 MiB or more stay
-mapped, where numpy asks for huge pages. The settings hold for the whole process that imports
-``sdgf``; other C libraries are left as they are.
+mapped, where numpy asks for huge pages. The settings hold for the whole
+process that imports ``sdgf``; other C libraries are left as they are.
 """
 
 from __future__ import annotations
@@ -314,53 +311,6 @@ def record(
     return out
 
 
-def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the operand's shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def matmul_operand_grad(p: np.ndarray, q: np.ndarray, shape: tuple, keep: int) -> np.ndarray:
-    """Gradient of one ``matmul`` operand of ``shape``, as one batched GEMM.
-
-    For the left operand ``p`` is the output gradient, ``q`` the right
-    operand and ``keep`` is -2; for the right operand ``p`` is the left
-    operand, ``q`` the output gradient and ``keep`` is -1. The gradient
-    contracts ``p`` and ``q`` over their shared matrix axis and over every
-    batch axis the operand is broadcast along (size 1 or missing): those
-    axes join the GEMM's inner dimension, so no (batch..., m, k) stack is
-    built to be summed. The batch axes the operand keeps stay batch axes
-    of the GEMM, which broadcasts a factor of size 1 along them. An
-    operand that keeps every batch axis of the output needs none of that
-    and takes the plain product.
-    """
-    out_grad = p if keep == -2 else q
-    if tuple(shape[:-2]) == out_grad.shape[:-2]:
-        return p @ np.swapaxes(q, -1, -2) if keep == -2 else np.swapaxes(p, -1, -2) @ q
-    if keep == -2:
-        p, q = np.swapaxes(p, -1, -2), np.swapaxes(q, -1, -2)
-    # Both factors now contract on axis -2 and hold their rows on axis -1.
-    # On an axis the operand is broadcast along, both have the full size.
-    nb = max(p.ndim, q.ndim) - 2
-    p, q = p[(None,) * (nb + 2 - p.ndim)], q[(None,) * (nb + 2 - q.ndim)]
-    lead = (1,) * (nb + 2 - len(shape)) + tuple(shape[:-2])
-    kept = [i for i in range(nb) if lead[i] != 1]
-    inner = [i for i in range(nb) if lead[i] == 1] + [nb]
-
-    def as_gemm(f):
-        f = f.transpose(kept + inner + [nb + 1])
-        return f.reshape(f.shape[: len(kept)] + (math.prod(f.shape[len(kept) : -1]), f.shape[-1]))
-
-    return np.matmul(np.swapaxes(as_gemm(p), -1, -2), as_gemm(q)).reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # Elementwise ops
 
@@ -381,29 +331,8 @@ def scale(x, c: float) -> Tensor:
 # Linear algebra
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product with numpy-style broadcasting over leading axes."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    try:
-        data = np.matmul(a.data, b.data)
-    except ValueError:
-        raise ShapeError(f"matmul batch dimensions disagree: {a.shape} vs {b.shape}") from None
-
-    def vjp(g):
-        if a.requires_grad:
-            a.accumulate(matmul_operand_grad(g, b.data, a.data.shape, -2))
-        if b.requires_grad:
-            b.accumulate(matmul_operand_grad(a.data, g, b.data.shape, -1))
-
-    return record(data, "matmul", (a, b), vjp)
-
-
 def time_major(x) -> Tensor:
-    """(..., batch, L, N) windows as one (..., L, batch * N) node, in one copy.
+    """(batch, L, N) windows as one (L, batch * N) node, in one copy.
 
     The layout the window readers (``left_map``, ``graphs.dynamic_adjacency``)
     take; the model's RevIN node writes it directly, so only a caller that
@@ -411,41 +340,32 @@ def time_major(x) -> Tensor:
     gradient back out.
     """
     x = _as_tensor(x)
-    if x.ndim < 3:
-        raise ShapeError(f"expected (..., batch, length, nodes) windows, got {x.shape}")
-    *lead, batch, length, n = x.data.shape
-    data = np.swapaxes(x.data, -3, -2).reshape(*lead, length, batch * n)
+    if x.ndim != 3:
+        raise ShapeError(f"expected (batch, length, nodes) windows, got {x.shape}")
+    batch, length, n = x.data.shape
+    data = np.swapaxes(x.data, 0, 1).reshape(length, batch * n)
 
     def vjp(g):
         if x.requires_grad:
-            x.accumulate(np.swapaxes(g.reshape(*lead, length, batch, n), -3, -2))
+            x.accumulate(np.swapaxes(g.reshape(length, batch, n), 0, 1))
 
     return record(data, "time_major", (x,), vjp)
-
-
-def _left_rows(maps_t: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    # Over one (L, B * N) window every scale's rows join one 2-D left
-    # factor; over a (scales, L, B * N) stack the scales stay a batch axis.
-    k, length = maps_t.shape[-2:]
-    return maps_t.reshape(-1, length) if cols.ndim == 2 else maps_t.reshape(-1, k, length)
 
 
 def left_product(maps_t, cols: np.ndarray, nodes: int) -> np.ndarray:
     """``maps_t @ x`` for windows ``x`` of ``nodes`` nodes laid out as ``cols``.
 
-    ``cols`` is the (L, batch * nodes) time-major window or a
-    (S, L, batch * nodes) stack of them (see ``time_major``), and
-    ``maps_t`` is one (K, L) map or a (S, 1, K, L) stack, one map per
-    scale. Over one window the product is one 2-D GEMM, (S * K, L) @
+    ``cols`` is the (L, batch * nodes) time-major window (see
+    ``time_major``), and ``maps_t`` is one (K, L) map or a (S, 1, K, L)
+    stack, one map per scale. The product is one 2-D GEMM, (S * K, L) @
     (L, batch * nodes), in place of a (K, L) @ (L, nodes) product per
-    (scale, item). The result is the broadcast (..., batch, K, nodes)
-    array, C-contiguous.
+    (scale, item). The result is the ([S,] batch, K, nodes) array,
+    C-contiguous.
 
-    Over one window ``maps_t`` may be a list of maps, filling the slots of
-    a new leading axis in order, each by its own GEMM: one over all their
-    rows would pick another BLAS kernel on some shapes and move last bits.
-    The (slots, batch, K, nodes) result is then node-major: the swapaxes
-    view of a C-contiguous (slots, batch, nodes, K) array.
+    ``maps_t`` may be a list of maps, filling the slots of a new leading
+    axis in order, each by its own GEMM: one over all their rows would
+    pick another BLAS kernel on some shapes and move last bits. The
+    (slots, batch, K, nodes) result is then node-major.
     """
     many = isinstance(maps_t, list)
     parts = maps_t if many else [maps_t]
@@ -453,58 +373,52 @@ def left_product(maps_t, cols: np.ndarray, nodes: int) -> np.ndarray:
     if (
         any(m.ndim not in (2, 4) or m.shape[1:-2] not in ((), (1,)) for m in parts)
         or any(m.shape[-2:] != (k, length) for m in parts)
-        or cols.ndim not in (2, 3)
-        or (many and cols.ndim != 2)
-        or cols.shape[-2] != length
+        or cols.ndim != 2
+        or cols.shape[0] != length
         or nodes < 1
-        or cols.shape[-1] % nodes
-        or (parts[0].ndim == 4 and cols.ndim == 3 and parts[0].shape[0] != cols.shape[0])
+        or cols.shape[1] % nodes
     ):
         raise ShapeError(
             f"maps (K, L) or (S, 1, K, L) of shapes {[m.shape for m in parts]} cannot read"
-            f" time-major windows {cols.shape} of {nodes} nodes"
+            f" a time-major window {cols.shape} of {nodes} nodes"
         )
-    batch = cols.shape[-1] // nodes
-    rows = [_left_rows(m, cols) for m in parts]
-    if many:
-        out, start = np.empty((sum(map(len, rows)), cols.shape[-1])), 0
-        for r in rows:
-            np.matmul(r, cols, out=out[start : start + len(r)])
-            start += len(r)
-    else:
-        out = np.matmul(rows[0], cols)
-    out = out.reshape(out.shape[0] if out.ndim == 3 else out.shape[0] // k, k, batch, nodes)
+    batch = cols.shape[1] // nodes
+    rows = [m.reshape(-1, length) for m in parts]
+    out, start = np.empty((sum(map(len, rows)), cols.shape[1])), 0
+    for r in rows:
+        np.matmul(r, cols, out=out[start : start + len(r)])
+        start += len(r)
+    out = out.reshape(out.shape[0] // k, k, batch, nodes)
     if many:
         return np.ascontiguousarray(out.transpose(0, 2, 3, 1)).swapaxes(-1, -2)
     out = np.ascontiguousarray(out.transpose(0, 2, 1, 3))
-    return out if parts[0].ndim == 4 or cols.ndim == 3 else out[0]
+    return out if parts[0].ndim == 4 else out[0]
 
 
 def left_product_grads(maps_t, cols, nodes: int, g, want_maps: bool, want_cols: bool):
     """The (``maps_t``, ``cols``) gradients of ``left_product`` for its output gradient ``g``.
 
-    Each is one 2-D GEMM over one window (over a list of maps, their
-    rows side by side; the maps' gradient is then a list), and ``None``
-    unless wanted. The window's gradient is a C-contiguous array in the
-    layout of ``cols``, so the window node takes it as it is.
+    Each is one 2-D GEMM (over a list of maps, their rows side by side;
+    the maps' gradient is then a list), and ``None`` unless wanted. The
+    window's gradient is a C-contiguous array in the layout of ``cols``,
+    so the window node takes it as it is.
     """
     many = isinstance(maps_t, list)
     parts = maps_t if many else [maps_t]
-    blocks = [_left_rows(m, cols) for m in parts]
+    blocks = [m.reshape(-1, cols.shape[0]) for m in parts]
     rows = np.concatenate(blocks) if many else blocks[0]
-    batch = cols.shape[-1] // nodes
-    out_shape = (*cols.shape[:-2], rows.shape[-2], batch * nodes)
+    batch = cols.shape[1] // nodes
     g = np.swapaxes(g.reshape(math.prod(g.shape[:-3]), batch, parts[0].shape[-2], nodes), 1, 2)
-    g = g.reshape(out_shape)
+    g = g.reshape(len(rows), batch * nodes)
     g_maps = g_cols = None
     if want_maps:
-        g_rows, start, g_maps = matmul_operand_grad(g, cols, rows.shape, -2), 0, []
+        g_rows, start, g_maps = g @ cols.T, 0, []
         for m, block in zip(parts, blocks):
             g_maps.append(g_rows[start : start + len(block)].reshape(m.shape))
             start += len(block)
         g_maps = g_maps if many else g_maps[0]
     if want_cols:
-        g_cols = matmul_operand_grad(rows, g, cols.shape, -1)
+        g_cols = rows.T @ g
     return g_maps, g_cols
 
 
@@ -518,9 +432,7 @@ def left_map(maps, x, nodes: int) -> Tensor:
     node, where a transpose and a ``matmul`` per map record more; the
     forward and each gradient are 2-D GEMMs (see ``left_product``), and
     the window's gradient arrives in its own layout. The value is
-    node-major, as the model's branch stack is kept: its memory is
-    (slots, batch, nodes, K), so ``graphs`` reads each item's rows in
-    place.
+    node-major (see the module docstring).
     """
     parts = [_as_tensor(m) for m in maps]
     x = _as_tensor(x)
@@ -587,48 +499,35 @@ def reduce_mean(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
 # Convolution and normalization
 
 
-def conv1d(x, kernel, dilation=1, bias=None, mix=None, mix_bias=None) -> Tensor:
-    """Dilated cross-correlation with "same" zero padding, over one or more kernels.
+def conv1d(x, kernels, dilations, biases, mix, mix_bias) -> Tensor:
+    """Dilated cross-correlations with "same" zero padding, mixed by a width-1 kernel.
 
-    ``x`` is (batch, channels, length). ``kernel`` is one
-    (out_channels, channels, width) kernel of odd width or a sequence of
-    them; ``dilation`` is one int or a sequence with one per kernel, and
-    ``bias`` is ``None``, one (out_channels,) vector, or a sequence with a
-    vector or ``None`` per kernel. Each kernel pads
-    dilation * (width - 1) / 2 per side, so the output length equals the
-    input length. The result is the channel concatenation of the
-    kernels' outputs, each plus its bias. It is written as (batch,
-    length, out) and handed on as its (batch, out, length) view, the
-    node-major layout the model keeps its features in, so a norm over
-    the channels reduces contiguous rows and the head reads each
-    position's channels as one row.
-
-    ``mix``, a width-1 kernel of shape (out, m, 1), and its optional
-    ``mix_bias`` then mix the outputs of the leading kernels, m channels
-    in all. The kernels after them, if any, must have ``out`` channels in
-    all, and their outputs are added to the mix as they are: a residual
-    path. The inception block is one such call, with its four branches
-    and then its residual as the kernels and its merge as the mix.
+    ``x`` is (batch, channels, length); each kernel is (out_k, channels,
+    width) of odd width, with one int in ``dilations`` and one (out_k,)
+    vector in ``biases``, and pads dilation * (width - 1) / 2 per side.
+    ``mix`` (out, m, 1) and its (out,) ``mix_bias`` mix the outputs of
+    the leading kernels, m channels in all; the kernels after them, if
+    any, have ``out`` channels in all and are added as they are, a
+    residual path. The inception block is one such call: its branches
+    and then its residual as the kernels, its merge as the mix. One
+    kernel under an identity mix with zero biases is the plain
+    convolution. The (batch, out, length) result is node-major (see the
+    module docstring).
 
     All of this is linear, so it is one node and one im2col over the
     union of the kernels' tap offsets. The kernels are placed at their
     taps in one stack, and the mix is applied to that stack and the
     biases, arrays the size of the kernels, to give one composed kernel
     for one GEMM. The VJP sends the composed kernel's gradient back
-    through the mix to every kernel and bias and to the mix itself. One
-    kernel with no mix is the plain convolution.
+    through the mix to every kernel and bias and to the mix itself.
     """
-    x = _as_tensor(x)
-    if isinstance(kernel, (Tensor, np.ndarray)):
-        kernels, dilations, biases = [_as_tensor(kernel)], [dilation], [bias]
-    else:
-        kernels = [_as_tensor(k) for k in kernel]
-        many = isinstance(dilation, (list, tuple))
-        dilations = list(dilation) if many else [dilation] * len(kernels)
-        biases = [None] * len(kernels) if bias is None else list(bias)
+    x, mix, mix_bias = _as_tensor(x), _as_tensor(mix), _as_tensor(mix_bias)
+    kernels = [_as_tensor(k) for k in kernels]
+    biases = [_as_tensor(b) for b in biases]
+    dilations = [int(d) for d in dilations]
     if not kernels or len(dilations) != len(kernels) or len(biases) != len(kernels):
         raise ShapeError(
-            f"conv1d needs one dilation and one bias entry per kernel, got {len(kernels)}"
+            f"conv1d needs one dilation and one bias per kernel, got {len(kernels)}"
             f" kernels, {len(dilations)} dilations and {len(biases)} biases"
         )
     if x.ndim != 3:
@@ -636,7 +535,7 @@ def conv1d(x, kernel, dilation=1, bias=None, mix=None, mix_bias=None) -> Tensor:
     batch, channels, length = x.data.shape
     reaches, rows = [], []
     total = 0
-    for i, k in enumerate(kernels):
+    for k, d, b in zip(kernels, dilations, biases):
         if k.ndim != 3:
             raise ShapeError(f"conv1d expects 3-d input and kernel, got {x.shape} and {k.shape}")
         if k.data.shape[1] != channels:
@@ -644,33 +543,23 @@ def conv1d(x, kernel, dilation=1, bias=None, mix=None, mix_bias=None) -> Tensor:
         width = k.data.shape[2]
         if width % 2 == 0:
             raise ConfigError(f"even kernel width {width} cannot keep length under same padding")
-        dilations[i] = int(dilations[i])
-        if dilations[i] < 1:
-            raise ConfigError(f"dilation must be >= 1, got {dilations[i]}")
-        if biases[i] is not None:
-            biases[i] = _as_tensor(biases[i])
-            if biases[i].shape != (k.data.shape[0],):
-                raise ShapeError(f"bias {biases[i].shape} does not match kernel {k.shape}")
-        reaches.append(dilations[i] * (width - 1) // 2)
+        if d < 1:
+            raise ConfigError(f"dilation must be >= 1, got {d}")
+        if b.shape != (k.data.shape[0],):
+            raise ShapeError(f"bias {b.shape} does not match kernel {k.shape}")
+        reaches.append(d * (width - 1) // 2)
         rows.append((total, total + k.data.shape[0]))
         total += k.data.shape[0]
-    out_channels = mixed = total
-    if mix is not None:
-        mix = _as_tensor(mix)
-        if mix.ndim != 3 or mix.shape[2] != 1:
-            raise ShapeError(f"mix must be a width-1 kernel (out, m, 1), got {mix.shape}")
-        out_channels, mixed = mix.data.shape[:2]
-        if all(hi != mixed for _, hi in rows) or total - mixed not in (0, out_channels):
-            raise ShapeError(
-                f"mix {mix.shape} must take the outputs of whole leading kernels and leave"
-                f" none or {out_channels} channels unmixed, of {[hi - lo for lo, hi in rows]}"
-            )
-        if mix_bias is not None:
-            mix_bias = _as_tensor(mix_bias)
-            if mix_bias.shape != (out_channels,):
-                raise ShapeError(f"mix_bias {mix_bias.shape} does not match mix {mix.shape}")
-    elif mix_bias is not None:
-        raise ShapeError("mix_bias needs a mix")
+    if mix.ndim != 3 or mix.shape[2] != 1:
+        raise ShapeError(f"mix must be a width-1 kernel (out, m, 1), got {mix.shape}")
+    out_channels, mixed = mix.data.shape[:2]
+    if all(hi != mixed for _, hi in rows) or total - mixed not in (0, out_channels):
+        raise ShapeError(
+            f"mix {mix.shape} must take the outputs of whole leading kernels and leave"
+            f" none or {out_channels} channels unmixed, of {[hi - lo for lo, hi in rows]}"
+        )
+    if mix_bias.shape != (out_channels,):
+        raise ShapeError(f"mix_bias {mix_bias.shape} does not match mix {mix.shape}")
 
     # ``placed`` stacks the kernels as rows laid out (tap, channel) over
     # the union of their tap offsets; kernel k fills the taps slots[k].
@@ -679,15 +568,11 @@ def conv1d(x, kernel, dilation=1, bias=None, mix=None, mix_bias=None) -> Tensor:
     slots = [[index[o] for o in range(-r, r + 1, d)] for r, d in zip(reaches, dilations)]
     pad, count = -offsets[0], len(offsets)
     placed = np.zeros((total, count, channels))
-    for k, sl, (lo, hi) in zip(kernels, slots, rows):
+    stacked_bias = np.zeros(total)
+    for k, b, sl, (lo, hi) in zip(kernels, biases, slots, rows):
         placed[lo:hi, sl] = k.data.transpose(0, 2, 1)
+        stacked_bias[lo:hi] = b.data
     placed = placed.reshape(total, count * channels)
-    stacked_bias = None
-    if mix_bias is not None or any(b is not None for b in biases):
-        stacked_bias = np.zeros(total)
-        for b, (lo, hi) in zip(biases, rows):
-            if b is not None:
-                stacked_bias[lo:hi] = b.data
 
     # im2col with the contracted axes first and the batch innermost:
     # cols[j, c, l, b] is x[b, c, l + offsets[j]] (zero outside), so the
@@ -700,34 +585,19 @@ def conv1d(x, kernel, dilation=1, bias=None, mix=None, mix_bias=None) -> Tensor:
     for j, o in enumerate(offsets):
         cols[j] = padded[:, o + pad : o + pad + length]
     cols = cols.reshape(count * channels, length * batch)
-    columns = batch * length
-    mixer = None if mix is None else mix.data.reshape(out_channels, mixed)
-    weight = placed
-    if mixer is not None:
-        weight = mixer @ placed[:mixed]
-        if mixed < total:
-            weight += placed[mixed:]
-    product = weight @ cols
-    out_bias = stacked_bias
-    if mixer is not None and stacked_bias is not None:
-        out_bias = mixer @ stacked_bias[:mixed]
-        if mixed < total:
-            out_bias += stacked_bias[mixed:]
-        if mix_bias is not None:
-            out_bias += mix_bias.data
-    product = product.reshape(out_channels, length, batch).transpose(2, 1, 0)
-    out_data = np.empty((batch, length, out_channels))
-    if out_bias is None:
-        np.copyto(out_data, product)
-    else:
-        np.add(product, out_bias, out=out_data)
+    mixer = mix.data.reshape(out_channels, mixed)
+    weight = mixer @ placed[:mixed]
+    out_bias = mixer @ stacked_bias[:mixed]
+    if mixed < total:
+        weight += placed[mixed:]
+        out_bias += stacked_bias[mixed:]
+    out_bias += mix_bias.data
+    product = (weight @ cols).reshape(out_channels, length, batch).transpose(2, 1, 0)
+    out_data = np.add(product, out_bias, out=np.empty((batch, length, out_channels)))
     out_data = out_data.swapaxes(1, 2)
 
-    parents = (x, *kernels, *(b for b in biases if b is not None))
-    parents += tuple(t for t in (mix, mix_bias) if t is not None)
-
     def vjp(g):
-        g = g.transpose(1, 2, 0).reshape(out_channels, columns)
+        g = g.transpose(1, 2, 0).reshape(out_channels, batch * length)
         if x.requires_grad:
             g_cols = (weight.T @ g).reshape(count, channels, length, batch)
             g_pad = np.zeros((channels, length + 2 * pad, batch))
@@ -735,26 +605,23 @@ def conv1d(x, kernel, dilation=1, bias=None, mix=None, mix_bias=None) -> Tensor:
                 g_pad[:, o + pad : o + pad + length] += g_cols[j]
             x.accumulate(g_pad[:, pad : pad + length].transpose(2, 0, 1))
         g_placed = g @ cols.T
-        g_stacked = None if stacked_bias is None else g.sum(axis=1)
-        if mixer is not None:
-            if mix.requires_grad:
-                g_mix = g_placed @ placed[:mixed].T
-                if stacked_bias is not None:
-                    g_mix += g_stacked[:, None] * stacked_bias[:mixed]
-                mix.accumulate(g_mix.reshape(mix.data.shape))
-            if mix_bias is not None and mix_bias.requires_grad:
-                mix_bias.accumulate(g_stacked)
-            g_placed = np.concatenate((mixer.T @ g_placed, g_placed[: total - mixed]))
-            if stacked_bias is not None:
-                g_stacked = np.concatenate((mixer.T @ g_stacked, g_stacked[: total - mixed]))
+        g_stacked = g.sum(axis=1)
+        if mix.requires_grad:
+            g_mix = g_placed @ placed[:mixed].T
+            g_mix += g_stacked[:, None] * stacked_bias[:mixed]
+            mix.accumulate(g_mix.reshape(mix.data.shape))
+        if mix_bias.requires_grad:
+            mix_bias.accumulate(g_stacked)
+        g_placed = np.concatenate((mixer.T @ g_placed, g_placed[: total - mixed]))
         g_placed = g_placed.reshape(total, count, channels)
+        g_stacked = np.concatenate((mixer.T @ g_stacked, g_stacked[: total - mixed]))
         for k, b, sl, (lo, hi) in zip(kernels, biases, slots, rows):
             if k.requires_grad:
                 k.accumulate(g_placed[lo:hi, sl].transpose(0, 2, 1))
-            if b is not None and b.requires_grad:
+            if b.requires_grad:
                 b.accumulate(g_stacked[lo:hi])
 
-    return record(out_data, "conv1d", parents, vjp)
+    return record(out_data, "conv1d", (x, *kernels, *biases, mix, mix_bias), vjp)
 
 
 def layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> Tensor:

@@ -2,7 +2,7 @@
 
 The branches arrive as one (branches, batch, features, nodes) stack, the
 static branch first and the wavelet scales after it. The model keeps that
-stack node-major in memory (see ``graphs``); the gate's reductions run
+stack node-major in memory (see ``autodiff``); the gate's reductions run
 over that memory order and its outputs keep it. Each branch is
 pooled over nodes into a descriptor, scored against a learned query
 through a key map, and the softmax over the branch axis weights a convex

@@ -15,25 +15,24 @@ Propagation mixes a residual of the input with neighborhood averages:
 
 and the output sums per-hop linear maps Theta_k(H(k)).
 
-The dynamic stages broadcast over leading axes, so one call serves every
-wavelet scale: the embedding maps are (scales, 1, length, d_e) and the
-hop maps (scales, 1, features, features), giving (scales, batch, nodes,
-nodes) adjacencies and (scales, batch, features, nodes) outputs, each
-scale through its own maps. Weights apply from the left (``w.T @ x``)
-so time stays on the axis the inputs already carry it on and no input
-is transposed.
+One call serves every wavelet scale: the embedding maps are (scales, 1,
+length, d_e) and the hop maps (scales, 1, features, features), giving
+(scales, batch, nodes, nodes) adjacencies and (scales, batch, features,
+nodes) outputs, each scale through its own maps. Weights apply from the
+left (``w.T @ x``) so time stays on the axis the inputs already carry it
+on and no input is transposed.
 
 Because the embedding maps only read their input from the left, the
 model hands ``dynamic_adjacency`` one window and maps folded with the
 wavelet operators (``wavelet.decompose`` with ``adjoint=True``); that
-equals passing the (scales, batch, length, nodes) component stack with
-the unfolded maps, without building it. The window it hands over is the
-RevIN node itself, laid out time-major as (length, batch * nodes), with
-``nodes`` passed alongside; both maps of every scale read it in one 2-D
-GEMM (``autodiff.left_product``), and the window's gradient goes back
-as one contiguous array in that layout. A caller holding (batch,
-length, nodes) windows passes no ``nodes`` and a recorded
-``autodiff.time_major`` node lays them out.
+equals reading each wavelet component with the unfolded maps, without
+building the components. The window it hands over is the RevIN node
+itself, laid out time-major as (length, batch * nodes), with ``nodes``
+passed alongside; both maps of every scale read it in one 2-D GEMM
+(``autodiff.left_product``), and the window's gradient goes back as one
+contiguous array in that layout. A caller holding (batch, length,
+nodes) windows passes no ``nodes`` and a recorded ``autodiff.time_major``
+node lays them out.
 
 The model propagates its (1 + scales, batch, features, nodes) branch
 stack in one node, the static graph as slot 0 and the per-scale dynamic
@@ -43,21 +42,16 @@ is stored as the node reads it, one (1 + scales, 1, features, features)
 array whose slot 0 serves the static graph. Called with one graph, each
 of the two is the same node over that graph alone.
 
-The node works node-major: the recursion above on (..., nodes,
-features) states, which is how the model's stack lies in memory
-(``autodiff.left_map`` writes it so, and the node returns the same
-layout). Each hop is then ``A @ H(k-1)`` per item on each graph as
-stored, and each hop map Theta_k is one GEMM per slot over the rows of
-every item, ``(batch * nodes, features) @ Theta_k^T``, in the forward
-and in both gradients; a stack laid out otherwise is copied once on the
-way in. Each propagation, at
-any depth, is one recorded autodiff node, and so is
-``dynamic_adjacency``, which reads both embedding maps in one product of
-the maps laid side by side. Their VJPs are derived by hand, and each
-node raises ``NumericError`` where the op-by-op chain it stands for did
-(see ``_propagate`` and ``dynamic_adjacency``). The forwards build the
-hop states and the softmax in place on arrays they made themselves, in
-the chain's operand order, so the values stay the chain's.
+The node runs the recursion above on node-major (..., nodes, features)
+states (see ``autodiff``), so each hop map Theta_k is one GEMM per slot
+over the rows of every item, forward and back. Each propagation, at any
+depth, is one recorded autodiff node, and so is ``dynamic_adjacency``,
+which reads both embedding maps in one product of the maps laid side by
+side. Their VJPs are derived by hand, and each node raises
+``NumericError`` where the op-by-op chain it stands for did (see
+``_propagate`` and ``dynamic_adjacency``). The forwards build the hop
+states and the softmax in place on arrays they made themselves, in the
+chain's operand order, so the values stay the chain's.
 """
 
 from __future__ import annotations
@@ -150,23 +144,21 @@ def hop_states(h: np.ndarray, mix, alpha: float, depth: int):
 def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, static=None) -> ad.Tensor:
     """Propagation as one recorded node.
 
-    ``adjacency`` is an array or a tensor. Without ``static``, it and the
-    hop maps of ``cfg`` broadcast against ``h``. With ``static``, a shared
-    (nodes, nodes) graph, ``h`` is the (1 + S, batch, features, nodes)
-    branch stack: slot 0 hops through ``static`` and slots 1.. through
-    ``adjacency``, and each hop map holds one (features, features) map
-    per slot, (1 + S, 1, features, features).
+    ``h`` is (batch, features, nodes) with (features, features) hop maps,
+    or (slots, batch, features, nodes) with (slots, 1, features,
+    features) maps, one per slot. ``adjacency``, an array or a tensor of
+    (..., nodes, nodes) graphs, broadcasts to the batch axes of ``h``; a
+    graph that takes a gradient has one matrix per item. With ``static``,
+    a shared (nodes, nodes) graph, ``h`` is the (1 + S, batch, features,
+    nodes) branch stack: slot 0 hops through ``static`` and slots 1..
+    through ``adjacency``. Anything else raises ``ShapeError``.
 
-    The node works on ``h`` node-major, as (..., nodes, features), and
-    returns its value as the swapaxes view of a C-contiguous node-major
-    array; an ``h`` laid out that way (``ad.left_map``'s value) is read
-    in place, any other is copied once, so a slot's bits do not depend
-    on the layout of ``h``. Each hop is
-    ``A @ H(k-1)`` per item on the graphs as stored, slot 0's and the
-    others' written into one array. Each hop map then meets the rows of
-    every item of a slot in one GEMM, ``(batch * nodes, features) @
-    theta^T``, on theta^T laid out once per call, and its gradients are
-    one GEMM per slot each.
+    The node reads ``h`` node-major (see ``autodiff``), in place when it
+    is laid out so (``ad.left_map``'s value) and copied once otherwise,
+    so a slot's bits do not depend on the layout of ``h``. Each hop is
+    ``A @ H(k-1)`` per item on the graphs as stored, all slots written
+    into one array, and each hop map is one GEMM per slot over the rows
+    of every item, on theta^T laid out once per call, forward and back.
 
     The forward takes the ops of the op-by-op chain in its order (the hop
     states, then the per-hop maps summed hop by hop), so its values are
@@ -176,14 +168,25 @@ def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, static=None
     raises where the chain raised.
     """
     alpha, depth, thetas = cfg.alpha, cfg.depth, cfg.theta
-    if any(t.ndim > 2 and t.shape[-3] != 1 for t in thetas):
-        raise ShapeError(
-            f"hop maps must be (features, features) or (..., 1, features, features),"
-            f" got {[t.shape for t in thetas]}"
-        )
     graph = adjacency.data if isinstance(adjacency, ad.Tensor) else adjacency
-    # The slots that read ``adjacency``.
+    # With no hop a graph is never read, so it is no parent of the node.
+    learned = adjacency if isinstance(adjacency, ad.Tensor) and depth else None
+    lead, dim = h.shape[:-3], h.shape[-2]
+    # The slots that read ``adjacency``, and the batch axes they have.
     run = slice(None) if static is None else slice(1, None)
+    items = h.shape[:-2] if static is None else (h.shape[0] - 1, *h.shape[1:-2])
+    if (
+        h.ndim not in (3, 4)
+        or (static is not None and h.ndim != 4)
+        or any(t.shape != (*lead, *(1,) * len(lead), dim, dim) for t in thetas)
+        or graph.ndim - 2 > len(items)
+        or any(s not in (1, t) for s, t in zip(graph.shape[-3::-1], items[::-1]))
+        or (learned is not None and learned.requires_grad and graph.shape[:-2] != items)
+    ):
+        raise ShapeError(
+            f"graphs {graph.shape} and hop maps {[t.shape for t in thetas]} do not fit"
+            f" the features {h.shape}"
+        )
 
     def mix(x, graphs=(static, graph)):
         """``graphs[k] @ x`` per item, slot 0 through ``graphs[0]`` when ``static`` is given."""
@@ -194,47 +197,29 @@ def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, static=None
         np.matmul(graphs[1], x[run], out=out[run])
         return out
 
-    # With no hop a graph is never read, so it is no parent of the node.
-    learned = adjacency if isinstance(adjacency, ad.Tensor) and depth else None
     # H(0) node-major: ``h`` as it is when it is laid out so, else a copy.
     states = hop_states(np.ascontiguousarray(h.data.swapaxes(-1, -2)), mix, alpha, depth)
     # Each map with its batch axis (of size 1) dropped, as is and
     # transposed, contiguous: the rows of every item of a slot, (...,
     # batch * nodes, features), meet it in one GEMM.
-    maps = [t.data.reshape(*t.shape[:-3], *t.shape[-2:]) for t in thetas]
+    maps = [t.data.reshape(*lead, dim, dim) for t in thetas]
     maps_t = [np.ascontiguousarray(m.swapaxes(-1, -2)) for m in maps]
-    total, rows = None, []
-    for theta, m_t, state in zip(thetas, maps_t, states):
-        r = state.reshape(*state.shape[:-3], -1, state.shape[-1]) if state.ndim > 2 else state
-        product = np.matmul(r, m_t)
-        term = product.reshape(
-            np.broadcast_shapes(theta.shape[:-2], state.shape[:-2]) + state.shape[-2:]
-        )
-        # The state's rows, and the shapes its map's product takes as rows
-        # and as a term of the sum.
-        rows.append((r, product.shape, term.shape))
-        if total is None:
-            total = term
-        elif total.shape == term.shape:
-            total += term  # on the first product, which the node made
-        else:
-            total = total + term
+    rows = [state.reshape(*lead, -1, dim) for state in states]
+    total = np.matmul(rows[0], maps_t[0]).reshape(states[0].shape)
+    for r, m_t in zip(rows[1:], maps_t[1:]):
+        total += np.matmul(r, m_t).reshape(total.shape)
     parents = (h, *thetas, *(() if learned is None else (learned,)))
 
     def vjp(g):
         g = np.ascontiguousarray(g.swapaxes(-1, -2))
+        g_rows = g.reshape(*lead, -1, dim)
         # Each state's gradient from its own map, and each map's from its
         # state: one GEMM per slot each, on operands as they are stored.
         grads = []
-        for theta, m, (r, product_shape, term_shape), state in zip(thetas, maps, rows, states):
-            g_rows = ad.unbroadcast(g, term_shape).reshape(product_shape)
+        for theta, m, r in zip(thetas, maps, rows):
             if theta.requires_grad:
-                g_m = ad.matmul_operand_grad(
-                    g_rows.swapaxes(-1, -2), r.swapaxes(-1, -2), m.shape, -2
-                )
-                theta.accumulate(g_m.reshape(theta.shape))
-            g_r = ad.matmul_operand_grad(g_rows, m.swapaxes(-1, -2), r.shape, -2)
-            grads.append(g_r.reshape(state.shape))
+                theta.accumulate((g_rows.swapaxes(-1, -2) @ r).reshape(theta.shape))
+            grads.append((g_rows @ m).reshape(g.shape))
         # The hops' adjoint reads each graph transposed and scaled by
         # 1 - alpha, laid out afresh in one pass: a product on the
         # transpose view costs more, and the scaling saves a pass over
@@ -247,9 +232,9 @@ def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, static=None
         for k in range(depth, 0, -1):
             # grads[k] is H(k)'s whole gradient by now.
             prev, g_k = states[k - 1], grads[k]
-            grads[k - 1] += ad.unbroadcast(mix(g_k, graphs_t), prev.shape)
+            grads[k - 1] += mix(g_k, graphs_t)
             if learned is not None and learned.requires_grad:
-                g_a = ad.matmul_operand_grad(g_k[run], prev[run], learned.shape, -2)
+                g_a = g_k[run] @ prev[run].swapaxes(-1, -2)
                 g_graph = g_a if g_graph is None else g_graph + g_a
             # Every H(k) reaches the output through alpha * H(0) as well.
             if carry is not None:
@@ -257,7 +242,7 @@ def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, static=None
             carry = g_k
         if carry is not None:
             carry *= alpha
-            grads[0] += ad.unbroadcast(carry, states[0].shape)
+            grads[0] += carry
         if h.requires_grad:
             h.accumulate(grads[0].swapaxes(-1, -2))
         if g_graph is not None:
@@ -293,26 +278,17 @@ def dynamic_graph_conv(
 ) -> ad.Tensor:
     """Propagate (..., features, nodes) through per-item graphs (..., nodes, nodes).
 
-    Leading axes of ``h``, ``adjacency`` and the hop maps broadcast, so a
-    (scales, batch, ...) stack with (scales, 1, features, features) hop
-    maps runs every scale in one call. ``static`` is how
-    ``static_graph_conv`` hands over the shared graph for slot 0 of a
-    branch stack (see ``_propagate``).
+    ``h`` is (batch, features, nodes) or a (scales, batch, features,
+    nodes) stack with (scales, 1, features, features) hop maps, which runs
+    every scale in one call; the graphs broadcast to its batch axes (see
+    ``_propagate``). ``static`` is how ``static_graph_conv`` hands over
+    the shared graph for slot 0 of a branch stack.
     """
     if adjacency.ndim < 2 or adjacency.shape[-1] != adjacency.shape[-2]:
         raise ShapeError(f"adjacency must be (..., nodes, nodes), got {adjacency.shape}")
     if h.ndim < 2 or h.shape[-1] != adjacency.shape[-1]:
         raise ShapeError(f"features {h.shape} do not match adjacency {adjacency.shape}")
-    if static is None:
-        return _propagate(h, adjacency, cfg)
-    slots, dim = h.shape[0], h.shape[-2]
-    if any(t.shape != (slots, 1, dim, dim) for t in cfg.theta):
-        raise ShapeError(f"hop maps {cfg.theta[0].shape} do not fit the stack {h.shape}")
-    try:
-        return _propagate(h, adjacency, cfg, static)
-    except ValueError:  # a graph that broadcasts to no slot
-        shapes = (static.shape, adjacency.shape)
-        raise ShapeError(f"graphs {shapes} do not fit the stack {h.shape}") from None
+    return _propagate(h, adjacency, cfg, static)
 
 
 # ---------------------------------------------------------------------------
@@ -334,31 +310,30 @@ class DynamicGraphLayer:
 def dynamic_adjacency(
     x_scale: ad.Tensor, layer: DynamicGraphLayer, nodes: int | None = None
 ) -> ad.Tensor:
-    """Row-stochastic per-item adjacency learned from wavelet components.
+    """Row-stochastic per-item adjacency learned from one window.
 
-    ``x_scale`` is one scale or the window as (batch, length, variables),
-    or every scale as (scales, batch, length, variables); with the window,
-    the maps are folded with the wavelet operators (see the module
-    docstring). With ``nodes`` given, ``x_scale`` is the same windows
-    laid out time-major, (..., length, batch * nodes), as the model's
-    RevIN node writes them; otherwise a recorded ``ad.time_major`` node
-    lays them out first. The maps are (length, d_e) or (scales, 1,
-    length, d_e); ``ad.left_product`` raises ``ShapeError`` for any other
-    shape. Each variable's length-L profile maps through w1/w2 into two
-    embeddings; the row softmax of their inner products is the ([scales,]
-    batch, variables, variables) adjacency.
+    ``x_scale`` is the (batch, length, variables) window, or with
+    ``nodes`` given the same window laid out time-major, (length, batch *
+    nodes), as the model's RevIN node writes it; without ``nodes`` a
+    recorded ``ad.time_major`` node lays it out first. The maps are
+    (length, d_e), or (scales, 1, length, d_e) maps folded with the
+    wavelet operators (see the module docstring); ``ad.left_product``
+    raises ``ShapeError`` for any other shape. Each variable's length-L
+    profile maps through w1/w2 into two embeddings; the row softmax of
+    their inner products is the ([scales,] batch, variables, variables)
+    adjacency.
 
-    Both maps read the input in one ``ad.left_product`` of the maps laid
-    side by side, one 2-D GEMM over a window, and the window's gradient
-    goes back in the window's own layout. The softmax works in place on
-    its own fresh arrays.
+    Both maps read the window in one ``ad.left_product`` of the maps laid
+    side by side, one 2-D GEMM, and the window's gradient goes back in
+    the window's own layout. The softmax works in place on its own fresh
+    arrays.
     """
     if nodes is None:
         x_scale, nodes = ad.time_major(x_scale), x_scale.shape[-1]
     w1, w2 = layer.w1, layer.w2
-    if x_scale.ndim < 2 or w1.shape[-2] != x_scale.shape[-2] or w1.shape != w2.shape:
+    if x_scale.ndim != 2 or w1.shape[-2] != x_scale.shape[0] or w1.shape != w2.shape:
         raise ShapeError(
-            f"embedding maps {w1.shape}/{w2.shape} do not fit windows {x_scale.shape}"
+            f"embedding maps {w1.shape}/{w2.shape} do not fit the window {x_scale.shape}"
         )
     # One product for both embeddings: the maps transposed, side by side.
     embed = w1.shape[-1]

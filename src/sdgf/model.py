@@ -29,12 +29,10 @@ embedding maps read that node as 2-D GEMMs for every slot and item at
 once; their gradients come back to it in the same layout. The
 propagation's value (``gr.static_graph_conv`` with the dynamic graphs
 alongside) is the stack fusion reads. That stack, and the inception
-block's output after it, are node-major in memory: their logical
-shapes are (1 + scales, batch, hidden, n_vars) and (batch, hidden,
-n_vars), but each is the swapaxes view of a C-contiguous array with
-n_vars before hidden. So propagation takes each hop map as one GEMM per
-slot over the (batch * n_vars, hidden) rows, fusion and the layer norm
-reduce along that memory, and the head reads its rows in place.
+block's output after it, are node-major (see ``autodiff``), so
+propagation takes each hop map as one GEMM per slot over the (batch *
+n_vars, hidden) rows, fusion and the layer norm reduce along that
+memory, and the head reads its rows in place.
 
 The per-scale weights live on a leading scale axis: embedding maps are
 (scales, 1, input_len, embed_dim), one per scale. The hop maps

@@ -170,7 +170,8 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     Returns the pre-clip norm; ``max_norm <= 0`` disables clipping. One
     dot of the gradients laid end to end gives the norm and one multiply
     scales them, ``grads`` then holding views. A squared norm that over-
-    or underflows is taken again on the vector over its largest entry.
+    or underflows is taken again on the vector over its largest entry; a
+    norm that is still not finite leaves the gradients as they are.
     """
     flat = np.concatenate([np.zeros(0), *(g.reshape(-1) for g in grads.values())])
     with np.errstate(over="ignore"):  # handled below
@@ -179,7 +180,7 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
         peak = float(np.abs(flat).max())
         if peak < math.inf:
             norm = peak * math.sqrt(float((flat / peak) @ (flat / peak)))
-    if max_norm > 0.0 and norm > max_norm:
+    if max_norm > 0.0 and max_norm < norm < math.inf:
         flat *= max_norm / norm
         start = 0
         for name, g in grads.items():
@@ -297,9 +298,12 @@ def train(
     A model with no static graph gets one frozen from the training rows.
     ``extra`` is stored verbatim in every checkpoint written (the CLI
     keeps the dataset scaler there so evaluation can reproduce scaling).
-    A ``NumericError`` raised in an epoch is re-raised carrying that
-    ``epoch``, the ``report`` of what was recorded before it and the best
-    ``checkpoint`` so far (``b""`` if no epoch finished).
+    A step whose gradient norm is not finite raises ``NumericError``
+    naming the parameters with non-finite gradients, before the optimizer
+    changes any parameter or moment. A ``NumericError`` raised in an
+    epoch is re-raised carrying that ``epoch``, the ``report`` of what was
+    recorded before it and the best ``checkpoint`` so far (``b""`` if no
+    epoch finished).
     """
     began = time.perf_counter()
     train_starts = dataset.split_starts("train")
@@ -330,6 +334,11 @@ def train(
                 loss = mse_loss(md.forward(ad.Tensor(inputs), model), targets)
                 grads = ad.backward(loss, params)
                 norms.append(clip_gradients(grads, cfg.clip))
+                if not math.isfinite(norms[-1]):
+                    bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+                    raise NumericError(
+                        f"gradient norm is {norms[-1]}; non-finite gradients: {bad or 'none'}"
+                    )
                 adam_step(params, grads, state)
                 for p in params:
                     p.zero_grad()

@@ -17,7 +17,7 @@ are constants and each boundary rule is a fixed index map, so level
 component is a product of them. ``component_operators`` builds those
 matrices once per (filter, levels, boundary, length), stacked on a
 leading scale axis, and caches them read-only; ``decompose`` applies the
-stack as one broadcast matmul. This is the same transform as running the
+stack as one recorded node. This is the same transform as running the
 taps level by level (Shensa 1992), up to floating-point summation order.
 
 The scale axis leads: a (batch, length, variables) input decomposes into
@@ -135,9 +135,9 @@ def decompose(
 ) -> ad.Tensor:
     """Split a (batch, length, variables) tensor into levels+1 components.
 
-    Returns one (levels + 1, batch, length, variables) tensor: details
-    fine to coarse, approximation last. Gradients flow through every
-    component back to ``x``.
+    Returns one (levels + 1, batch, length, variables) node: details
+    fine to coarse, approximation last, each ``ops[s] @ x``. Its VJP
+    applies the transposed operators.
 
     With ``adjoint=True``, ``x`` is a map with time on axis -2 and the
     result is the folded map ``ops[s].T @ x`` for each component
@@ -169,7 +169,16 @@ def decompose(
 
     if adjoint:
         return _fold(x, adjoint_operators(filt, levels, boundary, length))
-    return ad.matmul(ad.Tensor(component_operators(filt, levels, boundary, length)[:, None]), x)
+    ops = component_operators(filt, levels, boundary, length)
+    scales, batch = ops.shape[0], x.shape[0]
+
+    def vjp(g):
+        # The sum over scales of ops[s].T @ g[s]: per item, the scales
+        # join one GEMM's inner dimension.
+        g = g.swapaxes(0, 1).reshape(batch, scales * length, -1)
+        x.accumulate(np.matmul(ops.reshape(scales * length, length).T, g))
+
+    return ad.record(np.matmul(ops[:, None], x.data), "wavelet_decompose", (x,), vjp)
 
 
 def _fold(w: ad.Tensor, ops: np.ndarray) -> ad.Tensor:

@@ -85,6 +85,13 @@ def loop_conv1d(x: np.ndarray, kernel: np.ndarray, dilation: int) -> np.ndarray:
     return out
 
 
+def plain_conv1d(x, kernel, dilation: int = 1) -> ad.Tensor:
+    """One kernel as ``ad.conv1d`` takes it: zero biases and an identity mix."""
+    out = kernel.shape[0]
+    zero = np.zeros(out)
+    return ad.conv1d(x, [kernel], [dilation], [zero], np.eye(out)[:, :, None], zero)
+
+
 def chain_layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> ad.Tensor:
     """Layer norm composed from primitive ops, as ``ad.layer_norm`` was.
 
@@ -140,7 +147,7 @@ def chain_propagate(h, adjacency, cfg):
     h_n = ops.contiguous(ops.matrix_transpose(h))
     states = [h_n]
     for _ in range(cfg.depth):
-        mixed = ad.scale(ad.matmul(a, states[-1]), 1.0 - cfg.alpha)
+        mixed = ad.scale(ops.matmul(a, states[-1]), 1.0 - cfg.alpha)
         states.append(ops.add(ad.scale(h_n, cfg.alpha), mixed))
     out = None
     for theta, state in zip(cfg.theta, states):
@@ -150,7 +157,7 @@ def chain_propagate(h, adjacency, cfg):
             ops.reshape(ops.matrix_transpose(theta), (*theta.shape[:-3], dim, dim))
         )
         shape = np.broadcast_shapes(theta.shape[:-2], tuple(lead)) + (nodes, dim)
-        term = ops.reshape(ad.matmul(rows, theta_t), shape)
+        term = ops.reshape(ops.matmul(rows, theta_t), shape)
         out = term if out is None else ops.add(out, term)
     return ops.matrix_transpose(out)
 
@@ -170,17 +177,17 @@ def branch_cfgs(cfg):
 
 def chain_dynamic_adjacency(x, layer):
     """``graphs.dynamic_adjacency`` as two embedding products and a softmax."""
-    e1_t = ops.tanh(ad.matmul(ops.matrix_transpose(layer.w1), x))
-    e2_t = ops.tanh(ad.matmul(ops.matrix_transpose(layer.w2), x))
-    return ops.softmax(ad.matmul(ops.matrix_transpose(e1_t), e2_t), axis=-1)
+    e1_t = ops.tanh(ops.matmul(ops.matrix_transpose(layer.w1), x))
+    e2_t = ops.tanh(ops.matmul(ops.matrix_transpose(layer.w2), x))
+    return ops.softmax(ops.matmul(ops.matrix_transpose(e1_t), e2_t), axis=-1)
 
 
 def chain_fuse(branches, layer):
     """``fusion.fuse`` as ten primitive ops; returns the fused tensor and alpha."""
     count, batch, dim, _ = branches.shape
     pooled = ad.reduce_mean(branches, 3)
-    keyed = ad.matmul(pooled, ops.transpose(layer.w_k, (1, 0)))
-    logits = ad.matmul(keyed, ops.reshape(layer.q, (dim, 1)))
+    keyed = ops.matmul(pooled, ops.transpose(layer.w_k, (1, 0)))
+    logits = ops.matmul(keyed, ops.reshape(layer.q, (dim, 1)))
     alpha = ops.softmax(logits, axis=0)
     fused = ad.reduce_sum(ops.mul(branches, ops.reshape(alpha, (count, batch, 1, 1))), axis=0)
     return fused, alpha.data.reshape(count, batch).T.copy()
@@ -188,8 +195,8 @@ def chain_fuse(branches, layer):
 
 def chain_head(h, w1, b1, w2, b2):
     """``model.head`` as batched matmuls, adds, a tanh and two transposes."""
-    hidden = ops.tanh(ops.add(ad.matmul(ops.transpose(h, (0, 2, 1)), w1), b1))
-    return ops.transpose(ops.add(ad.matmul(hidden, w2), b2), (0, 2, 1))
+    hidden = ops.tanh(ops.add(ops.matmul(ops.transpose(h, (0, 2, 1)), w1), b1))
+    return ops.transpose(ops.add(ops.matmul(hidden, w2), b2), (0, 2, 1))
 
 
 def chain_forward(x, model):
@@ -208,7 +215,7 @@ def chain_forward(x, model):
     static_adj = np.eye(n) if model.ablation == "gsl" else model.static_adjacency
     static_cfg, dynamic_cfg = branch_cfgs(model.graph_cfg)
     h_static = chain_propagate(
-        ad.matmul(ops.matrix_transpose(model.input_proj), x_norm), static_adj, static_cfg
+        ops.matmul(ops.matrix_transpose(model.input_proj), x_norm), static_adj, static_cfg
     )
     if model.ablation == "gsl":
         dyn_adj = ad.Tensor(np.eye(n))
@@ -218,7 +225,7 @@ def chain_forward(x, model):
             x_norm, gr.DynamicGraphLayer(fold(layer.w1), fold(layer.w2))
         )
     h_dyn = chain_propagate(
-        ad.matmul(ops.matrix_transpose(fold(model.input_proj)), x_norm), dyn_adj, dynamic_cfg
+        ops.matmul(ops.matrix_transpose(fold(model.input_proj)), x_norm), dyn_adj, dynamic_cfg
     )
     branches = ops.concat([ops.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
     if model.ablation == "gf":

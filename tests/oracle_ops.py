@@ -4,9 +4,11 @@ The package records each model stage as one fused node, so it no longer
 needs the primitives those nodes replaced. The op-by-op chains in
 ``conftest`` are built from them, unchanged and recorded through
 ``ad.record``: each op guards its own output, so a chain raises
-``NumericError`` exactly where its fused node must. The closed-form
-parameter count that the model tests pin the built tree against is here
-too.
+``NumericError`` exactly where its fused node must. The broadcasting
+``matmul`` and its gradient rules (``unbroadcast``,
+``matmul_operand_grad``) are here as well: no node of the package
+broadcasts. The closed-form parameter count that the model tests pin
+the built tree against is here too.
 """
 
 import math
@@ -16,8 +18,76 @@ import numpy as np
 
 from sdgf import model as md
 from sdgf import temporal as tp
-from sdgf.autodiff import Tensor, _as_tensor, _check_axis, record, unbroadcast
+from sdgf.autodiff import Tensor, _as_tensor, _check_axis, record
 from sdgf.errors import NumericError, ShapeError
+
+
+def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a broadcast gradient back down to the operand's shape."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def matmul_operand_grad(p: np.ndarray, q: np.ndarray, shape: tuple, keep: int) -> np.ndarray:
+    """Gradient of one ``matmul`` operand of ``shape``, as one batched GEMM.
+
+    For the left operand ``p`` is the output gradient, ``q`` the right
+    operand and ``keep`` is -2; for the right operand ``p`` is the left
+    operand, ``q`` the output gradient and ``keep`` is -1. The gradient
+    contracts ``p`` and ``q`` over their shared matrix axis and over every
+    batch axis the operand is broadcast along (size 1 or missing): those
+    axes join the GEMM's inner dimension, so no (batch..., m, k) stack is
+    built to be summed. The batch axes the operand keeps stay batch axes
+    of the GEMM, which broadcasts a factor of size 1 along them. An
+    operand that keeps every batch axis of the output needs none of that
+    and takes the plain product.
+    """
+    out_grad = p if keep == -2 else q
+    if tuple(shape[:-2]) == out_grad.shape[:-2]:
+        return p @ np.swapaxes(q, -1, -2) if keep == -2 else np.swapaxes(p, -1, -2) @ q
+    if keep == -2:
+        p, q = np.swapaxes(p, -1, -2), np.swapaxes(q, -1, -2)
+    # Both factors now contract on axis -2 and hold their rows on axis -1.
+    # On an axis the operand is broadcast along, both have the full size.
+    nb = max(p.ndim, q.ndim) - 2
+    p, q = p[(None,) * (nb + 2 - p.ndim)], q[(None,) * (nb + 2 - q.ndim)]
+    lead = (1,) * (nb + 2 - len(shape)) + tuple(shape[:-2])
+    kept = [i for i in range(nb) if lead[i] != 1]
+    inner = [i for i in range(nb) if lead[i] == 1] + [nb]
+
+    def as_gemm(f):
+        f = f.transpose(kept + inner + [nb + 1])
+        return f.reshape(f.shape[: len(kept)] + (math.prod(f.shape[len(kept) : -1]), f.shape[-1]))
+
+    return np.matmul(np.swapaxes(as_gemm(p), -1, -2), as_gemm(q)).reshape(shape)
+
+
+def matmul(a, b) -> Tensor:
+    """Matrix product with numpy-style broadcasting over leading axes."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
+    try:
+        data = np.matmul(a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"matmul batch dimensions disagree: {a.shape} vs {b.shape}") from None
+
+    def vjp(g):
+        if a.requires_grad:
+            a.accumulate(matmul_operand_grad(g, b.data, a.data.shape, -2))
+        if b.requires_grad:
+            b.accumulate(matmul_operand_grad(a.data, g, b.data.shape, -1))
+
+    return record(data, "matmul", (a, b), vjp)
 
 
 def sub(a, b) -> Tensor:

@@ -342,6 +342,32 @@ def test_train_numeric_failure_keeps_the_best_checkpoint(tmp_path, capsys, monke
     assert sorted(p.name for p in out.iterdir()) == ["model.ckpt", "report.json", "resolved.cfg"]
 
 
+def test_train_non_finite_gradient_is_one_error_line(tmp_path, capsys, monkeypatch):
+    from sdgf import training as tr
+
+    data = make_csv(tmp_path)
+    real_backward, calls = tr.ad.backward, []
+
+    def backward(loss, params):
+        # The third step's head.b2 gradient holds a NaN.
+        grads = real_backward(loss, params)
+        calls.append(None)
+        if len(calls) == 3:
+            grads["head.b2"][0] = np.nan
+        return grads
+
+    monkeypatch.setattr(tr.ad, "backward", backward)
+    out = tmp_path / "nan-grad"
+    capsys.readouterr()
+    code = main(["train", "--data", str(data), "--out", str(out)] + sets(TINY))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: gradient norm is nan; non-finite gradients: ['head.b2']")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    report = json.loads((out / "report.json").read_text())
+    assert report["failed_epoch"] == 0 and report["epochs_run"] == 0
+
+
 def test_train_failure_before_any_epoch_writes_strict_json(tmp_path, capsys, monkeypatch):
     from sdgf import autodiff as ad
     from sdgf import model as md
@@ -562,6 +588,21 @@ def test_eval_corrupt_checkpoint(trained, tmp_path, capsys):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(ckpt.read_bytes()[:40])
     assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 2
+
+
+def test_eval_checkpoint_with_a_corrupt_header_is_a_data_error(trained, tmp_path, capsys):
+    # A header that is not UTF-8, under a checksum that holds.
+    data, ckpt, _ = trained
+    blob = ckpt.read_bytes()
+    (head_len,) = struct.unpack("<I", blob[9:13])
+    body = blob[:9] + struct.pack("<I", 2) + b"\xff{" + blob[13 + head_len : -4]
+    bad = tmp_path / "bad-header.ckpt"
+    bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt checkpoint header: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_eval_non_utf8_parameter_name(trained, tmp_path, capsys):

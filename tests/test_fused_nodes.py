@@ -259,11 +259,15 @@ def stochastic(rng, shape):
     return a / a.sum(axis=-1, keepdims=True)
 
 
-def propagation_case(rng, kind, depth, dim, nodes, batch, scales, shared_theta, h_shared):
-    """(h, adjacency, cfg, leaves) for one static or dynamic propagation."""
-    h_lead = (batch,) if kind != "stacked" or h_shared else (scales, batch)
-    h = leaf(rng, (*h_lead, dim, nodes))
-    theta_lead = () if kind != "stacked" else (1 if shared_theta else scales, 1)
+def propagation_case(rng, kind, depth, dim, nodes, batch, scales, shared_graph):
+    """(h, adjacency, cfg, leaves) for one static or dynamic propagation.
+
+    A shared graph is one constant (nodes, nodes) matrix that every item
+    reads, as the identity does under ``gsl``.
+    """
+    lead = (batch,) if kind != "stacked" else (scales, batch)
+    h = leaf(rng, (*lead, dim, nodes))
+    theta_lead = () if kind != "stacked" else (scales, 1)
     thetas = [
         ad.Parameter(f"theta{k}", rng.normal(0.0, 0.7, (*theta_lead, dim, dim)))
         for k in range(depth + 1)
@@ -271,8 +275,9 @@ def propagation_case(rng, kind, depth, dim, nodes, batch, scales, shared_theta, 
     cfg = gr.GraphPropagationConfig(alpha=0.3, depth=depth, theta=thetas)
     if kind == "static":
         return h, stochastic(rng, (nodes, nodes)), cfg, [h, *thetas]
-    a_lead = (batch,) if kind == "dynamic" else (scales, batch)
-    adjacency = ad.Tensor(stochastic(rng, (*a_lead, nodes, nodes)), requires_grad=True)
+    if shared_graph:
+        return h, ad.Tensor(stochastic(rng, (nodes, nodes))), cfg, [h, *thetas]
+    adjacency = ad.Tensor(stochastic(rng, (*lead, nodes, nodes)), requires_grad=True)
     # With no hop the graph is never read, and gets no gradient.
     return h, adjacency, cfg, [h, *thetas] + ([adjacency] if depth else [])
 
@@ -289,16 +294,13 @@ def propagation_node(kind):
     nodes=st.integers(1, 4),
     batch=st.integers(1, 2),
     scales=st.integers(1, 3),
-    shared_theta=st.booleans(),
-    h_shared=st.booleans(),
+    shared_graph=st.booleans(),
     seed=SEED,
 )
-def test_propagation_matches_its_chain(
-    kind, depth, dim, nodes, batch, scales, shared_theta, h_shared, seed
-):
+def test_propagation_matches_its_chain(kind, depth, dim, nodes, batch, scales, shared_graph, seed):
     rng = np.random.default_rng(seed)
     h, adjacency, cfg, leaves = propagation_case(
-        rng, kind, depth, dim, nodes, batch, scales, shared_theta, h_shared
+        rng, kind, depth, dim, nodes, batch, scales, shared_graph
     )
     node = propagation_node(kind)
     out_shape = chain_propagate(h, adjacency, cfg).shape
@@ -318,7 +320,7 @@ def test_propagation_raises_exactly_when_its_chain_raises(
     kind, exponent, offset, spread, gain, seed
 ):
     rng = np.random.default_rng(seed)
-    h, adjacency, cfg, _ = propagation_case(rng, kind, 2, 3, 4, 2, 2, False, False)
+    h, adjacency, cfg, _ = propagation_case(rng, kind, 2, 3, 4, 2, 2, False)
     h = ad.Tensor(huge(rng, h.shape, exponent, offset, spread))
     regain(rng, cfg.theta, gain)
     node = propagation_node(kind)
@@ -327,6 +329,47 @@ def test_propagation_raises_exactly_when_its_chain_raises(
     )
     if got is not None:
         assert got.tobytes() == want.tobytes()
+
+
+def rejected_propagation(rng, form):
+    """(h, adjacency, cfg) in a form that would need broadcasting, which the node rejects."""
+    dim, nodes = 3, 4
+    one = (2, dim, nodes)  # (batch, features, nodes)
+    stack = (3, 2, dim, nodes)  # (slots, batch, features, nodes)
+    h_lead, theta_lead, graph_lead, learned = {
+        "one h read by per-slot maps": (one, (3, 1), (), False),
+        "one map shared by every slot": (stack, (), (), False),
+        "a map of size 1 on the slot axis": (stack, (1, 1), (), False),
+        "one map per item": (stack, (3, 2), (), False),
+        "graphs with more items than h": (one, (), (3, 2), False),
+        "a learned graph shared by the items": (one, (), (), True),
+        "a learned graph shared by the batch": (stack, (3, 1), (3, 1), True),
+        "h of five axes": ((2, *stack), (2, 3, 1), (), False),
+    }[form]
+    thetas = [
+        ad.Parameter(f"theta{k}", rng.normal(0.0, 0.7, (*theta_lead, dim, dim))) for k in range(2)
+    ]
+    graph = ad.Tensor(stochastic(rng, (*graph_lead, nodes, nodes)), requires_grad=learned)
+    return leaf(rng, h_lead), graph, gr.GraphPropagationConfig(alpha=0.3, depth=1, theta=thetas)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        "one h read by per-slot maps",
+        "one map shared by every slot",
+        "a map of size 1 on the slot axis",
+        "one map per item",
+        "graphs with more items than h",
+        "a learned graph shared by the items",
+        "a learned graph shared by the batch",
+        "h of five axes",
+    ],
+)
+def test_propagation_rejects_shapes_that_would_need_broadcasting(form):
+    h, adjacency, cfg = rejected_propagation(np.random.default_rng(0), form)
+    with pytest.raises(ShapeError, match="do not fit"):
+        gr.dynamic_graph_conv(h, adjacency, cfg)
 
 
 def branch_stack_case(rng, depth, dim, nodes, batch, scales, learned):
@@ -464,7 +507,7 @@ def test_branch_stack_rejects_a_stack_its_graphs_do_not_fit():
     with pytest.raises(ShapeError, match="does not match adjacency"):
         branch_stack_node(ad.Tensor(h.data[0]), *case)
     for shape in [(1, 2, 3, 4), (2, 2, 3, 4), (3, 1, 3, 4), (3, 2, 2, 4)]:
-        with pytest.raises(ShapeError, match="do not fit the stack"):
+        with pytest.raises(ShapeError, match="do not fit the features"):
             branch_stack_node(ad.Tensor(np.ones(shape)), *case)
 
 
@@ -472,8 +515,8 @@ def test_branch_stack_rejects_a_stack_its_graphs_do_not_fit():
 # Dynamic adjacency
 
 
-def adjacency_case(rng, pairing, stacked, length, embed, nodes, batch, scales):
-    x = leaf(rng, ((scales,) if stacked else ()) + (batch, length, nodes))
+def adjacency_case(rng, pairing, length, embed, nodes, batch, scales):
+    x = leaf(rng, (batch, length, nodes))
     lead = {"plain": (), "per-scale": (scales, 1), "same": ()}[pairing]
     w1 = ad.Parameter("w1", rng.normal(0.0, 0.5, (*lead, length, embed)))
     w2 = w1 if pairing == "same" else ad.Parameter("w2", rng.normal(0.0, 0.5, w1.shape))
@@ -483,7 +526,6 @@ def adjacency_case(rng, pairing, stacked, length, embed, nodes, batch, scales):
 @settings(max_examples=40, deadline=None)
 @given(
     pairing=st.sampled_from(["plain", "per-scale", "same"]),
-    stacked=st.booleans(),
     length=st.integers(2, 5),
     embed=st.integers(1, 3),
     nodes=st.integers(1, 4),
@@ -491,11 +533,9 @@ def adjacency_case(rng, pairing, stacked, length, embed, nodes, batch, scales):
     scales=st.integers(1, 3),
     seed=SEED,
 )
-def test_dynamic_adjacency_matches_its_chain(
-    pairing, stacked, length, embed, nodes, batch, scales, seed
-):
+def test_dynamic_adjacency_matches_its_chain(pairing, length, embed, nodes, batch, scales, seed):
     rng = np.random.default_rng(seed)
-    x, layer = adjacency_case(rng, pairing, stacked, length, embed, nodes, batch, scales)
+    x, layer = adjacency_case(rng, pairing, length, embed, nodes, batch, scales)
     leaves = [x, layer.w1] if layer.w1 is layer.w2 else [x, layer.w1, layer.w2]
     out_shape = chain_dynamic_adjacency(x, layer).shape
     assert_node_matches_chain(
@@ -512,7 +552,7 @@ def test_dynamic_adjacency_raises_exactly_when_its_chain_raises(
     pairing, exponent, offset, spread, gain, seed
 ):
     rng = np.random.default_rng(seed)
-    x, layer = adjacency_case(rng, pairing, True, 4, 3, 3, 2, 2)
+    x, layer = adjacency_case(rng, pairing, 4, 3, 3, 2, 2)
     regain(rng, [layer.w1, layer.w2], gain)
     x = ad.Tensor(huge(rng, x.shape, exponent, offset, spread))
     got, want = both_outcomes(
@@ -527,14 +567,14 @@ def test_dynamic_adjacency_raises_exactly_when_its_chain_raises(
 
 
 def chain_left_map(maps, x):
-    out = ad.matmul(ops.matrix_transpose(maps), x)
+    out = ops.matmul(ops.matrix_transpose(maps), x)
     # A 2-D map fills one slot of the node's leading axis.
     return ops.reshape(out, (1, *out.shape)) if maps.ndim == 2 else out
 
 
 def chain_fold(w, filt, levels, boundary):
-    ops = wv.adjoint_operators(filt, levels, boundary, w.shape[-2])
-    return ad.matmul(ad.Tensor(ops[:, None]), w)
+    adjoint = wv.adjoint_operators(filt, levels, boundary, w.shape[-2])
+    return ops.matmul(ad.Tensor(adjoint[:, None]), w)
 
 
 # Leading axes of an (L, K) map and of a per-scale stack.
@@ -657,6 +697,34 @@ def test_wavelet_fold_raises_exactly_when_its_chain_raises(
     )
     if got is not None:
         assert relative_error(got, want, floor=1.0) < TOL
+
+
+def chain_decompose(x, filt, levels, boundary):
+    components = wv.component_operators(filt, levels, boundary, x.shape[-2])
+    return ops.matmul(ad.Tensor(components[:, None]), x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["haar", "db4"]),
+    boundary=st.sampled_from(["circular", "symmetric"]),
+    levels=st.integers(1, 2),
+    batch=st.integers(1, 3),
+    nodes=st.integers(1, 3),
+    seed=SEED,
+)
+def test_wavelet_decompose_matches_its_chain(family, boundary, levels, batch, nodes, seed):
+    # One node for the component stack, the broadcast product it stands for.
+    rng = np.random.default_rng(seed)
+    filt = wv.wavelet_filter(family)
+    x = leaf(rng, (batch, 16, nodes))
+    assert_node_matches_chain(
+        lambda: wv.decompose(x, filt, levels, boundary),
+        lambda: chain_decompose(x, filt, levels, boundary),
+        [x],
+        rng.normal(0.0, 1.0, (levels + 1, batch, 16, nodes)),
+        exact=True,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ def per_branch_fuse(branches, layer):
     dim = branches[0].shape[1]
     query = ops.reshape(layer.q, (dim, 1))
     logits = [
-        ad.matmul(ad.matmul(ad.reduce_mean(b, 2), ops.transpose(layer.w_k, (1, 0))), query)
+        ops.matmul(ops.matmul(ad.reduce_mean(b, 2), ops.transpose(layer.w_k, (1, 0))), query)
         for b in branches
     ]
     alpha = ops.softmax(ops.concat(logits, axis=1), axis=1)

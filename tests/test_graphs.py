@@ -307,14 +307,14 @@ def test_gradients_flow_through_dynamic_path():
     levels=st.integers(1, 3),
 )
 def test_stacked_scales_match_per_scale_calls(seed, levels):
-    # One call over a (scales, batch, ...) stack equals one call per scale
-    # on its slice.
+    # One call with (scales, 1, ...) maps over one window, and one over a
+    # (scales, batch, ...) stack, equal one call per scale with its maps.
     rng = np.random.default_rng(seed)
     scales, batch, length, nodes, embed, dim, depth = levels + 1, 3, 8, 4, 3, 5, 2
     w1 = rng.normal(0.0, 0.5, (scales, 1, length, embed))
     w2 = rng.normal(0.0, 0.5, (scales, 1, length, embed))
     thetas = [rng.normal(0.0, 0.5, (scales, 1, dim, dim)) for _ in range(depth + 1)]
-    x = rng.normal(0.0, 1.0, (scales, batch, length, nodes))
+    x = rng.normal(0.0, 1.0, (batch, length, nodes))
     h = rng.normal(0.0, 1.0, (scales, batch, dim, nodes))
 
     layer = gr.DynamicGraphLayer(ad.Parameter("w1", w1), ad.Parameter("w2", w2))
@@ -324,7 +324,7 @@ def test_stacked_scales_match_per_scale_calls(seed, levels):
     assert out.shape == (scales, batch, dim, nodes)
     for s in range(scales):
         one = gr.DynamicGraphLayer(ad.Parameter("w1", w1[s, 0]), ad.Parameter("w2", w2[s, 0]))
-        want_adj = gr.dynamic_adjacency(ad.Tensor(x[s]), one)
+        want_adj = gr.dynamic_adjacency(ad.Tensor(x), one)
         want_out = gr.dynamic_graph_conv(
             ad.Tensor(h[s]), want_adj, prop_config(depth, dim, [t[s, 0] for t in thetas])
         )

@@ -22,7 +22,9 @@ from sdgf import temporal as tp
 from sdgf import wavelet as wv
 from sdgf.errors import CheckpointError, ConfigError, ShapeError, StateError
 
-from conftest import branch_cfgs, fd_gradient, model_loss_and_grads, relative_error
+from conftest import (
+    branch_cfgs, chain_dynamic_adjacency, fd_gradient, model_loss_and_grads, relative_error,
+)
 import oracle_ops as ops
 
 RNG = np.random.default_rng(2024)
@@ -241,13 +243,13 @@ def test_tfl_ablation_matches_wiring_oracle():
     x_norm, stats = model.revin.normalize(x)
     static_cfg, dynamic_cfg = branch_cfgs(model.graph_cfg)
     h_static = gr.static_graph_conv(
-        ad.matmul(ops.matrix_transpose(model.input_proj), x_norm),
+        ops.matmul(ops.matrix_transpose(model.input_proj), x_norm),
         model.static_adjacency,
         static_cfg,
     )
     layer = gr.DynamicGraphLayer(fold(model.dynamic_layer.w1), fold(model.dynamic_layer.w2))
     h_dyn = gr.dynamic_graph_conv(
-        ad.matmul(ops.matrix_transpose(fold(model.input_proj)), x_norm),
+        ops.matmul(ops.matrix_transpose(fold(model.input_proj)), x_norm),
         gr.dynamic_adjacency(x_norm, layer),
         dynamic_cfg,
     )
@@ -263,20 +265,21 @@ def stacked_wiring_forward(x, model):
 
     ``x_norm`` decomposes into (scales, batch, input_len, n_vars) and the
     projection and embedding maps read that stack, the wiring the folded
-    maps in ``md.forward`` stand in for.
+    maps in ``md.forward`` stand in for. ``dynamic_adjacency`` reads one
+    window, so the embeddings read the stack through its op chain.
     """
     cfg = model.config
     x_norm, stats = model.revin.normalize(x)
     proj_t = ops.matrix_transpose(model.input_proj)
     static_adj = np.eye(cfg.n_vars) if model.ablation == "gsl" else model.static_adjacency
     static_cfg, dynamic_cfg = branch_cfgs(model.graph_cfg)
-    h_static = gr.static_graph_conv(ad.matmul(proj_t, x_norm), static_adj, static_cfg)
+    h_static = gr.static_graph_conv(ops.matmul(proj_t, x_norm), static_adj, static_cfg)
     comps = wv.decompose(x_norm, wv.wavelet_filter(cfg.family), cfg.levels, cfg.boundary)
     if model.ablation == "gsl":
         dyn_adj = ad.Tensor(np.eye(cfg.n_vars))
     else:
-        dyn_adj = gr.dynamic_adjacency(comps, model.dynamic_layer)
-    h_dyn = gr.dynamic_graph_conv(ad.matmul(proj_t, comps), dyn_adj, dynamic_cfg)
+        dyn_adj = chain_dynamic_adjacency(comps, model.dynamic_layer)
+    h_dyn = gr.dynamic_graph_conv(ops.matmul(proj_t, comps), dyn_adj, dynamic_cfg)
     branches = ops.concat([ops.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
     if model.ablation == "gf":
         fused = ad.reduce_mean(branches, 0)
@@ -710,6 +713,27 @@ def test_checkpoint_header_with_a_float_count_is_checkpoint_error():
     body = blob[:9] + struct.pack("<I", len(head)) + head + blob[13 + head_len : -4]
     with pytest.raises(CheckpointError, match="n_vars must be an integer"):
         md.load_checkpoint(reseal(body))
+
+
+@pytest.mark.parametrize("head", [b"\xff{}", b"{not json", b""])
+def test_checkpoint_header_that_is_not_utf8_json_is_checkpoint_error(head):
+    # The checksum holds, so only the header's decode can refuse it.
+    blob = md.save_checkpoint(ready_model())
+    (head_len,) = struct.unpack("<I", blob[9:13])
+    body = blob[:9] + struct.pack("<I", len(head)) + head + blob[13 + head_len : -4]
+    with pytest.raises(CheckpointError, match="^corrupt checkpoint header: "):
+        md.load_checkpoint(reseal(body))
+
+
+def test_checkpoint_round_trip_without_a_static_graph():
+    model = md.build_model(tiny_config())
+    assert model.static_adjacency is None
+    loaded, extra = md.load_checkpoint(md.save_checkpoint(model, extra={"note": 1}))
+    assert loaded.static_adjacency is None
+    assert extra == {"note": 1}
+    for pa, pb in zip(md.parameters(model), md.parameters(loaded), strict=True):
+        assert pa.name == pb.name
+        assert pa.data.tobytes() == pb.data.tobytes()
 
 
 @settings(max_examples=300, deadline=None)

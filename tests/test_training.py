@@ -346,6 +346,54 @@ def test_report_keeps_the_pre_clip_gradient_norms(monkeypatch, clip, fraction):
     assert report.clipped_fraction == [fraction] * 3
 
 
+@pytest.mark.parametrize("clip", [5.0, 0.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_gradient_stops_its_own_step(monkeypatch, bad, clip):
+    # The third step of the second epoch gets one non-finite entry in
+    # head.b2's gradient. A NaN norm passes the clip's ``norm > max_norm``,
+    # so only the norm check keeps Adam from writing it into the values.
+    dataset = sine_dataset(rows=160, input_len=16, horizon=4)
+    model = md.build_model(tiny_config(input_len=16, n_vars=2))
+    steps = -(-len(dataset.split_starts("train")) // 16)
+    real_backward, real_state, real_save = tr.ad.backward, tr.AdamState, md.save_checkpoint
+    calls, states, blobs, before = [], [], [], {}
+
+    def backward(loss, params):
+        grads = real_backward(loss, params)
+        calls.append(None)
+        if len(calls) == steps + 3:
+            grads["head.b2"][1] = bad
+            state = states[0]
+            before.update({p.name: p.data.copy() for p in params})
+            before.update(m=state.m.copy(), v=state.v.copy(), t=state.t)
+        return grads
+
+    def adam_state(**kwargs):
+        states.append(real_state(**kwargs))
+        return states[-1]
+
+    def save_checkpoint(*args, **kwargs):
+        blobs.append(real_save(*args, **kwargs))
+        return blobs[-1]
+
+    monkeypatch.setattr(tr.ad, "backward", backward)
+    monkeypatch.setattr(tr, "AdamState", adam_state)
+    monkeypatch.setattr(md, "save_checkpoint", save_checkpoint)
+    cfg = tr.TrainConfig(lr=5e-3, epochs=3, patience=10, batch=16, clip=clip)
+    with pytest.raises(NumericError, match=r"non-finite gradients: \['head.b2'\]") as caught:
+        tr.train(model, dataset, cfg)
+    assert len(calls) == steps + 3
+    state = states[0]
+    assert state.t == before["t"]
+    assert state.m.tobytes() == before["m"].tobytes()
+    assert state.v.tobytes() == before["v"].tobytes()
+    for p in md.effective_parameters(model):
+        assert p.data.tobytes() == before[p.name].tobytes(), p.name
+    assert caught.value.epoch == 1
+    assert caught.value.report.epochs_run == 1
+    assert len(blobs) == 1 and caught.value.checkpoint == blobs[0]
+
+
 def test_train_freezes_static_graph_from_train_rows():
     dataset = sine_dataset(rows=120, input_len=16, horizon=4)
     model = md.build_model(tiny_config(input_len=16, n_vars=2))
