@@ -38,24 +38,28 @@ chosen intermediates as well as the output) and ``Tensor.accumulate``
 adds a gradient to a parent. Each node takes the one call form the
 model uses, and ``Tensor`` has no arithmetic operators.
 
-The node-major layout: an op's float64 result is stored as the op laid
-it out, strided views included; only a ``Tensor`` built from a caller's
-array is made C-contiguous. The model keeps its (..., features, nodes)
-values node-major that way: ``left_map``, the propagation node and
-``conv1d`` write a C-contiguous (..., nodes, features) array and hand on
-its swapaxes view, so the stages after them read each item's rows in
-place, and elementwise ops and reductions on such a view keep its
-memory order. A gradient that ``Tensor.accumulate`` copies from a view
-is laid out like the value it belongs to.
+Layouts: an op's float64 result is stored as the op laid it out,
+strided views included; only a ``Tensor`` built from a caller's array is
+made C-contiguous. A value keeps its logical shape, and only the nodes
+that read it know its memory layout: each reads its operand in place
+when it is laid out as the node wants and copies it once otherwise, so
+a node's result does not depend on its operand's layout. A gradient that
+``Tensor.accumulate`` copies from a view is laid out like the value it
+belongs to. The model keeps two values laid out for their readers:
 
-A window is read by learned time maps from the left (``w^T @ x``), per
-wavelet scale and per batch item. ``left_map`` is that read as one node,
-and ``left_product`` and ``left_product_grads`` are its array-level
-forward and gradients, which ``graphs.dynamic_adjacency`` shares. They
-read one time-major (L, batch * N) window, the layout the model's RevIN
-node writes and the ``time_major`` node makes of a (batch, L, N) one,
-so the forward and each gradient are one 2-D GEMM rather than one small
-product per (scale, item).
+- its (..., features, nodes) values are node-major: ``left_map``, the
+  propagation node and ``conv1d`` write a C-contiguous (..., nodes,
+  features) array and hand on its swapaxes view, so the stages after
+  them read each item's rows in place, and elementwise ops and
+  reductions on such a view keep its memory order;
+- its (batch, L, N) window is time-major: the RevIN node writes it as a
+  C-contiguous (L, batch, N) array. Learned time maps read the window
+  from the left (``w^T @ x``), per wavelet scale and per batch item:
+  ``left_map`` is that read as one node, and ``left_product`` and
+  ``left_product_grads`` are its array-level forward and gradients,
+  which ``graphs.dynamic_adjacency`` shares. They take the window's
+  (L, batch * N) rows, so the forward and each gradient are one 2-D
+  GEMM rather than one small product per (scale, item).
 
 The other nodes here are ``conv1d`` and ``layer_norm`` for the
 inception block and the ``gf`` ablation's mean. The ops the fused
@@ -331,41 +335,25 @@ def scale(x, c: float) -> Tensor:
 # Linear algebra
 
 
-def time_major(x) -> Tensor:
-    """(batch, L, N) windows as one (L, batch * N) node, in one copy.
-
-    The layout the window readers (``left_map``, ``graphs.dynamic_adjacency``)
-    take; the model's RevIN node writes it directly, so only a caller that
-    holds (batch, L, N) windows records this node. Its VJP lays the
-    gradient back out.
-    """
-    x = _as_tensor(x)
-    if x.ndim != 3:
-        raise ShapeError(f"expected (batch, length, nodes) windows, got {x.shape}")
-    batch, length, n = x.data.shape
-    data = np.swapaxes(x.data, 0, 1).reshape(length, batch * n)
-
-    def vjp(g):
-        if x.requires_grad:
-            x.accumulate(np.swapaxes(g.reshape(length, batch, n), 0, 1))
-
-    return record(data, "time_major", (x,), vjp)
+def _time_rows(window: np.ndarray) -> np.ndarray:
+    """The (L, batch * N) rows of a (batch, L, N) window, in place if it is time-major."""
+    batch, length, n = window.shape
+    return np.ascontiguousarray(window.swapaxes(0, 1)).reshape(length, batch * n)
 
 
-def left_product(maps_t, cols: np.ndarray, nodes: int) -> np.ndarray:
-    """``maps_t @ x`` for windows ``x`` of ``nodes`` nodes laid out as ``cols``.
+def left_product(maps_t, window: np.ndarray) -> np.ndarray:
+    """``maps_t @ x`` for each (L, N) item ``x`` of a (batch, L, N) ``window``.
 
-    ``cols`` is the (L, batch * nodes) time-major window (see
-    ``time_major``), and ``maps_t`` is one (K, L) map or a (S, 1, K, L)
-    stack, one map per scale. The product is one 2-D GEMM, (S * K, L) @
-    (L, batch * nodes), in place of a (K, L) @ (L, nodes) product per
-    (scale, item). The result is the ([S,] batch, K, nodes) array,
-    C-contiguous.
+    ``maps_t`` is one (K, L) map or a (S, 1, K, L) stack, one map per
+    scale. The product is one 2-D GEMM, (S * K, L) @ (L, batch * N), on
+    the window's time-major rows (see the module docstring), in place of
+    a (K, L) @ (L, N) product per (scale, item). The result is the ([S,]
+    batch, K, N) array, C-contiguous.
 
     ``maps_t`` may be a list of maps, filling the slots of a new leading
     axis in order, each by its own GEMM: one over all their rows would
     pick another BLAS kernel on some shapes and move last bits. The
-    (slots, batch, K, nodes) result is then node-major.
+    (slots, batch, K, N) result is then node-major.
     """
     many = isinstance(maps_t, list)
     parts = maps_t if many else [maps_t]
@@ -373,16 +361,15 @@ def left_product(maps_t, cols: np.ndarray, nodes: int) -> np.ndarray:
     if (
         any(m.ndim not in (2, 4) or m.shape[1:-2] not in ((), (1,)) for m in parts)
         or any(m.shape[-2:] != (k, length) for m in parts)
-        or cols.ndim != 2
-        or cols.shape[0] != length
-        or nodes < 1
-        or cols.shape[1] % nodes
+        or window.ndim != 3
+        or window.shape[1] != length
     ):
         raise ShapeError(
             f"maps (K, L) or (S, 1, K, L) of shapes {[m.shape for m in parts]} cannot read"
-            f" a time-major window {cols.shape} of {nodes} nodes"
+            f" a (batch, L, N) window {window.shape}"
         )
-    batch = cols.shape[1] // nodes
+    batch, _, nodes = window.shape
+    cols = _time_rows(window)
     rows = [m.reshape(-1, length) for m in parts]
     out, start = np.empty((sum(map(len, rows)), cols.shape[1])), 0
     for r in rows:
@@ -395,53 +382,51 @@ def left_product(maps_t, cols: np.ndarray, nodes: int) -> np.ndarray:
     return out if parts[0].ndim == 4 else out[0]
 
 
-def left_product_grads(maps_t, cols, nodes: int, g, want_maps: bool, want_cols: bool):
-    """The (``maps_t``, ``cols``) gradients of ``left_product`` for its output gradient ``g``.
+def left_product_grads(maps_t, window, g, want_maps: bool, want_window: bool):
+    """The (``maps_t``, ``window``) gradients of ``left_product`` for its output gradient ``g``.
 
     Each is one 2-D GEMM (over a list of maps, their rows side by side;
     the maps' gradient is then a list), and ``None`` unless wanted. The
-    window's gradient is a C-contiguous array in the layout of ``cols``,
-    so the window node takes it as it is.
+    window's gradient is a (batch, L, N) view of time-major rows, which
+    ``Tensor.accumulate`` lays out like the window.
     """
     many = isinstance(maps_t, list)
     parts = maps_t if many else [maps_t]
-    blocks = [m.reshape(-1, cols.shape[0]) for m in parts]
+    blocks = [m.reshape(-1, window.shape[1]) for m in parts]
     rows = np.concatenate(blocks) if many else blocks[0]
-    batch = cols.shape[1] // nodes
+    batch, length, nodes = window.shape
     g = np.swapaxes(g.reshape(math.prod(g.shape[:-3]), batch, parts[0].shape[-2], nodes), 1, 2)
     g = g.reshape(len(rows), batch * nodes)
-    g_maps = g_cols = None
+    g_maps = g_window = None
     if want_maps:
-        g_rows, start, g_maps = g @ cols.T, 0, []
+        g_rows, start, g_maps = g @ _time_rows(window).T, 0, []
         for m, block in zip(parts, blocks):
             g_maps.append(g_rows[start : start + len(block)].reshape(m.shape))
             start += len(block)
         g_maps = g_maps if many else g_maps[0]
-    if want_cols:
-        g_cols = rows.T @ g
-    return g_maps, g_cols
+    if want_window:
+        g_window = (rows.T @ g).reshape(length, batch, nodes).swapaxes(0, 1)
+    return g_maps, g_window
 
 
-def left_map(maps, x, nodes: int) -> Tensor:
-    """``maps^T @ x`` for a sequence of maps over one time-major window.
+def left_map(maps, x) -> Tensor:
+    """``maps^T @ x`` for a sequence of maps over one (batch, L, N) window ``x``.
 
-    ``x`` is the (L, batch * nodes) window tensor, the layout the model's
-    RevIN node writes and ``time_major`` makes. The maps fill the slots
-    of the result's leading axis in order, an (L, K) map one slot and an
-    (S, 1, L, K) stack S, so the result is (slots, batch, K, nodes). One
-    node, where a transpose and a ``matmul`` per map record more; the
-    forward and each gradient are 2-D GEMMs (see ``left_product``), and
-    the window's gradient arrives in its own layout. The value is
-    node-major (see the module docstring).
+    The maps fill the slots of the result's leading axis in order, an
+    (L, K) map one slot and an (S, 1, L, K) stack S, so the result is
+    (slots, batch, K, N). One node, where a transpose and a ``matmul``
+    per map record more; the forward and each gradient are 2-D GEMMs
+    (see ``left_product``). The value is node-major (see the module
+    docstring).
     """
     parts = [_as_tensor(m) for m in maps]
     x = _as_tensor(x)
     maps_t = [np.swapaxes(p.data, -1, -2) for p in parts]
-    data = left_product(maps_t, x.data, nodes)
+    data = left_product(maps_t, x.data)
 
     def vjp(g):
         g_maps, g_x = left_product_grads(
-            maps_t, x.data, nodes, g, any(p.requires_grad for p in parts), x.requires_grad
+            maps_t, x.data, g, any(p.requires_grad for p in parts), x.requires_grad
         )
         if g_maps is not None:
             for p, g_p in zip(parts, g_maps):
@@ -624,19 +609,17 @@ def conv1d(x, kernels, dilations, biases, mix, mix_bias) -> Tensor:
     return record(out_data, "conv1d", (x, *kernels, *biases, mix, mix_bias), vjp)
 
 
-def layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, axis: int, gain, bias) -> Tensor:
     """Normalize to zero mean / unit variance along ``axis``, then affine.
 
     One recorded node with a hand-derived VJP. The forward takes the
     steps of the op chain it stands for (mean, centre, mean of
-    squares, sqrt(var + eps), divide, scale, shift) in that order, so its
+    squares, sqrt(var + 1e-5), divide, scale, shift) in that order, so its
     values are that chain's bit for bit, and it raises ``NumericError``
     exactly when one of the chain's ops would. For that the variance is
     checked as well as the output: a variance that overflows to inf
     sends every normalized value to 0, so the output alone would pass.
     """
-    if eps <= 0.0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     x = _as_tensor(x)
     axis = _check_axis(x, axis)
     gain, bias = _as_tensor(gain), _as_tensor(bias)
@@ -650,7 +633,7 @@ def layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> Tensor:
     inv_count = 1.0 / x.shape[axis]
     centered = x.data - x.data.sum(axis=axis, keepdims=True) * inv_count
     var = (centered * centered).sum(axis=axis, keepdims=True) * inv_count
-    std = np.sqrt(var + eps)
+    std = np.sqrt(var + 1e-5)
     normed = centered / std
     side = [1] * x.ndim
     side[axis] = x.shape[axis]

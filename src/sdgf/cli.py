@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import pathlib
@@ -229,6 +230,19 @@ def _load_eval_dataset(model: md.SdgfModel, extra: dict, path: str):
             f"checkpoint expects {model.config.n_vars} variables,"
             f" dataset {path!r} has {table.n_vars}"
         )
+    # The scaler and the static graph belong to the columns the model was
+    # trained on, in that order; a checkpoint written without names
+    # (``training.train(extra=None)``) is taken as it is.
+    if "names" in extra:
+        names = extra["names"]
+        if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+            raise DataError("stored column names are not a list of strings")
+        for i, (want, got) in enumerate(itertools.zip_longest(names, table.names), 1):
+            if want != got:
+                raise DataError(
+                    f"column {i} of {path!r} is {got!r}, but the checkpoint was trained on"
+                    f" {want!r}"
+                )
     values = table.values
     if extra.get("scaler") is not None:
         values = Scaler.from_dict(extra["scaler"], table.n_vars).transform(values)

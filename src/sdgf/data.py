@@ -265,9 +265,6 @@ class Scaler:
     def transform(self, values: np.ndarray) -> np.ndarray:
         return (np.asarray(values, dtype=np.float64) - self.mean) / self.std
 
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=np.float64) * self.std + self.mean
-
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
@@ -298,10 +295,6 @@ class WindowDataset:
     train_end: int
     val_end: int
     splits: dict = field(default_factory=dict)
-
-    @property
-    def window_count(self) -> int:
-        return self.values.shape[0] - self.input_len - self.horizon + 1
 
     def split_starts(self, split: str) -> np.ndarray:
         if split not in SPLITS:

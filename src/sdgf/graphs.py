@@ -27,12 +27,8 @@ model hands ``dynamic_adjacency`` one window and maps folded with the
 wavelet operators (``wavelet.decompose`` with ``adjoint=True``); that
 equals reading each wavelet component with the unfolded maps, without
 building the components. The window it hands over is the RevIN node
-itself, laid out time-major as (length, batch * nodes), with ``nodes``
-passed alongside; both maps of every scale read it in one 2-D GEMM
-(``autodiff.left_product``), and the window's gradient goes back as one
-contiguous array in that layout. A caller holding (batch, length,
-nodes) windows passes no ``nodes`` and a recorded ``autodiff.time_major``
-node lays them out.
+itself, laid out time-major (see ``autodiff``): both maps of every scale
+read it in one 2-D GEMM (``autodiff.left_product``).
 
 The model propagates its (1 + scales, batch, features, nodes) branch
 stack in one node, the static graph as slot 0 and the per-scale dynamic
@@ -68,11 +64,11 @@ from .errors import ConfigError, DataError, ShapeError
 # Static graph
 
 
-def pearson_matrix(x: np.ndarray, eps: float = 1e-9) -> np.ndarray:
+def pearson_matrix(x: np.ndarray) -> np.ndarray:
     """Batch-averaged Pearson correlation between variables.
 
     ``x`` is (batch, length, variables); correlation is taken over the
-    time axis per batch item, then averaged over the batch. ``eps`` in
+    time axis per batch item, then averaged over the batch. A 1e-9 in
     the denominator turns constant-variable entries into 0 rather than
     NaN (including the diagonal).
     """
@@ -84,13 +80,13 @@ def pearson_matrix(x: np.ndarray, eps: float = 1e-9) -> np.ndarray:
     centered = x - x.mean(axis=1, keepdims=True)
     cov = np.einsum("bli,blj->bij", centered, centered) / x.shape[1]
     std = np.sqrt(np.einsum("bii->bi", cov))
-    denom = std[:, :, None] * std[:, None, :] + eps
+    denom = std[:, :, None] * std[:, None, :] + 1e-9
     return (cov / denom).mean(axis=0)
 
 
-def pearson_adjacency(x: np.ndarray, eps: float = 1e-9) -> np.ndarray:
+def pearson_adjacency(x: np.ndarray) -> np.ndarray:
     """Row-stochastic static adjacency: ReLU then row softmax of the PCC."""
-    scores = np.maximum(pearson_matrix(x, eps), 0.0)
+    scores = np.maximum(pearson_matrix(x), 0.0)
     shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
     return shifted / shifted.sum(axis=1, keepdims=True)
 
@@ -307,39 +303,29 @@ class DynamicGraphLayer:
     w2: ad.Parameter
 
 
-def dynamic_adjacency(
-    x_scale: ad.Tensor, layer: DynamicGraphLayer, nodes: int | None = None
-) -> ad.Tensor:
-    """Row-stochastic per-item adjacency learned from one window.
+def dynamic_adjacency(x_scale: ad.Tensor, layer: DynamicGraphLayer) -> ad.Tensor:
+    """Row-stochastic per-item adjacency learned from one (batch, length, variables) window.
 
-    ``x_scale`` is the (batch, length, variables) window, or with
-    ``nodes`` given the same window laid out time-major, (length, batch *
-    nodes), as the model's RevIN node writes it; without ``nodes`` a
-    recorded ``ad.time_major`` node lays it out first. The maps are
-    (length, d_e), or (scales, 1, length, d_e) maps folded with the
-    wavelet operators (see the module docstring); ``ad.left_product``
-    raises ``ShapeError`` for any other shape. Each variable's length-L
-    profile maps through w1/w2 into two embeddings; the row softmax of
-    their inner products is the ([scales,] batch, variables, variables)
-    adjacency.
+    The maps are (length, d_e), or (scales, 1, length, d_e) maps folded
+    with the wavelet operators (see the module docstring);
+    ``ad.left_product`` raises ``ShapeError`` for any other shape. Each
+    variable's length-L profile maps through w1/w2 into two embeddings;
+    the row softmax of their inner products is the ([scales,] batch,
+    variables, variables) adjacency.
 
     Both maps read the window in one ``ad.left_product`` of the maps laid
-    side by side, one 2-D GEMM, and the window's gradient goes back in
-    the window's own layout. The softmax works in place on its own fresh
-    arrays.
+    side by side, one 2-D GEMM. The softmax works in place on its own
+    fresh arrays.
     """
-    if nodes is None:
-        x_scale, nodes = ad.time_major(x_scale), x_scale.shape[-1]
     w1, w2 = layer.w1, layer.w2
-    if x_scale.ndim != 2 or w1.shape[-2] != x_scale.shape[0] or w1.shape != w2.shape:
+    if x_scale.ndim != 3 or w1.shape[-2] != x_scale.shape[1] or w1.shape != w2.shape:
         raise ShapeError(
             f"embedding maps {w1.shape}/{w2.shape} do not fit the window {x_scale.shape}"
         )
     # One product for both embeddings: the maps transposed, side by side.
     embed = w1.shape[-1]
     maps_t = np.concatenate((w1.data.swapaxes(-1, -2), w2.data.swapaxes(-1, -2)), axis=-2)
-    cols = x_scale.data
-    pre = ad.left_product(maps_t, cols, nodes)
+    pre = ad.left_product(maps_t, x_scale.data)
     emb = np.tanh(pre)
     e1_t, e2_t = emb[..., :embed, :], emb[..., embed:, :]
     scores = np.matmul(e1_t.swapaxes(-1, -2), e2_t)
@@ -357,7 +343,7 @@ def dynamic_adjacency(
         )
         g_pre = g_emb * (1.0 - emb * emb)
         g_maps, g_x = ad.left_product_grads(
-            maps_t, cols, nodes, g_pre, w1.requires_grad or w2.requires_grad,
+            maps_t, x_scale.data, g_pre, w1.requires_grad or w2.requires_grad,
             x_scale.requires_grad,
         )
         if g_x is not None:

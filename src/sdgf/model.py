@@ -22,14 +22,13 @@ parameters, and a grad forward records 9 nodes. RevIN keeps its
 statistics as constants of its nodes. The head runs each layer as one
 2-D product over the (batch * n_vars) rows of per-variable features.
 
-Each stage hands its output on in the layout its readers take. RevIN
-normalize writes the (input_len, batch * n_vars) window, and the
-projection (``input_proj`` for slot 0, its fold for the scales) and the
-embedding maps read that node as 2-D GEMMs for every slot and item at
-once; their gradients come back to it in the same layout. The
-propagation's value (``gr.static_graph_conv`` with the dynamic graphs
-alongside) is the stack fusion reads. That stack, and the inception
-block's output after it, are node-major (see ``autodiff``), so
+Each stage hands its output on in the layout its readers take (see
+``autodiff``). The RevIN node's (batch, input_len, n_vars) window is
+time-major, and the projection (``input_proj`` for slot 0, its fold
+for the scales) and the embedding maps read it as 2-D GEMMs for every
+slot and item at once. The propagation's value (``gr.static_graph_conv``
+with the dynamic graphs alongside) is the stack fusion reads. That
+stack, and the inception block's output after it, are node-major, so
 propagation takes each hop map as one GEMM per slot over the (batch *
 n_vars, hidden) rows, fusion and the layer norm reduce along that
 memory, and the head reads its rows in place.
@@ -86,6 +85,7 @@ import struct
 import weakref
 import zlib
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -156,29 +156,24 @@ class RevinLayer:
 
     ``normalize`` returns the window statistics next to its output and
     ``denormalize`` takes them back, so the layer keeps no state between
-    calls and ablated views of a model can share it. ``normalize`` works
-    on one time-major (length, batch * vars) copy of the raw window, so
-    every elementwise pass runs along contiguous rows, and the model
-    takes that layout as the node's value: it is what every reader of
-    the window (``ad.left_map``, ``graphs.dynamic_adjacency``) takes.
+    calls and ablated views of a model can share it.
     """
 
     gamma: ad.Parameter
     beta: ad.Parameter
-    eps: float = 1e-5
+    eps: ClassVar[float] = 1e-5
 
-    def normalize(
-        self, x: ad.Tensor, time_major: bool = False
-    ) -> tuple[ad.Tensor, tuple[np.ndarray, np.ndarray]]:
+    def normalize(self, x: ad.Tensor) -> tuple[ad.Tensor, tuple[np.ndarray, np.ndarray]]:
         """Remove per-(item, variable) mean/std over time, then affine.
 
-        Returns the normalized tensor and the (batch, 1, vars) mean and
-        std. One recorded node; the statistics are constants of it.
-        ``var`` is the mean square of the same centred values the output
-        divides, which is how ``np.var`` computes it. With
-        ``time_major`` the node's value is the (length, batch * vars)
-        window; otherwise the same node lays it back out as (batch,
-        length, vars).
+        Returns the normalized (batch, length, vars) window and the
+        (batch, 1, vars) mean and std. One recorded node; the statistics
+        are constants of it. ``var`` is the mean square of the same
+        centred values the output divides, which is how ``np.var``
+        computes it. The node works on one time-major (length, batch,
+        vars) copy of the raw window, so every elementwise pass runs along
+        contiguous rows, and its value is laid out so (see ``autodiff``),
+        as every reader of the window takes it.
 
         The statistics are summed over time in the order numpy sums the
         time axis of the (batch, length, vars) window, so the values are
@@ -190,28 +185,24 @@ class RevinLayer:
         if x.ndim != 3 or x.shape[2] != gamma.shape[0]:
             raise ShapeError(f"expected (batch, time, {gamma.shape[0]}), got {x.shape}")
         batch, length, n = x.shape
-        cols = x.data.swapaxes(0, 1).reshape(length, batch * n)
+        cols = np.ascontiguousarray(x.data.swapaxes(0, 1))
 
         def time_sum(a):
             if n == 1 and batch > 1:
-                return np.ascontiguousarray(a.T).sum(axis=1)[None]
+                return np.ascontiguousarray(a.T).sum(axis=-1)[..., None]
             return a.sum(axis=0, keepdims=True)
 
         mean = time_sum(cols) / length
         z = cols - mean
         std = np.sqrt(time_sum(z * z) / length + self.eps)
         z /= std
-        gamma_t = gamma.data[None].repeat(batch, 0).ravel()
-        data = z * gamma_t
-        data += beta.data[None].repeat(batch, 0).ravel()
-        if not time_major:
-            data = data.reshape(length, batch, n).swapaxes(0, 1)
+        data = z * gamma.data
+        data += beta.data
 
         def vjp(g):
-            if not time_major:
-                g = g.swapaxes(0, 1).reshape(length, batch * n)
+            g = g.swapaxes(0, 1)
             if x.requires_grad:
-                x.accumulate((g * gamma_t / std).reshape(length, batch, n).swapaxes(0, 1))
+                x.accumulate((g * gamma.data / std).swapaxes(0, 1))
             if gamma.requires_grad:
                 gamma.accumulate((g * z).reshape(length * batch, n).sum(axis=0))
             if beta.requires_grad:
@@ -219,7 +210,7 @@ class RevinLayer:
 
         # Linear up to the output: a non-finite centred value makes the
         # output non-finite too, so the output guard is enough.
-        out = ad.record(data, "revin_normalize", (x, gamma, beta), vjp)
+        out = ad.record(data.swapaxes(0, 1), "revin_normalize", (x, gamma, beta), vjp)
         return out, (mean.reshape(batch, 1, n), std.reshape(batch, 1, n))
 
     def denormalize(self, y: ad.Tensor, stats: tuple[np.ndarray, np.ndarray]) -> ad.Tensor:
@@ -501,9 +492,7 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
             f"expected (batch, {cfg.input_len}, {cfg.n_vars}), got {x.shape}"
         )
     batch, n = x.shape[0], cfg.n_vars
-    # Every read of the window takes the (input_len, batch * n_vars)
-    # layout the RevIN node writes.
-    window, stats = model.revin.normalize(x, time_major=True)
+    window, stats = model.revin.normalize(x)
 
     if model.ablation == "gsl":
         static_adj = np.eye(n)
@@ -519,11 +508,11 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
     else:
         layer = model.dynamic_layer
         dyn_adj = gr.dynamic_adjacency(
-            window, gr.DynamicGraphLayer(_fold(layer.w1, cfg), _fold(layer.w2, cfg)), n
+            window, gr.DynamicGraphLayer(_fold(layer.w1, cfg), _fold(layer.w2, cfg))
         )
     # Time profiles project from the left, (hidden, length) @ (length, vars):
     # slot 0 through the projection itself, each scale through its fold.
-    projected = ad.left_map((model.input_proj, _fold(model.input_proj, cfg)), window, n)
+    projected = ad.left_map((model.input_proj, _fold(model.input_proj, cfg)), window)
     branches = gr.static_graph_conv(projected, static_adj, model.graph_cfg, dynamic=dyn_adj)
     if model.ablation == "gf":
         fused = ad.reduce_mean(branches, 0)

@@ -12,7 +12,7 @@ import math
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -85,9 +85,9 @@ class AdamState:
     """
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None

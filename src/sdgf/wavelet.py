@@ -69,25 +69,19 @@ BOUNDARIES = ("circular", "symmetric")
 
 @dataclass(frozen=True)
 class WaveletFilter:
-    """An orthonormal analysis pair from a named family."""
+    """The orthonormal low-pass analysis filter of a named family."""
 
     name: str
     lowpass: tuple[float, ...]
-    highpass: tuple[float, ...]
 
     @property
     def support(self) -> int:
         return len(self.lowpass)
 
 
-def _quadrature_mirror(lowpass: tuple[float, ...]) -> tuple[float, ...]:
-    n = len(lowpass)
-    return tuple((-1.0) ** k * lowpass[n - 1 - k] for k in range(n))
-
-
 _FAMILIES = {
-    "haar": WaveletFilter("haar", _HAAR_LOWPASS, _quadrature_mirror(_HAAR_LOWPASS)),
-    "db4": WaveletFilter("db4", _DB4_LOWPASS, _quadrature_mirror(_DB4_LOWPASS)),
+    "haar": WaveletFilter("haar", _HAAR_LOWPASS),
+    "db4": WaveletFilter("db4", _DB4_LOWPASS),
 }
 
 

@@ -66,6 +66,14 @@ def assert_grads_match(build_loss, leaves, tol: float = 1e-5, h=1e-5) -> None:
         assert err < tol, f"gradient mismatch: relative error {err:.3e}"
 
 
+def time_major_leaf(x: ad.Tensor) -> ad.Tensor:
+    """A leaf of ``x``'s (batch, L, N) values laid out time-major, as RevIN lays out its window."""
+    # ``ad.Tensor`` would copy a strided array into C order.
+    laid = ad.record(np.ascontiguousarray(x.data.swapaxes(0, 1)).swapaxes(0, 1), "x", (), None)
+    laid.requires_grad = True
+    return laid
+
+
 def loop_conv1d(x: np.ndarray, kernel: np.ndarray, dilation: int) -> np.ndarray:
     """Zero-padded same-length dilated convolution, written as bare loops."""
     batch, in_ch, length = x.shape

@@ -27,6 +27,7 @@ from sdgf.errors import ConfigError, GraphError, NumericError, ShapeError
 
 from conftest import (
     assert_grads_match, chain_layer_norm, loop_conv1d, plain_conv1d, relative_error,
+    time_major_leaf,
 )
 import oracle_ops as ops
 
@@ -227,14 +228,23 @@ def test_grad_concat_narrow():
 
 
 def test_grad_time_major():
+    # A (batch, L, N) window is read through its time-major rows: the
+    # window's gradient passes FD, and the same window laid out
+    # time-major (as the RevIN node writes it) reads to the same bytes
+    # and takes the same gradient, laid out like it.
     x = leaf((3, 4, 5))
-    w = ad.Tensor(RNG.normal(0.0, 1.0, (4, 15)))
-    out = ad.time_major(x)
-    assert out.data.tobytes() == np.swapaxes(x.data, 0, 1).reshape(4, 15).tobytes()
-    assert_grads_match(lambda: ad.reduce_sum(ops.mul(ad.time_major(x), w)), [x])
+    maps = leaf((4, 2))
+    w = ad.Tensor(RNG.normal(0.0, 1.0, (1, 3, 2, 5)))
+    assert_grads_match(lambda: ad.reduce_sum(ops.mul(ad.left_map([maps], x), w)), [x, maps])
+    laid = time_major_leaf(x)
+    out = ad.left_map([maps], laid)
+    assert out.data.tobytes() == ad.left_map([maps], x).data.tobytes()
+    ad.reduce_sum(ops.mul(out, w)).backward()
+    assert laid.grad.tobytes() == x.grad.tobytes()
+    assert laid.grad.swapaxes(0, 1).flags.c_contiguous
     for shape in ((3, 4), (2, 3, 4, 5)):
-        with pytest.raises(ShapeError, match="windows"):
-            ad.time_major(ad.Tensor(np.ones(shape)))
+        with pytest.raises(ShapeError, match="window"):
+            ad.left_map([maps], ad.Tensor(np.ones(shape)))
 
 
 def test_grad_conv1d():
@@ -471,7 +481,7 @@ def test_parameter_naming_and_backward_collection():
 # that only the tests use belongs in oracle_ops instead.
 PUBLIC_CALLABLES = {
     "Tensor", "Parameter", "record", "backward", "set_finite_checks", "no_grad", "grad_enabled",
-    "time_major", "left_product", "left_product_grads", "left_map", "conv1d", "layer_norm",
+    "left_product", "left_product_grads", "left_map", "conv1d", "layer_norm",
     "scale", "reduce_sum", "reduce_mean",
 }
 

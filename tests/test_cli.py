@@ -26,7 +26,7 @@ from sdgf import cli
 from sdgf import config as cf
 from sdgf import model as md
 from sdgf.cli import main
-from sdgf.data import load_csv
+from sdgf.data import SeriesTable, load_csv, save_csv
 
 TINY = [
     "model.input_len=8",
@@ -576,6 +576,35 @@ def test_eval_dimension_mismatch_is_data_error(trained, tmp_path, capsys):
     assert "variables" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "order, names, message",
+    [
+        ([1, 0], ["v1", "v0"], "column 1 of '.*' is 'v1', but the checkpoint was trained on 'v0'"),
+        ([0, 1], ["v0", "w1"], "column 2 of '.*' is 'w1', but the checkpoint was trained on 'v1'"),
+    ],
+)
+def test_eval_on_columns_the_checkpoint_was_not_trained_on_is_a_data_error(
+    trained, tmp_path, capsys, order, names, message
+):
+    # The same series under permuted or renamed columns: only the stored
+    # names tell that the scaler and the static graph would meet the
+    # wrong series.
+    data, ckpt, _ = trained
+    table = load_csv(str(data))
+    other = tmp_path / "other.csv"
+    save_csv(SeriesTable(table.values[:, order], names, table.timestamps), str(other))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = main(
+        ["eval", "--checkpoint", str(ckpt), "--data", str(other), "--out", str(out),
+         "--export-predictions"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.fullmatch(f"error: {message}\n", err), err
+    assert not out.exists()
+
+
 def test_eval_missing_checkpoint(trained, tmp_path, capsys):
     data, _, _ = trained
     code = main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"), "--data", str(data)])
@@ -735,9 +764,12 @@ def test_a_malformed_checkpoint_extra_is_a_data_error(trained, data):
     # The checksum is valid; only what the checkpoint carries is wrong.
     csv_path, ckpt, _ = trained
     model, extra = md.load_checkpoint(ckpt.read_bytes())
-    field = data.draw(st.sampled_from(["extra", "mean", "std"]))
+    field = data.draw(st.sampled_from(["extra", "names", "mean", "std"]))
     if field == "extra":
         extra = data.draw(st.sampled_from([[extra], "extra", 1.5]))
+    elif field == "names":
+        bad = ["v0,v1", 1.5, None, [0, 1], ["v0"], ["v0", "v1", "v2"], [["v0"], "v1"], ["v1", "v0"]]
+        extra = {**extra, "names": data.draw(st.sampled_from(bad))}
     else:
         scaler = {"mean": [0.5, -0.5], "std": [2.0, 3.0]}
         bad = [math.nan, math.inf, -math.inf, "short", "long", "nested", "text", "missing"]
@@ -805,7 +837,8 @@ def test_single_batch_overfit_then_eval(tmp_path, capsys):
 
 
 def test_eval_scores_a_checkpoint_without_a_scaler_on_raw_values(tmp_path, capsys):
-    # ``training.train(extra=None)`` writes no scaler; the CLI always does.
+    # ``training.train(extra=None)`` writes no scaler and no column names;
+    # the CLI always does.
     from sdgf import training as tr
     from sdgf.data import make_windows
 

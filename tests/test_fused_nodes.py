@@ -38,6 +38,7 @@ from conftest import (
     chain_revin_normalize,
     model_loss_and_grads,
     relative_error,
+    time_major_leaf,
 )
 import oracle_ops as ops
 
@@ -213,9 +214,9 @@ def test_revin_raises_exactly_when_its_chain_raises(exponent, offset, spread, ga
 def test_revin_denormalize_raises_on_a_zero_divisor_even_unguarded():
     # gamma = -eps^2 makes the guarded divisor exactly 0; the chain's
     # division raised on that whether or not the finite checks were on.
-    eps = 1e-5
+    eps = md.RevinLayer.eps
     layer = md.RevinLayer(
-        ad.Parameter("gamma", np.array([-eps * eps])), ad.Parameter("beta", np.zeros(1)), eps
+        ad.Parameter("gamma", np.array([-eps * eps])), ad.Parameter("beta", np.zeros(1))
     )
     stats = (np.zeros((1, 1, 1)), np.ones((1, 1, 1)))
     previous = ad.set_finite_checks(False)
@@ -235,14 +236,15 @@ def test_revin_window_is_the_chain_output_laid_out_time_major(batch, length, n, 
     rng = np.random.default_rng(seed)
     layer = revin(rng, n)
     x = leaf(rng, (batch, length, n), loc=2.0, scale=3.0)
-    window, stats = layer.normalize(x, time_major=True)
-    assert window.shape == (length, batch * n)
+    window, stats = layer.normalize(x)
+    assert window.shape == (batch, length, n)
+    assert window.data.swapaxes(0, 1).flags.c_contiguous
     _, chain_stats = chain_revin_normalize(layer, x)
     for got, want in zip(stats, chain_stats):
         assert got.tobytes() == want.tobytes()
     assert_node_matches_chain(
-        lambda: layer.normalize(x, time_major=True)[0],
-        lambda: ad.time_major(chain_revin_normalize(layer, x)[0]),
+        lambda: layer.normalize(x)[0],
+        lambda: chain_revin_normalize(layer, x)[0],
         [x, layer.gamma, layer.beta],
         rng.normal(0.0, 1.0, window.shape),
         exact=True,
@@ -600,7 +602,7 @@ def test_left_map_matches_its_chain(layout, length, k, nodes, batch, scales, see
     x = leaf(rng, (batch, length, nodes))
     out_shape = chain_left_map(maps, x).shape
     assert_node_matches_chain(
-        lambda: ad.left_map([maps], ad.time_major(x), nodes),
+        lambda: ad.left_map([maps], x),
         lambda: chain_left_map(maps, x),
         [maps, x],
         rng.normal(0.0, 1.0, out_shape),
@@ -625,16 +627,15 @@ def test_left_map_of_several_maps_reads_each_as_alone(length, k, nodes, batch, s
         for name, lead in (("shared", ()), ("stack", (scales, 1)))
     ]
     x = leaf(rng, (batch, length, nodes))
-    window = ad.time_major(x)
-    got = ad.left_map(maps, window, nodes).data
-    alone = [ad.left_map([m], window, nodes).data for m in maps]
+    got = ad.left_map(maps, x).data
+    alone = [ad.left_map([m], x).data for m in maps]
     assert got.tobytes() == np.concatenate(alone).tobytes()
 
     def chain():
         return ops.concat([chain_left_map(m, x) for m in maps], axis=0)
 
     assert_node_matches_chain(
-        lambda: ad.left_map(maps, ad.time_major(x), nodes),
+        lambda: ad.left_map(maps, x),
         chain,
         [*maps, x],
         rng.normal(0.0, 1.0, got.shape),
@@ -651,10 +652,77 @@ def test_left_map_raises_exactly_when_its_chain_raises(
     regain(rng, [maps], gain)
     x = ad.Tensor(huge(rng, (2, 6, 3), exponent, offset, spread))
     got, want = both_outcomes(
-        lambda: ad.left_map([maps], ad.time_major(x), 3), lambda: chain_left_map(maps, x)
+        lambda: ad.left_map([maps], x), lambda: chain_left_map(maps, x)
     )
     if got is not None:
         assert relative_error(got, want, floor=1.0) < TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    reader=st.sampled_from(["left_map", "dynamic_adjacency", "revin"]),
+    length=st.integers(1, 5),
+    nodes=st.integers(1, 4),
+    batch=st.integers(1, 3),
+    scales=st.integers(1, 3),
+    grad=st.booleans(),
+    seed=SEED,
+)
+def test_window_readers_read_either_layout_alike(
+    reader, length, nodes, batch, scales, grad, seed
+):
+    # Each reader of a (batch, L, N) window gives the same bytes, and the
+    # window the same gradient, whether the window is C-ordered or laid
+    # out time-major; the gradient comes back in the window's layout.
+    rng = np.random.default_rng(seed)
+    x = leaf(rng, (batch, length, nodes))
+    if reader == "left_map":
+        maps = [
+            ad.Parameter(name, rng.normal(0.0, 0.7, (*lead, length, 2)))
+            for name, lead in (("shared", ()), ("stack", (scales, 1)))
+        ]
+        params = maps
+
+        def read(window):
+            return ad.left_map(maps, window)
+
+    elif reader == "dynamic_adjacency":
+        _, layer = adjacency_case(rng, "per-scale", length, 2, nodes, batch, scales)
+        params = [layer.w1, layer.w2]
+
+        def read(window):
+            return gr.dynamic_adjacency(window, layer)
+
+    else:
+        layer = revin(rng, nodes)
+        params = [layer.gamma, layer.beta]
+
+        def read(window):
+            return layer.normalize(window)[0]
+
+    weight = None
+    results = []
+    for window in (x, time_major_leaf(x)):
+        for t in (window, *params):
+            t.zero_grad()
+        with contextlib.nullcontext() if grad else ad.no_grad():
+            out = read(window)
+            if weight is None:
+                weight = rng.normal(0.0, 1.0, out.shape)
+            if grad:
+                ad.reduce_sum(ops.mul(out, weight)).backward()
+        assert out.requires_grad == grad
+        results.append((out.data.tobytes(), [t.grad for t in (window, *params)]))
+        if grad:
+            # The gradient is laid out like the window.
+            for view in (lambda a: a, lambda a: a.swapaxes(0, 1)):
+                assert view(window.grad).flags.c_contiguous == view(window.data).flags.c_contiguous
+    (got, got_grads), (want, want_grads) = results
+    assert got == want
+    for g, w in zip(got_grads, want_grads):
+        assert (g is None) == (not grad) and (w is None) == (not grad)
+        if grad:
+            assert g.tobytes() == w.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

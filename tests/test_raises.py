@@ -61,8 +61,8 @@ ROWS = {
     "accumulate a misshapen gradient": (
         lambda: ones(3).accumulate(np.ones(2)), ShapeError, "does not match value shape"),
     "left_product over a window of another length": (
-        lambda: ad.left_product(np.ones((2, 4)), np.ones((5, 6)), 3), ShapeError,
-        "cannot read a time-major window"),
+        lambda: ad.left_product(np.ones((2, 4)), np.ones((2, 5, 3))), ShapeError,
+        "cannot read a (batch, L, N) window"),
     "reduce_sum over an axis out of range": (
         lambda: ad.reduce_sum(ones(2, 3), axis=2), ShapeError, "out of range"),
     "reduce_sum over an empty axis": (
@@ -71,9 +71,6 @@ ROWS = {
     "conv1d with a 2-d kernel": (lambda: conv(kernel=(2, 2)), ShapeError, "3-d input and kernel"),
     "conv1d with a kernel of other channels": (
         lambda: conv(kernel=(2, 3, 3)), ShapeError, "do not match input"),
-    "layer_norm with eps 0": (
-        lambda: ad.layer_norm(ones(2, 3), 1, ones(3), ones(3), eps=0.0), ConfigError,
-        "eps must be positive"),
     "layer_norm with a misshapen gain": (
         lambda: ad.layer_norm(ones(2, 3), 1, ones(2), ones(3)), ShapeError, "affine must have"),
     "layer_norm over an empty axis": (
@@ -88,8 +85,8 @@ ROWS = {
     "a dynamic graph that is not square": (
         lambda: gr.dynamic_graph_conv(ones(2, 3, 4), ones(2, 4, 5), prop_cfg(1)), ShapeError,
         "(..., nodes, nodes)"),
-    "a time-major window of three axes": (
-        lambda: gr.dynamic_adjacency(ones(2, 4, 6), embedding(), 3), ShapeError,
+    "a window of two axes": (
+        lambda: gr.dynamic_adjacency(ones(4, 6), embedding()), ShapeError,
         "do not fit the window"),
     "embedding maps of another length": (
         lambda: gr.dynamic_adjacency(ones(2, 5, 3), embedding(4)), ShapeError,
