@@ -31,12 +31,13 @@ Each recorded op pays a fixed Python cost on top of its arithmetic, and
 on small shapes that cost dominates, so the per-op path calls numpy
 directly rather than through its Python-level helpers (``np.all``,
 ``np.pad``, ``np.prod``). For the same reason the model's stages (RevIN,
-graph propagation, dynamic adjacency, fusion gate, head, wavelet
-transforms) are single fused nodes, built in their own modules on the
-public pieces this one exports: ``record`` makes a node (and guards
-chosen intermediates as well as the output) and ``Tensor.accumulate``
-adds a gradient to a parent. Each node takes the one call form the
-model uses, and ``Tensor`` has no arithmetic operators.
+graph propagation, dynamic adjacency, fusion gate or mean, head,
+wavelet transforms) are single fused nodes, built in their own modules
+on the public pieces this one exports: ``record`` makes a node (and
+guards chosen intermediates as well as the output) and
+``Tensor.accumulate`` adds a gradient to a parent. Each node takes the
+one call form the model uses, and ``Tensor`` has no arithmetic
+operators.
 
 Layouts: an op's float64 result is stored as the op laid it out,
 strided views included; only a ``Tensor`` built from a caller's array is
@@ -62,11 +63,11 @@ belongs to. The model keeps two values laid out for their readers:
   GEMM rather than one small product per (scale, item).
 
 The other nodes here are ``conv1d`` and ``layer_norm`` for the
-inception block and the ``gf`` ablation's mean. The ops the fused
-stages replaced, the broadcasting ``matmul`` and its gradient rules
-among them, live in ``tests/oracle_ops.py``: only the tests' op-by-op
-chains use them, as the oracles that each fused node must match and
-must raise where they raise.
+inception block. The ops the fused stages replaced, the broadcasting
+``matmul``, its gradient rules and the generic reductions among them,
+live in ``tests/oracle_ops.py``: only the tests' op-by-op chains use
+them, as the oracles that each fused node must match and must raise
+where they raise.
 
 A training step allocates its graph's arrays afresh, and ``backward``
 frees them all again. By default glibc then trims the freed top of the
@@ -316,22 +317,6 @@ def record(
 
 
 # ---------------------------------------------------------------------------
-# Elementwise ops
-
-
-def scale(x, c: float) -> Tensor:
-    x = _as_tensor(x)
-    c = float(c)
-    data = x.data * c
-
-    def vjp(g):
-        if x.requires_grad:
-            x.accumulate(g * c)
-
-    return record(data, "scale", (x,), vjp)
-
-
-# ---------------------------------------------------------------------------
 # Linear algebra
 
 
@@ -442,42 +427,6 @@ def _check_axis(x: Tensor, axis: int) -> int:
     if not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"axis {axis} out of range for shape {x.shape}")
     return axis % x.ndim
-
-
-# ---------------------------------------------------------------------------
-# Reductions
-
-
-def reduce_sum(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    if axis is None:
-        data = x.data.sum()
-
-        def vjp(g):
-            if x.requires_grad:
-                x.accumulate(np.broadcast_to(g, x.data.shape))
-
-        return record(data, "sum", (x,), vjp)
-
-    axis = _check_axis(x, axis)
-    if x.data.shape[axis] == 0:
-        raise ShapeError(f"cannot reduce over empty axis {axis} of shape {x.shape}")
-    data = x.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if x.requires_grad:
-            x.accumulate(np.broadcast_to(g if keepdims else np.expand_dims(g, axis), x.data.shape))
-
-    return record(data, "sum", (x,), vjp)
-
-
-def reduce_mean(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    x = _as_tensor(x)
-    count = x.data.size if axis is None else x.data.shape[_check_axis(x, axis)]
-    if count == 0:
-        raise ShapeError(f"cannot average over empty axis {axis} of shape {x.shape}")
-    total = reduce_sum(x, axis, keepdims)
-    return scale(total, 1.0 / count)
 
 
 # ---------------------------------------------------------------------------

@@ -144,31 +144,17 @@ class RunConfig:
 # Builders for the typed configs the library modules consume
 
 
+def _fields(cfg: RunConfig, sections: tuple) -> dict:
+    """The values of the keys under ``sections``, by field: the text after the dot."""
+    return {k.partition(".")[2]: cfg[k] for k in DEFAULTS if k.partition(".")[0] in sections}
+
+
 def model_config(cfg: RunConfig, n_vars: int) -> md.ModelConfig:
-    return md.ModelConfig(
-        input_len=cfg["model.input_len"],
-        horizon=cfg["model.horizon"],
-        n_vars=n_vars,
-        hidden=cfg["model.hidden"],
-        levels=cfg["wavelet.levels"],
-        family=cfg["wavelet.family"],
-        boundary=cfg["wavelet.boundary"],
-        depth=cfg["gcn.depth"],
-        alpha=cfg["gcn.alpha"],
-        embed_dim=cfg["gcn.embed_dim"],
-        seed=cfg["model.seed"],
-    )
+    return md.ModelConfig(n_vars=n_vars, **_fields(cfg, ("model", "wavelet", "gcn")))
 
 
 def train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        lr=cfg["train.lr"],
-        epochs=cfg["train.epochs"],
-        patience=cfg["train.patience"],
-        batch=cfg["train.batch"],
-        seed=cfg["train.seed"],
-        clip=cfg["train.clip"],
-    )
+    return TrainConfig(**_fields(cfg, ("train",)))
 
 
 def _parse_periods(text: str):

@@ -53,6 +53,7 @@ import os
 import pathlib
 import secrets
 from dataclasses import dataclass, field
+from datetime import datetime
 
 import numpy as np
 
@@ -80,12 +81,19 @@ class SeriesTable:
                 raise DataError(
                     f"{len(self.timestamps)} timestamps for {self.values.shape[0]} rows"
                 )
-            for i in range(1, len(self.timestamps)):
-                if self.timestamps[i] <= self.timestamps[i - 1]:
-                    raise DataError(
-                        f"timestamps not strictly increasing at row {i + 1}:"
-                        f" {self.timestamps[i]!r} after {self.timestamps[i - 1]!r}"
-                    )
+            # Only a column of ISO stamps is judged, by time: any other
+            # (1/9/2020, or offsets mixed with none) is taken in file order.
+            stamps = self.timestamps
+            try:
+                times = [datetime.fromisoformat(t) for t in stamps]
+                i = next((i for i in range(1, len(times)) if times[i] <= times[i - 1]), 0)
+            except (ValueError, TypeError):
+                i = 0
+            if i:
+                raise DataError(
+                    f"timestamps not strictly increasing at row {i + 1}:"
+                    f" {stamps[i]!r} after {stamps[i - 1]!r}"
+                )
 
     @property
     def rows(self) -> int:

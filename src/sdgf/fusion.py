@@ -12,7 +12,8 @@ item, so different windows can prefer different graphs.
 The gate is one recorded node with a hand-derived VJP. Its forward takes
 the steps of the op-by-op chain it stands for (pool, key, score,
 softmax, weighted sum) in that order, and the logits are guarded as well
-as the output, so it raises ``NumericError`` where that chain did.
+as the output, so it raises ``NumericError`` where that chain did. The
+``gf`` ablation's plain mean over the branch axis is one node too.
 """
 
 from __future__ import annotations
@@ -81,3 +82,21 @@ def fuse(branches: ad.Tensor, layer: FusionLayer) -> tuple[ad.Tensor, np.ndarray
     # Logits are guarded too: one of -inf would weigh its branch 0.
     out = ad.record(fused, "fuse", (branches, q, w_k), vjp, (logits,))
     return out, alpha.T.copy()
+
+
+def mean(branches: ad.Tensor) -> tuple[ad.Tensor, np.ndarray]:
+    """The ``gf`` ablation's unweighted blend: ``fuse`` with uniform weights.
+
+    One node taking the steps of a sum over the branch axis and then a
+    scale by 1 / branches, so its value, gradient and their layouts are
+    that chain's bit for bit. A sum that overflows stays infinite after
+    the scale, so the output guard raises where the chain did.
+    """
+    count = branches.shape[0]
+    c = 1.0 / count
+
+    def vjp(g):
+        branches.accumulate(np.broadcast_to((g * c)[None], branches.shape))
+
+    out = ad.record(branches.data.sum(axis=0) * c, "mean", (branches,), vjp)
+    return out, np.full((branches.shape[1], count), c)

@@ -15,7 +15,8 @@ Forward pipeline for a (batch, input_len, n_vars) window:
 Every stage records one autodiff node with a hand-derived VJP (the
 inception block two: its conv1d and its layer norm), and so do the
 projection of the branch stack (``ad.left_map``) and each wavelet fold:
-a grad forward records 12 nodes at any propagation depth from 1 up. At
+a grad forward records 12 nodes at any propagation depth from 1 up,
+whether fusion is the gate or the ``gf`` ablation's mean. At
 depth 0 no graph is read, so the dynamic adjacency is not learned (the
 identity stands in, as under ``gsl``), its maps are no effective
 parameters, and a grad forward records 9 nodes. RevIN keeps its
@@ -431,10 +432,6 @@ def effective_parameters(model: SdgfModel) -> list[ad.Parameter]:
     return list(_walk(model, skip))
 
 
-def parameter_count(model: SdgfModel) -> int:
-    return sum(p.size for p in parameters(model))
-
-
 def set_static_graph(model: SdgfModel, series: np.ndarray) -> None:
     """Freeze the static adjacency from a (rows, n_vars) training series."""
     series = np.asarray(series, dtype=np.float64)
@@ -515,8 +512,7 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
     projected = ad.left_map((model.input_proj, _fold(model.input_proj, cfg)), window)
     branches = gr.static_graph_conv(projected, static_adj, model.graph_cfg, dynamic=dyn_adj)
     if model.ablation == "gf":
-        fused = ad.reduce_mean(branches, 0)
-        alpha = np.full((batch, branches.shape[0]), 1.0 / branches.shape[0])
+        fused, alpha = fu.mean(branches)
     else:
         fused, alpha = fu.fuse(branches, model.fusion_layer)
 

@@ -92,8 +92,6 @@ class AdamState:
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     layout: tuple = ()
-    # The views of one vector that the last step bound the parameters to.
-    _views: tuple = field(default=(), init=False, repr=False, compare=False)
 
 
 def adam_step(params: list[ad.Parameter], grads: dict[str, np.ndarray], state: AdamState) -> None:
@@ -106,9 +104,6 @@ def adam_step(params: list[ad.Parameter], grads: dict[str, np.ndarray], state: A
     update, so the result is bit-identical to one. Each parameter's
     ``.data`` is then rebound to its slice of the new vector (a view), so
     an array taken from a parameter before the step keeps its values.
-    While every parameter still holds the view the last step bound (an
-    in-place write keeps it), the next step reads that vector instead of
-    laying the values end to end again.
 
     Raises ``GraphError`` for a parameter with no gradient and
     ``StateError`` when the parameter list differs from the one the
@@ -152,16 +147,12 @@ def adam_step(params: list[ad.Parameter], grads: dict[str, np.ndarray], state: A
     step = m / correct1
     step *= state.lr
     step /= denom
-    if state._views and all(p.data is view for p, view in zip(params, state._views)):
-        values = state._views[0].base - step
-    else:
-        values = np.concatenate([p.data.reshape(-1) for p in params])
-        values -= step
+    values = np.concatenate([p.data.reshape(-1) for p in params])
+    values -= step
     start = 0
     for p, (_, size) in zip(params, layout):
         p.data = values[start : start + size].reshape(p.data.shape)
         start += size
-    state._views = tuple(p.data for p in params)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:

@@ -22,21 +22,22 @@ def fd_gradient(build_loss, leaf: ad.Tensor, h=1e-5) -> np.ndarray:
 
     ``build_loss`` must rebuild the computation from current leaf values
     and return the scalar loss as a float. ``h`` is one step for every
-    element or an array of steps in the leaf's shape.
+    element or an array of steps in the leaf's shape. Each element is
+    perturbed in place by its index, so a strided leaf (a time-major
+    window, a node-major stack) is probed as it is laid out.
     """
-    grad = np.zeros_like(leaf.data)
-    flat_value = leaf.data.ravel()
-    flat_grad = grad.ravel()
-    steps = np.broadcast_to(np.asarray(h, dtype=np.float64), leaf.data.shape).ravel()
+    value = leaf.data
+    grad = np.zeros_like(value)
+    steps = np.broadcast_to(np.asarray(h, dtype=np.float64), value.shape)
     with ad.no_grad():
-        for i in range(flat_value.size):
-            saved, step = flat_value[i], steps[i]
-            flat_value[i] = saved + step
+        for i in np.ndindex(value.shape):
+            saved, step = value[i], steps[i]
+            value[i] = saved + step
             up = build_loss()
-            flat_value[i] = saved - step
+            value[i] = saved - step
             down = build_loss()
-            flat_value[i] = saved
-            flat_grad[i] = (up - down) / (2.0 * step)
+            value[i] = saved
+            grad[i] = (up - down) / (2.0 * step)
     return grad
 
 
@@ -107,9 +108,9 @@ def chain_layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> ad.Tensor:
     on exactly the inputs the fused op must raise on.
     """
     x = ad._as_tensor(x)
-    m = ad.reduce_mean(x, axis, keepdims=True)
+    m = ops.reduce_mean(x, axis, keepdims=True)
     centered = ops.sub(x, m)
-    var = ad.reduce_mean(ops.mul(centered, centered), axis, keepdims=True)
+    var = ops.reduce_mean(ops.mul(centered, centered), axis, keepdims=True)
     normed = ops.div(centered, ops.sqrt(ops.add(var, eps)))
     side = [1] * x.ndim
     side[axis] = x.shape[axis]
@@ -155,8 +156,8 @@ def chain_propagate(h, adjacency, cfg):
     h_n = ops.contiguous(ops.matrix_transpose(h))
     states = [h_n]
     for _ in range(cfg.depth):
-        mixed = ad.scale(ops.matmul(a, states[-1]), 1.0 - cfg.alpha)
-        states.append(ops.add(ad.scale(h_n, cfg.alpha), mixed))
+        mixed = ops.scale(ops.matmul(a, states[-1]), 1.0 - cfg.alpha)
+        states.append(ops.add(ops.scale(h_n, cfg.alpha), mixed))
     out = None
     for theta, state in zip(cfg.theta, states):
         *lead, nodes, dim = state.shape
@@ -193,11 +194,11 @@ def chain_dynamic_adjacency(x, layer):
 def chain_fuse(branches, layer):
     """``fusion.fuse`` as ten primitive ops; returns the fused tensor and alpha."""
     count, batch, dim, _ = branches.shape
-    pooled = ad.reduce_mean(branches, 3)
+    pooled = ops.reduce_mean(branches, 3)
     keyed = ops.matmul(pooled, ops.transpose(layer.w_k, (1, 0)))
     logits = ops.matmul(keyed, ops.reshape(layer.q, (dim, 1)))
     alpha = ops.softmax(logits, axis=0)
-    fused = ad.reduce_sum(ops.mul(branches, ops.reshape(alpha, (count, batch, 1, 1))), axis=0)
+    fused = ops.reduce_sum(ops.mul(branches, ops.reshape(alpha, (count, batch, 1, 1))), axis=0)
     return fused, alpha.data.reshape(count, batch).T.copy()
 
 
@@ -237,7 +238,7 @@ def chain_forward(x, model):
     )
     branches = ops.concat([ops.reshape(h_static, (1, *h_static.shape)), h_dyn], axis=0)
     if model.ablation == "gf":
-        fused = ad.reduce_mean(branches, 0)
+        fused = ops.reduce_mean(branches, 0)
     else:
         fused, _ = chain_fuse(branches, model.fusion_layer)
     if model.ablation != "tfl":
@@ -249,7 +250,7 @@ def chain_forward(x, model):
 def chain_mse_loss(pred, target):
     """``training.mse_loss`` as a difference, a square and a mean."""
     err = ops.sub(pred, ad.Tensor(target))
-    return ad.reduce_mean(ops.mul(err, err))
+    return ops.reduce_mean(ops.mul(err, err))
 
 
 def model_loss_and_grads(forward, x, model, target):

@@ -7,8 +7,10 @@ needs the primitives those nodes replaced. The op-by-op chains in
 ``NumericError`` exactly where its fused node must. The broadcasting
 ``matmul`` and its gradient rules (``unbroadcast``,
 ``matmul_operand_grad``) are here as well: no node of the package
-broadcasts. The closed-form parameter count that the model tests pin
-the built tree against is here too.
+broadcasts. So are the generic reductions and ``scale``, which the
+``gf`` ablation's mean (``fusion.mean``) replaced. The closed-form
+parameter count that the model tests pin the built tree against is here
+too.
 """
 
 import math
@@ -154,6 +156,50 @@ def div(a, b) -> Tensor:
             b.accumulate(unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return record(data, "div", (a, b), vjp)
+
+
+def scale(x, c: float) -> Tensor:
+    x = _as_tensor(x)
+    c = float(c)
+    data = x.data * c
+
+    def vjp(g):
+        if x.requires_grad:
+            x.accumulate(g * c)
+
+    return record(data, "scale", (x,), vjp)
+
+
+def reduce_sum(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    x = _as_tensor(x)
+    if axis is None:
+        data = x.data.sum()
+
+        def vjp(g):
+            if x.requires_grad:
+                x.accumulate(np.broadcast_to(g, x.data.shape))
+
+        return record(data, "sum", (x,), vjp)
+
+    axis = _check_axis(x, axis)
+    if x.data.shape[axis] == 0:
+        raise ShapeError(f"cannot reduce over empty axis {axis} of shape {x.shape}")
+    data = x.data.sum(axis=axis, keepdims=keepdims)
+
+    def vjp(g):
+        if x.requires_grad:
+            x.accumulate(np.broadcast_to(g if keepdims else np.expand_dims(g, axis), x.data.shape))
+
+    return record(data, "sum", (x,), vjp)
+
+
+def reduce_mean(x, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    x = _as_tensor(x)
+    count = x.data.size if axis is None else x.data.shape[_check_axis(x, axis)]
+    if count == 0:
+        raise ShapeError(f"cannot average over empty axis {axis} of shape {x.shape}")
+    total = reduce_sum(x, axis, keepdims)
+    return scale(total, 1.0 / count)
 
 
 def tanh(x) -> Tensor:

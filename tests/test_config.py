@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sdgf import config as cf
 from sdgf import data as dt
+from sdgf import model as md
 from sdgf import training as tr
 from sdgf.errors import ConfigError
 
@@ -141,6 +142,25 @@ def test_train_config_builder_maps_keys():
     assert tc.lr == 0.01
     assert tc.clip == 0.0
     assert tc.batch == 32
+
+
+@pytest.mark.parametrize(
+    "sections,cls", [(("model", "wavelet", "gcn"), md.ModelConfig), (("train",), tr.TrainConfig)]
+)
+def test_each_builder_key_names_a_field_with_the_same_default(sections, cls):
+    # The builders take each key under their sections as the field named
+    # after the dot. The benchmark builds models from the dataclass
+    # defaults and the CLI from ``DEFAULTS``, so where a field has a
+    # default, its key's default is the same value of the same type.
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    keys = [key for key in cf.DEFAULTS if key.partition(".")[0] in sections]
+    assert keys
+    for key in keys:
+        name = key.partition(".")[2]
+        assert name in fields, key
+        default = fields[name].default
+        if default is not dataclasses.MISSING:
+            assert type(default) is type(cf.DEFAULTS[key]) and default == cf.DEFAULTS[key], key
 
 
 def test_synth_spec_builder_parses_lists():

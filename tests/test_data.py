@@ -1,11 +1,13 @@
 """Data pipeline checks: CSV round trips, windows, splits, synthesis."""
 
+import itertools
 import re
 import types
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdgf import data as dt
@@ -81,6 +83,63 @@ def test_unsorted_timestamps_rejected(tmp_path):
     path.write_text("date,a\n2020-01-02,1\n2020-01-01,2\n")
     with pytest.raises(DataError, match="strictly increasing"):
         dt.load_csv(str(path))
+
+
+# Ways of writing a time that need not sort as text: month first, and
+# unpadded months, days or hours.
+STAMP_LAYOUTS = [
+    lambda t: t.strftime("%m/%d/%Y %H:%M"),
+    lambda t: f"{t.month}/{t.day}/{t.year} {t.hour}:{t:%M}",
+    lambda t: f"{t:%Y-%m-%d} {t.hour}:{t:%M}",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    start=st.datetimes(datetime(1990, 1, 1), datetime(2030, 1, 1)),
+    minutes=st.lists(st.integers(1, 60 * 24 * 40), min_size=1, max_size=8),
+    layout=st.integers(0, len(STAMP_LAYOUTS) - 1),
+    defect=st.sampled_from(["none", "swap", "repeat"]),
+    quoted=st.booleans(),
+    data=st.data(),
+)
+@example(datetime(2020, 1, 9), [60 * 24], 1, "none", False, None)  # 1/9/2020, 1/10/2020
+@example(datetime(2020, 1, 1, 9), [60], 2, "none", True, None)  # 9:00, 10:00
+def test_a_date_column_is_judged_by_time_and_only_when_it_is_iso(
+    tmp_path_factory, start, minutes, layout, defect, quoted, data
+):
+    # Increasing times load in any layout; ISO stamps with one adjacent
+    # swap or repeat raise at that row. A quoted date cell sends the
+    # file through csv.reader, an unquoted one through np.loadtxt.
+    times = itertools.accumulate(minutes, lambda t, m: t + timedelta(minutes=m), initial=start)
+    times = list(times)
+    if defect == "none":
+        stamps = [STAMP_LAYOUTS[layout](t) for t in times]
+    else:
+        stamps = [t.isoformat(sep=" ") for t in times]
+        i = data.draw(st.integers(1, len(stamps) - 1))
+        if defect == "swap":
+            stamps[i - 1], stamps[i] = stamps[i], stamps[i - 1]
+        else:
+            stamps[i] = stamps[i - 1]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_text("date,a\n" + "".join(
+        (f'"{stamp}"' if quoted else stamp) + f",{r}\n" for r, stamp in enumerate(stamps)
+    ))
+    if defect == "none":
+        assert dt.load_csv(str(path)).timestamps == stamps
+    else:
+        with pytest.raises(DataError) as caught:
+            dt.load_csv(str(path))
+        assert str(caught.value) == (
+            f"timestamps not strictly increasing at row {i + 1}:"
+            f" {stamps[i]!r} after {stamps[i - 1]!r}"
+        )
+
+
+def test_stamps_that_cannot_be_compared_are_taken_in_file_order():
+    stamps = ["2020-01-01 10:00+01:00", "2020-01-01 09:00", "2020-01-01 08:00"]
+    assert dt.SeriesTable(np.ones((3, 1)), ["a"], stamps).timestamps == stamps
 
 
 def test_csv_round_trip_bit_exact(tmp_path):

@@ -64,7 +64,7 @@ def assert_node_matches_chain(
         for t in leaves:
             t.zero_grad()
         out = build()
-        ad.reduce_sum(ops.mul(out, weight)).backward()
+        ops.reduce_sum(ops.mul(out, weight)).backward()
         results.append((out.data, [t.grad for t in leaves]))
     (got, got_grads), (want, want_grads) = results
     assert got.shape == want.shape
@@ -80,7 +80,7 @@ def assert_node_matches_chain(
         assert not quiet.requires_grad and quiet._vjp is None
         assert quiet.data.tobytes() == got.tobytes()
     assert_grads_match(
-        lambda: ad.reduce_sum(ops.mul(fused(), weight)),
+        lambda: ops.reduce_sum(ops.mul(fused(), weight)),
         leaves if fd_leaves is None else fd_leaves,
         tol=fd_tol,
     )
@@ -180,7 +180,7 @@ def test_revin_denormalize_matches_its_chain(batch, horizon, n, seed):
     # to its own pole.
     pole = np.abs(layer.gamma.data + layer.eps * layer.eps)
     assert_grads_match(
-        lambda: ad.reduce_sum(ops.mul(layer.denormalize(y, stats), weight)),
+        lambda: ops.reduce_sum(ops.mul(layer.denormalize(y, stats), weight)),
         [layer.gamma],
         tol=1e-4,
         h=1e-5 * np.minimum(1.0, pole),
@@ -440,7 +440,7 @@ def test_branch_stack_matches_its_chains(depth, dim, nodes, batch, scales, learn
     # 1e-5 of the error floor (also 1e-5) on an entry near zero; a 0.1
     # step makes it 1e4 times smaller.
     assert_grads_match(
-        lambda: ad.reduce_sum(ops.mul(branch_stack_node(h, *case), weight)),
+        lambda: ops.reduce_sum(ops.mul(branch_stack_node(h, *case), weight)),
         leaves[: depth + 2],
         tol=1e-5,
         h=0.1,
@@ -710,7 +710,7 @@ def test_window_readers_read_either_layout_alike(
             if weight is None:
                 weight = rng.normal(0.0, 1.0, out.shape)
             if grad:
-                ad.reduce_sum(ops.mul(out, weight)).backward()
+                ops.reduce_sum(ops.mul(out, weight)).backward()
         assert out.requires_grad == grad
         results.append((out.data.tobytes(), [t.grad for t in (window, *params)]))
         if grad:
@@ -723,6 +723,30 @@ def test_window_readers_read_either_layout_alike(
         assert (g is None) == (not grad) and (w is None) == (not grad)
         if grad:
             assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("reader", ["left_map", "dynamic_adjacency"])
+def test_finite_differences_probe_a_time_major_window_in_place(reader):
+    # The FD oracle perturbs a strided leaf where it lies, so the window's
+    # gradient is checked in the layout the RevIN node writes, not only
+    # in C order.
+    rng = np.random.default_rng(5)
+    x, layer = adjacency_case(rng, "per-scale", 3, 2, 2, 2, 2)
+    window = time_major_leaf(x)
+    assert not window.data.flags.c_contiguous
+    if reader == "left_map":
+        maps = leaf(rng, (3, 2))
+
+        def read():
+            return ad.left_map([maps], window)
+
+    else:
+
+        def read():
+            return gr.dynamic_adjacency(window, layer)
+
+    weight = rng.normal(0.0, 1.0, read().shape)
+    assert_grads_match(lambda: ops.reduce_sum(ops.mul(read(), weight)), [window])
 
 
 @settings(max_examples=40, deadline=None)
@@ -843,6 +867,77 @@ def test_fuse_raises_exactly_when_its_chain_raises(exponent, offset, spread, gai
     regain(rng, [layer.q, layer.w_k], gain)
     branches.data[0] = huge(rng, branches.shape[1:], exponent, offset, spread)
     both_outcomes(lambda: fu.fuse(branches, layer)[0], lambda: chain_fuse(branches, layer)[0])
+
+
+# ---------------------------------------------------------------------------
+# The ``gf`` mean
+
+
+def mean_case(rng, count, batch, dim, nodes, node_major):
+    branches = leaf(rng, (count, batch, dim, nodes))
+    if node_major:
+        # ``ad.Tensor`` would copy a strided array into C order.
+        laid = np.ascontiguousarray(branches.data.swapaxes(-1, -2)).swapaxes(-1, -2)
+        branches = ad.record(laid, "input", (), None)
+        branches.requires_grad = True
+    return branches
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(1, 4),
+    batch=st.integers(1, 3),
+    dim=st.integers(1, 3),
+    nodes=st.integers(1, 3),
+    node_major=st.booleans(),
+    seed=SEED,
+)
+def test_mean_is_its_chain_bit_for_bit(count, batch, dim, nodes, node_major, seed):
+    # ``fu.mean`` takes the steps of ``reduce_mean(branches, 0)``, a sum
+    # over the branch axis and then a scale, so its value and the stack's
+    # gradient are the chain's bytes in the chain's layout, whether the
+    # stack is C-ordered or node-major. Its weights are uniform.
+    rng = np.random.default_rng(seed)
+    branches = mean_case(rng, count, batch, dim, nodes, node_major)
+    weight = rng.normal(0.0, 1.0, (batch, dim, nodes))
+    results = []
+    for build in (lambda: fu.mean(branches)[0], lambda: ops.reduce_mean(branches, 0)):
+        branches.zero_grad()
+        out = build()
+        ops.reduce_sum(ops.mul(out, weight)).backward()
+        results.append((out.data, branches.grad))
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
+    assert_node_matches_chain(
+        lambda: fu.mean(branches)[0],
+        lambda: ops.reduce_mean(branches, 0),
+        [branches],
+        weight,
+        exact=True,
+    )
+    _, alpha = fu.mean(branches)
+    assert np.array_equal(alpha, np.full((batch, count), 1.0 / count))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    exponent=HUGE["exponent"],
+    offset=HUGE["offset"],
+    spread=HUGE["spread"],
+    node_major=st.booleans(),
+    seed=SEED,
+)
+def test_mean_raises_exactly_when_its_chain_raises(exponent, offset, spread, node_major, seed):
+    # A sum of branches near 1e308 overflows, and the scale keeps it
+    # infinite, so the node's output guard raises where the chain's sum did.
+    rng = np.random.default_rng(seed)
+    branches = mean_case(rng, 3, 2, 3, 4, node_major)
+    branches.data[...] = huge(rng, branches.shape, exponent, offset, spread)
+    got, want = both_outcomes(
+        lambda: fu.mean(branches)[0], lambda: ops.reduce_mean(branches, 0)
+    )
+    if got is not None:
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

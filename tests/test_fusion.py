@@ -37,7 +37,7 @@ def per_branch_fuse(branches, layer):
     dim = branches[0].shape[1]
     query = ops.reshape(layer.q, (dim, 1))
     logits = [
-        ops.matmul(ops.matmul(ad.reduce_mean(b, 2), ops.transpose(layer.w_k, (1, 0))), query)
+        ops.matmul(ops.matmul(ops.reduce_mean(b, 2), ops.transpose(layer.w_k, (1, 0))), query)
         for b in branches
     ]
     alpha = ops.softmax(ops.concat(logits, axis=1), axis=1)
@@ -159,6 +159,6 @@ def test_gradients_flow_through_gate():
 
     def loss():
         fused, _ = fu.fuse(branches, layer)
-        return ad.reduce_sum(ops.mul(fused, w))
+        return ops.reduce_sum(ops.mul(fused, w))
 
     assert_grads_match(loss, [q, w_k, branches], tol=1e-4)

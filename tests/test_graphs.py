@@ -292,7 +292,7 @@ def test_gradients_flow_through_dynamic_path():
 
     def loss():
         out = gr.dynamic_graph_conv(h, gr.dynamic_adjacency(x, layer), cfg)
-        return ad.reduce_sum(ops.mul(out, w))
+        return ops.reduce_sum(ops.mul(out, w))
 
     assert_grads_match(loss, [w1, w2, *thetas], tol=1e-4)
 

@@ -174,6 +174,6 @@ def test_block_gradients_match_finite_differences():
     ]
 
     def loss():
-        return ad.reduce_sum(ops.mul(tp.inception_forward(h, block), w))
+        return ops.reduce_sum(ops.mul(tp.inception_forward(h, block), w))
 
     assert_grads_match(loss, params, tol=1e-4)
