@@ -19,13 +19,23 @@ is freed the moment the caller drops the loss. Leaf gradients
 (parameters, inputs) are kept. A later ``backward`` that reaches a
 released node raises ``GraphError``.
 
-Outputs are checked for NaN/Inf after every operation (a non-finite
-value is an error state, not a value): the op that first produces one
-raises ``NumericError`` naming itself. The check is one ``isfinite``
-pass and one reduction called on the array itself, so an array passes
-exactly when every element is finite, whatever the sum of its elements
-would be. ``set_finite_checks`` can switch the guard off for throughput
+A non-finite value is an error state, not a value: the op that first
+produces one raises ``NumericError`` naming itself. In grad mode every
+op's output is checked for NaN/Inf, and so are the intermediates it
+names as ``checked``. A ``no_grad`` forward run through ``guard_once``
+(every model forecast) checks only those intermediates and its final
+output, and replays with every guard on after a failure, so it raises
+where the op-by-op guard raises. The check is one ``isfinite`` pass and
+one reduction called on the array itself, so an array passes exactly
+when every element is finite, whatever the sum of its elements would
+be. ``set_finite_checks`` can switch every check off for throughput
 experiments.
+
+Under ``no_grad`` an operand derived from parameters alone (the model's
+wavelet folds, ``conv1d``'s composed kernel) is made once per parameter
+version: ``cached`` keeps it, next to the bytes of its sources, while the
+sources stay bit for bit the same. Grad mode makes every such operand
+afresh, as part of the gradient path.
 
 Each recorded op pays a fixed Python cost on top of its arithmetic, and
 on small shapes that cost dominates, so the per-op path calls numpy
@@ -90,14 +100,16 @@ import contextlib
 import ctypes
 import math
 import os
+import weakref
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, GraphError, NumericError, ShapeError
+from .errors import ConfigError, GraphError, NumericError, SdgfError, ShapeError
 
 _grad_enabled = True
 _finite_checks = True
+_output_guards = True  # off only in ``guard_once``'s first pass
 _FLOAT64 = np.dtype(np.float64)
 
 
@@ -296,7 +308,8 @@ def record(
     """
     for inner in checked:
         _guard(inner, op)
-    _guard(data, op)
+    if _output_guards:
+        _guard(data, op)
     track = False
     if _grad_enabled:
         for p in parents:
@@ -314,6 +327,93 @@ def record(
         out._parents = parents
         out._vjp = vjp
     return out
+
+
+# ---------------------------------------------------------------------------
+# no_grad forwards: cached operands and one finiteness check
+
+
+# First source -> (key, weak references to the other sources, a snapshot
+# of every source's values, the value); see ``cached``.
+_CACHE = weakref.WeakKeyDictionary()
+
+
+def cached(sources: tuple[Tensor, ...], key: tuple, make: Callable[[], tuple]) -> tuple:
+    """``make()``, a tuple derived from the values of ``sources`` alone, cached under ``no_grad``.
+
+    Grad mode neither reads nor writes the cache: there the value is part
+    of the gradient path and is made afresh. Under ``no_grad`` one entry
+    is kept per first source, with ``key`` (the settings the value was
+    made with) and a snapshot of every source, its shape and the bytes of
+    its values; every source is held weakly, so the cache never keeps a
+    model alive. The entry is reused while the key matches, the sources
+    are the same tensors and each one's snapshot is unchanged, so an
+    optimizer step (which rebinds ``.data``) and an in-place write, even
+    one that only flips the sign of a zero, both make the value afresh.
+    Comparing bytes costs about half of an elementwise compare. Only a value whose arrays
+    are all finite is kept, so a hit passes every guard that making it
+    would pass; the kept arrays are read-only.
+    """
+    if _grad_enabled:
+        return make()
+    first, rest = sources[0], sources[1:]
+    hit = _CACHE.get(first)
+    if (
+        hit is not None
+        and hit[0] == key
+        and all(ref() is s for ref, s in zip(hit[1], rest))
+        and hit[2] == _snapshot(sources)
+    ):
+        return hit[3]
+    value = make()
+    arrays = [v.data if isinstance(v, Tensor) else v for v in value]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    if all(np.isfinite(a).all() for a in arrays):
+        for a in arrays:
+            a.setflags(write=False)
+        refs = tuple(weakref.ref(s) for s in rest)
+        _CACHE[first] = (key, refs, _snapshot(sources), value)
+    return value
+
+
+def _snapshot(sources: tuple[Tensor, ...]) -> tuple:
+    """Each source's shape and the bytes of its values: equal exactly when the bits are."""
+    return tuple((s.data.shape, s.data.tobytes()) for s in sources)
+
+
+def guard_once(run: Callable[[], tuple]) -> tuple:
+    """``run()``, a forward returning its output tensor first, checked once for NaN/Inf.
+
+    In grad mode, with checks off (``set_finite_checks``) or inside
+    another such call, ``run()`` runs as it is. Under ``no_grad`` a first
+    pass skips every node's output guard but keeps each ``checked``
+    guard, with numpy's floating-point warnings off, and only its output
+    is checked. A first pass that raises an ``SdgfError`` (not only a
+    ``NumericError``: with an output guard skipped, a forward can reach
+    a later error that the guard would have preempted), or whose output
+    is not all finite, is run again with every guard on and under the
+    caller's ``np.errstate``, so a failure raises the error, and prints
+    the warnings, of a forward guarded node by node. A forward that passes
+    every guard passes the first pass with the same bits. One that fails
+    a guard fails the first pass too: every node either passes a
+    non-finite input on to its output or guards, as ``checked``, the
+    intermediate that would turn it finite again, so a non-finite value
+    reaches the output or raises on the way.
+    """
+    global _output_guards
+    if _grad_enabled or not (_finite_checks and _output_guards):
+        return run()
+    _output_guards = False
+    try:
+        with np.errstate(all="ignore"):
+            result = run()
+        if np.isfinite(result[0].data).all():
+            return result
+    except SdgfError:  # the run below raises what a forward guarded node by node raises
+        pass
+    finally:
+        _output_guards = True
+    return run()
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +554,9 @@ def conv1d(x, kernels, dilations, biases, mix, mix_bias) -> Tensor:
     biases, arrays the size of the kernels, to give one composed kernel
     for one GEMM. The VJP sends the composed kernel's gradient back
     through the mix to every kernel and bias and to the mix itself.
+    Under ``no_grad`` the composed kernel, its bias and the taps are
+    kept by ``cached``, so a call with unchanged parameters builds only
+    the im2col and runs the one GEMM.
     """
     x, mix, mix_bias = _as_tensor(x), _as_tensor(mix), _as_tensor(mix_bias)
     kernels = [_as_tensor(k) for k in kernels]
@@ -495,18 +598,36 @@ def conv1d(x, kernels, dilations, biases, mix, mix_bias) -> Tensor:
     if mix_bias.shape != (out_channels,):
         raise ShapeError(f"mix_bias {mix_bias.shape} does not match mix {mix.shape}")
 
-    # ``placed`` stacks the kernels as rows laid out (tap, channel) over
-    # the union of their tap offsets; kernel k fills the taps slots[k].
-    offsets = sorted(set().union(*(range(-r, r + 1, d) for r, d in zip(reaches, dilations))))
-    index = {o: j for j, o in enumerate(offsets)}
-    slots = [[index[o] for o in range(-r, r + 1, d)] for r, d in zip(reaches, dilations)]
+    mixer = mix.data.reshape(out_channels, mixed)
+
+    def compose():
+        # ``placed`` stacks the kernels as rows laid out (tap, channel) over
+        # the union of their tap offsets; kernel k fills the taps slots[k].
+        offsets = sorted(set().union(*(range(-r, r + 1, d) for r, d in zip(reaches, dilations))))
+        index = {o: j for j, o in enumerate(offsets)}
+        slots = [[index[o] for o in range(-r, r + 1, d)] for r, d in zip(reaches, dilations)]
+        placed = np.zeros((total, len(offsets), channels))
+        stacked_bias = np.zeros(total)
+        for k, b, sl, (lo, hi) in zip(kernels, biases, slots, rows):
+            placed[lo:hi, sl] = k.data.transpose(0, 2, 1)
+            stacked_bias[lo:hi] = b.data
+        placed = placed.reshape(total, len(offsets) * channels)
+        weight = mixer @ placed[:mixed]
+        out_bias = mixer @ stacked_bias[:mixed]
+        if mixed < total:
+            weight += placed[mixed:]
+            out_bias += stacked_bias[mixed:]
+        out_bias += mix_bias.data
+        return weight, out_bias, offsets, placed, stacked_bias, slots
+
+    if _grad_enabled:
+        weight, out_bias, offsets, placed, stacked_bias, slots = compose()
+    else:
+        # No VJP runs, so only the composed kernel and the taps are needed,
+        # and they depend on the parameters alone (see ``cached``).
+        sources = (*kernels, *biases, mix, mix_bias)
+        weight, out_bias, offsets = cached(sources, ("conv1d", *dilations), lambda: compose()[:3])
     pad, count = -offsets[0], len(offsets)
-    placed = np.zeros((total, count, channels))
-    stacked_bias = np.zeros(total)
-    for k, b, sl, (lo, hi) in zip(kernels, biases, slots, rows):
-        placed[lo:hi, sl] = k.data.transpose(0, 2, 1)
-        stacked_bias[lo:hi] = b.data
-    placed = placed.reshape(total, count * channels)
 
     # im2col with the contracted axes first and the batch innermost:
     # cols[j, c, l, b] is x[b, c, l + offsets[j]] (zero outside), so the
@@ -519,13 +640,6 @@ def conv1d(x, kernels, dilations, biases, mix, mix_bias) -> Tensor:
     for j, o in enumerate(offsets):
         cols[j] = padded[:, o + pad : o + pad + length]
     cols = cols.reshape(count * channels, length * batch)
-    mixer = mix.data.reshape(out_channels, mixed)
-    weight = mixer @ placed[:mixed]
-    out_bias = mixer @ stacked_bias[:mixed]
-    if mixed < total:
-        weight += placed[mixed:]
-        out_bias += stacked_bias[mixed:]
-    out_bias += mix_bias.data
     product = (weight @ cols).reshape(out_channels, length, batch).transpose(2, 1, 0)
     out_data = np.add(product, out_bias, out=np.empty((batch, length, out_channels)))
     out_data = out_data.swapaxes(1, 2)

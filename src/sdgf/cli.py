@@ -15,8 +15,10 @@ still run, their checkpoints and ``ablation.csv`` rows are written, no
 checkpoint is left for the failed one, and the error line names it
 before the exit with 3. Numpy's floating-point warnings are off in every
 command, so stderr carries the ``error:`` line alone: the autodiff guard
-checks every op's output, and the metrics and scaler statistics check
-their own results, each raising ``NumericError`` on a non-finite value.
+checks every op's output in training and each forecast's output (with
+a replay that names the op, see ``autodiff.guard_once``), and the
+metrics and scaler statistics check their own results, each raising
+``NumericError`` on a non-finite value.
 Every JSON file is strict: a value that is not finite, such as the best
 validation MSE of a run that failed before any epoch ended, is written
 as ``null``. A failed allocation (``MemoryError``) is an environment

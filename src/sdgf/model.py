@@ -53,15 +53,18 @@ scales * input_len**2 * (2 * embed_dim + hidden) multiply-adds (only
 ``hidden`` under the ``gsl`` ablation or at depth 0), against the
 scales * input_len**2 * batch * n_vars that building the stack costs.
 A forward that records a graph refolds, because the fold is part of
-the gradient path. Under ``no_grad`` the folded maps are cached per
-parameter (held weakly, so the cache never keeps a model alive), next
-to the wavelet settings they were folded with and a copy of the source
-values. A forward reuses a fold only when the settings match and the
-parameter's values are bit-for-bit equal to that copy, so an optimizer
-step (which rebinds ``p.data``) and an in-place write both refold. The
-cached arrays are read-only. Repeated forecasts with unchanged weights
-therefore pay one comparison per map instead of a fold, whatever the
-batch.
+the gradient path. Under ``no_grad`` the folds, like the inception
+block's composed kernel, follow the one cache rule of ``ad.cached``:
+an entry is kept per parameter version, keyed on the wavelet settings
+and reused only while the parameter's values are bit-for-bit equal to
+the copy taken when it was made, so an optimizer step and an in-place
+write both refold. Repeated forecasts with unchanged weights therefore
+pay one comparison per map instead of a fold, whatever the batch.
+
+``forward_with_details`` runs a ``no_grad`` forward through
+``ad.guard_once``: one NaN/Inf check of the forecast in place of one
+per node, and on a failure a replay with every guard on, which raises
+what a forward guarded node by node raises.
 
 ``SdgfModel`` is the one parameter tree: ``parameters``,
 ``effective_parameters`` and the checkpoint's name list all come from a
@@ -83,7 +86,6 @@ import dataclasses
 import json
 import math
 import struct
-import weakref
 import zlib
 from dataclasses import dataclass
 from typing import ClassVar
@@ -197,13 +199,19 @@ class RevinLayer:
         z = cols - mean
         std = np.sqrt(time_sum(z * z) / length + self.eps)
         z /= std
-        data = z * gamma.data
-        data += beta.data
+        # The affine runs on the (length, batch * vars) rows, with gamma
+        # and beta tiled along them once, so numpy's inner loops run the
+        # whole row rather than one window's vars. ``repeat`` tiles them
+        # without ``np.tile``'s Python-level dispatch.
+        gamma_row = gamma.data[None].repeat(batch, axis=0).reshape(batch * n)
+        data = z.reshape(length, batch * n) * gamma_row
+        data += beta.data[None].repeat(batch, axis=0).reshape(batch * n)
 
         def vjp(g):
             g = g.swapaxes(0, 1)
             if x.requires_grad:
-                x.accumulate((g * gamma.data / std).swapaxes(0, 1))
+                g_x = g.reshape(length, batch * n) * gamma_row / std.reshape(batch * n)
+                x.accumulate(g_x.reshape(length, batch, n).swapaxes(0, 1))
             if gamma.requires_grad:
                 gamma.accumulate((g * z).reshape(length * batch, n).sum(axis=0))
             if beta.requires_grad:
@@ -211,7 +219,9 @@ class RevinLayer:
 
         # Linear up to the output: a non-finite centred value makes the
         # output non-finite too, so the output guard is enough.
-        out = ad.record(data.swapaxes(0, 1), "revin_normalize", (x, gamma, beta), vjp)
+        out = ad.record(
+            data.reshape(length, batch, n).swapaxes(0, 1), "revin_normalize", (x, gamma, beta), vjp
+        )
         return out, (mean.reshape(batch, 1, n), std.reshape(batch, 1, n))
 
     def denormalize(self, y: ad.Tensor, stats: tuple[np.ndarray, np.ndarray]) -> ad.Tensor:
@@ -440,36 +450,18 @@ def set_static_graph(model: SdgfModel, series: np.ndarray) -> None:
     model.static_adjacency = gr.pearson_adjacency(series[None, :, :])
 
 
-# Parameter -> ((family, levels, boundary), source copy, folded map),
-# filled only under no_grad; see the module docstring.
-_FOLDS = weakref.WeakKeyDictionary()
-
-
 def _fold(p: ad.Parameter, cfg: ModelConfig) -> ad.Tensor:
     """``p`` folded with the wavelet component operators of ``cfg``.
 
-    Under ``no_grad`` a cached fold is returned while its settings and
-    source values (compared bit for bit) still match ``p``; grad mode
-    neither reads nor writes the cache.
+    Under ``no_grad`` the fold is cached by ``ad.cached`` with the
+    wavelet settings as its key; grad mode neither reads nor writes the
+    cache.
     """
-    key = (cfg.family, cfg.levels, cfg.boundary)
-    no_grad = not ad.grad_enabled()
-    if no_grad:
-        hit = _FOLDS.get(p)
-        # Bitwise, so even a zero that changed sign refolds.
-        if (
-            hit is not None
-            and hit[0] == key
-            and np.array_equal(hit[1].view(np.int64), p.data.view(np.int64))
-        ):
-            return hit[2]
-    folded = wv.decompose(
-        p, wv.wavelet_filter(cfg.family), cfg.levels, cfg.boundary, adjoint=True
-    )
-    if no_grad:
-        folded.data.setflags(write=False)
-        _FOLDS[p] = (key, p.data.copy(), folded)
-    return folded
+    def fold():
+        filt = wv.wavelet_filter(cfg.family)
+        return (wv.decompose(p, filt, cfg.levels, cfg.boundary, adjoint=True),)
+
+    return ad.cached((p,), ("wavelet_fold", cfg.family, cfg.levels, cfg.boundary), fold)[0]
 
 
 def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dict]:
@@ -481,13 +473,21 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
 
     One projection node writes the whole (1 + scales, batch, hidden,
     n_vars) branch stack and one propagation node runs over it, slot 0
-    through the static graph, the rest through the dynamic ones.
+    through the static graph, the rest through the dynamic ones. Under
+    ``no_grad`` the forecast is checked for NaN/Inf once, at its output
+    (see ``ad.guard_once``).
     """
     cfg = model.config
     if x.ndim != 3 or x.shape[1] != cfg.input_len or x.shape[2] != cfg.n_vars:
         raise ShapeError(
             f"expected (batch, {cfg.input_len}, {cfg.n_vars}), got {x.shape}"
         )
+    return ad.guard_once(lambda: _forward(x, model))
+
+
+def _forward(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dict]:
+    """``forward_with_details`` on a window of the right shape."""
+    cfg = model.config
     batch, n = x.shape[0], cfg.n_vars
     window, stats = model.revin.normalize(x)
 

@@ -38,7 +38,7 @@ summation order changes. ``decompose`` folds afresh on every call and
 keeps no fold; the model caches the folds of its parameters between
 ``no_grad`` forwards and reuses one only while the parameter's values
 are bit-for-bit equal to a copy taken when it was folded (see
-``model``).
+``autodiff.cached``).
 """
 
 from __future__ import annotations

@@ -484,7 +484,7 @@ def test_parameter_naming_and_backward_collection():
 # that only the tests use belongs in oracle_ops instead.
 PUBLIC_CALLABLES = {
     "Tensor", "Parameter", "record", "backward", "set_finite_checks", "no_grad", "grad_enabled",
-    "left_product", "left_product_grads", "left_map", "conv1d", "layer_norm",
+    "cached", "guard_once", "left_product", "left_product_grads", "left_map", "conv1d", "layer_norm",
 }
 
 

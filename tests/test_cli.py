@@ -456,6 +456,26 @@ def trained(tmp_path_factory):
     return data, out / "model.ckpt", out
 
 
+def test_eval_on_a_huge_test_cell_prints_one_error_line(trained, tmp_path, capsys):
+    # A 1e200 cell in the test split overflows its windows' variance, so
+    # the normalized windows are finite and their forecasts are not: the
+    # denormalization is the first node whose output is non-finite.
+    data, ckpt, _ = trained
+    rows = data.read_text().splitlines()
+    cells = rows[150].split(",")
+    cells[1] = "1e200"
+    rows[150] = ",".join(cells)
+    huge = tmp_path / "huge.csv"
+    huge.write_text("\n".join(rows) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(huge)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "error: revin_denormalize produced a non-finite value\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_eval_prints_metrics_and_matches_train_report(trained, capsys):
     data, ckpt, out = trained
     capsys.readouterr()

@@ -6,6 +6,7 @@ import gc
 import json
 import re
 import struct
+import warnings
 import weakref
 import zlib
 
@@ -19,8 +20,9 @@ from sdgf import fusion as fu
 from sdgf import graphs as gr
 from sdgf import model as md
 from sdgf import temporal as tp
+from sdgf import training as tr
 from sdgf import wavelet as wv
-from sdgf.errors import CheckpointError, ConfigError, ShapeError, StateError
+from sdgf.errors import CheckpointError, ConfigError, NumericError, ShapeError, StateError
 
 from conftest import (
     branch_cfgs, chain_dynamic_adjacency, fd_gradient, model_loss_and_grads, relative_error,
@@ -914,7 +916,7 @@ def test_integer_fields_reject_bool(name, value):
 
 
 # ---------------------------------------------------------------------------
-# Fold cache
+# The no_grad cache: wavelet folds and the inception block's composed kernel
 
 
 def folded_params(model):
@@ -922,22 +924,46 @@ def folded_params(model):
             "dyn.w2": model.dynamic_layer.w2}
 
 
+def block_params(model):
+    """The sources of the composed kernel, in ``ad.conv1d``'s order; the first keys its entry."""
+    block = model.block
+    return [*block.branch_kernels, block.residual_kernel, *block.branch_biases,
+            block.residual_bias, block.merge_kernel, block.merge_bias]
+
+
+BLOCK_NAMES = [p.name for p in block_params(md.build_model(tiny_config()))]
+
+
+def cache_entry(first):
+    """``ad.cached``'s entry for the sources led by ``first``: (key, sources, snapshot, value)."""
+    key, refs, snapshot, value = ad._CACHE[first]
+    return key, [first] + [ref() for ref in refs], snapshot, value
+
+
 def no_grad_forecast(x, model):
     with ad.no_grad():
         return md.forward(x, model).data
 
 
-@pytest.mark.parametrize("name", ["input_proj", "dyn.w1", "dyn.w2"])
-@pytest.mark.parametrize("write", ["scale", "one_ulp", "zero_sign"])
-def test_no_grad_forward_refolds_after_an_in_place_write(name, write):
-    cfg = tiny_config(input_len=16, levels=2)
-    model = ready_model(cfg)
-    param = folded_params(model)[name]
+def cache_model():
+    """A tiny model whose biases are not zero, so scaling any parameter moves the forecast."""
+    model = ready_model(tiny_config(input_len=16, levels=2))
+    rng = np.random.default_rng(9)
+    for p in md.parameters(model):
+        if not p.data.any():
+            p.data[...] = rng.normal(0.0, 0.1, p.shape)
+    return model
+
+
+def assert_an_in_place_write_remakes(model, param, first, write):
+    """A write to ``param`` makes the entry led by ``first`` afresh, as a fresh load computes it."""
     if write == "zero_sign":
         param.data.flat[0] = 0.0
     x = ad.Tensor(np.random.default_rng(1).normal(0.0, 1.0, (3, 16, 3)))
     before = no_grad_forecast(x, model)
+    value = cache_entry(first)[3]
     assert no_grad_forecast(x, model).tobytes() == before.tobytes()
+    assert cache_entry(first)[3] is value
     if write == "scale":
         param.data *= 1.5
     elif write == "one_ulp":
@@ -945,11 +971,47 @@ def test_no_grad_forward_refolds_after_an_in_place_write(name, write):
     else:
         param.data.flat[0] = -0.0  # equal to 0.0, but not the same bits
     after = no_grad_forecast(x, model)
-    assert md._FOLDS[param][1].tobytes() == param.data.tobytes()
+    _, sources, snapshot, remade = cache_entry(first)
+    assert remade is not value
+    assert snapshot[[s is param for s in sources].index(True)] == (param.shape, param.data.tobytes())
     fresh, _ = md.load_checkpoint(md.save_checkpoint(model))
     assert after.tobytes() == no_grad_forecast(x, fresh).tobytes()
     if write == "scale":
         assert after.tobytes() != before.tobytes()
+
+
+@pytest.mark.parametrize("name", ["input_proj", "dyn.w1", "dyn.w2"])
+@pytest.mark.parametrize("write", ["scale", "one_ulp", "zero_sign"])
+def test_no_grad_forward_refolds_after_an_in_place_write(name, write):
+    model = cache_model()
+    param = folded_params(model)[name]
+    assert_an_in_place_write_remakes(model, param, param, write)
+
+
+@pytest.mark.parametrize("name", BLOCK_NAMES)
+@pytest.mark.parametrize("write", ["scale", "one_ulp", "zero_sign"])
+def test_no_grad_forward_recomposes_the_kernel_after_an_in_place_write(name, write):
+    model = cache_model()
+    sources = block_params(model)
+    param = sources[BLOCK_NAMES.index(name)]
+    assert_an_in_place_write_remakes(model, param, sources[0], write)
+
+
+def test_an_adam_step_remakes_every_cached_value():
+    model = cache_model()
+    rng = np.random.default_rng(3)
+    x = ad.Tensor(rng.normal(0.0, 1.0, (3, 16, 3)))
+    target = rng.normal(0.0, 1.0, (3, 4, 3))
+    before = no_grad_forecast(x, model)
+    firsts = [*folded_params(model).values(), block_params(model)[0]]
+    values = [cache_entry(first)[3] for first in firsts]
+    params = md.effective_parameters(model)
+    _, grads = model_loss_and_grads(md.forward, x, model, target)
+    tr.adam_step(params, grads, tr.AdamState(lr=1e-2))
+    after = no_grad_forecast(x, model)
+    assert all(cache_entry(f)[3] is not v for f, v in zip(firsts, values))
+    fresh, _ = md.load_checkpoint(md.save_checkpoint(model))
+    assert after.tobytes() == no_grad_forecast(x, fresh).tobytes() != before.tobytes()
 
 
 def test_no_grad_forwards_reuse_the_fold_and_grad_forwards_refold(monkeypatch):
@@ -980,16 +1042,158 @@ def test_no_grad_forwards_reuse_the_fold_and_grad_forwards_refold(monkeypatch):
     assert got.keys() == want.keys()
     for name in folded_params(model):
         assert got[name].tobytes() == want[name].tobytes(), name
-    for entry in md._FOLDS.values():
-        assert not entry[2].requires_grad and not entry[2].data.flags.writeable
+    for param in folded_params(model).values():
+        (fold,) = cache_entry(param)[3]
+        assert not fold.requires_grad and not fold.data.flags.writeable
+
+
+def test_grad_mode_neither_reads_nor_fills_the_kernel_cache():
+    model = cache_model()
+    twin, _ = md.load_checkpoint(md.save_checkpoint(model))
+    rng = np.random.default_rng(4)
+    x = ad.Tensor(rng.normal(0.0, 1.0, (3, 16, 3)))
+    target = rng.normal(0.0, 1.0, (3, 4, 3))
+    first = block_params(model)[0]
+    model_loss_and_grads(md.forward, x, model, target)
+    assert first not in ad._CACHE
+    cached = no_grad_forecast(x, model)
+    key, _, _, (weight, out_bias, offsets) = cache_entry(first)
+    assert key == ("conv1d", 1, 2, 1, 2, 1) and list(offsets) == [-4, -2, -1, 0, 1, 2, 4]
+    assert not weight.flags.writeable and not out_bias.flags.writeable
+    # Poison the entry: a no_grad forecast reads it, a grad forward does not.
+    ad._CACHE[first] = ad._CACHE[first][:3] + ((np.zeros_like(weight), out_bias, offsets),)
+    poisoned = ad._CACHE[first]
+    assert no_grad_forecast(x, model).tobytes() != cached.tobytes()
+    got_pred, got = model_loss_and_grads(md.forward, x, model, target)
+    want_pred, want = model_loss_and_grads(md.forward, x, twin, target)
+    assert ad._CACHE[first] is poisoned
+    assert got_pred.tobytes() == want_pred.tobytes() == cached.tobytes()
+    assert got.keys() == want.keys()
+    for name in got:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("batch", [1, 32])
+def test_a_cached_forecast_is_a_freshly_loaded_checkpoints(batch):
+    model = cache_model()
+    x = ad.Tensor(np.random.default_rng(5).normal(0.0, 1.0, (batch, 16, 3)))
+    first = no_grad_forecast(x, model)
+    cached = no_grad_forecast(x, model)
+    fresh, _ = md.load_checkpoint(md.save_checkpoint(model))
+    assert first.tobytes() == cached.tobytes() == no_grad_forecast(x, fresh).tobytes()
 
 
 def test_fold_cache_does_not_keep_a_dropped_model_alive():
     model = ready_model(tiny_config(input_len=16, levels=2))
     no_grad_forecast(ad.Tensor(np.ones((1, 16, 3))), model)
-    params = folded_params(model).values()
-    assert all(p in md._FOLDS for p in params)
+    params = [*folded_params(model).values(), *block_params(model)]
+    assert all(p in ad._CACHE for p in params[:4])
     refs = [weakref.ref(model)] + [weakref.ref(p) for p in params]
     del model, params
     gc.collect()
-    assert [r() for r in refs] == [None] * 4
+    assert [r() for r in refs] == [None] * 16
+
+
+# ---------------------------------------------------------------------------
+# One finiteness check per no_grad forecast
+
+
+def forecast_outcome(x, model, grad):
+    """The forecast's bytes or the ``NumericError`` message, and numpy's warnings on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            if grad:
+                got = md.forward(x, model).data.tobytes()
+            else:
+                got = no_grad_forecast(x, model).tobytes()
+        except NumericError as exc:
+            got = str(exc)
+    return got, [str(w.message) for w in caught]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    where=st.integers(-1, 10**6),
+    value=st.sampled_from([np.inf, -np.inf, np.nan, 1e200, -1e200]),
+    series=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+    mode=st.sampled_from([None, *md.ABLATION_MODES]),
+)
+def test_a_no_grad_forecast_raises_or_returns_what_every_guard_gives(where, value, series, seed, mode):
+    # The oracle is a grad forward: it guards every node's output and
+    # reads no cache. The no_grad forecast runs with its cache warm.
+    model = cache_model()
+    net = md.ablate(model, mode) if mode else model
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, (2, 16, 3))
+    no_grad_forecast(ad.Tensor(x), net)
+    if where < 0:
+        item, step, var = rng.integers(2), rng.integers(16), rng.integers(3)
+        x[item, slice(None) if series else step, var] = value
+    else:
+        params = md.parameters(model)
+        param = params[where % len(params)]
+        param.data.flat[rng.integers(param.size)] = value
+    x = ad.Tensor(x)
+    assert forecast_outcome(x, net, grad=False) == forecast_outcome(x, net, grad=True)
+    assert ad._output_guards
+
+
+@pytest.mark.parametrize("series", [False, True])
+@pytest.mark.parametrize("value, op", [
+    (np.inf, "revin_normalize"), (np.nan, "revin_normalize"), (1e200, "revin_denormalize"),
+])
+def test_a_bad_window_names_the_op_a_guard_on_every_node_names(value, op, series):
+    # A huge finite series overflows its variance (its mean is rounded
+    # at 24 steps): its std is inf, so the normalized window is finite
+    # and the forecast is not.
+    model = ready_model(tiny_config(input_len=24, levels=2))
+    x = np.random.default_rng(6).normal(0.0, 1.0, (3, 24, 3))
+    x[1, slice(None) if series else 5, 2] = value
+    got = forecast_outcome(ad.Tensor(x), model, grad=False)
+    assert got[0] == f"{op} produced a non-finite value"
+    assert got == forecast_outcome(ad.Tensor(x), model, grad=True)
+
+
+def test_a_clean_no_grad_forecast_runs_only_the_checked_guards(monkeypatch):
+    model = cache_model()
+    x = ad.Tensor(np.random.default_rng(7).normal(0.0, 1.0, (3, 16, 3)))
+    guarded = []
+    real_guard = ad._guard
+
+    def guard(data, op):
+        guarded.append(op)
+        real_guard(data, op)
+
+    monkeypatch.setattr(ad, "_guard", guard)
+    no_grad_forecast(x, model)
+    # The products before tanh, the adjacency scores, the fusion logits
+    # and the layer-norm variance.
+    assert sorted(guarded) == ["dynamic_adjacency", "dynamic_adjacency", "fuse", "head", "layer_norm"]
+    guarded.clear()
+    with ad.no_grad():
+        md.forward(x, model)
+        ad.guard_once(lambda: (md.forward(x, model),))
+    assert len(guarded) == 2 * 5
+    guarded.clear()
+    md.forward(x, model)
+    assert len(guarded) == 12 + 5
+
+
+def test_finite_checks_off_turns_every_guard_off():
+    model = cache_model()
+    x = np.random.default_rng(8).normal(0.0, 1.0, (3, 16, 3))
+    x[0, 3, 1] = np.inf
+    previous = ad.set_finite_checks(False)
+    try:
+        with np.errstate(all="ignore"):
+            forecast = no_grad_forecast(ad.Tensor(x), model)
+    finally:
+        ad.set_finite_checks(previous)
+    assert np.isnan(forecast[0]).all() and np.isfinite(forecast[1:]).all()
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="^revin_normalize "):
+        no_grad_forecast(ad.Tensor(x), model)
+    # The failed forecast left every output guard on.
+    with pytest.raises(NumericError, match="^probe produced a non-finite value$"):
+        ad.record(np.array([np.inf]), "probe", (), None)
