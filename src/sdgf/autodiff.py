@@ -20,13 +20,14 @@ is freed the moment the caller drops the loss. Leaf gradients
 released node raises ``GraphError``.
 
 A non-finite value is an error state, not a value: the op that first
-produces one raises ``NumericError`` naming itself. In grad mode every
-op's output is checked for NaN/Inf, and so are the intermediates it
-names as ``checked``. A ``no_grad`` forward run through ``guard_once``
-(every model forecast) checks only those intermediates and its final
+produces one raises ``NumericError`` naming itself. An op checks for
+NaN/Inf the intermediates it names as ``checked`` and its output. A
+forward run through ``guard_once`` (every model forward, in training and
+in forecasts alike) checks only those intermediates and its final
 output, and replays with every guard on after a failure, so it raises
-where the op-by-op guard raises. The check is one ``isfinite`` pass and
-one reduction called on the array itself, so an array passes exactly
+where the op-by-op guard raises; the per-op output guard serves that
+replay and ops called on their own. The check is one ``isfinite`` pass
+and one reduction called on the array itself, so an array passes exactly
 when every element is finite, whatever the sum of its elements would
 be. ``set_finite_checks`` can switch every check off for throughput
 experiments.
@@ -330,7 +331,7 @@ def record(
 
 
 # ---------------------------------------------------------------------------
-# no_grad forwards: cached operands and one finiteness check
+# Forwards: cached no_grad operands and one finiteness check
 
 
 # First source -> (key, weak references to the other sources, a snapshot
@@ -384,16 +385,17 @@ def _snapshot(sources: tuple[Tensor, ...]) -> tuple:
 def guard_once(run: Callable[[], tuple]) -> tuple:
     """``run()``, a forward returning its output tensor first, checked once for NaN/Inf.
 
-    In grad mode, with checks off (``set_finite_checks``) or inside
-    another such call, ``run()`` runs as it is. Under ``no_grad`` a first
-    pass skips every node's output guard but keeps each ``checked``
-    guard, with numpy's floating-point warnings off, and only its output
-    is checked. A first pass that raises an ``SdgfError`` (not only a
-    ``NumericError``: with an output guard skipped, a forward can reach
-    a later error that the guard would have preempted), or whose output
-    is not all finite, is run again with every guard on and under the
-    caller's ``np.errstate``, so a failure raises the error, and prints
-    the warnings, of a forward guarded node by node. A forward that passes
+    With checks off (``set_finite_checks``) or inside another such call,
+    ``run()`` runs as it is. Otherwise, in grad mode and under
+    ``no_grad`` alike, a first pass skips every node's output guard but
+    keeps each ``checked`` guard, with numpy's floating-point warnings
+    off, and only its output is checked. A first pass that raises an
+    ``SdgfError`` (not only a ``NumericError``: with an output guard
+    skipped, a forward can reach a later error that the guard would have
+    preempted), or whose output is not all finite, is dropped, graph and
+    all, and run again with every guard on and under the caller's
+    ``np.errstate``, so a failure raises the error, and prints the
+    warnings, of a forward guarded node by node. A forward that passes
     every guard passes the first pass with the same bits. One that fails
     a guard fails the first pass too: every node either passes a
     non-finite input on to its output or guards, as ``checked``, the
@@ -401,7 +403,7 @@ def guard_once(run: Callable[[], tuple]) -> tuple:
     reaches the output or raises on the way.
     """
     global _output_guards
-    if _grad_enabled or not (_finite_checks and _output_guards):
+    if not (_finite_checks and _output_guards):
         return run()
     _output_guards = False
     try:

@@ -144,10 +144,12 @@ def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, static=None
     or (slots, batch, features, nodes) with (slots, 1, features,
     features) maps, one per slot. ``adjacency``, an array or a tensor of
     (..., nodes, nodes) graphs, broadcasts to the batch axes of ``h``; a
-    graph that takes a gradient has one matrix per item. With ``static``,
-    a shared (nodes, nodes) graph, ``h`` is the (1 + S, batch, features,
-    nodes) branch stack: slot 0 hops through ``static`` and slots 1..
-    through ``adjacency``. Anything else raises ``ShapeError``.
+    graph that takes a gradient has one matrix per item. ``static`` is a
+    shared (nodes, nodes) array: with ``adjacency`` None it is the one
+    graph of a (batch, features, nodes) ``h``, and with both, ``h`` is
+    the (1 + S, batch, features, nodes) branch stack, slot 0 hopping
+    through ``static`` and slots 1.. through ``adjacency``. Anything else
+    raises ``ShapeError``, before any operand is read.
 
     The node reads ``h`` node-major (see ``autodiff``), in place when it
     is laid out so (``ad.left_map``'s value) and copied once otherwise,
@@ -167,22 +169,28 @@ def _propagate(h: ad.Tensor, adjacency, cfg: GraphPropagationConfig, static=None
     graph = adjacency.data if isinstance(adjacency, ad.Tensor) else adjacency
     # With no hop a graph is never read, so it is no parent of the node.
     learned = adjacency if isinstance(adjacency, ad.Tensor) and depth else None
-    lead, dim = h.shape[:-3], h.shape[-2]
-    # The slots that read ``adjacency``, and the batch axes they have.
-    run = slice(None) if static is None else slice(1, None)
-    items = h.shape[:-2] if static is None else (h.shape[0] - 1, *h.shape[1:-2])
+    # In a stack slot 0 reads ``static`` and the others ``graph``; alone,
+    # either graph reads every item.
+    stack = static is not None and graph is not None
+    graph = static if graph is None else graph
+    lead, (dim, nodes) = h.shape[:-3], (0, 0, *h.shape)[-2:]  # fewer than 3 axes are refused
+    # The batch axes of the slots that read ``graph``.
+    items = (h.shape[0] - 1, *h.shape[1:-2]) if stack and h.ndim == 4 else h.shape[:-2]
     if (
         h.ndim not in (3, 4)
-        or (static is not None and h.ndim != 4)
-        or any(t.shape != (*lead, *(1,) * len(lead), dim, dim) for t in thetas)
+        or (static is not None and (static.shape != (nodes, nodes) or h.ndim != 3 + stack))
+        or graph.ndim < 2
+        or graph.shape[-2:] != (nodes, nodes)
         or graph.ndim - 2 > len(items)
         or any(s not in (1, t) for s, t in zip(graph.shape[-3::-1], items[::-1]))
         or (learned is not None and learned.requires_grad and graph.shape[:-2] != items)
+        or any(t.shape != (*lead, *(1,) * len(lead), dim, dim) for t in thetas)
     ):
         raise ShapeError(
-            f"graphs {graph.shape} and hop maps {[t.shape for t in thetas]} do not fit"
-            f" the features {h.shape}"
+            f"graphs {[a.shape for a in (static, adjacency) if a is not None]} and hop maps"
+            f" {[t.shape for t in thetas]} do not fit the features {h.shape}"
         )
+    static, run = (static, slice(1, None)) if stack else (None, slice(None))
 
     def mix(x, graphs=(static, graph)):
         """``graphs[k] @ x`` per item, slot 0 through ``graphs[0]`` when ``static`` is given."""
@@ -257,15 +265,11 @@ def static_graph_conv(
     is the model's (1 + scales, batch, features, nodes) branch stack and
     ``cfg`` holds (1 + scales, 1, features, features) hop maps: slot 0
     takes the shared graph and slots 1.. the per-item graphs, all in that
-    call's one node.
+    call's one node. ``_propagate`` checks every shape.
     """
     adjacency = np.asarray(adjacency, dtype=np.float64)
-    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
-        raise ShapeError(f"adjacency must be square, got {adjacency.shape}")
-    if h.ndim != (3 if dynamic is None else 4) or h.shape[-1] != adjacency.shape[0]:
-        raise ShapeError(f"node axis of {h.shape} does not match adjacency {adjacency.shape}")
     if dynamic is None:
-        return _propagate(h, adjacency, cfg)
+        return _propagate(h, None, cfg, static=adjacency)
     return dynamic_graph_conv(h, dynamic, cfg, static=adjacency)
 
 
@@ -277,13 +281,10 @@ def dynamic_graph_conv(
     ``h`` is (batch, features, nodes) or a (scales, batch, features,
     nodes) stack with (scales, 1, features, features) hop maps, which runs
     every scale in one call; the graphs broadcast to its batch axes (see
-    ``_propagate``). ``static`` is how ``static_graph_conv`` hands over
-    the shared graph for slot 0 of a branch stack.
+    ``_propagate``, which checks every shape). ``static`` is how
+    ``static_graph_conv`` hands over the shared graph for slot 0 of a
+    branch stack.
     """
-    if adjacency.ndim < 2 or adjacency.shape[-1] != adjacency.shape[-2]:
-        raise ShapeError(f"adjacency must be (..., nodes, nodes), got {adjacency.shape}")
-    if h.ndim < 2 or h.shape[-1] != adjacency.shape[-1]:
-        raise ShapeError(f"features {h.shape} do not match adjacency {adjacency.shape}")
     return _propagate(h, adjacency, cfg, static)
 
 

@@ -61,10 +61,10 @@ the copy taken when it was made, so an optimizer step and an in-place
 write both refold. Repeated forecasts with unchanged weights therefore
 pay one comparison per map instead of a fold, whatever the batch.
 
-``forward_with_details`` runs a ``no_grad`` forward through
-``ad.guard_once``: one NaN/Inf check of the forecast in place of one
-per node, and on a failure a replay with every guard on, which raises
-what a forward guarded node by node raises.
+``forward_with_details`` runs every forward, a training step's and a
+forecast's alike, through ``ad.guard_once``: one NaN/Inf check of the
+output in place of one per node, and on a failure a replay with every
+guard on, which raises what a forward guarded node by node raises.
 
 ``SdgfModel`` is the one parameter tree: ``parameters``,
 ``effective_parameters`` and the checkpoint's name list all come from a
@@ -473,9 +473,9 @@ def forward_with_details(x: ad.Tensor, model: SdgfModel) -> tuple[ad.Tensor, dic
 
     One projection node writes the whole (1 + scales, batch, hidden,
     n_vars) branch stack and one propagation node runs over it, slot 0
-    through the static graph, the rest through the dynamic ones. Under
-    ``no_grad`` the forecast is checked for NaN/Inf once, at its output
-    (see ``ad.guard_once``).
+    through the static graph, the rest through the dynamic ones. The
+    output is checked for NaN/Inf once, in grad mode and under
+    ``no_grad`` alike (see ``ad.guard_once``).
     """
     cfg = model.config
     if x.ndim != 3 or x.shape[1] != cfg.input_len or x.shape[2] != cfg.n_vars:

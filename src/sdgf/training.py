@@ -159,18 +159,20 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
     Returns the pre-clip norm; ``max_norm <= 0`` disables clipping. One
-    dot of the gradients laid end to end gives the norm and one multiply
-    scales them, ``grads`` then holding views. A squared norm that over-
-    or underflows is taken again on the vector over its largest entry; a
-    norm that is still not finite leaves the gradients as they are.
+    sum of squares of the gradients laid end to end gives the norm and one
+    multiply scales them, ``grads`` then holding views. The sum is numpy's
+    ``einsum`` loop, not a BLAS dot, whose bits depend on the number of
+    BLAS threads. A squared norm that over- or underflows is taken again
+    on the vector over its largest entry; a norm that is still not finite
+    leaves the gradients as they are.
     """
     flat = np.concatenate([np.zeros(0), *(g.reshape(-1) for g in grads.values())])
     with np.errstate(over="ignore"):  # handled below
-        norm = math.sqrt(float(flat @ flat))
+        norm = math.sqrt(float(np.einsum("i,i->", flat, flat)))
     if norm == math.inf or (norm == 0.0 and flat.any()):
         peak = float(np.abs(flat).max())
         if peak < math.inf:
-            norm = peak * math.sqrt(float((flat / peak) @ (flat / peak)))
+            norm = peak * math.sqrt(float(np.einsum("i,i->", flat / peak, flat / peak)))
     if max_norm > 0.0 and max_norm < norm < math.inf:
         flat *= max_norm / norm
         start = 0

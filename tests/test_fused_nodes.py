@@ -506,7 +506,7 @@ def test_each_slot_of_the_stack_is_its_one_graph_call(
 def test_branch_stack_rejects_a_stack_its_graphs_do_not_fit():
     rng = np.random.default_rng(0)
     h, *case, _ = branch_stack_case(rng, 1, 3, 4, 2, 2, True)
-    with pytest.raises(ShapeError, match="does not match adjacency"):
+    with pytest.raises(ShapeError, match="do not fit the features"):
         branch_stack_node(ad.Tensor(h.data[0]), *case)
     for shape in [(1, 2, 3, 4), (2, 2, 3, 4), (3, 1, 3, 4), (3, 2, 2, 4)]:
         with pytest.raises(ShapeError, match="do not fit the features"):

@@ -222,6 +222,58 @@ def test_shape_mismatch_raises():
         gr.dynamic_graph_conv(h, ad.Tensor(np.zeros((2, 5, 5))), prop_config(0, 3))
 
 
+def misfit(data, shape):
+    """``shape`` as it is, or with one axis dropped, added or resized."""
+    shape = list(shape)
+    how = data.draw(st.sampled_from(["fit", "fit", "drop", "add", "resize"]))
+    if how == "drop" and shape:
+        del shape[data.draw(st.integers(0, len(shape) - 1))]
+    elif how == "add":
+        shape.insert(data.draw(st.integers(0, len(shape))), data.draw(st.integers(1, 3)))
+    elif how == "resize" and shape:
+        shape[data.draw(st.integers(0, len(shape) - 1))] = data.draw(st.integers(1, 4))
+    return tuple(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    form=st.sampled_from(["static", "dynamic", "stack"]),
+    slots=st.integers(1, 3),
+    batch=st.integers(1, 2),
+    dim=st.integers(1, 3),
+    nodes=st.integers(1, 3),
+    depth=st.integers(0, 2),
+    learned=st.booleans(),
+    data=st.data(),
+)
+def test_propagation_refuses_a_misfit_with_a_shape_error_only(
+    form, slots, batch, dim, nodes, depth, learned, data
+):
+    # Each operand fits the call form or misses it by one axis; the call
+    # either runs, forward and back, or raises ShapeError, never a numpy
+    # ValueError or IndexError.
+    stacked = form == "stack" or (form == "dynamic" and data.draw(st.booleans()))
+    lead = (slots,) if stacked else ()
+    h = ad.Tensor(np.ones(misfit(data, (*lead, batch, dim, nodes))), requires_grad=True)
+    theta = misfit(data, (*lead, *(1,) * len(lead), dim, dim))
+    cfg = gr.GraphPropagationConfig(alpha=0.5, depth=depth, theta=[
+        ad.Parameter(f"theta{k}", np.full(theta, 0.5)) for k in range(depth + 1)
+    ])
+    items = (slots - 1, batch) if form == "stack" else (*lead, batch)
+    graph = np.full(misfit(data, (*items[data.draw(st.integers(0, len(items))):], nodes, nodes)), 0.5)
+    graph = ad.Tensor(graph, requires_grad=learned)
+    static = np.full(misfit(data, (nodes, nodes)), 0.5)
+    try:
+        if form == "dynamic":
+            out = gr.dynamic_graph_conv(h, graph, cfg)
+        else:
+            out = gr.static_graph_conv(h, static, cfg, dynamic=graph if form == "stack" else None)
+    except ShapeError:
+        return
+    assert out.shape == h.shape
+    out._vjp(np.ones(out.shape))
+
+
 # ---------------------------------------------------------------------------
 # Dynamic adjacency
 

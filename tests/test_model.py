@@ -340,6 +340,38 @@ def test_ablations_shrink_effective_parameters_but_not_shape():
         assert md.forward(x, cut).shape == (2, 4, 3)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    n_vars=st.integers(2, 7),
+    depth=st.integers(0, 2),
+    grad=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_a_tfl_forecast_follows_a_permutation_of_the_columns(n_vars, depth, grad, seed):
+    # Without the inception block, which slides its kernels along the
+    # node axis, every stage treats the variables alike: permuting the
+    # window's columns, with the static graph's rows and columns and the
+    # per-variable RevIN affine, permutes the forecast. The other
+    # variants depend on the column order.
+    rng = np.random.default_rng(seed)
+    model = md.ablate(ready_model(tiny_config(input_len=16, levels=2, n_vars=n_vars,
+                                              depth=depth, seed=seed % 1000)), "tfl")
+    model.revin.gamma.data[...] = rng.uniform(0.5, 1.5, n_vars)
+    model.revin.beta.data[...] = rng.normal(0.0, 0.5, n_vars)
+    perm = rng.permutation(n_vars)
+    moved = dataclasses.replace(
+        model,
+        revin=md.RevinLayer(ad.Parameter("revin.gamma", model.revin.gamma.data[perm]),
+                            ad.Parameter("revin.beta", model.revin.beta.data[perm])),
+        static_adjacency=model.static_adjacency[perm][:, perm],
+    )
+    x = rng.normal(0.0, 1.0, (3, 16, n_vars))
+    with contextlib.nullcontext() if grad else ad.no_grad():
+        want = md.forward(ad.Tensor(x), model).data[..., perm]
+        got = md.forward(ad.Tensor(x[..., perm]), moved).data
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Parameter accounting
 
@@ -1095,48 +1127,86 @@ def test_fold_cache_does_not_keep_a_dropped_model_alive():
 
 
 # ---------------------------------------------------------------------------
-# One finiteness check per no_grad forecast
+# One finiteness check per forward, in grad mode and under no_grad
 
 
-def forecast_outcome(x, model, grad):
-    """The forecast's bytes or the ``NumericError`` message, and numpy's warnings on the way."""
+def forward_outcome(x, model, how, grads=False):
+    """What a forward gives and numpy's warnings on the way.
+
+    ``how`` is "no_grad" (a forecast), "grad" (``md.forward`` recording a
+    graph) or "every guard" (``md._forward`` in grad mode, which guards
+    every node's output as it goes). A forward gives the bytes of its
+    output, with ``grads`` those of every gradient of its MSE against
+    zeros too, or the message of the ``NumericError`` it raised.
+    """
+    params = md.parameters(model)
+    for p in params:
+        p.zero_grad()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            if grad:
-                got = md.forward(x, model).data.tobytes()
-            else:
+            if how == "no_grad":
                 got = no_grad_forecast(x, model).tobytes()
+            else:
+                y = md.forward(x, model) if how == "grad" else md._forward(x, model)[0]
+                got = y.data.tobytes()
+                if grads:
+                    loss = tr.mse_loss(y, np.zeros(y.shape))
+                    got = [got, *(g.tobytes() for g in ad.backward(loss, params).values())]
         except NumericError as exc:
             got = str(exc)
     return got, [str(w.message) for w in caught]
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+def poison(model, x, where, value, series, rng):
+    """``value`` in a window cell or series (``where`` < 0) or in one entry of a parameter."""
+    if where < 0:
+        item, step, var = (rng.integers(n) for n in x.shape)
+        x[item, slice(None) if series else step, var] = value
+    else:
+        params = md.parameters(model)
+        param = params[where % len(params)]
+        param.data.flat[rng.integers(param.size)] = value
+
+
+POISONS = dict(
     where=st.integers(-1, 10**6),
     value=st.sampled_from([np.inf, -np.inf, np.nan, 1e200, -1e200]),
     series=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
     mode=st.sampled_from([None, *md.ABLATION_MODES]),
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(**POISONS)
 def test_a_no_grad_forecast_raises_or_returns_what_every_guard_gives(where, value, series, seed, mode):
-    # The oracle is a grad forward: it guards every node's output and
-    # reads no cache. The no_grad forecast runs with its cache warm.
+    # The oracle guards every node's output and reads no cache. The
+    # no_grad forecast runs with its cache warm.
     model = cache_model()
     net = md.ablate(model, mode) if mode else model
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, 1.0, (2, 16, 3))
     no_grad_forecast(ad.Tensor(x), net)
-    if where < 0:
-        item, step, var = rng.integers(2), rng.integers(16), rng.integers(3)
-        x[item, slice(None) if series else step, var] = value
-    else:
-        params = md.parameters(model)
-        param = params[where % len(params)]
-        param.data.flat[rng.integers(param.size)] = value
+    poison(model, x, where, value, series, rng)
     x = ad.Tensor(x)
-    assert forecast_outcome(x, net, grad=False) == forecast_outcome(x, net, grad=True)
+    assert forward_outcome(x, net, "no_grad") == forward_outcome(x, net, "every guard")
+    assert ad._output_guards
+
+
+@settings(max_examples=60, deadline=None)
+@given(**POISONS)
+def test_a_grad_forward_raises_or_returns_what_every_guard_gives(where, value, series, seed, mode):
+    # A training forward checks its output once and replays with every
+    # guard on after a failure, so its value, its gradients, its error and
+    # its warnings are those of a forward guarded node by node.
+    model = cache_model()
+    net = md.ablate(model, mode) if mode else model
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, (2, 16, 3))
+    poison(model, x, where, value, series, rng)
+    x = ad.Tensor(x)
+    assert forward_outcome(x, net, "grad", True) == forward_outcome(x, net, "every guard", True)
     assert ad._output_guards
 
 
@@ -1151,9 +1221,10 @@ def test_a_bad_window_names_the_op_a_guard_on_every_node_names(value, op, series
     model = ready_model(tiny_config(input_len=24, levels=2))
     x = np.random.default_rng(6).normal(0.0, 1.0, (3, 24, 3))
     x[1, slice(None) if series else 5, 2] = value
-    got = forecast_outcome(ad.Tensor(x), model, grad=False)
-    assert got[0] == f"{op} produced a non-finite value"
-    assert got == forecast_outcome(ad.Tensor(x), model, grad=True)
+    want = forward_outcome(ad.Tensor(x), model, "every guard")
+    assert want[0] == f"{op} produced a non-finite value"
+    for how in ("no_grad", "grad"):
+        assert forward_outcome(ad.Tensor(x), model, how) == want, how
 
 
 def test_a_clean_no_grad_forecast_runs_only_the_checked_guards(monkeypatch):
@@ -1178,6 +1249,10 @@ def test_a_clean_no_grad_forecast_runs_only_the_checked_guards(monkeypatch):
     assert len(guarded) == 2 * 5
     guarded.clear()
     md.forward(x, model)
+    assert len(guarded) == 5
+    # A forward with every guard on guards each of its 12 nodes' outputs too.
+    guarded.clear()
+    md._forward(x, model)
     assert len(guarded) == 12 + 5
 
 

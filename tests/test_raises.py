@@ -79,10 +79,10 @@ ROWS = {
     "a negative propagation depth": (lambda: prop_cfg(-1), ConfigError, "depth must be"),
     "a static graph that is not square": (
         lambda: gr.static_graph_conv(ones(2, 3, 4), np.ones((4, 5)), prop_cfg(1)), ShapeError,
-        "must be square"),
+        "graphs [(4, 5)] and hop maps"),
     "a dynamic graph that is not square": (
         lambda: gr.dynamic_graph_conv(ones(2, 3, 4), ones(2, 4, 5), prop_cfg(1)), ShapeError,
-        "(..., nodes, nodes)"),
+        "graphs [(2, 4, 5)] and hop maps"),
     "a window of two axes": (
         lambda: gr.dynamic_adjacency(ones(4, 6), embedding()), ShapeError,
         "do not fit the window"),

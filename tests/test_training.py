@@ -6,6 +6,9 @@ directly from the raw windows.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from sdgf.data import SynthSpec, make_windows, synthesize
 from sdgf.errors import ConfigError, DataError, GraphError, NumericError, ShapeError, StateError
 
 from conftest import LoopAdamState, loop_adam_step
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(tr.__file__)))
 
 
 def tiny_config(**kw):
@@ -252,6 +257,31 @@ def test_clip_norm_matches_the_per_parameter_sum(sizes, exponent, seed):
     grads = {f"p{i}": rng.normal(0.0, 10.0**exponent, n) for i, n in enumerate(sizes)}
     want = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     assert abs(tr.clip_gradients(grads, 0.0) / want - 1.0) < 1e-14
+
+
+NORM_BITS = """
+import numpy as np
+from sdgf import training as tr
+rng = np.random.default_rng(13)
+for _ in range(20):
+    # 150,190 values, the parameter count of the benchmark's pinned shape.
+    grads = {f"p{i}": rng.normal(0.0, 0.1, n) for i, n in enumerate([150000, 190])}
+    print(np.float64(tr.clip_gradients(grads, 5.0)).tobytes().hex(), grads["p0"][:3].tobytes().hex())
+"""
+
+
+def test_clip_norm_bits_do_not_depend_on_blas_threads():
+    # A BLAS dot splits its sum between threads, so its last bits follow
+    # the thread count; the norm must not.
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", NORM_BITS], env=env, capture_output=True,
+                             text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0].count("\n") == 20
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
