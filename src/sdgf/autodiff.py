@@ -16,8 +16,12 @@ it, without waiting for the cycle collector. A recorded graph is
 one-shot. As ``backward`` finishes with each interior node it releases
 the node's ``vjp``, its parent links and its gradient, so a step's graph
 is freed the moment the caller drops the loss. Leaf gradients
-(parameters, inputs) are kept. A later ``backward`` that reaches a
-released node raises ``GraphError``.
+(parameters, inputs) are kept. A parameter that has an optimizer slot
+(``Parameter.slot``, given by the first ``training.adam_step``) keeps its
+gradient there, so the next ``backward`` overwrites the array an earlier
+one returned (or adds to it, without a ``zero_grad`` between them): a
+caller that needs a gradient past the next ``backward`` copies it. A
+later ``backward`` that reaches a released node raises ``GraphError``.
 
 A non-finite value is an error state, not a value: the op that first
 produces one raises ``NumericError`` naming itself. An op checks for
@@ -252,13 +256,33 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named leaf tensor that the optimizer updates."""
+    """A named leaf tensor that the optimizer updates.
 
-    __slots__ = ("name",)
+    ``slot``, once the optimizer gives it one (``training.adam_step``),
+    is the parameter's view in the optimizer's gradient vector:
+    ``accumulate`` then copies the first gradient of a backward into it
+    and adds later ones in place, so the gradient is laid out where the
+    optimizer reads it.
+    """
+
+    __slots__ = ("name", "slot")
 
     def __init__(self, name: str, data):
         super().__init__(data, requires_grad=True)
         self.name = name
+        self.slot: np.ndarray | None = None
+
+    def accumulate(self, g: np.ndarray) -> None:
+        slot = self.slot
+        if slot is not None and g.shape == slot.shape == self.data.shape:
+            if self.grad is None:
+                np.copyto(slot, g)
+                self.grad = slot
+                return
+            if self.grad is slot:
+                slot += g
+                return
+        super().accumulate(g)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -349,8 +373,9 @@ def cached(sources: tuple[Tensor, ...], key: tuple, make: Callable[[], tuple]) -
     its values; every source is held weakly, so the cache never keeps a
     model alive. The entry is reused while the key matches, the sources
     are the same tensors and each one's snapshot is unchanged, so an
-    optimizer step (which rebinds ``.data``) and an in-place write, even
-    one that only flips the sign of a zero, both make the value afresh.
+    optimizer step and any other write, in place or by rebinding
+    ``.data``, even one that only flips the sign of a zero, make the value
+    afresh.
     Comparing bytes costs about half of an elementwise compare. Only a value whose arrays
     are all finite is kept, so a hit passes every guard that making it
     would pass; the kept arrays are read-only.
@@ -728,7 +753,10 @@ def backward(loss: Tensor, parameters: Iterable[Parameter]) -> dict[str, np.ndar
     """Run backprop from a scalar loss and return gradients by parameter name.
 
     Parameters that did not take part in the computation are absent from
-    the result; the optimizer treats that as an error.
+    the result; the optimizer treats that as an error. The arrays are the
+    parameters' ``.grad``: for a parameter with an optimizer slot, the
+    slot itself, which the next ``backward`` overwrites (see the module
+    docstring).
     """
     loss.backward()
     grads: dict[str, np.ndarray] = {}

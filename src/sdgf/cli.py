@@ -20,10 +20,11 @@ a replay that names the op (see ``autodiff.guard_once``), and the
 metrics and scaler statistics check their own results, each raising
 ``NumericError`` on a non-finite value.
 Seeded runs write the same bytes under the same numpy, BLAS and thread
-setting. Across thread settings a BLAS GEMM can move the last bits: at
-hidden 64, 96 -> 96 the parameters of a seeded train differed by up to
-2.9e-16 between 1 and 2 threads, first at the inception ``conv1d`` GEMM
-on a 25-window batch.
+setting, which ``report.json`` records as its ``environment``. Across
+thread settings a BLAS GEMM can move the last bits: at hidden 64,
+96 -> 96 the parameters of a seeded train differed by up to 2.9e-16
+between 1 and 2 threads, first at the inception ``conv1d`` GEMM on a
+25-window batch.
 Every JSON file is strict: a value that is not finite, such as the best
 validation MSE of a run that failed before any epoch ended, is written
 as ``null``. A failed allocation (``MemoryError``) is an environment
@@ -38,6 +39,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import pathlib
 import signal
 import sys
@@ -178,6 +180,23 @@ def _write_json(path, payload: dict, **kwargs) -> None:
 # train
 
 
+def _environment() -> dict:
+    """The numpy, BLAS and thread settings that a seeded run's bits depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no ``mode``
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        **{
+            key: os.environ.get(key)
+            for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+    }
+
+
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
     table, dataset, extra = _prepare_dataset(cfg)
@@ -196,7 +215,12 @@ def _cmd_train(args) -> int:
         cfg.save(out / "resolved.cfg")
         _write_json(
             out / "report.json",
-            {**exc.report.to_dict(), "failed_epoch": exc.epoch, "error": str(exc)},
+            {
+                **exc.report.to_dict(),
+                "failed_epoch": exc.epoch,
+                "error": str(exc),
+                "environment": _environment(),
+            },
             indent=2,
             sort_keys=True,
         )
@@ -206,7 +230,7 @@ def _cmd_train(args) -> int:
     cfg.save(out / "resolved.cfg")
 
     best, _ = md.load_checkpoint(blob)
-    payload = report.to_dict()
+    payload = {**report.to_dict(), "environment": _environment()}
     if len(dataset.split_starts("test")) > 0:
         test_mse, test_mae = tr.evaluate(best, dataset, "test", cfg["train.batch"])
         payload["test_mse"] = test_mse

@@ -11,6 +11,7 @@ import dataclasses
 import math
 import statistics
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
@@ -76,12 +77,27 @@ def mse_loss(pred: ad.Tensor, target: np.ndarray) -> ad.Tensor:
 # Adam
 
 
+# Values per block of the in-place update. Adam runs op by op over one
+# block at a time, so a block's arrays are still in cache for its next op.
+_BLOCK = 16384
+
+# id of a state's buffer -> the state, while the state lives; see
+# ``_slot_vector``.
+_OWNERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 @dataclass
 class AdamState:
-    """Moment estimates as flat vectors over a fixed parameter layout.
+    """Adam's moments, with the values and gradients they update, in one allocation.
 
-    ``layout`` holds the (name, size) of each parameter, in the order
-    ``adam_step`` laid them end to end; the first step fixes it.
+    The first ``adam_step`` fixes ``layout``, the (name, shape) of each
+    parameter in the order it was given, and allocates ``buffer``: the
+    parameter values, their gradients (``grads``), ``m`` and ``v``, each a
+    flat vector in that order. Each parameter's ``.data`` becomes its view
+    in the values (``views``) and its ``slot`` its view in the gradients
+    (``slots``), where ``Parameter.accumulate`` writes the next backward's
+    gradient. ``blocks`` holds the (values, gradients, m, v) views of each
+    16384-value block.
     """
 
     lr: float
@@ -92,81 +108,143 @@ class AdamState:
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     layout: tuple = ()
+    buffer: np.ndarray | None = None
+    grads: np.ndarray | None = None
+    views: tuple = ()
+    slots: tuple = ()
+    blocks: tuple = ()
+
+
+def _lay_out(params: list[ad.Parameter], state: AdamState) -> None:
+    """Allocate ``state``'s buffer for ``params`` and cut its views; copies nothing."""
+    state.layout = tuple((p.name, p.data.shape) for p in params)
+    size = sum(p.data.size for p in params)
+    state.buffer = np.zeros(4 * size)
+    values, state.grads, state.m, state.v = state.buffer.reshape(4, size)
+    starts = np.cumsum([0] + [p.data.size for p in params]).tolist()
+    state.views, state.slots = (
+        tuple(vector[a:b].reshape(p.data.shape) for p, a, b in zip(params, starts, starts[1:]))
+        for vector in (values, state.grads)
+    )
+    state.blocks = tuple(
+        tuple(vector[a : a + _BLOCK] for vector in (values, state.grads, state.m, state.v))
+        for a in range(0, size, _BLOCK)
+    )
+    _OWNERS[id(state.buffer)] = state
 
 
 def adam_step(params: list[ad.Parameter], grads: dict[str, np.ndarray], state: AdamState) -> None:
-    """One bias-corrected Adam update over one flat vector.
+    """One bias-corrected Adam update, in place over the state's flat vectors.
 
-    The parameters' values and gradients are laid end to end in
-    ``params`` order, and the update is a fixed number of vector ops
-    on that vector, whatever the number of parameters. Each element goes
-    through the same arithmetic, in the same order, as a per-parameter
-    update, so the result is bit-identical to one. Each parameter's
-    ``.data`` is then rebound to its slice of the new vector (a view), so
-    an array taken from a parameter before the step keeps its values.
+    The first step lays the parameters and their gradients out in the
+    state's buffer (see ``AdamState``). A later step checks that layout
+    by identity alone and copies in only what differs: a parameter the
+    caller rebound to another array, a gradient that is not its slot (a
+    plain dict, or a slot of another state). An in-place write into a
+    parameter writes into the vector itself. The update then runs over
+    the vectors block by block, each element through the same arithmetic,
+    in the same order, as a per-parameter update, so the result is
+    bit-identical to one. From the first step on, values change in place:
+    an array taken from a parameter's ``.data`` then holds the new values
+    after the next step, and a gradient slot is overwritten by the next
+    backward.
 
-    Raises ``GraphError`` for a parameter with no gradient and
-    ``StateError`` when the parameter list differs from the one the
-    state's first step saw.
+    Raises ``GraphError`` for a parameter with no gradient, ``ShapeError``
+    for a gradient of another shape and ``StateError`` when the parameter
+    list differs from the one the state's first step saw, each before
+    anything is copied or updated.
     """
-    flat_grads = []
-    for p in params:
+    views, slots = state.views, state.slots
+    stale = []
+    for i, p in enumerate(params):
         g = grads.get(p.name)
         if g is None:
             raise GraphError(f"no gradient recorded for parameter {p.name!r}")
+        if i < len(views) and p.data is views[i] and g is slots[i]:
+            continue
         if g.shape != p.data.shape:
             raise ShapeError(
                 f"gradient {g.shape} does not match parameter {p.name!r} {p.data.shape}"
             )
-        flat_grads.append(g.reshape(-1))
-    layout = tuple((p.name, p.data.size) for p in params)
-    if state.m is None:
-        size = sum(n for _, n in layout)
-        state.m, state.v, state.layout = np.zeros(size), np.zeros(size), layout
-    elif layout != state.layout:
+        stale.append((i, p, g))
+    if state.buffer is None:
+        _lay_out(params, state)
+    elif len(params) != len(state.layout) or any(
+        (p.name, p.data.shape) != state.layout[i] for i, p, _ in stale
+    ):
         raise StateError(
             "adam_step got a different parameter list from the one its state was built on"
         )
+    views, slots = state.views, state.slots
+    for i, p, g in stale:
+        if p.data is not views[i]:
+            np.copyto(views[i], p.data)
+            p.data = views[i]
+        if g is not slots[i]:
+            np.copyto(slots[i], g)
+        p.slot = slots[i]
     state.t += 1
-    correct1 = 1.0 - state.beta1**state.t
-    correct2 = 1.0 - state.beta2**state.t
-    # In place, with two scratch vectors; each line keeps the operand
-    # order of m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * (g * g)
-    # and step = lr * (m / c1) / (sqrt(v / c2) + eps).
-    g = np.concatenate(flat_grads, dtype=np.float64)
-    m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    g *= g
-    g *= 1.0 - state.beta2
-    v *= state.beta2
-    v += g
-    denom = np.divide(v, correct2, out=g)
-    np.sqrt(denom, out=denom)
-    denom += state.eps
-    step = m / correct1
-    step *= state.lr
-    step /= denom
-    values = np.concatenate([p.data.reshape(-1) for p in params])
-    values -= step
-    start = 0
-    for p, (_, size) in zip(params, layout):
-        p.data = values[start : start + size].reshape(p.data.shape)
-        start += size
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    correct1 = 1.0 - b1**state.t
+    correct2 = 1.0 - b2**state.t
+    # Each line keeps the operand order of m = b1 * m + (1 - b1) * g,
+    # v = b2 * v + (1 - b2) * (g * g) and
+    # step = lr * (m / c1) / (sqrt(v / c2) + eps). The two scratch blocks
+    # live for the step alone: kept in the state, they raised the peak RSS
+    # of a process holding two states.
+    block = min(_BLOCK, state.grads.size)
+    scratch = np.empty(block), np.empty(block)
+    for x, g, m, v in state.blocks:
+        s, u = (a[: x.size] for a in scratch)
+        m *= b1
+        np.multiply(1.0 - b1, g, out=s)
+        m += s
+        np.multiply(g, g, out=s)
+        s *= 1.0 - b2
+        v *= b2
+        v += s
+        np.divide(v, correct2, out=s)
+        np.sqrt(s, out=s)
+        s += eps
+        np.divide(m, correct1, out=u)
+        u *= lr
+        u /= s
+        x -= u
+
+
+def _slot_vector(grads: dict[str, np.ndarray]) -> np.ndarray | None:
+    """The gradient vector of the state whose slots ``grads`` holds, in layout order, or None."""
+    arrays = list(grads.values())
+    state = _OWNERS.get(id(arrays[0].base)) if arrays else None
+    if (
+        state is None
+        or state.buffer is not arrays[0].base
+        or len(arrays) != len(state.slots)
+        or any(a is not slot for a, slot in zip(arrays, state.slots))
+    ):
+        return None
+    return state.grads
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clip norm; ``max_norm <= 0`` disables clipping. One
-    sum of squares of the gradients laid end to end gives the norm and one
-    multiply scales them, ``grads`` then holding views. The sum is numpy's
-    ``einsum`` loop, not a BLAS dot, whose bits depend on the number of
-    BLAS threads. A squared norm that over- or underflows is taken again
-    on the vector over its largest entry; a norm that is still not finite
-    leaves the gradients as they are.
+    Returns the pre-clip norm; ``max_norm <= 0`` disables clipping. The
+    norm is one sum of squares over the gradients laid end to end, and
+    one multiply scales them. When ``grads`` holds an ``AdamState``'s
+    slots in layout order (``ad.backward``'s result after the first
+    step), that is its gradient vector, read and scaled in place;
+    otherwise the gradients are concatenated and ``grads`` then holds
+    views of the scaled copy. The sum is numpy's ``einsum`` loop, not a
+    BLAS dot, whose bits depend on the number of BLAS threads. A squared
+    norm that over- or underflows is taken again on the vector over its
+    largest entry; a norm that is still not finite leaves the gradients
+    as they are.
     """
-    flat = np.concatenate([np.zeros(0), *(g.reshape(-1) for g in grads.values())])
+    flat = _slot_vector(grads)
+    in_place = flat is not None
+    if not in_place:
+        flat = np.concatenate([np.zeros(0), *(g.reshape(-1) for g in grads.values())])
     with np.errstate(over="ignore"):  # handled below
         norm = math.sqrt(float(np.einsum("i,i->", flat, flat)))
     if norm == math.inf or (norm == 0.0 and flat.any()):
@@ -175,10 +253,11 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
             norm = peak * math.sqrt(float(np.einsum("i,i->", flat / peak, flat / peak)))
     if max_norm > 0.0 and max_norm < norm < math.inf:
         flat *= max_norm / norm
-        start = 0
-        for name, g in grads.items():
-            grads[name] = flat[start : start + g.size].reshape(g.shape)
-            start += g.size
+        if not in_place:
+            start = 0
+            for name, g in grads.items():
+                grads[name] = flat[start : start + g.size].reshape(g.shape)
+                start += g.size
     return norm
 
 
@@ -363,6 +442,11 @@ def train(
         exc.checkpoint = best_blob
         raise
     finally:
+        # The state ends here: each parameter takes its values out of the
+        # state's buffer, so the model no longer holds the moments and
+        # gradients (three times its parameters) alive.
+        for p in params:
+            p.data, p.slot = p.data.copy(), None
         report.epochs_run = len(report.train_losses)
         report.wall_time_sec = time.perf_counter() - began
     return report, best_blob

@@ -254,7 +254,11 @@ def chain_mse_loss(pred, target):
 
 
 def model_loss_and_grads(forward, x, model, target):
-    """Forecast and the squared-error gradients of ``model``'s effective parameters."""
+    """Forecast and the squared-error gradients of ``model``'s effective parameters.
+
+    The gradients are copies: a parameter's optimizer slot, which
+    ``ad.backward`` returns, is overwritten by the next backward.
+    """
     params = md.effective_parameters(model)
     for p in params:
         p.zero_grad()
@@ -262,7 +266,7 @@ def model_loss_and_grads(forward, x, model, target):
     grads = ad.backward(chain_mse_loss(pred, target), params)
     for p in params:
         p.zero_grad()
-    return pred.data, grads
+    return pred.data, {name: g.copy() for name, g in grads.items()}
 
 
 @dataclass

@@ -285,6 +285,30 @@ def test_a_value_resolved_cfg_cannot_write_back_is_a_usage_error(tmp_path, capsy
     assert not plain_out.exists() and not hashed_out.exists()
 
 
+def test_train_reports_record_the_environment(tmp_path, capsys, monkeypatch):
+    # Seeded bits hold under one numpy, BLAS and thread setting, so the
+    # report of a finished and of a failed run both say which.
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    data = make_csv(tmp_path)
+    done = train_tiny(tmp_path, data)
+    failed = tmp_path / "huge-lr"
+    args = ["train", "--data", str(data), "--out", str(failed)]
+    assert main(args + sets(TINY + ["train.lr=1e300"])) == 3
+    capsys.readouterr()
+    for out in (done, failed):
+        env = json.loads((out / "report.json").read_text())["environment"]
+        assert sorted(env) == [
+            "MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+            "blas_name", "blas_version", "numpy",
+        ]
+        assert env["numpy"] == np.__version__
+        assert isinstance(env["blas_name"], str) and isinstance(env["blas_version"], str)
+        assert env["OMP_NUM_THREADS"] == "1"
+        assert env["OPENBLAS_NUM_THREADS"] is None and env["MKL_NUM_THREADS"] is None
+
+
 def test_train_reports_are_reproducible(tmp_path):
     data = make_csv(tmp_path)
     out_a = train_tiny(tmp_path, data, "a")

@@ -135,7 +135,7 @@ def test_flat_adam_is_bit_identical_to_the_per_parameter_loop():
 
     flat, loop = make(), make()
     state, oracle = tr.AdamState(lr=0.05), LoopAdamState(lr=0.05)
-    for _ in range(50):
+    for step in range(50):
         # Gradients from 1e-8 to 1e3, with exact zeros mixed in.
         grads = {
             p.name: rng.normal(0.0, 1.0, p.data.shape)
@@ -149,9 +149,15 @@ def test_flat_adam_is_bit_identical_to_the_per_parameter_loop():
         loop_adam_step(loop, grads, oracle)
         for a, b in zip(flat, loop, strict=True):
             assert a.data.tobytes() == b.data.tobytes()
-        # Arrays taken before the step still hold their old values.
-        for a, b in zip(before, kept):
-            assert a.tobytes() == b.tobytes()
+        # The first step copies the values out of the arrays it was given,
+        # which keep them; later steps write the values in place, so an
+        # array taken before the step is the parameter's and holds the new
+        # values.
+        for a, b, p in zip(before, kept, flat):
+            if step == 0:
+                assert a is not p.data and a.tobytes() == b.tobytes()
+            else:
+                assert a is p.data
     assert state.t == oracle.t == 50
 
 
@@ -193,6 +199,129 @@ def test_flat_adam_rejects_a_changed_parameter_list():
     with pytest.raises(GraphError, match="'b'"):
         tr.adam_step([a, b], {"a": np.ones(2)}, state)
     assert state.t == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    events=st.lists(st.sampled_from(["slots", "plain", "rebind", "write"]), min_size=1, max_size=8),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_adam_step_matches_the_loop_however_the_step_meets_its_arrays(events, seed):
+    # "slots": the gradients sit in the slots the first step gave each
+    # parameter; "plain": a dict of copies; "rebind": one parameter is
+    # rebound to a new array; "write": one entry is written in place.
+    rng = np.random.default_rng(seed)
+    shapes = [(3, 4), (5,), (2, 1, 3), (1,)]
+
+    def make():
+        values = np.random.default_rng(seed + 1)
+        return [ad.Parameter(f"p{i}", values.normal(0.0, 1.0, s)) for i, s in enumerate(shapes)]
+
+    flat, loop = make(), make()
+    state, oracle = tr.AdamState(lr=0.05), LoopAdamState(lr=0.05)
+    for event in events:
+        k = int(rng.integers(len(shapes)))
+        if event == "rebind":
+            for params in (flat, loop):
+                params[k].data = params[k].data * 0.5
+        if event == "write":
+            for params in (flat, loop):
+                params[k].data.reshape(-1)[0] = 2.0
+        # Two writes per gradient: a copy, then an addition.
+        for (first, second), a, b in zip(
+            [rng.normal(0.0, 1.0, (2, *s)) for s in shapes], flat, loop, strict=True
+        ):
+            for p in (a, b):
+                p.zero_grad()
+                p.accumulate(first)
+                p.accumulate(second)
+        grads = {p.name: p.grad for p in flat}
+        if event == "plain":
+            grads = {name: g.copy() for name, g in grads.items()}
+        elif state.t > 0:
+            assert all(g is p.slot for g, p in zip(grads.values(), flat))
+        tr.adam_step(flat, grads, state)
+        loop_adam_step(loop, {p.name: p.grad for p in loop}, oracle)
+        for a, b in zip(flat, loop, strict=True):
+            assert a.data.tobytes() == b.data.tobytes(), a.name
+            a.zero_grad()
+            b.zero_grad()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    turns=st.lists(st.booleans(), min_size=2, max_size=6),
+    clip=st.sampled_from([0.0, 1e-3, 5.0]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_two_adam_states_taking_turns_on_shared_parameters_match_the_loop(turns, clip, seed):
+    # One state steps the full model and one its ``gf`` view, which
+    # shares every parameter but the gate's; each takes the parameters
+    # and slots the other last bound.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, (3, 8, 3))
+    target = rng.normal(0.0, 1.0, (3, 4, 3))
+    sides = []
+    for _ in range(2):
+        full = md.build_model(tiny_config())
+        md.set_static_graph(full, np.random.default_rng(4).normal(0.0, 1.0, (40, 3)))
+        sides.append([(full, md.ablate(full, "gf")), {}])
+    flat, loop = sides
+    for use_view in turns:
+        for (models, states), adam, make_state in (
+            (flat, tr.adam_step, tr.AdamState),
+            (loop, loop_adam_step, LoopAdamState),
+        ):
+            net = models[use_view]
+            params = md.effective_parameters(net)
+            state = states.setdefault(use_view, make_state(lr=0.05))
+            loss = tr.mse_loss(md.forward(ad.Tensor(x), net), target)
+            grads = ad.backward(loss, params)
+            if adam is loop_adam_step:
+                grads = {name: g.copy() for name, g in grads.items()}
+            tr.clip_gradients(grads, clip)
+            adam(params, grads, state)
+            for p in params:
+                p.zero_grad()
+        for a, b in zip(md.parameters(flat[0][0]), md.parameters(loop[0][0]), strict=True):
+            assert a.data.tobytes() == b.data.tobytes(), a.name
+
+
+@pytest.mark.parametrize("max_norm", [0.0, 1e-3])
+def test_clip_on_the_slots_matches_the_clip_on_copies(max_norm):
+    model = md.build_model(tiny_config())
+    md.set_static_graph(model, np.random.default_rng(4).normal(0.0, 1.0, (40, 3)))
+    params = md.effective_parameters(model)
+    rng = np.random.default_rng(9)
+    x, target = rng.normal(0.0, 1.0, (3, 8, 3)), rng.normal(0.0, 1.0, (3, 4, 3))
+
+    def loss():
+        return tr.mse_loss(md.forward(ad.Tensor(x), model), target)
+
+    def slot_grads():
+        for p in params:
+            p.zero_grad()
+        grads = ad.backward(loss(), params)
+        assert all(g is p.slot for g, p in zip(grads.values(), params, strict=True))
+        return grads
+
+    state = tr.AdamState(lr=0.01)
+    tr.adam_step(params, ad.backward(loss(), params), state)
+    grads = slot_grads()
+    copies = {name: g.copy() for name, g in grads.items()}
+    want = tr.clip_gradients(copies, max_norm)
+    assert np.float64(tr.clip_gradients(grads, max_norm)).tobytes() == np.float64(want).tobytes()
+    assert want > 1e-3
+    for p in params:
+        assert grads[p.name] is p.slot
+        assert grads[p.name].tobytes() == copies[p.name].tobytes()
+    # The same slots in another order are read as their own concatenation.
+    grads = dict(reversed(slot_grads().items()))
+    copies = {name: g.copy() for name, g in grads.items()}
+    want = tr.clip_gradients(copies, max_norm)
+    assert np.float64(tr.clip_gradients(grads, max_norm)).tobytes() == np.float64(want).tobytes()
+    for name, g in grads.items():
+        assert g.tobytes() == copies[name].tobytes()
 
 
 def test_clip_rescales_global_norm():
@@ -411,6 +540,16 @@ def test_a_non_finite_gradient_stops_its_own_step(monkeypatch, bad, clip):
     assert caught.value.epoch == 1
     assert caught.value.report.epochs_run == 1
     assert len(blobs) == 1 and caught.value.checkpoint == blobs[0]
+
+
+def test_train_leaves_each_parameter_its_own_array():
+    # The optimizer's state ends with ``train``; its moments and gradient
+    # vector must not stay alive through the model's parameters.
+    dataset = sine_dataset(rows=120, input_len=16, horizon=4)
+    model = md.build_model(tiny_config(input_len=16, n_vars=2))
+    tr.train(model, dataset, tr.TrainConfig(lr=1e-3, epochs=1, patience=2, batch=16))
+    for p in md.parameters(model):
+        assert p.data.base is None and p.slot is None, p.name
 
 
 def test_train_freezes_static_graph_from_train_rows():
