@@ -17,11 +17,12 @@ one-shot. As ``backward`` finishes with each interior node it releases
 the node's ``vjp``, its parent links and its gradient, so a step's graph
 is freed the moment the caller drops the loss. Leaf gradients
 (parameters, inputs) are kept. A parameter that has an optimizer slot
-(``Parameter.slot``, given by the first ``training.adam_step``) keeps its
-gradient there, so the next ``backward`` overwrites the array an earlier
-one returned (or adds to it, without a ``zero_grad`` between them): a
-caller that needs a gradient past the next ``backward`` copies it. A
-later ``backward`` that reaches a released node raises ``GraphError``.
+(``Parameter.slot``, its view in the gradient vector of the
+``training.AdamState`` that last bound it) keeps its gradient there, so
+the next ``backward`` overwrites the array an earlier one returned (or
+adds to it, without a ``zero_grad`` between them): a caller that needs a
+gradient past the next ``backward`` copies it. A later ``backward`` that
+reaches a released node raises ``GraphError``.
 
 A non-finite value is an error state, not a value: the op that first
 produces one raises ``NumericError`` naming itself. An op checks for
@@ -756,7 +757,8 @@ def backward(loss: Tensor, parameters: Iterable[Parameter]) -> dict[str, np.ndar
     the result; the optimizer treats that as an error. The arrays are the
     parameters' ``.grad``: for a parameter with an optimizer slot, the
     slot itself, which the next ``backward`` overwrites (see the module
-    docstring).
+    docstring). The slots of a state's whole parameter list tile its
+    gradient vector, which ``training.clip_gradients`` then scales in place.
     """
     loss.backward()
     grads: dict[str, np.ndarray] = {}

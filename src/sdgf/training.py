@@ -11,7 +11,6 @@ import dataclasses
 import math
 import statistics
 import time
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
@@ -81,22 +80,18 @@ def mse_loss(pred: ad.Tensor, target: np.ndarray) -> ad.Tensor:
 # block at a time, so a block's arrays are still in cache for its next op.
 _BLOCK = 16384
 
-# id of a state's buffer -> the state, while the state lives; see
-# ``_slot_vector``.
-_OWNERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
 
 @dataclass
 class AdamState:
-    """Adam's moments, with the values and gradients they update, in one allocation.
+    """Adam's moments, with the values and gradients they update, as flat vectors.
 
     The first ``adam_step`` fixes ``layout``, the (name, shape) of each
-    parameter in the order it was given, and allocates ``buffer``: the
-    parameter values, their gradients (``grads``), ``m`` and ``v``, each a
-    flat vector in that order. Each parameter's ``.data`` becomes its view
-    in the values (``views``) and its ``slot`` its view in the gradients
-    (``slots``), where ``Parameter.accumulate`` writes the next backward's
-    gradient. ``blocks`` holds the (values, gradients, m, v) views of each
+    parameter in the order it was given, and allocates ``values`` and
+    ``grads`` (one array each) and ``m`` and ``v`` (one for both), flat
+    vectors in that order. ``bound`` holds the views a step last bound
+    to each parameter: its ``.data`` in ``values`` and its ``slot`` in
+    ``grads``, where ``Parameter.accumulate`` writes the next backward's
+    gradient. ``blocks`` holds the (values, grads, m, v) views of each
     16384-value block.
     """
 
@@ -105,84 +100,81 @@ class AdamState:
     beta2: ClassVar[float] = 0.999
     eps: ClassVar[float] = 1e-8
     t: int = 0
+    layout: tuple = ()
+    values: np.ndarray | None = None
+    grads: np.ndarray | None = None
     m: np.ndarray | None = None
     v: np.ndarray | None = None
-    layout: tuple = ()
-    buffer: np.ndarray | None = None
-    grads: np.ndarray | None = None
-    views: tuple = ()
-    slots: tuple = ()
+    bound: tuple = ()
     blocks: tuple = ()
 
 
-def _lay_out(params: list[ad.Parameter], state: AdamState) -> None:
-    """Allocate ``state``'s buffer for ``params`` and cut its views; copies nothing."""
-    state.layout = tuple((p.name, p.data.shape) for p in params)
-    size = sum(p.data.size for p in params)
-    state.buffer = np.zeros(4 * size)
-    values, state.grads, state.m, state.v = state.buffer.reshape(4, size)
-    starts = np.cumsum([0] + [p.data.size for p in params]).tolist()
-    state.views, state.slots = (
-        tuple(vector[a:b].reshape(p.data.shape) for p, a, b in zip(params, starts, starts[1:]))
-        for vector in (values, state.grads)
-    )
-    state.blocks = tuple(
-        tuple(vector[a : a + _BLOCK] for vector in (values, state.grads, state.m, state.v))
-        for a in range(0, size, _BLOCK)
-    )
-    _OWNERS[id(state.buffer)] = state
+def _bind(params: list[ad.Parameter], grads: dict[str, np.ndarray], state: AdamState) -> None:
+    """Bind each parameter's ``.data`` and ``slot`` to its views in ``state``.
+
+    The first call allocates the vectors. After the parameter list is
+    checked, every value or gradient that is not its view is copied in.
+    """
+    layout = tuple((p.name, p.data.shape) for p in params)
+    if state.values is None:
+        size = sum(p.data.size for p in params)
+        state.layout, state.values, state.grads = layout, np.empty(size), np.empty(size)
+        state.m, state.v = np.zeros((2, size))
+        cuts = np.cumsum([p.data.size for p in params])[:-1]
+        pieces = zip(layout, np.split(state.values, cuts), np.split(state.grads, cuts))
+        state.bound = tuple((x.reshape(shape), g.reshape(shape)) for (_, shape), x, g in pieces)
+        vectors = state.values, state.grads, state.m, state.v
+        state.blocks = tuple(
+            tuple(a[i : i + _BLOCK] for a in vectors) for i in range(0, size, _BLOCK)
+        )
+    elif layout != state.layout:
+        raise StateError(
+            "adam_step got a different parameter list from the one its state was built on"
+        )
+    for p, (x, s) in zip(params, state.bound):
+        if p.data is not x:
+            np.copyto(x, p.data)
+            p.data = x
+        if grads[p.name] is not s:
+            np.copyto(s, grads[p.name])
+        p.slot = s
 
 
 def adam_step(params: list[ad.Parameter], grads: dict[str, np.ndarray], state: AdamState) -> None:
     """One bias-corrected Adam update, in place over the state's flat vectors.
 
-    The first step lays the parameters and their gradients out in the
-    state's buffer (see ``AdamState``). A later step checks that layout
-    by identity alone and copies in only what differs: a parameter the
-    caller rebound to another array, a gradient that is not its slot (a
-    plain dict, or a slot of another state). An in-place write into a
-    parameter writes into the vector itself. The update then runs over
-    the vectors block by block, each element through the same arithmetic,
-    in the same order, as a per-parameter update, so the result is
-    bit-identical to one. From the first step on, values change in place:
-    an array taken from a parameter's ``.data`` then holds the new values
-    after the next step, and a gradient slot is overwritten by the next
-    backward.
+    A step checks by identity alone that each parameter's ``.data`` and
+    gradient are the views the state bound last (see ``AdamState``). On
+    any miss (the first step, a parameter rebound to another array, a
+    gradient that is not its slot: a plain dict, another state's slot)
+    one pass binds them all, copying in only what differs. The update
+    then runs block by block over the vectors, each element through the
+    same arithmetic, in the same order, as a per-parameter update, so the
+    result is bit-identical to one. Values change in place: an array
+    taken from a parameter's ``.data`` (an in-place write into it writes
+    into the vector) holds the new values after the next step, and a
+    slot is overwritten by the next backward.
 
     Raises ``GraphError`` for a parameter with no gradient, ``ShapeError``
     for a gradient of another shape and ``StateError`` when the parameter
     list differs from the one the state's first step saw, each before
     anything is copied or updated.
     """
-    views, slots = state.views, state.slots
-    stale = []
+    bound = state.bound
+    hit = state.values is not None and len(params) == len(bound)
     for i, p in enumerate(params):
         g = grads.get(p.name)
         if g is None:
             raise GraphError(f"no gradient recorded for parameter {p.name!r}")
-        if i < len(views) and p.data is views[i] and g is slots[i]:
+        if hit and p.data is bound[i][0] and g is bound[i][1]:
             continue
         if g.shape != p.data.shape:
             raise ShapeError(
                 f"gradient {g.shape} does not match parameter {p.name!r} {p.data.shape}"
             )
-        stale.append((i, p, g))
-    if state.buffer is None:
-        _lay_out(params, state)
-    elif len(params) != len(state.layout) or any(
-        (p.name, p.data.shape) != state.layout[i] for i, p, _ in stale
-    ):
-        raise StateError(
-            "adam_step got a different parameter list from the one its state was built on"
-        )
-    views, slots = state.views, state.slots
-    for i, p, g in stale:
-        if p.data is not views[i]:
-            np.copyto(views[i], p.data)
-            p.data = views[i]
-        if g is not slots[i]:
-            np.copyto(slots[i], g)
-        p.slot = slots[i]
+        hit = False
+    if not hit:
+        _bind(params, grads, state)
     state.t += 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     correct1 = 1.0 - b1**state.t
@@ -212,39 +204,33 @@ def adam_step(params: list[ad.Parameter], grads: dict[str, np.ndarray], state: A
         x -= u
 
 
-def _slot_vector(grads: dict[str, np.ndarray]) -> np.ndarray | None:
-    """The gradient vector of the state whose slots ``grads`` holds, in layout order, or None."""
-    arrays = list(grads.values())
-    state = _OWNERS.get(id(arrays[0].base)) if arrays else None
-    if (
-        state is None
-        or state.buffer is not arrays[0].base
-        or len(arrays) != len(state.slots)
-        or any(a is not slot for a, slot in zip(arrays, state.slots))
-    ):
-        return None
-    return state.grads
-
-
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
     Returns the pre-clip norm; ``max_norm <= 0`` disables clipping. The
-    norm is one sum of squares over the gradients laid end to end, and
-    one multiply scales them. When ``grads`` holds an ``AdamState``'s
-    slots in layout order (``ad.backward``'s result after the first
-    step), that is its gradient vector, read and scaled in place;
-    otherwise the gradients are concatenated and ``grads`` then holds
+    norm is one sum of squares over one vector, and one multiply scales
+    it. When the arrays of ``grads`` tile one 1-D vector (each is a view
+    of it, and their sizes sum to its size, as an ``AdamState``'s slots
+    in ``ad.backward``'s result do after the first step), that vector is
+    read and scaled in place, and the norm is summed in its order, not
+    the dict's. Views that overlap would be misread; ``ad.backward`` never
+    returns them. Any other dict is concatenated, and ``grads`` then holds
     views of the scaled copy. The sum is numpy's ``einsum`` loop, not a
     BLAS dot, whose bits depend on the number of BLAS threads. A squared
     norm that over- or underflows is taken again on the vector over its
     largest entry; a norm that is still not finite leaves the gradients
     as they are.
     """
-    flat = _slot_vector(grads)
-    in_place = flat is not None
+    arrays = list(grads.values())
+    flat = arrays[0].base if arrays else None
+    in_place = (
+        isinstance(flat, np.ndarray)
+        and flat.ndim == 1
+        and all(a.base is flat for a in arrays)
+        and sum(a.size for a in arrays) == flat.size
+    )
     if not in_place:
-        flat = np.concatenate([np.zeros(0), *(g.reshape(-1) for g in grads.values())])
+        flat = np.concatenate([np.zeros(0), *(g.reshape(-1) for g in arrays)])
     with np.errstate(over="ignore"):  # handled below
         norm = math.sqrt(float(np.einsum("i,i->", flat, flat)))
     if norm == math.inf or (norm == 0.0 and flat.any()):
@@ -442,11 +428,10 @@ def train(
         exc.checkpoint = best_blob
         raise
     finally:
-        # The state ends here: each parameter takes its values out of the
-        # state's buffer, so the model no longer holds the moments and
-        # gradients (three times its parameters) alive.
+        # The state ends here: its values vector is exactly the parameters,
+        # and dropping the slots lets its gradients and moments go.
         for p in params:
-            p.data, p.slot = p.data.copy(), None
+            p.slot = None
         report.epochs_run = len(report.train_losses)
         report.wall_time_sec = time.perf_counter() - began
     return report, best_blob

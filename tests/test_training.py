@@ -5,10 +5,12 @@ sinusoid fit compares against the repeat-last baseline computed
 directly from the raw windows.
 """
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -315,13 +317,58 @@ def test_clip_on_the_slots_matches_the_clip_on_copies(max_norm):
     for p in params:
         assert grads[p.name] is p.slot
         assert grads[p.name].tobytes() == copies[p.name].tobytes()
-    # The same slots in another order are read as their own concatenation.
+    # The same slots in another order still tile the gradient vector, so
+    # they are read in place, in layout order.
     grads = dict(reversed(slot_grads().items()))
-    copies = {name: g.copy() for name, g in grads.items()}
+    copies = {p.name: grads[p.name].copy() for p in params}
     want = tr.clip_gradients(copies, max_norm)
     assert np.float64(tr.clip_gradients(grads, max_norm)).tobytes() == np.float64(want).tobytes()
-    for name, g in grads.items():
-        assert g.tobytes() == copies[name].tobytes()
+    for p in params:
+        assert grads[p.name] is p.slot
+        assert grads[p.name].tobytes() == copies[p.name].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shapes=st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=3), min_size=2, max_size=6),
+    scale=st.sampled_from([1.0, 1e160, 1e-170]),
+    max_norm=st.sampled_from([0.0, 1e-3, 1e300]),
+    drop=st.integers(0, 5),
+    replace=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_clip_works_in_place_exactly_when_the_arrays_tile_one_vector(
+    shapes, scale, max_norm, drop, replace, seed
+):
+    # In-order views of one 1-D vector tile it; without one of them, or
+    # with a copy in its place, they do not, and the dict is concatenated
+    # instead. Either way the norm and the scaled values are those of a
+    # dict of copies.
+    rng = np.random.default_rng(seed)
+    sizes = [int(np.prod(s)) for s in shapes]
+    values = rng.normal(0.0, 1.0, sum(sizes)) * 10.0 ** rng.integers(-3, 4, sum(sizes)) * scale
+    starts = np.cumsum([0, *sizes]).tolist()
+    for tiled in (True, False):
+        vector = values.copy()
+        cut = enumerate(zip(shapes, starts, starts[1:]))
+        grads = {f"g{i}": vector[a:b].reshape(s) for i, (s, a, b) in cut}
+        if not tiled:
+            name = f"g{drop % len(shapes)}"
+            if replace:
+                grads[name] = grads[name].copy()
+            else:
+                del grads[name]
+        given_arrays = dict(grads)
+        copies = {name: g.copy() for name, g in grads.items()}
+        want = tr.clip_gradients(copies, max_norm)
+        norm = tr.clip_gradients(grads, max_norm)
+        assert np.float64(norm).tobytes() == np.float64(want).tobytes()
+        for name, g in grads.items():
+            assert g.tobytes() == copies[name].tobytes(), name
+            if tiled:
+                assert g is given_arrays[name]
+        if not tiled:
+            assert vector.tobytes() == values.tobytes()
 
 
 def test_clip_rescales_global_norm():
@@ -542,14 +589,28 @@ def test_a_non_finite_gradient_stops_its_own_step(monkeypatch, bad, clip):
     assert len(blobs) == 1 and caught.value.checkpoint == blobs[0]
 
 
-def test_train_leaves_each_parameter_its_own_array():
-    # The optimizer's state ends with ``train``; its moments and gradient
-    # vector must not stay alive through the model's parameters.
+def test_the_optimizer_state_dies_with_train(monkeypatch):
+    # The parameters keep the state's values vector, which holds them and
+    # nothing else; its gradients and moments must not stay alive through
+    # the model.
     dataset = sine_dataset(rows=120, input_len=16, horizon=4)
     model = md.build_model(tiny_config(input_len=16, n_vars=2))
+    real_state, states = tr.AdamState, []
+
+    def adam_state(**kwargs):
+        state = real_state(**kwargs)
+        states.append(weakref.ref(state))
+        return state
+
+    monkeypatch.setattr(tr, "AdamState", adam_state)
     tr.train(model, dataset, tr.TrainConfig(lr=1e-3, epochs=1, patience=2, batch=16))
-    for p in md.parameters(model):
-        assert p.data.base is None and p.slot is None, p.name
+    params = md.parameters(model)
+    values = params[0].data.base
+    assert values.ndim == 1 and values.size == sum(p.data.size for p in params)
+    for p in params:
+        assert p.data.base is values and p.slot is None, p.name
+    gc.collect()
+    assert len(states) == 1 and states[0]() is None
 
 
 def test_train_freezes_static_graph_from_train_rows():
