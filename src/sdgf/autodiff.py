@@ -60,9 +60,12 @@ strided views included; only a ``Tensor`` built from a caller's array is
 made C-contiguous. A value keeps its logical shape, and only the nodes
 that read it know its memory layout: each reads its operand in place
 when it is laid out as the node wants and copies it once otherwise, so
-a node's result does not depend on its operand's layout. A gradient that
-``Tensor.accumulate`` copies from a view is laid out like the value it
-belongs to. The model keeps two values laid out for their readers:
+a node's result does not depend on its operand's layout. Gradients
+follow the same rule: ``Tensor.accumulate`` hands an interior node its
+first gradient as the consumer's VJP made it, view or not, and that
+node's VJP reads it as it reads an operand. Only a leaf's view gradient
+is copied, laid out like the value it belongs to. The model keeps two
+values laid out for their readers:
 
 - its (..., features, nodes) values are node-major: ``left_map``, the
   propagation node and ``conv1d`` write a C-contiguous (..., nodes,
@@ -211,18 +214,18 @@ class Tensor:
             raise ShapeError(
                 f"gradient shape {g.shape} does not match value shape {self.data.shape}"
             )
-        if self.grad is None:
-            # Views (slices, broadcasts) are copied so later accumulation
-            # cannot alias another node's gradient buffer. The copy takes
-            # the value's memory order, so a node-major value's gradient
-            # is node-major too.
-            if g.base is not None:
-                copy = np.empty_like(self.data)
-                np.copyto(copy, g)
-                g = copy
+        # An interior node takes its first gradient as handed over, view
+        # or not: no VJP writes into its incoming gradient, and a second
+        # one makes a new array. A leaf keeps its gradient, so a view (a
+        # slice, a broadcast) is copied in the value's memory order and
+        # cannot alias another node's gradient buffer.
+        if self.grad is not None:
+            self.grad = self.grad + g
+        elif g.base is None or self._vjp is not None:
             self.grad = g
         else:
-            self.grad = self.grad + g
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -461,7 +464,8 @@ def left_product(maps_t, window: np.ndarray) -> np.ndarray:
     scale. The product is one 2-D GEMM, (S * K, L) @ (L, batch * N), on
     the window's time-major rows (see the module docstring), in place of
     a (K, L) @ (L, N) product per (scale, item). The result is the ([S,]
-    batch, K, N) array, C-contiguous.
+    batch, K, N) view of the GEMM's rows, laid out ([S,] K, batch, N);
+    ``left_product_grads`` reads a gradient laid out so in place.
 
     ``maps_t`` may be a list of maps, filling the slots of a new leading
     axis in order, each by its own GEMM: one over all their rows would
@@ -491,17 +495,18 @@ def left_product(maps_t, window: np.ndarray) -> np.ndarray:
     out = out.reshape(out.shape[0] // k, k, batch, nodes)
     if many:
         return np.ascontiguousarray(out.transpose(0, 2, 3, 1)).swapaxes(-1, -2)
-    out = np.ascontiguousarray(out.transpose(0, 2, 1, 3))
-    return out if parts[0].ndim == 4 else out[0]
+    return out.transpose(0, 2, 1, 3) if parts[0].ndim == 4 else out[0].swapaxes(0, 1)
 
 
 def left_product_grads(maps_t, window, g, want_maps: bool, want_window: bool):
     """The (``maps_t``, ``window``) gradients of ``left_product`` for its output gradient ``g``.
 
     Each is one 2-D GEMM (over a list of maps, their rows side by side;
-    the maps' gradient is then a list), and ``None`` unless wanted. The
-    window's gradient is a (batch, L, N) view of time-major rows, which
-    ``Tensor.accumulate`` lays out like the window.
+    the maps' gradient is then a list), and ``None`` unless wanted. ``g``
+    is read in place when it is laid out as ``left_product`` lays out a
+    single map's product, and copied once otherwise. The window's
+    gradient is a (batch, L, N) view of time-major rows, laid out like
+    the model's window.
     """
     many = isinstance(maps_t, list)
     parts = maps_t if many else [maps_t]

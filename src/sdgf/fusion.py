@@ -64,6 +64,8 @@ def fuse(branches: ad.Tensor, layer: FusionLayer) -> tuple[ad.Tensor, np.ndarray
     fused = (branches.data * alpha[:, :, None, None]).sum(axis=0)
 
     def vjp(g):
+        # The gradient node-major, in place when it is laid out so.
+        g = np.ascontiguousarray(g.swapaxes(-1, -2)).swapaxes(-1, -2)
         g_alpha = np.einsum("bnf,cbnf->cb", g.swapaxes(-1, -2), stack)
         g_logits = alpha * (g_alpha - (g_alpha * alpha).sum(axis=0))
         if q.requires_grad:
@@ -73,7 +75,7 @@ def fuse(branches: ad.Tensor, layer: FusionLayer) -> tuple[ad.Tensor, np.ndarray
             w_k.accumulate(g_keyed.reshape(-1, dim).T @ pooled.reshape(-1, dim))
         if branches.requires_grad:
             g_pooled = np.matmul(g_keyed, w_k.data) * (1.0 / branches.shape[3])
-            # Written in the stack's own layout, so the node takes it as it is.
+            # Written in the stack's own layout, which the propagation reads in place.
             g_branches = np.empty_like(branches.data)
             np.multiply(g[None], alpha[:, :, None, None], out=g_branches)
             g_branches += g_pooled[..., None]

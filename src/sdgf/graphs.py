@@ -48,6 +48,14 @@ side. Their VJPs are derived by hand, and each node raises
 ``_propagate`` and ``dynamic_adjacency``). The forwards build the hop
 states and the softmax in place on arrays they made themselves, in the
 chain's operand order, so the values stay the chain's.
+
+``dynamic_adjacency`` keeps its tanh embeddings in the (scales * 2 d_e,
+batch * nodes) rows of the GEMM that made them; only the scores read a
+contiguous (scales, batch, 2 d_e, nodes) copy. Its VJP works on one
+fresh array for the softmax, takes the row sums as one GEMV and writes
+the embeddings' gradient into those rows, where the maps' and the
+window's gradients read it in place. Its gradients agree with the
+chain's to the fused-node tolerance, not bit for bit.
 """
 
 from __future__ import annotations
@@ -324,37 +332,42 @@ def dynamic_adjacency(x_scale: ad.Tensor, layer: DynamicGraphLayer) -> ad.Tensor
             f"embedding maps {w1.shape}/{w2.shape} do not fit the window {x_scale.shape}"
         )
     # One product for both embeddings: the maps transposed, side by side.
-    embed = w1.shape[-1]
+    # The embeddings stay in the GEMM's rows; the scores read a contiguous
+    # copy.
+    embed, nodes = w1.shape[-1], x_scale.shape[2]
     maps_t = np.concatenate((w1.data.swapaxes(-1, -2), w2.data.swapaxes(-1, -2)), axis=-2)
     pre = ad.left_product(maps_t, x_scale.data)
     emb = np.tanh(pre)
-    e1_t, e2_t = emb[..., :embed, :], emb[..., embed:, :]
-    scores = np.matmul(e1_t.swapaxes(-1, -2), e2_t)
+    emb_c = np.ascontiguousarray(emb)
+    scores = np.matmul(emb_c[..., :embed, :].swapaxes(-1, -2), emb_c[..., embed:, :])
     adjacency = scores - scores.max(axis=-1, keepdims=True)
     np.exp(adjacency, out=adjacency)
     adjacency /= adjacency.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        g_scores = adjacency * (g - (g * adjacency).sum(axis=-1, keepdims=True))
-        # matmul runs faster on a contiguous copy of the transposed scores,
-        # with the same bits.
+        # The softmax's adjoint A * (g - sum_j g * A), in place on one
+        # fresh array, its row sums one GEMV.
+        sums = (g * adjacency).reshape(-1, nodes) @ np.ones(nodes)
+        g_scores = g - sums.reshape(*g.shape[:-1], 1)
+        g_scores *= adjacency
+        # matmul runs faster on a contiguous copy of the transposed scores.
         g_scores_t = np.ascontiguousarray(g_scores.swapaxes(-1, -2))
-        g_emb = np.concatenate(
-            (np.matmul(e2_t, g_scores_t), np.matmul(e1_t, g_scores)), axis=-2
-        )
-        g_pre = g_emb * (1.0 - emb * emb)
-        g_maps, g_x = ad.left_product_grads(
-            maps_t, x_scale.data, g_pre, w1.requires_grad or w2.requires_grad,
-            x_scale.requires_grad,
-        )
+        # The embeddings' gradient is written into the GEMM's rows, where
+        # ``left_product_grads`` reads it in place.
+        g_pre = np.empty_like(emb)
+        np.matmul(emb[..., embed:, :], g_scores_t, out=g_pre[..., :embed, :])
+        np.matmul(emb[..., :embed, :], g_scores, out=g_pre[..., embed:, :])
+        slope = emb * emb
+        g_pre *= np.subtract(1.0, slope, out=slope)
+        wanted = (w1.requires_grad or w2.requires_grad, x_scale.requires_grad)
+        g_maps, g_x = ad.left_product_grads(maps_t, x_scale.data, g_pre, *wanted)
         if g_x is not None:
             x_scale.accumulate(g_x)
         if g_maps is not None:
-            g_maps = g_maps.swapaxes(-1, -2)
             if w1.requires_grad:
-                w1.accumulate(g_maps[..., :embed])
+                w1.accumulate(g_maps[..., :embed, :].swapaxes(-1, -2))
             if w2.requires_grad:
-                w2.accumulate(g_maps[..., embed:])
+                w2.accumulate(g_maps[..., embed:, :].swapaxes(-1, -2))
 
     # The products before tanh and the scores before the softmax are
     # guarded too: tanh(inf) is 1 and a score of -inf weighs 0.

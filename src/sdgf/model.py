@@ -212,10 +212,12 @@ class RevinLayer:
             if x.requires_grad:
                 g_x = g.reshape(length, batch * n) * gamma_row / std.reshape(batch * n)
                 x.accumulate(g_x.reshape(length, batch, n).swapaxes(0, 1))
+            # Each affine gradient sums the (length * batch, vars) rows in
+            # one GEMV; numpy's ``sum(axis=0)`` runs a vars-long loop per row.
             if gamma.requires_grad:
-                gamma.accumulate((g * z).reshape(length * batch, n).sum(axis=0))
+                gamma.accumulate(np.ones(length * batch) @ (g * z).reshape(length * batch, n))
             if beta.requires_grad:
-                beta.accumulate(g.reshape(length * batch, n).sum(axis=0))
+                beta.accumulate(np.ones(length * batch) @ g.reshape(length * batch, n))
 
         # Linear up to the output: a non-finite centred value makes the
         # output non-finite too, so the output guard is enough.
@@ -245,14 +247,17 @@ class RevinLayer:
         data = shifted / guard * std + mean
 
         def vjp(g):
-            g_z = g * std
-            g_shifted = g_z / guard
+            g_shifted = g * std / guard
             if y.requires_grad:
                 y.accumulate(g_shifted)
+            # As in ``normalize``, each affine gradient is one GEMV over the
+            # (batch * horizon, vars) rows. gamma's sums g_shifted * shifted
+            # and divides the sum by -guard, once per var.
+            ones = np.ones(g.shape[0] * g.shape[1])
             if beta.requires_grad:
-                beta.accumulate(-g_shifted.sum(axis=(0, 1)))
+                beta.accumulate(-(ones @ g_shifted.reshape(-1, n)))
             if gamma.requires_grad:
-                gamma.accumulate((-g_z * shifted / (guard * guard)).sum(axis=(0, 1)))
+                gamma.accumulate(-(ones @ (g_shifted * shifted).reshape(-1, n)) / guard)
 
         return ad.record(data, "revin_denormalize", (y, gamma, beta), vjp)
 

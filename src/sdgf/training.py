@@ -429,8 +429,10 @@ def train(
         raise
     finally:
         # The state ends here: its values vector is exactly the parameters,
-        # and dropping the slots lets its gradients and moments go.
+        # and dropping the slots, and any gradient a failed step left in
+        # one, lets its gradients and moments go.
         for p in params:
+            p.grad = None if p.grad is p.slot else p.grad
             p.slot = None
         report.epochs_run = len(report.train_losses)
         report.wall_time_sec = time.perf_counter() - began

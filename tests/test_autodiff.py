@@ -431,6 +431,44 @@ def test_grad_accumulates_across_backwards():
     assert x.grad is None
 
 
+def test_accumulate_copies_only_a_leafs_view_gradient():
+    # An interior node (its VJP not yet run) takes its first gradient as
+    # handed over, view or not; its VJP then reads that very array. A
+    # second gradient makes a new array and leaves the first, and its
+    # base, as they were.
+    x = leaf((2, 3))
+    seen = []
+
+    def mid_vjp(g):
+        seen.append(g)
+        x.accumulate(g * 2.0)
+
+    base = RNG.normal(0.0, 1.0, (3, 4))
+    base_bytes = base.tobytes()
+    for view in (base[:, :2].T, base.T[1:3]):
+        mid = ad.record(x.data * 2.0, "mid", (x,), mid_vjp)
+        ad.record(mid.data.sum(), "out", (mid,), lambda g: mid.accumulate(view)).backward()
+        assert seen[-1] is view
+        np.testing.assert_array_equal(x.grad, view * 2.0)
+        x.zero_grad()
+        mid = ad.record(x.data * 2.0, "mid", (x,), mid_vjp)
+        mid.accumulate(view)
+        assert mid.grad is view
+        mid.accumulate(np.ones((2, 3)))
+        assert mid.grad is not view and view.base is base and base.tobytes() == base_bytes
+        np.testing.assert_array_equal(mid.grad, view + 1.0)
+        # A leaf's view gradient, and a slot-less Parameter's, is copied,
+        # laid out like the value (here C order and its transpose).
+        for node in (
+            ad.record(np.zeros((3, 2)).T, "input", (), None),
+            ad.Parameter("p", np.zeros((2, 3))),
+        ):
+            node.accumulate(view)
+            assert node.grad.base is None and node.grad.strides == node.data.strides
+            np.testing.assert_array_equal(node.grad, view)
+        assert base.tobytes() == base_bytes
+
+
 def test_division_by_zero_raises():
     with pytest.raises(NumericError):
         ops.div(ad.Tensor([1.0]), ad.Tensor([0.0]))

@@ -136,6 +136,23 @@ def revin(rng, n):
 @settings(max_examples=30, deadline=None)
 @given(batch=st.integers(1, 3), length=st.integers(2, 5), n=st.integers(1, 3), seed=SEED)
 def test_revin_normalize_matches_its_chain(batch, length, n, seed):
+    check_revin_normalize(batch, length, n, seed)
+
+
+# More than 64 (batch * time) rows and up to 21 variables, where the
+# node's one GEMV per affine gradient adds in another order than the
+# chain's numpy sums.
+WIDE_REVIN = dict(batch=st.integers(3, 4), n=st.integers(8, 21), seed=SEED)
+
+
+@settings(max_examples=4, deadline=None)
+@given(length=st.integers(22, 32), **WIDE_REVIN)
+@example(batch=4, length=24, n=21, seed=0)
+def test_revin_normalize_matches_its_chain_at_wide_shapes(batch, length, n, seed):
+    check_revin_normalize(batch, length, n, seed)
+
+
+def check_revin_normalize(batch, length, n, seed):
     rng = np.random.default_rng(seed)
     layer = revin(rng, n)
     x = leaf(rng, (batch, length, n), loc=2.0, scale=3.0)
@@ -161,6 +178,17 @@ def test_revin_normalize_matches_its_chain(batch, length, n, seed):
 @example(batch=1, horizon=1, n=3, seed=26541176)  # gamma[2] = -4.5e-4
 @example(batch=2, horizon=4, n=3, seed=854117973)  # gamma[2] = -6.6e-4
 def test_revin_denormalize_matches_its_chain(batch, horizon, n, seed):
+    check_revin_denormalize(batch, horizon, n, seed)
+
+
+@settings(max_examples=4, deadline=None)
+@given(horizon=st.integers(22, 32), **WIDE_REVIN)
+@example(batch=4, horizon=24, n=21, seed=0)
+def test_revin_denormalize_matches_its_chain_at_wide_shapes(batch, horizon, n, seed):
+    check_revin_denormalize(batch, horizon, n, seed)
+
+
+def check_revin_denormalize(batch, horizon, n, seed):
     rng = np.random.default_rng(seed)
     layer = revin(rng, n)
     _, stats = layer.normalize(ad.Tensor(rng.normal(1.0, 2.0, (batch, 6, n))))
@@ -536,6 +564,29 @@ def adjacency_case(rng, pairing, length, embed, nodes, batch, scales):
     seed=SEED,
 )
 def test_dynamic_adjacency_matches_its_chain(pairing, length, embed, nodes, batch, scales, seed):
+    check_dynamic_adjacency(pairing, length, embed, nodes, batch, scales, seed)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    pairing=st.sampled_from(["plain", "per-scale", "same"]),
+    length=st.integers(2, 5),
+    embed=st.integers(8, 16),
+    nodes=st.integers(8, 24),
+    batch=st.integers(1, 2),
+    scales=st.integers(1, 3),
+    seed=SEED,
+)
+@example(pairing="per-scale", length=5, embed=16, nodes=21, batch=2, scales=3, seed=0)
+def test_dynamic_adjacency_matches_its_chain_at_wide_shapes(
+    pairing, length, embed, nodes, batch, scales, seed
+):
+    # Rows of 8 and more nodes take numpy's pairwise sums in the chain's
+    # softmax, against the node's one GEMV per row sum.
+    check_dynamic_adjacency(pairing, length, embed, nodes, batch, scales, seed)
+
+
+def check_dynamic_adjacency(pairing, length, embed, nodes, batch, scales, seed):
     rng = np.random.default_rng(seed)
     x, layer = adjacency_case(rng, pairing, length, embed, nodes, batch, scales)
     leaves = [x, layer.w1] if layer.w1 is layer.w2 else [x, layer.w1, layer.w2]

@@ -587,6 +587,9 @@ def test_a_non_finite_gradient_stops_its_own_step(monkeypatch, bad, clip):
     assert caught.value.epoch == 1
     assert caught.value.report.epochs_run == 1
     assert len(blobs) == 1 and caught.value.checkpoint == blobs[0]
+    # No gradient of the failed step keeps the dead state's vector alive.
+    for p in md.parameters(model):
+        assert p.grad is None and p.slot is None, p.name
 
 
 def test_the_optimizer_state_dies_with_train(monkeypatch):
