@@ -159,11 +159,6 @@ def set_finite_checks(enabled: bool) -> bool:
     return previous
 
 
-def grad_enabled() -> bool:
-    """Whether ops record a graph here (False inside ``no_grad``)."""
-    return _grad_enabled
-
-
 def _guard(data: np.ndarray, op: str) -> None:
     # ``np.isfinite(...).all()`` skips ``np.all``'s Python dispatch; on a
     # numpy scalar (a full reduction's result) both give a numpy bool.

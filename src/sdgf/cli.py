@@ -24,7 +24,8 @@ setting, which ``report.json`` records as its ``environment``. Across
 thread settings a BLAS GEMM can move the last bits: at hidden 64,
 96 -> 96 the parameters of a seeded train differed by up to 2.9e-16
 between 1 and 2 threads, first at the inception ``conv1d`` GEMM on a
-25-window batch.
+25-window batch, and at 21 variables ``ad.left_product``'s GEMM differs
+between 1 and 2 threads at batch 17 or 29.
 Every JSON file is strict: a value that is not finite, such as the best
 validation MSE of a run that failed before any epoch ended, is written
 as ``null``. A failed allocation (``MemoryError``) is an environment

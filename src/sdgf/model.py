@@ -67,12 +67,13 @@ output in place of one per node, and on a failure a replay with every
 guard on, which raises what a forward guarded node by node raises.
 
 ``SdgfModel`` is the one parameter tree: ``parameters``,
-``effective_parameters`` and the checkpoint's name list all come from a
-walk over its fields. One private function, ``_assemble``, lays the tree
-out; ``build_model`` fills it from the seeded RNG and ``load_checkpoint``
-from the stored arrays by name, so a load draws no random numbers and
-copies each stored parameter once, from a ``memoryview`` of the blob
-into an array the parameter owns.
+``effective_parameters`` and the checkpoint's ``[name, shape]`` list all
+come from a walk over its fields. One private function, ``_assemble``,
+lays the tree out; ``build_model`` fills it from the seeded RNG and
+``load_checkpoint`` from the checkpoint's one block of values, in tree
+order, so a load draws no random numbers and copies each stored
+parameter once, from a ``memoryview`` of the blob into an array the
+parameter owns.
 
 An ablation switches one stage to a neutral implementation (identity
 graphs, unweighted fusion or no inception block) without touching the
@@ -83,6 +84,7 @@ model carries at most one: ``SdgfModel.ablation`` is None or one mode.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import struct
@@ -104,7 +106,7 @@ ABLATED_SUBTREES = {"gsl": "dynamic_layer", "gf": "fusion_layer", "tfl": "block"
 ABLATION_MODES = tuple(ABLATED_SUBTREES)
 
 CHECKPOINT_MAGIC = b"SDGF\x00"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 @dataclass
@@ -555,34 +557,31 @@ def ablate(model: SdgfModel, mode: str) -> SdgfModel:
 def save_checkpoint(model: SdgfModel, extra: dict | None = None) -> bytes:
     """Serialize config, frozen static graph, and all parameter values.
 
-    ``extra`` is any JSON-safe dict the caller wants carried along (the
-    training pipeline stores its dataset scaler here). A CRC32 of every
-    byte before it ends the checkpoint.
+    Version 6 layout: magic, version and header length; a JSON header of
+    ``config``, ``ablation``, ``extra`` (any JSON-safe dict the caller
+    wants carried along; the training pipeline stores its dataset scaler
+    here) and ``parameters``, the tree's ``[name, shape]`` list in
+    order; a has-static byte and the (n_vars, n_vars) static matrix;
+    every parameter's values as little-endian float64, in that order
+    with nothing between them; and a CRC32 of every byte before it.
     """
+    params = parameters(model)
     header = {
         "config": dataclasses.asdict(model.config),
         "ablation": model.ablation,
         "extra": extra or {},
+        "parameters": [[p.name, list(p.shape)] for p in params],
     }
     head_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    out = bytearray()
-    out += CHECKPOINT_MAGIC
-    out += struct.pack("<I", CHECKPOINT_VERSION)
-    out += struct.pack("<I", len(head_bytes))
+    out = bytearray(CHECKPOINT_MAGIC)
+    out += struct.pack("<II", CHECKPOINT_VERSION, len(head_bytes))
     out += head_bytes
     if model.static_adjacency is None:
         out += b"\x00"
     else:
         out += b"\x01"
         out += np.ascontiguousarray(model.static_adjacency, dtype="<f8").tobytes()
-    params = parameters(model)
-    out += struct.pack("<I", len(params))
     for p in params:
-        name = p.name.encode("utf-8")
-        out += struct.pack("<H", len(name))
-        out += name
-        out += struct.pack("<B", p.ndim)
-        out += struct.pack(f"<{p.ndim}I", *p.shape)
         out += np.ascontiguousarray(p.data, dtype="<f8").tobytes()
     out += struct.pack("<I", zlib.crc32(out))
     return bytes(out)
@@ -613,15 +612,19 @@ def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
     The magic and version say which layout follows, so they are read
     first; then the CRC32 trailer is checked before any other byte is
     parsed. A checksum mismatch (truncation, trailing bytes, flipped
-    bits), a layout that does not fill the body exactly, non-finite
-    parameter values, a static adjacency that is not finite and
-    row-stochastic, an ``ablation`` that is neither null nor one mode
-    name and an ``extra`` that is not a JSON object each raise
+    bits), a header whose ``parameters`` differ from the tree the config
+    builds, a values block that does not end where the tree's values
+    do, non-finite parameter values, a static adjacency that is not
+    finite and row-stochastic, an ``ablation`` that is neither null nor
+    one mode name and an ``extra`` that is not a JSON object each raise
     ``CheckpointError``.
 
-    The blob is read through a ``memoryview``, and the tree is assembled
-    from the stored arrays by name (no RNG draw): each parameter's bytes
-    are copied once, into an array that parameter owns.
+    The blob is read through a ``memoryview``, and ``_assemble`` takes
+    the values in tree order (no RNG draw). At each position the
+    header's entry must be the ``[name, shape]`` the tree builds there
+    before that entry's values are read, and each read is sized by the
+    config's shape, never by the header's. Each parameter's bytes are
+    copied once, into an array that parameter owns.
     """
     body = memoryview(blob)[:-4]
     r = _Reader(body)
@@ -643,43 +646,41 @@ def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
     try:
         cfg = ModelConfig(**header["config"])
         mode = header["ablation"]
+        listed = header["parameters"]
     except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"checkpoint config does not match this build: {exc}") from None
     if mode is not None and mode not in ABLATION_MODES:
         raise CheckpointError(
             f"checkpoint ablation {mode!r} is neither null nor one of {ABLATION_MODES}"
         )
+    if not isinstance(listed, list):
+        raise CheckpointError(f"checkpoint parameters is a {type(listed).__name__}, not a list")
 
     (has_static,) = r.unpack("<B")
     static_raw = r.read(cfg.n_vars * cfg.n_vars * 8) if has_static else None
-    (count,) = r.unpack("<I")
-    stored = []
-    for _ in range(count):
-        (name_len,) = r.unpack("<H")
-        try:
-            name = str(r.read(name_len), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"corrupt parameter name: {exc}") from None
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}I")
-        stored.append((name, shape, np.frombuffer(r.read(8 * math.prod(shape)), dtype="<f8")))
-    if r.pos != len(body):
-        raise CheckpointError(f"{len(body) - r.pos} trailing bytes after the parameters")
+    position = itertools.count()
 
-    # The tree takes each stored array whose name and shape fit a slot;
-    # the checks below, in their fixed order, reject a checkpoint in
-    # which any slot was left empty or any array found no slot.
-    by_name = {name: flat for name, _, flat in stored}
-    slots = {}
+    def check(built):
+        """Raise unless the header lists ``built`` (None past the tree's end) here."""
+        at = next(position)
+        stored = listed[at] if at < len(listed) else None
+        if stored != built:
+            raise CheckpointError(
+                f"checkpoint lists {json.dumps(stored)} as parameter {at},"
+                f" this config builds {json.dumps(built)}"
+            )
 
     def from_checkpoint(name, shape):
-        slots[name] = shape
-        flat = by_name.get(name)
-        if flat is None or flat.size != math.prod(shape):
-            return np.empty(shape)
+        check([name, list(shape)])
+        flat = np.frombuffer(r.read(8 * math.prod(shape)), dtype="<f8")
+        if not np.isfinite(flat).all():
+            raise CheckpointError(f"parameter {name!r} holds non-finite values")
         return flat.reshape(shape).copy()
 
     model = _assemble(cfg, from_checkpoint)
+    check(None)
+    if r.pos != len(body):
+        raise CheckpointError(f"{len(body) - r.pos} trailing bytes after the parameters")
     model.ablation = mode
     if static_raw is not None:
         adjacency = np.frombuffer(static_raw, dtype="<f8").reshape(cfg.n_vars, cfg.n_vars)
@@ -690,23 +691,6 @@ def load_checkpoint(blob: bytes) -> tuple[SdgfModel, dict]:
         ):
             raise CheckpointError("checkpoint static adjacency is not finite and row-stochastic")
         model.static_adjacency = adjacency.copy()
-
-    if count != len(slots):
-        raise CheckpointError(
-            f"checkpoint stores {count} parameters, this config builds {len(slots)}"
-        )
-    for name, shape, flat in stored:
-        if name not in slots:
-            raise CheckpointError(f"checkpoint parameter {name!r} has no slot in the model")
-        if tuple(shape) != slots[name]:
-            raise CheckpointError(
-                f"parameter {name!r} has shape {tuple(shape)}, expected {slots[name]}"
-            )
-        if not np.all(np.isfinite(flat)):
-            raise CheckpointError(f"parameter {name!r} holds non-finite values")
-    if len(by_name) != count:
-        missing = next(name for name in slots if name not in by_name)
-        raise CheckpointError(f"checkpoint stores no value for parameter {missing!r}")
     extra = header.get("extra", {})
     if not isinstance(extra, dict):
         raise CheckpointError(f"checkpoint extra is a {type(extra).__name__}, not a JSON object")

@@ -1,7 +1,10 @@
 """Shared numeric oracles for the test suite."""
 
 import csv
+import json
 import math
+import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -378,3 +381,41 @@ def loop_load_csv(path: str) -> SeriesTable:
             if not math.isfinite(values[r - 1, c]):
                 raise DataError(f"non-finite value {text!r} at row {r}, column {names[c]!r}")
     return SeriesTable(values=values, names=names, timestamps=timestamps)
+
+
+def split_checkpoint(blob: bytes) -> tuple[dict, bytes, list[bytes]]:
+    """A version-6 checkpoint's JSON header, its static section (the
+    has-static byte and the matrix) and each listed parameter's values.
+
+    A parameter's values start where the sizes listed before it end.
+    """
+    (head_len,) = struct.unpack("<I", blob[9:13])
+    header = json.loads(blob[13 : 13 + head_len])
+    start = 13 + head_len
+    n_vars = header["config"]["n_vars"]
+    at = start + 1 + (8 * n_vars * n_vars if blob[start] else 0)
+    static = blob[start:at]
+    values = []
+    for _, shape in header["parameters"]:
+        values.append(blob[at : at + 8 * math.prod(shape)])
+        at += len(values[-1])
+    assert at == len(blob) - 4, "only the CRC32 trailer follows the values"
+    return header, static, values
+
+
+def join_checkpoint(header: dict, static: bytes, values: list[bytes]) -> bytes:
+    """The version-6 checkpoint made of these parts, under a fresh CRC32."""
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = (
+        md.CHECKPOINT_MAGIC + struct.pack("<II", md.CHECKPOINT_VERSION, len(head))
+        + head + static + b"".join(values)
+    )
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def refilled(blob: bytes, name: str, value: float) -> bytes:
+    """``blob`` with the first value of parameter ``name`` replaced, resealed."""
+    header, static, values = split_checkpoint(blob)
+    at = [listed for listed, _ in header["parameters"]].index(name)
+    values[at] = struct.pack("<d", value) + values[at][8:]
+    return join_checkpoint(header, static, values)

@@ -521,7 +521,7 @@ def test_parameter_naming_and_backward_collection():
 # The engine, the nodes the package records and the ops it calls. An op
 # that only the tests use belongs in oracle_ops instead.
 PUBLIC_CALLABLES = {
-    "Tensor", "Parameter", "record", "backward", "set_finite_checks", "no_grad", "grad_enabled",
+    "Tensor", "Parameter", "record", "backward", "set_finite_checks", "no_grad",
     "cached", "guard_once", "left_product", "left_product_grads", "left_map", "conv1d", "layer_norm",
 }
 

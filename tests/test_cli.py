@@ -28,6 +28,8 @@ from sdgf import model as md
 from sdgf.cli import main
 from sdgf.data import SeriesTable, load_csv, save_csv
 
+from conftest import refilled, split_checkpoint
+
 TINY = [
     "model.input_len=8",
     "model.horizon=4",
@@ -705,13 +707,29 @@ def reheadered(blob: bytes, edit) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def as_version_5(blob: bytes) -> bytes:
+    """``blob`` in the version-5 layout: no list in the header, and after
+    the static section a u32 count and one record per parameter (name
+    length, name, rank, dims, values)."""
+    header, static, values = split_checkpoint(blob)
+    listed = header.pop("parameters")
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    records = b"".join(
+        struct.pack("<H", len(name)) + name.encode("utf-8")
+        + struct.pack(f"<B{len(shape)}I", len(shape), *shape) + value
+        for (name, shape), value in zip(listed, values)
+    )
+    body = (
+        md.CHECKPOINT_MAGIC + struct.pack("<II", 5, len(head)) + head + static
+        + struct.pack("<I", len(listed)) + records
+    )
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 # Defect -> (how the checkpoint is changed, what the error line names).
 CHECKPOINT_DEFECTS = {
     "trailing-bytes": (lambda blob: blob + b"\x00\x00", "trailing"),
-    "non-finite-parameter": (
-        lambda blob: resealed(blob, blob.index(b"head.b2") + len(b"head.b2") + 1 + 4, np.inf),
-        "non-finite",
-    ),
+    "non-finite-parameter": (lambda blob: refilled(blob, "head.b2", np.inf), "non-finite"),
     "static-not-stochastic": (
         lambda blob: resealed(blob, 13 + struct.unpack("<I", blob[9:13])[0] + 1, 0.75),
         "row-stochastic",
@@ -739,6 +757,8 @@ CHECKPOINT_DEFECTS = {
         lambda blob: reheadered(blob[:5] + struct.pack("<I", 4) + blob[9:], lambda h: None),
         "unsupported checkpoint version 4",
     ),
+    # Each parameter's name, rank and shape framed its values in binary.
+    "version-5": (as_version_5, "unsupported checkpoint version 5"),
     "ablation-missing": (lambda blob: reheadered(blob, lambda h: h.pop("ablation")), "ablation"),
     # A model carries no ablation or exactly one, by name.
     **{

@@ -25,7 +25,8 @@ from sdgf import wavelet as wv
 from sdgf.errors import CheckpointError, ConfigError, NumericError, ShapeError, StateError
 
 from conftest import (
-    branch_cfgs, chain_dynamic_adjacency, fd_gradient, model_loss_and_grads, relative_error,
+    branch_cfgs, chain_dynamic_adjacency, fd_gradient, join_checkpoint, model_loss_and_grads,
+    refilled, relative_error, split_checkpoint,
 )
 import oracle_ops as ops
 
@@ -722,13 +723,9 @@ def test_checkpoint_trailer_rejects_flips_and_trailing_bytes():
 
 
 def test_checkpoint_rejects_non_finite_parameters():
-    blob = md.save_checkpoint(ready_model())
-    # head.b2 is a (horizon,) vector: name, ndim byte, one 4-byte dim, values.
-    at = blob.index(b"head.b2") + len(b"head.b2") + 1 + 4
-    body = bytearray(blob[:-4])
-    body[at : at + 8] = struct.pack("<d", np.nan)
-    with pytest.raises(CheckpointError, match="head.b2"):
-        md.load_checkpoint(reseal(bytes(body)))
+    bad = refilled(md.save_checkpoint(ready_model()), "head.b2", np.nan)
+    with pytest.raises(CheckpointError, match="^parameter 'head.b2' holds non-finite values$"):
+        md.load_checkpoint(bad)
 
 
 @pytest.mark.parametrize("value", [np.inf, 5.0, -0.5])
@@ -801,41 +798,79 @@ def test_checkpoint_mutations_fail_or_load_bit_exact(data):
         np.testing.assert_array_equal(pa.data, pb.data)
 
 
-def checkpoint_names(blob: bytes, n_vars: int) -> list[str]:
-    """The parameter names stored in a checkpoint, in stored order."""
-    r = md._Reader(blob)
-    r.read(len(md.CHECKPOINT_MAGIC) + 4)
-    (head_len,) = r.unpack("<I")
-    r.read(head_len)
-    (has_static,) = r.unpack("<B")
-    r.read(n_vars * n_vars * 8 if has_static else 0)
-    (count,) = r.unpack("<I")
-    names = []
-    for _ in range(count):
-        (name_len,) = r.unpack("<H")
-        names.append(r.read(name_len).decode("utf-8"))
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}I")
-        r.read(8 * int(np.prod(shape)))
-    # Only the CRC32 trailer follows the parameters.
-    assert r.pos == len(blob) - 4
-    return names
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_resealed_checkpoint_mutations_raise_checkpoint_error_or_load_the_tree(data):
+    # Each mutation gets a fresh CRC32, so the parser, not the checksum,
+    # has to refuse it.
+    model = ready_model()
+    blob = md.save_checkpoint(model, extra={"note": "fuzz"})
+    body = bytearray(blob[:-4])
+    kind = data.draw(st.sampled_from(["flip", "truncate", "append", "overwrite", "parameters"]))
+    if kind == "flip":
+        body[data.draw(st.integers(0, len(body) - 1))] ^= data.draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del body[data.draw(st.integers(0, len(body) - 1)) :]
+    elif kind == "append":
+        body += data.draw(st.binary(min_size=1, max_size=64))
+    elif kind == "overwrite":
+        at = data.draw(st.integers(0, len(body) - 4))
+        body[at : at + 4] = data.draw(st.binary(min_size=4, max_size=4))
+    else:
+        header, static, values = split_checkpoint(blob)
+        listed = header["parameters"]
+        at = data.draw(st.integers(0, len(listed) - 1))
+        edit = data.draw(st.sampled_from(["drop", "insert", "swap", "replace", "whole"]))
+        if edit == "drop":
+            del listed[at]
+        elif edit == "insert":
+            listed.insert(at, data.draw(st.sampled_from(listed) | JSON_VALUES))
+        elif edit == "swap":
+            other = data.draw(st.integers(0, len(listed) - 1))
+            listed[at], listed[other] = listed[other], listed[at]
+        elif edit == "replace":
+            listed[at] = data.draw(JSON_VALUES)
+        else:
+            header["parameters"] = data.draw(JSON_VALUES)
+        body = join_checkpoint(header, static, values)[:-4]
+    try:
+        loaded, _ = md.load_checkpoint(reseal(bytes(body)))
+    except CheckpointError:
+        return
+    built = md.build_model(loaded.config)
+    assert [(p.name, p.shape) for p in md.parameters(loaded)] == [
+        (p.name, p.shape) for p in md.parameters(built)
+    ]
+    assert all(np.isfinite(p.data).all() for p in md.parameters(loaded))
 
 
 @pytest.mark.parametrize("overrides", [{}, {"depth": 0, "hidden": 5}])
 def test_checkpoint_names_are_the_parameter_tree(overrides):
+    # The header lists the tree's [name, shape] pairs in order, and the
+    # values block is their <f8 bytes back to back, in the same order.
     model = ready_model(tiny_config(**overrides))
-    names = checkpoint_names(md.save_checkpoint(md.ablate(model, "gsl")), 3)
-    assert names == [p.name for p in md.parameters(model)]
+    header, _, values = split_checkpoint(md.save_checkpoint(md.ablate(model, "gsl")))
+    params = md.parameters(model)
+    assert header["parameters"] == [[p.name, list(p.shape)] for p in params]
+    assert b"".join(values) == b"".join(p.data.astype("<f8").tobytes() for p in params)
 
 
 def test_checkpoint_non_utf8_name_is_checkpoint_error():
+    # The names live in the JSON header, so a name that is not UTF-8 is a
+    # header that does not decode.
     blob = md.save_checkpoint(ready_model())
     assert blob.count(b"revin.gamma") == 1
     bad = blob.replace(b"revin.gamma", b"\xffevin.gamma")
     with pytest.raises(CheckpointError, match="checksum"):
         md.load_checkpoint(bad)
-    with pytest.raises(CheckpointError, match="name"):
+    with pytest.raises(CheckpointError, match="^corrupt checkpoint header: "):
         md.load_checkpoint(reseal(bad[:-4]))
 
 
@@ -863,62 +898,48 @@ def test_loaded_arrays_are_owned_writeable_copies():
         assert not np.shares_memory(array, view)
 
 
-def parameter_entries(blob: bytes, n_vars: int) -> tuple[bytes, list[bytes]]:
-    """A checkpoint body split into what precedes the parameter count and
-    one byte string per stored parameter (name, shape and values)."""
-    r = md._Reader(blob)
-    r.read(len(md.CHECKPOINT_MAGIC) + 4)
-    (head_len,) = r.unpack("<I")
-    r.read(head_len)
-    (has_static,) = r.unpack("<B")
-    r.read(n_vars * n_vars * 8 if has_static else 0)
-    prefix = blob[: r.pos]
-    (count,) = r.unpack("<I")
-    entries = []
-    for _ in range(count):
-        start = r.pos
-        (name_len,) = r.unpack("<H")
-        r.read(name_len)
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}I")
-        r.read(8 * int(np.prod(shape)))
-        entries.append(blob[start : r.pos])
-    return prefix, entries
-
-
 @pytest.mark.parametrize(
     "edit, message",
     [
-        ("drop", "checkpoint stores 26 parameters, this config builds 27"),
-        ("rename", "checkpoint parameter 'head.b9' has no slot in the model"),
-        ("reshape", "parameter 'head.b1' has shape (4,), expected (8,)"),
-        ("duplicate", "checkpoint stores no value for parameter 'graph.theta1'"),
+        ("drop", 'checkpoint lists null as parameter 26, this config builds ["head.b2", [4]]'),
+        ("rename", 'checkpoint lists ["head.b9", [8]] as parameter 24, this config builds ["head.b1", [8]]'),
+        ("reshape", 'checkpoint lists ["head.b1", [4]] as parameter 24, this config builds ["head.b1", [8]]'),
+        ("duplicate", 'checkpoint lists ["graph.theta0", [3, 1, 4, 4]] as parameter 4, this config builds ["graph.theta1", [3, 1, 4, 4]]'),
+        ("reorder", 'checkpoint lists ["revin.beta", [3]] as parameter 0, this config builds ["revin.gamma", [3]]'),
+        ("extra", 'checkpoint lists ["head.b3", [4]] as parameter 27, this config builds null'),
+        ("truncated", "checkpoint truncated: wanted 32 bytes at offset {last}, have 24"),
+        ("trailing", "8 trailing bytes after the parameters"),
     ],
 )
 def test_checkpoint_parameter_list_must_fill_the_tree(edit, message):
     blob = md.save_checkpoint(ready_model())
-    prefix, entries = parameter_entries(blob, 3)
-    names = checkpoint_names(blob, 3)
-    assert len(entries) == 27
+    header, static, values = split_checkpoint(blob)
+    listed = header["parameters"]
+    names = [name for name, _ in listed]
+    assert len(listed) == 27
     if edit == "drop":
-        del entries[names.index("head.b2")]
+        del listed[names.index("head.b2")]
     elif edit == "rename":
-        at = names.index("head.b1")
-        entries[at] = entries[at].replace(b"head.b1", b"head.b9")
+        listed[names.index("head.b1")][0] = "head.b9"
     elif edit == "reshape":
-        # head.b1 is (8,) and head.b2 is (4,): swap their names.
-        b1, b2 = names.index("head.b1"), names.index("head.b2")
-        entries[b1], entries[b2] = (
-            entries[b2].replace(b"head.b2", b"head.b1"),
-            entries[b1].replace(b"head.b1", b"head.b2"),
-        )
+        # head.b1 is (8,); list it as head.b2's (4,).
+        listed[names.index("head.b1")][1] = [4]
+    elif edit == "duplicate":
+        # Two hop maps: the second is listed under the first's name.
+        listed[names.index("graph.theta1")][0] = "graph.theta0"
+    elif edit == "reorder":
+        # Same shapes, so only the position tells them apart.
+        listed[0], listed[1] = listed[1], listed[0]
+    elif edit == "extra":
+        listed.append(["head.b3", [4]])
+    elif edit == "truncated":
+        values[-1] = values[-1][:-8]
     else:
-        # Two hop maps: the second is stored under the first's name.
-        at = names.index("graph.theta1")
-        entries[at] = entries[at].replace(b"graph.theta1", b"graph.theta0")
-    body = prefix + struct.pack("<I", len(entries)) + b"".join(entries)
+        values.append(struct.pack("<d", 0.0))
+    # head.b2, the last parameter, holds 4 values (32 bytes).
+    message = message.format(last=len(blob) - 4 - 32)
     with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
-        md.load_checkpoint(reseal(body))
+        md.load_checkpoint(join_checkpoint(header, static, values))
 
 
 def test_config_validation():
