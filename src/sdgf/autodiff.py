@@ -77,9 +77,12 @@ values laid out for their readers:
   from the left (``w^T @ x``), per wavelet scale and per batch item:
   ``left_map`` is that read as one node, and ``left_product`` and
   ``left_product_grads`` are its array-level forward and gradients,
-  which ``graphs.dynamic_adjacency`` shares. They take the window's
-  (L, batch * N) rows, so the forward and each gradient are one 2-D
-  GEMM rather than one small product per (scale, item).
+  which ``graphs.dynamic_adjacency`` shares. They take a list of maps
+  and the window's (L, batch * N) rows, so the forward and each
+  gradient are one 2-D GEMM per map rather than one small product per
+  (scale, item). ``left_product`` hands on the GEMM's rows as they
+  are, K-major, (slots, K, batch, N) in memory: the adjacency reads
+  them so, and ``left_map`` copies them node-major.
 
 The other nodes here are ``conv1d`` and ``layer_norm`` for the
 inception block. The ops the fused stages replaced, the broadcasting
@@ -107,7 +110,6 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import math
 import os
 import weakref
 from typing import Callable, Iterable
@@ -452,71 +454,60 @@ def _time_rows(window: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(window.swapaxes(0, 1)).reshape(length, batch * n)
 
 
-def left_product(maps_t, window: np.ndarray) -> np.ndarray:
-    """``maps_t @ x`` for each (L, N) item ``x`` of a (batch, L, N) ``window``.
+def left_product(maps_t: list, window: np.ndarray) -> np.ndarray:
+    """``m @ x`` for each map ``m`` of ``maps_t`` and each (L, N) item ``x`` of ``window``.
 
-    ``maps_t`` is one (K, L) map or a (S, 1, K, L) stack, one map per
-    scale. The product is one 2-D GEMM, (S * K, L) @ (L, batch * N), on
+    Each map is one (K, L) map or an (S, 1, K, L) stack, one map per
+    scale, filling one or S slots of the result's leading axis, in order.
+    Each map's product is one 2-D GEMM, (S * K, L) @ (L, batch * N), on
     the window's time-major rows (see the module docstring), in place of
-    a (K, L) @ (L, N) product per (scale, item). The result is the ([S,]
-    batch, K, N) view of the GEMM's rows, laid out ([S,] K, batch, N);
-    ``left_product_grads`` reads a gradient laid out so in place.
-
-    ``maps_t`` may be a list of maps, filling the slots of a new leading
-    axis in order, each by its own GEMM: one over all their rows would
-    pick another BLAS kernel on some shapes and move last bits. The
-    (slots, batch, K, N) result is then node-major.
+    a (K, L) @ (L, N) product per (scale, item); one GEMM over the rows of
+    several maps would pick another BLAS kernel on some shapes and move
+    last bits. The result is the (slots, batch, K, N) view of the GEMMs'
+    rows, laid out (slots, K, batch, N); ``left_product_grads`` reads a
+    gradient laid out so in place.
     """
-    many = isinstance(maps_t, list)
-    parts = maps_t if many else [maps_t]
-    k, length = parts[0].shape[-2:]
     if (
-        any(m.ndim not in (2, 4) or m.shape[1:-2] not in ((), (1,)) for m in parts)
-        or any(m.shape[-2:] != (k, length) for m in parts)
+        any(m.ndim not in (2, 4) or m.shape[1:-2] not in ((), (1,)) for m in maps_t)
+        or len({m.shape[-2:] for m in maps_t}) != 1
         or window.ndim != 3
-        or window.shape[1] != length
+        or window.shape[1] != maps_t[0].shape[-1]
     ):
         raise ShapeError(
-            f"maps (K, L) or (S, 1, K, L) of shapes {[m.shape for m in parts]} cannot read"
+            f"maps (K, L) or (S, 1, K, L) of shapes {[m.shape for m in maps_t]} cannot read"
             f" a (batch, L, N) window {window.shape}"
         )
-    batch, _, nodes = window.shape
+    (k, length), (batch, _, nodes) = maps_t[0].shape[-2:], window.shape
     cols = _time_rows(window)
-    rows = [m.reshape(-1, length) for m in parts]
+    rows = [m.reshape(-1, length) for m in maps_t]
     out, start = np.empty((sum(map(len, rows)), cols.shape[1])), 0
     for r in rows:
         np.matmul(r, cols, out=out[start : start + len(r)])
         start += len(r)
-    out = out.reshape(out.shape[0] // k, k, batch, nodes)
-    if many:
-        return np.ascontiguousarray(out.transpose(0, 2, 3, 1)).swapaxes(-1, -2)
-    return out.transpose(0, 2, 1, 3) if parts[0].ndim == 4 else out[0].swapaxes(0, 1)
+    return out.reshape(-1, k, batch, nodes).transpose(0, 2, 1, 3)
 
 
-def left_product_grads(maps_t, window, g, want_maps: bool, want_window: bool):
+def left_product_grads(maps_t: list, window, g, want_maps: bool, want_window: bool):
     """The (``maps_t``, ``window``) gradients of ``left_product`` for its output gradient ``g``.
 
-    Each is one 2-D GEMM (over a list of maps, their rows side by side;
-    the maps' gradient is then a list), and ``None`` unless wanted. ``g``
-    is read in place when it is laid out as ``left_product`` lays out a
-    single map's product, and copied once otherwise. The window's
-    gradient is a (batch, L, N) view of time-major rows, laid out like
-    the model's window.
+    Each is one 2-D GEMM over the maps' rows side by side, and ``None``
+    unless wanted; the maps' gradient is a list, one array per map. ``g``
+    is read in place when it is laid out as ``left_product`` lays out its
+    product, and copied once otherwise. The window's gradient is a
+    (batch, L, N) view of time-major rows, laid out like the model's
+    window.
     """
-    many = isinstance(maps_t, list)
-    parts = maps_t if many else [maps_t]
-    blocks = [m.reshape(-1, window.shape[1]) for m in parts]
-    rows = np.concatenate(blocks) if many else blocks[0]
+    blocks = [m.reshape(-1, window.shape[1]) for m in maps_t]
+    rows = np.concatenate(blocks)
     batch, length, nodes = window.shape
-    g = np.swapaxes(g.reshape(math.prod(g.shape[:-3]), batch, parts[0].shape[-2], nodes), 1, 2)
+    g = np.swapaxes(g.reshape(-1, batch, maps_t[0].shape[-2], nodes), 1, 2)
     g = g.reshape(len(rows), batch * nodes)
     g_maps = g_window = None
     if want_maps:
         g_rows, start, g_maps = g @ _time_rows(window).T, 0, []
-        for m, block in zip(parts, blocks):
+        for m, block in zip(maps_t, blocks):
             g_maps.append(g_rows[start : start + len(block)].reshape(m.shape))
             start += len(block)
-        g_maps = g_maps if many else g_maps[0]
     if want_window:
         g_window = (rows.T @ g).reshape(length, batch, nodes).swapaxes(0, 1)
     return g_maps, g_window
@@ -529,13 +520,13 @@ def left_map(maps, x) -> Tensor:
     (L, K) map one slot and an (S, 1, L, K) stack S, so the result is
     (slots, batch, K, N). One node, where a transpose and a ``matmul``
     per map record more; the forward and each gradient are 2-D GEMMs
-    (see ``left_product``). The value is node-major (see the module
-    docstring).
+    (see ``left_product``). The value is a node-major copy of
+    ``left_product``'s rows (see the module docstring).
     """
     parts = [_as_tensor(m) for m in maps]
     x = _as_tensor(x)
     maps_t = [np.swapaxes(p.data, -1, -2) for p in parts]
-    data = left_product(maps_t, x.data)
+    data = np.ascontiguousarray(left_product(maps_t, x.data).swapaxes(-1, -2)).swapaxes(-1, -2)
 
     def vjp(g):
         g_maps, g_x = left_product_grads(
@@ -549,12 +540,6 @@ def left_map(maps, x) -> Tensor:
             x.accumulate(g_x)
 
     return record(data, "left_map", (*parts, x), vjp)
-
-
-def _check_axis(x: Tensor, axis: int) -> int:
-    if not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"axis {axis} out of range for shape {x.shape}")
-    return axis % x.ndim
 
 
 # ---------------------------------------------------------------------------
@@ -700,10 +685,11 @@ def conv1d(x, kernels, dilations, biases, mix, mix_bias) -> Tensor:
     return record(out_data, "conv1d", (x, *kernels, *biases, mix, mix_bias), vjp)
 
 
-def layer_norm(x, axis: int, gain, bias) -> Tensor:
-    """Normalize to zero mean / unit variance along ``axis``, then affine.
+def layer_norm(x, gain, bias) -> Tensor:
+    """Normalize a (batch, features, nodes) ``x`` over its features, then affine.
 
-    One recorded node with a hand-derived VJP. The forward takes the
+    ``gain`` and ``bias`` are (features,). One recorded node with a
+    hand-derived VJP. The forward takes the
     steps of the op chain it stands for (mean, centre, mean of
     squares, sqrt(var + 1e-5), divide, scale, shift) in that order, so its
     values are that chain's bit for bit, and it raises ``NumericError``
@@ -711,36 +697,33 @@ def layer_norm(x, axis: int, gain, bias) -> Tensor:
     checked as well as the output: a variance that overflows to inf
     sends every normalized value to 0, so the output alone would pass.
     """
-    x = _as_tensor(x)
-    axis = _check_axis(x, axis)
-    gain, bias = _as_tensor(gain), _as_tensor(bias)
-    expect = (x.shape[axis],)
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    if x.ndim != 3:
+        raise ShapeError(f"layer_norm expects (batch, features, nodes), got {x.shape}")
+    expect = (x.shape[1],)
     if gain.shape != expect or bias.shape != expect:
         raise ShapeError(
             f"layer_norm affine must have shape {expect}, got {gain.shape} and {bias.shape}"
         )
-    if x.shape[axis] == 0:
-        raise ShapeError(f"cannot normalize over empty axis {axis} of shape {x.shape}")
-    inv_count = 1.0 / x.shape[axis]
-    centered = x.data - x.data.sum(axis=axis, keepdims=True) * inv_count
-    var = (centered * centered).sum(axis=axis, keepdims=True) * inv_count
+    if x.shape[1] == 0:
+        raise ShapeError(f"cannot normalize over no features, shape {x.shape}")
+    inv_count = 1.0 / x.shape[1]
+    centered = x.data - x.data.sum(axis=1, keepdims=True) * inv_count
+    var = (centered * centered).sum(axis=1, keepdims=True) * inv_count
     std = np.sqrt(var + 1e-5)
     normed = centered / std
-    side = [1] * x.ndim
-    side[axis] = x.shape[axis]
-    gain_side = gain.data.reshape(side)
-    data = normed * gain_side + bias.data.reshape(side)
-    others = tuple(i for i in range(x.ndim) if i != axis)
+    gain_side = gain.data[:, None]
+    data = normed * gain_side + bias.data[:, None]
 
     def vjp(g):
         if bias.requires_grad:
-            bias.accumulate(g.sum(axis=others))
+            bias.accumulate(g.sum(axis=(0, 2)))
         if gain.requires_grad:
-            gain.accumulate((g * normed).sum(axis=others))
+            gain.accumulate((g * normed).sum(axis=(0, 2)))
         if x.requires_grad:
             g_normed = g * gain_side
-            mean_g = g_normed.sum(axis=axis, keepdims=True) * inv_count
-            mean_gn = (g_normed * normed).sum(axis=axis, keepdims=True) * inv_count
+            mean_g = g_normed.sum(axis=1, keepdims=True) * inv_count
+            mean_gn = (g_normed * normed).sum(axis=1, keepdims=True) * inv_count
             x.accumulate((g_normed - mean_g - normed * mean_gn) / std)
 
     return record(data, "layer_norm", (x, gain, bias), vjp, checked=(var,))

@@ -202,45 +202,35 @@ def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
     table, dataset, extra = _prepare_dataset(cfg)
     model = md.build_model(cf.model_config(cfg, table.n_vars))
+    failure = None
     try:
         report, blob = tr.train(model, dataset, cf.train_config(cfg), extra=extra)
     except NumericError as exc:
-        # Keep what the run had earned before it failed; main() exits 3.
+        # Keep what the run had earned before it failed, then re-raise:
+        # main() exits 3.
+        failure, report, blob = exc, exc.report, exc.checkpoint
+    out = _out_dir(cfg)
+    if blob:
+        _write_bytes(out / "model.ckpt", blob)
+    else:
         # With no epoch earned, an older run's checkpoint would sit beside
         # this run's report and resolved.cfg as if it belonged to them.
-        out = _out_dir(cfg)
-        if exc.checkpoint:
-            _write_bytes(out / "model.ckpt", exc.checkpoint)
-        else:
-            (out / "model.ckpt").unlink(missing_ok=True)
-        cfg.save(out / "resolved.cfg")
-        _write_json(
-            out / "report.json",
-            {
-                **exc.report.to_dict(),
-                "failed_epoch": exc.epoch,
-                "error": str(exc),
-                "environment": _environment(),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        raise
-    out = _out_dir(cfg)
-    _write_bytes(out / "model.ckpt", blob)
+        (out / "model.ckpt").unlink(missing_ok=True)
     cfg.save(out / "resolved.cfg")
 
-    best, _ = md.load_checkpoint(blob)
     payload = {**report.to_dict(), "environment": _environment()}
-    if len(dataset.split_starts("test")) > 0:
+    if failure is not None:
+        payload.update(failed_epoch=failure.epoch, error=str(failure))
+    elif len(dataset.split_starts("test")) > 0:
+        best, _ = md.load_checkpoint(blob)
         test_mse, test_mae = tr.evaluate(best, dataset, "test", cfg["train.batch"])
-        payload["test_mse"] = test_mse
-        payload["test_mae"] = test_mae
-        payload["repeat_last_mse"], payload["repeat_last_mae"] = tr.repeat_last_metrics(
-            dataset, "test"
-        )
+        last_mse, last_mae = tr.repeat_last_metrics(dataset, "test")
+        payload.update(test_mse=test_mse, test_mae=test_mae, repeat_last_mse=last_mse,
+                       repeat_last_mae=last_mae)
         print(_metric_line("test", test_mse, test_mae))
     _write_json(out / "report.json", payload, indent=2, sort_keys=True)
+    if failure is not None:
+        raise failure
     print(f"best epoch {report.best_epoch} val mse {report.best_val_mse:.12g}")
     print(f"wrote {out / 'model.ckpt'}")
     return 0

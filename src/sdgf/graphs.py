@@ -36,7 +36,9 @@ graphs after it: it calls ``static_graph_conv`` with the dynamic graphs
 alongside, which hands the stack to ``dynamic_graph_conv``. Each hop map
 is stored as the node reads it, one (1 + scales, 1, features, features)
 array whose slot 0 serves the static graph. Called with one graph, each
-of the two is the same node over that graph alone.
+of the two is the same node over that graph alone; ``static_graph_conv``
+takes the same route into ``dynamic_graph_conv`` then, with no dynamic
+graphs.
 
 The node runs the recursion above on node-major (..., nodes, features)
 states (see ``autodiff``), so each hop map Theta_k is one GEMM per slot
@@ -273,16 +275,14 @@ def static_graph_conv(
     is the model's (1 + scales, batch, features, nodes) branch stack and
     ``cfg`` holds (1 + scales, 1, features, features) hop maps: slot 0
     takes the shared graph and slots 1.. the per-item graphs, all in that
-    call's one node. ``_propagate`` checks every shape.
+    call's one node. Either way the call hands the shared graph over to
+    ``dynamic_graph_conv``, whose ``_propagate`` checks every shape.
     """
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    if dynamic is None:
-        return _propagate(h, None, cfg, static=adjacency)
-    return dynamic_graph_conv(h, dynamic, cfg, static=adjacency)
+    return dynamic_graph_conv(h, dynamic, cfg, static=np.asarray(adjacency, dtype=np.float64))
 
 
 def dynamic_graph_conv(
-    h: ad.Tensor, adjacency: ad.Tensor, cfg: GraphPropagationConfig, static=None
+    h: ad.Tensor, adjacency: ad.Tensor | None, cfg: GraphPropagationConfig, static=None
 ) -> ad.Tensor:
     """Propagate (..., features, nodes) through per-item graphs (..., nodes, nodes).
 
@@ -290,8 +290,8 @@ def dynamic_graph_conv(
     nodes) stack with (scales, 1, features, features) hop maps, which runs
     every scale in one call; the graphs broadcast to its batch axes (see
     ``_propagate``, which checks every shape). ``static`` is how
-    ``static_graph_conv`` hands over the shared graph for slot 0 of a
-    branch stack.
+    ``static_graph_conv`` hands over its shared graph: for slot 0 of a
+    branch stack, or, with ``adjacency`` None, as the one graph.
     """
     return _propagate(h, adjacency, cfg, static)
 
@@ -336,7 +336,8 @@ def dynamic_adjacency(x_scale: ad.Tensor, layer: DynamicGraphLayer) -> ad.Tensor
     # copy.
     embed, nodes = w1.shape[-1], x_scale.shape[2]
     maps_t = np.concatenate((w1.data.swapaxes(-1, -2), w2.data.swapaxes(-1, -2)), axis=-2)
-    pre = ad.left_product(maps_t, x_scale.data)
+    # A view with no slot axis for one pair of (length, d_e) maps.
+    pre = ad.left_product([maps_t], x_scale.data).reshape(*maps_t.shape[:-3], -1, 2 * embed, nodes)
     emb = np.tanh(pre)
     emb_c = np.ascontiguousarray(emb)
     scores = np.matmul(emb_c[..., :embed, :].swapaxes(-1, -2), emb_c[..., embed:, :])
@@ -360,14 +361,14 @@ def dynamic_adjacency(x_scale: ad.Tensor, layer: DynamicGraphLayer) -> ad.Tensor
         slope = emb * emb
         g_pre *= np.subtract(1.0, slope, out=slope)
         wanted = (w1.requires_grad or w2.requires_grad, x_scale.requires_grad)
-        g_maps, g_x = ad.left_product_grads(maps_t, x_scale.data, g_pre, *wanted)
+        g_maps, g_x = ad.left_product_grads([maps_t], x_scale.data, g_pre, *wanted)
         if g_x is not None:
             x_scale.accumulate(g_x)
         if g_maps is not None:
             if w1.requires_grad:
-                w1.accumulate(g_maps[..., :embed, :].swapaxes(-1, -2))
+                w1.accumulate(g_maps[0][..., :embed, :].swapaxes(-1, -2))
             if w2.requires_grad:
-                w2.accumulate(g_maps[..., embed:, :].swapaxes(-1, -2))
+                w2.accumulate(g_maps[0][..., embed:, :].swapaxes(-1, -2))
 
     # The products before tanh and the scores before the softmax are
     # guarded too: tanh(inf) is 1 and a score of -inf weighs 0.

@@ -68,4 +68,4 @@ def inception_forward(h: ad.Tensor, block: InceptionBlock) -> ad.Tensor:
         raise ShapeError(f"expected (batch, features, nodes), got {h.shape}")
     if h.shape[1] != block.channels:
         raise ShapeError(f"block was built for {block.channels} features, got {h.shape}")
-    return ad.layer_norm(_pre_norm(h, block), 1, block.norm_gain, block.norm_bias)
+    return ad.layer_norm(_pre_norm(h, block), block.norm_gain, block.norm_bias)

@@ -104,19 +104,19 @@ def plain_conv1d(x, kernel, dilation: int = 1) -> ad.Tensor:
     return ad.conv1d(x, [kernel], [dilation], [zero], np.eye(out)[:, :, None], zero)
 
 
-def chain_layer_norm(x, axis: int, gain, bias, eps: float = 1e-5) -> ad.Tensor:
-    """Layer norm composed from primitive ops, as ``ad.layer_norm`` was.
+def chain_layer_norm(x, gain, bias, eps: float = 1e-5) -> ad.Tensor:
+    """Layer norm over the features of (batch, features, nodes), composed
+    from primitive ops, as ``ad.layer_norm`` was.
 
     Every op guards its own output, so this chain raises ``NumericError``
     on exactly the inputs the fused op must raise on.
     """
     x = ad._as_tensor(x)
-    m = ops.reduce_mean(x, axis, keepdims=True)
+    m = ops.reduce_mean(x, 1, keepdims=True)
     centered = ops.sub(x, m)
-    var = ops.reduce_mean(ops.mul(centered, centered), axis, keepdims=True)
+    var = ops.reduce_mean(ops.mul(centered, centered), 1, keepdims=True)
     normed = ops.div(centered, ops.sqrt(ops.add(var, eps)))
-    side = [1] * x.ndim
-    side[axis] = x.shape[axis]
+    side = (1, x.shape[1], 1)
     return ops.add(ops.mul(normed, ops.reshape(gain, side)), ops.reshape(bias, side))
 
 

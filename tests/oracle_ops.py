@@ -20,8 +20,14 @@ import numpy as np
 
 from sdgf import model as md
 from sdgf import temporal as tp
-from sdgf.autodiff import Tensor, _as_tensor, _check_axis, record
+from sdgf.autodiff import Tensor, _as_tensor, record
 from sdgf.errors import NumericError, ShapeError
+
+
+def _check_axis(x: Tensor, axis: int) -> int:
+    if not -x.ndim <= axis < x.ndim:
+        raise ShapeError(f"axis {axis} out of range for shape {x.shape}")
+    return axis % x.ndim
 
 
 def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

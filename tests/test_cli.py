@@ -560,6 +560,23 @@ def test_eval_attention_dump_rows_are_distributions(trained, tmp_path):
     np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
 
 
+GRAPH_DUMPS = ("static_graph.csv", "dynamic_graph_detail_1.csv", "dynamic_graph_approx.csv")
+
+
+def read_graph_dump(path) -> np.ndarray:
+    """The adjacency in a ``--dump-graphs`` CSV over the columns v0 and v1."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["node", "v0", "v1"]
+    assert [row[0] for row in rows[1:]] == ["v0", "v1"]
+    return np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+
+
+def assert_row_stochastic(graph: np.ndarray) -> None:
+    assert np.all(graph >= 0)
+    np.testing.assert_allclose(graph.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+
+
 def test_eval_graph_dumps_are_row_stochastic(trained, tmp_path):
     data, ckpt, _ = trained
     out = tmp_path / "graphs"
@@ -568,14 +585,8 @@ def test_eval_graph_dumps_are_row_stochastic(trained, tmp_path):
          "--out", str(out), "--dump-graphs"]
     )
     assert code == 0
-    for name in ("static_graph.csv", "dynamic_graph_detail_1.csv", "dynamic_graph_approx.csv"):
-        with open(out / name, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["node", "v0", "v1"]
-        for row in rows[1:]:
-            values = np.array([float(v) for v in row[1:]])
-            assert np.all(values >= 0)
-            assert abs(values.sum() - 1.0) < 1e-9
+    for name in GRAPH_DUMPS:
+        assert_row_stochastic(read_graph_dump(out / name))
 
 
 def test_eval_dumps_come_from_the_scoring_pass(trained, tmp_path, monkeypatch):
@@ -974,6 +985,38 @@ def test_ablate_all_trains_every_variant(tmp_path, capsys):
     assert [row["metric"] for row in rows] == ["mse"] * 5 + ["mae"] * 5
     for label in labels[:-1]:
         assert (out / f"{label}.ckpt").exists()
+
+
+def test_eval_dumps_of_each_ablation_checkpoint_show_what_it_ablates(tmp_path):
+    # wo-gf fuses by the plain mean of its levels + 2 branches, wo-gsl
+    # propagates through identity graphs, and the others learn their
+    # dynamic graphs beside the Pearson prior.
+    data = make_csv(tmp_path, rows=160)
+    out = tmp_path / "ablation-all"
+    code = main(
+        ["ablate", "--data", str(data), "--out", str(out), "--mode", "all"]
+        + sets(TINY + ["train.epochs=1"])
+    )
+    assert code == 0
+    for label in ("full", "wo-gsl", "wo-gf", "wo-tfl"):
+        dumps = out / f"eval-{label}"
+        code = main(
+            ["eval", "--checkpoint", str(out / f"{label}.ckpt"), "--data", str(data),
+             "--out", str(dumps), "--dump-attention", "--dump-graphs"]
+        )
+        assert code == 0
+        weights = np.array(json.loads((dumps / "attention_test.json").read_text())["weights"])
+        assert weights.shape[1] == 3  # levels=1: static, detail_1, approx
+        if label == "wo-gf":
+            assert np.all(weights == 1 / 3)
+        else:
+            assert_row_stochastic(weights)
+        for name in GRAPH_DUMPS:
+            graph = read_graph_dump(dumps / name)
+            if label == "wo-gsl":
+                assert graph.tobytes() == np.eye(2).tobytes()
+            else:
+                assert_row_stochastic(graph)
 
 
 def test_ablate_keeps_the_variants_that_finish_when_one_fails(tmp_path, capsys, monkeypatch):

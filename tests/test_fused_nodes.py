@@ -51,13 +51,13 @@ def leaf(rng, shape, loc=0.0, scale=1.0):
 
 
 def assert_node_matches_chain(
-    fused, chain, leaves, weight, exact=False, fd_tol=1e-4, fd_leaves=None
+    fused, chain, leaves, weight, exact=False, fd_tol=1e-4, fd_leaves=None, fd_h=1e-5
 ):
     """Compare ``sum(out * weight)`` of both builders, then check FD on ``fused``.
 
     ``exact`` asks for bit-identical values. Gradients get a unit floor:
     a cancellation can leave a small entry made of O(1) terms. FD runs
-    on ``fd_leaves``, by default every leaf.
+    on ``fd_leaves``, by default every leaf, with step ``fd_h``.
     """
     results = []
     for build in (fused, chain):
@@ -83,6 +83,7 @@ def assert_node_matches_chain(
         lambda: ops.reduce_sum(ops.mul(fused(), weight)),
         leaves if fd_leaves is None else fd_leaves,
         tol=fd_tol,
+        h=fd_h,
     )
 
 
@@ -184,6 +185,7 @@ def test_revin_denormalize_matches_its_chain(batch, horizon, n, seed):
 @settings(max_examples=4, deadline=None)
 @given(horizon=st.integers(22, 32), **WIDE_REVIN)
 @example(batch=4, horizon=24, n=21, seed=0)
+@example(batch=4, horizon=29, n=19, seed=191)  # FD error 1.8e-4 at a 1e-5 step
 def test_revin_denormalize_matches_its_chain_at_wide_shapes(batch, horizon, n, seed):
     check_revin_denormalize(batch, horizon, n, seed)
 
@@ -201,9 +203,13 @@ def check_revin_denormalize(batch, horizon, n, seed):
         weight,
         exact=True,
         fd_leaves=[y, layer.beta],
+        # The output is linear in y and beta, so a unit step has no
+        # truncation error, and its round-off, about eps * |loss| / step,
+        # stays far below the 1e-5 floor even at a loss of a few hundred.
+        fd_h=1.0,
     )
-    # The output is linear in y and beta but goes as 1 / (gamma + eps^2),
-    # so a central difference in gamma[j] has a truncation error of about
+    # In gamma the output goes as 1 / (gamma + eps^2), so a central
+    # difference in gamma[j] has a truncation error of about
     # (h / (gamma[j] + eps^2))^2: each step stays far inside the distance
     # to its own pole.
     pole = np.abs(layer.gamma.data + layer.eps * layer.eps)

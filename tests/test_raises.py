@@ -61,19 +61,23 @@ ROWS = {
     "accumulate a misshapen gradient": (
         lambda: ones(3).accumulate(np.ones(2)), ShapeError, "does not match value shape"),
     "left_product over a window of another length": (
-        lambda: ad.left_product(np.ones((2, 4)), np.ones((2, 5, 3))), ShapeError,
+        lambda: ad.left_product([np.ones((2, 4))], np.ones((2, 5, 3))), ShapeError,
+        "cannot read a (batch, L, N) window"),
+    "left_product of a bare map, not a list": (
+        lambda: ad.left_product(np.ones((2, 4)), np.ones((2, 4, 3))), ShapeError,
         "cannot read a (batch, L, N) window"),
     "conv1d over a 2-d input": (lambda: conv(x=(2, 5)), ShapeError, "3-d input, got"),
     "conv1d with a 2-d kernel": (lambda: conv(kernel=(2, 2)), ShapeError, "3-d input and kernel"),
     "conv1d with a kernel of other channels": (
         lambda: conv(kernel=(2, 3, 3)), ShapeError, "do not match input"),
-    "layer_norm over an axis out of range": (
-        lambda: ad.layer_norm(ones(2, 3), 2, ones(3), ones(3)), ShapeError, "out of range"),
+    "layer_norm over a 2-d input": (
+        lambda: ad.layer_norm(ones(2, 3), ones(3), ones(3)), ShapeError,
+        "expects (batch, features, nodes)"),
     "layer_norm with a misshapen gain": (
-        lambda: ad.layer_norm(ones(2, 3), 1, ones(2), ones(3)), ShapeError, "affine must have"),
-    "layer_norm over an empty axis": (
-        lambda: ad.layer_norm(T(np.ones((2, 0))), 1, T(np.ones(0)), T(np.ones(0))), ShapeError,
-        "empty axis"),
+        lambda: ad.layer_norm(ones(2, 3, 4), ones(2), ones(3)), ShapeError, "affine must have"),
+    "layer_norm over no features": (
+        lambda: ad.layer_norm(T(np.ones((2, 0, 4))), T(np.ones(0)), T(np.ones(0))), ShapeError,
+        "no features"),
     "pearson over 2-d values": (
         lambda: gr.pearson_matrix(np.ones((4, 3))), ShapeError, "(batch, length, variables)"),
     "a negative propagation depth": (lambda: prop_cfg(-1), ConfigError, "depth must be"),

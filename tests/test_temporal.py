@@ -50,7 +50,7 @@ def test_residual_only_path_is_layer_norm():
     block.residual_kernel = ad.Parameter("res", np.eye(dim).reshape(dim, dim, 1))
     h = ad.Tensor(RNG.normal(0.0, 1.0, (2, dim, 5)))
     out = tp.inception_forward(h, block)
-    expected = ad.layer_norm(h, 1, block.norm_gain, block.norm_bias)
+    expected = ad.layer_norm(h, block.norm_gain, block.norm_bias)
     np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
 
 
